@@ -66,11 +66,18 @@ class ErgodicProbe:
     consistent: bool
 
 
-def _dense_norm(mat: np.ndarray, svd_cap: int = SVD_CAP) -> float:
-    """Spectral norm of an explicit matrix, dense SVD below the cap."""
-    if mat.shape[0] <= svd_cap:
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    return _matrix_norm(mat, 1e-8, 20000, SEED, svd_cap).value
+def _dense_norm(mat: np.ndarray) -> float:
+    """Spectral norm of an explicit matrix under the shared norm policy."""
+    return _matrix_norm(mat, 1e-8, 20000, SEED, SVD_CAP).value
+
+
+def _largest_block(op: OperatorSpec) -> int:
+    """Dimension of the largest leaf block that rotated_mean_tables norms."""
+    if isinstance(op, DirectSum):
+        return max(_largest_block(s) for s in op.summands)
+    if isinstance(op, RotatedScale):
+        return _largest_block(op.inner)
+    return dimension(op)
 
 
 def _unit_angles(angle_count: int) -> np.ndarray:
@@ -82,7 +89,6 @@ def rotated_mean_tables(
     n_max: int,
     lams: np.ndarray,
     want_order2: bool = False,
-    svd_cap: int = SVD_CAP,
     cap: int = DENSE_CAP,
 ):
     """Norm tables ||M_n(lam*T)|| (and order 2) over a grid of scalars.
@@ -96,13 +102,13 @@ def rotated_mean_tables(
         norm1 = np.zeros((lams.size, n_max + 1))
         norm2 = np.zeros((lams.size, n_max + 1)) if want_order2 else None
         for s in op.summands:
-            sub1, sub2 = rotated_mean_tables(s, n_max, lams, want_order2, svd_cap, cap)
+            sub1, sub2 = rotated_mean_tables(s, n_max, lams, want_order2, cap)
             np.maximum(norm1, sub1, out=norm1)
             if want_order2:
                 np.maximum(norm2, sub2, out=norm2)
         return norm1, norm2
     if isinstance(op, RotatedScale):
-        return rotated_mean_tables(op.inner, n_max, lams * op.scalar, want_order2, svd_cap, cap)
+        return rotated_mean_tables(op.inner, n_max, lams * op.scalar, want_order2, cap)
     mat = _compact(materialize(op, cap))
     d = mat.shape[0]
     norm1 = np.zeros((lams.size, n_max + 1))
@@ -113,16 +119,16 @@ def rotated_mean_tables(
         power = eye.astype(scaled.dtype)
         total = power.copy()
         triangular = power.copy()  # sum of (n+1-j) * (lam T)^j
-        norm1[li, 0] = _dense_norm(total, svd_cap)
+        norm1[li, 0] = _dense_norm(total)
         if want_order2:
             norm2[li, 0] = norm1[li, 0]
         for n in range(1, n_max + 1):
             power = power @ scaled
             total = total + power
-            norm1[li, n] = _dense_norm(total, svd_cap) / (n + 1)
+            norm1[li, n] = _dense_norm(total) / (n + 1)
             if want_order2:
                 triangular = triangular + total
-                norm2[li, n] = 2.0 * _dense_norm(triangular, svd_cap) / ((n + 1) * (n + 2))
+                norm2[li, n] = 2.0 * _dense_norm(triangular) / ((n + 1) * (n + 2))
     return norm1, norm2
 
 
@@ -131,7 +137,6 @@ def rotated_mean_norm_profile(
     n_max: int,
     angle_count: int = 256,
     order: int = 1,
-    svd_cap: int = SVD_CAP,
     cap: int = DENSE_CAP,
 ) -> MeanSeries:
     """Sup over the angle grid of ||M_n(lam*T)|| (or the order-2 mean).
@@ -149,7 +154,7 @@ def rotated_mean_norm_profile(
         raise ValidationError("n_max must be non-negative")
     shortcut = is_shift_like(op)
     lams = np.array([1.0 + 0.0j]) if shortcut else _unit_angles(angle_count)
-    norm1, norm2 = rotated_mean_tables(op, n_max, lams, order == 2, svd_cap, cap)
+    norm1, norm2 = rotated_mean_tables(op, n_max, lams, order == 2, cap)
     chosen = norm1 if order == 1 else norm2
     return MeanSeries(
         n=np.arange(n_max + 1),
@@ -159,7 +164,7 @@ def rotated_mean_norm_profile(
         order=order,
         angle_count=angle_count,
         rotation_shortcut=shortcut,
-        method="dense-svd-oracle" if dimension(op) <= svd_cap else "power-iteration",
+        method="dense-svd" if _largest_block(op) <= SVD_CAP else "power-iteration",
     )
 
 
@@ -218,9 +223,7 @@ def cesaro_mean2(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> Dense:
     return Dense(form_two)
 
 
-def cesaro_identity_check(
-    op: OperatorSpec, n: int, cap: int = DENSE_CAP, svd_cap: int = SVD_CAP
-) -> float:
+def cesaro_identity_check(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> float:
     """Largest residual of the two power/mean recurrences at index n.
 
     Checks T^n = (n+1) M_n - n M_{n-1} and
@@ -243,21 +246,12 @@ def cesaro_identity_check(
             powers[j] = power.copy()
     if n == 1:
         means[0] = np.eye(d, dtype=complex)
-    first = _dense_norm(
-        powers[n] - ((n + 1) * means[n] - n * means[n - 1]), svd_cap
-    )
-    second = _dense_norm(
-        (n + 2) / (n + 1) * means[n + 1] - means[n] - powers[n + 1] / (n + 1), svd_cap
-    )
+    first = _dense_norm(powers[n] - ((n + 1) * means[n] - n * means[n - 1]))
+    second = _dense_norm((n + 2) / (n + 1) * means[n + 1] - means[n] - powers[n + 1] / (n + 1))
     return max(first, second)
 
 
-def mean_difference_decay(
-    op: OperatorSpec,
-    ladder,
-    cap: int = DENSE_CAP,
-    svd_cap: int = SVD_CAP,
-) -> np.ndarray:
+def mean_difference_decay(op: OperatorSpec, ladder, cap: int = DENSE_CAP) -> np.ndarray:
     """||M_{n+1}(T) - M_n(T)|| at each ladder index n."""
     ladder = tuple(int(n) for n in ladder)
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(n < 0 for n in ladder):
@@ -272,7 +266,7 @@ def mean_difference_decay(
         power = power @ mat
         new_total = total + power
         if (n - 1) in wanted:
-            out[n - 1] = _dense_norm(new_total / (n + 1) - total / n, svd_cap)
+            out[n - 1] = _dense_norm(new_total / (n + 1) - total / n)
         total = new_total
     return np.array([out[n] for n in ladder])
 

@@ -3,7 +3,9 @@
 Subcommands: construct | powers | cesaro | kreiss | claims | growth |
 reproduce.  Every run writes a deterministic report into --out: the
 same flags and seed always produce byte-identical files.  The exit
-status is nonzero when any definite check failed.
+status is 1 when any definite check failed, 2 when the input is
+invalid, and 3 when a numerical kernel failed: an iteration stalled, a
+resolvent was singular, or a dense size cap was exceeded.
 
 KREISSLAB_THREADS, when set, caps the linear-algebra thread pools; it
 must be read before numpy loads, so the heavy imports happen inside
@@ -30,6 +32,8 @@ def _parse_radii(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .constructions import CATALOG_NAMES
+
     parser = argparse.ArgumentParser(
         prog="kreisslab",
         description="Numerical experiments on resolvent bounds, Cesaro means, "
@@ -39,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, operator=True):
         if operator:
-            p.add_argument("--operator", required=True,
-                           choices=("tn", "shields", "bermbmp", "ergces", "tzblock"))
+            p.add_argument("--operator", required=True, choices=CATALOG_NAMES)
             p.add_argument("--trunc", type=int, default=16,
                            help="size parameter: n for tn, d for bermbmp/tzblock, "
                                 "basis cutoff for ergces")
@@ -273,7 +276,7 @@ def main(argv=None) -> int:
     _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .errors import ValidationError
+    from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 
     handlers = {
         "construct": _cmd_construct,
@@ -289,6 +292,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConvergenceError, SingularError, SizeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -131,6 +131,10 @@ class ClaimCheckResult:
     passed: bool | None = None
     status: str = "pass"
 
+    def __post_init__(self):
+        if self.passed is not None:
+            object.__setattr__(self, "passed", bool(self.passed))
+
     def to_dict(self) -> dict:
         return {
             "claim_id": self.claim_id,
@@ -189,20 +193,20 @@ def _require_contractive_spectrum(op: OperatorSpec):
         raise ValidationError(f"spectral radius bound {bound:.6g} exceeds 1")
 
 
-def resolvent_norm(op: OperatorSpec, lam: complex, svd_cap: int = SVD_CAP) -> float:
+def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
     """||(lam I - op)^-1||, exact blockwise over direct sums.
 
-    Small blocks use 1/sigma_min of the materialized system; larger ones
-    run power iteration whose matrix-vector products are resolvent
-    solves, so structured variants never materialize.
+    Blocks up to SVD_CAP use 1/sigma_min of the materialized system;
+    larger ones run power iteration whose matrix-vector products are
+    resolvent solves, so structured variants never materialize.
     """
     lam = complex(lam)
     if isinstance(op, DirectSum):
-        return max(resolvent_norm(s, lam, svd_cap) for s in op.summands)
+        return max(resolvent_norm(s, lam) for s in op.summands)
     if isinstance(op, RotatedScale):
-        return resolvent_norm(op.inner, lam / op.scalar, svd_cap)
+        return resolvent_norm(op.inner, lam / op.scalar)
     d = dimension(op)
-    if d <= svd_cap:
+    if d <= SVD_CAP:
         system = lam * np.eye(d) - materialize(op)
         smin = float(np.linalg.svd(system, compute_uv=False)[-1])
         if smin == 0.0:
@@ -222,7 +226,7 @@ def resolvent_norm(op: OperatorSpec, lam: complex, svd_cap: int = SVD_CAP) -> fl
     return value
 
 
-def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, svd_cap: int = SVD_CAP) -> KreissReport:
+def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
     """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||.
 
     Shift-like operators are rotation invariant, so one angle per radius
@@ -238,7 +242,7 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, svd_cap: int = SVD_CAP)
         for mu in angles:
             lam = r * mu
             try:
-                value = (r - 1.0) * resolvent_norm(op, lam, svd_cap)
+                value = (r - 1.0) * resolvent_norm(op, lam)
             except SingularError:
                 skipped.append((float(r), complex(mu)))
                 continue
@@ -256,13 +260,12 @@ def uniform_kreiss_constant(
     op: OperatorSpec,
     n_max: int,
     angles: int = 256,
-    svd_cap: int = SVD_CAP,
     cap: int = DENSE_CAP,
 ) -> KreissReport:
     """sup over n <= n_max and the angle grid of ||M_n(lam T)||."""
     shortcut = is_shift_like(op)
     lams = np.array([1.0 + 0.0j]) if shortcut else _unit_angles(angles)
-    norm1, _ = rotated_mean_tables(op, n_max, lams, False, svd_cap, cap)
+    norm1, _ = rotated_mean_tables(op, n_max, lams, False, cap)
     return KreissReport(
         ukb_C=float(norm1.max()),
         angle_count=angles,
@@ -275,7 +278,6 @@ def kb2_constant(
     op: OperatorSpec,
     n_max: int,
     angles: int = 256,
-    svd_cap: int = SVD_CAP,
     cap: int = DENSE_CAP,
 ) -> KreissReport:
     """Second-mean constant, in both normalizations.
@@ -286,7 +288,7 @@ def kb2_constant(
     """
     shortcut = is_shift_like(op)
     lams = np.array([1.0 + 0.0j]) if shortcut else _unit_angles(angles)
-    _, norm2 = rotated_mean_tables(op, n_max, lams, True, svd_cap, cap)
+    _, norm2 = rotated_mean_tables(op, n_max, lams, True, cap)
     n = np.arange(n_max + 1, dtype=float)
     quad = norm2 * ((n + 2.0) / (2.0 * (n + 1.0)))
     return KreissReport(
@@ -302,7 +304,6 @@ def strong_kreiss_constant(
     op: OperatorSpec,
     grid: AnnulusGrid,
     k_max: int = 16,
-    svd_cap: int = SVD_CAP,
     cap: int = DENSE_CAP,
 ) -> KreissReport:
     """sup over the grid and k <= k_max of (|lam|-1)^k * ||(lam I - T)^-k||.
@@ -330,7 +331,7 @@ def strong_kreiss_constant(
         log_gap = math.log(r - 1.0)
         for k in range(1, k_max + 1):
             power = power @ resolvent
-            norm = _dense_norm(power, svd_cap)
+            norm = _dense_norm(power)
             if norm <= 0.0:
                 continue
             log_term = k * log_gap + math.log(norm)

@@ -27,7 +27,7 @@ SEED = 0x5EED
 #: Largest dimension materialized as a dense matrix.
 DENSE_CAP = 4096
 
-#: Largest dimension at which a dense SVD cross-checks iterative estimates.
+#: Largest dimension normed by a dense SVD; larger ones are iterated.
 SVD_CAP = 512
 
 _UNIMODULAR_TOL = 1e-12
@@ -158,7 +158,7 @@ class NormEstimate:
     """A spectral-norm value together with how it was obtained."""
 
     value: float
-    method: str  # "closed-form" | "power-iteration" | "dense-svd-oracle"
+    method: str  # "closed-form" | "power-iteration" | "dense-svd" | "dense-svd-oracle"
     residual: float
     iterations: int
 
@@ -345,20 +345,8 @@ def _power_iteration(matvec, matvec_adj, d, tol, max_iter, seed, real_start=Fals
     return best, best_res, it, False
 
 
-def _matrix_norm(mat: np.ndarray, tol: float, max_iter: int, seed: int, svd_cap: int) -> NormEstimate:
-    """Spectral norm of an explicit matrix, SVD-checked below svd_cap."""
-    mat = _compact(mat)
-    d = mat.shape[0]
-    value, res, iters, ok = _power_iteration(
-        lambda v: mat @ v, lambda v: mat.conj().T @ v, d, tol, max_iter, seed,
-        real_start=not np.iscomplexobj(mat),
-    )
-    if d <= svd_cap:
-        sigma = float(np.linalg.svd(mat, compute_uv=False)[0])
-        scale = max(sigma, value, 1e-300)
-        if not ok or abs(value - sigma) > 1e-8 * scale:
-            return NormEstimate(sigma, "dense-svd-oracle", res, iters)
-        return NormEstimate(value, "power-iteration", res, iters)
+def _converged(value: float, res: float, iters: int, ok: bool) -> NormEstimate:
+    """A power-iteration result, or ConvergenceError carrying its best estimate."""
     if not ok:
         raise ConvergenceError(
             f"power iteration stalled at residual {res:.3e} after {iters} iterations",
@@ -367,6 +355,18 @@ def _matrix_norm(mat: np.ndarray, tol: float, max_iter: int, seed: int, svd_cap:
             iterations=iters,
         )
     return NormEstimate(value, "power-iteration", res, iters)
+
+
+def _matrix_norm(mat: np.ndarray, tol: float, max_iter: int, seed: int, svd_cap: int) -> NormEstimate:
+    """The norm policy for explicit matrices: dense SVD up to svd_cap, iteration above."""
+    mat = _compact(mat)
+    d = mat.shape[0]
+    if d <= svd_cap:
+        return NormEstimate(float(np.linalg.svd(mat, compute_uv=False)[0]), "dense-svd", 0.0, 0)
+    return _converged(*_power_iteration(
+        lambda v: mat @ v, lambda v: mat.conj().T @ v, d, tol, max_iter, seed,
+        real_start=not np.iscomplexobj(mat),
+    ))
 
 
 def spectral_norm(
@@ -374,35 +374,29 @@ def spectral_norm(
     tol: float = 1e-10,
     max_iter: int = 20000,
     seed: int = SEED,
-    svd_cap: int = SVD_CAP,
 ) -> NormEstimate:
     """Largest singular value of op.
 
-    Runs power iteration on op* op from a seeded start vector.  Below
-    ``svd_cap`` a dense SVD of the materialized matrix cross-checks the
-    estimate and wins on disagreement or non-convergence; above the cap,
-    non-convergence raises ConvergenceError carrying the best estimate.
+    Dense operators are normed by _matrix_norm.  Structured operators
+    run seeded power iteration on op* op through their O(d) action; at
+    or below SVD_CAP the norm of the materialized matrix cross-checks
+    the estimate and overrides it on disagreement or a stall
+    ("dense-svd-oracle"), above the cap a stall raises ConvergenceError.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
+    if isinstance(op, Dense):
+        return _matrix_norm(op.matrix, tol, max_iter, seed, SVD_CAP)
     d = dimension(op)
     value, res, iters, ok = _power_iteration(
         lambda v: apply(op, v), lambda v: apply_adjoint(op, v), d, tol, max_iter, seed
     )
-    if d <= svd_cap:
-        sigma = float(np.linalg.svd(materialize(op), compute_uv=False)[0])
-        scale = max(sigma, value, 1e-300)
-        if not ok or abs(value - sigma) > 1e-8 * scale:
-            return NormEstimate(sigma, "dense-svd-oracle", res, iters)
+    if d > SVD_CAP:
+        return _converged(value, res, iters, ok)
+    sigma = _matrix_norm(materialize(op), tol, max_iter, seed, SVD_CAP).value
+    if ok and abs(value - sigma) <= 1e-8 * max(sigma, value, 1e-300):
         return NormEstimate(value, "power-iteration", res, iters)
-    if not ok:
-        raise ConvergenceError(
-            f"power iteration stalled at residual {res:.3e} after {iters} iterations",
-            best=value,
-            residual=res,
-            iterations=iters,
-        )
-    return NormEstimate(value, "power-iteration", res, iters)
+    return NormEstimate(sigma, "dense-svd-oracle", res, iters)
 
 
 def _shift_log_weights(op: WeightedShift) -> np.ndarray:
@@ -434,8 +428,9 @@ def power_norms(
     product of k consecutive ratios (equivalently max_j w_{j+k}/w_j),
     and is 0 once k reaches the dimension.  Direct sums take the sup
     over summands.  Everything else powers the materialized matrix and
-    estimates each norm iteratively; a per-k convergence failure raises
-    ConvergenceError with the completed prefix attached as ``partial``.
+    norms each power by _matrix_norm with ``svd_cap`` as its cap; a per-k
+    convergence failure raises ConvergenceError with the completed
+    prefix attached as ``partial``.
     """
     if kmax < 1:
         raise ValidationError("kmax must be at least 1")

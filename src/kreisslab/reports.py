@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,6 +82,10 @@ class CheckRecord:
     bound: float | None = None
     status: str = ""
     detail: str = ""
+
+    def __post_init__(self):
+        if self.passed is not None:
+            object.__setattr__(self, "passed", bool(self.passed))
 
     def to_dict(self) -> dict:
         status = self.status or ("info" if self.passed is None else "pass" if self.passed else "fail")
@@ -170,19 +175,21 @@ def write_csv(path, header, rows) -> Path:
 
 
 def summarize(results: list) -> dict:
-    """Aggregate result dicts into the report summary block."""
-    failed = sum(1 for r in results if r.get("passed") is False)
-    vacuous = sum(1 for r in results if r.get("status") == "vacuous-pass")
-    no_verdict = sum(
-        1 for r in results if r.get("passed") is None and r.get("status") != "vacuous-pass"
-    )
-    passed = sum(1 for r in results if r.get("passed") is True)
+    """Aggregate result dicts into the report summary block.
+
+    Verdicts are counted from each record's ``status``: ``pass`` and
+    ``vacuous-pass`` records passed, ``fail`` records failed, and every
+    other status carries no verdict.
+    """
+    statuses = Counter(r.get("status") for r in results)
+    passed = statuses["pass"] + statuses["vacuous-pass"]
+    failed = statuses["fail"]
     return {
         "checks": len(results),
         "passed": passed,
         "failed": failed,
-        "vacuous_pass": vacuous,
-        "no_verdict": no_verdict,
+        "vacuous_pass": statuses["vacuous-pass"],
+        "no_verdict": len(results) - passed - failed,
         "all_passed": failed == 0,
     }
 

@@ -329,6 +329,12 @@ def _ex29(seed: int):
     results.append(_check("tz-transient-growth", float(ratios.min()), 1.9,
                           bool(np.all(ratios >= 1.9)),
                           f"min over n <= 32 of n^-1 ||T^n|| at d={d}"))
+    # The first d coordinates of each half span an invariant subspace of
+    # the infinite block-Toeplitz operator, so every truncation stays
+    # below the sup of its symbol: ||T^n|| <= n + sqrt(n^2 + 1).
+    symbol_ratio = float(np.max(series.values / (series.k + np.sqrt(series.k**2 + 1.0))))
+    results.append(_check("tz-symbol-bound", symbol_ratio, 1.0, symbol_ratio <= 1.0 + 1e-12,
+                          f"max over n <= 32 of ||T^n|| / (n + sqrt(n^2 + 1)) at d={d}"))
 
     probe_vectors = []
     for j in (0, 3, 17, 256, 261):

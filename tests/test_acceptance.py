@@ -133,8 +133,12 @@ def test_criterion_07_block_transient_growth():
     d = 512
     series = kl.power_norms(kl.build_tz_block(d), 32, tol=1e-8, svd_cap=2 * d)
     ratios = series.values / series.k
-    _report(7, "block operator transient growth", bool(np.all(ratios >= 1.9)),
-            f"(min ratio {ratios.min():.4f} at d={d})")
+    # Independent oracle: a truncation never exceeds the symbol bound n + sqrt(n^2 + 1).
+    n = series.k.astype(float)
+    symbol = float(np.max(series.values / (n + np.sqrt(n * n + 1.0))))
+    _report(7, "block operator transient growth",
+            bool(np.all(ratios >= 1.9)) and symbol <= 1.0 + 1e-12,
+            f"(min ratio {ratios.min():.4f}, max symbol ratio {symbol:.7f} at d={d})")
 
 
 def test_criterion_08_sqrt_growth_oracle():

@@ -101,6 +101,12 @@ def test_shift_mean_rotation_invariance_on_dense_grid():
         assert float(spread.max()) <= 1e-9
 
 
+def test_profile_method_follows_the_largest_normed_block():
+    op = kl.build_shields_counterexample(0.15, 0.45, 64)
+    assert kl.dimension(op) == 4160
+    assert kl.rotated_mean_norm_profile(op, 2, angle_count=1).method == "dense-svd"
+
+
 def test_profile_ergces_even_means_bounded():
     profile = kl.rotated_mean_norm_profile(kl.build_ergces(20), 256, angle_count=1)
     even = profile.norm_m1[2::2]

@@ -125,3 +125,12 @@ def test_validation_error_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # d = 1024 lies above SVD_CAP and its clustered top singular values stall
+    # the power iteration: a clean error line and exit 3, not a traceback.
+    code = main(["construct", "--operator", "tzblock", "--trunc", "512",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: power iteration stalled")

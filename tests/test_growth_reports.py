@@ -121,3 +121,17 @@ def test_summarize_counts():
         "no_verdict": 2,
         "all_passed": False,
     }
+
+
+def test_summarize_counts_a_failing_claim_verdict():
+    g = np.ones(4) / 2.0
+    claim = kl.tn_claim1_bound(0.3, 2, g, g, 1e-6)
+    assert claim.status == "fail" and type(claim.passed) is bool
+    summary = summarize([claim.to_dict()])
+    assert (summary["failed"], summary["all_passed"]) == (1, False)
+
+
+def test_check_record_stores_a_python_bool():
+    record = kl.CheckRecord("c", np.False_)
+    assert type(record.passed) is bool
+    assert record.to_dict()["status"] == "fail"

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kreisslab as kl
+from kreisslab.cesaro import _dense_norm
+from kreisslab.operators import _matrix_norm
 
 
 def e(i, d):
@@ -179,6 +181,35 @@ def test_spectral_norm_rotation_invariance():
 def test_spectral_norm_invalid_tolerance():
     with pytest.raises(kl.ValidationError):
         kl.spectral_norm(kl.Dense(np.eye(2)), tol=0.0)
+
+
+def test_explicit_matrices_are_iterated_only_above_the_svd_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr("kreisslab.operators._power_iteration", refuse)
+    op = random_dense(8, 11)
+    est = kl.spectral_norm(op)
+    sigma = np.linalg.svd(op.matrix, compute_uv=False)[0]
+    assert (est.method, est.residual, est.iterations) == ("dense-svd", 0.0, 0)
+    assert abs(est.value - sigma) <= 1e-12 * sigma
+    series = kl.power_norms(kl.build_ergces(20), 4)
+    assert series.methods == ("dense-svd",) * 4
+    mat = np.random.default_rng(12).standard_normal((16, 16))
+    sigma = np.linalg.svd(mat, compute_uv=False)[0]
+    assert abs(_dense_norm(mat) - sigma) <= 1e-12 * sigma
+
+    separated = np.diag([1.0, 0.5, 0.25, 0.125])
+    with pytest.raises(AssertionError, match="power iteration ran"):
+        _matrix_norm(separated, 1e-10, 20000, kl.SEED, 2)
+    monkeypatch.undo()
+    est = _matrix_norm(separated, 1e-10, 20000, kl.SEED, 2)
+    assert est.method == "power-iteration" and est.iterations > 0
+    assert abs(est.value - 1.0) <= 1e-9
+    clustered = np.diag([1.0, 1.0 - 1e-9, 0.5, 0.25])
+    with pytest.raises(kl.ConvergenceError) as info:
+        _matrix_norm(clustered, 1e-14, 20000, kl.SEED, 2)
+    assert abs(info.value.best - 1.0) <= 1e-8
 
 
 # --- power norms ---
