@@ -1,5 +1,17 @@
 """Numerical laboratory for resolvent bounds, Cesaro means, and power-norm
-growth of structured Hilbert-space operators."""
+growth of structured Hilbert-space operators.
+
+KREISSLAB_THREADS, when set, caps the linear-algebra thread pools.  BLAS
+reads its variables when numpy loads, so the cap is applied here, before
+any submodule imports numpy.
+"""
+
+import os as _os
+
+if _os.environ.get("KREISSLAB_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["KREISSLAB_THREADS"])
 
 from .cesaro import (
     ErgodicProbe,
@@ -47,6 +59,7 @@ from .kreiss import (
     kb2_constant,
     kreiss_constant,
     lemma21_bound,
+    orbit_norms,
     resolvent_norm,
     run_hilbert_claims,
     strong_kreiss_constant,
@@ -77,6 +90,6 @@ from .operators import (
     spectral_norm,
 )
 from .reports import CheckRecord, RunConfig, emit_report, to_json_bytes, write_csv
-from .reproduce import REPRODUCIBLE_IDS, reproduce
+from .reproduce import REPRODUCIBLE_IDS
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,10 +1,11 @@
 """Cesaro means, second means, rotated mean profiles, and ergodicity probes.
 
-All mean computations accumulate a running sum of powers (one operator
-application per step), never re-powering from scratch, so a full profile
-up to n_max costs n_max multiplications.  Rotated profiles take the sup
-over a uniform unimodular grid; for shift-like operators the rotation is
-a unitary equivalence, so a single angle suffices and is recorded as such.
+All mean computations read one accumulation stream, _power_sums: a
+running sum of powers with one operator application per step, never
+re-powering from scratch, so a full profile up to n_max costs n_max
+multiplications.  Rotated profiles take the sup over a uniform
+unimodular grid; for shift-like operators the rotation is a unitary
+equivalence, so a single angle suffices and is recorded as such.
 """
 
 from __future__ import annotations
@@ -80,8 +81,20 @@ def _largest_block(op: OperatorSpec) -> int:
     return dimension(op)
 
 
-def _unit_angles(angle_count: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(angle_count) / angle_count)
+def _angle_grid(op: OperatorSpec, angle_count: int):
+    """(shortcut, lams): lam = 1 alone for shift-like op, else a uniform grid."""
+    if is_shift_like(op):
+        return True, np.array([1.0 + 0.0j])
+    return False, np.exp(2j * np.pi * np.arange(angle_count) / angle_count)
+
+
+def _power_sums(step, start, n_max: int):
+    """Yield (n, T^n s, sum_{j<=n} T^j s) for n = 1..n_max, where step(v) = T v."""
+    power = total = start
+    for n in range(1, n_max + 1):
+        power = step(power)
+        total = total + power
+        yield n, power, total
 
 
 def rotated_mean_tables(
@@ -110,21 +123,17 @@ def rotated_mean_tables(
     if isinstance(op, RotatedScale):
         return rotated_mean_tables(op.inner, n_max, lams * op.scalar, want_order2, cap)
     mat = _compact(materialize(op, cap))
-    d = mat.shape[0]
     norm1 = np.zeros((lams.size, n_max + 1))
     norm2 = np.zeros((lams.size, n_max + 1)) if want_order2 else None
-    eye = np.eye(d)
+    eye = np.eye(mat.shape[0])
     for li, lam in enumerate(lams):
         scaled = _compact(lam * mat)
-        power = eye.astype(scaled.dtype)
-        total = power.copy()
-        triangular = power.copy()  # sum of (n+1-j) * (lam T)^j
-        norm1[li, 0] = _dense_norm(total)
+        start = eye.astype(scaled.dtype)
+        triangular = start  # sum of (n+1-j) * (lam T)^j
+        norm1[li, 0] = _dense_norm(start)
         if want_order2:
             norm2[li, 0] = norm1[li, 0]
-        for n in range(1, n_max + 1):
-            power = power @ scaled
-            total = total + power
+        for n, _, total in _power_sums(lambda p: p @ scaled, start, n_max):
             norm1[li, n] = _dense_norm(total) / (n + 1)
             if want_order2:
                 triangular = triangular + total
@@ -152,8 +161,7 @@ def rotated_mean_norm_profile(
         raise ValidationError("order must be 1 or 2")
     if n_max < 0:
         raise ValidationError("n_max must be non-negative")
-    shortcut = is_shift_like(op)
-    lams = np.array([1.0 + 0.0j]) if shortcut else _unit_angles(angle_count)
+    shortcut, lams = _angle_grid(op, angle_count)
     norm1, norm2 = rotated_mean_tables(op, n_max, lams, order == 2, cap)
     chosen = norm1 if order == 1 else norm2
     return MeanSeries(
@@ -178,10 +186,7 @@ def cesaro_mean(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> Dense:
     total = np.eye(d, dtype=complex)
     if n > 0:
         mat = materialize(op, cap)
-        power = np.eye(d, dtype=complex)
-        for _ in range(n):
-            power = power @ mat
-            total = total + power
+        *_, (_, _, total) = _power_sums(lambda p: p @ mat, total, n)  # the last sum
     return Dense(total / (n + 1))
 
 
@@ -189,8 +194,8 @@ def cesaro_mean2(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> Dense:
     """The second mean, cross-checking its two equivalent forms.
 
     Form one averages the running means with weights (j+1); form two is
-    the triangular sum of (n+1-j) T^j.  Both are evaluated and must
-    agree to 1e-12; the triangular form is returned.
+    the triangular sum of (n+1-j) T^j.  Both are accumulated in one pass
+    and must agree to 1e-12; the triangular form is returned.
     """
     if n < 0:
         raise ValidationError("mean index must be non-negative")
@@ -201,20 +206,12 @@ def cesaro_mean2(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> Dense:
     mat = materialize(op, cap) if n > 0 else None
     scale = 2.0 / ((n + 1) * (n + 2))
 
-    power = eye.copy()
-    running = eye.copy()
-    averaged = eye.copy()  # sum of (j+1) * M_j, literally
-    for j in range(1, n + 1):
-        power = power @ mat
-        running = running + power
-        averaged = averaged + (j + 1) * (running / (j + 1))
-    form_one = scale * averaged
-
-    power = eye.copy()
+    averaged = eye  # sum of (j+1) * M_j, literally
     triangular = (n + 1) * eye
-    for j in range(1, n + 1):
-        power = power @ mat
+    for j, power, running in _power_sums(lambda p: p @ mat, eye, n):
+        averaged = averaged + (j + 1) * (running / (j + 1))
         triangular = triangular + (n + 1 - j) * power
+    form_one = scale * averaged
     form_two = scale * triangular
 
     gap = float(np.max(np.abs(form_one - form_two)))
@@ -231,21 +228,14 @@ def cesaro_identity_check(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> flo
     """
     if n < 1:
         raise ValidationError("identity check needs n >= 1")
-    d = dimension(op)
     mat = materialize(op, cap)
-    power = np.eye(d, dtype=complex)
-    total = np.eye(d, dtype=complex)
-    means = {}
+    eye = np.eye(dimension(op), dtype=complex)
+    means = {0: eye}
     powers = {}
-    for j in range(1, n + 2):
-        power = power @ mat
-        total = total + power
-        if j in (n - 1, n, n + 1):
+    for j, power, total in _power_sums(lambda p: p @ mat, eye, n + 1):
+        if j >= n - 1:
             means[j] = total / (j + 1)
-        if j in (n, n + 1):
-            powers[j] = power.copy()
-    if n == 1:
-        means[0] = np.eye(d, dtype=complex)
+            powers[j] = power
     first = _dense_norm(powers[n] - ((n + 1) * means[n] - n * means[n - 1]))
     second = _dense_norm((n + 2) / (n + 1) * means[n + 1] - means[n] - powers[n + 1] / (n + 1))
     return max(first, second)
@@ -256,18 +246,14 @@ def mean_difference_decay(op: OperatorSpec, ladder, cap: int = DENSE_CAP) -> np.
     ladder = tuple(int(n) for n in ladder)
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(n < 0 for n in ladder):
         raise ValidationError("ladder must be strictly increasing and non-negative")
-    d = dimension(op)
     mat = materialize(op, cap)
     wanted = set(ladder)
     out = {}
-    power = np.eye(d, dtype=complex)
-    total = np.eye(d, dtype=complex)
-    for n in range(1, max(ladder) + 2):
-        power = power @ mat
-        new_total = total + power
+    previous = np.eye(dimension(op), dtype=complex)
+    for n, _, total in _power_sums(lambda p: p @ mat, previous, max(ladder) + 1):
         if (n - 1) in wanted:
-            out[n - 1] = _dense_norm(new_total / (n + 1) - total / n)
-        total = new_total
+            out[n - 1] = _dense_norm(total / (n + 1) - previous / n)
+        previous = total
     return np.array([out[n] for n in ladder])
 
 
@@ -321,12 +307,8 @@ def ergodic_probe(
     for pi, x in enumerate(vecs):
         if d <= cap and not np.iscomplexobj(mat) and not x.imag.any():
             x = x.real
-        running = x.copy()
-        current = x.copy()
         snapshots = {0: x}
-        for n in range(1, max(ladder) + 1):
-            current = step(current)
-            running = running + current
+        for n, _, running in _power_sums(step, x, max(ladder)):
             if n in ladder:
                 snapshots[n] = running / (n + 1)
         for gi, (a, b) in enumerate(zip(ladder, ladder[1:])):

@@ -7,24 +7,23 @@ status is 1 when any definite check failed, 2 when the input is
 invalid, and 3 when a numerical kernel failed: an iteration stalled, a
 resolvent was singular, or a dense size cap was exceeded.
 
-KREISSLAB_THREADS, when set, caps the linear-algebra thread pools; it
-must be read before numpy loads, so the heavy imports happen inside
-main().
+KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-
-def _cap_threads() -> None:
-    cap = os.environ.get("KREISSLAB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+from .cesaro import rotated_mean_norm_profile
+from .constructions import CATALOG_NAMES, make_operator
+from .errors import ConvergenceError, SingularError, SizeError, ValidationError
+from .growth import growth_fit
+from .kreiss import (AnnulusGrid, kb2_constant, kreiss_constant, run_hilbert_claims,
+                     strong_kreiss_constant)
+from .operators import WeightedShift, dimension, power_norms, spectral_norm
+from .reports import CheckRecord, RunConfig, emit_report, summarize
+from .reproduce import reproduce
 
 
 def _parse_radii(text: str):
@@ -32,8 +31,6 @@ def _parse_radii(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .constructions import CATALOG_NAMES
-
     parser = argparse.ArgumentParser(
         prog="kreisslab",
         description="Numerical experiments on resolvent bounds, Cesaro means, "
@@ -99,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _operator_entry(args):
-    from .constructions import make_operator
-
     name = args.operator
     if name == "tn":
         return make_operator("tn", n=args.trunc, eta=args.eta)
@@ -115,8 +110,6 @@ def _operator_entry(args):
 
 
 def _config(args, command, entry=None, **extra):
-    from .reports import RunConfig
-
     return RunConfig(
         command=command,
         operator=entry.name if entry is not None else extra.pop("operator", None),
@@ -133,8 +126,6 @@ def _config(args, command, entry=None, **extra):
 
 
 def _emit(args, config, results, tables):
-    from .reports import emit_report, summarize
-
     formats = ("json",) if args.format == "json" else ("csv",)
     emit_report(config, results, tables, args.out, formats)
     summary = summarize(results)
@@ -144,9 +135,6 @@ def _emit(args, config, results, tables):
 
 
 def _cmd_construct(args) -> int:
-    from .operators import WeightedShift, dimension, spectral_norm
-    from .reports import CheckRecord
-
     entry = _operator_entry(args)
     est = spectral_norm(entry.spec, tol=1e-10)
     results = [
@@ -165,15 +153,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_powers(args) -> int:
-    from .operators import power_norms
-
     entry = _operator_entry(args)
     series = power_norms(entry.spec, args.k_max)
     rows = [
         (int(k), float(v), m, float(r))
         for k, v, m, r in zip(series.k, series.values, series.methods, series.residuals)
     ]
-    from .reports import CheckRecord
 
     results = [CheckRecord("power-norms", None, float(series.values.max()), None,
                            status="info", detail=f"k <= {args.k_max}").to_dict()]
@@ -182,9 +167,6 @@ def _cmd_powers(args) -> int:
 
 
 def _cmd_cesaro(args) -> int:
-    from .cesaro import rotated_mean_norm_profile
-    from .reports import CheckRecord
-
     entry = _operator_entry(args)
     profile = rotated_mean_norm_profile(entry.spec, args.n_max, args.angles, args.order)
     rows = []
@@ -201,19 +183,14 @@ def _cmd_cesaro(args) -> int:
 
 
 def _cmd_kreiss(args) -> int:
-    from .kreiss import (AnnulusGrid, kb2_constant, kreiss_constant,
-                         strong_kreiss_constant, uniform_kreiss_constant)
-    from .reports import CheckRecord
-
     entry = _operator_entry(args)
     grid = AnnulusGrid(args.radii, args.angles) if args.radii else AnnulusGrid.default(args.angles)
     base = kreiss_constant(entry.spec, grid)
-    ukb = uniform_kreiss_constant(entry.spec, args.n_max, args.angles)
     kb2 = kb2_constant(entry.spec, args.n_max, args.angles)
     strong = strong_kreiss_constant(entry.spec, grid, args.k_max)
     merged = base.to_dict()
     merged.update({
-        "ukb_C": ukb.ukb_C,
+        "ukb_C": kb2.ukb_C,
         "kb2_C": kb2.kb2_C,
         "kb2_sum_C": kb2.kb2_sum_C,
         "strong_C": strong.strong_C,
@@ -228,9 +205,6 @@ def _cmd_kreiss(args) -> int:
 
 
 def _cmd_claims(args) -> int:
-    from .kreiss import kb2_constant, run_hilbert_claims
-    from .reports import CheckRecord
-
     entry = _operator_entry(args)
     report = kb2_constant(entry.spec, args.n_max, args.angles)
     constant = float(report.kb2_sum_C)
@@ -248,10 +222,6 @@ def _cmd_claims(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    from .growth import growth_fit
-    from .operators import power_norms
-    from .reports import CheckRecord
-
     entry = _operator_entry(args)
     series = power_norms(entry.spec, args.k_max)
     epsilon = args.epsilon if args.operator == "shields" else None
@@ -267,16 +237,12 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    from .reproduce import reproduce
-
     return reproduce(args.theorem_id, args.out, args.seed)
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 
     handlers = {
         "construct": _cmd_construct,

@@ -5,7 +5,9 @@ resolvent constant sup (|lam|-1) * ||(lam I - T)^-1||, the uniform
 variant through rotated Cesaro means, and the strong variant through
 resolvent powers.  The second-mean constant is also reported in the
 quadratic normalization sup_N N^-2 * ||sum_{j<N} (N-j) (lam T)^j||,
-which is the form the orbit inequalities (claims H1..H4) consume.
+which is the form the orbit inequalities (claims H1..H4) consume.  The
+claims read the orbit norms norms[j] = ||T^j x|| from orbit_norms, so
+one orbit serves every claim instance on a probe.
 
 Every checker returns a ClaimCheckResult carrying value, bound, margin
 and a status; hypotheses that fail to hold (a vanishing orbit power, a
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cesaro import _dense_norm, rotated_mean_tables, _unit_angles
+from .cesaro import _angle_grid, _dense_norm, rotated_mean_tables
 from .errors import SingularError, ValidationError
 from .operators import (
     DENSE_CAP,
@@ -30,11 +32,11 @@ from .operators import (
     OperatorSpec,
     RotatedScale,
     WeightedShift,
+    _converged,
     _power_iteration,
     adjoint,
     apply,
     dimension,
-    is_shift_like,
     materialize,
     resolvent_apply,
 )
@@ -198,7 +200,9 @@ def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
 
     Blocks up to SVD_CAP use 1/sigma_min of the materialized system;
     larger ones run power iteration whose matrix-vector products are
-    resolvent solves, so structured variants never materialize.
+    resolvent solves, so structured variants never materialize.  A
+    stalled iteration raises ConvergenceError: a failed estimate, not a
+    singular point.
     """
     lam = complex(lam)
     if isinstance(op, DirectSum):
@@ -213,17 +217,14 @@ def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
             raise SingularError(f"resolvent singular at lam={lam}")
         return 1.0 / smin
     op_adj = adjoint(op)
-    value, _res, _it, ok = _power_iteration(
+    return _converged(*_power_iteration(
         lambda v: resolvent_apply(op, lam, v),
         lambda v: resolvent_apply(op_adj, np.conj(lam), v),
         d,
         1e-10,
         20000,
         SEED,
-    )
-    if not ok:
-        raise SingularError(f"resolvent norm estimate stalled at lam={lam}")
-    return value
+    )).value
 
 
 def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
@@ -231,11 +232,10 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
 
     Shift-like operators are rotation invariant, so one angle per radius
     is evaluated and recorded as a shortcut.  Singular grid points are
-    skipped and listed in the report.
+    skipped and listed in the report; a stalled estimate raises.
     """
     _require_contractive_spectrum(op)
-    shortcut = is_shift_like(op)
-    angles = np.array([1.0 + 0.0j]) if shortcut else _unit_angles(grid.angle_count)
+    shortcut, angles = _angle_grid(op, grid.angle_count)
     best = 0.0
     skipped = []
     for r in grid.radii:
@@ -263,8 +263,7 @@ def uniform_kreiss_constant(
     cap: int = DENSE_CAP,
 ) -> KreissReport:
     """sup over n <= n_max and the angle grid of ||M_n(lam T)||."""
-    shortcut = is_shift_like(op)
-    lams = np.array([1.0 + 0.0j]) if shortcut else _unit_angles(angles)
+    shortcut, lams = _angle_grid(op, angles)
     norm1, _ = rotated_mean_tables(op, n_max, lams, False, cap)
     return KreissReport(
         ukb_C=float(norm1.max()),
@@ -280,18 +279,20 @@ def kb2_constant(
     angles: int = 256,
     cap: int = DENSE_CAP,
 ) -> KreissReport:
-    """Second-mean constant, in both normalizations.
+    """Second-mean constant, in both normalizations, and the uniform one.
 
     kb2_C is sup ||M_n^(2)(lam T)||; kb2_sum_C rescales the same values
     to sup_N N^-2 * ||sum_{j<N} (N-j)(lam T)^j|| via the exact identity
-    between the triangular sum and the second mean.
+    between the triangular sum and the second mean.  ukb_C is read off
+    the first-order table the same pass builds, so it equals
+    uniform_kreiss_constant's value exactly.
     """
-    shortcut = is_shift_like(op)
-    lams = np.array([1.0 + 0.0j]) if shortcut else _unit_angles(angles)
-    _, norm2 = rotated_mean_tables(op, n_max, lams, True, cap)
+    shortcut, lams = _angle_grid(op, angles)
+    norm1, norm2 = rotated_mean_tables(op, n_max, lams, True, cap)
     n = np.arange(n_max + 1, dtype=float)
     quad = norm2 * ((n + 2.0) / (2.0 * (n + 1.0)))
     return KreissReport(
+        ukb_C=float(norm1.max()),
         kb2_C=float(norm2.max()),
         kb2_sum_C=float(quad.max()),
         angle_count=angles,
@@ -338,8 +339,7 @@ def strong_kreiss_constant(
             best_here = max(best_here, math.exp(min(log_term, 700.0)))
         return best_here
 
-    shortcut = is_shift_like(op)
-    angles = np.array([1.0 + 0.0j]) if shortcut else _unit_angles(grid.angle_count)
+    shortcut, angles = _angle_grid(op, grid.angle_count)
     best = 0.0
     skipped = []
     for r in grid.radii:
@@ -369,29 +369,32 @@ def orbit_norms(op: OperatorSpec, x: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-def _require_unit(x: np.ndarray):
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
+def _orbit(norms, top: int) -> np.ndarray:
+    """norms[j] = ||T^j x|| as an array, checked for a unit probe and j <= top."""
+    norms = np.asarray(norms, dtype=float)
+    if norms.ndim != 1 or norms.size <= top:
+        raise ValidationError(f"need orbit norms for j <= {top}, got {norms.size}")
+    if abs(norms[0] - 1.0) > 1e-9:
         raise ValidationError("probe vector must have unit norm")
+    return norms
 
 
-def hilbert_claim1(op, C, x, N, params=None) -> ClaimCheckResult:
+def hilbert_claim1(norms, C, N, params=None) -> ClaimCheckResult:
     """Orbit energy bound: sum_{j<N} ||T^j x||^2 <= 16 C^2 N^2."""
-    _require_unit(x)
     if N < 1:
         raise ValidationError("N must be at least 1")
-    norms = orbit_norms(op, x, N - 1)
-    lhs = float(np.sum(norms**2))
+    norms = _orbit(norms, N - 1)
+    lhs = float(np.sum(norms[:N] ** 2))
     bound = 16.0 * C * C * N * N
     return _upper_result("H1", {"N": int(N), **(params or {})}, lhs, bound)
 
 
-def hilbert_claim2(op, C, x, N, M, params=None) -> ClaimCheckResult:
+def hilbert_claim2(norms, C, N, M, params=None) -> ClaimCheckResult:
     """Inverse-orbit bound: sum_{j<M} ||T^N x||^2 / ||T^{N-j} x||^2 <= 16 C^2 M^2."""
-    _require_unit(x)
     if not 0 < M < N:
         raise ValidationError("need 0 < M < N")
+    norms = _orbit(norms, N)
     info = {"N": int(N), "M": int(M), **(params or {})}
-    norms = orbit_norms(op, x, N)
     if norms[N] <= _ORBIT_FLOOR:
         return _vacuous("H2", info)
     js = np.arange(M)
@@ -400,13 +403,12 @@ def hilbert_claim2(op, C, x, N, M, params=None) -> ClaimCheckResult:
     return _upper_result("H2", info, lhs, bound)
 
 
-def hilbert_claim3(op, C, x, N, params=None) -> ClaimCheckResult:
+def hilbert_claim3(norms, C, N, params=None) -> ClaimCheckResult:
     """Reciprocal-orbit bound: sum_{j<N} 1/||T^j x|| >= sqrt(N)/(4C)."""
-    _require_unit(x)
     if N < 1:
         raise ValidationError("N must be at least 1")
+    norms = _orbit(norms, N)
     info = {"N": int(N), **(params or {})}
-    norms = orbit_norms(op, x, N)
     if norms[N] <= _ORBIT_FLOOR:
         return _vacuous("H3", info)
     lhs = float(np.sum(1.0 / norms[:N]))
@@ -414,13 +416,12 @@ def hilbert_claim3(op, C, x, N, params=None) -> ClaimCheckResult:
     return _lower_result("H3", info, lhs, bound)
 
 
-def hilbert_claim4(op, C, x, N, M1, M2, params=None) -> ClaimCheckResult:
+def hilbert_claim4(norms, C, N, M1, M2, params=None) -> ClaimCheckResult:
     """Window bound: sum_{M1<=j<M2} ||T^{N-j}x||^2/||T^N x||^2 >= (M2-M1)^2/(16 C^2 M2^2)."""
-    _require_unit(x)
     if not 0 < M1 < M2 < N:
         raise ValidationError("need 0 < M1 < M2 < N")
+    norms = _orbit(norms, N)
     info = {"N": int(N), "M1": int(M1), "M2": int(M2), **(params or {})}
-    norms = orbit_norms(op, x, N)
     if norms[N] <= _ORBIT_FLOOR:
         return _vacuous("H4", info)
     js = np.arange(M1, M2)
@@ -553,7 +554,11 @@ def run_hilbert_claims(
     n_top: int = 64,
     seed: int = SEED,
 ) -> list:
-    """All four orbit claims over seeded unit probes and dyadic ladders."""
+    """All four orbit claims over seeded unit probes and dyadic ladders.
+
+    Each probe's orbit is computed once, up to n_top, and every claim
+    instance reads its norms from that one array.
+    """
     d = dimension(op)
     ladder = dyadic_ladder(n_top)
     results = []
@@ -561,15 +566,16 @@ def run_hilbert_claims(
         rng = np.random.default_rng([seed, i])
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         x /= np.linalg.norm(x)
+        norms = orbit_norms(op, x, n_top)
         tag = {"x_seed": i}
         for N in ladder:
-            results.append(hilbert_claim1(op, C, x, N, tag))
-            results.append(hilbert_claim3(op, C, x, N, tag))
+            results.append(hilbert_claim1(norms, C, N, tag))
+            results.append(hilbert_claim3(norms, C, N, tag))
             for M in ladder:
                 if 0 < M < N:
-                    results.append(hilbert_claim2(op, C, x, N, M, tag))
+                    results.append(hilbert_claim2(norms, C, N, M, tag))
             for M1 in ladder:
                 for M2 in ladder:
                     if 0 < M1 < M2 < N:
-                        results.append(hilbert_claim4(op, C, x, N, M1, M2, tag))
+                        results.append(hilbert_claim4(norms, C, N, M1, M2, tag))
     return results

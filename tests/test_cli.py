@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
+import kreisslab
 from kreisslab.cli import main
 from kreisslab.reproduce import REPRODUCIBLE_IDS
 
@@ -113,11 +119,38 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert (tmp_path / "c" / "report.json").read_bytes() == first
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("KREISSLAB_THREADS", "1")
-    code = main(["construct", "--operator", "ergces", "--trunc", "4",
-                 "--out", str(tmp_path)])
-    assert code == 0
+#: Records OPENBLAS_NUM_THREADS at the moment numpy is first imported.
+_SEE_NUMPY_LOAD = """
+import os, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and "seen" not in globals():
+            globals()["seen"] = os.environ.get("OPENBLAS_NUM_THREADS")
+        return None
+
+sys.meta_path.insert(0, Spy())
+import kreisslab
+print(seen)
+"""
+
+
+def test_thread_cap_env():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["KREISSLAB_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(kreisslab.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _SEE_NUMPY_LOAD], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["1"]
+
+
+def test_reproduce_names_the_submodule():
+    import kreisslab.reproduce as r
+
+    assert isinstance(r, types.ModuleType)
+    assert callable(r.reproduce)
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -109,6 +109,18 @@ def test_resolvent_norm_large_dimension_solve_path():
     assert abs(got - oracle) <= 1e-6 * oracle
 
 
+def test_resolvent_stall_is_an_error_not_a_skipped_point(monkeypatch):
+    # A stalled estimate above the SVD cap must not be dropped as if the
+    # point were singular: that would quietly lower the supremum.
+    monkeypatch.setattr(kl.kreiss, "_power_iteration",
+                        lambda *args, **kwargs: (1.0, 0.5, 20000, False))
+    op = kl.build_TN(300, 0.45)  # dimension 600 > 512
+    reports = []
+    with pytest.raises(kl.ConvergenceError):
+        reports.append(kl.kreiss_constant(op, kl.AnnulusGrid.default(1)))
+    assert reports == []
+
+
 # --- mean-based constants ---
 
 
@@ -135,6 +147,11 @@ def test_kb2_constant_stable_under_longer_sweep():
     b = kl.kb2_constant(op, 512).kb2_sum_C
     assert b >= a  # sup over a superset
     assert abs(b - a) <= 0.05 * a
+
+
+def test_kb2_constant_reports_the_uniform_constant_of_its_pass():
+    op = kl.build_ergces(8)
+    assert kl.kb2_constant(op, 32, 16).ukb_C == kl.uniform_kreiss_constant(op, 32, 16).ukb_C
 
 
 def test_ukb_angle_grid_monotone():
@@ -184,18 +201,19 @@ def unit(d, seed=0):
 
 
 def test_claim1_zero_operator():
-    res = kl.hilbert_claim1(zero_op(), 1.0, unit(4), 4)
+    res = kl.hilbert_claim1(kl.orbit_norms(zero_op(), unit(4), 3), 1.0, 4)
     assert res.passed and res.lhs == 1.0 and res.bound == 256.0
 
 
 def test_claims_identity_operator():
     x = unit(4, 1)
-    assert kl.hilbert_claim1(identity_op(), 1.0, x, 10).lhs == pytest.approx(10.0)
-    res2 = kl.hilbert_claim2(identity_op(), 1.0, x, 10, 4)
+    norms = kl.orbit_norms(identity_op(), x, 12)
+    assert kl.hilbert_claim1(norms, 1.0, 10).lhs == pytest.approx(10.0)
+    res2 = kl.hilbert_claim2(norms, 1.0, 10, 4)
     assert res2.passed and res2.lhs == pytest.approx(4.0)
-    res3 = kl.hilbert_claim3(identity_op(), 1.0, x, 9)
+    res3 = kl.hilbert_claim3(norms, 1.0, 9)
     assert res3.passed and res3.lhs == pytest.approx(9.0)
-    res4 = kl.hilbert_claim4(identity_op(), 1.0, x, 12, 2, 6)
+    res4 = kl.hilbert_claim4(norms, 1.0, 12, 2, 6)
     assert res4.passed and res4.lhs == pytest.approx(4.0)
 
 
@@ -204,7 +222,7 @@ def test_claim2_shift_basis_vector():
     C = kl.kb2_constant(op, 64).kb2_sum_C
     x = np.zeros(16, dtype=complex)
     x[0] = 1.0
-    res = kl.hilbert_claim2(op, C, x, 15, 8)
+    res = kl.hilbert_claim2(kl.orbit_norms(op, x, 15), C, 15, 8)
     assert res.status == "pass"
 
 
@@ -212,18 +230,53 @@ def test_claims_vacuous_on_annihilated_orbit():
     op = kl.build_TN(4, 0.3)  # dimension 8, nilpotent at 8
     x = np.zeros(8, dtype=complex)
     x[0] = 1.0
-    res = kl.hilbert_claim3(op, 1.0, x, 8)
+    res = kl.hilbert_claim3(kl.orbit_norms(op, x, 8), 1.0, 8)
     assert res.status == "vacuous-pass"
     assert res.passed is True and res.lhs is None
 
 
 def test_claims_validation():
     with pytest.raises(kl.ValidationError):
-        kl.hilbert_claim1(zero_op(), 1.0, 2 * unit(4), 4)  # not unit norm
+        kl.hilbert_claim1(kl.orbit_norms(zero_op(), 2 * unit(4), 3), 1.0, 4)  # not unit norm
     with pytest.raises(kl.ValidationError):
-        kl.hilbert_claim2(zero_op(), 1.0, unit(4), 4, 4)  # M must be < N
+        kl.hilbert_claim2(kl.orbit_norms(zero_op(), unit(4), 4), 1.0, 4, 4)  # M must be < N
     with pytest.raises(kl.ValidationError):
-        kl.hilbert_claim4(zero_op(), 1.0, unit(4), 4, 3, 2)
+        kl.hilbert_claim4(kl.orbit_norms(zero_op(), unit(4), 4), 1.0, 4, 3, 2)
+    with pytest.raises(kl.ValidationError, match="orbit norms"):
+        kl.hilbert_claim3(kl.orbit_norms(zero_op(), unit(4), 7), 1.0, 8)  # needs ||T^8 x||
+    with pytest.raises(kl.ValidationError, match="orbit norms"):
+        kl.hilbert_claim1(kl.orbit_norms(zero_op(), unit(4), 2), 1.0, 4)  # needs ||T^3 x||
+
+
+def test_run_hilbert_claims_computes_one_orbit_per_probe(monkeypatch):
+    op = kl.build_bermbmp_shift(0.45, "forward", 16)
+    C = kl.kb2_constant(op, 32).kb2_sum_C
+    calls = []
+    original = kl.kreiss.orbit_norms
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(kl.kreiss, "orbit_norms", counting)
+    results = kl.run_hilbert_claims(op, C, n_probes=3, n_top=16, seed=5)
+    assert calls == [16, 16, 16]
+    # The same records as each instance computing its own orbit up to its N.
+    expected = []
+    for i in range(3):
+        rng = np.random.default_rng([5, i])
+        x = rng.standard_normal(kl.dimension(op)) + 1j * rng.standard_normal(kl.dimension(op))
+        x /= np.linalg.norm(x)
+        tag = {"x_seed": i}
+        ladder = kl.dyadic_ladder(16)
+        for N in ladder:
+            expected.append(kl.hilbert_claim1(kl.orbit_norms(op, x, N - 1), C, N, tag))
+            expected.append(kl.hilbert_claim3(kl.orbit_norms(op, x, N), C, N, tag))
+            expected += [kl.hilbert_claim2(kl.orbit_norms(op, x, N), C, N, M, tag)
+                         for M in ladder if M < N]
+            expected += [kl.hilbert_claim4(kl.orbit_norms(op, x, N), C, N, M1, M2, tag)
+                         for M1 in ladder for M2 in ladder if M1 < M2 < N]
+    assert [r.to_dict() for r in results] == [r.to_dict() for r in expected]
 
 
 def test_claim_driver_zero_failures():
