@@ -82,6 +82,7 @@ from .operators import (
     adjoint,
     apply,
     apply_adjoint,
+    blocks,
     dimension,
     is_shift_like,
     materialize,

@@ -14,18 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
+from .errors import ValidationError
 from .operators import (
     DENSE_CAP,
     SEED,
     SVD_CAP,
     Dense,
-    DirectSum,
     OperatorSpec,
-    RotatedScale,
     _compact,
+    _dense_dimension,
     _matrix_norm,
     apply,
+    blocks,
     dimension,
     is_shift_like,
     materialize,
@@ -69,16 +69,7 @@ class ErgodicProbe:
 
 def _dense_norm(mat: np.ndarray) -> float:
     """Spectral norm of an explicit matrix under the shared norm policy."""
-    return _matrix_norm(mat, 1e-8, 20000, SEED, SVD_CAP).value
-
-
-def _largest_block(op: OperatorSpec) -> int:
-    """Dimension of the largest leaf block that rotated_mean_tables norms."""
-    if isinstance(op, DirectSum):
-        return max(_largest_block(s) for s in op.summands)
-    if isinstance(op, RotatedScale):
-        return _largest_block(op.inner)
-    return dimension(op)
+    return _matrix_norm(mat, 1e-8, SVD_CAP).value
 
 
 def _angle_grid(op: OperatorSpec, angle_count: int):
@@ -97,32 +88,7 @@ def _power_sums(step, start, n_max: int):
         yield n, power, total
 
 
-def rotated_mean_tables(
-    op: OperatorSpec,
-    n_max: int,
-    lams: np.ndarray,
-    want_order2: bool = False,
-    cap: int = DENSE_CAP,
-):
-    """Norm tables ||M_n(lam*T)|| (and order 2) over a grid of scalars.
-
-    Returns arrays of shape (len(lams), n_max + 1).  Direct sums reduce
-    blockwise (the mean of a block diagonal is block diagonal, its norm
-    the max over blocks); rotations fold their scalar into the grid.
-    """
-    lams = np.asarray(lams, dtype=complex)
-    if isinstance(op, DirectSum):
-        norm1 = np.zeros((lams.size, n_max + 1))
-        norm2 = np.zeros((lams.size, n_max + 1)) if want_order2 else None
-        for s in op.summands:
-            sub1, sub2 = rotated_mean_tables(s, n_max, lams, want_order2, cap)
-            np.maximum(norm1, sub1, out=norm1)
-            if want_order2:
-                np.maximum(norm2, sub2, out=norm2)
-        return norm1, norm2
-    if isinstance(op, RotatedScale):
-        return rotated_mean_tables(op.inner, n_max, lams * op.scalar, want_order2, cap)
-    mat = _compact(materialize(op, cap))
+def _mean_tables(mat: np.ndarray, n_max: int, lams: np.ndarray, want_order2: bool):
     norm1 = np.zeros((lams.size, n_max + 1))
     norm2 = np.zeros((lams.size, n_max + 1)) if want_order2 else None
     eye = np.eye(mat.shape[0])
@@ -141,12 +107,28 @@ def rotated_mean_tables(
     return norm1, norm2
 
 
+def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
+    """Norm tables ||M_n(lam*T)|| (and order 2) over a grid of scalars.
+
+    Returns arrays of shape (len(lams), n_max + 1).  Direct sums reduce
+    blockwise (the mean of a block diagonal is block diagonal, its norm
+    the max over blocks); rotations fold their scalar into the grid.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    tables = [
+        _mean_tables(_compact(materialize(leaf)), n_max,
+                     lams if scalar == 1.0 else lams * scalar, want_order2)
+        for _, _, scalar, leaf in blocks(op)
+    ]
+    norm1 = np.max([t[0] for t in tables], axis=0)
+    return norm1, np.max([t[1] for t in tables], axis=0) if want_order2 else None
+
+
 def rotated_mean_norm_profile(
     op: OperatorSpec,
     n_max: int,
     angle_count: int = 256,
     order: int = 1,
-    cap: int = DENSE_CAP,
 ) -> MeanSeries:
     """Sup over the angle grid of ||M_n(lam*T)|| (or the order-2 mean).
 
@@ -162,7 +144,8 @@ def rotated_mean_norm_profile(
     if n_max < 0:
         raise ValidationError("n_max must be non-negative")
     shortcut, lams = _angle_grid(op, angle_count)
-    norm1, norm2 = rotated_mean_tables(op, n_max, lams, order == 2, cap)
+    largest = max(stop - start for start, stop, _, _ in blocks(op))
+    norm1, norm2 = rotated_mean_tables(op, n_max, lams, order == 2)
     chosen = norm1 if order == 1 else norm2
     return MeanSeries(
         n=np.arange(n_max + 1),
@@ -172,25 +155,22 @@ def rotated_mean_norm_profile(
         order=order,
         angle_count=angle_count,
         rotation_shortcut=shortcut,
-        method="dense-svd" if _largest_block(op) <= SVD_CAP else "power-iteration",
+        method="dense-svd" if largest <= SVD_CAP else "power-iteration",
     )
 
 
-def cesaro_mean(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> Dense:
+def cesaro_mean(op: OperatorSpec, n: int) -> Dense:
     """The average of powers I, T, .., T^n as a dense operator."""
     if n < 0:
         raise ValidationError("mean index must be non-negative")
-    d = dimension(op)
-    if d > cap:
-        raise SizeError(f"dimension {d} exceeds dense cap {cap}")
-    total = np.eye(d, dtype=complex)
+    total = np.eye(_dense_dimension(op), dtype=complex)
     if n > 0:
-        mat = materialize(op, cap)
+        mat = materialize(op)
         *_, (_, _, total) = _power_sums(lambda p: p @ mat, total, n)  # the last sum
     return Dense(total / (n + 1))
 
 
-def cesaro_mean2(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> Dense:
+def cesaro_mean2(op: OperatorSpec, n: int) -> Dense:
     """The second mean, cross-checking its two equivalent forms.
 
     Form one averages the running means with weights (j+1); form two is
@@ -199,11 +179,8 @@ def cesaro_mean2(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> Dense:
     """
     if n < 0:
         raise ValidationError("mean index must be non-negative")
-    d = dimension(op)
-    if d > cap:
-        raise SizeError(f"dimension {d} exceeds dense cap {cap}")
-    eye = np.eye(d, dtype=complex)
-    mat = materialize(op, cap) if n > 0 else None
+    eye = np.eye(_dense_dimension(op), dtype=complex)
+    mat = materialize(op) if n > 0 else None
     scale = 2.0 / ((n + 1) * (n + 2))
 
     averaged = eye  # sum of (j+1) * M_j, literally
@@ -220,7 +197,7 @@ def cesaro_mean2(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> Dense:
     return Dense(form_two)
 
 
-def cesaro_identity_check(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> float:
+def cesaro_identity_check(op: OperatorSpec, n: int) -> float:
     """Largest residual of the two power/mean recurrences at index n.
 
     Checks T^n = (n+1) M_n - n M_{n-1} and
@@ -228,8 +205,8 @@ def cesaro_identity_check(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> flo
     """
     if n < 1:
         raise ValidationError("identity check needs n >= 1")
-    mat = materialize(op, cap)
-    eye = np.eye(dimension(op), dtype=complex)
+    mat = materialize(op)
+    eye = np.eye(mat.shape[0], dtype=complex)
     means = {0: eye}
     powers = {}
     for j, power, total in _power_sums(lambda p: p @ mat, eye, n + 1):
@@ -241,15 +218,15 @@ def cesaro_identity_check(op: OperatorSpec, n: int, cap: int = DENSE_CAP) -> flo
     return max(first, second)
 
 
-def mean_difference_decay(op: OperatorSpec, ladder, cap: int = DENSE_CAP) -> np.ndarray:
+def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     """||M_{n+1}(T) - M_n(T)|| at each ladder index n."""
     ladder = tuple(int(n) for n in ladder)
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(n < 0 for n in ladder):
         raise ValidationError("ladder must be strictly increasing and non-negative")
-    mat = materialize(op, cap)
+    mat = materialize(op)
     wanted = set(ladder)
     out = {}
-    previous = np.eye(dimension(op), dtype=complex)
+    previous = np.eye(mat.shape[0], dtype=complex)
     for n, _, total in _power_sums(lambda p: p @ mat, previous, max(ladder) + 1):
         if (n - 1) in wanted:
             out[n - 1] = _dense_norm(total / (n + 1) - previous / n)
@@ -263,7 +240,6 @@ def ergodic_probe(
     ladder=(16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192),
     tolerance: float = 1e-3,
     seed: int = SEED,
-    cap: int = DENSE_CAP,
 ) -> ErgodicProbe:
     """Cauchy gaps ||M_n(T)x - M_m(T)x|| across the ladder.
 
@@ -298,14 +274,14 @@ def ergodic_probe(
             labels.append(f"given-{i}")
     # Long ladders dominate the cost; iterate on a compacted materialized
     # matrix when one fits, falling back to structured application.
-    if d <= cap:
-        mat = _compact(materialize(op, cap))
+    if d <= DENSE_CAP:
+        mat = _compact(materialize(op))
         step = lambda v: mat @ v
     else:
         step = lambda v: apply(op, v)
     gaps = np.zeros((len(vecs), len(ladder) - 1))
     for pi, x in enumerate(vecs):
-        if d <= cap and not np.iscomplexobj(mat) and not x.imag.any():
+        if d <= DENSE_CAP and not np.iscomplexobj(mat) and not x.imag.any():
             x = x.real
         snapshots = {0: x}
         for n, _, running in _power_sums(step, x, max(ladder)):

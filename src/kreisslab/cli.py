@@ -13,6 +13,7 @@ KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 from .cesaro import rotated_mean_norm_profile
@@ -196,8 +197,15 @@ def _cmd_kreiss(args) -> int:
         "strong_C": strong.strong_C,
         "n_max": args.n_max,
         "k_max": args.k_max,
+        "skipped": [list(point) for point in base.skipped + strong.skipped],
     })
     results = [dict(merged, check_id="kreiss-report", passed=None, status="info")]
+    # A skipped grid point may lower its sweep's supremum: one no-verdict record each.
+    for sweep, report in (("kreiss", base), ("strong", strong)):
+        for r, mu in report.skipped:
+            record = CheckRecord("skipped-grid-point", None, status="skipped",
+                                 detail=f"{sweep} sweep: singular point left out of the sup")
+            results.append(dict(record.to_dict(), sweep=sweep, r=r, angle=cmath.phase(mu)))
     rows = [(name, merged[name]) for name in
             ("kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C")]
     return _emit(args, _config(args, "kreiss", entry), results,

@@ -25,17 +25,15 @@ import numpy as np
 from .cesaro import _angle_grid, _dense_norm, rotated_mean_tables
 from .errors import SingularError, ValidationError
 from .operators import (
-    DENSE_CAP,
     SEED,
     SVD_CAP,
-    DirectSum,
     OperatorSpec,
-    RotatedScale,
     WeightedShift,
     _converged,
     _power_iteration,
     adjoint,
     apply,
+    blocks,
     dimension,
     materialize,
     resolvent_apply,
@@ -172,27 +170,49 @@ def certify_spectral_radius(op: OperatorSpec):
 
     Shifts are nilpotent at finite truncation; triangular dense blocks
     read the bound off their diagonal; other dense blocks fall back to a
-    dense eigenvalue computation up to EIG_CHECK_CAP.
+    dense eigenvalue computation up to EIG_CHECK_CAP.  A direct sum
+    takes the max over its blocks; rotations leave the bound unchanged.
     """
-    if isinstance(op, WeightedShift):
-        return 0.0
-    if isinstance(op, DirectSum):
-        bounds = [certify_spectral_radius(s) for s in op.summands]
-        return None if any(b is None for b in bounds) else max(bounds)
-    if isinstance(op, RotatedScale):
-        return certify_spectral_radius(op.inner)
-    mat = op.matrix
-    if not np.any(np.tril(mat, -1)) or not np.any(np.triu(mat, 1)):
-        return float(np.max(np.abs(np.diag(mat))))
-    if mat.shape[0] <= EIG_CHECK_CAP:
-        return float(np.max(np.abs(np.linalg.eigvals(mat))))
-    return None
+    bound = 0.0
+    for *_, leaf in blocks(op):
+        if isinstance(leaf, WeightedShift):
+            continue
+        mat = leaf.matrix
+        if not np.any(np.tril(mat, -1)) or not np.any(np.triu(mat, 1)):
+            bound = max(bound, float(np.max(np.abs(np.diag(mat)))))
+        elif mat.shape[0] <= EIG_CHECK_CAP:
+            bound = max(bound, float(np.max(np.abs(np.linalg.eigvals(mat)))))
+        else:
+            return None
+    return bound
 
 
 def _require_contractive_spectrum(op: OperatorSpec):
     bound = certify_spectral_radius(op)
     if bound is not None and bound > 1.0 + 1e-9:
         raise ValidationError(f"spectral radius bound {bound:.6g} exceeds 1")
+
+
+def _rotated_blocks(op: OperatorSpec, lam: complex):
+    """(leaf, point) per block: lam folded through the block's rotation."""
+    return [(leaf, lam if scalar == 1.0 else lam / scalar) for *_, scalar, leaf in blocks(op)]
+
+
+def _leaf_resolvent_norm(leaf, lam: complex) -> float:
+    d = dimension(leaf)
+    if d <= SVD_CAP:
+        system = lam * np.eye(d) - materialize(leaf)
+        smin = float(np.linalg.svd(system, compute_uv=False)[-1])
+        if smin == 0.0:
+            raise SingularError(f"resolvent singular at lam={lam}")
+        return 1.0 / smin
+    leaf_adj = adjoint(leaf)
+    return _converged(*_power_iteration(
+        lambda v: resolvent_apply(leaf, lam, v),
+        lambda v: resolvent_apply(leaf_adj, np.conj(lam), v),
+        d,
+        1e-10,
+    )).value
 
 
 def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
@@ -204,67 +224,49 @@ def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
     stalled iteration raises ConvergenceError: a failed estimate, not a
     singular point.
     """
-    lam = complex(lam)
-    if isinstance(op, DirectSum):
-        return max(resolvent_norm(s, lam) for s in op.summands)
-    if isinstance(op, RotatedScale):
-        return resolvent_norm(op.inner, lam / op.scalar)
-    d = dimension(op)
-    if d <= SVD_CAP:
-        system = lam * np.eye(d) - materialize(op)
-        smin = float(np.linalg.svd(system, compute_uv=False)[-1])
-        if smin == 0.0:
-            raise SingularError(f"resolvent singular at lam={lam}")
-        return 1.0 / smin
-    op_adj = adjoint(op)
-    return _converged(*_power_iteration(
-        lambda v: resolvent_apply(op, lam, v),
-        lambda v: resolvent_apply(op_adj, np.conj(lam), v),
-        d,
-        1e-10,
-        20000,
-        SEED,
-    )).value
+    return max(_leaf_resolvent_norm(leaf, at) for leaf, at in _rotated_blocks(op, complex(lam)))
 
 
-def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
-    """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||.
+def _grid_sup(op: OperatorSpec, grid: AnnulusGrid, value):
+    """(shortcut, sup, skipped) of value(lam, r) over the grid's points lam = r * mu.
 
     Shift-like operators are rotation invariant, so one angle per radius
-    is evaluated and recorded as a shortcut.  Singular grid points are
-    skipped and listed in the report; a stalled estimate raises.
+    is evaluated and recorded as a shortcut.  A point where value raises
+    SingularError is skipped and listed as (r, mu).
     """
-    _require_contractive_spectrum(op)
     shortcut, angles = _angle_grid(op, grid.angle_count)
     best = 0.0
     skipped = []
     for r in grid.radii:
         for mu in angles:
-            lam = r * mu
             try:
-                value = (r - 1.0) * resolvent_norm(op, lam)
+                best = max(best, value(r * mu, r))
             except SingularError:
                 skipped.append((float(r), complex(mu)))
-                continue
-            best = max(best, value)
+    return shortcut, best, tuple(skipped)
+
+
+def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
+    """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||.
+
+    Singular grid points are skipped and listed in the report; a stalled
+    estimate raises.
+    """
+    _require_contractive_spectrum(op)
+    shortcut, best, skipped = _grid_sup(op, grid, lambda lam, r: (r - 1.0) * resolvent_norm(op, lam))
     return KreissReport(
         kreiss_C=best,
         radii=grid.radii,
         angle_count=grid.angle_count,
         rotation_shortcut=shortcut,
-        skipped=tuple(skipped),
+        skipped=skipped,
     )
 
 
-def uniform_kreiss_constant(
-    op: OperatorSpec,
-    n_max: int,
-    angles: int = 256,
-    cap: int = DENSE_CAP,
-) -> KreissReport:
+def uniform_kreiss_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissReport:
     """sup over n <= n_max and the angle grid of ||M_n(lam T)||."""
     shortcut, lams = _angle_grid(op, angles)
-    norm1, _ = rotated_mean_tables(op, n_max, lams, False, cap)
+    norm1, _ = rotated_mean_tables(op, n_max, lams)
     return KreissReport(
         ukb_C=float(norm1.max()),
         angle_count=angles,
@@ -273,12 +275,7 @@ def uniform_kreiss_constant(
     )
 
 
-def kb2_constant(
-    op: OperatorSpec,
-    n_max: int,
-    angles: int = 256,
-    cap: int = DENSE_CAP,
-) -> KreissReport:
+def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissReport:
     """Second-mean constant, in both normalizations, and the uniform one.
 
     kb2_C is sup ||M_n^(2)(lam T)||; kb2_sum_C rescales the same values
@@ -288,7 +285,7 @@ def kb2_constant(
     uniform_kreiss_constant's value exactly.
     """
     shortcut, lams = _angle_grid(op, angles)
-    norm1, norm2 = rotated_mean_tables(op, n_max, lams, True, cap)
+    norm1, norm2 = rotated_mean_tables(op, n_max, lams, True)
     n = np.arange(n_max + 1, dtype=float)
     quad = norm2 * ((n + 2.0) / (2.0 * (n + 1.0)))
     return KreissReport(
@@ -301,60 +298,46 @@ def kb2_constant(
     )
 
 
-def strong_kreiss_constant(
-    op: OperatorSpec,
-    grid: AnnulusGrid,
-    k_max: int = 16,
-    cap: int = DENSE_CAP,
-) -> KreissReport:
+def _leaf_strong_sup(leaf, lam: complex, r: float, k_max: int) -> float:
+    d = dimension(leaf)
+    system = lam * np.eye(d) - materialize(leaf)
+    try:
+        resolvent = np.linalg.inv(system)
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(f"resolvent singular at lam={lam}") from exc
+    power = np.eye(d, dtype=resolvent.dtype)
+    best = 0.0
+    log_gap = math.log(r - 1.0)
+    for k in range(1, k_max + 1):
+        power = power @ resolvent
+        norm = _dense_norm(power)
+        if norm <= 0.0:
+            continue
+        log_term = k * log_gap + math.log(norm)
+        best = max(best, math.exp(min(log_term, 700.0)))
+    return best
+
+
+def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16) -> KreissReport:
     """sup over the grid and k <= k_max of (|lam|-1)^k * ||(lam I - T)^-k||.
 
     Terms are combined in log space so that tiny (|lam|-1)^k factors
     against large resolvent-power norms neither underflow nor overflow.
+    Singular grid points are skipped and listed in the report.
     """
     _require_contractive_spectrum(op)
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
-
-    def _sweep(node: OperatorSpec, lam: complex, r: float) -> float:
-        if isinstance(node, DirectSum):
-            return max(_sweep(s, lam, r) for s in node.summands)
-        if isinstance(node, RotatedScale):
-            return _sweep(node.inner, lam / node.scalar, r)
-        d = dimension(node)
-        system = lam * np.eye(d) - materialize(node, cap)
-        try:
-            resolvent = np.linalg.inv(system)
-        except np.linalg.LinAlgError as exc:
-            raise SingularError(f"resolvent singular at lam={lam}") from exc
-        power = np.eye(d, dtype=resolvent.dtype)
-        best_here = 0.0
-        log_gap = math.log(r - 1.0)
-        for k in range(1, k_max + 1):
-            power = power @ resolvent
-            norm = _dense_norm(power)
-            if norm <= 0.0:
-                continue
-            log_term = k * log_gap + math.log(norm)
-            best_here = max(best_here, math.exp(min(log_term, 700.0)))
-        return best_here
-
-    shortcut, angles = _angle_grid(op, grid.angle_count)
-    best = 0.0
-    skipped = []
-    for r in grid.radii:
-        for mu in angles:
-            try:
-                best = max(best, _sweep(op, r * mu, r))
-            except SingularError:
-                skipped.append((float(r), complex(mu)))
+    shortcut, best, skipped = _grid_sup(op, grid, lambda lam, r: max(
+        _leaf_strong_sup(leaf, at, r, k_max) for leaf, at in _rotated_blocks(op, lam)
+    ))
     return KreissReport(
         strong_C=best,
         radii=grid.radii,
         angle_count=grid.angle_count,
         k_max=k_max,
         rotation_shortcut=shortcut,
-        skipped=tuple(skipped),
+        skipped=skipped,
     )
 
 

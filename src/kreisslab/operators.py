@@ -195,20 +195,40 @@ def dimension(op: OperatorSpec) -> int:
     raise TypeError(f"not an operator spec: {type(op)!r}")
 
 
+def blocks(op: OperatorSpec) -> list:
+    """The leaves of op in coordinate order, as (start, stop, scalar, leaf).
+
+    Each Dense or WeightedShift leaf acts on coordinates start:stop of
+    the block diagonal, and scalar is the product of the rotations that
+    enclose it (1.0 when there is none).  This is the one walk over
+    direct sums and rotations: every kernel over a block diagonal
+    reduces over these blocks and folds each rotation into its scalar.
+    """
+    out = []
+
+    def walk(node, start, scalar):
+        if isinstance(node, DirectSum):
+            for summand in node.summands:
+                start = walk(summand, start, scalar)
+            return start
+        if isinstance(node, RotatedScale):
+            return walk(node.inner, start, node.scalar if scalar == 1.0 else scalar * node.scalar)
+        stop = start + dimension(node)
+        out.append((start, stop, scalar, node))
+        return stop
+
+    walk(op, 0, 1.0)
+    return out
+
+
 def is_shift_like(op: OperatorSpec) -> bool:
     """True when op is unitarily equivalent to all its unimodular rotations.
 
-    Holds for weighted shifts, direct sums of shift-like operators, and
-    rotations thereof: conjugating by the diagonal unitary diag(lam**j)
-    turns lam*op back into op and leaves every norm unchanged.
+    Holds when every block is a weighted shift, whatever its rotation:
+    conjugating by the diagonal unitary diag(lam**j) turns lam*op back
+    into op and leaves every norm unchanged.
     """
-    if isinstance(op, WeightedShift):
-        return True
-    if isinstance(op, DirectSum):
-        return all(is_shift_like(s) for s in op.summands)
-    if isinstance(op, RotatedScale):
-        return is_shift_like(op.inner)
-    return False
+    return all(isinstance(leaf, WeightedShift) for *_, leaf in blocks(op))
 
 
 def adjoint(op: OperatorSpec) -> OperatorSpec:
@@ -234,29 +254,26 @@ def _check_dim(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     return x.astype(complex, copy=False)
 
 
+def _join(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def apply(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     """Return op @ x.  O(d) for shifts, blockwise for direct sums."""
     x = _check_dim(op, x)
-    if isinstance(op, Dense):
-        return op.matrix @ x
-    if isinstance(op, WeightedShift):
-        y = np.zeros_like(x)
-        if op.direction == "forward":
-            y[1:] = op.ratios * x[:-1]
+    parts = []
+    for start, stop, scalar, leaf in blocks(op):
+        v = x[start:stop]
+        if isinstance(leaf, Dense):
+            y = leaf.matrix @ v
         else:
-            y[:-1] = op.ratios * x[1:]
-        return y
-    if isinstance(op, DirectSum):
-        parts = []
-        offset = 0
-        for s in op.summands:
-            d = dimension(s)
-            parts.append(apply(s, x[offset : offset + d]))
-            offset += d
-        return np.concatenate(parts)
-    if isinstance(op, RotatedScale):
-        return op.scalar * apply(op.inner, x)
-    raise TypeError(f"not an operator spec: {type(op)!r}")
+            y = np.zeros_like(v)
+            if leaf.direction == "forward":
+                y[1:] = leaf.ratios * v[:-1]
+            else:
+                y[:-1] = leaf.ratios * v[1:]
+        parts.append(y if scalar == 1.0 else scalar * y)
+    return _join(parts)
 
 
 def apply_adjoint(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
@@ -264,32 +281,31 @@ def apply_adjoint(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     return apply(adjoint(op), x)
 
 
-def materialize(op: OperatorSpec, cap: int = DENSE_CAP) -> np.ndarray:
-    """Explicit complex matrix of op, exact for structured variants."""
+def _dense_dimension(op: OperatorSpec) -> int:
+    """dimension(op), raising SizeError when it exceeds DENSE_CAP."""
     d = dimension(op)
-    if d > cap:
-        raise SizeError(f"dimension {d} exceeds dense cap {cap}")
-    if isinstance(op, Dense):
-        return op.matrix.copy()
-    if isinstance(op, WeightedShift):
-        mat = np.zeros((d, d), dtype=complex)
-        idx = np.arange(d - 1)
-        if op.direction == "forward":
-            mat[idx + 1, idx] = op.ratios
+    if d > DENSE_CAP:
+        raise SizeError(f"dimension {d} exceeds dense cap {DENSE_CAP}")
+    return d
+
+
+def materialize(op: OperatorSpec) -> np.ndarray:
+    """Explicit complex matrix of op, exact for structured variants."""
+    d = _dense_dimension(op)
+    mat = np.zeros((d, d), dtype=complex)
+    for start, stop, scalar, leaf in blocks(op):
+        block = mat[start:stop, start:stop]
+        if isinstance(leaf, Dense):
+            block[...] = leaf.matrix
         else:
-            mat[idx, idx + 1] = op.ratios
-        return mat
-    if isinstance(op, DirectSum):
-        mat = np.zeros((d, d), dtype=complex)
-        offset = 0
-        for s in op.summands:
-            ds = dimension(s)
-            mat[offset : offset + ds, offset : offset + ds] = materialize(s, cap)
-            offset += ds
-        return mat
-    if isinstance(op, RotatedScale):
-        return op.scalar * materialize(op.inner, cap)
-    raise TypeError(f"not an operator spec: {type(op)!r}")
+            idx = np.arange(stop - start - 1)
+            if leaf.direction == "forward":
+                block[idx + 1, idx] = leaf.ratios
+            else:
+                block[idx, idx + 1] = leaf.ratios
+        if scalar != 1.0:
+            block *= scalar
+    return mat
 
 
 def _compact(mat: np.ndarray) -> np.ndarray:
@@ -300,23 +316,25 @@ def _compact(mat: np.ndarray) -> np.ndarray:
 
 
 _STALL_WINDOW = 300
+_MAX_ITER = 20000
 
 
-def _power_iteration(matvec, matvec_adj, d, tol, max_iter, seed, real_start=False):
+def _power_iteration(matvec, matvec_adj, d, tol, real_start=False):
     """Largest singular value via power iteration on A* A.
 
-    Deterministic seeded start, Rayleigh-quotient residual stopping:
-    stop when ||A*A v - rho v|| <= tol * rho with v the current unit
-    iterate and rho its Rayleigh quotient.  When the residual stops
+    Deterministic start seeded with SEED, Rayleigh-quotient residual
+    stopping: stop when ||A*A v - rho v|| <= tol * rho with v the current
+    unit iterate and rho its Rayleigh quotient.  When the residual stops
     improving for _STALL_WINDOW iterations (clustered top singular
     values), the iteration reports non-convergence early instead of
-    burning the full budget; the value estimate is still the best seen.
+    burning the full budget of _MAX_ITER; the value estimate is still the
+    best seen.
 
     A real start vector is used for real matrices (A.T A is then real
     symmetric and its top eigenvector real), which avoids promoting the
     matrix to complex on every product.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     if real_start:
         v = rng.standard_normal(d)
     else:
@@ -325,7 +343,7 @@ def _power_iteration(matvec, matvec_adj, d, tol, max_iter, seed, real_start=Fals
     best = 0.0
     best_res = np.inf
     last_gain = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         w = matvec_adj(matvec(v))
         rho = float(np.real(np.vdot(v, w)))
         if rho <= 0.0:
@@ -357,24 +375,19 @@ def _converged(value: float, res: float, iters: int, ok: bool) -> NormEstimate:
     return NormEstimate(value, "power-iteration", res, iters)
 
 
-def _matrix_norm(mat: np.ndarray, tol: float, max_iter: int, seed: int, svd_cap: int) -> NormEstimate:
+def _matrix_norm(mat: np.ndarray, tol: float, svd_cap: int) -> NormEstimate:
     """The norm policy for explicit matrices: dense SVD up to svd_cap, iteration above."""
     mat = _compact(mat)
     d = mat.shape[0]
     if d <= svd_cap:
         return NormEstimate(float(np.linalg.svd(mat, compute_uv=False)[0]), "dense-svd", 0.0, 0)
     return _converged(*_power_iteration(
-        lambda v: mat @ v, lambda v: mat.conj().T @ v, d, tol, max_iter, seed,
+        lambda v: mat @ v, lambda v: mat.conj().T @ v, d, tol,
         real_start=not np.iscomplexobj(mat),
     ))
 
 
-def spectral_norm(
-    op: OperatorSpec,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
-    seed: int = SEED,
-) -> NormEstimate:
+def spectral_norm(op: OperatorSpec, tol: float = 1e-10) -> NormEstimate:
     """Largest singular value of op.
 
     Dense operators are normed by _matrix_norm.  Structured operators
@@ -386,14 +399,15 @@ def spectral_norm(
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     if isinstance(op, Dense):
-        return _matrix_norm(op.matrix, tol, max_iter, seed, SVD_CAP)
+        return _matrix_norm(op.matrix, tol, SVD_CAP)
     d = dimension(op)
+    op_adj = adjoint(op)
     value, res, iters, ok = _power_iteration(
-        lambda v: apply(op, v), lambda v: apply_adjoint(op, v), d, tol, max_iter, seed
+        lambda v: apply(op, v), lambda v: apply(op_adj, v), d, tol
     )
     if d > SVD_CAP:
         return _converged(value, res, iters, ok)
-    sigma = _matrix_norm(materialize(op), tol, max_iter, seed, SVD_CAP).value
+    sigma = _matrix_norm(materialize(op), tol, SVD_CAP).value
     if ok and abs(value - sigma) <= 1e-8 * max(sigma, value, 1e-300):
         return NormEstimate(value, "power-iteration", res, iters)
     return NormEstimate(sigma, "dense-svd-oracle", res, iters)
@@ -414,47 +428,12 @@ def _shift_power_norms(op: WeightedShift, kmax: int) -> np.ndarray:
     return out
 
 
-def power_norms(
-    op: OperatorSpec,
-    kmax: int,
-    tol: float = 1e-10,
-    svd_cap: int = SVD_CAP,
-    cap: int = DENSE_CAP,
-    seed: int = SEED,
-) -> NormSeries:
-    """The sequence ||op**k|| for k = 1..kmax.
-
-    Weighted shifts use the exact closed form: ||S^k|| is the largest
-    product of k consecutive ratios (equivalently max_j w_{j+k}/w_j),
-    and is 0 once k reaches the dimension.  Direct sums take the sup
-    over summands.  Everything else powers the materialized matrix and
-    norms each power by _matrix_norm with ``svd_cap`` as its cap; a per-k
-    convergence failure raises ConvergenceError with the completed
-    prefix attached as ``partial``.
-    """
-    if kmax < 1:
-        raise ValidationError("kmax must be at least 1")
+def _leaf_power_norms(leaf, kmax: int, svd_cap: int) -> NormSeries:
     ks = np.arange(1, kmax + 1)
-    if isinstance(op, WeightedShift):
-        vals = _shift_power_norms(op, kmax)
-        return NormSeries(ks, vals, ("closed-form",) * kmax, np.zeros(kmax))
-    if isinstance(op, RotatedScale):
-        inner = power_norms(op.inner, kmax, tol, svd_cap, cap, seed)
-        return NormSeries(ks, inner.values, inner.methods, inner.residuals)
-    if isinstance(op, DirectSum):
-        vals = np.zeros(kmax)
-        methods = ["closed-form"] * kmax
-        residuals = np.zeros(kmax)
-        for s in op.summands:
-            sub = power_norms(s, kmax, tol, svd_cap, cap, seed)
-            take = sub.values > vals
-            vals = np.where(take, sub.values, vals)
-            for i in range(kmax):
-                if take[i]:
-                    methods[i] = sub.methods[i]
-                    residuals[i] = sub.residuals[i]
-        return NormSeries(ks, vals, tuple(methods), residuals)
-    mat = _compact(materialize(op, cap))
+    if isinstance(leaf, WeightedShift):
+        return NormSeries(ks, _shift_power_norms(leaf, kmax), ("closed-form",) * kmax,
+                          np.zeros(kmax))
+    mat = _compact(materialize(leaf))
     power = mat.copy()
     vals = np.zeros(kmax)
     methods = []
@@ -463,7 +442,7 @@ def power_norms(
         if k > 1:
             power = power @ mat
         try:
-            est = _matrix_norm(power, tol, 20000, seed, svd_cap)
+            est = _matrix_norm(power, 1e-10, svd_cap)
         except ConvergenceError as exc:
             exc.partial = NormSeries(ks[:i], vals[:i], tuple(methods), residuals[:i])
             raise
@@ -473,10 +452,64 @@ def power_norms(
     return NormSeries(ks, vals, tuple(methods), residuals)
 
 
+def power_norms(op: OperatorSpec, kmax: int, svd_cap: int = SVD_CAP) -> NormSeries:
+    """The sequence ||op**k|| for k = 1..kmax.
+
+    Weighted shifts use the exact closed form: ||S^k|| is the largest
+    product of k consecutive ratios (equivalently max_j w_{j+k}/w_j),
+    and is 0 once k reaches the dimension.  Dense blocks power the
+    matrix and norm each power by _matrix_norm with ``svd_cap`` as its
+    cap; a per-k convergence failure raises ConvergenceError with the
+    block's completed prefix attached as ``partial``.  Rotations leave
+    power norms unchanged, and a direct sum takes the max over its
+    blocks, each k tagged by the first block attaining it.
+    """
+    if kmax < 1:
+        raise ValidationError("kmax must be at least 1")
+    series = [_leaf_power_norms(leaf, kmax, svd_cap) for *_, leaf in blocks(op)]
+    values = np.array([s.values for s in series])
+    first = np.argmax(values, axis=0)  # the first block attaining each max
+    i = np.arange(kmax)
+    return NormSeries(
+        i + 1,
+        values[first, i],
+        tuple(series[b].methods[k] for k, b in enumerate(first)),
+        np.array([s.residuals for s in series])[first, i],
+    )
+
+
 def _resolvent_residual_check(op, lam, y, x):
     res = lam * y - apply(op, y) - x
     bound = 1e-10 * max(float(np.linalg.norm(x)), 1e-300)
     return float(np.linalg.norm(res)) <= bound
+
+
+def _leaf_resolvent(leaf, lam: complex, x: np.ndarray) -> np.ndarray:
+    if isinstance(leaf, Dense):
+        system = lam * np.eye(leaf.matrix.shape[0]) - leaf.matrix
+        try:
+            y = np.linalg.solve(system, x)
+            if not _resolvent_residual_check(leaf, lam, y, x):
+                y = y + np.linalg.solve(system, x - system @ y)
+        except np.linalg.LinAlgError as exc:
+            raise SingularError(f"resolvent system singular at lam={lam}") from exc
+        if not _resolvent_residual_check(leaf, lam, y, x):
+            raise SingularError(f"resolvent solve lost accuracy at lam={lam}")
+        return y
+    d = x.size
+    y = np.empty_like(x)
+    r = leaf.ratios
+    if leaf.direction == "forward":
+        y[0] = x[0] / lam
+        for j in range(1, d):
+            y[j] = (x[j] + r[j - 1] * y[j - 1]) / lam
+    else:
+        y[d - 1] = x[d - 1] / lam
+        for j in range(d - 2, -1, -1):
+            y[j] = (x[j] + r[j] * y[j + 1]) / lam
+    if not _resolvent_residual_check(leaf, lam, y, x):
+        raise SingularError(f"shift resolvent lost accuracy at lam={lam}")
+    return y
 
 
 def resolvent_apply(op: OperatorSpec, lam: complex, x: np.ndarray) -> np.ndarray:
@@ -491,41 +524,11 @@ def resolvent_apply(op: OperatorSpec, lam: complex, x: np.ndarray) -> np.ndarray
     if abs(lam) <= 1.0:
         raise ValidationError("resolvent points must satisfy |lam| > 1")
     x = _check_dim(op, x)
-    if isinstance(op, Dense):
-        system = lam * np.eye(op.matrix.shape[0]) - op.matrix
-        try:
-            y = np.linalg.solve(system, x)
-            if not _resolvent_residual_check(op, lam, y, x):
-                y = y + np.linalg.solve(system, x - system @ y)
-        except np.linalg.LinAlgError as exc:
-            raise SingularError(f"resolvent system singular at lam={lam}") from exc
-        if not _resolvent_residual_check(op, lam, y, x):
-            raise SingularError(f"resolvent solve lost accuracy at lam={lam}")
-        return y
-    if isinstance(op, WeightedShift):
-        d = x.size
-        y = np.empty_like(x)
-        r = op.ratios
-        if op.direction == "forward":
-            y[0] = x[0] / lam
-            for j in range(1, d):
-                y[j] = (x[j] + r[j - 1] * y[j - 1]) / lam
+    parts = []
+    for start, stop, scalar, leaf in blocks(op):
+        if scalar == 1.0:
+            parts.append(_leaf_resolvent(leaf, lam, x[start:stop]))
         else:
-            y[d - 1] = x[d - 1] / lam
-            for j in range(d - 2, -1, -1):
-                y[j] = (x[j] + r[j] * y[j + 1]) / lam
-        if not _resolvent_residual_check(op, lam, y, x):
-            raise SingularError(f"shift resolvent lost accuracy at lam={lam}")
-        return y
-    if isinstance(op, DirectSum):
-        parts = []
-        offset = 0
-        for s in op.summands:
-            d = dimension(s)
-            parts.append(resolvent_apply(s, lam, x[offset : offset + d]))
-            offset += d
-        return np.concatenate(parts)
-    if isinstance(op, RotatedScale):
-        # (lam - mu*A)^{-1} x = mu^{-1} ((lam/mu) - A)^{-1} x with |mu| = 1.
-        return resolvent_apply(op.inner, lam / op.scalar, x) / op.scalar
-    raise TypeError(f"not an operator spec: {type(op)!r}")
+            # (lam - mu*A)^{-1} x = mu^{-1} ((lam/mu) - A)^{-1} x with |mu| = 1.
+            parts.append(_leaf_resolvent(leaf, lam / scalar, x[start:stop]) / scalar)
+    return _join(parts)

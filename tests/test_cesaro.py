@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,10 +170,16 @@ def test_identity_check_needs_positive_index():
 
 
 def test_mean_respects_dense_cap():
-    with pytest.raises(kl.SizeError):
-        kl.cesaro_mean(kl.build_TN(8, 0.3), 2, cap=10)
-    with pytest.raises(kl.SizeError):
-        kl.cesaro_mean2(kl.build_TN(8, 0.3), 2, cap=10)
+    op = kl.build_TN(2049, 0.3)  # d = 4098 > DENSE_CAP
+    tracemalloc.start()
+    try:
+        for mean, n in ((kl.cesaro_mean, 2), (kl.cesaro_mean, 0), (kl.cesaro_mean2, 2)):
+            with pytest.raises(kl.SizeError):
+                mean(op, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # raised before allocating any d x d matrix
 
 
 # --- decay ---

@@ -5,6 +5,8 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import kreisslab
 from kreisslab.cli import main
 from kreisslab.reproduce import REPRODUCIBLE_IDS
@@ -167,3 +169,32 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: power iteration stalled")
+
+
+def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
+    # The first resolvent of each sweep fails; both points must surface in
+    # the report, not only lower strong_C and kreiss_C unseen.
+    def fail_first(fn, error):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "inv", fail_first(np.linalg.inv, np.linalg.LinAlgError()))
+    monkeypatch.setattr(kreisslab.kreiss, "resolvent_norm",
+                        fail_first(kreisslab.kreiss.resolvent_norm, kreisslab.SingularError()))
+    code = main(["kreiss", "--operator", "ergces", "--trunc", "6", "--n-max", "8",
+                 "--out", str(tmp_path)])
+    report = read_report(tmp_path)
+    skipped = [r for r in report["results"] if r["check_id"] == "skipped-grid-point"]
+    assert [(r["sweep"], r["r"], r["angle"], r["passed"], r["status"]) for r in skipped] == [
+        ("kreiss", 1.5, 0.0, None, "skipped"),
+        ("strong", 1.5, 0.0, None, "skipped"),
+    ]
+    assert report["results"][0]["skipped"] == [[1.5, [1.0, 0.0]], [1.5, [1.0, 0.0]]]
+    assert report["summary"]["no_verdict"] == 3
+    assert code == 0  # no definite check failed; the gaps are recorded as no-verdict

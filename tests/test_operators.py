@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kreisslab as kl
-from kreisslab.cesaro import _dense_norm
+from kreisslab.cesaro import _dense_norm, rotated_mean_tables
+from kreisslab.kreiss import certify_spectral_radius, resolvent_norm
 from kreisslab.operators import _matrix_norm
 
 
@@ -137,8 +140,15 @@ def test_materialize_tn_subdiagonal():
 
 
 def test_materialize_cap():
-    with pytest.raises(kl.SizeError):
-        kl.materialize(kl.build_tz_block(8), cap=10)
+    op = kl.build_TN(2049, 0.3)  # d = 4098 > DENSE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(kl.SizeError):
+            kl.materialize(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # raised before allocating the 268 MB matrix
 
 
 def test_materialize_matches_apply_on_basis():
@@ -201,14 +211,14 @@ def test_explicit_matrices_are_iterated_only_above_the_svd_cap(monkeypatch):
 
     separated = np.diag([1.0, 0.5, 0.25, 0.125])
     with pytest.raises(AssertionError, match="power iteration ran"):
-        _matrix_norm(separated, 1e-10, 20000, kl.SEED, 2)
+        _matrix_norm(separated, 1e-10, 2)
     monkeypatch.undo()
-    est = _matrix_norm(separated, 1e-10, 20000, kl.SEED, 2)
+    est = _matrix_norm(separated, 1e-10, 2)
     assert est.method == "power-iteration" and est.iterations > 0
     assert abs(est.value - 1.0) <= 1e-9
     clustered = np.diag([1.0, 1.0 - 1e-9, 0.5, 0.25])
     with pytest.raises(kl.ConvergenceError) as info:
-        _matrix_norm(clustered, 1e-14, 20000, kl.SEED, 2)
+        _matrix_norm(clustered, 1e-14, 2)
     assert abs(info.value.best - 1.0) <= 1e-8
 
 
@@ -349,3 +359,110 @@ def test_operator_specs_are_immutable():
     op = kl.build_TN(2, 0.25)
     with pytest.raises(ValueError):
         op.ratios[0] = 5.0
+
+
+# --- the block walk ---
+
+MU, NU = np.exp(0.9j), np.exp(-0.4j)
+
+
+def shift_matrix(leaf):
+    d = leaf.ratios.size + 1
+    mat = np.zeros((d, d))
+    for j, r in enumerate(leaf.ratios):
+        if leaf.direction == "forward":
+            mat[j + 1, j] = r
+        else:
+            mat[j, j + 1] = r
+    return mat
+
+
+def nested_spec():
+    """mu * (nu * T_3 (+) ergces (+) (backward shift)), and its leaves with their scalars."""
+    tn = kl.build_TN(3, 0.45)
+    erg = kl.build_ergces(3)
+    berm = kl.build_bermbmp_shift(0.3, "backward", 4)
+    op = kl.RotatedScale(MU, kl.DirectSum(
+        (kl.RotatedScale(NU, tn), erg, kl.DirectSum((berm,)))
+    ))
+    leaves = [(MU * NU, tn, shift_matrix(tn)), (MU, erg, erg.matrix), (MU, berm, shift_matrix(berm))]
+    return op, leaves
+
+
+def block_diagonal(mats):
+    d = sum(m.shape[0] for m in mats)
+    out = np.zeros((d, d), dtype=complex)
+    offset = 0
+    for m in mats:
+        out[offset:offset + m.shape[0], offset:offset + m.shape[0]] = m
+        offset += m.shape[0]
+    return out
+
+
+def test_blocks_walk_nested_spec():
+    op, leaves = nested_spec()
+    got = kl.blocks(op)
+    assert [(start, stop) for start, stop, _, _ in got] == [(0, 6), (6, 10), (10, 14)]
+    for (_, _, scalar, leaf), (want, want_leaf, _) in zip(got, leaves):
+        assert leaf is want_leaf
+        assert abs(scalar - want) <= 1e-15
+    assert got[1][2] == MU  # a single rotation is carried exactly
+    shift = kl.build_TN(3, 0.3)
+    ((start, stop, scalar, leaf),) = kl.blocks(shift)
+    assert (start, stop, leaf) == (0, 6, shift)
+    assert type(scalar) is float and scalar == 1.0
+
+
+def test_block_kernels_match_the_block_diagonal_oracle():
+    op, leaves = nested_spec()
+    oracle = block_diagonal([scalar * mat for scalar, _, mat in leaves])
+    d = oracle.shape[0]
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    np.testing.assert_allclose(kl.apply(op, x), oracle @ x, rtol=0, atol=1e-13)
+
+    lam = 1.3 + 0.4j
+    system = lam * np.eye(d) - oracle
+    got = kl.resolvent_apply(op, lam, x)
+    assert np.linalg.norm(got - np.linalg.solve(system, x)) <= 1e-10 * np.linalg.norm(x)
+    smin = np.linalg.svd(system, compute_uv=False)[-1]
+    assert abs(resolvent_norm(op, lam) - 1.0 / smin) <= 1e-10 / smin
+
+    series = kl.power_norms(op, 8)
+    per_block = np.array([
+        [np.linalg.svd(np.linalg.matrix_power(mat, k), compute_uv=False)[0] for k in range(1, 9)]
+        for _, _, mat in leaves
+    ])
+    np.testing.assert_allclose(series.values, per_block.max(axis=0), rtol=1e-12)
+    whole = [np.linalg.svd(np.linalg.matrix_power(oracle, k), compute_uv=False)[0]
+             for k in range(1, 9)]
+    np.testing.assert_allclose(series.values, whole, rtol=1e-10)
+    # each k is tagged by the block attaining the max: the shift T_3 at k = 1, 2, 5
+    winners = np.argmax(per_block, axis=0)
+    assert list(winners) == [0, 0, 1, 1, 0, 1, 1, 1]
+    assert series.methods == tuple("dense-svd" if w == 1 else "closed-form" for w in winners)
+
+    lams = np.exp(2j * np.pi * np.arange(4) / 4)
+    norm1, norm2 = rotated_mean_tables(op, 6, lams, True)
+    for li, z in enumerate(lams):
+        power = total = triangular = np.eye(d, dtype=complex)
+        for n in range(1, 7):
+            power = power @ (z * oracle)
+            total = total + power
+            triangular = triangular + total
+            assert abs(norm1[li, n] - np.linalg.norm(total, 2) / (n + 1)) <= 1e-12
+            want2 = 2.0 * np.linalg.norm(triangular, 2) / ((n + 1) * (n + 2))
+            assert abs(norm2[li, n] - want2) <= 1e-12
+
+    radius = np.max(np.abs(np.linalg.eigvals(oracle)))
+    assert abs(certify_spectral_radius(op) - radius) <= 1e-12
+
+
+def test_is_shift_like_reads_every_block():
+    op, _ = nested_spec()
+    assert not kl.is_shift_like(op)
+    shifts = kl.RotatedScale(MU, kl.DirectSum(
+        (kl.RotatedScale(NU, kl.build_TN(3, 0.3)), kl.DirectSum((kl.build_TN(2, 0.3),)))
+    ))
+    assert kl.is_shift_like(shifts)
+    assert not kl.is_shift_like(kl.DirectSum((kl.build_TN(2, 0.3), kl.Dense(np.eye(1)))))
