@@ -18,7 +18,6 @@ from .errors import ValidationError
 from .operators import (
     DENSE_CAP,
     SEED,
-    SVD_CAP,
     Dense,
     OperatorSpec,
     _compact,
@@ -34,7 +33,7 @@ from .operators import (
 
 @dataclass(frozen=True)
 class MeanSeries:
-    """Per-n mean norms, the rotated sup, and how they were computed."""
+    """Per-n mean norms, the rotated sup, and the angle grid behind it."""
 
     n: np.ndarray
     norm_m1: np.ndarray
@@ -43,7 +42,6 @@ class MeanSeries:
     order: int
     angle_count: int
     rotation_shortcut: bool
-    method: str
 
     def __post_init__(self):
         for name in ("n", "norm_m1", "sup_lambda"):
@@ -69,7 +67,7 @@ class ErgodicProbe:
 
 def _dense_norm(mat: np.ndarray) -> float:
     """Spectral norm of an explicit matrix under the shared norm policy."""
-    return _matrix_norm(mat, 1e-8, SVD_CAP).value
+    return _matrix_norm(mat).value
 
 
 def _angle_grid(op: OperatorSpec, angle_count: int):
@@ -144,7 +142,6 @@ def rotated_mean_norm_profile(
     if n_max < 0:
         raise ValidationError("n_max must be non-negative")
     shortcut, lams = _angle_grid(op, angle_count)
-    largest = max(stop - start for start, stop, _, _ in blocks(op))
     norm1, norm2 = rotated_mean_tables(op, n_max, lams, order == 2)
     chosen = norm1 if order == 1 else norm2
     return MeanSeries(
@@ -155,7 +152,6 @@ def rotated_mean_norm_profile(
         order=order,
         angle_count=angle_count,
         rotation_shortcut=shortcut,
-        method="dense-svd" if largest <= SVD_CAP else "power-iteration",
     )
 
 

@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: construct | powers | cesaro | kreiss | claims | growth |
-reproduce.  Every run writes a deterministic report into --out: the
-same flags and seed always produce byte-identical files.  The exit
-status is 1 when any definite check failed, 2 when the input is
-invalid, and 3 when a numerical kernel failed: an iteration stalled, a
-resolvent was singular, or a dense size cap was exceeded.
+reproduce.  Every run writes a deterministic report.json into --out,
+and --format csv adds the run's CSV tables next to it (reproduce always
+writes both): the same flags and seed always produce byte-identical
+files.  The exit status is 1 when any definite check failed, 2 when the
+input is invalid, and 3 when a numerical kernel failed: the power
+iteration of a structured operator above SVD_CAP stalled, a resolvent
+was singular, or a dense size cap was exceeded.  Explicit matrices are
+normed by their dense SVD and never stall.
 
 KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
 """
@@ -127,8 +130,7 @@ def _config(args, command, entry=None, **extra):
 
 
 def _emit(args, config, results, tables):
-    formats = ("json",) if args.format == "json" else ("csv",)
-    emit_report(config, results, tables, args.out, formats)
+    emit_report(config, results, tables if args.format == "csv" else None, args.out)
     summary = summarize(results)
     print(f"{config.command}: {summary['checks']} records, "
           f"{summary['failed']} failed, {summary['vacuous_pass']} vacuous")

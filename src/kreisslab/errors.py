@@ -18,15 +18,16 @@ class SingularError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative estimate did not reach the requested residual.
+    """A power iteration stalled before reaching the requested residual.
 
-    Carries the best estimate seen so far together with the residual it
-    achieved, so callers can keep partial results.
+    Only structured operators are iterated: the norm of a shift, direct
+    sum or rotation above SVD_CAP, and the resolvent norm of a shift
+    block above it.  Carries the best estimate seen, the residual it
+    achieved and the iterations spent.
     """
 
-    def __init__(self, message, best=None, residual=None, iterations=None, partial=None):
+    def __init__(self, message, best=None, residual=None, iterations=None):
         super().__init__(message)
         self.best = best
         self.residual = residual
         self.iterations = iterations
-        self.partial = partial

@@ -193,14 +193,9 @@ def _require_contractive_spectrum(op: OperatorSpec):
         raise ValidationError(f"spectral radius bound {bound:.6g} exceeds 1")
 
 
-def _rotated_blocks(op: OperatorSpec, lam: complex):
-    """(leaf, point) per block: lam folded through the block's rotation."""
-    return [(leaf, lam if scalar == 1.0 else lam / scalar) for *_, scalar, leaf in blocks(op)]
-
-
 def _leaf_resolvent_norm(leaf, lam: complex) -> float:
     d = dimension(leaf)
-    if d <= SVD_CAP:
+    if not isinstance(leaf, WeightedShift) or d <= SVD_CAP:
         system = lam * np.eye(d) - materialize(leaf)
         smin = float(np.linalg.svd(system, compute_uv=False)[-1])
         if smin == 0.0:
@@ -218,13 +213,16 @@ def _leaf_resolvent_norm(leaf, lam: complex) -> float:
 def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
     """||(lam I - op)^-1||, exact blockwise over direct sums.
 
-    Blocks up to SVD_CAP use 1/sigma_min of the materialized system;
-    larger ones run power iteration whose matrix-vector products are
-    resolvent solves, so structured variants never materialize.  A
-    stalled iteration raises ConvergenceError: a failed estimate, not a
-    singular point.
+    Dense blocks, and shift blocks up to SVD_CAP, use 1/sigma_min of the
+    materialized system.  Larger shift blocks run power iteration whose
+    matrix-vector products are O(d) resolvent solves, so they never
+    materialize.  A stalled iteration raises ConvergenceError: a failed
+    estimate, not a singular point.
     """
-    return max(_leaf_resolvent_norm(leaf, at) for leaf, at in _rotated_blocks(op, complex(lam)))
+    lam = complex(lam)
+    # (lam - mu*A)^-1 = mu^-1 ((lam/mu) - A)^-1 with |mu| = 1: fold each rotation into lam.
+    return max(_leaf_resolvent_norm(leaf, lam if scalar == 1.0 else lam / scalar)
+               for *_, scalar, leaf in blocks(op))
 
 
 def _grid_sup(op: OperatorSpec, grid: AnnulusGrid, value):
@@ -298,18 +296,18 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
     )
 
 
-def _leaf_strong_sup(leaf, lam: complex, r: float, k_max: int) -> float:
-    d = dimension(leaf)
-    system = lam * np.eye(d) - materialize(leaf)
+def _leaf_strong_sup(mat: np.ndarray, eye: np.ndarray, lam: complex, r: float,
+                     k_max: int) -> float:
     try:
-        resolvent = np.linalg.inv(system)
+        resolvent = np.linalg.inv(lam * eye - mat)
     except np.linalg.LinAlgError as exc:
         raise SingularError(f"resolvent singular at lam={lam}") from exc
-    power = np.eye(d, dtype=resolvent.dtype)
+    power = resolvent
     best = 0.0
     log_gap = math.log(r - 1.0)
     for k in range(1, k_max + 1):
-        power = power @ resolvent
+        if k > 1:
+            power = power @ resolvent
         norm = _dense_norm(power)
         if norm <= 0.0:
             continue
@@ -328,8 +326,12 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
     _require_contractive_spectrum(op)
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
+    # Each block is materialized once for the whole grid.
+    leaves = [(scalar, materialize(leaf), np.eye(stop - start))
+              for start, stop, scalar, leaf in blocks(op)]
     shortcut, best, skipped = _grid_sup(op, grid, lambda lam, r: max(
-        _leaf_strong_sup(leaf, at, r, k_max) for leaf, at in _rotated_blocks(op, lam)
+        _leaf_strong_sup(mat, eye, lam if scalar == 1.0 else lam / scalar, r, k_max)
+        for scalar, mat, eye in leaves
     ))
     return KreissReport(
         strong_C=best,

@@ -27,7 +27,10 @@ SEED = 0x5EED
 #: Largest dimension materialized as a dense matrix.
 DENSE_CAP = 4096
 
-#: Largest dimension normed by a dense SVD; larger ones are iterated.
+#: Largest structured operator whose power iteration is cross-checked
+#: against the dense SVD of its materialization, and largest shift block
+#: whose resolvent norm is read off a dense SVD.  Explicit matrices are
+#: normed by their dense SVD at every size.
 SVD_CAP = 512
 
 _UNIMODULAR_TOL = 1e-12
@@ -319,7 +322,7 @@ _STALL_WINDOW = 300
 _MAX_ITER = 20000
 
 
-def _power_iteration(matvec, matvec_adj, d, tol, real_start=False):
+def _power_iteration(matvec, matvec_adj, d, tol):
     """Largest singular value via power iteration on A* A.
 
     Deterministic start seeded with SEED, Rayleigh-quotient residual
@@ -328,17 +331,11 @@ def _power_iteration(matvec, matvec_adj, d, tol, real_start=False):
     improving for _STALL_WINDOW iterations (clustered top singular
     values), the iteration reports non-convergence early instead of
     burning the full budget of _MAX_ITER; the value estimate is still the
-    best seen.
-
-    A real start vector is used for real matrices (A.T A is then real
-    symmetric and its top eigenvector real), which avoids promoting the
-    matrix to complex on every product.
+    best seen.  Only structured operators are iterated, through their
+    O(d) action; explicit matrices go to _matrix_norm.
     """
     rng = np.random.default_rng(SEED)
-    if real_start:
-        v = rng.standard_normal(d)
-    else:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     v /= np.linalg.norm(v)
     best = 0.0
     best_res = np.inf
@@ -375,31 +372,27 @@ def _converged(value: float, res: float, iters: int, ok: bool) -> NormEstimate:
     return NormEstimate(value, "power-iteration", res, iters)
 
 
-def _matrix_norm(mat: np.ndarray, tol: float, svd_cap: int) -> NormEstimate:
-    """The norm policy for explicit matrices: dense SVD up to svd_cap, iteration above."""
-    mat = _compact(mat)
-    d = mat.shape[0]
-    if d <= svd_cap:
-        return NormEstimate(float(np.linalg.svd(mat, compute_uv=False)[0]), "dense-svd", 0.0, 0)
-    return _converged(*_power_iteration(
-        lambda v: mat @ v, lambda v: mat.conj().T @ v, d, tol,
-        real_start=not np.iscomplexobj(mat),
-    ))
+def _matrix_norm(mat: np.ndarray) -> NormEstimate:
+    """The norm policy for explicit matrices: the dense SVD, at every size."""
+    return NormEstimate(float(np.linalg.svd(_compact(mat), compute_uv=False)[0]),
+                        "dense-svd", 0.0, 0)
 
 
 def spectral_norm(op: OperatorSpec, tol: float = 1e-10) -> NormEstimate:
     """Largest singular value of op.
 
-    Dense operators are normed by _matrix_norm.  Structured operators
-    run seeded power iteration on op* op through their O(d) action; at
-    or below SVD_CAP the norm of the materialized matrix cross-checks
-    the estimate and overrides it on disagreement or a stall
-    ("dense-svd-oracle"), above the cap a stall raises ConvergenceError.
+    Dense operators are normed by their dense SVD at every size
+    ("dense-svd"), and ``tol`` does not apply to them.  Structured
+    operators run seeded power iteration on op* op through their O(d)
+    action to residual ``tol``; at or below SVD_CAP the dense SVD of the
+    materialized matrix cross-checks the estimate and overrides it on
+    disagreement or a stall ("dense-svd-oracle"), above the cap a stall
+    raises ConvergenceError.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     if isinstance(op, Dense):
-        return _matrix_norm(op.matrix, tol, SVD_CAP)
+        return _matrix_norm(op.matrix)
     d = dimension(op)
     op_adj = adjoint(op)
     value, res, iters, ok = _power_iteration(
@@ -407,7 +400,7 @@ def spectral_norm(op: OperatorSpec, tol: float = 1e-10) -> NormEstimate:
     )
     if d > SVD_CAP:
         return _converged(value, res, iters, ok)
-    sigma = _matrix_norm(materialize(op), tol, SVD_CAP).value
+    sigma = _matrix_norm(materialize(op)).value
     if ok and abs(value - sigma) <= 1e-8 * max(sigma, value, 1e-300):
         return NormEstimate(value, "power-iteration", res, iters)
     return NormEstimate(sigma, "dense-svd-oracle", res, iters)
@@ -428,45 +421,34 @@ def _shift_power_norms(op: WeightedShift, kmax: int) -> np.ndarray:
     return out
 
 
-def _leaf_power_norms(leaf, kmax: int, svd_cap: int) -> NormSeries:
+def _leaf_power_norms(leaf, kmax: int) -> NormSeries:
     ks = np.arange(1, kmax + 1)
     if isinstance(leaf, WeightedShift):
         return NormSeries(ks, _shift_power_norms(leaf, kmax), ("closed-form",) * kmax,
                           np.zeros(kmax))
     mat = _compact(materialize(leaf))
-    power = mat.copy()
+    power = mat
     vals = np.zeros(kmax)
-    methods = []
-    residuals = np.zeros(kmax)
-    for i, k in enumerate(ks):
-        if k > 1:
+    for i in range(kmax):
+        if i:
             power = power @ mat
-        try:
-            est = _matrix_norm(power, 1e-10, svd_cap)
-        except ConvergenceError as exc:
-            exc.partial = NormSeries(ks[:i], vals[:i], tuple(methods), residuals[:i])
-            raise
-        vals[i] = est.value
-        methods.append(est.method)
-        residuals[i] = est.residual
-    return NormSeries(ks, vals, tuple(methods), residuals)
+        vals[i] = _matrix_norm(power).value
+    return NormSeries(ks, vals, ("dense-svd",) * kmax, np.zeros(kmax))
 
 
-def power_norms(op: OperatorSpec, kmax: int, svd_cap: int = SVD_CAP) -> NormSeries:
+def power_norms(op: OperatorSpec, kmax: int) -> NormSeries:
     """The sequence ||op**k|| for k = 1..kmax.
 
     Weighted shifts use the exact closed form: ||S^k|| is the largest
     product of k consecutive ratios (equivalently max_j w_{j+k}/w_j),
     and is 0 once k reaches the dimension.  Dense blocks power the
-    matrix and norm each power by _matrix_norm with ``svd_cap`` as its
-    cap; a per-k convergence failure raises ConvergenceError with the
-    block's completed prefix attached as ``partial``.  Rotations leave
+    matrix and norm each power by its dense SVD.  Rotations leave
     power norms unchanged, and a direct sum takes the max over its
     blocks, each k tagged by the first block attaining it.
     """
     if kmax < 1:
         raise ValidationError("kmax must be at least 1")
-    series = [_leaf_power_norms(leaf, kmax, svd_cap) for *_, leaf in blocks(op)]
+    series = [_leaf_power_norms(leaf, kmax) for *_, leaf in blocks(op)]
     values = np.array([s.values for s in series])
     first = np.argmax(values, axis=0)  # the first block attaining each max
     i = np.arange(kmax)

@@ -199,28 +199,25 @@ def emit_report(
     results: list,
     tables: dict | None = None,
     out_dir=".",
-    formats=("json",),
 ) -> list:
-    """Write the report document and CSV tables; returns written paths.
+    """Write report.json and one CSV file per table; returns written paths.
 
     ``results`` is a list of result dicts; ``tables`` maps a file name
     to a (header, rows) pair.  The JSON document is the single object
-    {config, results, summary}.  Empty result sets and empty tables
-    still produce valid files.
+    {config, results, summary} and is always written, so every verdict
+    reaches a file.  Empty result sets and empty tables still produce
+    valid files.
     """
     out_dir = Path(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "json" in formats:
-        document = {
-            "config": config.to_dict(),
-            "results": results,
-            "summary": summarize(results),
-        }
-        path = out_dir / "report.json"
-        path.write_bytes(to_json_bytes(document))
-        written.append(path)
-    if "csv" in formats:
-        for name, (header, rows) in (tables or {}).items():
-            written.append(write_csv(out_dir / name, header, rows))
+    document = {
+        "config": config.to_dict(),
+        "results": results,
+        "summary": summarize(results),
+    }
+    path = out_dir / "report.json"
+    path.write_bytes(to_json_bytes(document))
+    written = [path]
+    for name, (header, rows) in (tables or {}).items():
+        written.append(write_csv(out_dir / name, header, rows))
     return written

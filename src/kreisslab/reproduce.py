@@ -88,7 +88,7 @@ def _thm24(seed: int):
             top_expected = float(n) ** (2.0 * eta)
             rel_closed = _rel_err(closed, top_expected)
             power = np.linalg.matrix_power(materialize(op), k_top)
-            est_top = spectral_norm(Dense(power), tol=1e-10)
+            est_top = spectral_norm(Dense(power))
             rel_top = _rel_err(est_top.value, top_expected)
             results.append(_check(f"tn-power-n{n}-eta{eta}", est_top.value, top_expected,
                                   rel_top <= 1e-6 and rel_closed <= 1e-12,
@@ -321,7 +321,7 @@ def _ex29(seed: int):
 
     d = 512
     op = build_tz_block(d)
-    series = power_norms(op, 32, svd_cap=2 * d)
+    series = power_norms(op, 32)
     ratios = series.values / series.k
     rows = [(int(k), float(v), float(r)) for k, v, r in zip(series.k, series.values, ratios)]
     results.append(_check("tz-transient-growth", float(ratios.min()), 1.9,
@@ -445,5 +445,5 @@ def reproduce(theorem_id: str, out_dir=".", seed: int = SEED) -> int:
         )
     results, tables = RUNNERS[theorem_id](seed)
     config = RunConfig(command="reproduce", operator=theorem_id, seed=seed, out=str(out_dir))
-    emit_report(config, results, tables, out_dir, formats=("json", "csv"))
+    emit_report(config, results, tables, out_dir)
     return 0 if summarize(results)["all_passed"] else 1

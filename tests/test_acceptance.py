@@ -131,7 +131,7 @@ def test_criterion_06_triangular_model():
 
 def test_criterion_07_block_transient_growth():
     d = 512
-    series = kl.power_norms(kl.build_tz_block(d), 32, svd_cap=2 * d)
+    series = kl.power_norms(kl.build_tz_block(d), 32)
     ratios = series.values / series.k
     # Independent oracle: a truncation never exceeds the symbol bound n + sqrt(n^2 + 1).
     n = series.k.astype(float)

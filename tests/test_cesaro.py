@@ -103,10 +103,13 @@ def test_shift_mean_rotation_invariance_on_dense_grid():
         assert float(spread.max()) <= 1e-9
 
 
-def test_profile_method_follows_the_largest_normed_block():
+def test_profile_of_a_sum_above_the_dense_cap_is_the_max_over_its_blocks():
     op = kl.build_shields_counterexample(0.15, 0.45, 64)
-    assert kl.dimension(op) == 4160
-    assert kl.rotated_mean_norm_profile(op, 2, angle_count=1).method == "dense-svd"
+    assert kl.dimension(op) > kl.DENSE_CAP
+    profile = kl.rotated_mean_norm_profile(op, 2, angle_count=1)
+    per_block = [kl.rotated_mean_norm_profile(s, 2, angle_count=1).sup_lambda
+                 for s in op.summands]
+    np.testing.assert_array_equal(profile.sup_lambda, np.max(per_block, axis=0))
 
 
 def test_profile_ergces_even_means_bounded():

@@ -162,13 +162,36 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
-    # d = 1024 lies above SVD_CAP and its clustered top singular values stall
-    # the power iteration: a clean error line and exit 3, not a traceback.
-    code = main(["construct", "--operator", "tzblock", "--trunc", "512",
-                 "--out", str(tmp_path)])
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # A shift of dimension 600 > SVD_CAP is normed by power iteration alone;
+    # a stall is a clean error line and exit 3, not a traceback.
+    monkeypatch.setattr(kreisslab.operators, "_power_iteration",
+                        lambda *args, **kwargs: (1.0, 0.5, 300, False))
+    code = main(["construct", "--operator", "tn", "--trunc", "300", "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: power iteration stalled")
+
+
+def test_tz_block_above_the_svd_cap_is_normed(tmp_path):
+    # d = 1024 > SVD_CAP, with top singular values too clustered for a power
+    # iteration to separate: the dense SVD norms it.
+    code = main(["construct", "--operator", "tzblock", "--trunc", "512",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    value = read_report(tmp_path)["results"][0]["value"]
+    assert 2.414 <= value <= 1.0 + np.sqrt(2.0)
+
+
+def test_csv_runs_keep_every_verdict(tmp_path):
+    args = ["kreiss", "--operator", "ergces", "--trunc", "6", "--n-max", "8"]
+    assert main(args + ["--out", str(tmp_path / "json")]) == 0
+    assert main(args + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+    json_run = read_report(tmp_path / "json")
+    csv_run = read_report(tmp_path / "csv")
+    assert csv_run["results"] == json_run["results"]
+    assert csv_run["summary"] == json_run["summary"]
+    assert (tmp_path / "csv" / "constants.csv").exists()
+    assert not (tmp_path / "json" / "constants.csv").exists()
 
 
 def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):

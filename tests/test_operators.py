@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -193,11 +194,12 @@ def test_spectral_norm_invalid_tolerance():
         kl.spectral_norm(kl.Dense(np.eye(2)), tol=0.0)
 
 
-def test_explicit_matrices_are_iterated_only_above_the_svd_cap(monkeypatch):
+def test_explicit_matrices_are_never_iterated(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("power iteration ran")
 
     monkeypatch.setattr("kreisslab.operators._power_iteration", refuse)
+    monkeypatch.setattr("kreisslab.kreiss._power_iteration", refuse)
     op = random_dense(8, 11)
     est = kl.spectral_norm(op)
     sigma = np.linalg.svd(op.matrix, compute_uv=False)[0]
@@ -208,18 +210,38 @@ def test_explicit_matrices_are_iterated_only_above_the_svd_cap(monkeypatch):
     mat = np.random.default_rng(12).standard_normal((16, 16))
     sigma = np.linalg.svd(mat, compute_uv=False)[0]
     assert abs(_dense_norm(mat) - sigma) <= 1e-12 * sigma
+    assert _matrix_norm(np.diag([1.0, 0.5, 0.25, 0.125])).value == 1.0
 
-    separated = np.diag([1.0, 0.5, 0.25, 0.125])
-    with pytest.raises(AssertionError, match="power iteration ran"):
-        _matrix_norm(separated, 1e-10, 2)
-    monkeypatch.undo()
-    est = _matrix_norm(separated, 1e-10, 2)
-    assert est.method == "power-iteration" and est.iterations > 0
-    assert abs(est.value - 1.0) <= 1e-9
-    clustered = np.diag([1.0, 1.0 - 1e-9, 0.5, 0.25])
-    with pytest.raises(kl.ConvergenceError) as info:
-        _matrix_norm(clustered, 1e-14, 2)
-    assert abs(info.value.best - 1.0) <= 1e-8
+    # Above SVD_CAP too, and on top singular values no iteration separates.
+    d = 600
+    assert d > kl.SVD_CAP
+    rng = np.random.default_rng(13)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    singular = np.concatenate(([1.0, 1.0 - 1e-9], np.linspace(0.5, 0.01, d - 2)))
+    est = kl.spectral_norm(kl.Dense((u * singular) @ v.conj().T))
+    assert est.method == "dense-svd"
+    assert abs(est.value - 1.0) <= 1e-12
+
+    series = kl.power_norms(kl.build_tz_block(d // 2), 4)
+    assert series.methods == ("dense-svd",) * 4
+    n = series.k.astype(float)
+    assert np.all(series.values < n + np.sqrt(n * n + 1.0))
+
+    s = rng.uniform(-0.9, 0.9, d)
+    normal = kl.Dense((u * s) @ u.conj().T)
+    expected = 1.0 / float(np.min(np.abs(1.5 - s)))
+    assert abs(resolvent_norm(normal, 1.5) - expected) <= 1e-10
+
+
+def test_public_signatures_carry_no_cap_knob():
+    # Norm and size policy is fixed by SVD_CAP and DENSE_CAP, not per call.
+    for name in kl.__all__:
+        obj = getattr(kl, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        params = inspect.signature(obj).parameters
+        assert not {"svd_cap", "cap"} & set(params), name
 
 
 # --- power norms ---
