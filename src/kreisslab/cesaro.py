@@ -20,6 +20,7 @@ from .operators import (
     SEED,
     Dense,
     OperatorSpec,
+    _check_dim,
     _compact,
     _dense_dimension,
     _matrix_norm,
@@ -262,28 +263,33 @@ def ergodic_probe(
         vecs = []
         labels = []
         for i, v in enumerate(probes):
-            v = np.asarray(v, dtype=complex)
+            v = _check_dim(op, v)
             norm = np.linalg.norm(v)
             if norm == 0:
                 raise ValidationError("probe vectors must be nonzero")
             vecs.append(v / norm)
             labels.append(f"given-{i}")
-    # Long ladders dominate the cost; iterate on a compacted materialized
-    # matrix when one fits, falling back to structured application.
+    if not vecs:
+        raise ValidationError("at least one probe is required")
+    # Long ladders dominate the cost: the probes advance together as the
+    # columns of one block, by one product with the compacted matrix per
+    # step when it fits, else column by column through the structured
+    # action.  The block stays real when the matrix and every probe are.
+    block = np.column_stack(vecs)
     if d <= DENSE_CAP:
         mat = _compact(materialize(op))
-        step = lambda v: mat @ v
+        if not np.iscomplexobj(mat) and not block.imag.any():
+            block = block.real.copy()
+        step = lambda b: mat @ b
     else:
-        step = lambda v: apply(op, v)
-    gaps = np.zeros((len(vecs), len(ladder) - 1))
-    for pi, x in enumerate(vecs):
-        if d <= DENSE_CAP and not np.iscomplexobj(mat) and not x.imag.any():
-            x = x.real
-        snapshots = {0: x}
-        for n, _, running in _power_sums(step, x, max(ladder)):
-            if n in ladder:
-                snapshots[n] = running / (n + 1)
-        for gi, (a, b) in enumerate(zip(ladder, ladder[1:])):
-            gaps[pi, gi] = float(np.linalg.norm(snapshots[b] - snapshots[a]))
+        step = lambda b: np.column_stack([apply(op, col) for col in b.T])
+    # Row p is probe p's mean M_n(T)x_p, contiguous like a lone vector, so
+    # each gap is normed exactly as it would be for that probe alone.
+    means = {0: block.T.copy()}
+    for n, _, running in _power_sums(step, block, max(ladder)):
+        if n in ladder:
+            means[n] = (running / (n + 1)).T.copy()
+    gaps = np.array([[float(np.linalg.norm(row)) for row in means[b] - means[a]]
+                     for a, b in zip(ladder, ladder[1:])]).T
     consistent = bool(np.all(gaps[:, -1] <= tolerance))
     return ErgodicProbe(ladder, tuple(labels), gaps, tolerance, consistent)

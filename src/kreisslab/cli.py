@@ -8,7 +8,7 @@ files.  The exit status is 1 when any definite check failed, 2 when the
 input is invalid, and 3 when a numerical kernel failed: the power
 iteration of a structured operator above SVD_CAP stalled, a resolvent
 was singular, or a dense size cap was exceeded.  Explicit matrices are
-normed by their dense SVD and never stall.
+normed by a dense factorization (operators._matrix_norm) and never stall.
 
 KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
 """
@@ -158,15 +158,12 @@ def _cmd_construct(args) -> int:
 def _cmd_powers(args) -> int:
     entry = _operator_entry(args)
     series = power_norms(entry.spec, args.k_max)
-    rows = [
-        (int(k), float(v), m, float(r))
-        for k, v, m, r in zip(series.k, series.values, series.methods, series.residuals)
-    ]
+    rows = [(int(k), float(v), m) for k, v, m in zip(series.k, series.values, series.methods)]
 
     results = [CheckRecord("power-norms", None, float(series.values.max()), None,
                            status="info", detail=f"k <= {args.k_max}").to_dict()]
     return _emit(args, _config(args, "powers", entry), results,
-                 {"powers.csv": (("k", "norm", "method", "residual"), rows)})
+                 {"powers.csv": (("k", "norm", "method"), rows)})
 
 
 def _cmd_cesaro(args) -> int:

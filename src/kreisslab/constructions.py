@@ -208,19 +208,20 @@ def build_tz_block(d: int) -> Dense:
 
 
 def tz_block_power(d: int, n: int) -> np.ndarray:
-    """Closed-form n-th power [[B^n, n*B^(n-1)*(B - I)], [0, B^n]].
+    """Closed-form n-th power [[B^n, n*(B^n - B^(n-1))], [0, B^n]].
 
     Follows from the blocks being upper triangular with commuting
-    entries; used as the structured fast path against dense powering.
+    entries.  B^n is the n-th superdiagonal of ones (zero once n >= d),
+    so the power is built directly, with no matrix product; its entries
+    are small integers, equal bit for bit to the dense power.
     """
     if int(n) < 1:
         raise ValidationError("power must be at least 1")
     d, n = int(d), int(n)
-    b = _backward_shift_matrix(d)
-    bn = np.linalg.matrix_power(b, n)
+    bn = np.eye(d, k=n)
     mat = np.zeros((2 * d, 2 * d))
     mat[:d, :d] = bn
-    mat[:d, d:] = n * np.linalg.matrix_power(b, n - 1) @ (b - np.eye(d))
+    mat[:d, d:] = n * (bn - np.eye(d, k=n - 1))
     mat[d:, d:] = bn
     return mat
 

@@ -237,8 +237,63 @@ def test_probe_tz_coordinates_positive_verdict():
     assert probe.probe_labels == tuple(f"given-{i}" for i in range(5))
 
 
+def orbit_gaps(step, x, ladder):
+    # One probe at a time: the Cauchy gaps of its running means.
+    means = {0: x}
+    power = total = x
+    for n in range(1, ladder[-1] + 1):
+        power = step(power)
+        total = total + power
+        if n in ladder:
+            means[n] = total / (n + 1)
+    return [float(np.linalg.norm(means[b] - means[a])) for a, b in zip(ladder, ladder[1:])]
+
+
+def test_batched_probes_equal_single_probe_orbits_on_tz_coordinates():
+    # Integer-valued orbits: stepping the probes together changes no bit.
+    op = kl.build_tz_block(16)
+    mat = kl.materialize(op).real
+    ladder = (16, 64, 256, 1024)
+    vecs = list(np.eye(32)[[0, 3, 15, 16, 20, 31]])
+    probe = kl.ergodic_probe(op, probes=vecs, ladder=ladder)
+    expected = [orbit_gaps(lambda v: mat @ v, x, ladder) for x in vecs]
+    np.testing.assert_array_equal(probe.gaps, expected)
+
+
+def test_batched_probes_match_single_probe_orbits_on_seeded_ergces():
+    op = kl.build_ergces(20)
+    d = kl.dimension(op)
+    mat = kl.materialize(op)
+    ladder = (16, 64, 256, 1024)
+    rng = np.random.default_rng(kl.SEED)
+    expected = []
+    for _ in range(8):
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        expected.append(orbit_gaps(lambda v: mat @ v, x / np.linalg.norm(x), ladder))
+    probe = kl.ergodic_probe(op, probes=8, ladder=ladder)
+    np.testing.assert_allclose(probe.gaps, expected, rtol=1e-12, atol=0)
+
+
+def test_probes_above_the_dense_cap_step_through_apply():
+    op = kl.build_TN(2049, 0.3)
+    d = kl.dimension(op)
+    assert d > kl.DENSE_CAP
+    ladder = (16, 32)
+    rng = np.random.default_rng(kl.SEED)
+    expected = []
+    for _ in range(2):
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        expected.append(orbit_gaps(lambda v: kl.apply(op, v), x / np.linalg.norm(x), ladder))
+    probe = kl.ergodic_probe(op, probes=2, ladder=ladder)
+    np.testing.assert_array_equal(probe.gaps, expected)
+
+
 def test_probe_validation():
     with pytest.raises(kl.ValidationError):
         kl.ergodic_probe(kl.Dense(np.eye(2)), probes=[np.zeros(2)])
+    with pytest.raises(kl.ValidationError):
+        kl.ergodic_probe(kl.Dense(np.eye(2)), probes=0)
+    with pytest.raises(kl.DimensionError):
+        kl.ergodic_probe(kl.Dense(np.eye(2)), probes=[np.ones(2), np.ones(3)])
     with pytest.raises(kl.ValidationError):
         kl.ergodic_probe(kl.Dense(np.eye(2)), probes=2, ladder=(8,))

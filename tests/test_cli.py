@@ -31,7 +31,7 @@ def test_powers_csv_columns(tmp_path):
                  "--k-max", "15", "--format", "csv", "--out", str(tmp_path)])
     assert code == 0
     header = (tmp_path / "powers.csv").read_text().splitlines()[0]
-    assert header == "k,norm,method,residual"
+    assert header == "k,norm,method"
 
 
 def test_cesaro_csv_columns(tmp_path):
@@ -174,7 +174,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_tz_block_above_the_svd_cap_is_normed(tmp_path):
     # d = 1024 > SVD_CAP, with top singular values too clustered for a power
-    # iteration to separate: the dense SVD norms it.
+    # iteration to separate: the Gram eigensolve norms it.
     code = main(["construct", "--operator", "tzblock", "--trunc", "512",
                  "--out", str(tmp_path)])
     assert code == 0

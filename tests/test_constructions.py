@@ -211,8 +211,21 @@ def test_tz_block_top_right_block():
 
 
 def test_tz_block_power_formula_matches_dense():
-    dense = np.linalg.matrix_power(kl.materialize(kl.build_tz_block(8)), 3)
-    np.testing.assert_allclose(dense, kl.tz_block_power(8, 3), atol=1e-12)
+    # Integer entries: the closed form equals the dense power exactly, also
+    # past n = d where the diagonal blocks vanish.
+    for d, n_top in ((8, 16), (64, 32)):
+        mat = kl.materialize(kl.build_tz_block(d)).real
+        power = np.eye(2 * d)
+        for n in range(1, n_top + 1):
+            power = power @ mat
+            np.testing.assert_array_equal(kl.tz_block_power(d, n), power)
+
+
+def test_tz_block_power_norms_equal_the_dense_power_norms():
+    # d = 600 > SVD_CAP: both sides take the same norm route on equal matrices.
+    series = kl.power_norms(kl.build_tz_block(300), 8)
+    closed = [kl.spectral_norm(kl.Dense(kl.tz_block_power(300, k))).value for k in range(1, 9)]
+    np.testing.assert_array_equal(closed, series.values)
 
 
 def test_tz_block_strictly_upper_triangular():

@@ -9,7 +9,7 @@ from kreisslab.reports import summarize, to_json_bytes, write_csv
 
 def linear_series(kmax=64):
     k = np.arange(1, kmax + 1)
-    return kl.NormSeries(k, k.astype(float), ("closed-form",) * kmax, np.zeros(kmax))
+    return kl.NormSeries(k, k.astype(float), ("closed-form",) * kmax)
 
 
 # --- growth fit ---
@@ -35,7 +35,7 @@ def test_growth_fit_window_validation():
         kl.growth_fit(series, (1, 5))  # fewer than 8 points
     with pytest.raises(kl.ValidationError):
         kl.growth_fit(series, (5, 5))
-    zeros = kl.NormSeries(series.k, np.zeros(10), series.methods, series.residuals)
+    zeros = kl.NormSeries(series.k, np.zeros(10), series.methods)
     with pytest.raises(kl.ValidationError):
         kl.growth_fit(zeros, (1, 10))
 

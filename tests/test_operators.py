@@ -220,11 +220,11 @@ def test_explicit_matrices_are_never_iterated(monkeypatch):
     v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     singular = np.concatenate(([1.0, 1.0 - 1e-9], np.linspace(0.5, 0.01, d - 2)))
     est = kl.spectral_norm(kl.Dense((u * singular) @ v.conj().T))
-    assert est.method == "dense-svd"
+    assert est.method == "dense-gram"
     assert abs(est.value - 1.0) <= 1e-12
 
     series = kl.power_norms(kl.build_tz_block(d // 2), 4)
-    assert series.methods == ("dense-svd",) * 4
+    assert series.methods == ("dense-gram",) * 4
     n = series.k.astype(float)
     assert np.all(series.values < n + np.sqrt(n * n + 1.0))
 
@@ -232,6 +232,29 @@ def test_explicit_matrices_are_never_iterated(monkeypatch):
     normal = kl.Dense((u * s) @ u.conj().T)
     expected = 1.0 / float(np.min(np.abs(1.5 - s)))
     assert abs(resolvent_norm(normal, 1.5) - expected) <= 1e-10
+
+
+def test_matrix_norm_above_the_svd_cap_is_the_gram_eigensolve():
+    # sqrt(lambda_max(A* A)) agrees with the SVD to about d*eps*sigma_1.
+    def check(mat):
+        d = mat.shape[0]
+        assert d > kl.SVD_CAP
+        est = _matrix_norm(mat)
+        sigma = np.linalg.svd(mat, compute_uv=False)[0]
+        assert (est.method, est.residual, est.iterations) == ("dense-gram", 0.0, 0)
+        assert abs(est.value - sigma) <= 4 * d * np.finfo(float).eps * sigma
+
+    for n in (1, 16, 32):
+        check(kl.tz_block_power(512, n))
+    d = 600
+    rng = np.random.default_rng(14)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    singular = np.concatenate(([2.0, 2.0 - 1e-13, 2.0 - 1e-12], np.linspace(1.9, 0.0, d - 3)))
+    check((u * singular) @ v.conj().T)
+    zero = _matrix_norm(np.zeros((d, d)))
+    assert zero.value == 0.0 and not np.signbit(zero.value)
+    assert zero.method == "dense-gram"
 
 
 def test_public_signatures_carry_no_cap_knob():
