@@ -18,7 +18,6 @@ from .cesaro import (
     MeanSeries,
     cesaro_identity_check,
     cesaro_mean,
-    cesaro_mean2,
     ergodic_probe,
     mean_difference_decay,
     rotated_mean_norm_profile,

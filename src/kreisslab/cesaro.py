@@ -10,6 +10,7 @@ equivalence, so a single angle suffices and is recorded as such.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,10 @@ class ErgodicProbe:
     consistent: bool
 
 
+#: Relative slack on a cell's Frobenius bound before it may prune the cell.
+_PRUNE_SLACK = 1e-12
+
+
 def _dense_norm(mat: np.ndarray) -> float:
     """Spectral norm of an explicit matrix under the shared norm policy."""
     return _matrix_norm(mat).value
@@ -87,40 +92,108 @@ def _power_sums(step, start, n_max: int):
         yield n, power, total
 
 
-def _mean_tables(mat: np.ndarray, n_max: int, lams: np.ndarray, want_order2: bool):
-    norm1 = np.zeros((lams.size, n_max + 1))
-    norm2 = np.zeros((lams.size, n_max + 1)) if want_order2 else None
-    eye = np.eye(mat.shape[0])
-    for li, lam in enumerate(lams):
-        scaled = _compact(lam * mat)
-        start = eye.astype(scaled.dtype)
-        triangular = start  # sum of (n+1-j) * (lam T)^j
-        norm1[li, 0] = _dense_norm(start)
+def _frobenius(mat: np.ndarray) -> float:
+    """||mat||_F, an upper bound for the spectral norm at a fraction of an SVD.
+
+    Below 1e-300 the squares may have underflowed and the sum bounds
+    nothing, so such a matrix gets no bound (inf).
+    """
+    square = float(np.vdot(mat, mat).real)
+    return math.sqrt(square) if square >= 1e-300 else math.inf
+
+
+def _beaten(bound: float, best: float) -> bool:
+    """True when a cell whose value is at most bound cannot exceed best.
+
+    The relative slack covers the rounding of the SVD and of the
+    Frobenius sum, so an SVD of a nearly rank-one matrix may come out
+    above its computed Frobenius norm and still be counted.  A NaN
+    bound is never beaten.
+    """
+    return bound * (1.0 + _PRUNE_SLACK) < best
+
+
+def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool):
+    """Yield (li, n, total, triangular, settled) for every cell of every leaf of op.
+
+    total = sum_{j<=n} (lam T)^j and, when want_order2, triangular =
+    sum_{j<=n} (n+1-j) (lam T)^j, for lam = lams[li], leaf by leaf.
+    Direct sums reduce blockwise (the mean of a block diagonal is block
+    diagonal, its norm the max over blocks); rotations fold their scalar
+    into the grid.  settled says that the power added at this cell was
+    exactly zero, so total is the previous cell's matrix unchanged.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    for _, _, scalar, leaf in blocks(op):
+        mat = _compact(materialize(leaf))
+        eye = np.eye(mat.shape[0])
+        for li, lam in enumerate(lams if scalar == 1.0 else lams * scalar):
+            scaled = _compact(lam * mat)
+            start = eye.astype(scaled.dtype)
+            triangular = start if want_order2 else None
+            settled = False
+            yield li, 0, start, triangular, settled
+            for n, power, total in _power_sums(lambda p: p @ scaled, start, n_max):
+                if want_order2:
+                    triangular = triangular + total
+                settled = settled or not power.any()
+                yield li, n, total, triangular, settled
+
+
+def _rotated_mean_norms(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
+    """Norm tables ||M_n(lam*T)|| (and order 2) over a grid of scalars, every cell normed.
+
+    Returns arrays of shape (len(lams), n_max + 1), the max over the
+    leaves of op.  Past a zero power the first-order sum no longer
+    changes, so its norm is taken once and divided by n + 1 from then
+    on; the second-order sum keeps growing and is normed at every n.
+    """
+    shape = (len(lams), n_max + 1)
+    norm1 = np.zeros(shape)
+    norm2 = np.zeros(shape) if want_order2 else None
+    for li, n, total, triangular, settled in _mean_cells(op, n_max, lams, want_order2):
+        if not settled:
+            top = _dense_norm(total)
+        norm1[li, n] = np.maximum(norm1[li, n], top / (n + 1))
         if want_order2:
-            norm2[li, 0] = norm1[li, 0]
-        for n, _, total in _power_sums(lambda p: p @ scaled, start, n_max):
-            norm1[li, n] = _dense_norm(total) / (n + 1)
-            if want_order2:
-                triangular = triangular + total
-                norm2[li, n] = 2.0 * _dense_norm(triangular) / ((n + 1) * (n + 2))
+            value = 2.0 * _dense_norm(triangular) / ((n + 1) * (n + 2))
+            norm2[li, n] = np.maximum(norm2[li, n], value)
     return norm1, norm2
 
 
 def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
-    """Norm tables ||M_n(lam*T)|| (and order 2) over a grid of scalars.
+    """Sups of ||M_n(lam*T)|| and of the order-2 means over n <= n_max and lams.
 
-    Returns arrays of shape (len(lams), n_max + 1).  Direct sums reduce
-    blockwise (the mean of a block diagonal is block diagonal, its norm
-    the max over blocks); rotations fold their scalar into the grid.
+    Returns (sup1, sup2, sup2_sum); sup2 = sup ||M_n^(2)(lam*T)|| and
+    sup2_sum = sup ||M_n^(2)(lam*T)|| * (n+2)/(2(n+1)) are None unless
+    want_order2.  Each sup is found by bound-and-prune over the cells
+    (lam, n) of every leaf, with one running best per sup across leaves
+    and angles: a cell whose Frobenius bound, scaled like its value,
+    cannot exceed the running best is not normed.  Every other cell goes
+    through _dense_norm and the same expression as the exhaustive
+    tables, so the sups equal the maxima of those tables bit for bit;
+    pruning can skip a cell, never change a value.  Cells are streamed,
+    never stored.  A NaN cell makes its sup NaN, as in the tables.
     """
-    lams = np.asarray(lams, dtype=complex)
-    tables = [
-        _mean_tables(_compact(materialize(leaf)), n_max,
-                     lams if scalar == 1.0 else lams * scalar, want_order2)
-        for _, _, scalar, leaf in blocks(op)
-    ]
-    norm1 = np.max([t[0] for t in tables], axis=0)
-    return norm1, np.max([t[1] for t in tables], axis=0) if want_order2 else None
+    best1 = 0.0
+    best2 = best2_sum = 0.0 if want_order2 else None
+    for _, n, total, triangular, settled in _mean_cells(op, n_max, lams, want_order2):
+        if not settled:  # past a zero power total is unchanged, and so are its norms
+            bound1, top = _frobenius(total), None
+        if not _beaten(bound1 / (n + 1), best1):
+            if top is None:
+                top = _dense_norm(total)
+            best1 = np.maximum(best1, top / (n + 1))
+        if want_order2:
+            quad = (n + 2.0) / (2.0 * (n + 1.0))
+            bound2 = 2.0 * _frobenius(triangular) / ((n + 1) * (n + 2))
+            if not (_beaten(bound2, best2) and _beaten(bound2 * quad, best2_sum)):
+                value = 2.0 * _dense_norm(triangular) / ((n + 1) * (n + 2))
+                best2 = np.maximum(best2, value)
+                best2_sum = np.maximum(best2_sum, value * quad)
+    if want_order2:
+        return float(best1), float(best2), float(best2_sum)
+    return float(best1), None, None
 
 
 def rotated_mean_norm_profile(
@@ -143,7 +216,7 @@ def rotated_mean_norm_profile(
     if n_max < 0:
         raise ValidationError("n_max must be non-negative")
     shortcut, lams = _angle_grid(op, angle_count)
-    norm1, norm2 = rotated_mean_tables(op, n_max, lams, order == 2)
+    norm1, norm2 = _rotated_mean_norms(op, n_max, lams, order == 2)
     chosen = norm1 if order == 1 else norm2
     return MeanSeries(
         n=np.arange(n_max + 1),
@@ -165,33 +238,6 @@ def cesaro_mean(op: OperatorSpec, n: int) -> Dense:
         mat = materialize(op)
         *_, (_, _, total) = _power_sums(lambda p: p @ mat, total, n)  # the last sum
     return Dense(total / (n + 1))
-
-
-def cesaro_mean2(op: OperatorSpec, n: int) -> Dense:
-    """The second mean, cross-checking its two equivalent forms.
-
-    Form one averages the running means with weights (j+1); form two is
-    the triangular sum of (n+1-j) T^j.  Both are accumulated in one pass
-    and must agree to 1e-12; the triangular form is returned.
-    """
-    if n < 0:
-        raise ValidationError("mean index must be non-negative")
-    eye = np.eye(_dense_dimension(op), dtype=complex)
-    mat = materialize(op) if n > 0 else None
-    scale = 2.0 / ((n + 1) * (n + 2))
-
-    averaged = eye  # sum of (j+1) * M_j, literally
-    triangular = (n + 1) * eye
-    for j, power, running in _power_sums(lambda p: p @ mat, eye, n):
-        averaged = averaged + (j + 1) * (running / (j + 1))
-        triangular = triangular + (n + 1 - j) * power
-    form_one = scale * averaged
-    form_two = scale * triangular
-
-    gap = float(np.max(np.abs(form_one - form_two)))
-    if gap > 1e-12 * max(1.0, float(np.max(np.abs(form_two)))):
-        raise RuntimeError(f"second-mean forms disagree by {gap:.3e}")
-    return Dense(form_two)
 
 
 def cesaro_identity_check(op: OperatorSpec, n: int) -> float:

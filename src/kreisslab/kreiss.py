@@ -6,8 +6,12 @@ variant through rotated Cesaro means, and the strong variant through
 resolvent powers.  The second-mean constant is also reported in the
 quadratic normalization sup_N N^-2 * ||sum_{j<N} (N-j) (lam T)^j||,
 which is the form the orbit inequalities (claims H1..H4) consume.  The
-claims read the orbit norms norms[j] = ||T^j x|| from orbit_norms, so
-one orbit serves every claim instance on a probe.
+uniform, second-mean and strong constants are sups over grid cells
+found by bound-and-prune: a cell whose Frobenius bound cannot beat the
+running best is skipped, and every other cell is normed by _dense_norm
+as in an exhaustive sweep, so pruning can skip a cell but never change
+a value.  The claims read the orbit norms norms[j] = ||T^j x|| from
+orbit_norms, so one orbit serves every claim instance on a probe.
 
 Every checker returns a ClaimCheckResult carrying value, bound, margin
 and a status; hypotheses that fail to hold (a vanishing orbit power, a
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cesaro import _angle_grid, _dense_norm, rotated_mean_tables
+from .cesaro import _angle_grid, _beaten, _dense_norm, _frobenius, rotated_mean_tables
 from .errors import SingularError, ValidationError
 from .operators import (
     SEED,
@@ -226,11 +230,13 @@ def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
 
 
 def _grid_sup(op: OperatorSpec, grid: AnnulusGrid, value):
-    """(shortcut, sup, skipped) of value(lam, r) over the grid's points lam = r * mu.
+    """(shortcut, sup, skipped) of the values over the grid's points lam = r * mu.
 
-    Shift-like operators are rotation invariant, so one angle per radius
-    is evaluated and recorded as a shortcut.  A point where value raises
-    SingularError is skipped and listed as (r, mu).
+    value(lam, r, best) gets the running sup and returns the new one, so
+    it may skip any work that cannot beat it.  Shift-like operators are
+    rotation invariant, so one angle per radius is evaluated and
+    recorded as a shortcut.  A point where value raises SingularError is
+    skipped and listed as (r, mu).
     """
     shortcut, angles = _angle_grid(op, grid.angle_count)
     best = 0.0
@@ -238,7 +244,7 @@ def _grid_sup(op: OperatorSpec, grid: AnnulusGrid, value):
     for r in grid.radii:
         for mu in angles:
             try:
-                best = max(best, value(r * mu, r))
+                best = value(r * mu, r, best)
             except SingularError:
                 skipped.append((float(r), complex(mu)))
     return shortcut, best, tuple(skipped)
@@ -251,7 +257,8 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
     estimate raises.
     """
     _require_contractive_spectrum(op)
-    shortcut, best, skipped = _grid_sup(op, grid, lambda lam, r: (r - 1.0) * resolvent_norm(op, lam))
+    shortcut, best, skipped = _grid_sup(
+        op, grid, lambda lam, r, best: max(best, (r - 1.0) * resolvent_norm(op, lam)))
     return KreissReport(
         kreiss_C=best,
         radii=grid.radii,
@@ -262,11 +269,11 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
 
 
 def uniform_kreiss_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissReport:
-    """sup over n <= n_max and the angle grid of ||M_n(lam T)||."""
+    """sup over n <= n_max and the angle grid of ||M_n(lam T)||, by bound-and-prune."""
     shortcut, lams = _angle_grid(op, angles)
-    norm1, _ = rotated_mean_tables(op, n_max, lams)
+    ukb, _, _ = rotated_mean_tables(op, n_max, lams)
     return KreissReport(
-        ukb_C=float(norm1.max()),
+        ukb_C=ukb,
         angle_count=angles,
         n_max=n_max,
         rotation_shortcut=shortcut,
@@ -278,41 +285,48 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
 
     kb2_C is sup ||M_n^(2)(lam T)||; kb2_sum_C rescales the same values
     to sup_N N^-2 * ||sum_{j<N} (N-j)(lam T)^j|| via the exact identity
-    between the triangular sum and the second mean.  ukb_C is read off
-    the first-order table the same pass builds, so it equals
-    uniform_kreiss_constant's value exactly.
+    between the triangular sum and the second mean.  All three sups come
+    from one bound-and-prune pass of rotated_mean_tables, which skips
+    cells that cannot attain them but never changes a value, so ukb_C
+    equals uniform_kreiss_constant's value exactly.
     """
     shortcut, lams = _angle_grid(op, angles)
-    norm1, norm2 = rotated_mean_tables(op, n_max, lams, True)
-    n = np.arange(n_max + 1, dtype=float)
-    quad = norm2 * ((n + 2.0) / (2.0 * (n + 1.0)))
+    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams, True)
     return KreissReport(
-        ukb_C=float(norm1.max()),
-        kb2_C=float(norm2.max()),
-        kb2_sum_C=float(quad.max()),
+        ukb_C=ukb,
+        kb2_C=kb2,
+        kb2_sum_C=kb2_sum,
         angle_count=angles,
         n_max=n_max,
         rotation_shortcut=shortcut,
     )
 
 
+def _strong_term(k: int, log_gap: float, norm: float) -> float:
+    """(r-1)^k * norm, combined in log space and capped at exp(700)."""
+    return math.exp(min(k * log_gap + math.log(norm), 700.0))
+
+
 def _leaf_strong_sup(mat: np.ndarray, eye: np.ndarray, lam: complex, r: float,
-                     k_max: int) -> float:
+                     k_max: int, best: float) -> float:
+    """max(best, sup over k <= k_max of (r-1)^k ||(lam I - mat)^-k||).
+
+    A power whose Frobenius bound cannot beat best is not normed.
+    """
     try:
         resolvent = np.linalg.inv(lam * eye - mat)
     except np.linalg.LinAlgError as exc:
         raise SingularError(f"resolvent singular at lam={lam}") from exc
     power = resolvent
-    best = 0.0
     log_gap = math.log(r - 1.0)
     for k in range(1, k_max + 1):
         if k > 1:
             power = power @ resolvent
-        norm = _dense_norm(power)
-        if norm <= 0.0:
+        if _beaten(_strong_term(k, log_gap, _frobenius(power)), best):
             continue
-        log_term = k * log_gap + math.log(norm)
-        best = max(best, math.exp(min(log_term, 700.0)))
+        norm = _dense_norm(power)
+        if norm > 0.0:
+            best = max(best, _strong_term(k, log_gap, norm))
     return best
 
 
@@ -329,10 +343,14 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
     # Each block is materialized once for the whole grid.
     leaves = [(scalar, materialize(leaf), np.eye(stop - start))
               for start, stop, scalar, leaf in blocks(op)]
-    shortcut, best, skipped = _grid_sup(op, grid, lambda lam, r: max(
-        _leaf_strong_sup(mat, eye, lam if scalar == 1.0 else lam / scalar, r, k_max)
-        for scalar, mat, eye in leaves
-    ))
+
+    def point_sup(lam, r, best):
+        for scalar, mat, eye in leaves:
+            best = _leaf_strong_sup(mat, eye, lam if scalar == 1.0 else lam / scalar, r, k_max,
+                                    best)
+        return best
+
+    shortcut, best, skipped = _grid_sup(op, grid, point_sup)
     return KreissReport(
         strong_C=best,
         radii=grid.radii,

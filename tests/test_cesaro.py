@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import kreisslab as kl
-from kreisslab.cesaro import rotated_mean_tables
+import kreisslab.cesaro
+from kreisslab.cesaro import _dense_norm, _power_sums, _rotated_mean_norms
+from kreisslab.operators import _dense_dimension
 
 
 def random_dense(d, seed, real=False):
@@ -13,6 +15,34 @@ def random_dense(d, seed, real=False):
     if not real:
         mat = mat + 1j * rng.standard_normal((d, d))
     return kl.Dense(0.5 * mat)
+
+
+def cesaro_mean2(op, n):
+    """The second mean, cross-checking its two equivalent forms.
+
+    Form one averages the running means with weights (j+1); form two is
+    the triangular sum of (n+1-j) T^j.  Both are accumulated in one pass
+    over the package's power stream and must agree to 1e-12; the
+    triangular form is returned.
+    """
+    if n < 0:
+        raise kl.ValidationError("mean index must be non-negative")
+    eye = np.eye(_dense_dimension(op), dtype=complex)
+    mat = kl.materialize(op) if n > 0 else None
+    scale = 2.0 / ((n + 1) * (n + 2))
+
+    averaged = eye  # sum of (j+1) * M_j, literally
+    triangular = (n + 1) * eye
+    for j, power, running in _power_sums(lambda p: p @ mat, eye, n):
+        averaged = averaged + (j + 1) * (running / (j + 1))
+        triangular = triangular + (n + 1 - j) * power
+    form_one = scale * averaged
+    form_two = scale * triangular
+
+    gap = float(np.max(np.abs(form_one - form_two)))
+    if gap > 1e-12 * max(1.0, float(np.max(np.abs(form_two)))):
+        raise RuntimeError(f"second-mean forms disagree by {gap:.3e}")
+    return kl.Dense(form_two)
 
 
 # --- first mean ---
@@ -42,13 +72,13 @@ def test_mean_tn_first_average():
 
 
 def test_second_mean_zero_index():
-    mean = kl.cesaro_mean2(kl.build_TN(3, 0.3), 0)
+    mean = cesaro_mean2(kl.build_TN(3, 0.3), 0)
     np.testing.assert_array_equal(mean.matrix, np.eye(6))
 
 
 def test_second_mean_zero_operator():
     # only the j = 0 term survives: (2/20) * 4 * I
-    mean = kl.cesaro_mean2(kl.Dense(np.zeros((3, 3))), 3)
+    mean = cesaro_mean2(kl.Dense(np.zeros((3, 3))), 3)
     np.testing.assert_allclose(mean.matrix, 0.4 * np.eye(3), rtol=1e-15)
 
 
@@ -60,13 +90,13 @@ def test_second_mean_matches_independent_powering():
     for j in range(n + 1):
         oracle += (n + 1 - j) * np.linalg.matrix_power(mat, j)
     oracle *= 2.0 / ((n + 1) * (n + 2))
-    np.testing.assert_allclose(kl.cesaro_mean2(op, n).matrix, oracle, atol=1e-12)
+    np.testing.assert_allclose(cesaro_mean2(op, n).matrix, oracle, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 7, 32])
 def test_second_mean_forms_agree_random(n):
     # the builder cross-checks its two forms to 1e-12 internally
-    kl.cesaro_mean2(random_dense(8, 40 + n), n)
+    cesaro_mean2(random_dense(8, 40 + n), n)
 
 
 # --- rotated profile ---
@@ -98,9 +128,26 @@ def test_shift_mean_rotation_invariance_on_dense_grid():
     # defeat the shortcut by materializing, then sweep a 64-angle grid
     for op in (kl.build_TN(4, 0.3), kl.build_bermbmp_shift(0.3, "forward", 8)):
         lams = np.exp(2j * np.pi * np.arange(64) / 64)
-        table, _ = rotated_mean_tables(kl.Dense(kl.materialize(op)), 12, lams)
+        table, _ = _rotated_mean_norms(kl.Dense(kl.materialize(op)), 12, lams)
         spread = table.max(axis=0) - table.min(axis=0)
         assert float(spread.max()) <= 1e-9
+
+
+def test_profile_past_a_zero_power_norms_the_sum_once(monkeypatch):
+    op = kl.build_TN(4, 0.3)  # d = 8, so T^8 = 0 and M_n = (sum_{j<8} T^j) / (n+1) from n = 7 on
+    calls = []
+    monkeypatch.setattr(kreisslab.cesaro, "_dense_norm",
+                        lambda mat: calls.append(mat.shape) or _dense_norm(mat))
+    profile = kl.rotated_mean_norm_profile(op, 24, angle_count=1)
+    assert len(calls) == 8  # n = 0..7; each later sum is the n = 7 one
+    mat = kl.materialize(op)
+    power = total = np.eye(8, dtype=complex)
+    expected = [1.0]
+    for n in range(1, 25):
+        power = power @ mat
+        total = total + power
+        expected.append(np.linalg.norm(total, 2) / (n + 1))
+    np.testing.assert_allclose(profile.norm_m1, expected, rtol=1e-12)
 
 
 def test_profile_of_a_sum_above_the_dense_cap_is_the_max_over_its_blocks():
@@ -176,7 +223,7 @@ def test_mean_respects_dense_cap():
     op = kl.build_TN(2049, 0.3)  # d = 4098 > DENSE_CAP
     tracemalloc.start()
     try:
-        for mean, n in ((kl.cesaro_mean, 2), (kl.cesaro_mean, 0), (kl.cesaro_mean2, 2)):
+        for mean, n in ((kl.cesaro_mean, 2), (kl.cesaro_mean, 0), (cesaro_mean2, 2)):
             with pytest.raises(kl.SizeError):
                 mean(op, n)
         peak = tracemalloc.get_traced_memory()[1]

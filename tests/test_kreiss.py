@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import kreisslab as kl
+import kreisslab.cesaro
+import kreisslab.kreiss
+from kreisslab.cesaro import _angle_grid, _beaten, _dense_norm, _frobenius, _rotated_mean_norms
 from kreisslab.kreiss import certify_spectral_radius, default_radii
 
 
@@ -189,6 +192,116 @@ def test_strong_bermbmp_grid_stability():
     fine = kl.strong_kreiss_constant(op, grid.refine(), k_max=8).strong_C
     assert math.isfinite(base)
     assert abs(fine - base) <= 0.05 * base
+
+
+# --- bound-and-prune sups ---
+
+
+def contractive_dense(d, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return kl.Dense(0.9 * mat / np.max(np.abs(np.linalg.eigvals(mat))))
+
+
+def exhaustive_mean_sups(op, n_max, angles):
+    """(ukb_C, kb2_C, kb2_sum_C) as the maxima of the fully normed tables."""
+    _, lams = _angle_grid(op, angles)
+    norm1, norm2 = _rotated_mean_norms(op, n_max, lams, True)
+    n = np.arange(n_max + 1, dtype=float)
+    return (float(norm1.max()), float(norm2.max()),
+            float((norm2 * ((n + 2.0) / (2.0 * (n + 1.0)))).max()))
+
+
+def exhaustive_strong_sup(op, grid, k_max):
+    """The strong sweep with every (point, block, k) cell normed."""
+    _, angles = _angle_grid(op, grid.angle_count)
+    leaves = [(scalar, kl.materialize(leaf)) for _, _, scalar, leaf in kl.blocks(op)]
+    best = 0.0
+    for r in grid.radii:
+        for mu in angles:
+            for scalar, mat in leaves:
+                lam = r * mu if scalar == 1.0 else r * mu / scalar
+                resolvent = np.linalg.inv(lam * np.eye(mat.shape[0]) - mat)
+                power = resolvent
+                for k in range(1, k_max + 1):
+                    if k > 1:
+                        power = power @ resolvent
+                    term = k * math.log(r - 1.0) + math.log(_dense_norm(power))
+                    best = max(best, math.exp(min(term, 700.0)))
+    return best
+
+
+@pytest.mark.parametrize("op", [
+    kl.build_tz_block(8),
+    kl.build_ergces(12),
+    kl.RotatedScale(np.exp(0.3j), kl.DirectSum(
+        (kl.RotatedScale(np.exp(1.1j), contractive_dense(5, 4)), kl.build_TN(3, 0.3)))),
+    zero_op(),
+    identity_op(),  # every lam = 1 mean cell ties at 1
+], ids=["tzblock-8", "ergces-12", "rotated-dense-plus-shift", "zero", "identity"])
+def test_pruned_sups_equal_the_exhaustive_maxima(op):
+    report = kl.kb2_constant(op, 32, 16)
+    assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == exhaustive_mean_sups(op, 32, 16)
+    assert kl.uniform_kreiss_constant(op, 32, 16).ukb_C == report.ukb_C
+    grid = kl.AnnulusGrid.default(16)
+    assert kl.strong_kreiss_constant(op, grid, 8).strong_C == exhaustive_strong_sup(op, grid, 8)
+
+
+def test_pruning_keeps_a_cell_whose_svd_rounds_above_its_frobenius_norm():
+    # A nearly rank-one 2 x 2 sum I + T whose SVD comes out at least two
+    # ulps above its computed Frobenius norm, behind a 1 x 1 block whose
+    # mean sits strictly between the two: without the slack, the larger
+    # cell would be pruned by its own rounding.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        u = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+        v = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
+        shift = 1e8 * (u @ v)
+        total = np.eye(2, dtype=complex) + shift
+        low = np.nextafter(_frobenius(total), np.inf)
+        if low < _dense_norm(total):
+            break
+    else:
+        pytest.fail("no seeded sum rounds two ulps above its Frobenius norm")
+    op = kl.DirectSum((kl.Dense([[low - 1.0]]), kl.Dense(shift)))
+    sup = exhaustive_mean_sups(op, 1, 1)[0]
+    assert sup == _dense_norm(total) / 2 > low / 2 > _frobenius(total) / 2
+    assert kl.uniform_kreiss_constant(op, 1, 1).ukb_C == sup
+
+
+def test_frobenius_bound_with_its_slack_covers_the_svd():
+    rng = np.random.default_rng(17)
+    above = 0
+    for d in (1, 2, 5, 16, 32):
+        for _ in range(40):
+            general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            u = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
+            v = rng.standard_normal((1, d)) + 1j * rng.standard_normal((1, d))
+            for mat in (general, u @ v):  # sigma_1 equals the Frobenius norm for u v^H
+                assert not _beaten(_frobenius(mat), _dense_norm(mat))
+            above += _dense_norm(u @ v) > _frobenius(u @ v)
+    assert above > 0  # some rank-one SVDs round above their Frobenius norm: the slack is used
+    # squares that may have underflowed bound nothing
+    assert _frobenius(np.zeros((3, 3))) == _frobenius(np.full((3, 3), 1e-160)) == math.inf
+
+
+def test_pruned_sweeps_of_a_tz_block_norm_few_cells(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return _dense_norm(mat)
+
+    monkeypatch.setattr(kreisslab.cesaro, "_dense_norm", counting)
+    monkeypatch.setattr(kreisslab.kreiss, "_dense_norm", counting)
+    op = kl.build_tz_block(16)
+    report = kl.kb2_constant(op, 128, 64)
+    strong = kl.strong_kreiss_constant(op, kl.AnnulusGrid.default(64), 16)
+    assert len(calls) <= 2000  # of 28,800 cells: 16,512 means and 12,288 resolvent powers
+    # the exhaustive sweep's values
+    got = (report.ukb_C, report.kb2_C, report.kb2_sum_C, strong.strong_C)
+    want = (9.612697312887626, 7.618976457286319, 4.009987609098062, 9.693293899356368)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 # --- orbit claims ---

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kreisslab as kl
-from kreisslab.cesaro import _dense_norm, rotated_mean_tables
+from kreisslab.cesaro import _dense_norm, _rotated_mean_norms
 from kreisslab.kreiss import certify_spectral_radius, resolvent_norm
 from kreisslab.operators import _matrix_norm
 
@@ -488,7 +488,7 @@ def test_block_kernels_match_the_block_diagonal_oracle():
     assert series.methods == tuple("dense-svd" if w == 1 else "closed-form" for w in winners)
 
     lams = np.exp(2j * np.pi * np.arange(4) / 4)
-    norm1, norm2 = rotated_mean_tables(op, 6, lams, True)
+    norm1, norm2 = _rotated_mean_norms(op, 6, lams, True)
     for li, z in enumerate(lams):
         power = total = triangular = np.eye(d, dtype=complex)
         for n in range(1, 7):
