@@ -48,7 +48,6 @@ from .errors import (
 from .growth import GrowthReport, growth_fit
 from .kreiss import (
     AnnulusGrid,
-    ClaimCheckResult,
     KreissReport,
     dyadic_ladder,
     hilbert_claim1,
@@ -89,7 +88,7 @@ from .operators import (
     resolvent_apply,
     spectral_norm,
 )
-from .reports import CheckRecord, RunConfig, emit_report, to_json_bytes, write_csv
+from .reports import CheckRecord, RunConfig, emit_report, gate, to_json_bytes, write_csv
 from .reproduce import REPRODUCIBLE_IDS
 
 __all__ = [name for name in dir() if not name.startswith("_")]

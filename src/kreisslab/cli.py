@@ -27,7 +27,7 @@ from .kreiss import (AnnulusGrid, kb2_constant, kreiss_constant, run_hilbert_cla
                      strong_kreiss_constant)
 from .operators import WeightedShift, dimension, power_norms, spectral_norm
 from .reports import CheckRecord, RunConfig, emit_report, summarize
-from .reproduce import reproduce
+from .reproduce import CLAIM_COLUMNS, claim_row, reproduce
 
 
 def _parse_radii(text: str):
@@ -129,7 +129,8 @@ def _config(args, command, entry=None, **extra):
     )
 
 
-def _emit(args, config, results, tables):
+def _emit(args, config, records, tables):
+    results = [record.to_dict() for record in records]
     emit_report(config, results, tables if args.format == "csv" else None, args.out)
     summary = summarize(results)
     print(f"{config.command}: {summary['checks']} records, "
@@ -140,11 +141,8 @@ def _emit(args, config, results, tables):
 def _cmd_construct(args) -> int:
     entry = _operator_entry(args)
     est = spectral_norm(entry.spec, tol=1e-10)
-    results = [
-        CheckRecord("operator-summary", None, est.value, None, status="info",
-                    detail=f"dimension={dimension(entry.spec)}; " + "; ".join(entry.notes)
-                    ).to_dict()
-    ]
+    results = [CheckRecord("operator-summary", "info", est.value,
+                           detail=f"dimension={dimension(entry.spec)}; " + "; ".join(entry.notes))]
     rows = []
     if isinstance(entry.spec, WeightedShift):
         if entry.spec.weights is not None:
@@ -160,8 +158,8 @@ def _cmd_powers(args) -> int:
     series = power_norms(entry.spec, args.k_max)
     rows = [(int(k), float(v), m) for k, v, m in zip(series.k, series.values, series.methods)]
 
-    results = [CheckRecord("power-norms", None, float(series.values.max()), None,
-                           status="info", detail=f"k <= {args.k_max}").to_dict()]
+    results = [CheckRecord("power-norms", "info", float(series.values.max()),
+                           detail=f"k <= {args.k_max}")]
     return _emit(args, _config(args, "powers", entry), results,
                  {"powers.csv": (("k", "norm", "method"), rows)})
 
@@ -173,11 +171,10 @@ def _cmd_cesaro(args) -> int:
     for i, n in enumerate(profile.n):
         m2 = float(profile.norm_m2[i]) if profile.norm_m2 is not None else None
         rows.append((int(n), float(profile.norm_m1[i]), m2, float(profile.sup_lambda[i])))
-    results = [CheckRecord("mean-profile", None, float(profile.sup_lambda.max()), None,
-                           status="info",
+    results = [CheckRecord("mean-profile", "info", float(profile.sup_lambda.max()),
                            detail=f"order={profile.order}; "
                                   f"rotation_shortcut={profile.rotation_shortcut}; "
-                                  f"angle_count={profile.angle_count}").to_dict()]
+                                  f"angle_count={profile.angle_count}")]
     return _emit(args, _config(args, "cesaro", entry), results,
                  {"means.csv": (("n", "norm_M1", "norm_M2", "sup_lambda"), rows)})
 
@@ -198,13 +195,14 @@ def _cmd_kreiss(args) -> int:
         "k_max": args.k_max,
         "skipped": [list(point) for point in base.skipped + strong.skipped],
     })
-    results = [dict(merged, check_id="kreiss-report", passed=None, status="info")]
+    results = [CheckRecord("kreiss-report", "info", params=merged)]
     # A skipped grid point may lower its sweep's supremum: one no-verdict record each.
     for sweep, report in (("kreiss", base), ("strong", strong)):
         for r, mu in report.skipped:
-            record = CheckRecord("skipped-grid-point", None, status="skipped",
-                                 detail=f"{sweep} sweep: singular point left out of the sup")
-            results.append(dict(record.to_dict(), sweep=sweep, r=r, angle=cmath.phase(mu)))
+            results.append(CheckRecord(
+                "skipped-grid-point", "skipped",
+                params={"sweep": sweep, "r": r, "angle": cmath.phase(mu)},
+                detail=f"{sweep} sweep: singular point left out of the sup"))
     rows = [(name, merged[name]) for name in
             ("kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C")]
     return _emit(args, _config(args, "kreiss", entry), results,
@@ -217,15 +215,9 @@ def _cmd_claims(args) -> int:
     constant = float(report.kb2_sum_C)
     claims = run_hilbert_claims(entry.spec, constant, n_probes=args.probes,
                                 n_top=args.k_max, seed=args.seed)
-    results = [CheckRecord("kb2-sum-constant", None, constant, None, status="info").to_dict()]
-    rows = []
-    for claim in claims:
-        results.append(claim.to_dict())
-        rows.append((claim.claim_id, claim.params.get("x_seed"), claim.params.get("N"),
-                     claim.params.get("M"), claim.params.get("M1"), claim.params.get("M2"),
-                     claim.lhs, claim.bound, claim.margin, claim.status))
-    header = ("claim", "x_seed", "N", "M", "M1", "M2", "lhs", "bound", "margin", "status")
-    return _emit(args, _config(args, "claims", entry), results, {"claims.csv": (header, rows)})
+    results = [CheckRecord("kb2-sum-constant", "info", constant), *claims]
+    return _emit(args, _config(args, "claims", entry), results,
+                 {"claims.csv": (CLAIM_COLUMNS, [claim_row(claim) for claim in claims])})
 
 
 def _cmd_growth(args) -> int:
@@ -233,7 +225,7 @@ def _cmd_growth(args) -> int:
     series = power_norms(entry.spec, args.k_max)
     epsilon = args.epsilon if args.operator == "shields" else None
     fit = growth_fit(series, tuple(args.window), epsilon=epsilon)
-    results = [dict(fit.to_dict(), check_id="growth-fit", passed=None, status="info")]
+    results = [CheckRecord("growth-fit", "info", params=fit.to_dict())]
     rows = []
     for i, k in enumerate(fit.k):
         lb = float(fit.lower_bound[i]) if fit.lower_bound is not None else None

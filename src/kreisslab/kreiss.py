@@ -13,16 +13,17 @@ as in an exhaustive sweep, so pruning can skip a cell but never change
 a value.  The claims read the orbit norms norms[j] = ||T^j x|| from
 orbit_norms, so one orbit serves every claim instance on a probe.
 
-Every checker returns a ClaimCheckResult carrying value, bound, margin
-and a status; hypotheses that fail to hold (a vanishing orbit power, a
-diverging hypothesis sum) yield distinct non-failure states rather than
-silent passes.
+Every checker returns a reports.CheckRecord: a verdict decided by
+reports.gate, which stores the value, the comparison, the bound, the
+slack and the margin.  Hypotheses that fail to hold (a vanishing orbit
+power, a diverging hypothesis sum) yield distinct no-verdict states
+(vacuous-pass, hypothesis-diverged) rather than silent passes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .operators import (
     materialize,
     resolvent_apply,
 )
+from .reports import CheckRecord, gate
 
 #: Dimension up to which the spectral-radius precondition is verified
 #: by a dense eigenvalue computation when structure does not settle it.
@@ -115,58 +117,6 @@ class KreissReport:
             "rotation_shortcut": self.rotation_shortcut,
             "skipped": [list(point) for point in self.skipped],
         }
-
-
-@dataclass(frozen=True)
-class ClaimCheckResult:
-    """Outcome of one inequality instance.
-
-    ``margin`` is the slack in the inequality's favor, so the pass rule
-    is uniformly margin >= -slack * |bound|.  ``passed`` is None when no
-    verdict applies (the hypothesis itself failed), with the reason in
-    ``status``: pass, fail, vacuous-pass, or hypothesis-diverged.
-    """
-
-    claim_id: str
-    params: dict = field(default_factory=dict)
-    lhs: float | None = None
-    bound: float | None = None
-    margin: float | None = None
-    passed: bool | None = None
-    status: str = "pass"
-
-    def __post_init__(self):
-        if self.passed is not None:
-            object.__setattr__(self, "passed", bool(self.passed))
-
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "params": dict(self.params),
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "margin": self.margin,
-            "passed": self.passed,
-            "status": self.status,
-        }
-
-
-def _upper_result(claim_id, params, lhs, bound, slack=_REL_SLACK) -> ClaimCheckResult:
-    margin = bound - lhs
-    ok = margin >= -slack * abs(bound)
-    return ClaimCheckResult(claim_id, params, float(lhs), float(bound), float(margin), ok,
-                            "pass" if ok else "fail")
-
-
-def _lower_result(claim_id, params, lhs, bound, slack=_REL_SLACK) -> ClaimCheckResult:
-    margin = lhs - bound
-    ok = margin >= -slack * abs(bound)
-    return ClaimCheckResult(claim_id, params, float(lhs), float(bound), float(margin), ok,
-                            "pass" if ok else "fail")
-
-
-def _vacuous(claim_id, params) -> ClaimCheckResult:
-    return ClaimCheckResult(claim_id, params, None, None, None, True, "vacuous-pass")
 
 
 def certify_spectral_radius(op: OperatorSpec):
@@ -382,58 +332,58 @@ def _orbit(norms, top: int) -> np.ndarray:
     return norms
 
 
-def hilbert_claim1(norms, C, N, params=None) -> ClaimCheckResult:
+def hilbert_claim1(norms, C, N, params=None) -> CheckRecord:
     """Orbit energy bound: sum_{j<N} ||T^j x||^2 <= 16 C^2 N^2."""
     if N < 1:
         raise ValidationError("N must be at least 1")
     norms = _orbit(norms, N - 1)
     lhs = float(np.sum(norms[:N] ** 2))
     bound = 16.0 * C * C * N * N
-    return _upper_result("H1", {"N": int(N), **(params or {})}, lhs, bound)
+    return gate("H1", lhs, "<=", bound, _REL_SLACK, {"N": int(N), **(params or {})})
 
 
-def hilbert_claim2(norms, C, N, M, params=None) -> ClaimCheckResult:
+def hilbert_claim2(norms, C, N, M, params=None) -> CheckRecord:
     """Inverse-orbit bound: sum_{j<M} ||T^N x||^2 / ||T^{N-j} x||^2 <= 16 C^2 M^2."""
     if not 0 < M < N:
         raise ValidationError("need 0 < M < N")
     norms = _orbit(norms, N)
     info = {"N": int(N), "M": int(M), **(params or {})}
     if norms[N] <= _ORBIT_FLOOR:
-        return _vacuous("H2", info)
+        return CheckRecord("H2", "vacuous-pass", params=info)
     js = np.arange(M)
     lhs = float(np.sum(norms[N] ** 2 / norms[N - js] ** 2))
     bound = 16.0 * C * C * M * M
-    return _upper_result("H2", info, lhs, bound)
+    return gate("H2", lhs, "<=", bound, _REL_SLACK, info)
 
 
-def hilbert_claim3(norms, C, N, params=None) -> ClaimCheckResult:
+def hilbert_claim3(norms, C, N, params=None) -> CheckRecord:
     """Reciprocal-orbit bound: sum_{j<N} 1/||T^j x|| >= sqrt(N)/(4C)."""
     if N < 1:
         raise ValidationError("N must be at least 1")
     norms = _orbit(norms, N)
     info = {"N": int(N), **(params or {})}
     if norms[N] <= _ORBIT_FLOOR:
-        return _vacuous("H3", info)
+        return CheckRecord("H3", "vacuous-pass", params=info)
     lhs = float(np.sum(1.0 / norms[:N]))
     bound = math.sqrt(N) / (4.0 * C)
-    return _lower_result("H3", info, lhs, bound)
+    return gate("H3", lhs, ">=", bound, _REL_SLACK, info)
 
 
-def hilbert_claim4(norms, C, N, M1, M2, params=None) -> ClaimCheckResult:
+def hilbert_claim4(norms, C, N, M1, M2, params=None) -> CheckRecord:
     """Window bound: sum_{M1<=j<M2} ||T^{N-j}x||^2/||T^N x||^2 >= (M2-M1)^2/(16 C^2 M2^2)."""
     if not 0 < M1 < M2 < N:
         raise ValidationError("need 0 < M1 < M2 < N")
     norms = _orbit(norms, N)
     info = {"N": int(N), "M1": int(M1), "M2": int(M2), **(params or {})}
     if norms[N] <= _ORBIT_FLOOR:
-        return _vacuous("H4", info)
+        return CheckRecord("H4", "vacuous-pass", params=info)
     js = np.arange(M1, M2)
     lhs = float(np.sum(norms[N - js] ** 2 / norms[N] ** 2))
     bound = (M2 - M1) ** 2 / (16.0 * C * C * M2 * M2)
-    return _lower_result("H4", info, lhs, bound)
+    return gate("H4", lhs, ">=", bound, _REL_SLACK, info)
 
 
-def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> ClaimCheckResult:
+def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> CheckRecord:
     """Windowed double-sum bound against the rotated-mean constant c1.
 
     Checks (n+1)^-1 * sum_j sum_{j<=j'<=j+n} gamma_j delta_j' (j'/j)^eta
@@ -460,10 +410,10 @@ def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> ClaimCheckResult:
         )
     lhs = total / (n + 1)
     info = {"eta": float(eta), "n": int(n), "d": int(d), **(params or {})}
-    return _upper_result("TN-C1", info, lhs, float(c1))
+    return gate("TN-C1", lhs, "<=", c1, _REL_SLACK, info)
 
 
-def tn_claim2_bound(eta, M) -> ClaimCheckResult:
+def tn_claim2_bound(eta, M) -> CheckRecord:
     """Power-sum bound sum_{j<=M} j^(-2 eta) <= M^(1-2 eta)/(1-2 eta).
 
     The constant 1/(1-2 eta) comes from comparing the sum with the
@@ -478,19 +428,19 @@ def tn_claim2_bound(eta, M) -> ClaimCheckResult:
     lhs = float(np.sum(j ** (-2.0 * eta)))
     c2 = 1.0 / (1.0 - 2.0 * eta)
     bound = c2 * float(M) ** (1.0 - 2.0 * eta)
-    return _upper_result("TN-C2", {"eta": float(eta), "M": int(M), "c2": c2}, lhs, bound,
-                         slack=1e-12)
+    return gate("TN-C2", lhs, "<=", bound, 1e-12, {"eta": float(eta), "M": int(M), "c2": c2})
 
 
-def lemma21_bound(a, r_grid=None) -> ClaimCheckResult:
+def lemma21_bound(a, r_grid=None) -> CheckRecord:
     """Square-root growth bound for sequences with square-summable tails.
 
     Estimates B = sup over the radius grid of (1-r)^2 * sum a_k^2 r^(2k)
     (truncated at the sequence length, with the minimal monotone tail
     reported) and then checks a_n <= 2e * sqrt(B n) for every n >= 1.
-    When the grid profile of B keeps growing toward r = 1 the hypothesis
-    itself fails, which is reported as ``hypothesis-diverged`` with no
-    verdict on the conclusion.
+    When the grid profile of B keeps growing toward r = 1 (its last
+    usable value exceeds 4 times its middle one; the quotient is kept as
+    ``growth_ratio``) the hypothesis itself fails, which is reported as
+    ``hypothesis-diverged`` with no verdict on the conclusion.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
@@ -520,24 +470,28 @@ def lemma21_bound(a, r_grid=None) -> ClaimCheckResult:
     b_hat = float(used_profile.max())
     top = used_radii[int(np.argmax(used_profile))]
     tail = float(a[-1] ** 2 * top ** (2.0 * length) / (1.0 - top**2))
-    diverged = bool(used_profile[-1] > 4.0 * used_profile[used_profile.size // 2])
+    middle = float(used_profile[used_profile.size // 2])
+    # A zero profile point means a zero sequence, whose profile is flat.
+    growth = float(used_profile[-1]) / middle if middle > 0.0 else 0.0
+    diverged = growth > 4.0
     info = {
         "B": b_hat,
         "tail_bound": tail,
         "r_grid": [float(r) for r in radii],
         "B_profile": [float(b) for b in profile],
         "n_checked": int(length - 1),
+        "growth_ratio": growth,
         "diverged": diverged,
     }
     if diverged:
-        return ClaimCheckResult("L21", info, None, None, None, None, "hypothesis-diverged")
+        return CheckRecord("L21", "hypothesis-diverged", params=info)
     n = np.arange(1, length, dtype=float)
     bounds = 2.0 * math.e * np.sqrt(b_hat * n)
     if b_hat == 0.0:
         ratio = 0.0 if not np.any(a[1:]) else math.inf
     else:
         ratio = float(np.max(a[1:] / bounds))
-    return _upper_result("L21", info, ratio, 1.0)
+    return gate("L21", ratio, "<=", 1.0, _REL_SLACK, info)
 
 
 def dyadic_ladder(top: int) -> tuple:

@@ -1,6 +1,6 @@
 """Operator representations and the core numerical kernels.
 
-Operators are immutable structural descriptions: dense complex blocks,
+Operators are immutable structural descriptions: dense blocks (real or complex),
 weighted shifts given by their ratio lists, direct sums, and unimodular
 scalar rotations of an inner operator.  Vectors are plain 1-D numpy
 arrays.  All kernels are pure functions of their inputs and safe to call
@@ -85,12 +85,12 @@ class WeightSequence:
 
 @dataclass(frozen=True)
 class Dense:
-    """Explicit complex matrix operator."""
+    """Explicit matrix operator: complex input stays complex, any other is float64."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_array(self.matrix, complex)
+        mat = _frozen_array(self.matrix, complex if np.iscomplexobj(self.matrix) else float)
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValidationError("dense operator requires a square matrix")

@@ -1,4 +1,8 @@
-"""Deterministic report emission: JSON documents and RFC-4180 CSV tables.
+"""Report records, the one verdict gate, and deterministic emission.
+
+Every record of a report is a CheckRecord, and gate is the only code
+that decides a pass or fail status: it stores the compared value, the
+comparison, the bound, the slack and the margin beside the verdict.
 
 Identical run configuration and seed must produce byte-identical files,
 so every serialization path here is explicit: object keys are sorted,
@@ -8,10 +12,11 @@ and nothing records wall-clock time.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -68,39 +73,84 @@ class RunConfig:
         )
 
 
+#: Comparison operators a verdict may be gated by.
+OPS = ("<=", "<", ">=", ">")
+
+
 @dataclass(frozen=True)
 class CheckRecord:
-    """A generic pass/fail record for non-claim checks.
+    """One report record: a gated verdict or a no-verdict entry.
 
-    ``passed`` may be None for purely informational rows, which never
-    count against the exit code.
+    A ``pass`` or ``fail`` status comes with the gate that decided it:
+    ``value op bound`` with relative ``slack`` and the signed ``margin``
+    in the bound's favor.  Such records are built by :func:`gate` only.
+    Every other status (``info``, ``skipped``, ``vacuous-pass``,
+    ``hypothesis-diverged``) carries no gate and uses this constructor.
+    ``params`` are flattened beside the fixed fields in the report, so
+    a key may not repeat a field name.
     """
 
     check_id: str
-    passed: bool | None
+    status: str
     value: float | None = None
+    op: str | None = None
     bound: float | None = None
-    status: str = ""
+    slack: float | None = None
+    margin: float | None = None
+    params: dict = field(default_factory=dict)
     detail: str = ""
 
     def __post_init__(self):
-        if self.passed is not None:
-            object.__setattr__(self, "passed", bool(self.passed))
+        if self.status in ("pass", "fail") and (self.op is None or self.bound is None):
+            raise ValidationError(f"{self.check_id}: a {self.status} verdict needs its gate")
+        if self.op is not None and self.op not in OPS:
+            raise ValidationError(f"{self.check_id}: unknown comparison {self.op!r}")
+        if not _FIELDS.isdisjoint(self.params):
+            clash = sorted(_FIELDS.intersection(self.params))
+            raise ValidationError(f"{self.check_id}: params repeat fields {clash}")
+
+    @property
+    def passed(self) -> bool | None:
+        """True for pass and vacuous-pass, False for fail, None otherwise."""
+        return _PASSED.get(self.status)
 
     def to_dict(self) -> dict:
-        status = self.status or ("info" if self.passed is None else "pass" if self.passed else "fail")
         return {
             "check_id": self.check_id,
-            "passed": self.passed,
+            "status": self.status,
             "value": self.value,
+            "op": self.op,
             "bound": self.bound,
-            "status": status,
+            "slack": self.slack,
+            "margin": self.margin,
             "detail": self.detail,
+            **self.params,
         }
 
 
+_FIELDS = frozenset(CheckRecord.__dataclass_fields__) - {"params"}
+_PASSED = {"pass": True, "vacuous-pass": True, "fail": False}
+
+
+def gate(check_id, value, op, bound, slack=0.0, params=None, detail="") -> CheckRecord:
+    """The one pass/fail decision: ``value op bound``, up to relative slack.
+
+    The margin is bound - value for ``<``/``<=`` and value - bound for
+    ``>``/``>=``.  A non-strict op passes on margin >= -slack * |bound|,
+    a strict one on margin > 0; a strict op admits no slack.
+    """
+    value, bound, slack = float(value), float(bound), float(slack)
+    strict = op in ("<", ">")
+    if strict and slack:
+        raise ValidationError(f"{check_id}: a strict comparison takes no slack")
+    margin = bound - value if op in ("<", "<=") else value - bound
+    ok = margin > 0.0 if strict else margin >= -slack * abs(bound)
+    return CheckRecord(check_id, "pass" if ok else "fail", value, op, bound, slack, margin,
+                       dict(params or {}), detail)
+
+
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValidationError("reports may not contain non-finite floats")
     return format(float(x), ".17g")
 
@@ -117,20 +167,23 @@ def _json_fragment(obj, out: list) -> None:
     elif isinstance(obj, (complex, np.complexfloating)):
         _json_fragment([obj.real, obj.imag], out)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(_json_string(obj))
     elif isinstance(obj, np.ndarray):
         _json_fragment(obj.tolist(), out)
     elif isinstance(obj, dict):
+        start = len(out)
         out.append("{")
         for i, key in enumerate(sorted(obj)):
             if i:
                 out.append(",")
             if not isinstance(key, str):
                 raise ValidationError("report object keys must be strings")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(_json_string(key))
             out.append(":")
             _json_fragment(obj[key], out)
         out.append("}")
+        # One string per object keeps the fragment list of a large report short.
+        out[start:] = ["".join(out[start:])]
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

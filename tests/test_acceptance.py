@@ -147,7 +147,7 @@ def test_criterion_08_sqrt_growth_oracle():
     bad = kl.lemma21_bound(n)
     ok = good.status == "pass" and bad.status == "hypothesis-diverged"
     _report(8, "square-root growth oracle", ok,
-            f"(B {good.params['B']:.4f}, max ratio {good.lhs:.4f}; "
+            f"(B {good.params['B']:.4f}, max ratio {good.value:.4f}; "
             f"linear sequence diverged: {bad.params['diverged']})")
 
 

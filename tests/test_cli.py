@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kreisslab
 from kreisslab.cli import main
@@ -194,6 +195,41 @@ def test_csv_runs_keep_every_verdict(tmp_path):
     assert not (tmp_path / "json" / "constants.csv").exists()
 
 
+def _gate_holds(record) -> bool:
+    value, op, bound, slack = (record[k] for k in ("value", "op", "bound", "slack"))
+    margin = bound - value if op[0] == "<" else value - bound
+    assert record["margin"] == margin
+    if op in ("<", ">"):
+        assert slack == 0.0
+        return margin > 0.0
+    return margin >= -slack * abs(bound)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "thm2.4"],
+    ["reproduce", "thm2.5"],
+    ["reproduce", "thm2.8"],
+    ["reproduce", "prop3.5"],
+    ["reproduce", "lemma2.1"],
+    ["reproduce", "thm1.5"],
+    ["kreiss", "--operator", "ergces", "--trunc", "6", "--n-max", "8"],
+    ["claims", "--operator", "tn", "--trunc", "8", "--eta", "0.3", "--n-max", "32",
+     "--k-max", "16", "--probes", "4"],
+])
+def test_every_verdict_is_its_recorded_gate(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    results = read_report(tmp_path)["results"]
+    for record in results:
+        assert "passed" not in record
+        if record["status"] in ("pass", "fail"):
+            assert record["op"] in ("<=", "<", ">=", ">"), record["check_id"]
+        if record["op"] is not None:
+            expected = "pass" if _gate_holds(record) else "fail"
+            assert record["status"] == expected, record["check_id"]
+    if argv[0] == "reproduce":
+        assert any(r["op"] is not None for r in results)
+
+
 def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
     # The first resolvent of each sweep fails; both points must surface in
     # the report, not only lower strong_C and kreiss_C unseen.
@@ -214,9 +250,9 @@ def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
                  "--out", str(tmp_path)])
     report = read_report(tmp_path)
     skipped = [r for r in report["results"] if r["check_id"] == "skipped-grid-point"]
-    assert [(r["sweep"], r["r"], r["angle"], r["passed"], r["status"]) for r in skipped] == [
-        ("kreiss", 1.5, 0.0, None, "skipped"),
-        ("strong", 1.5, 0.0, None, "skipped"),
+    assert [(r["sweep"], r["r"], r["angle"], r["status"]) for r in skipped] == [
+        ("kreiss", 1.5, 0.0, "skipped"),
+        ("strong", 1.5, 0.0, "skipped"),
     ]
     assert report["results"][0]["skipped"] == [[1.5, [1.0, 0.0]], [1.5, [1.0, 0.0]]]
     assert report["summary"]["no_verdict"] == 3

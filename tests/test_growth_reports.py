@@ -85,7 +85,7 @@ def test_empty_tables_are_valid_files(tmp_path):
 def test_report_bytes_deterministic(tmp_path):
     config = kl.RunConfig(command="powers", operator="tn", params={"n": 4, "eta": 0.3},
                           seed=7, out=str(tmp_path))
-    results = [kl.CheckRecord("x", True, 0.1, 0.2).to_dict()]
+    results = [kl.gate("x", 0.1, "<=", 0.2).to_dict()]
     a = tmp_path / "a"
     b = tmp_path / "b"
     kl.emit_report(config, results, None, a)
@@ -105,11 +105,11 @@ def test_run_config_roundtrip():
 
 def test_summarize_counts():
     results = [
-        {"passed": True, "status": "pass"},
-        {"passed": False, "status": "fail"},
-        {"passed": True, "status": "vacuous-pass"},
-        {"passed": None, "status": "hypothesis-diverged"},
-        {"passed": None, "status": "info"},
+        {"status": "pass"},
+        {"status": "fail"},
+        {"status": "vacuous-pass"},
+        {"status": "hypothesis-diverged"},
+        {"status": "info"},
     ]
     summary = summarize(results)
     assert summary == {
@@ -130,7 +130,77 @@ def test_summarize_counts_a_failing_claim_verdict():
     assert (summary["failed"], summary["all_passed"]) == (1, False)
 
 
+# --- the one gate ---
+
+_BOUND = 4.0
+
+
+def _below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def _above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+@pytest.mark.parametrize("op, at, inside, outside", [
+    ("<=", "pass", _below(_BOUND), _above(_BOUND)),
+    ("<", "fail", _below(_BOUND), _above(_BOUND)),
+    (">=", "pass", _above(_BOUND), _below(_BOUND)),
+    (">", "fail", _above(_BOUND), _below(_BOUND)),
+])
+def test_gate_decides_each_side_of_the_bound(op, at, inside, outside):
+    assert kl.gate("c", _BOUND, op, _BOUND).status == at
+    assert kl.gate("c", inside, op, _BOUND).status == "pass"
+    assert kl.gate("c", outside, op, _BOUND).status == "fail"
+    record = kl.gate("c", inside, op, _BOUND)
+    assert (record.op, record.bound, record.slack) == (op, _BOUND, 0.0)
+    assert record.margin > 0.0  # the margin is measured in the bound's favor
+
+
+@pytest.mark.parametrize("bound", [_BOUND, -_BOUND])
+def test_gate_slack_is_relative_to_the_bound(bound):
+    # slack 0.25 of |bound| = 4 allows exactly 1.0 on the wrong side
+    assert kl.gate("c", bound + 1.0, "<=", bound, 0.25).status == "pass"
+    assert kl.gate("c", _above(bound + 1.0), "<=", bound, 0.25).status == "fail"
+    assert kl.gate("c", bound - 1.0, ">=", bound, 0.25).status == "pass"
+    assert kl.gate("c", _below(bound - 1.0), ">=", bound, 0.25).status == "fail"
+    record = kl.gate("c", bound + 1.0, "<=", bound, 0.25)
+    assert (record.margin, record.slack) == (-1.0, 0.25)
+
+
+def test_gate_rejects_malformed_verdicts():
+    for op in ("<", ">"):
+        with pytest.raises(kl.ValidationError, match="strict"):
+            kl.gate("c", 1.0, op, 2.0, 1e-9)
+    with pytest.raises(kl.ValidationError, match="comparison"):
+        kl.gate("c", 1.0, "==", 2.0)
+    for status in ("pass", "fail"):
+        with pytest.raises(kl.ValidationError, match="gate"):
+            kl.CheckRecord("c", status)
+        with pytest.raises(kl.ValidationError, match="gate"):
+            kl.CheckRecord("c", status, 1.0, "<=")
+    with pytest.raises(kl.ValidationError, match="repeat"):
+        kl.gate("c", 1.0, "<=", 2.0, params={"bound": 3.0})
+    with pytest.raises(kl.ValidationError, match="repeat"):
+        kl.CheckRecord("c", "info", params={"status": "pass"})
+
+
+def test_no_verdict_records_carry_no_gate():
+    info = kl.CheckRecord("c", "info", 1.5, params={"n": 3})
+    assert info.passed is None
+    assert info.to_dict() == {"check_id": "c", "status": "info", "value": 1.5, "op": None,
+                              "bound": None, "slack": None, "margin": None, "detail": "",
+                              "n": 3}
+    assert kl.CheckRecord("c", "vacuous-pass").passed is True
+    assert kl.CheckRecord("c", "hypothesis-diverged").passed is None
+
+
 def test_check_record_stores_a_python_bool():
-    record = kl.CheckRecord("c", np.False_)
-    assert type(record.passed) is bool
+    record = kl.gate("c", np.float64(3.0), "<=", np.float32(2.0))
+    assert type(record.passed) is bool and record.passed is False
+    assert type(record.value) is float and type(record.bound) is float
+    assert type(record.margin) is float
     assert record.to_dict()["status"] == "fail"
+    assert "passed" not in record.to_dict()
+    assert kl.gate("c", np.int64(1), ">=", np.int64(1)).passed is True

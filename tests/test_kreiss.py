@@ -315,19 +315,19 @@ def unit(d, seed=0):
 
 def test_claim1_zero_operator():
     res = kl.hilbert_claim1(kl.orbit_norms(zero_op(), unit(4), 3), 1.0, 4)
-    assert res.passed and res.lhs == 1.0 and res.bound == 256.0
+    assert res.passed and res.value == 1.0 and res.bound == 256.0
 
 
 def test_claims_identity_operator():
     x = unit(4, 1)
     norms = kl.orbit_norms(identity_op(), x, 12)
-    assert kl.hilbert_claim1(norms, 1.0, 10).lhs == pytest.approx(10.0)
+    assert kl.hilbert_claim1(norms, 1.0, 10).value == pytest.approx(10.0)
     res2 = kl.hilbert_claim2(norms, 1.0, 10, 4)
-    assert res2.passed and res2.lhs == pytest.approx(4.0)
+    assert res2.passed and res2.value == pytest.approx(4.0)
     res3 = kl.hilbert_claim3(norms, 1.0, 9)
-    assert res3.passed and res3.lhs == pytest.approx(9.0)
+    assert res3.passed and res3.value == pytest.approx(9.0)
     res4 = kl.hilbert_claim4(norms, 1.0, 12, 2, 6)
-    assert res4.passed and res4.lhs == pytest.approx(4.0)
+    assert res4.passed and res4.value == pytest.approx(4.0)
 
 
 def test_claim2_shift_basis_vector():
@@ -345,7 +345,7 @@ def test_claims_vacuous_on_annihilated_orbit():
     x[0] = 1.0
     res = kl.hilbert_claim3(kl.orbit_norms(op, x, 8), 1.0, 8)
     assert res.status == "vacuous-pass"
-    assert res.passed is True and res.lhs is None
+    assert res.passed is True and res.value is None
 
 
 def test_claims_validation():
@@ -413,7 +413,7 @@ def test_tn_claim1_bound_seeded():
     delta /= np.linalg.norm(delta)
     for n in (1, 4, 16, 64):
         res = kl.tn_claim1_bound(0.45, n, gamma, delta, c1)
-        assert res.passed, (n, res.lhs, res.bound)
+        assert res.passed, (n, res.value, res.bound)
 
 
 def test_tn_claim1_validation():
@@ -429,14 +429,14 @@ def test_tn_claim1_validation():
 def test_tn_claim2_single_term():
     for eta in (0.05, 0.45):
         res = kl.tn_claim2_bound(eta, 1)
-        assert res.passed and res.lhs == 1.0 and res.bound == pytest.approx(1 / (1 - 2 * eta))
+        assert res.passed and res.value == 1.0 and res.bound == pytest.approx(1 / (1 - 2 * eta))
 
 
 def test_tn_claim2_fsum_oracle():
     eta, m = 0.45, 1000
     res = kl.tn_claim2_bound(eta, m)
     oracle = math.fsum(j ** (-2 * eta) for j in range(1, m + 1))
-    assert res.lhs == pytest.approx(oracle, rel=1e-13)
+    assert res.value == pytest.approx(oracle, rel=1e-13)
     assert res.passed
     assert res.bound == pytest.approx(1000**0.1 / (1 - 0.9))
 
@@ -461,7 +461,7 @@ def test_lemma_sqrt_sequence():
     assert res.status == "pass"
     # hypothesis sup is attained at the smallest radius: 1/(1+r)^2 at r=1/2
     assert res.params["B"] == pytest.approx(4.0 / 9.0, rel=1e-3)
-    assert res.lhs <= 1.0
+    assert res.value <= 1.0
 
 
 def test_lemma_linear_sequence_diverges():
