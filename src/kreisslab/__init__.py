@@ -14,6 +14,7 @@ if _os.environ.get("KREISSLAB_THREADS"):
         _os.environ.setdefault(_var, _os.environ["KREISSLAB_THREADS"])
 
 from .cesaro import (
+    PROBE_TOLERANCE,
     ErgodicProbe,
     MeanSeries,
     cesaro_identity_check,

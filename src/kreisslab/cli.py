@@ -20,14 +20,14 @@ import cmath
 import sys
 
 from .cesaro import rotated_mean_norm_profile
-from .constructions import CATALOG_NAMES, make_operator
+from .constructions import CATALOG_NAMES, make_operator, shields_certified_kmax
 from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
 from .kreiss import (AnnulusGrid, kb2_constant, kreiss_constant, run_hilbert_claims,
                      strong_kreiss_constant)
 from .operators import WeightedShift, dimension, power_norms, spectral_norm
 from .reports import CheckRecord, RunConfig, emit_report, summarize
-from .reproduce import CLAIM_COLUMNS, claim_row, reproduce
+from .reproduce import CLAIM_COLUMNS, GROWTH_COLUMNS, claim_row, reproduce, shields_envelope
 
 
 def _parse_radii(text: str):
@@ -113,19 +113,18 @@ def _operator_entry(args):
     return make_operator("tzblock", d=args.trunc)
 
 
-def _config(args, command, entry=None, **extra):
+def _config(args, command, entry):
     return RunConfig(
         command=command,
-        operator=entry.name if entry is not None else extra.pop("operator", None),
-        params=dict(entry.params) if entry is not None else {},
+        operator=entry.name,
+        params=dict(entry.params),
         n_max=getattr(args, "n_max", None),
         k_max=getattr(args, "k_max", None),
         angles=getattr(args, "angles", None),
         radii=getattr(args, "radii", None),
         seed=args.seed,
         out=str(args.out),
-        format=getattr(args, "format", "json"),
-        tolerances=extra.pop("tolerances", {}),
+        format=args.format,
     )
 
 
@@ -223,16 +222,16 @@ def _cmd_claims(args) -> int:
 def _cmd_growth(args) -> int:
     entry = _operator_entry(args)
     series = power_norms(entry.spec, args.k_max)
-    epsilon = args.epsilon if args.operator == "shields" else None
-    fit = growth_fit(series, tuple(args.window), epsilon=epsilon)
+    fit = growth_fit(series, tuple(args.window))
     results = [CheckRecord("growth-fit", "info", params=fit.to_dict())]
-    rows = []
-    for i, k in enumerate(fit.k):
-        lb = float(fit.lower_bound[i]) if fit.lower_bound is not None else None
-        ok = bool(fit.lower_bound_ok[i]) if fit.lower_bound_ok is not None else None
-        rows.append((int(k), float(fit.values[i]), lb, ok))
+    if args.operator == "shields":
+        k_top = min(args.k_max, shields_certified_kmax(args.nmax_sum))
+        envelope, rows = shields_envelope(series, args.epsilon, k_top)
+        results.append(envelope)
+    else:
+        rows = [(int(k), float(v), None, None) for k, v in zip(series.k, series.values)]
     return _emit(args, _config(args, "growth", entry), results,
-                 {"growth.csv": (("k", "norm", "lower_bound", "pass"), rows)})
+                 {"growth.csv": (GROWTH_COLUMNS, rows)})
 
 
 def _cmd_reproduce(args) -> int:

@@ -1,8 +1,8 @@
-"""Power-law fits and lower-bound certification for power-norm series."""
+"""Power-law fits of power-norm series."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -12,38 +12,19 @@ from .operators import NormSeries
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Least-squares exponent of a norm series plus per-k bound flags."""
+    """Least-squares exponent of a norm series over a window of k."""
 
-    k: np.ndarray
-    values: np.ndarray
     window: tuple
     exponent: float
     intercept: float
     residual_rms: float
-    epsilon: float | None
-    lower_bound: np.ndarray | None
-    lower_bound_ok: np.ndarray | None
 
     def to_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "residual_rms": self.residual_rms,
-            "epsilon": self.epsilon,
-            "lower_bound_holds": (
-                bool(np.all(self.lower_bound_ok)) if self.lower_bound_ok is not None else None
-            ),
-        }
+        return asdict(self)
 
 
-def growth_fit(series: NormSeries, window, epsilon: float | None = None) -> GrowthReport:
-    """Ordinary least squares on (log k, log ||T^k||) over the window.
-
-    When ``epsilon`` is given, every k in the series is also flagged
-    against the lower envelope (1/3) * (k+1)**(1-epsilon); the window
-    only restricts the fit, not the flags.
-    """
+def growth_fit(series: NormSeries, window) -> GrowthReport:
+    """Ordinary least squares on (log k, log ||T^k||) over the window."""
     lo, hi = int(window[0]), int(window[1])
     if lo < 1 or hi <= lo:
         raise ValidationError("window must satisfy 1 <= lo < hi")
@@ -59,18 +40,4 @@ def growth_fit(series: NormSeries, window, epsilon: float | None = None) -> Grow
     (slope, intercept), *_ = np.linalg.lstsq(design, logv, rcond=None)
     resid = logv - design @ np.array([slope, intercept])
     rms = float(np.sqrt(np.mean(resid**2)))
-    lower = ok = None
-    if epsilon is not None:
-        lower = (1.0 / 3.0) * (series.k + 1.0) ** (1.0 - epsilon)
-        ok = series.values >= lower * (1.0 - 1e-12)
-    return GrowthReport(
-        k=series.k,
-        values=series.values,
-        window=(lo, hi),
-        exponent=float(slope),
-        intercept=float(intercept),
-        residual_rms=rms,
-        epsilon=epsilon,
-        lower_bound=lower,
-        lower_bound_ok=ok,
-    )
+    return GrowthReport((lo, hi), float(slope), float(intercept), rms)

@@ -150,7 +150,8 @@ def _require_contractive_spectrum(op: OperatorSpec):
 def _leaf_resolvent_norm(leaf, lam: complex) -> float:
     d = dimension(leaf)
     if not isinstance(leaf, WeightedShift) or d <= SVD_CAP:
-        system = lam * np.eye(d) - materialize(leaf)
+        matrix = materialize(leaf) if isinstance(leaf, WeightedShift) else leaf.matrix
+        system = lam * np.eye(d) - matrix
         smin = float(np.linalg.svd(system, compute_uv=False)[-1])
         if smin == 0.0:
             raise SingularError(f"resolvent singular at lam={lam}")

@@ -19,6 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from .cesaro import (
+    PROBE_TOLERANCE,
+    _dense_norm,
     _power_sums,
     cesaro_identity_check,
     ergodic_probe,
@@ -92,6 +94,26 @@ def claim_row(claim: CheckRecord) -> tuple:
             claim.value, claim.bound, claim.margin, claim.status)
 
 
+#: Columns of a growth.csv table.
+GROWTH_COLUMNS = ("k", "norm", "lower_bound", "pass")
+
+
+def shields_envelope(series: NormSeries, epsilon: float, k_top: int):
+    """(record, rows): the shields lower envelope ||T^k|| >= (k+1)^(1-eps)/3.
+
+    The record gates the smallest margin over k <= k_top, the range the
+    truncation certifies.  The growth.csv rows cover the whole series,
+    and each row's pass column applies the same rule to its own k.
+    """
+    lower = (1.0 / 3.0) * (series.k + 1.0) ** (1.0 - epsilon)
+    margins = series.values[:k_top] - lower[:k_top]
+    record = gate("shields-lower-bound", float(np.min(margins)), ">=", 0.0,
+                  detail=f"min of ||T^k|| - (k+1)^(1-eps)/3 over k <= {k_top}")
+    rows = [(int(k), float(v), float(lb), bool(v >= lb))
+            for k, v, lb in zip(series.k, series.values, lower)]
+    return record, rows
+
+
 def _thm24(seed: int):
     results = []
     norm_rows = []
@@ -160,7 +182,7 @@ def _thm25(seed: int):
     k_top = shields_certified_kmax(n_max)
     full = power_norms(op, 2 * n_max - 1)  # odd-power identities reach k = 2 n_max - 1
     series = NormSeries(full.k[:k_top], full.values[:k_top], full.methods[:k_top])
-    fit = growth_fit(series, (16, k_top), epsilon=epsilon)
+    fit = growth_fit(series, (16, k_top))
     results = []
 
     norm = float(power_norms(op, 1).values[0])
@@ -169,9 +191,8 @@ def _thm25(seed: int):
     results.append(gate("shields-norm", norm, "<", math.sqrt(2.0),
                         detail="norm stays below sqrt(2)"))
 
-    lower = fit.lower_bound
-    results.append(gate("shields-lower-bound", float(np.min(series.values - lower)), ">=", 0.0,
-                        detail=f"min of ||T^k|| - (k+1)^(1-eps)/3 over k <= {k_top}"))
+    envelope, rows = shields_envelope(series, epsilon, k_top)
+    results.append(envelope)
 
     # At n = 1 the larger summands dominate: ||T|| = 2**eta > 1, so the
     # closed-form identity starts at n = 2 and only ">=" holds before.
@@ -197,11 +218,7 @@ def _thm25(seed: int):
                         detail=window))
     results.append(gate("shields-growth-exponent", fit.exponent, "<=", 0.95, detail=window))
 
-    rows = [
-        (int(k), float(v), float(lb), bool(v >= lb))
-        for k, v, lb in zip(series.k, series.values, lower)
-    ]
-    return results, {"growth.csv": (("k", "norm", "lower_bound", "pass"), rows)}
+    return results, {"growth.csv": (GROWTH_COLUMNS, rows)}
 
 
 def _thm27(seed: int):
@@ -271,7 +288,7 @@ def _prop35(seed: int):
             gap_rows.append((n, gap))
         if n % 2 == 0:
             mean = total / (n + 1)
-            norm = float(np.linalg.norm(mean, 2))
+            norm = _dense_norm(mean)
             worst_norm = max(worst_norm, norm)
             excess = float(np.max(np.abs(mean[0, 1:]) - eps / 2.0))
             worst_entry_excess = max(worst_entry_excess, excess)
@@ -311,7 +328,7 @@ def _prop35(seed: int):
         op, probes=8, ladder=(16, 64, 256, 1024, 4096, 8192, 16384)
     )
     results.append(gate("ergces-ergodic-probe", float(probe.gaps[:, -1].max()), "<=",
-                        probe.tolerance, detail="Cauchy gaps at the ladder top"))
+                        PROBE_TOLERANCE, detail="Cauchy gaps at the ladder top"))
 
     tables = {
         "power_gap.csv": (("n", "max_abs_gap"), gap_rows),
@@ -353,7 +370,7 @@ def _ex29(seed: int):
         probe_vectors.append(e)
     probe = ergodic_probe(build_tz_block(256), probes=probe_vectors)
     results.append(gate("tz-ergodic-probe", float(probe.gaps[:, -1].max()), "<=",
-                        probe.tolerance, detail="coordinate probes at d=256"))
+                        PROBE_TOLERANCE, detail="coordinate probes at d=256"))
     return results, {"tz_growth.csv": (("n", "norm", "ratio"), rows)}
 
 

@@ -56,7 +56,7 @@ def test_criterion_03_direct_sum_growth():
     series = kl.power_norms(op, k_top)
     lower = (1.0 / 3.0) * (series.k + 1.0) ** (1.0 - epsilon)
     bound_ok = bool(np.all(series.values >= lower))
-    fit = kl.growth_fit(series, (16, k_top), epsilon=epsilon)
+    fit = kl.growth_fit(series, (16, k_top))
     fit_ok = 0.85 <= fit.exponent <= 0.95
     _report(3, "direct-sum power growth", bound_ok and fit_ok,
             f"(min margin {np.min(series.values - lower):.3f}, "

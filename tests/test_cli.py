@@ -53,6 +53,37 @@ def test_growth_csv_columns(tmp_path):
     assert header == "k,norm,lower_bound,pass"
 
 
+def test_growth_exits_one_on_a_broken_envelope(tmp_path, monkeypatch):
+    def halved(spec, k_max):
+        series = kreisslab.power_norms(spec, k_max)
+        return kreisslab.NormSeries(series.k, series.values / 2.0, series.methods)
+
+    monkeypatch.setattr(kreisslab.cli, "power_norms", halved)
+    code = main(["growth", "--operator", "shields", "--nmax-sum", "16", "--k-max", "30",
+                 "--window", "2", "30", "--out", str(tmp_path)])
+    assert code == 1
+    report = read_report(tmp_path)
+    [envelope] = [r for r in report["results"] if r["check_id"] == "shields-lower-bound"]
+    assert envelope["status"] == "fail"
+    assert envelope["value"] < 0.0
+    assert report["summary"]["failed"] == 1
+
+
+def test_growth_gates_the_envelope_like_thm25(tmp_path):
+    assert main(["growth", "--operator", "shields", "--nmax-sum", "64", "--k-max", "126",
+                 "--format", "csv", "--out", str(tmp_path / "growth")]) == 0
+    assert main(["reproduce", "thm2.5", "--out", str(tmp_path / "thm25")]) == 0
+
+    def envelope(name):
+        return [r for r in read_report(tmp_path / name)["results"]
+                if r["check_id"] == "shields-lower-bound"]
+
+    assert envelope("growth") == envelope("thm25")
+    assert envelope("growth")[0]["status"] == "pass"
+    growth_csv = (tmp_path / "growth" / "growth.csv").read_bytes()
+    assert growth_csv == (tmp_path / "thm25" / "growth.csv").read_bytes()
+
+
 def test_kreiss_constants_table(tmp_path):
     code = main(["kreiss", "--operator", "tn", "--trunc", "4", "--eta", "0.3",
                  "--n-max", "16", "--k-max", "4", "--angles", "4",
@@ -215,6 +246,7 @@ def _gate_holds(record) -> bool:
     ["kreiss", "--operator", "ergces", "--trunc", "6", "--n-max", "8"],
     ["claims", "--operator", "tn", "--trunc", "8", "--eta", "0.3", "--n-max", "32",
      "--k-max", "16", "--probes", "4"],
+    ["growth", "--operator", "shields", "--nmax-sum", "16", "--k-max", "30", "--window", "2", "30"],
 ])
 def test_every_verdict_is_its_recorded_gate(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -5,6 +5,7 @@ import pytest
 
 import kreisslab as kl
 from kreisslab.reports import summarize, to_json_bytes, write_csv
+from kreisslab.reproduce import shields_envelope
 
 
 def linear_series(kmax=64):
@@ -24,9 +25,11 @@ def test_growth_fit_linear_norms():
 def test_growth_fit_shields():
     op = kl.build_shields_counterexample(0.15, 0.45, 64)
     series = kl.power_norms(op, 126)
-    report = kl.growth_fit(series, (16, 126), epsilon=0.15)
+    report = kl.growth_fit(series, (16, 126))
     assert 0.85 <= report.exponent <= 0.95
-    assert np.all(report.lower_bound_ok)
+    envelope, rows = shields_envelope(series, 0.15, kl.shields_certified_kmax(64))
+    assert envelope.status == "pass"
+    assert all(row[3] for row in rows)
 
 
 def test_growth_fit_window_validation():
