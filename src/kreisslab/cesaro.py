@@ -2,10 +2,11 @@
 
 All mean computations read one accumulation stream, _power_sums: a
 running sum of powers with one operator application per step, never
-re-powering from scratch, so a full profile up to n_max costs n_max
-multiplications.  Rotated profiles take the sup over a uniform
-unimodular grid; for shift-like operators the rotation is a unitary
-equivalence, so a single angle suffices and is recorded as such.
+re-powering from scratch, so a full profile up to n_max costs at most
+n_max multiplications, and none happen past an exactly zero power.
+Rotated profiles take the sup over a uniform unimodular grid; for
+shift-like operators the rotation is a unitary equivalence, so a single
+angle suffices and is recorded as such.
 """
 
 from __future__ import annotations
@@ -85,12 +86,22 @@ def _angle_grid(op: OperatorSpec, angle_count: int):
 
 
 def _power_sums(step, start, n_max: int):
-    """Yield (n, T^n s, sum_{j<=n} T^j s) for n = 1..n_max, where step(v) = T v."""
+    """Yield (n, T^n s, sum_{j<=n} T^j s, settled) for n = 1..n_max, where step(v) = T v.
+
+    settled says that T^n s is exactly zero.  From then on every power
+    is that zero and the sum no longer changes, so step is not called
+    again and the same two arrays are yielded up to n_max: the values
+    equal those of stepping on, up to the sign of a zero entry.
+    """
     power = total = start
+    settled = False
     for n in range(1, n_max + 1):
-        power = step(power)
-        total = total + power
-        yield n, power, total
+        if not settled:
+            power = step(power)
+            total = total + power
+            # The first entry is a cheap witness on streams that never reach zero.
+            settled = not (power.item(0) or power.any())
+        yield n, power, total, settled
 
 
 def _frobenius(mat: np.ndarray) -> float:
@@ -132,12 +143,10 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
             scaled = _compact(lam * mat)
             start = eye.astype(scaled.dtype)
             triangular = start if want_order2 else None
-            settled = False
-            yield li, 0, start, triangular, settled
-            for n, power, total in _power_sums(lambda p: p @ scaled, start, n_max):
+            yield li, 0, start, triangular, False
+            for n, _, total, settled in _power_sums(lambda p: p @ scaled, start, n_max):
                 if want_order2:
                     triangular = triangular + total
-                settled = settled or not power.any()
                 yield li, n, total, triangular, settled
 
 
@@ -237,7 +246,7 @@ def cesaro_mean(op: OperatorSpec, n: int) -> Dense:
     total = np.eye(_dense_dimension(op), dtype=complex)
     if n > 0:
         mat = materialize(op)
-        *_, (_, _, total) = _power_sums(lambda p: p @ mat, total, n)  # the last sum
+        *_, (_, _, total, _) = _power_sums(lambda p: p @ mat, total, n)  # the last sum
     return Dense(total / (n + 1))
 
 
@@ -253,7 +262,7 @@ def cesaro_identity_check(op: OperatorSpec, n: int) -> float:
     eye = np.eye(mat.shape[0], dtype=complex)
     means = {0: eye}
     powers = {}
-    for j, power, total in _power_sums(lambda p: p @ mat, eye, n + 1):
+    for j, power, total, _ in _power_sums(lambda p: p @ mat, eye, n + 1):
         if j >= n - 1:
             means[j] = total / (j + 1)
             powers[j] = power
@@ -271,7 +280,7 @@ def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     wanted = set(ladder)
     out = {}
     previous = np.eye(mat.shape[0], dtype=complex)
-    for n, _, total in _power_sums(lambda p: p @ mat, previous, max(ladder) + 1):
+    for n, _, total, _ in _power_sums(lambda p: p @ mat, previous, max(ladder) + 1):
         if (n - 1) in wanted:
             out[n - 1] = _dense_norm(total / (n + 1) - previous / n)
         previous = total
@@ -333,7 +342,7 @@ def ergodic_probe(
     # Row p is probe p's mean M_n(T)x_p, contiguous like a lone vector, so
     # each gap is normed exactly as it would be for that probe alone.
     means = {0: block.T.copy()}
-    for n, _, running in _power_sums(step, block, max(ladder)):
+    for n, _, running, _ in _power_sums(step, block, max(ladder)):
         if n in ladder:
             means[n] = (running / (n + 1)).T.copy()
     gaps = np.array([[float(np.linalg.norm(row)) for row in means[b] - means[a]]

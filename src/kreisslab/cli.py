@@ -195,6 +195,11 @@ def _cmd_kreiss(args) -> int:
         "skipped": [list(point) for point in base.skipped + strong.skipped],
     })
     results = [CheckRecord("kreiss-report", "info", params=merged)]
+    if base.kreiss_C_radius == min(grid.radii):
+        results.append(CheckRecord(
+            "kreiss-sup-on-inner-radius", "info", base.kreiss_C,
+            params={"r": base.kreiss_C_radius},
+            detail="kreiss sweep: the sup sits on the innermost radius and may lie beyond the grid"))
     # A skipped grid point may lower its sweep's supremum: one no-verdict record each.
     for sweep, report in (("kreiss", base), ("strong", strong)):
         for r, mu in report.skipped:

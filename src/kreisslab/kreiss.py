@@ -92,6 +92,7 @@ class KreissReport:
     """Estimated resolvent-type constants and the grids that produced them."""
 
     kreiss_C: float | None = None
+    kreiss_C_radius: float | None = None
     ukb_C: float | None = None
     kb2_C: float | None = None
     strong_C: float | None = None
@@ -106,6 +107,7 @@ class KreissReport:
     def to_dict(self) -> dict:
         return {
             "kreiss_C": self.kreiss_C,
+            "kreiss_C_radius": self.kreiss_C_radius,
             "ukb_C": self.ukb_C,
             "kb2_C": self.kb2_C,
             "strong_C": self.strong_C,
@@ -181,37 +183,46 @@ def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
 
 
 def _grid_sup(op: OperatorSpec, grid: AnnulusGrid, value):
-    """(shortcut, sup, skipped) of the values over the grid's points lam = r * mu.
+    """(shortcut, sup, radius, skipped) of the values over the grid's points lam = r * mu.
 
     value(lam, r, best) gets the running sup and returns the new one, so
-    it may skip any work that cannot beat it.  Shift-like operators are
-    rotation invariant, so one angle per radius is evaluated and
-    recorded as a shortcut.  A point where value raises SingularError is
-    skipped and listed as (r, mu).
+    it may skip any work that cannot beat it.  radius is the radius of
+    the point where the sup is first reached in grid order (None when no
+    point rises above 0).  Shift-like operators are rotation invariant,
+    so one angle per radius is evaluated and recorded as a shortcut.  A
+    point where value raises SingularError is skipped and listed as (r, mu).
     """
     shortcut, angles = _angle_grid(op, grid.angle_count)
     best = 0.0
+    radius = None
     skipped = []
     for r in grid.radii:
         for mu in angles:
             try:
-                best = value(r * mu, r, best)
+                point = value(r * mu, r, best)
             except SingularError:
                 skipped.append((float(r), complex(mu)))
-    return shortcut, best, tuple(skipped)
+                continue
+            if point > best:
+                radius = float(r)
+            best = point
+    return shortcut, best, radius, tuple(skipped)
 
 
 def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
     """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||.
 
+    kreiss_C_radius is the radius where the sup is first reached; on the
+    innermost radius the true sup may lie closer to the unit circle.
     Singular grid points are skipped and listed in the report; a stalled
     estimate raises.
     """
     _require_contractive_spectrum(op)
-    shortcut, best, skipped = _grid_sup(
+    shortcut, best, radius, skipped = _grid_sup(
         op, grid, lambda lam, r, best: max(best, (r - 1.0) * resolvent_norm(op, lam)))
     return KreissReport(
         kreiss_C=best,
+        kreiss_C_radius=radius,
         radii=grid.radii,
         angle_count=grid.angle_count,
         rotation_shortcut=shortcut,
@@ -301,7 +312,7 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
                                     best)
         return best
 
-    shortcut, best, skipped = _grid_sup(op, grid, point_sup)
+    shortcut, best, _, skipped = _grid_sup(op, grid, point_sup)
     return KreissReport(
         strong_C=best,
         radii=grid.radii,

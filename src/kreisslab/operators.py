@@ -380,12 +380,25 @@ def _matrix_norm(mat: np.ndarray) -> NormEstimate:
     eigensolve of the Gram matrix ("dense-gram"), about 2.5x cheaper at
     1024^2 with an error of about d*eps*sigma_1, the same order as the
     SVD's.  Only the largest singular value survives the squaring this
-    way; sigma_min needs the SVD.
+    way; sigma_min needs the SVD.  A zero column of A leaves an exactly
+    zero row and column in A* A; those are dropped before the eigensolve,
+    which drops only zero eigenvalues, and an all-zero A has norm 0.0.
     """
     mat = _compact(mat)
     if mat.shape[1] <= SVD_CAP:
         return NormEstimate(float(np.linalg.svd(mat, compute_uv=False)[0]), "dense-svd", 0.0, 0)
     gram = mat.T @ mat if np.isrealobj(mat) else mat.conj().T @ mat
+    # A zero row and column has a zero diagonal entry.  Testing the whole
+    # row and column keeps a nonzero column whose squares underflowed.
+    idle = np.flatnonzero(gram.diagonal() == 0)
+    idle = idle[~(gram[idle].any(axis=1) | gram[:, idle].any(axis=0))]
+    if idle.size == gram.shape[0]:
+        return NormEstimate(0.0, "dense-gram", 0.0, 0)
+    if idle.size:
+        keep = np.ones(gram.shape[0], dtype=bool)
+        keep[idle] = False
+        gram = gram.compress(keep, axis=0)
+        gram = gram.compress(keep, axis=1)
     return NormEstimate(float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1]))),
                         "dense-gram", 0.0, 0)
 

@@ -102,14 +102,15 @@ def shields_envelope(series: NormSeries, epsilon: float, k_top: int):
     """(record, rows): the shields lower envelope ||T^k|| >= (k+1)^(1-eps)/3.
 
     The record gates the smallest margin over k <= k_top, the range the
-    truncation certifies.  The growth.csv rows cover the whole series,
-    and each row's pass column applies the same rule to its own k.
+    truncation certifies.  The growth.csv rows cover the whole series;
+    each row's pass column applies the same rule to its own k up to
+    k_top and is left empty past it, where the truncation decides nothing.
     """
     lower = (1.0 / 3.0) * (series.k + 1.0) ** (1.0 - epsilon)
     margins = series.values[:k_top] - lower[:k_top]
     record = gate("shields-lower-bound", float(np.min(margins)), ">=", 0.0,
                   detail=f"min of ||T^k|| - (k+1)^(1-eps)/3 over k <= {k_top}")
-    rows = [(int(k), float(v), float(lb), bool(v >= lb))
+    rows = [(int(k), float(v), float(lb), bool(v >= lb) if k <= k_top else None)
             for k, v, lb in zip(series.k, series.values, lower)]
     return record, rows
 
@@ -281,7 +282,7 @@ def _prop35(seed: int):
     mean_rows = []
     worst_norm = 0.0
     worst_entry_excess = -np.inf
-    for n, power, total in _power_sums(lambda p: p @ mat, np.eye(size, dtype=complex), 256):
+    for n, power, total, _ in _power_sums(lambda p: p @ mat, np.eye(size, dtype=complex), 256):
         if n <= 200:
             gap = float(np.max(np.abs(power - ergces_power_closed_form(j_max, n))))
             worst_gap = max(worst_gap, gap)
@@ -343,7 +344,7 @@ def _ex29(seed: int):
     d_small = 8
     mat = materialize(build_tz_block(d_small))
     powers = _power_sums(lambda p: p @ mat, np.eye(2 * d_small), 2 * d_small)
-    gap = max(float(np.max(np.abs(power - tz_block_power(d_small, n)))) for n, power, _ in powers)
+    gap = max(float(np.max(np.abs(power - tz_block_power(d_small, n)))) for n, power, *_ in powers)
     results.append(gate("tz-block-power-formula", gap, "<=", 1e-12,
                         detail=f"d={d_small}, n <= {2 * d_small}"))
 

@@ -33,7 +33,7 @@ def cesaro_mean2(op, n):
 
     averaged = eye  # sum of (j+1) * M_j, literally
     triangular = (n + 1) * eye
-    for j, power, running in _power_sums(lambda p: p @ mat, eye, n):
+    for j, power, running, _ in _power_sums(lambda p: p @ mat, eye, n):
         averaged = averaged + (j + 1) * (running / (j + 1))
         triangular = triangular + (n + 1 - j) * power
     form_one = scale * averaged
@@ -43,6 +43,25 @@ def cesaro_mean2(op, n):
     if gap > 1e-12 * max(1.0, float(np.max(np.abs(form_two)))):
         raise RuntimeError(f"second-mean forms disagree by {gap:.3e}")
     return kl.Dense(form_two)
+
+
+def test_power_stream_makes_no_step_past_a_zero_power():
+    mat = kl.materialize(kl.build_tz_block(4)).real  # T^5 = 0
+    calls = []
+
+    def step(p):
+        calls.append(p)
+        return p @ mat
+
+    stream = list(_power_sums(step, np.eye(8), 40))
+    assert len(calls) == 5
+    assert [settled for *_, settled in stream] == [n >= 5 for n in range(1, 41)]
+    power = total = np.eye(8)
+    for _, got_power, got_total, _ in stream:
+        power = power @ mat
+        total = total + power
+        np.testing.assert_array_equal(got_power, power)
+        np.testing.assert_array_equal(got_total, total)
 
 
 # --- first mean ---
@@ -241,8 +260,20 @@ def test_mean_difference_identity_operator():
 
 
 def test_mean_difference_decay_tn():
-    diffs = kl.mean_difference_decay(kl.build_TN(32, 0.45), (64, 512))
+    op = kl.build_TN(32, 0.45)
+    diffs = kl.mean_difference_decay(op, (64, 512))
     assert diffs[1] < diffs[0]
+    # T^64 = 0: the stream stops stepping there, and no bit changes
+    # against means that step every index.
+    mat = kl.materialize(op)
+    power = total = np.eye(64, dtype=complex)
+    means = [total]
+    for n in range(1, 514):
+        power = power @ mat
+        total = total + power
+        means.append(total / (n + 1))
+    expected = [_dense_norm(means[n + 1] - means[n]) for n in (64, 512)]
+    np.testing.assert_array_equal(diffs, expected)
 
 
 def test_mean_difference_decay_ergces():
@@ -284,9 +315,18 @@ def test_probe_tz_coordinates_positive_verdict():
         v = np.zeros(512)
         v[j] = 1.0
         vecs.append(v)
-    probe = kl.ergodic_probe(kl.build_tz_block(256), probes=vecs)
+    op = kl.build_tz_block(256)
+    probe = kl.ergodic_probe(op, probes=vecs)
     assert probe_verdict(probe) == "pass"
     assert probe.probe_labels == tuple(f"given-{i}" for i in range(5))
+    # T^257 = 0, so the stream stops stepping long before the ladder top;
+    # the gaps equal those of orbits stepped at every index, bit for bit.
+    # The orbits are integer-valued, so a sparse step sums them exactly.
+    mat = kl.materialize(op).real
+    rows, cols = np.nonzero(mat)
+    step = lambda v: np.bincount(rows, weights=mat[rows, cols] * v[cols], minlength=512)
+    expected = [orbit_gaps(step, x, probe.ladder) for x in vecs]
+    np.testing.assert_array_equal(probe.gaps, expected)
 
 
 def orbit_gaps(step, x, ladder):

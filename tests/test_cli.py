@@ -46,11 +46,14 @@ def test_cesaro_csv_columns(tmp_path):
 
 def test_growth_csv_columns(tmp_path):
     code = main(["growth", "--operator", "shields", "--epsilon", "0.15", "--eta", "0.45",
-                 "--nmax-sum", "16", "--k-max", "30", "--window", "2", "30",
+                 "--nmax-sum", "16", "--k-max", "40", "--window", "2", "30",
                  "--format", "csv", "--out", str(tmp_path)])
     assert code == 0
-    header = (tmp_path / "growth.csv").read_text().splitlines()[0]
+    header, *lines = (tmp_path / "growth.csv").read_text().splitlines()
     assert header == "k,norm,lower_bound,pass"
+    # The truncation certifies k <= 30; past it the pass column stays empty.
+    passes = [line.split(",")[3] for line in lines]
+    assert passes == ["true"] * 30 + [""] * 10
 
 
 def test_growth_exits_one_on_a_broken_envelope(tmp_path, monkeypatch):
@@ -92,6 +95,22 @@ def test_kreiss_constants_table(tmp_path):
     lines = (tmp_path / "constants.csv").read_text().splitlines()
     names = [line.split(",")[0] for line in lines[1:]]
     assert names == ["kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C"]
+
+
+def test_kreiss_flags_a_sup_on_the_innermost_radius(tmp_path):
+    # ergces peaks at the innermost radius (its sup lies beyond the grid),
+    # tzblock 4 inside the grid at r = 1.5.
+    for name, trunc, radius, flagged in (("ergces", "6", 1.000244140625, True),
+                                         ("tzblock", "4", 1.5, False)):
+        out = tmp_path / name
+        assert main(["kreiss", "--operator", name, "--trunc", trunc, "--n-max", "4",
+                     "--k-max", "2", "--angles", "8", "--out", str(out)]) == 0
+        report, *rest = read_report(out)["results"]
+        assert report["kreiss_C_radius"] == radius
+        assert (radius == min(report["radii"])) == flagged
+        flags = [(r["check_id"], r["status"], r["value"], r["r"]) for r in rest]
+        assert flags == ([("kreiss-sup-on-inner-radius", "info", report["kreiss_C"], radius)]
+                         if flagged else [])
 
 
 def test_claims_exit_zero(tmp_path):
@@ -287,5 +306,6 @@ def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
         ("strong", 1.5, 0.0, "skipped"),
     ]
     assert report["results"][0]["skipped"] == [[1.5, [1.0, 0.0]], [1.5, [1.0, 0.0]]]
-    assert report["summary"]["no_verdict"] == 3
+    # kreiss-report, kreiss-sup-on-inner-radius (ergces peaks there) and the two skipped points
+    assert report["summary"]["no_verdict"] == 4
     assert code == 0  # no definite check failed; the gaps are recorded as no-verdict

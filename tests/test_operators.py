@@ -252,9 +252,30 @@ def test_matrix_norm_above_the_svd_cap_is_the_gram_eigensolve():
     v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     singular = np.concatenate(([2.0, 2.0 - 1e-13, 2.0 - 1e-12], np.linspace(1.9, 0.0, d - 3)))
     check((u * singular) @ v.conj().T)
+    # Scattered zero columns, zero rows, or both, real and complex.
+    real = rng.standard_normal((d, d))
+    cols, rows = rng.choice(d, 40, replace=False), rng.choice(d, 40, replace=False)
+    for mat in (real, real + 1j * rng.standard_normal((d, d))):
+        for zero_cols, zero_rows in ((cols, []), ([], rows), (cols, rows)):
+            holed = mat.copy()
+            holed[:, zero_cols] = 0.0
+            holed[zero_rows] = 0.0
+            check(holed)
     zero = _matrix_norm(np.zeros((d, d)))
     assert zero.value == 0.0 and not np.signbit(zero.value)
     assert zero.method == "dense-gram"
+
+
+def test_gram_eigensolve_drops_the_zero_rows_and_columns(monkeypatch):
+    # T^n of the tz block has 2n - 1 zero columns, so A* A has as many
+    # zero rows and columns; only the rest reaches the eigensolve.
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: shapes.append(gram.shape)
+                        or eigvalsh(gram))
+    for n in (1, 16):
+        _matrix_norm(kl.tz_block_power(512, n))
+    assert shapes == [(1023, 1023), (993, 993)]
 
 
 def test_public_signatures_carry_no_cap_knob():
