@@ -38,6 +38,7 @@ from .constructions import (
     shields_certified_kmax,
     tn_weights,
     tz_block_power,
+    tz_block_power_norms,
 )
 from .errors import (
     ConvergenceError,

@@ -226,6 +226,81 @@ def tz_block_power(d: int, n: int) -> np.ndarray:
     return mat
 
 
+#: Shifts per bracket and sweep of `tz_block_power_norms`: each sweep
+#: narrows every bracket 16-fold.
+_TZ_SHIFTS = np.arange(1, 16) / 16.0
+
+
+def tz_block_power_norms(d: int, k_max: int) -> np.ndarray:
+    """||T^n|| for n = 1..k_max of `build_tz_block(d)`, by an exact Sturm count.
+
+    With q = d-n+1 and p = d-n, the nonzero columns of `tz_block_power`
+    have the integer Gram matrix G = [[I_p, C], [C^T, W]]: C[i,i] = -n,
+    C[i,i+1] = n, and W tridiagonal with diagonal (n^2, 2n^2+1, ...,
+    2n^2+1) and off-diagonal -n^2.  For s > 1, Haynsworth's inertia
+    additivity makes the number of eigenvalues of G above s the number of
+    positive pivots of the q x q tridiagonal Schur complement
+    S(s) = W - sI + C^T C/(s-1) (Sturm count, Barth-Martin-Wilkinson).
+    Every lambda_max(G) starts bracketed in [2n^2+1, 4n^2+2n+1], the
+    largest diagonal entry and the Gershgorin bound, and is multisected on
+    that count until the bracket is at most 2 ulps wide; the norm is the
+    square root of its upper end.  Each sweep strictly narrows every
+    bracket wider than 2 ulps, so the loop ends after about 13 sweeps.
+    """
+    d, k_max = int(d), int(k_max)
+    if not 1 <= k_max < d:
+        raise ValidationError("k_max must satisfy 1 <= k_max < d")
+    n = np.arange(1, k_max + 1, dtype=float)
+    lo = 2.0 * n**2 + 1.0
+    hi = 4.0 * n**2 + 2.0 * n + 1.0
+    rows = np.arange(k_max)
+    while True:
+        wide = hi - lo > 2.0 * np.spacing(hi)
+        if not wide.any():
+            return np.sqrt(hi)
+        grid = np.column_stack((lo, lo[:, None] + (hi - lo)[:, None] * _TZ_SHIFTS, hi))
+        above = _tz_gram_has_eigenvalue_above(d, n[:, None] ** 2, grid[:, 1:-1])
+        # The new bracket ends at the first point with nothing above it and
+        # starts at the point before, so its upper end keeps a zero count
+        # and its lower end a positive one even where rounding makes the
+        # count non-monotone in the shift.
+        flags = np.pad(above, ((0, 0), (1, 1)), constant_values=((0, 0), (True, False)))
+        first_empty = np.argmin(flags, axis=1)
+        lo = np.where(wide, grid[rows, first_empty - 1], lo)
+        hi = np.where(wide, grid[rows, first_empty], hi)
+
+
+def _tz_gram_has_eigenvalue_above(d: int, n2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Whether lambda_max of the Gram matrix of T^n exceeds each shift s > 1.
+
+    Row i is n = i+1 with q = d-i; the LDL^T pivots of S(s) run down all
+    rows at once, and row i drops out after its last pivot k = d-1-i.  A
+    pivot smaller than pivmin in magnitude is replaced by -pivmin, as in
+    LAPACK's dstebz, so no division by zero occurs.
+    """
+    s1 = shifts - 1.0
+    beta2 = (n2 * shifts / s1) ** 2
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, beta2)
+    a_mid = 2.0 * n2 + 1.0 - shifts + 2.0 * n2 / s1
+    a_last = 2.0 * n2 + 1.0 - shifts + n2 / s1
+    piv = n2 - shifts + n2 / s1
+    above = np.zeros(shifts.shape, dtype=bool)
+    k_max = n2.shape[0]
+    for k in range(d):
+        m = min(k_max, d - k)
+        if k:
+            alpha = a_mid[:m]
+            if d - 1 - k < k_max:
+                alpha = alpha.copy()
+                alpha[d - 1 - k] = a_last[d - 1 - k]
+            piv = alpha - beta2[:m] / piv[:m]
+        small = np.abs(piv) < pivmin[:m]
+        if small.any():
+            piv[small] = -pivmin[:m][small]
+        above[:m] |= piv > 0.0
+    return above
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named catalog operator with its parameters and validity notes."""

@@ -37,6 +37,7 @@ from .constructions import (
     make_operator,
     shields_certified_kmax,
     tz_block_power,
+    tz_block_power_norms,
 )
 from .errors import ValidationError
 from .growth import growth_fit
@@ -348,21 +349,33 @@ def _ex29(seed: int):
     results.append(gate("tz-block-power-formula", gap, "<=", 1e-12,
                         detail=f"d={d_small}, n <= {2 * d_small}"))
 
-    # The closed form builds each power directly; its integer entries make
-    # it equal to the dense power bit for bit.
-    d = 512
-    k = np.arange(1, 33)
-    values = np.array([_matrix_norm(tz_block_power(d, n)).value for n in k])
+    # The norms come from a Sturm count on the tridiagonal Schur complement
+    # of each power's integer Gram matrix, with no power built.  The dense
+    # norm of the top power, built in closed form, is their oracle.
+    d, k_top = 512, 32
+    k = np.arange(1, k_top + 1)
+    values = tz_block_power_norms(d, k_top)
     ratios = values / k
     rows = [(int(n), float(v), float(r)) for n, v, r in zip(k, values, ratios)]
     results.append(gate("tz-transient-growth", float(ratios.min()), ">=", 1.9,
-                        detail=f"min over n <= 32 of n^-1 ||T^n|| at d={d}"))
+                        detail=f"min over n <= {k_top} of n^-1 ||T^n|| at d={d}"))
     # The first d coordinates of each half span an invariant subspace of
     # the infinite block-Toeplitz operator, so every truncation stays
     # below the sup of its symbol: ||T^n|| <= n + sqrt(n^2 + 1).
     symbol_ratio = float(np.max(values / (k + np.sqrt(k**2 + 1.0))))
     results.append(gate("tz-symbol-bound", symbol_ratio, "<=", 1.0, 1e-12,
-                        detail=f"max over n <= 32 of ||T^n|| / (n + sqrt(n^2 + 1)) at d={d}"))
+                        detail=f"max over n <= {k_top} of ||T^n|| / (n + sqrt(n^2 + 1)) at d={d}"))
+    results.append(_rel_gate("tz-norm-dense-oracle", values[-1],
+                             _matrix_norm(tz_block_power(d, k_top)).value, 1e-13,
+                             detail=f"Sturm-count norm against the dense norm of T^{k_top}, d={d}"))
+    # A Kreiss bounded operator has ||T^n|| = O(n / sqrt(log n)); this
+    # quantity would then stay bounded.  The abstract gives no constant,
+    # so the rising sequence is reported, not gated.
+    ladder = 2 ** np.arange(1, 6)
+    rate = np.sqrt(np.log(ladder)) * values[ladder - 1] / ladder
+    results.append(CheckRecord("tz-growth-vs-kreiss-rate", "info", float(rate[-1]),
+                               params={"n": ladder.tolist(), "rate_ratio": rate.tolist()},
+                               detail=f"sqrt(log n) ||T^n|| / n at d={d}"))
 
     probe_vectors = []
     for j in (0, 3, 17, 256, 261):

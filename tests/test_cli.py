@@ -172,6 +172,17 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert (tmp_path / "c" / "report.json").read_bytes() == first
 
 
+def test_ex29_outputs_byte_identical_across_runs(tmp_path):
+    argv = ["reproduce", "ex2.9", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    first = {name: (tmp_path / name).read_bytes() for name in ("report.json", "tz_growth.csv")}
+    assert main(argv) == 0
+    for name, data in first.items():
+        assert (tmp_path / name).read_bytes() == data, name
+    ids = [r["check_id"] for r in read_report(tmp_path)["results"]]
+    assert "tz-norm-dense-oracle" in ids and "tz-growth-vs-kreiss-rate" in ids
+
+
 #: Records OPENBLAS_NUM_THREADS at the moment numpy is first imported.
 _SEE_NUMPY_LOAD = """
 import os, sys
@@ -266,6 +277,7 @@ def _gate_holds(record) -> bool:
     ["claims", "--operator", "tn", "--trunc", "8", "--eta", "0.3", "--n-max", "32",
      "--k-max", "16", "--probes", "4"],
     ["growth", "--operator", "shields", "--nmax-sum", "16", "--k-max", "30", "--window", "2", "30"],
+    ["reproduce", "ex2.9"],
 ])
 def test_every_verdict_is_its_recorded_gate(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kreisslab as kl
+from kreisslab.operators import _matrix_norm
 
 
 def test_tn_weights_hand_values():
@@ -221,11 +222,62 @@ def test_tz_block_power_formula_matches_dense():
             np.testing.assert_array_equal(kl.tz_block_power(d, n), power)
 
 
-def test_tz_block_power_norms_equal_the_dense_power_norms():
+def test_tz_block_power_is_normed_like_the_dense_power():
     # d = 600 > SVD_CAP: both sides take the same norm route on equal matrices.
     series = kl.power_norms(kl.build_tz_block(300), 8)
     closed = [kl.spectral_norm(kl.Dense(kl.tz_block_power(300, k))).value for k in range(1, 9)]
     np.testing.assert_array_equal(closed, series.values)
+
+
+def _ulps(got, expected):
+    expected = np.asarray(expected)
+    return np.abs(got - expected) / np.spacing(expected)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 64])
+def test_tz_block_power_norms_match_the_svd(d):
+    got = kl.tz_block_power_norms(d, d - 1)
+    svd = [np.linalg.svd(kl.tz_block_power(d, n), compute_uv=False)[0] for n in range(1, d)]
+    assert got.shape == (d - 1,)
+    assert np.max(_ulps(got, svd)) <= 8
+
+
+def test_tz_block_power_norms_match_the_gram_eigensolve_at_d512():
+    got = kl.tz_block_power_norms(512, 32)
+    for n in (1, 16, 32):
+        dense = _matrix_norm(kl.tz_block_power(512, n))
+        assert dense.method == "dense-gram"
+        assert _ulps(got[n - 1], dense.value) <= 4, n
+
+
+def test_tz_block_power_norms_match_a_40_digit_eigensolve():
+    import mpmath
+
+    d = 12
+    got = kl.tz_block_power_norms(d, d - 1)
+    with mpmath.workdps(40):
+        for n in range(1, d):
+            power = kl.tz_block_power(d, n)
+            gram = (power.T @ power).astype(int)  # exact: small integer entries
+            top = max(mpmath.eigsy(mpmath.matrix(gram.tolist()), eigvals_only=True))
+            expected = mpmath.sqrt(top)
+            rel = abs(mpmath.mpf(float(got[n - 1])) - expected) / expected
+            assert rel <= 2 * np.finfo(float).eps, n
+
+
+def test_tz_block_power_norms_edges():
+    for d, k_max in ((8, 0), (8, 8), (8, -1), (2, 2)):
+        with pytest.raises(kl.ValidationError):
+            kl.tz_block_power_norms(d, k_max)
+    # n = d - 1 leaves a 2 x 2 Schur complement (q = 2).
+    d = 9
+    top = kl.tz_block_power_norms(d, d - 1)[-1]
+    svd = np.linalg.svd(kl.tz_block_power(d, d - 1), compute_uv=False)[0]
+    assert _ulps(top, svd) <= 8
+    # Each row is computed on its own, so a shorter ladder is a prefix.
+    first = kl.tz_block_power_norms(64, 32)
+    np.testing.assert_array_equal(first, kl.tz_block_power_norms(64, 32))
+    np.testing.assert_array_equal(first[:5], kl.tz_block_power_norms(64, 5))
 
 
 def test_tz_block_strictly_upper_triangular():
