@@ -69,8 +69,10 @@ class ErgodicProbe:
 #: Final Cauchy gap below which a probe reads as consistent with mean ergodicity.
 PROBE_TOLERANCE = 1e-3
 
-#: Relative slack on a cell's Frobenius bound before it may prune the cell.
+#: Relative slack on a cell's bound before it may prune the cell.
 _PRUNE_SLACK = 1e-12
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _dense_norm(mat: np.ndarray) -> float:
@@ -114,15 +116,48 @@ def _frobenius(mat: np.ndarray) -> float:
     return math.sqrt(square) if square >= 1e-300 else math.inf
 
 
+def _schatten4(mat: np.ndarray) -> float:
+    """||mat* mat||_F^(1/2), the Schatten-4 norm: between sigma_1 and ||mat||_F.
+
+    It costs one Gram product, a fraction of an SVD at the sweeps'
+    sizes, and is tight where the Frobenius norm is not: a matrix with
+    sigma_2 = t sigma_1 has Frobenius bound sqrt(1 + t^2) sigma_1 but
+    Schatten-4 bound (1 + t^4)^(1/4) sigma_1.  A Gram matrix whose
+    squares may have underflowed gives no bound (inf), as in _frobenius.
+    """
+    gram = mat.T @ mat if np.isrealobj(mat) else mat.conj().T @ mat
+    return math.sqrt(_frobenius(gram))
+
+
 def _beaten(bound: float, best: float) -> bool:
     """True when a cell whose value is at most bound cannot exceed best.
 
-    The relative slack covers the rounding of the SVD and of the
-    Frobenius sum, so an SVD of a nearly rank-one matrix may come out
-    above its computed Frobenius norm and still be counted.  A NaN
-    bound is never beaten.
+    The relative slack covers the rounding of the SVD and of scaling
+    the bound like the value, so an SVD of a nearly rank-one matrix may
+    come out above its computed Frobenius norm and still be counted.  A
+    NaN bound is never beaten.
     """
     return bound * (1.0 + _PRUNE_SLACK) < best
+
+
+def _bounds_beaten(mat: np.ndarray, beaten) -> bool:
+    """True when beaten(bound) holds for an upper bound of mat's spectral norm.
+
+    The bounds run cheapest first: the Frobenius norm, then the
+    Schatten-4 norm.  Each is first raised by d^2 eps (d the larger side
+    of mat), the worst-case relative rounding of its sums of d^2 squares
+    and of the d-term inner products of the Gram matrix, whose Frobenius
+    norm is at least ||mat||_F^2 / sqrt(d); beaten adds _PRUNE_SLACK
+    through _beaten.  So a bound is beaten only when the exact norm, and
+    the SVD's value of it, cannot win.
+    """
+    rounding = 1.0 + max(mat.shape) ** 2 * _EPS
+    return beaten(_frobenius(mat) * rounding) or beaten(_schatten4(mat) * rounding)
+
+
+def _norm_unless_beaten(mat: np.ndarray, beaten):
+    """_dense_norm(mat), or None when _bounds_beaten(mat, beaten): pruning never changes a value."""
+    return None if _bounds_beaten(mat, beaten) else _dense_norm(mat)
 
 
 def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool):
@@ -178,27 +213,30 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     sup2_sum = sup ||M_n^(2)(lam*T)|| * (n+2)/(2(n+1)) are None unless
     want_order2.  Each sup is found by bound-and-prune over the cells
     (lam, n) of every leaf, with one running best per sup across leaves
-    and angles: a cell whose Frobenius bound, scaled like its value,
-    cannot exceed the running best is not normed.  Every other cell goes
-    through _dense_norm and the same expression as the exhaustive
-    tables, so the sups equal the maxima of those tables bit for bit;
-    pruning can skip a cell, never change a value.  Cells are streamed,
-    never stored.  A NaN cell makes its sup NaN, as in the tables.
+    and angles: a cell is normed only when neither its Frobenius nor its
+    Schatten-4 bound, scaled like its value, is beaten by the running
+    best (_norm_unless_beaten).  Every normed cell goes through
+    _dense_norm and the same expression as the exhaustive tables, so
+    the sups equal the maxima of those tables bit for bit; pruning can
+    skip a cell, never change a value.  Cells are streamed, never
+    stored.  A NaN cell makes its sup NaN, as in the tables.
     """
     best1 = 0.0
     best2 = best2_sum = 0.0 if want_order2 else None
     for _, n, total, triangular, settled in _mean_cells(op, n_max, lams, want_order2):
-        if not settled:  # past a zero power total is unchanged, and so are its norms
-            bound1, top = _frobenius(total), None
-        if not _beaten(bound1 / (n + 1), best1):
-            if top is None:
-                top = _dense_norm(total)
-            best1 = np.maximum(best1, top / (n + 1))
+        # Past a zero power total is unchanged, so its mean only shrinks: the
+        # previous cell's value, normed or beaten, is already at most best1.
+        if not settled:
+            top = _norm_unless_beaten(total, lambda bound: _beaten(bound / (n + 1), best1))
+            if top is not None:
+                best1 = np.maximum(best1, top / (n + 1))
         if want_order2:
             quad = (n + 2.0) / (2.0 * (n + 1.0))
-            bound2 = 2.0 * _frobenius(triangular) / ((n + 1) * (n + 2))
-            if not (_beaten(bound2, best2) and _beaten(bound2 * quad, best2_sum)):
-                value = 2.0 * _dense_norm(triangular) / ((n + 1) * (n + 2))
+            scale = 2.0 / ((n + 1) * (n + 2))
+            top = _norm_unless_beaten(triangular, lambda bound: (
+                _beaten(bound * scale, best2) and _beaten(bound * scale * quad, best2_sum)))
+            if top is not None:
+                value = 2.0 * top / ((n + 1) * (n + 2))
                 best2 = np.maximum(best2, value)
                 best2_sum = np.maximum(best2_sum, value * quad)
     if want_order2:

@@ -23,8 +23,7 @@ from .cesaro import rotated_mean_norm_profile
 from .constructions import CATALOG_NAMES, make_operator, shields_certified_kmax
 from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
-from .kreiss import (AnnulusGrid, kb2_constant, kreiss_constant, run_hilbert_claims,
-                     strong_kreiss_constant)
+from .kreiss import AnnulusGrid, kb2_constant, kreiss_constant, run_hilbert_claims
 from .operators import WeightedShift, dimension, power_norms, spectral_norm
 from .reports import CheckRecord, RunConfig, emit_report, summarize
 from .reproduce import CLAIM_COLUMNS, GROWTH_COLUMNS, claim_row, reproduce, shields_envelope
@@ -181,18 +180,16 @@ def _cmd_cesaro(args) -> int:
 def _cmd_kreiss(args) -> int:
     entry = _operator_entry(args)
     grid = AnnulusGrid(args.radii, args.angles) if args.radii else AnnulusGrid.default(args.angles)
-    base = kreiss_constant(entry.spec, grid)
+    if args.k_max < 1:
+        raise ValidationError("k_max must be at least 1")
+    base = kreiss_constant(entry.spec, grid, args.k_max)  # the plain and strong sweeps in one pass
     kb2 = kb2_constant(entry.spec, args.n_max, args.angles)
-    strong = strong_kreiss_constant(entry.spec, grid, args.k_max)
     merged = base.to_dict()
     merged.update({
         "ukb_C": kb2.ukb_C,
         "kb2_C": kb2.kb2_C,
         "kb2_sum_C": kb2.kb2_sum_C,
-        "strong_C": strong.strong_C,
         "n_max": args.n_max,
-        "k_max": args.k_max,
-        "skipped": [list(point) for point in base.skipped + strong.skipped],
     })
     results = [CheckRecord("kreiss-report", "info", params=merged)]
     if base.kreiss_C_radius == min(grid.radii):
@@ -201,8 +198,8 @@ def _cmd_kreiss(args) -> int:
             params={"r": base.kreiss_C_radius},
             detail="kreiss sweep: the sup sits on the innermost radius and may lie beyond the grid"))
     # A skipped grid point may lower its sweep's supremum: one no-verdict record each.
-    for sweep, report in (("kreiss", base), ("strong", strong)):
-        for r, mu in report.skipped:
+    for sweep, points in (("kreiss", base.skipped), ("strong", base.strong_skipped)):
+        for r, mu in points:
             results.append(CheckRecord(
                 "skipped-grid-point", "skipped",
                 params={"sweep": sweep, "r": r, "angle": cmath.phase(mu)},

@@ -5,13 +5,17 @@ resolvent constant sup (|lam|-1) * ||(lam I - T)^-1||, the uniform
 variant through rotated Cesaro means, and the strong variant through
 resolvent powers.  The second-mean constant is also reported in the
 quadratic normalization sup_N N^-2 * ||sum_{j<N} (N-j) (lam T)^j||,
-which is the form the orbit inequalities (claims H1..H4) consume.  The
-uniform, second-mean and strong constants are sups over grid cells
-found by bound-and-prune: a cell whose Frobenius bound cannot beat the
-running best is skipped, and every other cell is normed by _dense_norm
-as in an exhaustive sweep, so pruning can skip a cell but never change
-a value.  The claims read the orbit norms norms[j] = ||T^j x|| from
-orbit_norms, so one orbit serves every claim instance on a probe.
+which is the form the orbit inequalities (claims H1..H4) consume.  Every
+constant is a sup over grid cells found by bound-and-prune: a cell
+whose bounds (Frobenius, then Schatten-4) cannot beat the running best
+is skipped, and every other cell is normed as in an exhaustive sweep,
+so pruning can skip a cell but never change a value.  The plain and
+strong constants come from one pass over the annulus grid that inverts
+each block once per point: the inverse bounds the plain value, which
+resolvent_norm still computes wherever the bound cannot rule it out,
+and its powers are the strong sweep's cells.  The claims read the orbit
+norms norms[j] = ||T^j x|| from orbit_norms, so one orbit serves every
+claim instance on a probe.
 
 Every checker returns a reports.CheckRecord: a verdict decided by
 reports.gate, which stores the value, the comparison, the bound, the
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cesaro import _angle_grid, _beaten, _dense_norm, _frobenius, rotated_mean_tables
+from .cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _frobenius, _norm_unless_beaten,
+                     rotated_mean_tables)
 from .errors import SingularError, ValidationError
 from .operators import (
     SEED,
@@ -103,6 +108,7 @@ class KreissReport:
     k_max: int | None = None
     rotation_shortcut: bool = False
     skipped: tuple = ()
+    strong_skipped: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -117,7 +123,7 @@ class KreissReport:
             "n_max": self.n_max,
             "k_max": self.k_max,
             "rotation_shortcut": self.rotation_shortcut,
-            "skipped": [list(point) for point in self.skipped],
+            "skipped": [list(point) for point in self.skipped + self.strong_skipped],
         }
 
 
@@ -182,51 +188,154 @@ def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
                for *_, scalar, leaf in blocks(op))
 
 
-def _grid_sup(op: OperatorSpec, grid: AnnulusGrid, value):
-    """(shortcut, sup, radius, skipped) of the values over the grid's points lam = r * mu.
+def _leaf_inverse(mat: np.ndarray, eye: np.ndarray, lam: complex):
+    """(system, inv(system)) for system = lam I - mat; a failed inverse is a singular point."""
+    system = lam * eye - mat
+    try:
+        return system, np.linalg.inv(system)
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(f"resolvent singular at lam={lam}") from exc
 
-    value(lam, r, best) gets the running sup and returns the new one, so
-    it may skip any work that cannot beat it.  radius is the radius of
-    the point where the sup is first reached in grid order (None when no
-    point rises above 0).  Shift-like operators are rotation invariant,
-    so one angle per radius is evaluated and recorded as a shortcut.  A
-    point where value raises SingularError is skipped and listed as (r, mu).
+
+def _plain_beaten(system: np.ndarray, resolvent: np.ndarray, r: float, best: float) -> bool:
+    """True when (r-1) / sigma_min(system) cannot exceed best, judged from R = inv(system).
+
+    The plain sweep's value is 1/sigma_min from an SVD of the system,
+    its bounds those of the computed inverse R (_bounds_beaten).  Two
+    errors sit between them: R differs from the exact inverse, and the
+    SVD's sigma_min from the exact one, each by about d eps cond
+    relative, and cond(system) <= ||system||_F ||R||_F.  So each bound
+    of (r-1) ||R|| is raised by d eps ||system||_F ||R||_F before
+    _beaten compares it.
+    """
+    inversion = 1.0 + system.shape[0] * _EPS * _frobenius(system) * _frobenius(resolvent)
+    return _bounds_beaten(resolvent, lambda bound: _beaten((r - 1.0) * bound * inversion, best))
+
+
+def _strong_term(k: int, log_gap: float, norm: float) -> float:
+    """(r-1)^k * norm, combined in log space and capped at exp(700)."""
+    return math.exp(min(k * log_gap + math.log(norm), 700.0))
+
+
+def _chain_reach(k_max: int, d: int) -> float:
+    """Factor by which a computed term past power j may exceed power j's term bound when q <= 1.
+
+    A computed product P <- P R errs by at most d eps ||P||_F ||R||_F <=
+    d^1.5 eps ||P|| ||R||_F in norm, so ||P R|| grows by at most a factor
+    ||R||_F (1 + d^1.5 eps) a step, from either bound of ||P||, and the
+    computed q = (r-1) ||R||_F is off by at most d^2 eps / 2 relative.
+    Over at most k_max steps that stays below k_max d^2 eps.
+    """
+    return 1.0 + k_max * d * d * _EPS
+
+
+def _leaf_strong_sup(resolvent: np.ndarray, r: float, k_max: int, best: float) -> float:
+    """max(best, sup over k <= k_max of (r-1)^k ||R^k||) for one block's inverse R.
+
+    Each power goes through the cascade of _norm_unless_beaten against
+    the running best, with its bound raised by _chain_reach.  The chain
+    stops at the first beaten power j when q = (r-1) ||R||_F <= 1: for
+    every k >= j, (r-1)^k ||R^k|| <= bound_j q^(k-j) <= bound_j, so no
+    later power can win either, and the products that would form them
+    are not computed.
+    """
+    log_gap = math.log(r - 1.0)
+    reach = _chain_reach(k_max, resolvent.shape[0])
+    may_stop = (r - 1.0) * _frobenius(resolvent) <= 1.0  # q <= 1
+    power = resolvent
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = power @ resolvent
+        norm = _norm_unless_beaten(
+            power, lambda bound: _beaten(_strong_term(k, log_gap, bound) * reach, best))
+        if norm is None:
+            if may_stop:
+                break
+        elif norm > 0.0:
+            best = max(best, _strong_term(k, log_gap, norm))
+    return best
+
+
+def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
+    """One pass over the grid's points lam = r * mu for the plain sup, the strong sup or both.
+
+    Returns (shortcut, best, radius, skipped, strong, strong_skipped).
+    Each block is materialized once for the grid and inverted once per
+    point, and that inverse serves both sweeps: the plain value (r-1)
+    ||(lam I - T)^-1|| comes from resolvent_norm, unchanged, wherever
+    _plain_beaten cannot rule the point out, and the strong sweep reads
+    the inverse's powers (_leaf_strong_sup) when k_max >= 1.  radius is
+    the radius where the plain sup is first reached in grid order (None
+    when no point rises above 0).  Shift-like operators are rotation
+    invariant, so one angle per radius is evaluated and recorded as a
+    shortcut.  A point whose inverse fails is left out of the strong
+    sweep and normed unpruned by the plain one; a point where
+    resolvent_norm raises SingularError is left out of the plain sweep.
+    Each sweep lists its points as (r, mu).  A plain-only pass inverts
+    only when resolvent_norm takes every block's SVD anyway.
     """
     shortcut, angles = _angle_grid(op, grid.angle_count)
-    best = 0.0
+    parts = blocks(op)
+    invert = k_max > 0 or all(not isinstance(leaf, WeightedShift) or stop - start <= SVD_CAP
+                              for start, stop, _, leaf in parts)
+    leaves = [(scalar, materialize(leaf), np.eye(stop - start))
+              for start, stop, scalar, leaf in parts] if invert else []
+    best = strong = 0.0
     radius = None
     skipped = []
+    strong_skipped = []
     for r in grid.radii:
         for mu in angles:
+            lam = r * mu
             try:
-                point = value(r * mu, r, best)
+                inverses = [_leaf_inverse(mat, eye, lam if scalar == 1.0 else lam / scalar)
+                            for scalar, mat, eye in leaves]
             except SingularError:
-                skipped.append((float(r), complex(mu)))
-                continue
-            if point > best:
-                radius = float(r)
-            best = point
-    return shortcut, best, radius, tuple(skipped)
+                inverses = None
+            # A point without inverses has no bound: the plain sweep norms it.
+            if plain and not (inverses and all(_plain_beaten(system, resolvent, r, best)
+                                               for system, resolvent in inverses)):
+                try:
+                    point = max(best, (r - 1.0) * resolvent_norm(op, lam))
+                except SingularError:
+                    skipped.append((float(r), complex(mu)))
+                else:
+                    if point > best:
+                        radius = float(r)
+                    best = point
+            if k_max:
+                if inverses is None:
+                    strong_skipped.append((float(r), complex(mu)))
+                    continue
+                for _, resolvent in inverses:
+                    strong = _leaf_strong_sup(resolvent, r, k_max, strong)
+    return shortcut, best, radius, tuple(skipped), strong, tuple(strong_skipped)
 
 
-def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid) -> KreissReport:
-    """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||.
+def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> KreissReport:
+    """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||, and the strong sup for k_max >= 1.
 
     kreiss_C_radius is the radius where the sup is first reached; on the
     innermost radius the true sup may lie closer to the unit circle.
-    Singular grid points are skipped and listed in the report; a stalled
-    estimate raises.
+    With k_max >= 1 the same pass also fills strong_C (and k_max and
+    strong_skipped) exactly as strong_kreiss_constant(op, grid, k_max)
+    would.  Singular grid points are skipped and listed in the report; a
+    stalled estimate raises.
     """
     _require_contractive_spectrum(op)
-    shortcut, best, radius, skipped = _grid_sup(
-        op, grid, lambda lam, r, best: max(best, (r - 1.0) * resolvent_norm(op, lam)))
+    if k_max < 0:
+        raise ValidationError("k_max must be non-negative")
+    shortcut, best, radius, skipped, strong, strong_skipped = _grid_pass(op, grid, k_max, True)
     return KreissReport(
         kreiss_C=best,
         kreiss_C_radius=radius,
+        strong_C=strong if k_max else None,
         radii=grid.radii,
         angle_count=grid.angle_count,
+        k_max=k_max or None,
         rotation_shortcut=shortcut,
         skipped=skipped,
+        strong_skipped=strong_skipped,
     )
 
 
@@ -264,73 +373,43 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
     )
 
 
-def _strong_term(k: int, log_gap: float, norm: float) -> float:
-    """(r-1)^k * norm, combined in log space and capped at exp(700)."""
-    return math.exp(min(k * log_gap + math.log(norm), 700.0))
-
-
-def _leaf_strong_sup(mat: np.ndarray, eye: np.ndarray, lam: complex, r: float,
-                     k_max: int, best: float) -> float:
-    """max(best, sup over k <= k_max of (r-1)^k ||(lam I - mat)^-k||).
-
-    A power whose Frobenius bound cannot beat best is not normed.
-    """
-    try:
-        resolvent = np.linalg.inv(lam * eye - mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(f"resolvent singular at lam={lam}") from exc
-    power = resolvent
-    log_gap = math.log(r - 1.0)
-    for k in range(1, k_max + 1):
-        if k > 1:
-            power = power @ resolvent
-        if _beaten(_strong_term(k, log_gap, _frobenius(power)), best):
-            continue
-        norm = _dense_norm(power)
-        if norm > 0.0:
-            best = max(best, _strong_term(k, log_gap, norm))
-    return best
-
-
 def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16) -> KreissReport:
     """sup over the grid and k <= k_max of (|lam|-1)^k * ||(lam I - T)^-k||.
 
     Terms are combined in log space so that tiny (|lam|-1)^k factors
     against large resolvent-power norms neither underflow nor overflow.
-    Singular grid points are skipped and listed in the report.
+    Singular grid points are skipped and listed in strong_skipped.
+    kreiss_constant(op, grid, k_max) gives the same strong_C from the
+    pass that also sweeps the plain constant.
     """
     _require_contractive_spectrum(op)
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
-    # Each block is materialized once for the whole grid.
-    leaves = [(scalar, materialize(leaf), np.eye(stop - start))
-              for start, stop, scalar, leaf in blocks(op)]
-
-    def point_sup(lam, r, best):
-        for scalar, mat, eye in leaves:
-            best = _leaf_strong_sup(mat, eye, lam if scalar == 1.0 else lam / scalar, r, k_max,
-                                    best)
-        return best
-
-    shortcut, best, _, skipped = _grid_sup(op, grid, point_sup)
+    shortcut, _, _, _, strong, skipped = _grid_pass(op, grid, k_max, False)
     return KreissReport(
-        strong_C=best,
+        strong_C=strong,
         radii=grid.radii,
         angle_count=grid.angle_count,
         k_max=k_max,
         rotation_shortcut=shortcut,
-        skipped=skipped,
+        strong_skipped=skipped,
     )
 
 
 def orbit_norms(op: OperatorSpec, x: np.ndarray, kmax: int) -> np.ndarray:
-    """||T^j x|| for j = 0..kmax, by repeated application."""
+    """||T^j x|| for j = 0..kmax, by repeated application.
+
+    Once T^j x is exactly zero every later vector is too, so op is not
+    applied again and the remaining norms stay 0.0.
+    """
     out = np.zeros(kmax + 1)
     v = np.asarray(x, dtype=complex)
     out[0] = float(np.linalg.norm(v))
     for j in range(1, kmax + 1):
         v = apply(op, v)
         out[j] = float(np.linalg.norm(v))
+        if not v.any():
+            break
     return out
 
 

@@ -6,8 +6,10 @@ import pytest
 import kreisslab as kl
 import kreisslab.cesaro
 import kreisslab.kreiss
-from kreisslab.cesaro import _angle_grid, _beaten, _dense_norm, _frobenius, _rotated_mean_norms
-from kreisslab.kreiss import certify_spectral_radius, default_radii
+from kreisslab.cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _dense_norm, _frobenius,
+                              _rotated_mean_norms, _schatten4)
+from kreisslab.kreiss import (_chain_reach, _leaf_inverse, _plain_beaten, _strong_term,
+                              certify_spectral_radius, default_radii)
 
 
 def zero_op(d=4):
@@ -213,38 +215,125 @@ def exhaustive_mean_sups(op, n_max, angles):
 
 
 def exhaustive_strong_sup(op, grid, k_max):
-    """The strong sweep with every (point, block, k) cell normed."""
+    """(strong_C, skipped) of the strong sweep with every (point, block, k) cell normed."""
     _, angles = _angle_grid(op, grid.angle_count)
     leaves = [(scalar, kl.materialize(leaf)) for _, _, scalar, leaf in kl.blocks(op)]
     best = 0.0
+    skipped = []
     for r in grid.radii:
         for mu in angles:
-            for scalar, mat in leaves:
-                lam = r * mu if scalar == 1.0 else r * mu / scalar
-                resolvent = np.linalg.inv(lam * np.eye(mat.shape[0]) - mat)
+            try:
+                resolvents = [np.linalg.inv((r * mu if scalar == 1.0 else r * mu / scalar)
+                                            * np.eye(mat.shape[0]) - mat)
+                              for scalar, mat in leaves]
+            except np.linalg.LinAlgError:
+                skipped.append((float(r), complex(mu)))
+                continue
+            for resolvent in resolvents:
                 power = resolvent
                 for k in range(1, k_max + 1):
                     if k > 1:
                         power = power @ resolvent
                     term = k * math.log(r - 1.0) + math.log(_dense_norm(power))
                     best = max(best, math.exp(min(term, 700.0)))
-    return best
+    return best, tuple(skipped)
 
 
-@pytest.mark.parametrize("op", [
-    kl.build_tz_block(8),
-    kl.build_ergces(12),
-    kl.RotatedScale(np.exp(0.3j), kl.DirectSum(
+def exhaustive_plain_sweep(op, grid):
+    """(kreiss_C, kreiss_C_radius, skipped) with every grid point normed by resolvent_norm."""
+    _, angles = _angle_grid(op, grid.angle_count)
+    best, radius, skipped = 0.0, None, []
+    for r in grid.radii:
+        for mu in angles:
+            try:
+                point = max(best, (r - 1.0) * kreisslab.kreiss.resolvent_norm(op, r * mu))
+            except kl.SingularError:
+                skipped.append((float(r), complex(mu)))
+                continue
+            if point > best:
+                radius = float(r)
+            best = point
+    return best, radius, tuple(skipped)
+
+
+#: Spectral radius 1/2 behind an off-diagonal of 3: resolvent norms far above 1/(|lam|-1).
+NONNORMAL = kl.Dense(np.diag(np.full(8, 0.5)) + np.diag(np.full(7, 3.0), 1))
+
+SWEEP_OPS = {
+    "tzblock-8": kl.build_tz_block(8),
+    "ergces-12": kl.build_ergces(12),
+    "rotated-dense-plus-shift": kl.RotatedScale(np.exp(0.3j), kl.DirectSum(
         (kl.RotatedScale(np.exp(1.1j), contractive_dense(5, 4)), kl.build_TN(3, 0.3)))),
-    zero_op(),
-    identity_op(),  # every lam = 1 mean cell ties at 1
-], ids=["tzblock-8", "ergces-12", "rotated-dense-plus-shift", "zero", "identity"])
+    "zero": zero_op(),
+    "identity": identity_op(),  # every lam = 1 mean cell ties at 1
+}
+
+
+@pytest.mark.parametrize("op", SWEEP_OPS.values(), ids=SWEEP_OPS.keys())
 def test_pruned_sups_equal_the_exhaustive_maxima(op):
     report = kl.kb2_constant(op, 32, 16)
     assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == exhaustive_mean_sups(op, 32, 16)
     assert kl.uniform_kreiss_constant(op, 32, 16).ukb_C == report.ukb_C
     grid = kl.AnnulusGrid.default(16)
-    assert kl.strong_kreiss_constant(op, grid, 8).strong_C == exhaustive_strong_sup(op, grid, 8)
+    assert kl.strong_kreiss_constant(op, grid, 8).strong_C == exhaustive_strong_sup(op, grid, 8)[0]
+
+
+@pytest.mark.parametrize("op", [*SWEEP_OPS.values(), NONNORMAL],
+                         ids=[*SWEEP_OPS.keys(), "nonnormal"])
+def test_fused_pass_equals_the_exhaustive_sweeps(op, monkeypatch):
+    grid = kl.AnnulusGrid.default(16)
+    powers = []
+
+    def counting(mat, beaten):
+        powers.append(mat.shape)
+        return kreisslab.cesaro._norm_unless_beaten(mat, beaten)
+
+    monkeypatch.setattr(kreisslab.kreiss, "_norm_unless_beaten", counting)
+    fused = kl.kreiss_constant(op, grid, 8)
+    if op is NONNORMAL:  # the chain cut stops some power chains early
+        assert len(powers) < 8 * len(grid.radii) * grid.angle_count
+    plain = exhaustive_plain_sweep(op, grid)
+    strong = exhaustive_strong_sup(op, grid, 8)
+    assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == plain
+    assert (fused.strong_C, fused.strong_skipped) == strong
+    alone = kl.kreiss_constant(op, grid)
+    assert (alone.kreiss_C, alone.kreiss_C_radius, alone.skipped, alone.strong_C) == (*plain, None)
+    assert kl.strong_kreiss_constant(op, grid, 8).strong_C == strong[0]
+
+
+def test_fused_pass_skips_the_points_the_exhaustive_sweeps_skip(monkeypatch):
+    # Two points lose their inverse: the strong sweep skips both, the plain
+    # sweep norms them unpruned and skips the one whose SVD fails too.
+    op = NONNORMAL
+    grid = kl.AnnulusGrid.default(8)
+    _, angles = _angle_grid(op, 8)
+    radii = grid.radii
+    lost = radii[7] * angles[3]
+    no_inverse = {radii[1] * angles[5], lost}
+    corner = kl.materialize(op)[0, 0]
+    inv, norm = np.linalg.inv, kreisslab.kreiss.resolvent_norm
+    normed = []
+
+    def failing_inv(a):
+        if any(a[0, 0] == lam - corner for lam in no_inverse):
+            raise np.linalg.LinAlgError("singular")
+        return inv(a)
+
+    def failing_norm(op, lam):
+        normed.append(lam)
+        if lam == lost:
+            raise kl.SingularError("singular")
+        return norm(op, lam)
+
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    monkeypatch.setattr(kreisslab.kreiss, "resolvent_norm", failing_norm)
+    fused = kl.kreiss_constant(op, grid, 8)
+    assert no_inverse <= set(normed)
+    assert fused.skipped == ((radii[7], complex(angles[3])),)
+    assert fused.strong_skipped == ((radii[1], complex(angles[5])), (radii[7], complex(angles[3])))
+    assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == exhaustive_plain_sweep(op, grid)
+    assert (fused.strong_C, fused.strong_skipped) == exhaustive_strong_sup(op, grid, 8)
+    assert fused.to_dict()["skipped"] == [list(p) for p in fused.skipped + fused.strong_skipped]
 
 
 def test_pruning_keeps_a_cell_whose_svd_rounds_above_its_frobenius_norm():
@@ -285,22 +374,98 @@ def test_frobenius_bound_with_its_slack_covers_the_svd():
     assert _frobenius(np.zeros((3, 3))) == _frobenius(np.full((3, 3), 1e-160)) == math.inf
 
 
+def test_schatten4_bound_with_its_slack_covers_the_svd():
+    # The cascade's second bound at every size the catalog sweeps reach
+    # (tzblock 64 is 128 x 128), on general, rank-one and nearly rank-one
+    # matrices, where sigma_1 nearly equals the Schatten-4 norm.
+    rng = np.random.default_rng(23)
+    below = 0
+    for d in (1, 2, 5, 16, 32, 64, 128):
+        for _ in range(40 if d <= 32 else 8):
+            general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            u = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
+            v = rng.standard_normal((1, d)) + 1j * rng.standard_normal((1, d))
+            near = u @ v + 1e-7 * general
+            for mat in (general, u @ v, near, (u @ v).real):
+                norm = _dense_norm(mat)
+                assert _dense_norm(mat) <= _schatten4(mat) * (1 + d * d * _EPS) * (1 + 1e-12)
+                assert not _bounds_beaten(mat, lambda bound: _beaten(bound, norm))
+                below += norm > _schatten4(mat)
+    assert below > 0  # some SVDs round above the bare Schatten-4 norm: the slack is used
+    assert _schatten4(np.zeros((3, 3))) == _schatten4(np.full((3, 3), 1e-80)) == math.inf
+
+
+def test_inversion_aware_plain_bound_covers_the_svd_near_the_circle():
+    # ergces 20 at r - 1 = 2^-12: cond(lam I - T) up to about 1e5, so the
+    # inverse carries the largest rounding of any default grid point.
+    op = kl.build_ergces(20)
+    mat = kl.materialize(op)
+    eye = np.eye(mat.shape[0])
+    r = 1.0 + 2.0 ** -12
+    _, angles = _angle_grid(op, 64)
+    worst = 0.0
+    for mu in angles:
+        system, resolvent = _leaf_inverse(mat, eye, r * mu)
+        value = (r - 1.0) * kl.resolvent_norm(op, r * mu)
+        assert not _plain_beaten(system, resolvent, r, value)
+        worst = max(worst, mat.shape[0] * _EPS * _frobenius(system) * _frobenius(resolvent))
+    assert 1e-12 < worst < 1e-9  # the inversion term matters, yet prunes like a 1e-9 slack
+
+
+@pytest.mark.parametrize("op", [NONNORMAL, contractive_dense(16, 3), kl.build_tz_block(8),
+                                kl.build_ergces(12)],
+                         ids=["nonnormal", "dense-16", "tzblock-8", "ergces-12"])
+def test_chain_cut_covers_every_later_term(op):
+    # Where q = (r-1) ||R||_F <= 1, the cut argues (r-1)^k ||R^k|| <= bound_j
+    # for every k > j; in rounding, the computed terms stay within
+    # _chain_reach of either cascade bound of power j, at k_max = 16.
+    mat = kl.materialize(op)
+    d = mat.shape[0]
+    k_max = 16
+    reach = _chain_reach(k_max, d)
+    pairs = 0
+    _, angles = _angle_grid(op, 16)
+    for r in default_radii():
+        log_gap = math.log(r - 1.0)
+        for mu in angles:
+            _, resolvent = _leaf_inverse(mat, np.eye(d), r * mu)
+            if (r - 1.0) * _frobenius(resolvent) > 1.0:
+                continue
+            powers = [resolvent]
+            for _ in range(k_max - 1):
+                powers.append(powers[-1] @ resolvent)
+            terms = [_strong_term(k, log_gap, _dense_norm(p)) for k, p in enumerate(powers, 1)]
+            for j, power in enumerate(powers, 1):
+                for bound in (_frobenius(power), _schatten4(power)):
+                    bound_j = _strong_term(j, log_gap, bound * (1 + d * d * _EPS)) * reach
+                    assert not any(_beaten(bound_j, term) for term in terms[j:])
+                    pairs += k_max - j
+    assert pairs > 0
+
+
 def test_pruned_sweeps_of_a_tz_block_norm_few_cells(monkeypatch):
     calls = []
+    solves = []
 
     def counting(mat):
         calls.append(mat.shape)
         return _dense_norm(mat)
 
+    def counting_resolvent(op, lam):
+        solves.append(lam)
+        return kl.resolvent_norm(op, lam)
+
     monkeypatch.setattr(kreisslab.cesaro, "_dense_norm", counting)
-    monkeypatch.setattr(kreisslab.kreiss, "_dense_norm", counting)
+    monkeypatch.setattr(kreisslab.kreiss, "resolvent_norm", counting_resolvent)
     op = kl.build_tz_block(16)
     report = kl.kb2_constant(op, 128, 64)
-    strong = kl.strong_kreiss_constant(op, kl.AnnulusGrid.default(64), 16)
-    assert len(calls) <= 2000  # of 28,800 cells: 16,512 means and 12,288 resolvent powers
+    fused = kl.kreiss_constant(op, kl.AnnulusGrid.default(64), 16)
+    assert len(calls) <= 560  # 531 of 28,800 cells: 16,512 means and 12,288 resolvent powers
+    assert len(solves) <= 80  # 73 sigma_min SVDs of 768 grid points
     # the exhaustive sweep's values
-    got = (report.ukb_C, report.kb2_C, report.kb2_sum_C, strong.strong_C)
-    want = (9.612697312887626, 7.618976457286319, 4.009987609098062, 9.693293899356368)
+    got = (report.ukb_C, report.kb2_C, report.kb2_sum_C, fused.strong_C, fused.kreiss_C)
+    want = (9.612697312887626, 7.618976457286319, 4.009987609098062, 9.693293899356368,
+            6.032400028538849)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -359,6 +524,30 @@ def test_claims_validation():
         kl.hilbert_claim3(kl.orbit_norms(zero_op(), unit(4), 7), 1.0, 8)  # needs ||T^8 x||
     with pytest.raises(kl.ValidationError, match="orbit norms"):
         kl.hilbert_claim1(kl.orbit_norms(zero_op(), unit(4), 2), 1.0, 4)  # needs ||T^3 x||
+
+
+def test_orbit_norms_stop_at_an_exactly_zero_vector(monkeypatch):
+    # A backward shift of dimension 8 is nilpotent: T^8 x = 0, so the
+    # orbit is applied 8 times, not 20, and its tail equals stepping on.
+    op = kl.build_bermbmp_shift(0.3, "backward", 8)
+    x = unit(8, 3)
+    stepped = [float(np.linalg.norm(x))]
+    v = x
+    for _ in range(20):
+        v = kl.apply(op, v)
+        stepped.append(float(np.linalg.norm(v)))
+    calls = []
+    original = kl.kreiss.apply
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(kl.kreiss, "apply", counting)
+    norms = kl.orbit_norms(op, x, 20)
+    assert len(calls) == 8
+    assert norms.tolist() == stepped
+    assert norms[8] == 0.0 < norms[7]
 
 
 def test_run_hilbert_claims_computes_one_orbit_per_probe(monkeypatch):
