@@ -288,25 +288,31 @@ def cesaro_mean(op: OperatorSpec, n: int) -> Dense:
     return Dense(total / (n + 1))
 
 
-def cesaro_identity_check(op: OperatorSpec, n: int) -> float:
-    """Largest residual of the two power/mean recurrences at index n.
+def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:
+    """Largest residual of the two power/mean recurrences at each n = 1..n_max.
 
     Checks T^n = (n+1) M_n - n M_{n-1} and
-    (n+2)/(n+1) M_{n+1} - M_n = T^{n+1}/(n+1), both in operator norm.
+    (n+2)/(n+1) M_{n+1} - M_n = T^{n+1}/(n+1), both in operator norm;
+    entry n-1 of the result is the residual at index n.  One power
+    stream up to n_max + 1 serves every n, holding the last three means
+    and the last two powers.
     """
-    if n < 1:
-        raise ValidationError("identity check needs n >= 1")
+    if n_max < 1:
+        raise ValidationError("identity check needs n_max >= 1")
     mat = materialize(op)
     eye = np.eye(mat.shape[0], dtype=complex)
-    means = {0: eye}
-    powers = {}
-    for j, power, total, _ in _power_sums(lambda p: p @ mat, eye, n + 1):
-        if j >= n - 1:
-            means[j] = total / (j + 1)
-            powers[j] = power
-    first = _dense_norm(powers[n] - ((n + 1) * means[n] - n * means[n - 1]))
-    second = _dense_norm((n + 2) / (n + 1) * means[n + 1] - means[n] - powers[n + 1] / (n + 1))
-    return max(first, second)
+    out = np.empty(n_max)
+    mean_before = None  # at stream index j: M_{j-2}, M_{j-1} and T^{j-1}
+    mean, power = eye, eye
+    for j, next_power, total, _ in _power_sums(lambda p: p @ mat, eye, n_max + 1):
+        next_mean = total / (j + 1)
+        if j >= 2:
+            n = j - 1
+            first = _dense_norm(power - ((n + 1) * mean - n * mean_before))
+            second = _dense_norm((n + 2) / (n + 1) * next_mean - mean - next_power / (n + 1))
+            out[n - 1] = max(first, second)
+        mean_before, mean, power = mean, next_mean, next_power
+    return out
 
 
 def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:

@@ -601,11 +601,13 @@ def run_hilbert_claims(
     n_probes: int = 64,
     n_top: int = 64,
     seed: int = SEED,
+    params=None,
 ) -> list:
     """All four orbit claims over seeded unit probes and dyadic ladders.
 
     Each probe's orbit is computed once, up to n_top, and every claim
-    instance reads its norms from that one array.
+    instance reads its norms from that one array.  ``params`` are merged
+    into every record's params beside the probe's ``x_seed``.
     """
     d = dimension(op)
     ladder = dyadic_ladder(n_top)
@@ -615,7 +617,7 @@ def run_hilbert_claims(
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         x /= np.linalg.norm(x)
         norms = orbit_norms(op, x, n_top)
-        tag = {"x_seed": i}
+        tag = {"x_seed": i, **(params or {})}
         for N in ladder:
             results.append(hilbert_claim1(norms, C, N, tag))
             results.append(hilbert_claim3(norms, C, N, tag))

@@ -5,18 +5,22 @@ that decides a pass or fail status: it stores the compared value, the
 comparison, the bound, the slack and the margin beside the verdict.
 
 Identical run configuration and seed must produce byte-identical files,
-so every serialization path here is explicit: object keys are sorted,
-floats are printed with 17 significant digits, CSV rows end in CRLF,
-and nothing records wall-clock time.
+so both writers are the standard library's with fixed settings: object
+keys are sorted, output is ASCII, CSV rows end in CRLF, and nothing
+records wall-clock time.  Floats must be finite and are printed as
+Python's shortest round-trip repr, so every value parses back to the
+same double and an integral float stays a float (1.0, not 1).
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +40,11 @@ class RunConfig:
     angles: int | None = None
     radii: tuple | None = None
     seed: int = 0x5EED
-    tolerances: dict = field(default_factory=dict)
     out: str = "."
     format: str = "json"
+
+    def __post_init__(self):
+        _check_keys(f"{self.command} config", self.params)
 
     def to_dict(self) -> dict:
         return {
@@ -50,7 +56,6 @@ class RunConfig:
             "angles": self.angles,
             "radii": list(self.radii) if self.radii is not None else None,
             "seed": self.seed,
-            "tolerances": dict(self.tolerances),
             "out": self.out,
             "format": self.format,
         }
@@ -67,10 +72,15 @@ class RunConfig:
             angles=data.get("angles"),
             radii=tuple(radii) if radii is not None else None,
             seed=data.get("seed", 0x5EED),
-            tolerances=dict(data.get("tolerances", {})),
             out=data.get("out", "."),
             format=data.get("format", "json"),
         )
+
+
+def _check_keys(owner: str, params: dict) -> None:
+    """Free-form params become report object keys, which must be strings."""
+    if not all(isinstance(key, str) for key in params):
+        raise ValidationError(f"{owner}: params keys must be strings")
 
 
 #: Comparison operators a verdict may be gated by.
@@ -105,6 +115,7 @@ class CheckRecord:
             raise ValidationError(f"{self.check_id}: a {self.status} verdict needs its gate")
         if self.op is not None and self.op not in OPS:
             raise ValidationError(f"{self.check_id}: unknown comparison {self.op!r}")
+        _check_keys(self.check_id, self.params)
         if not _FIELDS.isdisjoint(self.params):
             clash = sorted(_FIELDS.intersection(self.params))
             raise ValidationError(f"{self.check_id}: params repeat fields {clash}")
@@ -149,81 +160,60 @@ def gate(check_id, value, op, bound, slack=0.0, params=None, detail="") -> Check
                        dict(params or {}), detail)
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValidationError("reports may not contain non-finite floats")
-    return format(float(x), ".17g")
+#: Both writers print a float as its shortest round-trip repr and refuse
+#: a non-finite one.
+_NON_FINITE = "reports may not contain non-finite floats"
 
 
-def _json_fragment(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _json_fragment([obj.real, obj.imag], out)
-    elif isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif isinstance(obj, np.ndarray):
-        _json_fragment(obj.tolist(), out)
-    elif isinstance(obj, dict):
-        start = len(out)
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            if not isinstance(key, str):
-                raise ValidationError("report object keys must be strings")
-            out.append(_json_string(key))
-            out.append(":")
-            _json_fragment(obj[key], out)
-        out.append("}")
-        # One string per object keeps the fragment list of a large report short.
-        out[start:] = ["".join(out[start:])]
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _json_fragment(item, out)
-        out.append("]")
-    else:
-        raise ValidationError(f"cannot serialize {type(obj)!r} into a report")
+def _json_default(obj):
+    # json writes float (and its subclass np.float64) itself.
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise ValidationError(f"cannot serialize {type(obj)!r} into a report")
 
 
 def to_json_bytes(obj) -> bytes:
-    """Canonical JSON: sorted keys, 17-significant-digit floats, ASCII."""
-    out: list = []
-    _json_fragment(obj, out)
-    out.append("\n")
-    return "".join(out).encode("ascii")
+    """Canonical JSON: sorted keys, shortest round-trip floats, ASCII."""
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=_json_default)
+    except ValidationError:
+        raise
+    except ValueError as exc:  # allow_nan=False met a non-finite float
+        raise ValidationError(_NON_FINITE) from exc
+    return (text + "\n").encode("ascii")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
+def _csv_cell(value):
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    text = str(value)
-    if any(ch in text for ch in (",", '"', "\n", "\r")):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+        value = float(value)  # csv writes a float as its repr
+        if not math.isfinite(value):
+            raise ValidationError(_NON_FINITE)
+    return value
 
 
 def write_csv(path, header, rows) -> Path:
-    """RFC-4180 table: mandatory header row, CRLF line endings."""
+    """RFC-4180 table: mandatory header row, CRLF line endings.
+
+    The whole table is encoded before the file is opened, so a table
+    that fails to encode writes nothing.
+    """
     path = Path(path)
-    lines = [",".join(_csv_cell(h) for h in header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(map(_csv_cell, header))
+    writer.writerows(map(_csv_cell, row) for row in rows)
+    path.write_bytes(buffer.getvalue().encode("ascii"))
     return path
 
 

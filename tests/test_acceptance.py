@@ -82,8 +82,7 @@ def test_criterion_05_mean_identities_and_decay():
     worst = 0.0
     for name, params in CANONICAL_CATALOG:
         op = kl.make_operator(name, **params).spec
-        for n in range(1, 65):
-            worst = max(worst, kl.cesaro_identity_check(op, n))
+        worst = max(worst, kl.cesaro_identity_check(op, 64).max())
     decay_ok = True
     for op in (kl.build_TN(32, 0.45), kl.build_ergces(20)):
         diffs = kl.mean_difference_decay(op, (64, 512))

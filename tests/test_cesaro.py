@@ -209,15 +209,15 @@ def test_profile_validation():
 
 
 def test_identity_check_identity_operator():
-    assert kl.cesaro_identity_check(kl.Dense(np.eye(4)), 5) <= 1e-15
+    assert kl.cesaro_identity_check(kl.Dense(np.eye(4)), 5).max() <= 1e-15
 
 
 def test_identity_check_tn():
-    assert kl.cesaro_identity_check(kl.build_TN(8, 0.3), 17) <= 1e-10
+    assert kl.cesaro_identity_check(kl.build_TN(8, 0.3), 17).max() <= 1e-10
 
 
 def test_identity_check_random_dense():
-    assert kl.cesaro_identity_check(random_dense(8, 9), 5) <= 1e-11
+    assert kl.cesaro_identity_check(random_dense(8, 9), 5).max() <= 1e-11
 
 
 def test_identity_check_catalog_sample():
@@ -229,8 +229,16 @@ def test_identity_check_catalog_sample():
         kl.build_tz_block(16),
     )
     for op in ops:
-        for n in (1, 2, 13, 64):
-            assert kl.cesaro_identity_check(op, n) <= 1e-10
+        residuals = kl.cesaro_identity_check(op, 64)
+        assert residuals.shape == (64,)
+        assert residuals.max() <= 1e-10
+
+
+def test_identity_check_residual_at_n_does_not_depend_on_n_max():
+    op = random_dense(6, 4)
+    full = kl.cesaro_identity_check(op, 13)
+    for n_max in (1, 2, 7):
+        assert np.array_equal(kl.cesaro_identity_check(op, n_max), full[:n_max])
 
 
 def test_identity_check_needs_positive_index():

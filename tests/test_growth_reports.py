@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import kreisslab as kl
 from kreisslab.reports import summarize, to_json_bytes, write_csv
@@ -46,9 +49,43 @@ def test_growth_fit_window_validation():
 # --- serialization ---
 
 
-def test_float_formatting_17_digits():
-    assert to_json_bytes(0.1) == b"0.10000000000000001\n"
-    assert to_json_bytes(1.0) == b"1\n"
+def test_float_formatting_shortest_repr():
+    assert to_json_bytes(0.1) == b"0.1\n"
+    assert to_json_bytes(1.0) == b"1.0\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(FINITE)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072009e-308)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_finite_floats_round_trip_through_json_and_csv(tmp_path_factory, x):
+    for value in (x, np.float64(x)):
+        parsed = json.loads(to_json_bytes({"v": value, "a": np.array([x])}))
+        assert parsed["v"].hex() == x.hex() and parsed["a"][0].hex() == x.hex()
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ("v",), [(x,), (np.float64(x),)])
+    with open(path, newline="") as f:
+        header, *cells = list(csv.reader(f))
+    assert header == ["v"]
+    assert [float(row[0]).hex() for row in cells] == [x.hex(), x.hex()]
+
+
+def test_integral_floats_stay_floats_and_ints_stay_ints(tmp_path):
+    parsed = json.loads(to_json_bytes([1.0, 1, np.float64(2.0), np.int64(2), -0.0]))
+    assert [type(v) for v in parsed] == [float, int, float, int, float]
+    path = write_csv(tmp_path / "t.csv", ("f", "i"), [(1.0, 1), (np.float64(2.0), np.int64(2))])
+    assert path.read_bytes() == b"f,i\r\n1.0,1\r\n2.0,2\r\n"
+
+
+def test_float32_is_written_as_the_double_it_holds(tmp_path):
+    x = np.float32(0.1)
+    assert json.loads(to_json_bytes(x)) == float(x) != 0.1
+    path = write_csv(tmp_path / "t.csv", ("v",), [(x,)])
+    assert path.read_bytes() == f"v\r\n{float(x)!r}\r\n".encode()
 
 
 def test_json_sorted_keys_and_types():
@@ -64,6 +101,32 @@ def test_json_rejects_non_finite():
         to_json_bytes(float("nan"))
 
 
+@pytest.mark.parametrize("payload", [
+    np.array([0.5, np.nan]),
+    complex(np.inf, 0.0),
+    [np.complex128(0.0, np.nan)],
+    {"x": np.float32("inf")},
+])
+def test_non_finite_inside_arrays_and_complex_is_rejected(payload):
+    with pytest.raises(kl.ValidationError, match="non-finite"):
+        to_json_bytes(payload)
+
+
+def test_unsupported_object_is_not_relabelled_as_non_finite():
+    with pytest.raises(kl.ValidationError, match="cannot serialize") as info:
+        to_json_bytes({"a": [1.0, object()]})
+    assert "non-finite" not in str(info.value)
+
+
+def test_non_string_params_keys_are_rejected():
+    with pytest.raises(kl.ValidationError):
+        kl.CheckRecord("c", "info", params={1: 0.5})
+    with pytest.raises(kl.ValidationError):
+        kl.gate("c", 0.1, "<=", 0.2, params={("n",): 1})
+    with pytest.raises(kl.ValidationError):
+        kl.RunConfig(command="powers", params={2: "x"})
+
+
 def test_json_numpy_scalars_and_arrays():
     out = json.loads(to_json_bytes({"v": np.arange(3), "s": np.float64(0.5)}))
     assert out == {"v": [0, 1, 2], "s": 0.5}
@@ -73,6 +136,23 @@ def test_csv_rfc4180(tmp_path):
     path = write_csv(tmp_path / "t.csv", ("a", "b"), [(1, 'x,"y"'), (0.5, None)])
     raw = path.read_bytes()
     assert raw == b'a,b\r\n1,"x,""y"""\r\n0.5,\r\n'
+
+
+def test_csv_lone_empty_cell_is_quoted(tmp_path):
+    # A row of one empty field would read as a blank line, so csv quotes it.
+    path = write_csv(tmp_path / "t.csv", ("a",), [(None,), ("",), (True,)])
+    assert path.read_bytes() == b'a\r\n""\r\n""\r\ntrue\r\n'
+
+
+@pytest.mark.parametrize("row, error", [
+    (("caf\u00e9",), UnicodeEncodeError),
+    ((float("inf"),), kl.ValidationError),
+])
+def test_csv_that_fails_writes_nothing(tmp_path, row, error):
+    path = tmp_path / "t.csv"
+    with pytest.raises(error):
+        write_csv(path, ("a",), [(1,), row])
+    assert not path.exists()
 
 
 def test_empty_tables_are_valid_files(tmp_path):
@@ -100,7 +180,7 @@ def test_run_config_roundtrip():
     config = kl.RunConfig(
         command="kreiss", operator="tn", params={"n": 16, "eta": 0.45},
         n_max=128, k_max=16, angles=64, radii=(1.5, 1.25), seed=3,
-        tolerances={"rel": 1e-9}, out="runs", format="csv",
+        out="runs", format="csv",
     )
     blob = to_json_bytes(config.to_dict())
     assert kl.RunConfig.from_dict(json.loads(blob)) == config
