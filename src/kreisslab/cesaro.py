@@ -69,7 +69,9 @@ class ErgodicProbe:
 #: Final Cauchy gap below which a probe reads as consistent with mean ergodicity.
 PROBE_TOLERANCE = 1e-3
 
-#: Relative slack on a cell's bound before it may prune the cell.
+#: Relative slack on a cell's bound before it may prune the cell.  It
+#: covers the error of the Gram eigensolve's value, about d eps sigma_1:
+#: 9.1e-13 sigma_1 at DENSE_CAP.
 _PRUNE_SLACK = 1e-12
 
 _EPS = float(np.finfo(float).eps)
@@ -107,7 +109,7 @@ def _power_sums(step, start, n_max: int):
 
 
 def _frobenius(mat: np.ndarray) -> float:
-    """||mat||_F, an upper bound for the spectral norm at a fraction of an SVD.
+    """||mat||_F, an upper bound for the spectral norm at a fraction of its cost.
 
     Below 1e-300 the squares may have underflowed and the sum bounds
     nothing, so such a matrix gets no bound (inf).
@@ -119,10 +121,10 @@ def _frobenius(mat: np.ndarray) -> float:
 def _schatten4(mat: np.ndarray) -> float:
     """||mat* mat||_F^(1/2), the Schatten-4 norm: between sigma_1 and ||mat||_F.
 
-    It costs one Gram product, a fraction of an SVD at the sweeps'
-    sizes, and is tight where the Frobenius norm is not: a matrix with
-    sigma_2 = t sigma_1 has Frobenius bound sqrt(1 + t^2) sigma_1 but
-    Schatten-4 bound (1 + t^4)^(1/4) sigma_1.  A Gram matrix whose
+    It costs one Gram product, a fraction of the Gram eigensolve that
+    norms a cell at the sweeps' sizes, and is tight where the Frobenius
+    norm is not: a matrix with sigma_2 = t sigma_1 has Frobenius bound
+    sqrt(1 + t^2) sigma_1 but Schatten-4 bound (1 + t^4)^(1/4) sigma_1.  A Gram matrix whose
     squares may have underflowed gives no bound (inf), as in _frobenius.
     """
     gram = mat.T @ mat if np.isrealobj(mat) else mat.conj().T @ mat
@@ -132,10 +134,10 @@ def _schatten4(mat: np.ndarray) -> float:
 def _beaten(bound: float, best: float) -> bool:
     """True when a cell whose value is at most bound cannot exceed best.
 
-    The relative slack covers the rounding of the SVD and of scaling
-    the bound like the value, so an SVD of a nearly rank-one matrix may
-    come out above its computed Frobenius norm and still be counted.  A
-    NaN bound is never beaten.
+    The relative slack covers the rounding of the Gram eigensolve's
+    value and of scaling the bound like the value, so the value of a
+    nearly rank-one matrix may come out above its computed Frobenius
+    norm and still be counted.  A NaN bound is never beaten.
     """
     return bound * (1.0 + _PRUNE_SLACK) < best
 
@@ -149,7 +151,7 @@ def _bounds_beaten(mat: np.ndarray, beaten) -> bool:
     and of the d-term inner products of the Gram matrix, whose Frobenius
     norm is at least ||mat||_F^2 / sqrt(d); beaten adds _PRUNE_SLACK
     through _beaten.  So a bound is beaten only when the exact norm, and
-    the SVD's value of it, cannot win.
+    the Gram eigensolve's value of it (_dense_norm), cannot win.
     """
     rounding = 1.0 + max(mat.shape) ** 2 * _EPS
     return beaten(_frobenius(mat) * rounding) or beaten(_schatten4(mat) * rounding)
@@ -219,7 +221,8 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     _dense_norm and the same expression as the exhaustive tables, so
     the sups equal the maxima of those tables bit for bit; pruning can
     skip a cell, never change a value.  Cells are streamed, never
-    stored.  A NaN cell makes its sup NaN, as in the tables.
+    stored.  A cell with a non-finite entry has no finite bound, so it is
+    normed, and _dense_norm raises ConvergenceError, as in the tables.
     """
     best1 = 0.0
     best2 = best2_sum = 0.0 if want_order2 else None

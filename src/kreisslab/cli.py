@@ -6,9 +6,10 @@ and --format csv adds the run's CSV tables next to it (reproduce always
 writes both): the same flags and seed always produce byte-identical
 files.  The exit status is 1 when any definite check failed, 2 when the
 input is invalid, and 3 when a numerical kernel failed: the power
-iteration of a structured operator above SVD_CAP stalled, a resolvent
-was singular, or a dense size cap was exceeded.  Explicit matrices are
-normed by a dense factorization (operators._matrix_norm) and never stall.
+iteration of a structured operator above SVD_CAP stalled, a matrix to
+be normed had a non-finite entry, a resolvent was singular, or a dense
+size cap was exceeded.  Explicit matrices are normed by a Gram
+eigensolve (operators._matrix_norm) and never stall.
 
 KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
 """

@@ -18,12 +18,14 @@ class SingularError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """A power iteration stalled before reaching the requested residual.
+    """A norm estimate failed: an iteration stalled or a matrix had no norm.
 
     Only structured operators are iterated: the norm of a shift, direct
     sum or rotation above SVD_CAP, and the resolvent norm of a shift
-    block above it.  Carries the best estimate seen, the residual it
-    achieved and the iterations spent.
+    block above it.  A stalled iteration carries the best estimate seen,
+    the residual it achieved and the iterations spent.  An explicit
+    matrix with a non-finite entry, or whose Gram eigensolve fails,
+    raises it with none of them.
     """
 
     def __init__(self, message, best=None, residual=None, iterations=None):

@@ -396,18 +396,28 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
     )
 
 
+def _vector_norms(v: np.ndarray):
+    """||v||, or for a block the norm of each column, each normed as a contiguous vector."""
+    if v.ndim == 1:
+        return float(np.linalg.norm(v))
+    return [float(np.linalg.norm(column)) for column in v.T.copy()]
+
+
 def orbit_norms(op: OperatorSpec, x: np.ndarray, kmax: int) -> np.ndarray:
     """||T^j x|| for j = 0..kmax, by repeated application.
 
-    Once T^j x is exactly zero every later vector is too, so op is not
-    applied again and the remaining norms stay 0.0.
+    x is one vector, or a (d, probes) block whose columns step together,
+    one apply per j; row p of the result is then column p's orbit, equal
+    bit for bit to orbit_norms of that column alone when op has no dense
+    block.  Once T^j x is exactly zero every later vector is too, so op
+    is not applied again and the remaining norms stay 0.0.
     """
-    out = np.zeros(kmax + 1)
     v = np.asarray(x, dtype=complex)
-    out[0] = float(np.linalg.norm(v))
+    out = np.zeros(v.shape[1:] + (kmax + 1,))
+    out[..., 0] = _vector_norms(v)
     for j in range(1, kmax + 1):
         v = apply(op, v)
-        out[j] = float(np.linalg.norm(v))
+        out[..., j] = _vector_norms(v)
         if not v.any():
             break
     return out
@@ -605,18 +615,22 @@ def run_hilbert_claims(
 ) -> list:
     """All four orbit claims over seeded unit probes and dyadic ladders.
 
-    Each probe's orbit is computed once, up to n_top, and every claim
-    instance reads its norms from that one array.  ``params`` are merged
-    into every record's params beside the probe's ``x_seed``.
+    The probes step together as the columns of one block, up to n_top
+    (orbit_norms), and every claim instance on a probe reads its norms
+    from that probe's row.  ``params`` are merged into every record's
+    params beside the probe's ``x_seed``.
     """
     d = dimension(op)
     ladder = dyadic_ladder(n_top)
-    results = []
+    probes = []
     for i in range(n_probes):
         rng = np.random.default_rng([seed, i])
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        x /= np.linalg.norm(x)
-        norms = orbit_norms(op, x, n_top)
+        probes.append(x / np.linalg.norm(x))
+    # The reshape keeps a block of no probes (d, 0).
+    orbits = orbit_norms(op, np.array(probes, dtype=complex).reshape(len(probes), d).T, n_top)
+    results = []
+    for i, norms in enumerate(orbits):
         tag = {"x_seed": i, **(params or {})}
         for N in ladder:
             results.append(hilbert_claim1(norms, C, N, tag))

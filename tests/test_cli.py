@@ -234,6 +234,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: power iteration stalled")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_matrix_norm_exit_code(tmp_path, capsys):
+    # At lam = -r, r - 1 = 2^-12, the strong sweep's resolvent powers of
+    # ergces 20 overflow by R^85: the norm policy raises ConvergenceError,
+    # a clean error line and exit 3, not a traceback.
+    code = main(["kreiss", "--operator", "ergces", "--trunc", "20",
+                 "--radii", "1.000244140625", "--angles", "2", "--k-max", "100",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: matrix has non-finite entries") and "Traceback" not in err
+
+
 def test_tz_block_above_the_svd_cap_is_normed(tmp_path):
     # d = 1024 > SVD_CAP, with top singular values too clustered for a power
     # iteration to separate: the Gram eigensolve norms it.

@@ -369,7 +369,7 @@ def test_frobenius_bound_with_its_slack_covers_the_svd():
             for mat in (general, u @ v):  # sigma_1 equals the Frobenius norm for u v^H
                 assert not _beaten(_frobenius(mat), _dense_norm(mat))
             above += _dense_norm(u @ v) > _frobenius(u @ v)
-    assert above > 0  # some rank-one SVDs round above their Frobenius norm: the slack is used
+    assert above > 0  # some rank-one norms round above their Frobenius norm: the slack is used
     # squares that may have underflowed bound nothing
     assert _frobenius(np.zeros((3, 3))) == _frobenius(np.full((3, 3), 1e-160)) == math.inf
 
@@ -391,7 +391,7 @@ def test_schatten4_bound_with_its_slack_covers_the_svd():
                 assert _dense_norm(mat) <= _schatten4(mat) * (1 + d * d * _EPS) * (1 + 1e-12)
                 assert not _bounds_beaten(mat, lambda bound: _beaten(bound, norm))
                 below += norm > _schatten4(mat)
-    assert below > 0  # some SVDs round above the bare Schatten-4 norm: the slack is used
+    assert below > 0  # some dense norms round above the bare Schatten-4 norm: the slack is used
     assert _schatten4(np.zeros((3, 3))) == _schatten4(np.full((3, 3), 1e-80)) == math.inf
 
 
@@ -550,19 +550,32 @@ def test_orbit_norms_stop_at_an_exactly_zero_vector(monkeypatch):
     assert norms[8] == 0.0 < norms[7]
 
 
-def test_run_hilbert_claims_computes_one_orbit_per_probe(monkeypatch):
+def test_orbit_norms_of_a_block_are_its_columns_orbits():
+    # Probes stepped as one block keep each probe's own norms bit for bit.
+    for op in (kl.build_TN(8, 0.45), kl.build_bermbmp_shift(0.3, "backward", 12),
+               kl.RotatedScale(np.exp(0.3j), kl.build_bermbmp_shift(0.45, "forward", 12))):
+        d = kl.dimension(op)
+        probes = [unit(d, seed) for seed in range(5)]
+        norms = kl.orbit_norms(op, np.array(probes).T, 20)
+        assert norms.shape == (5, 21)
+        for row, x in zip(norms, probes):
+            assert row.tolist() == kl.orbit_norms(op, x, 20).tolist()
+    assert kl.orbit_norms(kl.build_TN(8, 0.45), np.zeros((16, 0)), 4).shape == (0, 5)
+
+
+def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
     op = kl.build_bermbmp_shift(0.45, "forward", 16)
     C = kl.kb2_constant(op, 32).kb2_sum_C
     calls = []
     original = kl.kreiss.orbit_norms
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append((np.shape(args[1]), args[2]))
         return original(*args)
 
     monkeypatch.setattr(kl.kreiss, "orbit_norms", counting)
     results = kl.run_hilbert_claims(op, C, n_probes=3, n_top=16, seed=5)
-    assert calls == [16, 16, 16]
+    assert calls == [((kl.dimension(op), 3), 16)]
     # The same records as each instance computing its own orbit up to its N.
     expected = []
     for i in range(3):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kreisslab as kl
-from kreisslab.cesaro import _dense_norm, _rotated_mean_norms
+from kreisslab.cesaro import _dense_norm, _rotated_mean_norms, rotated_mean_tables
 from kreisslab.kreiss import certify_spectral_radius, resolvent_norm
 from kreisslab.operators import _matrix_norm
 
@@ -64,6 +64,27 @@ def test_apply_tn_first_basis_vector():
 def test_apply_dimension_mismatch():
     with pytest.raises(kl.DimensionError):
         kl.apply(kl.build_TN(2, 0.25), np.ones(3))
+
+
+def test_apply_takes_a_block_of_columns():
+    # A (d, k) block is applied as its k columns; a shift scales each
+    # column exactly as it scales a lone vector.
+    rng = np.random.default_rng(18)
+    for op in catalog_zoo():
+        d = kl.dimension(op)
+        block = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        got = kl.apply(op, block)
+        want = np.column_stack([kl.apply(op, column) for column in block.T])
+        if kl.is_shift_like(op):
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    op = kl.build_TN(2, 0.25)
+    for bad in (np.ones((3, 2)), np.ones((4, 2, 2))):
+        with pytest.raises(kl.DimensionError):
+            kl.apply(op, bad)
+    with pytest.raises(kl.DimensionError):
+        kl.resolvent_apply(op, 2.0, np.ones((4, 2)))  # vectors only
 
 
 def test_apply_direct_sum_blockwise():
@@ -203,10 +224,10 @@ def test_explicit_matrices_are_never_iterated(monkeypatch):
     op = random_dense(8, 11)
     est = kl.spectral_norm(op)
     sigma = np.linalg.svd(op.matrix, compute_uv=False)[0]
-    assert (est.method, est.residual, est.iterations) == ("dense-svd", 0.0, 0)
+    assert (est.method, est.residual, est.iterations) == ("dense-gram", 0.0, 0)
     assert abs(est.value - sigma) <= 1e-12 * sigma
     series = kl.power_norms(kl.build_ergces(20), 4)
-    assert series.methods == ("dense-svd",) * 4
+    assert series.methods == ("dense-gram",) * 4
     mat = np.random.default_rng(12).standard_normal((16, 16))
     sigma = np.linalg.svd(mat, compute_uv=False)[0]
     assert abs(_dense_norm(mat) - sigma) <= 1e-12 * sigma
@@ -264,6 +285,81 @@ def test_matrix_norm_above_the_svd_cap_is_the_gram_eigensolve():
     zero = _matrix_norm(np.zeros((d, d)))
     assert zero.value == 0.0 and not np.signbit(zero.value)
     assert zero.method == "dense-gram"
+
+
+def test_matrix_norm_is_the_gram_eigensolve_at_every_size():
+    # One route for every explicit matrix: within 4 d eps sigma_1 of the SVD.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(15)
+
+    def check(mat):
+        d = mat.shape[0]
+        est = _matrix_norm(mat)
+        sigma = np.linalg.svd(mat, compute_uv=False)[0]
+        assert (est.method, est.residual, est.iterations) == ("dense-gram", 0.0, 0)
+        assert abs(est.value - sigma) <= 4 * d * eps * sigma
+
+    for d in (1, 2, 8, 32, 128, 512, 600):
+        for dtype in (float, complex):
+            def draw():
+                mat = rng.standard_normal((d, d))
+                return mat + 1j * rng.standard_normal((d, d)) if dtype is complex else mat
+
+            mat = draw()
+            check(mat)
+            check(np.outer(mat[:, 0], mat[0].conj()))  # rank one
+            if d >= 8:
+                (u, _), (v, _) = np.linalg.qr(draw()), np.linalg.qr(draw())
+                top = np.concatenate(([2.0, 2.0 - 1e-13, 2.0 - 1e-12],
+                                      np.linspace(1.9, 0.0, d - 3)))
+                check((u * top) @ v.conj().T)
+            est = _matrix_norm(np.zeros((d, d), dtype=dtype))
+            assert est.value == 0.0 and not np.signbit(est.value)
+            assert est.method == "dense-gram"
+
+
+def test_matrix_norm_rescales_a_gram_matrix_out_of_range():
+    # Near 1e160 the Gram matrix overflows, near 1e-160 its squares are
+    # subnormal, near 1e-170 they vanish: each such matrix is scaled by a
+    # power of two before its Gram matrix is formed.
+    d = 600
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(16)
+    real = rng.standard_normal((d, d))
+    for mat in (real, real + 1j * rng.standard_normal((d, d))):
+        for scale in (1e160, 1e-160, 1e-170):
+            sigma = np.linalg.svd(scale * mat, compute_uv=False)[0]
+            est = _matrix_norm(scale * mat)
+            assert est.method == "dense-gram"
+            assert abs(est.value - sigma) <= 4 * d * eps * sigma
+    assert _matrix_norm(np.full((2, 2), 1e308)).value == np.inf  # above the float range
+    for bad in (np.inf, -np.inf, np.nan):
+        holed = real.copy()
+        holed[3, 5] = bad
+        with pytest.raises(kl.ConvergenceError, match="non-finite"):
+            _matrix_norm(holed)
+
+
+def test_no_norm_of_an_explicit_matrix_takes_the_svd(monkeypatch):
+    # The dense norm of every explicit matrix is the Gram eigensolve: the
+    # SVD is left to sigma_min, and none runs for a spectral norm.
+    op = random_dense(12, 17)
+    mat = op.matrix
+    lams = np.exp(2j * np.pi * np.arange(4) / 4)
+    sigma = np.linalg.svd(mat, compute_uv=False)[0]
+    powers = [np.linalg.svd(np.linalg.matrix_power(mat, k), compute_uv=False)[0]
+              for k in range(1, 6)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd ran")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert abs(kl.spectral_norm(op).value - sigma) <= 1e-13 * sigma
+    assert kl.spectral_norm(kl.build_TN(8, 0.45)).method == "power-iteration"  # cross-checked
+    np.testing.assert_allclose(kl.power_norms(op, 5).values, powers, rtol=1e-13)
+    norm1, norm2 = _rotated_mean_norms(op, 6, lams, True)
+    sup1, sup2, _ = rotated_mean_tables(op, 6, lams, True)
+    assert (sup1, sup2) == (norm1.max(), norm2.max())
 
 
 def test_gram_eigensolve_drops_the_zero_rows_and_columns(monkeypatch):
@@ -506,7 +602,7 @@ def test_block_kernels_match_the_block_diagonal_oracle():
     # each k is tagged by the block attaining the max: the shift T_3 at k = 1, 2, 5
     winners = np.argmax(per_block, axis=0)
     assert list(winners) == [0, 0, 1, 1, 0, 1, 1, 1]
-    assert series.methods == tuple("dense-svd" if w == 1 else "closed-form" for w in winners)
+    assert series.methods == tuple("dense-gram" if w == 1 else "closed-form" for w in winners)
 
     lams = np.exp(2j * np.pi * np.arange(4) / 4)
     norm1, norm2 = _rotated_mean_norms(op, 6, lams, True)
