@@ -376,8 +376,8 @@ def ergodic_probe(
         raise ValidationError("at least one probe is required")
     # Long ladders dominate the cost: the probes advance together as the
     # columns of one block, by one product with the compacted matrix per
-    # step when it fits, else column by column through the structured
-    # action.  The block stays real when the matrix and every probe are.
+    # step when it fits, else by one structured apply of the block.  The
+    # block stays real when the matrix and every probe are.
     block = np.column_stack(vecs)
     if d <= DENSE_CAP:
         mat = _compact(materialize(op))
@@ -385,7 +385,7 @@ def ergodic_probe(
             block = block.real.copy()
         step = lambda b: mat @ b
     else:
-        step = lambda b: np.column_stack([apply(op, col) for col in b.T])
+        step = lambda b: apply(op, b)
     # Row p is probe p's mean M_n(T)x_p, contiguous like a lone vector, so
     # each gap is normed exactly as it would be for that probe alone.
     means = {0: block.T.copy()}

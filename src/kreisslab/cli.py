@@ -205,6 +205,15 @@ def _cmd_kreiss(args) -> int:
                 "skipped-grid-point", "skipped",
                 params={"sweep": sweep, "r": r, "angle": cmath.phase(mu)},
                 detail=f"{sweep} sweep: singular point left out of the sup"))
+    # Abel summation gives (r-1) ||R(r mu)|| <= sup_n ||M_n(conj(mu) T)||, and the same
+    # with the second means, so a mean constant below kreiss_C is an under-resolved sweep.
+    for name in ("ukb_C", "kb2_C"):
+        if merged[name] < base.kreiss_C * (1.0 - 1e-9):
+            results.append(CheckRecord(
+                "mean-sweep-below-kreiss", "info", merged[name],
+                params={"constant": name, "kreiss_C": base.kreiss_C},
+                detail=f"{name} is below kreiss_C, which it bounds: the mean sweep is "
+                       "under-resolved in n_max or angles"))
     rows = [(name, merged[name]) for name in
             ("kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C")]
     return _emit(args, _config(args, "kreiss", entry), results,

@@ -13,9 +13,9 @@ so pruning can skip a cell but never change a value.  The plain and
 strong constants come from one pass over the annulus grid that inverts
 each block once per point: the inverse bounds the plain value, which
 resolvent_norm still computes wherever the bound cannot rule it out,
-and its powers are the strong sweep's cells.  The claims read the orbit
-norms norms[j] = ||T^j x|| from orbit_norms, so one orbit serves every
-claim instance on a probe.
+and the powers of (r-1) times it are the strong sweep's cells.  The
+claims read the orbit norms norms[j] = ||T^j x|| from orbit_norms, so
+one orbit serves every claim instance on a probe.
 
 Every checker returns a reports.CheckRecord: a verdict decided by
 reports.gate, which stores the value, the comparison, the bound, the
@@ -212,47 +212,41 @@ def _plain_beaten(system: np.ndarray, resolvent: np.ndarray, r: float, best: flo
     return _bounds_beaten(resolvent, lambda bound: _beaten((r - 1.0) * bound * inversion, best))
 
 
-def _strong_term(k: int, log_gap: float, norm: float) -> float:
-    """(r-1)^k * norm, combined in log space and capped at exp(700)."""
-    return math.exp(min(k * log_gap + math.log(norm), 700.0))
-
-
 def _chain_reach(k_max: int, d: int) -> float:
-    """Factor by which a computed term past power j may exceed power j's term bound when q <= 1.
+    """Factor by which a computed term past power j may exceed power j's bound if ||Q||_F <= 1.
 
-    A computed product P <- P R errs by at most d eps ||P||_F ||R||_F <=
-    d^1.5 eps ||P|| ||R||_F in norm, so ||P R|| grows by at most a factor
-    ||R||_F (1 + d^1.5 eps) a step, from either bound of ||P||, and the
-    computed q = (r-1) ||R||_F is off by at most d^2 eps / 2 relative.
-    Over at most k_max steps that stays below k_max d^2 eps.
+    A computed product P <- P Q errs by at most d eps ||P||_F ||Q||_F <=
+    d^1.5 eps ||P|| ||Q||_F in norm, so ||P Q|| grows by at most a factor
+    ||Q||_F (1 + d^1.5 eps) a step, from either bound of ||P||, and the
+    computed ||Q||_F is off by at most d^2 eps / 2 relative.  Over at
+    most k_max steps that stays below k_max d^2 eps.
     """
     return 1.0 + k_max * d * d * _EPS
 
 
-def _leaf_strong_sup(resolvent: np.ndarray, r: float, k_max: int, best: float) -> float:
-    """max(best, sup over k <= k_max of (r-1)^k ||R^k||) for one block's inverse R.
+def _leaf_strong_sup(scaled: np.ndarray, k_max: int, best: float) -> float:
+    """max(best, sup over k <= k_max of ||Q^k||) for one block's scaled inverse Q = (r-1) R.
 
-    Each power goes through the cascade of _norm_unless_beaten against
-    the running best, with its bound raised by _chain_reach.  The chain
-    stops at the first beaten power j when q = (r-1) ||R||_F <= 1: for
-    every k >= j, (r-1)^k ||R^k|| <= bound_j q^(k-j) <= bound_j, so no
-    later power can win either, and the products that would form them
-    are not computed.
+    ||Q^k|| = (r-1)^k ||R^k|| is the strong term itself, so Q^k can
+    overflow only where a term nears the float range.  Each power goes
+    through the cascade of _norm_unless_beaten against the running best,
+    with its bound raised by _chain_reach.  The chain stops at the first
+    beaten power j when ||Q||_F <= 1: for every k >= j, ||Q^k|| <=
+    bound_j ||Q||_F^(k-j) <= bound_j, so no later power can win either,
+    and the products that would form them are not computed.
     """
-    log_gap = math.log(r - 1.0)
-    reach = _chain_reach(k_max, resolvent.shape[0])
-    may_stop = (r - 1.0) * _frobenius(resolvent) <= 1.0  # q <= 1
-    power = resolvent
+    reach = _chain_reach(k_max, scaled.shape[0])
+    may_stop = _frobenius(scaled) <= 1.0
+    power = scaled
     for k in range(1, k_max + 1):
         if k > 1:
-            power = power @ resolvent
-        norm = _norm_unless_beaten(
-            power, lambda bound: _beaten(_strong_term(k, log_gap, bound) * reach, best))
+            power = power @ scaled
+        norm = _norm_unless_beaten(power, lambda bound: _beaten(bound * reach, best))
         if norm is None:
             if may_stop:
                 break
-        elif norm > 0.0:
-            best = max(best, _strong_term(k, log_gap, norm))
+        else:
+            best = max(best, norm)
     return best
 
 
@@ -264,13 +258,14 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
     point, and that inverse serves both sweeps: the plain value (r-1)
     ||(lam I - T)^-1|| comes from resolvent_norm, unchanged, wherever
     _plain_beaten cannot rule the point out, and the strong sweep reads
-    the inverse's powers (_leaf_strong_sup) when k_max >= 1.  radius is
-    the radius where the plain sup is first reached in grid order (None
-    when no point rises above 0).  Shift-like operators are rotation
-    invariant, so one angle per radius is evaluated and recorded as a
-    shortcut.  A point whose inverse fails is left out of the strong
-    sweep and normed unpruned by the plain one; a point where
-    resolvent_norm raises SingularError is left out of the plain sweep.
+    the powers of the scaled inverse (r-1) R (_leaf_strong_sup) when
+    k_max >= 1.  radius is the radius where the plain sup is first
+    reached in grid order (None when no point rises above 0).
+    Shift-like operators are rotation invariant, so one angle per radius
+    is evaluated and recorded as a shortcut.  A point whose inverse
+    fails is left out of the strong sweep and normed unpruned by the
+    plain one; a point where resolvent_norm raises SingularError is left
+    out of the plain sweep.
     Each sweep lists its points as (r, mu).  A plain-only pass inverts
     only when resolvent_norm takes every block's SVD anyway.
     """
@@ -308,7 +303,7 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
                     strong_skipped.append((float(r), complex(mu)))
                     continue
                 for _, resolvent in inverses:
-                    strong = _leaf_strong_sup(resolvent, r, k_max, strong)
+                    strong = _leaf_strong_sup((r - 1.0) * resolvent, k_max, strong)
     return shortcut, best, radius, tuple(skipped), strong, tuple(strong_skipped)
 
 
@@ -376,11 +371,11 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
 def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16) -> KreissReport:
     """sup over the grid and k <= k_max of (|lam|-1)^k * ||(lam I - T)^-k||.
 
-    Terms are combined in log space so that tiny (|lam|-1)^k factors
-    against large resolvent-power norms neither underflow nor overflow.
-    Singular grid points are skipped and listed in strong_skipped.
-    kreiss_constant(op, grid, k_max) gives the same strong_C from the
-    pass that also sweeps the plain constant.
+    Each term is the norm of a power of the scaled inverse (|lam|-1) R,
+    which stays in range wherever the term does.  Singular grid points
+    are skipped and listed in strong_skipped.  kreiss_constant(op, grid,
+    k_max) gives the same strong_C from the pass that also sweeps the
+    plain constant.
     """
     _require_contractive_spectrum(op)
     if k_max < 1:
@@ -488,8 +483,9 @@ def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> CheckRecord:
     """Windowed double-sum bound against the rotated-mean constant c1.
 
     Checks (n+1)^-1 * sum_j sum_{j<=j'<=j+n} gamma_j delta_j' (j'/j)^eta
-    <= c1 for non-negative unit-norm coefficient vectors; the double sum
-    is evaluated directly, independent of any operator code path.
+    <= c1 for non-negative unit-norm coefficient vectors; each window
+    sum is the difference of two prefix sums of delta_j' j'^eta,
+    independent of any operator code path.
     """
     gamma = np.asarray(gamma, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -501,15 +497,13 @@ def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> CheckRecord:
     d = gamma.size
     if delta.size != d:
         raise ValidationError("coefficient vectors must share a length")
+    if n < 0:
+        raise ValidationError("window length n must be non-negative")
     powers = np.arange(1, d + 1, dtype=float) ** eta
-    total = 0.0
-    for j in range(1, d + 1):
-        hi = min(j + n, d)
-        window = np.arange(j, hi + 1)
-        total += gamma[j - 1] * float(
-            np.sum(delta[window - 1] * powers[window - 1] / powers[j - 1])
-        )
-    lhs = total / (n + 1)
+    prefix = np.concatenate(([0.0], np.cumsum(delta * powers)))
+    j = np.arange(1, d + 1)
+    windows = prefix[np.minimum(j + n, d)] - prefix[j - 1]
+    lhs = float(np.sum(gamma * windows / powers)) / (n + 1)
     info = {"eta": float(eta), "n": int(n), "d": int(d), **(params or {})}
     return gate("TN-C1", lhs, "<=", c1, _REL_SLACK, info)
 

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +110,30 @@ def test_kreiss_flags_a_sup_on_the_innermost_radius(tmp_path):
         report, *rest = read_report(out)["results"]
         assert report["kreiss_C_radius"] == radius
         assert (radius == min(report["radii"])) == flagged
-        flags = [(r["check_id"], r["status"], r["value"], r["r"]) for r in rest]
+        # ergces' mean sweeps at n_max = 4 also fall below kreiss_C.
+        means = [r["constant"] for r in rest if r["check_id"] == "mean-sweep-below-kreiss"]
+        assert means == (["ukb_C", "kb2_C"] if flagged else [])
+        flags = [(r["check_id"], r["status"], r["value"], r["r"]) for r in rest
+                 if r["check_id"] != "mean-sweep-below-kreiss"]
         assert flags == ([("kreiss-sup-on-inner-radius", "info", report["kreiss_C"], radius)]
                          if flagged else [])
+
+
+def test_a_mean_constant_below_kreiss_c_is_recorded(tmp_path):
+    # (r-1) ||R(r mu)|| <= sup_n ||M_n(conj(mu) T)|| by Abel summation, and the
+    # same for the second means: ergces 20's ukb_C 7.39 and kb2_C 5.87 sit
+    # below its kreiss_C 54.36, tzblock 16's 9.61 and 7.62 above its 6.03.
+    for name, trunc, expected in (("ergces", "20", ["ukb_C", "kb2_C"]), ("tzblock", "16", [])):
+        out = tmp_path / name
+        assert main(["kreiss", "--operator", name, "--trunc", trunc, "--out", str(out)]) == 0
+        report, *rest = read_report(out)["results"]
+        assert report["check_id"] == "kreiss-report"
+        below = [r for r in rest if r["check_id"] == "mean-sweep-below-kreiss"]
+        assert [r["constant"] for r in below] == expected
+        for record in below:
+            assert record["status"] == "info"
+            assert record["kreiss_C"] == report["kreiss_C"]
+            assert record["value"] == report[record["constant"]] < report["kreiss_C"]
 
 
 def test_claims_exit_zero(tmp_path):
@@ -234,17 +257,20 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: power iteration stalled")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_non_finite_matrix_norm_exit_code(tmp_path, capsys):
-    # At lam = -r, r - 1 = 2^-12, the strong sweep's resolvent powers of
-    # ergces 20 overflow by R^85: the norm policy raises ConvergenceError,
-    # a clean error line and exit 3, not a traceback.
-    code = main(["kreiss", "--operator", "ergces", "--trunc", "20",
-                 "--radii", "1.000244140625", "--angles", "2", "--k-max", "100",
-                 "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error: matrix has non-finite entries") and "Traceback" not in err
+def test_long_strong_chain_near_the_circle_stays_finite(tmp_path):
+    # At lam = -r, r - 1 = 2^-12, R^85 of ergces 20 overflows, but every
+    # strong term (r-1)^k ||R^k|| is finite: the sweep powers the scaled
+    # inverse (r-1) R, so the run ends cleanly and warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["kreiss", "--operator", "ergces", "--trunc", "20",
+                     "--radii", "1.000244140625", "--angles", "2", "--k-max", "100",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    report = read_report(tmp_path)["results"][0]
+    for name in ("kreiss_C", "ukb_C", "kb2_C", "strong_C"):
+        assert math.isfinite(report[name]), name
+    assert report["strong_C"] >= report["kreiss_C"]
 
 
 def test_tz_block_above_the_svd_cap_is_normed(tmp_path):
@@ -331,6 +357,7 @@ def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
         ("strong", 1.5, 0.0, "skipped"),
     ]
     assert report["results"][0]["skipped"] == [[1.5, [1.0, 0.0]], [1.5, [1.0, 0.0]]]
-    # kreiss-report, kreiss-sup-on-inner-radius (ergces peaks there) and the two skipped points
-    assert report["summary"]["no_verdict"] == 4
+    # kreiss-report, kreiss-sup-on-inner-radius (ergces peaks there), the two
+    # mean-sweep-below-kreiss records (ukb_C and kb2_C at n_max = 8) and the two skipped points
+    assert report["summary"]["no_verdict"] == 6
     assert code == 0  # no definite check failed; the gaps are recorded as no-verdict

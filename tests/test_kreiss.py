@@ -8,8 +8,8 @@ import kreisslab.cesaro
 import kreisslab.kreiss
 from kreisslab.cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _dense_norm, _frobenius,
                               _rotated_mean_norms, _schatten4)
-from kreisslab.kreiss import (_chain_reach, _leaf_inverse, _plain_beaten, _strong_term,
-                              certify_spectral_radius, default_radii)
+from kreisslab.kreiss import (_chain_reach, _leaf_inverse, _plain_beaten, certify_spectral_radius,
+                              default_radii)
 
 
 def zero_op(d=4):
@@ -215,7 +215,10 @@ def exhaustive_mean_sups(op, n_max, angles):
 
 
 def exhaustive_strong_sup(op, grid, k_max):
-    """(strong_C, skipped) of the strong sweep with every (point, block, k) cell normed."""
+    """(strong_C, skipped) of the strong sweep with every (point, block, k) cell normed.
+
+    Each cell is ||Q^k|| for the scaled inverse Q = (r-1) R.
+    """
     _, angles = _angle_grid(op, grid.angle_count)
     leaves = [(scalar, kl.materialize(leaf)) for _, _, scalar, leaf in kl.blocks(op)]
     best = 0.0
@@ -230,12 +233,12 @@ def exhaustive_strong_sup(op, grid, k_max):
                 skipped.append((float(r), complex(mu)))
                 continue
             for resolvent in resolvents:
-                power = resolvent
+                scaled = (r - 1.0) * resolvent
+                power = scaled
                 for k in range(1, k_max + 1):
                     if k > 1:
-                        power = power @ resolvent
-                    term = k * math.log(r - 1.0) + math.log(_dense_norm(power))
-                    best = max(best, math.exp(min(term, 700.0)))
+                        power = power @ scaled
+                    best = max(best, _dense_norm(power))
     return best, tuple(skipped)
 
 
@@ -416,7 +419,7 @@ def test_inversion_aware_plain_bound_covers_the_svd_near_the_circle():
                                 kl.build_ergces(12)],
                          ids=["nonnormal", "dense-16", "tzblock-8", "ergces-12"])
 def test_chain_cut_covers_every_later_term(op):
-    # Where q = (r-1) ||R||_F <= 1, the cut argues (r-1)^k ||R^k|| <= bound_j
+    # Where ||Q||_F <= 1 for Q = (r-1) R, the cut argues ||Q^k|| <= bound_j
     # for every k > j; in rounding, the computed terms stay within
     # _chain_reach of either cascade bound of power j, at k_max = 16.
     mat = kl.materialize(op)
@@ -426,21 +429,46 @@ def test_chain_cut_covers_every_later_term(op):
     pairs = 0
     _, angles = _angle_grid(op, 16)
     for r in default_radii():
-        log_gap = math.log(r - 1.0)
         for mu in angles:
             _, resolvent = _leaf_inverse(mat, np.eye(d), r * mu)
-            if (r - 1.0) * _frobenius(resolvent) > 1.0:
+            scaled = (r - 1.0) * resolvent
+            if _frobenius(scaled) > 1.0:
                 continue
-            powers = [resolvent]
+            powers = [scaled]
             for _ in range(k_max - 1):
-                powers.append(powers[-1] @ resolvent)
-            terms = [_strong_term(k, log_gap, _dense_norm(p)) for k, p in enumerate(powers, 1)]
+                powers.append(powers[-1] @ scaled)
+            terms = [_dense_norm(p) for p in powers]
             for j, power in enumerate(powers, 1):
                 for bound in (_frobenius(power), _schatten4(power)):
-                    bound_j = _strong_term(j, log_gap, bound * (1 + d * d * _EPS)) * reach
+                    bound_j = bound * (1 + d * d * _EPS) * reach
                     assert not any(_beaten(bound_j, term) for term in terms[j:])
                     pairs += k_max - j
     assert pairs > 0
+
+
+def test_strong_chain_matches_a_40_digit_oracle_where_resolvent_powers_overflow():
+    # At r - 1 = 2^-12, R^k of ergces 8 overflows before k = 100, but every
+    # term sigma_1(Q^k) of the scaled inverse Q = (r-1) R stays in range.
+    import mpmath
+
+    op = kl.build_ergces(8)
+    r, k_max = 1.0 + 2.0**-12, 100
+    got = kl.strong_kreiss_constant(op, kl.AnnulusGrid((r,), 2), k_max).strong_C
+    mat = kl.materialize(op)
+    _, angles = _angle_grid(op, 2)
+    expected = 0
+    with mpmath.workdps(40):
+        exact = mpmath.matrix(mat.tolist())
+        for mu in angles[::-1]:  # the sup sits at lam = -r
+            scaled = (r - 1.0) * mpmath.inverse(complex(r * mu) * mpmath.eye(mat.shape[0]) - exact)
+            power = scaled
+            for k in range(1, k_max + 1):
+                if k > 1:
+                    power = power * scaled
+                if mpmath.mnorm(power, "F") > expected:  # else sigma_1 <= ||Q^k||_F cannot win
+                    top = max(mpmath.eighe(power.H * power, eigvals_only=True))
+                    expected = max(expected, mpmath.sqrt(top))
+        assert abs(got - expected) <= 1e-13 * expected
 
 
 def test_pruned_sweeps_of_a_tz_block_norm_few_cells(monkeypatch):
@@ -618,11 +646,31 @@ def test_tn_claim1_bound_seeded():
         assert res.passed, (n, res.value, res.bound)
 
 
+def test_tn_claim1_bound_equals_the_direct_double_sum():
+    d, eta = 64, 0.45
+    rng = np.random.default_rng(11)
+    gamma = np.abs(rng.standard_normal(d))
+    gamma /= np.linalg.norm(gamma)
+    delta = np.abs(rng.standard_normal(d))
+    delta /= np.linalg.norm(delta)
+    powers = np.arange(1, d + 1, dtype=float) ** eta
+    for n in (1, 8, 64, 100):
+        total = 0.0
+        for j in range(1, d + 1):
+            window = np.arange(j, min(j + n, d) + 1)
+            total += gamma[j - 1] * float(
+                np.sum(delta[window - 1] * powers[window - 1] / powers[j - 1]))
+        res = kl.tn_claim1_bound(eta, n, gamma, delta, 1.0)
+        assert res.value == pytest.approx(total / (n + 1), rel=1e-13), n
+
+
 def test_tn_claim1_validation():
     bad = np.ones(4)
     bad[0] = -1.0
     with pytest.raises(kl.ValidationError):
         kl.tn_claim1_bound(0.3, 2, bad / np.linalg.norm(bad), np.ones(4) / 2.0, 1.0)
+    with pytest.raises(kl.ValidationError):
+        kl.tn_claim1_bound(0.3, -1, np.ones(4) / 2.0, np.ones(4) / 2.0, 1.0)
 
 
 # --- power-sum bound ---
