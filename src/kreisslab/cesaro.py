@@ -6,7 +6,11 @@ re-powering from scratch, so a full profile up to n_max costs at most
 n_max multiplications, and none happen past an exactly zero power.
 Rotated profiles take the sup over a uniform unimodular grid; for
 shift-like operators the rotation is a unitary equivalence, so a single
-angle suffices and is recorded as such.
+angle suffices and is recorded as such.  The grid is built from exact
+conjugate pairs, and for a real operator (every leaf real, every
+rotation scalar real) the norm at conj(lam) equals the norm at lam, so
+every sweep over the grid (these mean sups and the resolvent sweeps of
+kreiss) evaluates only its points 0..N/2 (_swept_count).
 """
 
 from __future__ import annotations
@@ -83,10 +87,39 @@ def _dense_norm(mat: np.ndarray) -> float:
 
 
 def _angle_grid(op: OperatorSpec, angle_count: int):
-    """(shortcut, lams): lam = 1 alone for shift-like op, else a uniform grid."""
+    """(shortcut, lams): lam = 1 alone for shift-like op, else the uniform N-point grid.
+
+    Points k <= N/2 are exp(2 pi i k / N), and point k > N/2 is the exact
+    conjugate of point N - k, so conjugation pairs the grid's points
+    exactly (exp of the mirrored angle differs from it by up to 7.1e-16).
+    Point N/2 of an even grid, exp(i pi) = -1 + 1.2e-16i, is its own
+    partner in the sweeps (_swept_count).
+    """
     if is_shift_like(op):
         return True, np.array([1.0 + 0.0j])
-    return False, np.exp(2j * np.pi * np.arange(angle_count) / angle_count)
+    head = np.exp(2j * np.pi * np.arange(angle_count // 2 + 1) / angle_count)
+    return False, np.concatenate((head, head[1:(angle_count + 1) // 2][::-1].conj()))
+
+
+def _swept_count(op: OperatorSpec, lams: np.ndarray) -> int:
+    """How many leading points of lams = _angle_grid(op, N)[1] a sweep must evaluate.
+
+    When every leaf of op is real and every rotation scalar is real, the
+    matrix of each cell at conj(lam) is the entrywise conjugate of the
+    one at lam, since the means, resolvents and their powers have real
+    coefficients.  Rounding is symmetric under negation, and the
+    products, Gram eigensolves, inverses and SVDs treat the sign of an
+    imaginary part symmetrically, so the computed norms agree bit for
+    bit as well: points 0..N/2 carry every value of the grid.  (Only a
+    shift block above SVD_CAP beside a dense one is normed by power
+    iteration from a complex seeded start, whose estimates at lam and
+    conj(lam) agree to its tolerance.)  Otherwise every point is
+    evaluated.
+    """
+    real = all(complex(scalar).imag == 0.0
+               and (not isinstance(leaf, Dense) or np.isrealobj(_compact(leaf.matrix)))
+               for *_, scalar, leaf in blocks(op))
+    return len(lams) // 2 + 1 if real else len(lams)
 
 
 def _power_sums(step, start, n_max: int):
@@ -256,9 +289,11 @@ def rotated_mean_norm_profile(
     """Sup over the angle grid of ||M_n(lam*T)|| (or the order-2 mean).
 
     The grid is uniform with lam = 1 as its first point, so the norm_m1
-    column always holds the unrotated means.  Shift-like operators are
-    evaluated at lam = 1 only; the sup is exact for them at any
-    resolution, which is recorded via ``rotation_shortcut``.
+    column always holds the unrotated means.  A real operator's tables
+    cover points 0..N/2 only, whose rows hold every value of the grid
+    (_swept_count).  Shift-like operators are evaluated at lam = 1 only;
+    the sup is exact for them at any resolution, which is recorded via
+    ``rotation_shortcut``.
     """
     if angle_count < 1:
         raise ValidationError("angle count must be at least 1")
@@ -267,7 +302,7 @@ def rotated_mean_norm_profile(
     if n_max < 0:
         raise ValidationError("n_max must be non-negative")
     shortcut, lams = _angle_grid(op, angle_count)
-    norm1, norm2 = _rotated_mean_norms(op, n_max, lams, order == 2)
+    norm1, norm2 = _rotated_mean_norms(op, n_max, lams[:_swept_count(op, lams)], order == 2)
     chosen = norm1 if order == 1 else norm2
     return MeanSeries(
         n=np.arange(n_max + 1),
@@ -376,22 +411,35 @@ def ergodic_probe(
         raise ValidationError("at least one probe is required")
     # Long ladders dominate the cost: the probes advance together as the
     # columns of one block, by one product with the compacted matrix per
-    # step when it fits, else by one structured apply of the block.  The
-    # block stays real when the matrix and every probe are.
+    # step when it fits, else by one structured apply of the block.  A
+    # real matrix steps a complex block X as the real block [Re X | Im X]
+    # at half the flops of a complex product, and the complex sums are
+    # rebuilt at the ladder's rungs only.
     block = np.column_stack(vecs)
+    count = block.shape[1]
+    split = False
     if d <= DENSE_CAP:
         mat = _compact(materialize(op))
-        if not np.iscomplexobj(mat) and not block.imag.any():
-            block = block.real.copy()
+        if not np.iscomplexobj(mat):
+            split = bool(block.imag.any())
+            block = np.hstack((block.real, block.imag)) if split else block.real.copy()
         step = lambda b: mat @ b
     else:
         step = lambda b: apply(op, b)
-    # Row p is probe p's mean M_n(T)x_p, contiguous like a lone vector, so
-    # each gap is normed exactly as it would be for that probe alone.
-    means = {0: block.T.copy()}
+
+    def mean(running, n):
+        # Row p is probe p's mean M_n(T)x_p, contiguous like a lone vector,
+        # so each gap is normed exactly as it would be for that probe alone.
+        if split:
+            joined = np.empty((d, count), dtype=complex)
+            joined.real, joined.imag = running[:, :count], running[:, count:]
+            running = joined
+        return (running / (n + 1)).T.copy()
+
+    means = {0: mean(block, 0)}
     for n, _, running, _ in _power_sums(step, block, max(ladder)):
         if n in ladder:
-            means[n] = (running / (n + 1)).T.copy()
+            means[n] = mean(running, n)
     gaps = np.array([[float(np.linalg.norm(row)) for row in means[b] - means[a]]
                      for a, b in zip(ladder, ladder[1:])]).T
     return ErgodicProbe(ladder, tuple(labels), gaps)

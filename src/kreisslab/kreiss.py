@@ -13,9 +13,12 @@ so pruning can skip a cell but never change a value.  The plain and
 strong constants come from one pass over the annulus grid that inverts
 each block once per point: the inverse bounds the plain value, which
 resolvent_norm still computes wherever the bound cannot rule it out,
-and the powers of (r-1) times it are the strong sweep's cells.  The
-claims read the orbit norms norms[j] = ||T^j x|| from orbit_norms, so
-one orbit serves every claim instance on a probe.
+and the powers of (r-1) times it are the strong sweep's cells.  For a
+real operator every grid sweep evaluates only the angles 0..N/2 of its
+N-point grid, whose values the conjugate half repeats
+(cesaro._swept_count).  The claims read the orbit norms norms[j] =
+||T^j x|| from orbit_norms, so one orbit serves every claim instance on
+a probe.
 
 Every checker returns a reports.CheckRecord: a verdict decided by
 reports.gate, which stores the value, the comparison, the bound, the
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _frobenius, _norm_unless_beaten,
-                     rotated_mean_tables)
+                     _swept_count, rotated_mean_tables)
 from .errors import SingularError, ValidationError
 from .operators import (
     SEED,
@@ -250,6 +253,17 @@ def _leaf_strong_sup(scaled: np.ndarray, k_max: int, best: float) -> float:
     return best
 
 
+def _with_mirrors(r: float, angles: np.ndarray, lost: list, swept: int) -> list:
+    """(r, mu) of the swept angles lost at radius r and of their unswept mirrors, in grid order.
+
+    A lost point k <= N/2 with N - k >= swept stands for point N - k too,
+    whose value equals its own (_swept_count): it is lost there as well.
+    """
+    n = len(angles)
+    mirrored = lost + [n - k for k in reversed(lost) if swept <= n - k < n]
+    return [(float(r), complex(angles[k])) for k in mirrored]
+
+
 def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
     """One pass over the grid's points lam = r * mu for the plain sup, the strong sup or both.
 
@@ -262,14 +276,21 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
     k_max >= 1.  radius is the radius where the plain sup is first
     reached in grid order (None when no point rises above 0).
     Shift-like operators are rotation invariant, so one angle per radius
-    is evaluated and recorded as a shortcut.  A point whose inverse
-    fails is left out of the strong sweep and normed unpruned by the
-    plain one; a point where resolvent_norm raises SingularError is left
-    out of the plain sweep.
-    Each sweep lists its points as (r, mu).  A plain-only pass inverts
-    only when resolvent_norm takes every block's SVD anyway.
+    is evaluated and recorded as a shortcut.  A real operator (every
+    leaf real, every rotation scalar real) has ||R(conj lam)|| =
+    ||R(lam)|| and the same for every strong term, so at each radius
+    only angles 0..N/2 are evaluated (_swept_count): the sups and radius
+    are those of the full grid, and a skipped non-real point stands for
+    its conjugate, which is listed with it in grid order.  A point whose
+    inverse fails is left out of the strong sweep and normed unpruned by
+    the plain one; a point where resolvent_norm raises SingularError is
+    left out of the plain sweep.
+    Each sweep lists its points as (r, mu), radius by radius, angles in
+    grid order.  A plain-only pass inverts only when resolvent_norm
+    takes every block's SVD anyway.
     """
     shortcut, angles = _angle_grid(op, grid.angle_count)
+    swept = _swept_count(op, angles)
     parts = blocks(op)
     invert = k_max > 0 or all(not isinstance(leaf, WeightedShift) or stop - start <= SVD_CAP
                               for start, stop, _, leaf in parts)
@@ -280,7 +301,8 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
     skipped = []
     strong_skipped = []
     for r in grid.radii:
-        for mu in angles:
+        lost, strong_lost = [], []
+        for k, mu in enumerate(angles[:swept]):
             lam = r * mu
             try:
                 inverses = [_leaf_inverse(mat, eye, lam if scalar == 1.0 else lam / scalar)
@@ -293,17 +315,19 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
                 try:
                     point = max(best, (r - 1.0) * resolvent_norm(op, lam))
                 except SingularError:
-                    skipped.append((float(r), complex(mu)))
+                    lost.append(k)
                 else:
                     if point > best:
                         radius = float(r)
                     best = point
             if k_max:
                 if inverses is None:
-                    strong_skipped.append((float(r), complex(mu)))
+                    strong_lost.append(k)
                     continue
                 for _, resolvent in inverses:
                     strong = _leaf_strong_sup((r - 1.0) * resolvent, k_max, strong)
+        skipped += _with_mirrors(r, angles, lost, swept)
+        strong_skipped += _with_mirrors(r, angles, strong_lost, swept)
     return shortcut, best, radius, tuple(skipped), strong, tuple(strong_skipped)
 
 
@@ -314,8 +338,11 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> Krei
     innermost radius the true sup may lie closer to the unit circle.
     With k_max >= 1 the same pass also fills strong_C (and k_max and
     strong_skipped) exactly as strong_kreiss_constant(op, grid, k_max)
-    would.  Singular grid points are skipped and listed in the report; a
-    stalled estimate raises.
+    would.  For a real operator only angles 0..N/2 are evaluated, and
+    every value, the radius and the skip lists equal those of the full
+    grid: a skipped non-real point is listed with its conjugate.
+    Singular grid points are skipped and listed in the report; a stalled
+    estimate raises.
     """
     _require_contractive_spectrum(op)
     if k_max < 0:
@@ -337,7 +364,7 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> Krei
 def uniform_kreiss_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissReport:
     """sup over n <= n_max and the angle grid of ||M_n(lam T)||, by bound-and-prune."""
     shortcut, lams = _angle_grid(op, angles)
-    ukb, _, _ = rotated_mean_tables(op, n_max, lams)
+    ukb, _, _ = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)])
     return KreissReport(
         ukb_C=ukb,
         angle_count=angles,
@@ -357,7 +384,7 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
     equals uniform_kreiss_constant's value exactly.
     """
     shortcut, lams = _angle_grid(op, angles)
-    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams, True)
+    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)], True)
     return KreissReport(
         ukb_C=ukb,
         kb2_C=kb2,

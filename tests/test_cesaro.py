@@ -374,6 +374,38 @@ def test_batched_probes_match_single_probe_orbits_on_seeded_ergces():
     np.testing.assert_allclose(probe.gaps, expected, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("op", [kl.build_ergces(12), kl.build_tz_block(8)],
+                         ids=["ergces-12", "tzblock-8"])
+def test_a_real_matrix_steps_complex_probes_as_one_real_block(op, monkeypatch):
+    # The seeded probes are complex: the real matrix steps [Re X | Im X],
+    # and the gaps equal those of complex products with the matrix, bit for bit.
+    d = kl.dimension(op)
+    ladder = (16, 64, 256, 1024)
+    starts = []
+
+    def recording(step, start, n_max):
+        starts.append(start)
+        return _power_sums(step, start, n_max)
+
+    monkeypatch.setattr(kreisslab.cesaro, "_power_sums", recording)
+    probe = kl.ergodic_probe(op, probes=8, ladder=ladder)
+    assert [(x.dtype, x.shape) for x in starts] == [(np.dtype(float), (d, 16))]
+    rng = np.random.default_rng(kl.SEED)
+    vecs = []
+    for _ in range(8):
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        vecs.append(x / np.linalg.norm(x))
+    mat = kl.materialize(op).astype(complex)
+    block = np.column_stack(vecs)
+    means = {0: block.T.copy()}
+    for n, _, running, _ in _power_sums(lambda b: mat @ b, block, ladder[-1]):
+        if n in ladder:
+            means[n] = (running / (n + 1)).T.copy()
+    expected = [[np.linalg.norm(row) for row in means[b] - means[a]]
+                for a, b in zip(ladder, ladder[1:])]
+    np.testing.assert_array_equal(probe.gaps, np.array(expected).T)
+
+
 def test_probes_above_the_dense_cap_step_through_apply():
     op = kl.build_TN(2049, 0.3)
     d = kl.dimension(op)

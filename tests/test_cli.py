@@ -12,7 +12,7 @@ import pytest
 
 import kreisslab
 from kreisslab.cli import main
-from kreisslab.reproduce import REPRODUCIBLE_IDS
+from kreisslab.reproduce import CANONICAL_CATALOG, REPRODUCIBLE_IDS
 
 
 def read_report(path):
@@ -134,6 +134,43 @@ def test_a_mean_constant_below_kreiss_c_is_recorded(tmp_path):
             assert record["status"] == "info"
             assert record["kreiss_C"] == report["kreiss_C"]
             assert record["value"] == report[record["constant"]] < report["kreiss_C"]
+
+
+#: kreiss command-line flags of each catalog entry's parameters.
+CATALOG_FLAGS = {
+    "tn": lambda p: ["--trunc", str(p["n"]), "--eta", str(p["eta"])],
+    "shields": lambda p: ["--epsilon", str(p["epsilon"]), "--eta", str(p["eta"]),
+                          "--nmax-sum", str(p["n_max"])],
+    "bermbmp": lambda p: ["--eta", str(p["alpha"]), "--direction", p["direction"],
+                          "--trunc", str(p["d"])],
+    "ergces": lambda p: ["--trunc", str(p["j_max"])],
+    "tzblock": lambda p: ["--trunc", str(p["d"])],
+}
+
+
+def test_mean_sweep_records_follow_from_each_catalog_report(tmp_path):
+    # Consistency record A on every catalog entry: the report's own
+    # kreiss_C, ukb_C and kb2_C decide which records must be present.
+    emitted = {}
+    for name, params in CANONICAL_CATALOG:
+        out = tmp_path / name
+        assert main(["kreiss", "--operator", name, *CATALOG_FLAGS[name](params), "--n-max", "8",
+                     "--k-max", "2", "--angles", "8", "--out", str(out)]) == 0
+        report, *rest = read_report(out)["results"]
+        assert report["check_id"] == "kreiss-report"
+        assert report["n_max"] == 8 and report["angle_count"] == 8
+        kreiss_c = report["kreiss_C"]
+        expected = [("info", report[constant], constant, kreiss_c)
+                    for constant in ("ukb_C", "kb2_C")
+                    if report[constant] < kreiss_c * (1.0 - 1e-9)]
+        got = [(r["status"], r["value"], r["constant"], r["kreiss_C"]) for r in rest
+               if r["check_id"] == "mean-sweep-below-kreiss"]
+        assert got == expected
+        emitted[name] = [constant for *_, constant, _ in got]
+    # At n_max = 8 both ergces means and tzblock's second mean fall below
+    # kreiss_C; the shifts' means stay above it.
+    assert emitted == {"tn": [], "shields": [], "bermbmp": [], "ergces": ["ukb_C", "kb2_C"],
+                       "tzblock": ["kb2_C"]}
 
 
 def test_claims_exit_zero(tmp_path):

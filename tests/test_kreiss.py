@@ -7,7 +7,7 @@ import kreisslab as kl
 import kreisslab.cesaro
 import kreisslab.kreiss
 from kreisslab.cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _dense_norm, _frobenius,
-                              _rotated_mean_norms, _schatten4)
+                              _rotated_mean_norms, _schatten4, _swept_count)
 from kreisslab.kreiss import (_chain_reach, _leaf_inverse, _plain_beaten, certify_spectral_radius,
                               default_radii)
 
@@ -304,16 +304,15 @@ def test_fused_pass_equals_the_exhaustive_sweeps(op, monkeypatch):
     assert kl.strong_kreiss_constant(op, grid, 8).strong_C == strong[0]
 
 
-def test_fused_pass_skips_the_points_the_exhaustive_sweeps_skip(monkeypatch):
-    # Two points lose their inverse: the strong sweep skips both, the plain
-    # sweep norms them unpruned and skips the one whose SVD fails too.
-    op = NONNORMAL
-    grid = kl.AnnulusGrid.default(8)
-    _, angles = _angle_grid(op, 8)
-    radii = grid.radii
-    lost = radii[7] * angles[3]
-    no_inverse = {radii[1] * angles[5], lost}
-    corner = kl.materialize(op)[0, 0]
+#: NONNORMAL turned by a non-real scalar: complex, so every sweep evaluates the whole grid.
+COMPLEX_TWIN = kl.Dense(NONNORMAL.matrix * np.exp(0.3j))
+
+
+def failing_points(monkeypatch, no_inverse, lost, corner):
+    """Fail np.linalg.inv at the points no_inverse and resolvent_norm at lost.
+
+    Returns the list of points resolvent_norm is asked for.
+    """
     inv, norm = np.linalg.inv, kreisslab.kreiss.resolvent_norm
     normed = []
 
@@ -324,12 +323,27 @@ def test_fused_pass_skips_the_points_the_exhaustive_sweeps_skip(monkeypatch):
 
     def failing_norm(op, lam):
         normed.append(lam)
-        if lam == lost:
+        if lam in lost:
             raise kl.SingularError("singular")
         return norm(op, lam)
 
     monkeypatch.setattr(np.linalg, "inv", failing_inv)
     monkeypatch.setattr(kreisslab.kreiss, "resolvent_norm", failing_norm)
+    return normed
+
+
+def test_fused_pass_skips_the_points_the_exhaustive_sweeps_skip(monkeypatch):
+    # Two points lose their inverse: the strong sweep skips both, the plain
+    # sweep norms them unpruned and skips the one whose SVD fails too.
+    # Angles 3 and 5 of 8 are a conjugate pair, so only a complex operator,
+    # which is swept at every angle, can lose them independently.
+    op = COMPLEX_TWIN
+    grid = kl.AnnulusGrid.default(8)
+    _, angles = _angle_grid(op, 8)
+    radii = grid.radii
+    lost = radii[7] * angles[3]
+    no_inverse = {radii[1] * angles[5], lost}
+    normed = failing_points(monkeypatch, no_inverse, {lost}, kl.materialize(op)[0, 0])
     fused = kl.kreiss_constant(op, grid, 8)
     assert no_inverse <= set(normed)
     assert fused.skipped == ((radii[7], complex(angles[3])),)
@@ -337,6 +351,92 @@ def test_fused_pass_skips_the_points_the_exhaustive_sweeps_skip(monkeypatch):
     assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == exhaustive_plain_sweep(op, grid)
     assert (fused.strong_C, fused.strong_skipped) == exhaustive_strong_sup(op, grid, 8)
     assert fused.to_dict()["skipped"] == [list(p) for p in fused.skipped + fused.strong_skipped]
+
+
+def test_a_real_operator_skips_a_lost_point_with_its_conjugate(monkeypatch):
+    # The half sweep of a real operator evaluates angles 0..4 of 8.  A point
+    # lost at angle 3 stands for its conjugate at angle 5, which the sweep
+    # never visits: both are listed, in grid order, on every sweep.  The
+    # full-grid sweeps lose the conjugate too, as a real singular point would.
+    op = NONNORMAL
+    grid = kl.AnnulusGrid.default(8)
+    _, angles = _angle_grid(op, 8)
+    radii = grid.radii
+    lost = radii[7] * angles[3]
+    normed = failing_points(monkeypatch, {lost}, {lost}, kl.materialize(op)[0, 0])
+    fused = kl.kreiss_constant(op, grid, 8)
+    unswept = {radius * mu for radius in radii for mu in angles[5:]}
+    assert lost in normed and not unswept & set(normed)
+    pair = ((radii[7], complex(angles[3])), (radii[7], complex(angles[5])))
+    assert angles[5] == np.conj(angles[3])
+    assert fused.skipped == fused.strong_skipped == pair
+    assert fused.to_dict()["skipped"] == [list(p) for p in pair + pair]
+    monkeypatch.undo()
+    both = {lost, np.conj(lost)}
+    failing_points(monkeypatch, both, both, kl.materialize(op)[0, 0])
+    assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == exhaustive_plain_sweep(op, grid)
+    assert (fused.strong_C, fused.strong_skipped) == exhaustive_strong_sup(op, grid, 8)
+
+
+#: Real operators, whose sweeps evaluate angles 0..N/2 of an N-point grid.
+REAL_OPS = {
+    "tzblock-8": kl.build_tz_block(8),
+    "ergces-12": kl.build_ergces(12),
+    "nonnormal": NONNORMAL,
+    "negated-sum": kl.RotatedScale(-1, kl.DirectSum((kl.build_tz_block(3), kl.build_TN(3, 0.3)))),
+}
+
+
+@pytest.mark.parametrize("angles", [1, 2, 7, 16])
+@pytest.mark.parametrize("op", REAL_OPS.values(), ids=REAL_OPS.keys())
+def test_half_sweeps_of_a_real_operator_equal_the_full_grid(op, angles):
+    _, lams = _angle_grid(op, angles)
+    assert _swept_count(op, lams) == angles // 2 + 1
+    report = kl.kb2_constant(op, 16, angles)
+    assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == exhaustive_mean_sups(op, 16, angles)
+    assert kl.uniform_kreiss_constant(op, 16, angles).ukb_C == report.ukb_C
+    norm1, norm2 = _rotated_mean_norms(op, 16, lams, True)
+    for order, table in ((1, norm1), (2, norm2)):
+        profile = kl.rotated_mean_norm_profile(op, 16, angles, order)
+        np.testing.assert_array_equal(profile.sup_lambda, table.max(axis=0))
+        np.testing.assert_array_equal(profile.norm_m1, norm1[0])
+    np.testing.assert_array_equal(profile.norm_m2, norm2[0])
+    grid = kl.AnnulusGrid.default(angles)
+    fused = kl.kreiss_constant(op, grid, 8)
+    assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == exhaustive_plain_sweep(op, grid)
+    assert (fused.strong_C, fused.strong_skipped) == exhaustive_strong_sup(op, grid, 8)
+
+
+@pytest.mark.parametrize("angles", [1, 2, 3, 7, 8, 16, 64, 255])
+def test_angle_grid_pairs_its_points_as_exact_conjugates(angles):
+    shortcut, lams = _angle_grid(NONNORMAL, angles)
+    assert not shortcut and lams.shape == (angles,)
+    head = angles // 2 + 1
+    np.testing.assert_array_equal(lams[:head], np.exp(2j * np.pi * np.arange(head) / angles))
+    k = np.arange(1, angles)
+    k = k[k != angles - k]
+    np.testing.assert_array_equal(lams[angles - k], np.conj(lams[k]))
+    # exp(i pi) = -1 + 1.2e-16i of an even grid is its own partner, the one
+    # point whose conjugate lies off the grid.
+    off = {complex(z) for z in np.conj(lams)} - {complex(z) for z in lams}
+    assert off == ({complex(np.conj(np.exp(1j * np.pi)))} if angles % 2 == 0 else set())
+
+
+def test_only_a_real_operator_sweeps_half_the_angles(monkeypatch):
+    calls = []
+
+    def counting(mat, eye, lam):
+        calls.append(lam)
+        return _leaf_inverse(mat, eye, lam)
+
+    monkeypatch.setattr(kreisslab.kreiss, "_leaf_inverse", counting)
+    grid = kl.AnnulusGrid.default(16)
+    for op, per_radius in ((COMPLEX_TWIN, 16), (kl.RotatedScale(np.exp(0.3j), NONNORMAL), 16),
+                           (kl.RotatedScale(1j, REAL_OPS["negated-sum"]), 2 * 16),
+                           (NONNORMAL, 9), (REAL_OPS["negated-sum"], 2 * 9)):
+        calls.clear()
+        kl.kreiss_constant(op, grid, 4)
+        assert len(calls) == per_radius * len(grid.radii)
 
 
 def test_pruning_keeps_a_cell_whose_svd_rounds_above_its_frobenius_norm():
