@@ -1,16 +1,18 @@
 """Cesaro means, second means, rotated mean profiles, and ergodicity probes.
 
-All mean computations read one accumulation stream, _power_sums: a
-running sum of powers with one operator application per step, never
-re-powering from scratch, so a full profile up to n_max costs at most
-n_max multiplications, and none happen past an exactly zero power.
-Rotated profiles take the sup over a uniform unimodular grid; for
-shift-like operators the rotation is a unitary equivalence, so a single
-angle suffices and is recorded as such.  The grid is built from exact
-conjugate pairs, and for a real operator (every leaf real, every
-rotation scalar real) the norm at conj(lam) equals the norm at lam, so
-every sweep over the grid (these mean sups and the resolvent sweeps of
-kreiss) evaluates only its points 0..N/2 (_swept_count).
+Every mean is a running sum of powers with one multiplication per
+step, never recomputing a power from the start, so a profile up to
+n_max costs at most n_max multiplications, and none happen past an
+exactly zero power.  The single-operator means read the stream
+_power_sums; the rotated mean sweeps step the swept points of a leaf
+together, as stacks of matrices (_mean_cells).  Rotated profiles take
+the sup over a uniform unimodular grid; for shift-like operators the
+rotation is a unitary equivalence, so a single angle suffices and is
+recorded as such.  The grid is built from exact conjugate pairs, and
+for a real operator (every leaf real, every rotation scalar real) the
+norm at conj(lam) equals the norm at lam, so every sweep over the grid
+(these mean sups and the resolvent sweeps of kreiss) evaluates only its
+points 0..N/2 (_swept_count).
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ _PRUNE_SLACK = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
+#: Size of one array of a stack of points in _mean_cells.  A stack holds
+#: five, so the sweeps stay within a few hundred KiB of working memory.
+_STACK_BYTES = 1 << 17
+
 
 def _dense_norm(mat: np.ndarray) -> float:
     """Spectral norm of an explicit matrix under the shared norm policy."""
@@ -95,6 +101,8 @@ def _angle_grid(op: OperatorSpec, angle_count: int):
     Point N/2 of an even grid, exp(i pi) = -1 + 1.2e-16i, is its own
     partner in the sweeps (_swept_count).
     """
+    if angle_count < 1:
+        raise ValidationError("angle count must be at least 1")
     if is_shift_like(op):
         return True, np.array([1.0 + 0.0j])
     head = np.exp(2j * np.pi * np.arange(angle_count // 2 + 1) / angle_count)
@@ -195,29 +203,92 @@ def _norm_unless_beaten(mat: np.ndarray, beaten):
     return None if _bounds_beaten(mat, beaten) else _dense_norm(mat)
 
 
-def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool):
-    """Yield (li, n, total, triangular, settled) for every cell of every leaf of op.
+def _stack_frobenius(stack: np.ndarray) -> np.ndarray:
+    """_frobenius of each matrix of a stack, one sum of squares per matrix.
 
-    total = sum_{j<=n} (lam T)^j and, when want_order2, triangular =
-    sum_{j<=n} (n+1-j) (lam T)^j, for lam = lams[li], leaf by leaf.
-    Direct sums reduce blockwise (the mean of a block diagonal is block
-    diagonal, its norm the max over blocks); rotations fold their scalar
-    into the grid.  settled says that the power added at this cell was
-    exactly zero, so total is the previous cell's matrix unchanged.
+    The squares are summed on a real view of the stack, with no copy, in
+    another order than _frobenius's: the result differs from it within
+    the rounding that _bounds_beaten allows for.  A NaN or underflowed
+    sum gives inf, as in _frobenius.
+    """
+    flat = (stack.view(float) if np.iscomplexobj(stack) else stack).reshape(len(stack), -1)
+    root = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    root[~(root >= 1e-150)] = np.inf
+    return root
+
+
+def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool, plan=None):
+    """Yield (leaf, rows, n, totals, triangulars, settled): one step n of one stack of points.
+
+    The points rows (a list of indices into lams) step together as one
+    stack: totals[k] = sum_{j<=n} (lam T)^j and, when want_order2,
+    triangulars[k] = sum_{j<=n} (n+1-j) (lam T)^j, for lam =
+    lams[rows[k]] and T the leaf-th leaf of blocks(op).  Direct sums
+    reduce blockwise (the mean of a block diagonal is block diagonal,
+    its norm the max over blocks); rotations fold their scalar into the
+    grid.  The points where lam T is real (lam = 1 of a real leaf) and
+    the complex points form separate stacks of at most _STACK_BYTES per
+    array, each stepped by one stacked product per n, which equals the
+    product of each matrix alone bit for bit.  settled[k] says that the
+    power added at this step was exactly zero, so totals[k] is the
+    previous step's matrix unchanged; once every power of a stack is
+    zero it is no longer multiplied.  The arrays are updated in place at
+    the next step, so a consumer copies what it keeps.
+
+    plan, when given, has one entry per leaf: None skips the leaf, and
+    (points, stops) steps only the points of lams at the indices points,
+    point points[i] at least up to n = stops[i].  Points are stacked in
+    the order of their stops, and a stack ends at the largest of them.
     """
     lams = np.asarray(lams, dtype=complex)
-    for _, _, scalar, leaf in blocks(op):
+    for leaf_index, (_, _, scalar, leaf) in enumerate(blocks(op)):
+        if plan is None:
+            points, stops = np.arange(len(lams)), np.full(len(lams), n_max)
+        elif plan[leaf_index] is None:
+            continue
+        else:
+            points, stops = plan[leaf_index]
         mat = _compact(materialize(leaf))
-        eye = np.eye(mat.shape[0])
-        for li, lam in enumerate(lams if scalar == 1.0 else lams * scalar):
-            scaled = _compact(lam * mat)
-            start = eye.astype(scaled.dtype)
-            triangular = start if want_order2 else None
-            yield li, 0, start, triangular, False
-            for n, _, total, settled in _power_sums(lambda p: p @ scaled, start, n_max):
-                if want_order2:
-                    triangular = triangular + total
-                yield li, n, total, triangular, settled
+        scalars = lams if scalar == 1.0 else lams * scalar
+        real = np.array([np.isrealobj(_compact(scalars[point] * mat)) for point in points])
+        for part, dtype in ((real, float), (~real, complex)):
+            size = max(1, _STACK_BYTES // (mat.size * np.dtype(dtype).itemsize))
+            order = np.argsort(stops[part], kind="stable")
+            rows, ends = points[part][order], stops[part][order]
+            for first in range(0, len(rows), size):
+                chunk = rows[first:first + size]
+                stack = np.stack([_compact(scalars[point] * mat) for point in chunk])
+                yield from _stack_sums(leaf_index, chunk, stack, int(ends[first:first + size][-1]),
+                                       want_order2)
+
+
+def _stack_sums(leaf_index: int, rows: np.ndarray, stack: np.ndarray, n_stop: int,
+                want_order2: bool):
+    """The cells of _mean_cells for one stack of scaled matrices, n = 0..n_stop.
+
+    Powers are multiplied into two alternating buffers and every sum is
+    added in place, so a stack costs five arrays of its size.
+    """
+    rows = rows.tolist()
+    power = np.zeros_like(stack)
+    diagonal = range(stack.shape[1])
+    power[:, diagonal, diagonal] = 1.0
+    spare = np.empty_like(stack)
+    total = power.copy()
+    triangular = power.copy() if want_order2 else None
+    settled = np.zeros(len(rows), dtype=bool)
+    yield leaf_index, rows, 0, total, triangular, settled
+    moving = True
+    for n in range(1, n_stop + 1):
+        if moving:
+            np.matmul(power, stack, out=spare)
+            power, spare = spare, power
+            total += power
+            settled = ~power.reshape(len(rows), -1).any(axis=1)
+            moving = not settled.all()
+        if want_order2:
+            triangular += total
+        yield leaf_index, rows, n, total, triangular, settled
 
 
 def _rotated_mean_norms(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
@@ -231,14 +302,115 @@ def _rotated_mean_norms(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     shape = (len(lams), n_max + 1)
     norm1 = np.zeros(shape)
     norm2 = np.zeros(shape) if want_order2 else None
-    for li, n, total, triangular, settled in _mean_cells(op, n_max, lams, want_order2):
-        if not settled:
-            top = _dense_norm(total)
-        norm1[li, n] = np.maximum(norm1[li, n], top / (n + 1))
-        if want_order2:
-            value = 2.0 * _dense_norm(triangular) / ((n + 1) * (n + 2))
-            norm2[li, n] = np.maximum(norm2[li, n], value)
+    top = np.zeros(len(lams))
+    for _, rows, n, totals, triangulars, settled in _mean_cells(op, n_max, lams, want_order2):
+        for k, li in enumerate(rows):
+            if not settled[k]:
+                top[li] = _dense_norm(totals[k])
+            norm1[li, n] = np.maximum(norm1[li, n], top[li] / (n + 1))
+            if want_order2:
+                value = 2.0 * _dense_norm(triangulars[k]) / ((n + 1) * (n + 2))
+                norm2[li, n] = np.maximum(norm2[li, n], value)
     return norm1, norm2
+
+
+class _MeanSups:
+    """The running bests of rotated_mean_tables and the checks that prune against them.
+
+    Each normed cell's value comes from the same expression as in
+    _rotated_mean_norms, so every best is an entry of those tables.  The
+    beaten checks take arrays of bounds and of n as well as one cell's.
+    """
+
+    def __init__(self, want_order2: bool):
+        self.want_order2 = want_order2
+        self.best1 = 0.0
+        self.best2 = self.best2_sum = 0.0
+
+    def beaten1(self, bound, n):
+        """True where a bound on ||totals[k]|| shows that its mean cannot exceed best1."""
+        return _beaten(bound / (n + 1), self.best1)
+
+    def beaten2(self, bound, n):
+        """True where a bound on ||triangulars[k]|| shows that neither order-2 sup can rise."""
+        scale = 2.0 / ((n + 1) * (n + 2))
+        quad = (n + 2.0) / (2.0 * (n + 1.0))
+        return _beaten(bound * scale, self.best2) & _beaten(bound * scale * quad, self.best2_sum)
+
+    def add1(self, top, n):
+        self.best1 = np.maximum(self.best1, top / (n + 1))
+
+    def add2(self, top, n):
+        value = 2.0 * top / ((n + 1) * (n + 2))
+        self.best2 = np.maximum(self.best2, value)
+        self.best2_sum = np.maximum(self.best2_sum, value * ((n + 2.0) / (2.0 * (n + 1.0))))
+
+    def seed(self, op, n_max, lams):
+        """Pass 1: store every cell's Frobenius bound, norm the top-bound cells; return the plan.
+
+        Returns the plan of _mean_cells for the second pass and the
+        stored bounds, one (len(lams), n_max + 1) array per leaf and
+        order; a settled or already normed cell's bound is -inf.  The
+        seeds are the cells of largest bound for best1, best2 and
+        best2_sum (one cell may serve two); each is copied when it
+        becomes the top and normed once the pass ends.
+        """
+        ns = np.arange(n_max + 1)
+        bounds1 = [np.full((len(lams), n_max + 1), -np.inf) for _ in blocks(op)]
+        bounds2 = [np.full((len(lams), n_max + 1), -np.inf) for _ in blocks(op)]
+        tops = {}  # sup -> (key, (order, leaf, point, n), copy of the cell's matrix)
+        for leaf, rows, n, totals, triangulars, settled in _mean_cells(op, n_max, lams,
+                                                                        self.want_order2):
+            rounding = 1.0 + totals.shape[-1] ** 2 * _EPS
+            bound = _stack_frobenius(totals) * rounding
+            bound[settled] = -np.inf
+            bounds1[leaf][rows, n] = bound
+            keys = [("1", 1, bound / (n + 1), totals)]
+            if self.want_order2:
+                bound = _stack_frobenius(triangulars) * rounding
+                bounds2[leaf][rows, n] = bound
+                scale = 2.0 / ((n + 1) * (n + 2))
+                keys += [("2", 2, bound * scale, triangulars),
+                         ("2sum", 2, bound * scale * ((n + 2.0) / (2.0 * (n + 1.0))), triangulars)]
+            for sup, order, key, stack in keys:
+                k = key.argmax()
+                if sup not in tops or key[k] > tops[sup][0]:
+                    tops[sup] = (key[k], (order, leaf, rows[k], n), stack[k].copy())
+        # The order-2 sups may share their seed: norm each cell once.
+        for (order, leaf, point, n), mat in {cell: mat for _, cell, mat in tops.values()}.items():
+            (self.add1 if order == 1 else self.add2)(_dense_norm(mat), n)
+            (bounds1 if order == 1 else bounds2)[leaf][point, n] = -np.inf
+        plan = []
+        for leaf_bounds1, leaf_bounds2 in zip(bounds1, bounds2):
+            live = ~self.beaten1(leaf_bounds1, ns)
+            if self.want_order2:
+                live |= ~self.beaten2(leaf_bounds2, ns)
+            points = np.flatnonzero(live.any(axis=1))
+            last = n_max - np.argmax(live[points, ::-1], axis=1)
+            plan.append((points, last) if len(points) else None)
+        return plan, bounds1, bounds2
+
+    def prune(self, cells, bounds1=None, bounds2=None):
+        """Pass 2 (or the only pass): norm each cell that no bound shows to be beaten.
+
+        A cell whose stored bound is beaten is skipped; else its
+        Frobenius and Schatten-4 bounds are tried, and only then is it
+        normed (_norm_unless_beaten).
+        """
+        for leaf, rows, n, totals, triangulars, settled in cells:
+            for k, point in enumerate(rows):
+                # Past a zero power the total is unchanged, so its mean only
+                # shrinks: the previous cell's value is already at most best1.
+                if not settled[k] and (bounds1 is None
+                                       or not self.beaten1(bounds1[leaf][point, n], n)):
+                    top = _norm_unless_beaten(totals[k], lambda bound: self.beaten1(bound, n))
+                    if top is not None:
+                        self.add1(top, n)
+                if self.want_order2 and (bounds2 is None
+                                         or not self.beaten2(bounds2[leaf][point, n], n)):
+                    top = _norm_unless_beaten(triangulars[k], lambda bound: self.beaten2(bound, n))
+                    if top is not None:
+                        self.add2(top, n)
 
 
 def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
@@ -248,36 +420,33 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     sup2_sum = sup ||M_n^(2)(lam*T)|| * (n+2)/(2(n+1)) are None unless
     want_order2.  Each sup is found by bound-and-prune over the cells
     (lam, n) of every leaf, with one running best per sup across leaves
-    and angles: a cell is normed only when neither its Frobenius nor its
-    Schatten-4 bound, scaled like its value, is beaten by the running
-    best (_norm_unless_beaten).  Every normed cell goes through
-    _dense_norm and the same expression as the exhaustive tables, so
-    the sups equal the maxima of those tables bit for bit; pruning can
-    skip a cell, never change a value.  Cells are streamed, never
-    stored.  A cell with a non-finite entry has no finite bound, so it is
-    normed, and _dense_norm raises ConvergenceError, as in the tables.
+    and angles.  A sweep of more than one point runs two passes over the
+    stacks of _mean_cells.  The first stores one Frobenius bound per
+    cell, scaled like its value, and seeds each best with the norm of
+    the cell of largest bound.  The second replays, leaf by leaf, only
+    the points that still have a cell whose bound the seeds do not beat,
+    up to the last such n, and norms a cell only when neither its stored
+    bound nor its Schatten-4 bound is beaten by the running best.  The
+    means grow with n, so without the seed the best would rise one cell
+    at a time and prune little.  A one-point sweep (the rotation shortcut)
+    runs the second pass alone.  Every normed cell goes through
+    _dense_norm and the same expression as the exhaustive tables, so the
+    sups equal the maxima of those tables bit for bit; pruning can skip
+    a cell, never change a value.  A cell with a non-finite entry has no
+    finite bound, so it is normed, and _dense_norm raises
+    ConvergenceError, as in the tables.
     """
-    best1 = 0.0
-    best2 = best2_sum = 0.0 if want_order2 else None
-    for _, n, total, triangular, settled in _mean_cells(op, n_max, lams, want_order2):
-        # Past a zero power total is unchanged, so its mean only shrinks: the
-        # previous cell's value, normed or beaten, is already at most best1.
-        if not settled:
-            top = _norm_unless_beaten(total, lambda bound: _beaten(bound / (n + 1), best1))
-            if top is not None:
-                best1 = np.maximum(best1, top / (n + 1))
-        if want_order2:
-            quad = (n + 2.0) / (2.0 * (n + 1.0))
-            scale = 2.0 / ((n + 1) * (n + 2))
-            top = _norm_unless_beaten(triangular, lambda bound: (
-                _beaten(bound * scale, best2) and _beaten(bound * scale * quad, best2_sum)))
-            if top is not None:
-                value = 2.0 * top / ((n + 1) * (n + 2))
-                best2 = np.maximum(best2, value)
-                best2_sum = np.maximum(best2_sum, value * quad)
+    if n_max < 0:
+        raise ValidationError("n_max must be non-negative")
+    sups = _MeanSups(want_order2)
+    if len(lams) > 1:
+        plan, bounds1, bounds2 = sups.seed(op, n_max, lams)
+        sups.prune(_mean_cells(op, n_max, lams, want_order2, plan), bounds1, bounds2)
+    else:
+        sups.prune(_mean_cells(op, n_max, lams, want_order2))
     if want_order2:
-        return float(best1), float(best2), float(best2_sum)
-    return float(best1), None, None
+        return float(sups.best1), float(sups.best2), float(sups.best2_sum)
+    return float(sups.best1), None, None
 
 
 def rotated_mean_norm_profile(
@@ -295,8 +464,6 @@ def rotated_mean_norm_profile(
     the sup is exact for them at any resolution, which is recorded via
     ``rotation_shortcut``.
     """
-    if angle_count < 1:
-        raise ValidationError("angle count must be at least 1")
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
     if n_max < 0:

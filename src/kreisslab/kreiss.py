@@ -617,13 +617,11 @@ def lemma21_bound(a, r_grid=None) -> CheckRecord:
 
 
 def dyadic_ladder(top: int) -> tuple:
-    """1, 2, 4, .. up to and including top (top must be a power of two)."""
-    out = []
-    v = 1
-    while v <= top:
-        out.append(v)
-        v *= 2
-    return tuple(out)
+    """1, 2, 4, .. up to and including top, which must be a power of two >= 1."""
+    top = int(top)
+    if top < 1 or top & (top - 1):
+        raise ValidationError(f"ladder top must be a power of two >= 1, got {top}")
+    return tuple(1 << k for k in range(top.bit_length()))
 
 
 def run_hilbert_claims(

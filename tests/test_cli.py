@@ -284,6 +284,21 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["kreiss", "--operator", "tzblock", "--trunc", "4", "--n-max", "-1", "--k-max", "1",
+      "--angles", "4"], "n_max"),
+    (["claims", "--operator", "tzblock", "--trunc", "4", "--angles", "0"], "angle count"),
+    (["claims", "--operator", "tzblock", "--trunc", "4", "--n-max", "8", "--angles", "4",
+      "--k-max", "3", "--probes", "2"], "power of two"),
+])
+def test_invalid_sweep_settings_exit_2_and_write_no_report(tmp_path, capsys, argv, message):
+    # Each once produced a report: from the n = 0 cell alone, from a NaN
+    # grid (exit 3), or from a ladder cut short below its stated top.
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # A shift of dimension 600 > SVD_CAP is normed by power iteration alone;
     # a stall is a clean error line and exit 3, not a traceback.

@@ -7,9 +7,10 @@ import kreisslab as kl
 import kreisslab.cesaro
 import kreisslab.kreiss
 from kreisslab.cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _dense_norm, _frobenius,
-                              _rotated_mean_norms, _schatten4, _swept_count)
+                              _mean_cells, _rotated_mean_norms, _schatten4, _swept_count)
 from kreisslab.kreiss import (_chain_reach, _leaf_inverse, _plain_beaten, certify_spectral_radius,
                               default_radii)
+from kreisslab.operators import _compact
 
 
 def zero_op(d=4):
@@ -269,6 +270,10 @@ SWEEP_OPS = {
         (kl.RotatedScale(np.exp(1.1j), contractive_dense(5, 4)), kl.build_TN(3, 0.3)))),
     "zero": zero_op(),
     "identity": identity_op(),  # every lam = 1 mean cell ties at 1
+    "unequal-blocks": kl.DirectSum((kl.RotatedScale(np.exp(0.7j), contractive_dense(5, 2)),
+                                    kl.build_tz_block(3), kl.build_ergces(6))),
+    # T^5 = 0 in the tz block, while the other block never settles.
+    "settles-mid-sweep": kl.DirectSum((kl.build_tz_block(4), kl.Dense(0.5 * np.eye(2)))),
 }
 
 
@@ -588,13 +593,119 @@ def test_pruned_sweeps_of_a_tz_block_norm_few_cells(monkeypatch):
     op = kl.build_tz_block(16)
     report = kl.kb2_constant(op, 128, 64)
     fused = kl.kreiss_constant(op, kl.AnnulusGrid.default(64), 16)
-    assert len(calls) <= 560  # 531 of 28,800 cells: 16,512 means and 12,288 resolvent powers
-    assert len(solves) <= 80  # 73 sigma_min SVDs of 768 grid points
+    assert len(calls) <= 130  # 97 of 14,850 cells: 8,514 means and 6,336 resolvent powers
+    assert len(solves) <= 80  # 62 sigma_min SVDs of 396 grid points
     # the exhaustive sweep's values
     got = (report.ukb_C, report.kb2_C, report.kb2_sum_C, fused.strong_C, fused.kreiss_C)
     want = (9.612697312887626, 7.618976457286319, 4.009987609098062, 9.693293899356368,
             6.032400028538849)
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def stepped_alone(mat, lam, n_max):
+    """The mean cells of one matrix at one point, one product at a time: the engine's oracle."""
+    scaled = _compact(lam * mat)
+    power = total = triangular = np.eye(mat.shape[0]).astype(scaled.dtype)
+    cells = [(total, triangular)]
+    for _ in range(n_max):
+        power = power @ scaled
+        total = total + power
+        triangular = triangular + total
+        cells.append((total, triangular))
+    return cells
+
+
+# One point per stack, or the default stacks.
+@pytest.mark.parametrize("stack_bytes", [1, kreisslab.cesaro._STACK_BYTES])
+@pytest.mark.parametrize("op", SWEEP_OPS.values(), ids=SWEEP_OPS.keys())
+def test_stacked_cells_equal_stepping_each_point_alone(op, stack_bytes, monkeypatch):
+    monkeypatch.setattr(kreisslab.cesaro, "_STACK_BYTES", stack_bytes)
+    _, lams = _angle_grid(op, 8)
+    lams = lams[:_swept_count(op, lams)]
+    # A rotated leaf's points are its scalar times the grid, as one array product.
+    leaves = [(lams if scalar == 1.0 else lams * scalar, kl.materialize(leaf))
+              for _, _, scalar, leaf in kl.blocks(op)]
+    stops = {len(lams) - 1: 5, 0: 3}
+    plan = [(np.array(list(stops)), np.array(list(stops.values())))] + [None] * (len(leaves) - 1)
+    for chosen in (None, plan):
+        seen = set()
+        for leaf, rows, n, totals, triangulars, settled in _mean_cells(op, 12, lams, True, chosen):
+            points, mat = leaves[leaf]
+            for k, point in enumerate(rows):
+                cells = stepped_alone(mat, points[point], 12)
+                np.testing.assert_array_equal(totals[k], cells[n][0], strict=True)
+                np.testing.assert_array_equal(triangulars[k], cells[n][1], strict=True)
+                assert settled[k] == (n > 0 and np.array_equal(cells[n][0], cells[n - 1][0]))
+                seen.add((leaf, int(point), n))
+        if chosen is None:
+            assert seen == {(leaf, point, n) for leaf in range(len(leaves))
+                            for point in range(len(lams)) for n in range(13)}
+        else:  # each planned point up to its stop, or on to the end of its stack
+            assert {(0, point, n) for point, stop in stops.items() for n in range(stop + 1)} <= seen
+            assert seen <= {(0, point, n) for point in stops for n in range(6)}
+
+
+def test_a_real_grid_steps_its_real_point_apart():
+    lams = _angle_grid(NONNORMAL, 8)[1][:5]
+    stacks = [(leaf, tuple(rows), totals.dtype.kind)
+              for leaf, rows, n, totals, *_ in _mean_cells(NONNORMAL, 2, lams, False) if n == 0]
+    assert stacks == [(0, (0,), "f"), (0, (1, 2, 3, 4), "c")]
+    settles = [(n, tuple(settled)) for _, _, n, _, _, settled in
+               _mean_cells(SWEEP_OPS["settles-mid-sweep"], 6, np.ones(1), False)]
+    assert settles[4:7] == [(4, (False,)), (5, (True,)), (6, (True,))]  # T^5 = 0 for tzblock 4
+
+
+def test_the_seeded_mean_sweep_norms_few_cells(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return _dense_norm(mat)
+
+    monkeypatch.setattr(kreisslab.cesaro, "_dense_norm", counting)
+    report = kl.kb2_constant(kl.build_tz_block(16), 128, 64)
+    assert len(calls) <= 60  # 30 of the 8,514 first- and second-order cells
+    assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == (
+        9.612697312887624, 7.618976457286323, 4.009987609098064)
+    # A one-point sweep (the rotation shortcut of a shift) runs one pass,
+    # with the same cells normed as before the seed existed: there a seed
+    # saves no eigensolve and costs a second pass.
+    monkeypatch.setattr(kreisslab.cesaro._MeanSups, "seed", None)
+    for op, count in ((kl.build_bermbmp_shift(0.45, "forward", 64), 114),
+                      (kl.build_TN(16, 0.45), 70)):
+        calls.clear()
+        kl.kb2_constant(op, 256, 256)
+        assert len(calls) == count
+
+
+@pytest.mark.parametrize("angles", [1, 8])
+def test_a_non_finite_mean_cell_raises(angles):
+    # The squares overflow at n = 2, to inf and to inf - inf = NaN: no bound prunes such a cell.
+    for mat in ([[0.5, 1e200], [0.0, 1e200]], [[1e200, 1e200], [1e200, -1e200]]):
+        with pytest.raises(kl.ConvergenceError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            kl.kb2_constant(kl.Dense(np.array(mat)), 8, angles)
+
+
+def test_mean_sweeps_reject_a_negative_n_max():
+    with pytest.raises(kl.ValidationError, match="n_max"):
+        kl.kb2_constant(kl.build_tz_block(4), -5, 8)
+    with pytest.raises(kl.ValidationError, match="n_max"):
+        kl.uniform_kreiss_constant(kl.build_TN(4, 0.3), -1, 1)
+
+
+def test_angle_grid_rejects_no_angles():
+    for op in (NONNORMAL, kl.build_TN(4, 0.3)):
+        with pytest.raises(kl.ValidationError, match="angle"):
+            _angle_grid(op, 0)
+
+
+def test_dyadic_ladder_needs_a_power_of_two_top():
+    assert kl.dyadic_ladder(1) == (1,)
+    assert kl.dyadic_ladder(64) == (1, 2, 4, 8, 16, 32, 64)
+    for top in (0, 3, 6, -4):
+        with pytest.raises(kl.ValidationError, match="power of two"):
+            kl.dyadic_ladder(top)
 
 
 # --- orbit claims ---
