@@ -1,18 +1,23 @@
 """Cesaro means, second means, rotated mean profiles, and ergodicity probes.
 
-Every mean is a running sum of powers with one multiplication per
-step, never recomputing a power from the start, so a profile up to
-n_max costs at most n_max multiplications, and none happen past an
-exactly zero power.  The single-operator means read the stream
-_power_sums; the rotated mean sweeps step the swept points of a leaf
-together, as stacks of matrices (_mean_cells).  Rotated profiles take
-the sup over a uniform unimodular grid; for shift-like operators the
-rotation is a unitary equivalence, so a single angle suffices and is
-recorded as such.  The grid is built from exact conjugate pairs, and
-for a real operator (every leaf real, every rotation scalar real) the
-norm at conj(lam) equals the norm at lam, so every sweep over the grid
-(these mean sups and the resolvent sweeps of kreiss) evaluates only its
-points 0..N/2 (_swept_count).
+Every mean is a running sum of powers, never recomputing a power from
+the start, and no power is multiplied past an exactly zero one.  The
+single-operator means read the stream _power_sums, one multiplication
+per step.  The rotated mean sweeps step the swept points of a leaf
+together, as stacks (_mean_cells): since (lam T)^n = lam^n T^n, a stack
+makes one product of the leaf's own power per step, real for a real
+leaf, and scales it by every point's lam^n.  The probes and the mean
+differences read their sums only at sparse rungs; past d + 1 steps they
+reach the rungs by doubling when that costs fewer flops (_rung_sums),
+about 3 d^3 flops per doubling of n instead of n block products.
+
+Rotated profiles take the sup over a uniform unimodular grid; for
+shift-like operators the rotation is a unitary equivalence, so a single
+angle suffices and is recorded as such.  The grid is built from exact
+conjugate pairs, and for a real operator (every leaf real, every
+rotation scalar real) the norm at conj(lam) equals the norm at lam, so
+every sweep over the grid (these mean sups and the resolvent sweeps of
+kreiss) evaluates only its points 0..N/2 (_swept_count).
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ _PRUNE_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 #: Size of one array of a stack of points in _mean_cells.  A stack holds
-#: five, so the sweeps stay within a few hundred KiB of working memory.
+#: three, beside two single matrices, so the sweeps stay within a few
+#: hundred KiB of working memory.
 _STACK_BYTES = 1 << 17
 
 
@@ -147,6 +153,66 @@ def _power_sums(step, start, n_max: int):
             # The first entry is a cheap witness on streams that never reach zero.
             settled = not (power.item(0) or power.any())
         yield n, power, total, settled
+
+
+def _doubled_sums(mat: np.ndarray, power: np.ndarray, total: np.ndarray, start: int, rungs):
+    """Yield (n, T^n s, sum_{j<=n} T^j s) at each rung n > start, given those two at start.
+
+    mat is T.  With U_a = T + .. + T^a, the sums double exactly:
+    U_2a = U_a + U_a T^a and T^2a = T^a T^a, from one product of the
+    stacked [U_a; T^a] with T^a.  A gap k to the next rung is crossed
+    bit by bit from the lowest, by S_(<a+b) = S_(<a) + T^a S_(<b): for
+    each bit a of k, one product of [U_a; T^a] with the current power
+    adds U_a T^m s to the sum and makes the power T^(m+a) s.  The matrices
+    cost about 2 d^3 flops per level and the block 2 d^2 p per set bit,
+    against d^2 p per step of stepping.
+    """
+    d = mat.shape[0]
+    levels = [np.concatenate((mat, mat))]  # [U_a; T^a] for a = 1, 2, 4, ..
+    n = start
+    for rung in rungs:
+        gap = rung - n
+        for level in range(gap.bit_length()):
+            if level == len(levels):
+                sums, top = levels[-1][:d], levels[-1][d:]
+                product = levels[-1] @ top
+                product[:d] += sums
+                levels.append(product)
+            if gap >> level & 1:
+                product = levels[level] @ power
+                total = total + product[:d]
+                power = product[d:]
+        n = rung
+        yield n, power, total
+
+
+def _rung_sums(start, rungs, step, mat=None):
+    """Yield (n, T^n s, sum_{j<=n} T^j s) at each rung n >= 1 of the increasing rungs.
+
+    s = start is a (d, p) block and step(v) = T v.  The sums are stepped
+    as in _power_sums until they settle (a nilpotent T settles within d
+    steps) or d + 1 steps pass.  Then, when mat (T itself, explicit and
+    compacted) is given and the remaining rest = rungs[-1] - n steps
+    would cost more flops than doubling, 3 d bit_length(rest) < rest p,
+    each remaining rung is reached by _doubled_sums; else stepping goes
+    on.  With s = I, step may equally multiply from the right.
+    """
+    wanted = set(rungs)
+    stream = _power_sums(step, start, rungs[-1])
+    d = start.shape[0]
+    for n, power, total, settled in stream:
+        if n in wanted:
+            yield n, power, total
+        if settled or n == d + 1:
+            break
+    rest = rungs[-1] - n
+    if mat is not None and not settled and rest > 0 \
+            and 3 * d * rest.bit_length() < rest * start.shape[1]:
+        yield from _doubled_sums(mat, power, total, n, [r for r in rungs if r > n])
+        return
+    for n, power, total, _ in stream:
+        if n in wanted:
+            yield n, power, total
 
 
 def _frobenius(mat: np.ndarray) -> float:
@@ -221,19 +287,20 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
     """Yield (leaf, rows, n, totals, triangulars, settled): one step n of one stack of points.
 
     The points rows (a list of indices into lams) step together as one
-    stack: totals[k] = sum_{j<=n} (lam T)^j and, when want_order2,
-    triangulars[k] = sum_{j<=n} (n+1-j) (lam T)^j, for lam =
-    lams[rows[k]] and T the leaf-th leaf of blocks(op).  Direct sums
-    reduce blockwise (the mean of a block diagonal is block diagonal,
-    its norm the max over blocks); rotations fold their scalar into the
-    grid.  The points where lam T is real (lam = 1 of a real leaf) and
-    the complex points form separate stacks of at most _STACK_BYTES per
-    array, each stepped by one stacked product per n, which equals the
-    product of each matrix alone bit for bit.  settled[k] says that the
-    power added at this step was exactly zero, so totals[k] is the
-    previous step's matrix unchanged; once every power of a stack is
-    zero it is no longer multiplied.  The arrays are updated in place at
-    the next step, so a consumer copies what it keeps.
+    stack: totals[k] = sum_{j<=n} lam^j T^j and, when want_order2,
+    triangulars[k] = sum_{j<=n} (n+1-j) lam^j T^j, for lam =
+    lams[rows[k]] (times the leaf's rotation scalar) and T the leaf-th
+    leaf of blocks(op).  Direct sums reduce blockwise (the mean of a
+    block diagonal is block diagonal, its norm the max over blocks);
+    rotations fold their scalar into the grid.  The points where the
+    leaf and lam are both real (lam = 1 of a real leaf) and the other
+    points form separate stacks of at most _STACK_BYTES per array.  Each
+    stack steps one power T^n of the compacted leaf per n, real when the
+    leaf is real, and adds lam^n T^n to every total (_stack_sums).
+    settled says that T^n, the power behind this step, is exactly zero
+    (so totals is the previous step's unchanged); it is shared by the
+    stack, and once it holds T is no longer multiplied.  The arrays are
+    updated in place at the next step, so a consumer copies what it keeps.
 
     plan, when given, has one entry per leaf: None skips the leaf, and
     (points, stops) steps only the points of lams at the indices points,
@@ -249,43 +316,54 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
         else:
             points, stops = plan[leaf_index]
         mat = _compact(materialize(leaf))
-        scalars = lams if scalar == 1.0 else lams * scalar
-        real = np.array([np.isrealobj(_compact(scalars[point] * mat)) for point in points])
+        scalars = (lams if scalar == 1.0 else lams * scalar)[points]
+        real = np.isrealobj(mat) & (scalars.imag == 0.0)
         for part, dtype in ((real, float), (~real, complex)):
             size = max(1, _STACK_BYTES // (mat.size * np.dtype(dtype).itemsize))
             order = np.argsort(stops[part], kind="stable")
-            rows, ends = points[part][order], stops[part][order]
+            rows, ends, factors = points[part][order], stops[part][order], scalars[part][order]
+            if dtype is float:
+                factors = factors.real.copy()
             for first in range(0, len(rows), size):
-                chunk = rows[first:first + size]
-                stack = np.stack([_compact(scalars[point] * mat) for point in chunk])
-                yield from _stack_sums(leaf_index, chunk, stack, int(ends[first:first + size][-1]),
-                                       want_order2)
+                chunk = slice(first, first + size)
+                yield from _stack_sums(leaf_index, rows[chunk], mat, factors[chunk],
+                                       int(ends[chunk][-1]), want_order2)
 
 
-def _stack_sums(leaf_index: int, rows: np.ndarray, stack: np.ndarray, n_stop: int,
-                want_order2: bool):
-    """The cells of _mean_cells for one stack of scaled matrices, n = 0..n_stop.
+def _stack_sums(leaf_index: int, rows: np.ndarray, mat: np.ndarray, scalars: np.ndarray,
+                n_stop: int, want_order2: bool):
+    """The cells of _mean_cells for the points scalars[k] * mat, n = 0..n_stop.
 
-    Powers are multiplied into two alternating buffers and every sum is
-    added in place, so a stack costs five arrays of its size.
+    One power T^n = T^(n-1) T of the matrix alone is made per step, in
+    its own dtype, so a stack of any size costs one product of two
+    single matrices, and (lam T)^n = lam^n T^n for every point comes
+    from one broadcast multiply into a spare stack, with lam^n a running
+    product of the scalars.  The sums are added in place: a stack costs
+    three arrays of its size (terms, totals, triangulars) and two
+    single matrices (the power and its spare).
     """
     rows = rows.tolist()
-    power = np.zeros_like(stack)
-    diagonal = range(stack.shape[1])
-    power[:, diagonal, diagonal] = 1.0
-    spare = np.empty_like(stack)
-    total = power.copy()
-    triangular = power.copy() if want_order2 else None
+    d = mat.shape[0]
+    power = np.eye(d, dtype=mat.dtype)
+    spare = np.empty_like(power)
+    lam_n = np.ones_like(scalars)
+    terms = np.empty((len(rows), d, d), dtype=scalars.dtype)
+    total = np.zeros_like(terms)
+    diagonal = range(d)
+    total[:, diagonal, diagonal] = 1.0
+    triangular = total.copy() if want_order2 else None
     settled = np.zeros(len(rows), dtype=bool)
     yield leaf_index, rows, 0, total, triangular, settled
-    moving = True
     for n in range(1, n_stop + 1):
-        if moving:
-            np.matmul(power, stack, out=spare)
+        if not settled[0]:
+            np.matmul(power, mat, out=spare)
             power, spare = spare, power
-            total += power
-            settled = ~power.reshape(len(rows), -1).any(axis=1)
-            moving = not settled.all()
+            # Out of place: numpy may round an in-place product of one
+            # element differently, and each point must equal its lone stepping.
+            lam_n = lam_n * scalars
+            np.multiply(lam_n[:, None, None], power, out=terms)
+            total += terms
+            settled = np.full(len(rows), not power.any())
         if want_order2:
             triangular += total
         yield leaf_index, rows, n, total, triangular, settled
@@ -521,19 +599,24 @@ def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:
 
 
 def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
-    """||M_{n+1}(T) - M_n(T)|| at each ladder index n."""
+    """||M_{n+1}(T) - M_n(T)|| at each ladder index n.
+
+    The power sums at n and n + 1 come from _rung_sums on the identity:
+    stepped, or doubled on the compacted matrix once doubling costs
+    fewer flops.
+    """
     ladder = tuple(int(n) for n in ladder)
+    if not ladder:
+        raise ValidationError("ladder needs at least one rung")
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(n < 0 for n in ladder):
         raise ValidationError("ladder must be strictly increasing and non-negative")
     mat = materialize(op)
-    wanted = set(ladder)
-    out = {}
-    previous = np.eye(mat.shape[0], dtype=complex)
-    for n, _, total, _ in _power_sums(lambda p: p @ mat, previous, max(ladder) + 1):
-        if (n - 1) in wanted:
-            out[n - 1] = _dense_norm(total / (n + 1) - previous / n)
-        previous = total
-    return np.array([out[n] for n in ladder])
+    eye = np.eye(mat.shape[0], dtype=complex)
+    rungs = sorted({m for n in ladder for m in (n, n + 1)} - {0})
+    sums = {0: eye}
+    for n, _, total in _rung_sums(eye, rungs, lambda p: p @ mat, _compact(mat)):
+        sums[n] = total
+    return np.array([_dense_norm(sums[n + 1] / (n + 2) - sums[n] / (n + 1)) for n in ladder])
 
 
 def ergodic_probe(
@@ -548,13 +631,15 @@ def ergodic_probe(
     sequence of vectors (normalized here).  The probe decides nothing:
     a caller gates the final gaps, ``gaps[:, -1]``, against
     PROBE_TOLERANCE (the ``ergces-ergodic-probe`` and
-    ``tz-ergodic-probe`` checks of ``reproduce``).
+    ``tz-ergodic-probe`` checks of ``reproduce``).  The means are read
+    only at the rungs: the block is stepped for at most d + 1 steps,
+    and the rest is doubled when that costs fewer flops (_rung_sums).
     """
     ladder = tuple(int(n) for n in ladder)
     if len(ladder) < 2:
         raise ValidationError("ladder needs at least two rungs")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValidationError("ladder must be strictly increasing")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 0:
+        raise ValidationError("ladder must be strictly increasing and non-negative")
     d = dimension(op)
     if isinstance(probes, int):
         rng = np.random.default_rng(seed)
@@ -581,10 +666,12 @@ def ergodic_probe(
     # step when it fits, else by one structured apply of the block.  A
     # real matrix steps a complex block X as the real block [Re X | Im X]
     # at half the flops of a complex product, and the complex sums are
-    # rebuilt at the ladder's rungs only.
+    # rebuilt at the ladder's rungs only.  Past d + 1 steps an unsettled
+    # block may reach the remaining rungs by doubling (_rung_sums).
     block = np.column_stack(vecs)
     count = block.shape[1]
     split = False
+    mat = None
     if d <= DENSE_CAP:
         mat = _compact(materialize(op))
         if not np.iscomplexobj(mat):
@@ -604,9 +691,8 @@ def ergodic_probe(
         return (running / (n + 1)).T.copy()
 
     means = {0: mean(block, 0)}
-    for n, _, running, _ in _power_sums(step, block, max(ladder)):
-        if n in ladder:
-            means[n] = mean(running, n)
+    for n, _, running in _rung_sums(block, ladder, step, mat):
+        means[n] = mean(running, n)
     gaps = np.array([[float(np.linalg.norm(row)) for row in means[b] - means[a]]
                      for a, b in zip(ladder, ladder[1:])]).T
     return ErgodicProbe(ladder, tuple(labels), gaps)

@@ -24,7 +24,7 @@ from .cesaro import rotated_mean_norm_profile
 from .constructions import CATALOG_NAMES, make_operator, shields_certified_kmax
 from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
-from .kreiss import AnnulusGrid, kb2_constant, kreiss_constant, run_hilbert_claims
+from .kreiss import AnnulusGrid, dyadic_ladder, kb2_constant, kreiss_constant, run_hilbert_claims
 from .operators import WeightedShift, dimension, power_norms, spectral_norm
 from .reports import CheckRecord, RunConfig, emit_report, summarize
 from .reproduce import CLAIM_COLUMNS, GROWTH_COLUMNS, claim_row, reproduce, shields_envelope
@@ -178,11 +178,20 @@ def _cmd_cesaro(args) -> int:
                  {"means.csv": (("n", "norm_M1", "norm_M2", "sup_lambda"), rows)})
 
 
+def _check_sweep(args):
+    """Reject the mean sweep's settings before any sweep runs, not after the first."""
+    if args.n_max < 0:
+        raise ValidationError("n_max must be non-negative")
+    if args.angles < 1:
+        raise ValidationError("angle count must be at least 1")
+
+
 def _cmd_kreiss(args) -> int:
-    entry = _operator_entry(args)
-    grid = AnnulusGrid(args.radii, args.angles) if args.radii else AnnulusGrid.default(args.angles)
+    _check_sweep(args)
     if args.k_max < 1:
         raise ValidationError("k_max must be at least 1")
+    entry = _operator_entry(args)
+    grid = AnnulusGrid(args.radii, args.angles) if args.radii else AnnulusGrid.default(args.angles)
     base = kreiss_constant(entry.spec, grid, args.k_max)  # the plain and strong sweeps in one pass
     kb2 = kb2_constant(entry.spec, args.n_max, args.angles)
     merged = base.to_dict()
@@ -221,6 +230,10 @@ def _cmd_kreiss(args) -> int:
 
 
 def _cmd_claims(args) -> int:
+    _check_sweep(args)
+    dyadic_ladder(args.k_max)
+    if args.probes < 1:
+        raise ValidationError("claims need at least one probe")
     entry = _operator_entry(args)
     report = kb2_constant(entry.spec, args.n_max, args.angles)
     constant = float(report.kb2_sum_C)

@@ -639,6 +639,8 @@ def run_hilbert_claims(
     from that probe's row.  ``params`` are merged into every record's
     params beside the probe's ``x_seed``.
     """
+    if n_probes < 0:
+        raise ValidationError("n_probes must be non-negative")
     d = dimension(op)
     ladder = dyadic_ladder(n_top)
     probes = []

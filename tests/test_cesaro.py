@@ -5,8 +5,9 @@ import pytest
 
 import kreisslab as kl
 import kreisslab.cesaro
-from kreisslab.cesaro import _dense_norm, _power_sums, _rotated_mean_norms
-from kreisslab.operators import _dense_dimension
+from kreisslab.cesaro import (_dense_norm, _doubled_sums, _power_sums, _rotated_mean_norms,
+                              _rung_sums)
+from kreisslab.operators import _compact, _dense_dimension
 
 
 def random_dense(d, seed, real=False):
@@ -294,6 +295,76 @@ def test_mean_difference_decay_ergces():
 def test_mean_difference_ladder_validation():
     with pytest.raises(kl.ValidationError):
         kl.mean_difference_decay(kl.Dense(np.eye(2)), (8, 4))
+    with pytest.raises(kl.ValidationError):
+        kl.mean_difference_decay(kl.Dense(np.eye(2)), ())
+    with pytest.raises(kl.ValidationError):
+        kl.mean_difference_decay(kl.Dense(np.eye(2)), (-5, 16))
+
+
+# --- rungs: stepping, then doubling ---
+
+
+#: Spectral radius 1/2 behind an off-diagonal of 3, as in test_kreiss.
+NONNORMAL = kl.Dense(np.diag(np.full(8, 0.5)) + np.diag(np.full(7, 3.0), 1))
+RUNG_OPS = {
+    "ergces-12": kl.build_ergces(12),
+    "nonnormal": NONNORMAL,
+    # A complex contraction: unit spectral radius would let the sums grow.
+    "complex-dense": kl.Dense(0.95 * np.linalg.qr(random_dense(10, 3).matrix)[0]),
+}
+
+
+def stepped_means(mat, block, ladder):
+    # One product per index: the oracle of the doubled rungs.
+    means = {0: block}
+    power = total = block
+    for n in range(1, ladder[-1] + 1):
+        power = mat @ power
+        total = total + power
+        if n in ladder:
+            means[n] = total / (n + 1)
+    return means
+
+
+@pytest.mark.parametrize("op", RUNG_OPS.values(), ids=RUNG_OPS.keys())
+def test_doubled_rungs_equal_stepped_ones(op, monkeypatch):
+    doubled = []
+    monkeypatch.setattr(kreisslab.cesaro, "_doubled_sums",
+                        lambda *args: doubled.append(args[3]) or _doubled_sums(*args))
+    d = kl.dimension(op)
+    mat = kl.materialize(op)
+    ladder = (3, 16, 64, 255, 1000, 4096)
+    rng = np.random.default_rng(kl.SEED)
+    vecs = [v / np.linalg.norm(v)
+            for v in rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))]
+    means = stepped_means(mat, np.column_stack(vecs), ladder)
+    probe = kl.ergodic_probe(op, probes=vecs, ladder=ladder)
+    expected = [[np.linalg.norm(col) for col in (means[b] - means[a]).T]
+                for a, b in zip(ladder, ladder[1:])]
+    np.testing.assert_allclose(probe.gaps, np.array(expected).T, rtol=1e-12, atol=0)
+    sums = stepped_means(mat, np.eye(d, dtype=complex), (*ladder, *(n + 1 for n in ladder)))
+    diffs = kl.mean_difference_decay(op, ladder)
+    np.testing.assert_allclose(diffs, [_dense_norm(sums[n + 1] - sums[n]) for n in ladder],
+                               rtol=1e-12, atol=0)
+    assert doubled == [d + 1, d + 1]  # the probe and the decay both doubled
+
+
+def test_rung_path_selection(monkeypatch):
+    doubled = []
+    monkeypatch.setattr(kreisslab.cesaro, "_doubled_sums",
+                        lambda *args: doubled.append(args[3]) or _doubled_sums(*args))
+    # Nilpotent: tzblock d settles within d + 1 steps and never doubles.
+    kl.ergodic_probe(kl.build_tz_block(8), probes=8)
+    kl.mean_difference_decay(kl.build_tz_block(8), (64, 512))
+    vecs = list(np.eye(512)[[0, 3, 17, 256, 261]])
+    kl.ergodic_probe(kl.build_tz_block(256), probes=vecs)
+    assert doubled == []
+    # ergces 12 (d = 13) steps d + 1 = 14 times, then doubles.
+    kl.ergodic_probe(kl.build_ergces(12), probes=8)
+    assert doubled == [14]
+    # Doubling pays only when it needs fewer flops: one probe to n = 64 keeps stepping.
+    kl.ergodic_probe(kl.build_ergces(12), probes=[np.ones(13)], ladder=(16, 64))
+    assert doubled == [14]
 
 
 # --- ergodic probes ---
@@ -378,7 +449,8 @@ def test_batched_probes_match_single_probe_orbits_on_seeded_ergces():
                          ids=["ergces-12", "tzblock-8"])
 def test_a_real_matrix_steps_complex_probes_as_one_real_block(op, monkeypatch):
     # The seeded probes are complex: the real matrix steps [Re X | Im X],
-    # and the gaps equal those of complex products with the matrix, bit for bit.
+    # and the gaps equal those of complex products with the matrix, bit for
+    # bit, on the same path (ergces 12 doubles past d + 1 steps, tzblock 8 settles).
     d = kl.dimension(op)
     ladder = (16, 64, 256, 1024)
     starts = []
@@ -395,12 +467,12 @@ def test_a_real_matrix_steps_complex_probes_as_one_real_block(op, monkeypatch):
     for _ in range(8):
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vecs.append(x / np.linalg.norm(x))
+    monkeypatch.undo()
     mat = kl.materialize(op).astype(complex)
     block = np.column_stack(vecs)
     means = {0: block.T.copy()}
-    for n, _, running, _ in _power_sums(lambda b: mat @ b, block, ladder[-1]):
-        if n in ladder:
-            means[n] = (running / (n + 1)).T.copy()
+    for n, _, running in _rung_sums(block, ladder, lambda b: mat @ b, _compact(mat)):
+        means[n] = (running / (n + 1)).T.copy()
     expected = [[np.linalg.norm(row) for row in means[b] - means[a]]
                 for a, b in zip(ladder, ladder[1:])]
     np.testing.assert_array_equal(probe.gaps, np.array(expected).T)
@@ -429,3 +501,5 @@ def test_probe_validation():
         kl.ergodic_probe(kl.Dense(np.eye(2)), probes=[np.ones(2), np.ones(3)])
     with pytest.raises(kl.ValidationError):
         kl.ergodic_probe(kl.Dense(np.eye(2)), probes=2, ladder=(8,))
+    with pytest.raises(kl.ValidationError):
+        kl.ergodic_probe(kl.Dense(np.eye(2)), probes=2, ladder=(-5, 16))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import kreisslab
+import kreisslab.cli
 from kreisslab.cli import main
 from kreisslab.reproduce import CANONICAL_CATALOG, REPRODUCIBLE_IDS
 
@@ -291,13 +292,31 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["claims", "--operator", "tzblock", "--trunc", "4", "--angles", "0"], "angle count"),
     (["claims", "--operator", "tzblock", "--trunc", "4", "--n-max", "8", "--angles", "4",
       "--k-max", "3", "--probes", "2"], "power of two"),
+    (["kreiss", "--operator", "tzblock", "--trunc", "4", "--angles", "0"], "angle count"),
+    (["claims", "--operator", "tzblock", "--trunc", "4", "--n-max", "-1"], "n_max"),
+    (["claims", "--operator", "tzblock", "--trunc", "4", "--probes", "0"], "probe"),
+    (["claims", "--operator", "tzblock", "--trunc", "4", "--probes", "-2"], "probe"),
 ])
-def test_invalid_sweep_settings_exit_2_and_write_no_report(tmp_path, capsys, argv, message):
+def test_invalid_sweep_settings_exit_2_and_write_no_report(tmp_path, capsys, monkeypatch, argv,
+                                                           message):
     # Each once produced a report: from the n = 0 cell alone, from a NaN
-    # grid (exit 3), or from a ladder cut short below its stated top.
+    # grid (exit 3), from a ladder cut short below its stated top, or with
+    # no probe and no claim checked; or it was rejected only after a sweep.
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the settings were checked")
+
+    for name in ("kreiss_constant", "kb2_constant", "run_hilbert_claims"):
+        monkeypatch.setattr(kreisslab.cli, name, sweep)
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_claims_reject_a_negative_probe_count():
+    with pytest.raises(kreisslab.ValidationError):
+        kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=-1, n_top=4)
+    assert kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=0,
+                                        n_top=4) == []
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # A shift of dimension 600 > SVD_CAP is normed by power iteration alone;

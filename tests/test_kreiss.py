@@ -603,15 +603,24 @@ def test_pruned_sweeps_of_a_tz_block_norm_few_cells(monkeypatch):
 
 
 def stepped_alone(mat, lam, n_max):
-    """The mean cells of one matrix at one point, one product at a time: the engine's oracle."""
-    scaled = _compact(lam * mat)
-    power = total = triangular = np.eye(mat.shape[0]).astype(scaled.dtype)
-    cells = [(total, triangular)]
+    """The mean cells (total, triangular, T^n) of one matrix at one point: the engine's oracle.
+
+    The power of the compacted matrix is stepped alone, one product at a
+    time, and scaled by a running lam^n, real when lam and the matrix are.
+    """
+    mat = _compact(mat)
+    # One-element arrays: numpy may round a product with a scalar operand differently.
+    lam = np.array([lam.real if np.isrealobj(mat) and lam.imag == 0 else lam])
+    lam_n = np.ones_like(lam)
+    power = np.eye(mat.shape[0], dtype=mat.dtype)
+    total = triangular = np.eye(mat.shape[0], dtype=lam_n.dtype)
+    cells = [(total, triangular, power)]
     for _ in range(n_max):
-        power = power @ scaled
-        total = total + power
+        power = power @ mat
+        lam_n = lam_n * lam
+        total = total + lam_n * power
         triangular = triangular + total
-        cells.append((total, triangular))
+        cells.append((total, triangular, power))
     return cells
 
 
@@ -635,7 +644,7 @@ def test_stacked_cells_equal_stepping_each_point_alone(op, stack_bytes, monkeypa
                 cells = stepped_alone(mat, points[point], 12)
                 np.testing.assert_array_equal(totals[k], cells[n][0], strict=True)
                 np.testing.assert_array_equal(triangulars[k], cells[n][1], strict=True)
-                assert settled[k] == (n > 0 and np.array_equal(cells[n][0], cells[n - 1][0]))
+                assert settled[k] == (n > 0 and not cells[n][2].any())
                 seen.add((leaf, int(point), n))
         if chosen is None:
             assert seen == {(leaf, point, n) for leaf in range(len(leaves))
@@ -643,6 +652,45 @@ def test_stacked_cells_equal_stepping_each_point_alone(op, stack_bytes, monkeypa
         else:  # each planned point up to its stop, or on to the end of its stack
             assert {(0, point, n) for point, stop in stops.items() for n in range(stop + 1)} <= seen
             assert seen <= {(0, point, n) for point in stops for n in range(6)}
+
+
+def stepped_chain(mat, lam, n_max):
+    """The mean cells of one point by the chain (lam T)^n = (lam T)^(n-1) (lam T), in complex.
+
+    Each cell comes with the sizes of its terms: the sum over its powers
+    of their largest entries, with the cell's weights.
+    """
+    scaled = lam * mat.astype(complex)
+    power = total = triangular = np.eye(mat.shape[0], dtype=complex)
+    size = size2 = 1.0
+    cells = [(total, triangular, size, size2)]
+    for _ in range(n_max):
+        power = power @ scaled
+        total = total + power
+        triangular = triangular + total
+        size += np.abs(power).max()
+        size2 += size
+        cells.append((total, triangular, size, size2))
+    return cells
+
+
+@pytest.mark.parametrize("op", SWEEP_OPS.values(), ids=SWEEP_OPS.keys())
+def test_scaled_real_powers_equal_the_complex_chain(op):
+    # lam^n T^n and (lam T)^n agree to rounding: every entry of a cell
+    # within 1e-13 of the sizes of its terms (the sums cancel on the identity).
+    _, lams = _angle_grid(op, 16)
+    leaves = [(lams if scalar == 1.0 else lams * scalar, kl.materialize(leaf))
+              for _, _, scalar, leaf in kl.blocks(op)]
+    chains = {}
+    for leaf, rows, n, totals, triangulars, _ in _mean_cells(op, 24, lams, True):
+        points, mat = leaves[leaf]
+        for k, point in enumerate(rows):
+            if (leaf, point) not in chains:
+                chains[leaf, point] = stepped_chain(mat, points[point], 24)
+            total, triangular, size, size2 = chains[leaf, point][n]
+            np.testing.assert_allclose(totals[k], total, rtol=0, atol=1e-13 * size)
+            np.testing.assert_allclose(triangulars[k], triangular, rtol=0, atol=1e-13 * size2)
+    assert len(chains) == len(leaves) * len(lams)
 
 
 def test_a_real_grid_steps_its_real_point_apart():
