@@ -124,11 +124,8 @@ def _swept_count(op: OperatorSpec, lams: np.ndarray) -> int:
     coefficients.  Rounding is symmetric under negation, and the
     products, Gram eigensolves, inverses and SVDs treat the sign of an
     imaginary part symmetrically, so the computed norms agree bit for
-    bit as well: points 0..N/2 carry every value of the grid.  (Only a
-    shift block above SVD_CAP beside a dense one is normed by power
-    iteration from a complex seeded start, whose estimates at lam and
-    conj(lam) agree to its tolerance.)  Otherwise every point is
-    evaluated.
+    bit as well: points 0..N/2 carry every value of the grid.  Otherwise
+    every point is evaluated.
     """
     real = all(complex(scalar).imag == 0.0
                and (not isinstance(leaf, Dense) or np.isrealobj(_compact(leaf.matrix)))

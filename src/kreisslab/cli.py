@@ -6,9 +6,10 @@ and --format csv adds the run's CSV tables next to it (reproduce always
 writes both): the same flags and seed always produce byte-identical
 files.  The exit status is 1 when any definite check failed, 2 when the
 input is invalid, and 3 when a numerical kernel failed: the power
-iteration of a structured operator above SVD_CAP stalled, a matrix to
-be normed had a non-finite entry, a resolvent was singular, or a dense
-size cap was exceeded.  Explicit matrices are normed by a Gram
+iteration in the spectral norm of a structured operator above SVD_CAP
+stalled, the SVD of a resolvent system failed, a matrix to be normed
+had a non-finite entry, a resolvent was singular, or a dense size cap
+was exceeded.  Explicit matrices are normed by a Gram
 eigensolve (operators._matrix_norm) and never stall.
 
 KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
@@ -191,7 +192,8 @@ def _cmd_kreiss(args) -> int:
     if args.k_max < 1:
         raise ValidationError("k_max must be at least 1")
     entry = _operator_entry(args)
-    grid = AnnulusGrid(args.radii, args.angles) if args.radii else AnnulusGrid.default(args.angles)
+    grid = (AnnulusGrid(args.radii, args.angles) if args.radii is not None
+            else AnnulusGrid.default(args.angles))
     base = kreiss_constant(entry.spec, grid, args.k_max)  # the plain and strong sweeps in one pass
     kb2 = kb2_constant(entry.spec, args.n_max, args.angles)
     merged = base.to_dict()

@@ -20,12 +20,12 @@ class SingularError(ArithmeticError):
 class ConvergenceError(RuntimeError):
     """A norm estimate failed: an iteration stalled or a matrix had no norm.
 
-    Only structured operators are iterated: the norm of a shift, direct
-    sum or rotation above SVD_CAP, and the resolvent norm of a shift
-    block above it.  A stalled iteration carries the best estimate seen,
-    the residual it achieved and the iterations spent.  An explicit
-    matrix with a non-finite entry, or whose Gram eigensolve fails,
-    raises it with none of them.
+    Only the spectral norm of a structured operator is iterated: a
+    shift, direct sum or rotation above SVD_CAP.  A stalled iteration
+    carries the best estimate seen, the residual it achieved and the
+    iterations spent.  An explicit matrix with a non-finite entry, or
+    whose Gram eigensolve fails, and a resolvent system whose SVD fails
+    raise it with none of them.
     """
 
     def __init__(self, message, best=None, residual=None, iterations=None):

@@ -30,27 +30,14 @@ power, a diverging hypothesis sum) yield distinct no-verdict states
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _frobenius, _norm_unless_beaten,
                      _swept_count, rotated_mean_tables)
-from .errors import SingularError, ValidationError
-from .operators import (
-    SEED,
-    SVD_CAP,
-    OperatorSpec,
-    WeightedShift,
-    _converged,
-    _power_iteration,
-    adjoint,
-    apply,
-    blocks,
-    dimension,
-    materialize,
-    resolvent_apply,
-)
+from .errors import ConvergenceError, SingularError, ValidationError
+from .operators import SEED, OperatorSpec, WeightedShift, apply, blocks, dimension, materialize
 from .reports import CheckRecord, gate
 
 #: Dimension up to which the spectral-radius precondition is verified
@@ -76,8 +63,8 @@ class AnnulusGrid:
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
-        if not radii or any(r <= 1.0 + 1e-9 for r in radii):
-            raise ValidationError("all radii must exceed 1 + 1e-9")
+        if not radii or not all(math.isfinite(r) and r > 1.0 + 1e-9 for r in radii):
+            raise ValidationError("all radii must be finite and exceed 1 + 1e-9")
         if self.angle_count < 1:
             raise ValidationError("angle count must be at least 1")
 
@@ -159,31 +146,22 @@ def _require_contractive_spectrum(op: OperatorSpec):
 
 
 def _leaf_resolvent_norm(leaf, lam: complex) -> float:
-    d = dimension(leaf)
-    if not isinstance(leaf, WeightedShift) or d <= SVD_CAP:
-        matrix = materialize(leaf) if isinstance(leaf, WeightedShift) else leaf.matrix
-        system = lam * np.eye(d) - matrix
+    system = lam * np.eye(dimension(leaf)) - materialize(leaf)
+    try:
         smin = float(np.linalg.svd(system, compute_uv=False)[-1])
-        if smin == 0.0:
-            raise SingularError(f"resolvent singular at lam={lam}")
-        return 1.0 / smin
-    leaf_adj = adjoint(leaf)
-    return _converged(*_power_iteration(
-        lambda v: resolvent_apply(leaf, lam, v),
-        lambda v: resolvent_apply(leaf_adj, np.conj(lam), v),
-        d,
-        1e-10,
-    )).value
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"resolvent SVD failed at lam={lam}: {exc}") from exc
+    if smin == 0.0:
+        raise SingularError(f"resolvent singular at lam={lam}")
+    return 1.0 / smin
 
 
 def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
     """||(lam I - op)^-1||, exact blockwise over direct sums.
 
-    Dense blocks, and shift blocks up to SVD_CAP, use 1/sigma_min of the
-    materialized system.  Larger shift blocks run power iteration whose
-    matrix-vector products are O(d) resolvent solves, so they never
-    materialize.  A stalled iteration raises ConvergenceError: a failed
-    estimate, not a singular point.
+    Every block's value is 1/sigma_min of its materialized system, so a
+    block above DENSE_CAP raises SizeError.  A failed SVD raises
+    ConvergenceError: a failed estimate, not a singular point.
     """
     lam = complex(lam)
     # (lam - mu*A)^-1 = mu^-1 ((lam/mu) - A)^-1 with |mu| = 1: fold each rotation into lam.
@@ -264,8 +242,8 @@ def _with_mirrors(r: float, angles: np.ndarray, lost: list, swept: int) -> list:
     return [(float(r), complex(angles[k])) for k in mirrored]
 
 
-def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
-    """One pass over the grid's points lam = r * mu for the plain sup, the strong sup or both.
+def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int):
+    """One pass over the grid's points lam = r * mu for the plain sup and the strong sup.
 
     Returns (shortcut, best, radius, skipped, strong, strong_skipped).
     Each block is materialized once for the grid and inverted once per
@@ -286,16 +264,12 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
     the plain one; a point where resolvent_norm raises SingularError is
     left out of the plain sweep.
     Each sweep lists its points as (r, mu), radius by radius, angles in
-    grid order.  A plain-only pass inverts only when resolvent_norm
-    takes every block's SVD anyway.
+    grid order.
     """
     shortcut, angles = _angle_grid(op, grid.angle_count)
     swept = _swept_count(op, angles)
-    parts = blocks(op)
-    invert = k_max > 0 or all(not isinstance(leaf, WeightedShift) or stop - start <= SVD_CAP
-                              for start, stop, _, leaf in parts)
     leaves = [(scalar, materialize(leaf), np.eye(stop - start))
-              for start, stop, scalar, leaf in parts] if invert else []
+              for start, stop, scalar, leaf in blocks(op)]
     best = strong = 0.0
     radius = None
     skipped = []
@@ -310,8 +284,8 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int, plain: bool):
             except SingularError:
                 inverses = None
             # A point without inverses has no bound: the plain sweep norms it.
-            if plain and not (inverses and all(_plain_beaten(system, resolvent, r, best)
-                                               for system, resolvent in inverses)):
+            if not (inverses and all(_plain_beaten(system, resolvent, r, best)
+                                     for system, resolvent in inverses)):
                 try:
                     point = max(best, (r - 1.0) * resolvent_norm(op, lam))
                 except SingularError:
@@ -337,17 +311,17 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> Krei
     kreiss_C_radius is the radius where the sup is first reached; on the
     innermost radius the true sup may lie closer to the unit circle.
     With k_max >= 1 the same pass also fills strong_C (and k_max and
-    strong_skipped) exactly as strong_kreiss_constant(op, grid, k_max)
-    would.  For a real operator only angles 0..N/2 are evaluated, and
-    every value, the radius and the skip lists equal those of the full
-    grid: a skipped non-real point is listed with its conjugate.
-    Singular grid points are skipped and listed in the report; a stalled
-    estimate raises.
+    strong_skipped).  For a real operator only angles 0..N/2 are
+    evaluated, and every value, the radius and the skip lists equal
+    those of the full grid: a skipped non-real point is listed with its
+    conjugate.  Every block is materialized, so a block above DENSE_CAP
+    raises SizeError.  Singular grid points are skipped and listed in
+    the report; a failed SVD raises ConvergenceError.
     """
     _require_contractive_spectrum(op)
     if k_max < 0:
         raise ValidationError("k_max must be non-negative")
-    shortcut, best, radius, skipped, strong, strong_skipped = _grid_pass(op, grid, k_max, True)
+    shortcut, best, radius, skipped, strong, strong_skipped = _grid_pass(op, grid, k_max)
     return KreissReport(
         kreiss_C=best,
         kreiss_C_radius=radius,
@@ -400,22 +374,13 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
 
     Each term is the norm of a power of the scaled inverse (|lam|-1) R,
     which stays in range wherever the term does.  Singular grid points
-    are skipped and listed in strong_skipped.  kreiss_constant(op, grid,
-    k_max) gives the same strong_C from the pass that also sweeps the
-    plain constant.
+    are skipped and listed in strong_skipped.  This is kreiss_constant's
+    report without its plain sweep's fields: the strong sweep reads none
+    of them.
     """
-    _require_contractive_spectrum(op)
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
-    shortcut, _, _, _, strong, skipped = _grid_pass(op, grid, k_max, False)
-    return KreissReport(
-        strong_C=strong,
-        radii=grid.radii,
-        angle_count=grid.angle_count,
-        k_max=k_max,
-        rotation_shortcut=shortcut,
-        strong_skipped=skipped,
-    )
+    return replace(kreiss_constant(op, grid, k_max), kreiss_C=None, kreiss_C_radius=None, skipped=())
 
 
 def _vector_norms(v: np.ndarray):

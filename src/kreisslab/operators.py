@@ -28,9 +28,8 @@ SEED = 0x5EED
 #: Largest dimension materialized as a dense matrix.
 DENSE_CAP = 4096
 
-#: Largest structured operator whose power iteration is cross-checked
-#: against the norm of its materialization, and largest shift block
-#: whose resolvent norm is read off a dense SVD (1/sigma_min).  Explicit
+#: Largest structured operator whose power iteration in spectral_norm is
+#: cross-checked against the norm of its materialization.  Explicit
 #: matrices are normed by their Gram eigensolve at every size.
 SVD_CAP = 512
 
@@ -371,18 +370,6 @@ def _power_iteration(matvec, matvec_adj, d, tol):
     return best, best_res, it, False
 
 
-def _converged(value: float, res: float, iters: int, ok: bool) -> NormEstimate:
-    """A power-iteration result, or ConvergenceError carrying its best estimate."""
-    if not ok:
-        raise ConvergenceError(
-            f"power iteration stalled at residual {res:.3e} after {iters} iterations",
-            best=value,
-            residual=res,
-            iterations=iters,
-        )
-    return NormEstimate(value, "power-iteration", res, iters)
-
-
 def _matrix_norm(mat: np.ndarray) -> NormEstimate:
     """The norm policy for explicit matrices: no iteration, at any size.
 
@@ -454,12 +441,18 @@ def spectral_norm(op: OperatorSpec, tol: float = 1e-10) -> NormEstimate:
     value, res, iters, ok = _power_iteration(
         lambda v: apply(op, v), lambda v: apply(op_adj, v), d, tol
     )
-    if d > SVD_CAP:
-        return _converged(value, res, iters, ok)
-    sigma = _matrix_norm(materialize(op)).value
-    if ok and abs(value - sigma) <= 1e-8 * max(sigma, value, 1e-300):
-        return NormEstimate(value, "power-iteration", res, iters)
-    return NormEstimate(sigma, "dense-svd-oracle", res, iters)
+    if d <= SVD_CAP:
+        sigma = _matrix_norm(materialize(op)).value
+        if not (ok and abs(value - sigma) <= 1e-8 * max(sigma, value, 1e-300)):
+            return NormEstimate(sigma, "dense-svd-oracle", res, iters)
+    elif not ok:
+        raise ConvergenceError(
+            f"power iteration stalled at residual {res:.3e} after {iters} iterations",
+            best=value,
+            residual=res,
+            iterations=iters,
+        )
+    return NormEstimate(value, "power-iteration", res, iters)
 
 
 def _shift_log_weights(op: WeightedShift) -> np.ndarray:

@@ -296,12 +296,17 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["claims", "--operator", "tzblock", "--trunc", "4", "--n-max", "-1"], "n_max"),
     (["claims", "--operator", "tzblock", "--trunc", "4", "--probes", "0"], "probe"),
     (["claims", "--operator", "tzblock", "--trunc", "4", "--probes", "-2"], "probe"),
+    (["kreiss", "--operator", "tzblock", "--trunc", "4", "--radii", "inf"], "finite"),
+    (["kreiss", "--operator", "tzblock", "--trunc", "4", "--radii", "1.5,nan"], "finite"),
+    (["kreiss", "--operator", "tzblock", "--trunc", "4", "--radii", ","], "radii"),
 ])
 def test_invalid_sweep_settings_exit_2_and_write_no_report(tmp_path, capsys, monkeypatch, argv,
                                                            message):
     # Each once produced a report: from the n = 0 cell alone, from a NaN
-    # grid (exit 3), from a ladder cut short below its stated top, or with
-    # no probe and no claim checked; or it was rejected only after a sweep.
+    # grid (exit 3), from a ladder cut short below its stated top, with no
+    # probe and no claim checked, or from the default radii in place of an
+    # empty list; or it was rejected only after a sweep, or ended in a
+    # traceback from a non-finite radius.
     def sweep(*args, **kwargs):
         raise AssertionError("a sweep ran before the settings were checked")
 

@@ -103,27 +103,40 @@ def test_resolvent_norm_blockwise_vs_dense():
     assert abs(direct - dense) <= 1e-9 * dense
 
 
-def test_resolvent_norm_large_dimension_solve_path():
-    # above the SVD cap the norm comes from solve-driven power iteration
+def test_resolvent_norm_of_a_large_shift_is_its_svd():
+    # Every block, a shift above the SVD cap too, is normed by 1/sigma_min
+    # of its materialized system; above DENSE_CAP it cannot be materialized.
     op = kl.build_TN(300, 0.45)  # dimension 600 > 512
     lam = 1.25
-    got = kl.resolvent_norm(op, lam)
-    small = kl.build_TN(300, 0.45)
-    oracle = 1.0 / np.linalg.svd(
-        lam * np.eye(600) - kl.materialize(small), compute_uv=False
-    )[-1]
-    assert abs(got - oracle) <= 1e-6 * oracle
+    oracle = 1.0 / np.linalg.svd(lam * np.eye(600) - kl.materialize(op), compute_uv=False)[-1]
+    assert kl.resolvent_norm(op, lam) == oracle
+    with pytest.raises(kl.SizeError):
+        kl.resolvent_norm(kl.build_TN(2049, 0.45), lam)
+
+
+@pytest.mark.parametrize("k_max", [0, 1])
+def test_large_shift_sweeps_equal_their_dense_twin(k_max):
+    # A shift above the SVD cap once took its resolvent norm from a power
+    # iteration that stalled on these radii (ConvergenceError).
+    op = kl.build_TN(300, 0.45)  # dimension 600 > 512
+    grid = kl.AnnulusGrid((1.0625, 1.03125), 1)
+    shift = kl.kreiss_constant(op, grid, k_max)
+    dense = kl.kreiss_constant(kl.Dense(kl.materialize(op)), grid, k_max)
+    assert (shift.kreiss_C, shift.strong_C) == (dense.kreiss_C, dense.strong_C)
+    assert shift.kreiss_C > 0
 
 
 def test_resolvent_stall_is_an_error_not_a_skipped_point(monkeypatch):
-    # A stalled estimate above the SVD cap must not be dropped as if the
-    # point were singular: that would quietly lower the supremum.
-    monkeypatch.setattr(kl.kreiss, "_power_iteration",
-                        lambda *args, **kwargs: (1.0, 0.5, 20000, False))
-    op = kl.build_TN(300, 0.45)  # dimension 600 > 512
+    # An SVD that does not converge is a failed estimate: it must not be
+    # dropped as if the point were singular, which would quietly lower the
+    # supremum.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
     reports = []
     with pytest.raises(kl.ConvergenceError):
-        reports.append(kl.kreiss_constant(op, kl.AnnulusGrid.default(1)))
+        reports.append(kl.kreiss_constant(kl.build_TN(8, 0.45), kl.AnnulusGrid.default(1)))
     assert reports == []
 
 
