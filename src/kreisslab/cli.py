@@ -25,10 +25,11 @@ from .cesaro import rotated_mean_norm_profile
 from .constructions import CATALOG_NAMES, make_operator, shields_certified_kmax
 from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
-from .kreiss import AnnulusGrid, dyadic_ladder, kb2_constant, kreiss_constant, run_hilbert_claims
+from .kreiss import (CLAIM_COLUMNS, AnnulusGrid, dyadic_ladder, kb2_constant, kreiss_constant,
+                     run_hilbert_claims)
 from .operators import WeightedShift, dimension, power_norms, spectral_norm
 from .reports import CheckRecord, RunConfig, emit_report, summarize
-from .reproduce import CLAIM_COLUMNS, GROWTH_COLUMNS, claim_row, reproduce, shields_envelope
+from .reproduce import GROWTH_COLUMNS, reproduce, shields_envelope
 
 
 def _parse_radii(text: str):
@@ -243,7 +244,7 @@ def _cmd_claims(args) -> int:
                                 n_top=args.k_max, seed=args.seed)
     results = [CheckRecord("kb2-sum-constant", "info", constant), *claims]
     return _emit(args, _config(args, "claims", entry), results,
-                 {"claims.csv": (CLAIM_COLUMNS, [claim_row(claim) for claim in claims])})
+                 {"claims.csv": (CLAIM_COLUMNS, claims.rows)})
 
 
 def _cmd_growth(args) -> int:

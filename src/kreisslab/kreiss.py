@@ -18,7 +18,8 @@ real operator every grid sweep evaluates only the angles 0..N/2 of its
 N-point grid, whose values the conjugate half repeats
 (cesaro._swept_count).  The claims read the orbit norms norms[j] =
 ||T^j x|| from orbit_norms, so one orbit serves every claim instance on
-a probe.
+a probe, and run_hilbert_claims evaluates each instance on all probes
+at once, as one record that gates the worst of them.
 
 Every checker returns a reports.CheckRecord: a verdict decided by
 reports.gate, which stores the value, the comparison, the bound, the
@@ -38,7 +39,7 @@ from .cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _frobenius, _no
                      _swept_count, rotated_mean_tables)
 from .errors import ConvergenceError, SingularError, ValidationError
 from .operators import SEED, OperatorSpec, WeightedShift, apply, blocks, dimension, materialize
-from .reports import CheckRecord, gate
+from .reports import CheckRecord, gate, margins
 
 #: Dimension up to which the spectral-radius precondition is verified
 #: by a dense eigenvalue computation when structure does not settle it.
@@ -384,10 +385,18 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
 
 
 def _vector_norms(v: np.ndarray):
-    """||v||, or for a block the norm of each column, each normed as a contiguous vector."""
+    """||v||, or for a block the norm of each column, each normed as a contiguous vector.
+
+    np.linalg.norm of a complex vector is sqrt(re . re + im . im); a
+    block takes those dot products for all columns in one stacked
+    matmul of the rows of v.T, which gives the same bits.
+    """
     if v.ndim == 1:
         return float(np.linalg.norm(v))
-    return [float(np.linalg.norm(column)) for column in v.T.copy()]
+    rows = v.T.copy()
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    squares = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
+    return np.sqrt(squares[:, 0, 0])
 
 
 def orbit_norms(op: OperatorSpec, x: np.ndarray, kmax: int) -> np.ndarray:
@@ -420,55 +429,93 @@ def _orbit(norms, top: int) -> np.ndarray:
     return norms
 
 
+# Each orbit claim maps an orbit table (one row of norms ||T^j x|| per
+# probe) to (terms, op, bound): a probe's lhs is the sum of its row of
+# terms.  The one-probe checkers hilbert_claim1..4 and run_hilbert_claims
+# both evaluate claims through _claim_lhs, on one row or on many.
+
+
+def _top_squares(orbits: np.ndarray, N: int) -> np.ndarray:
+    """||T^N x||^2 of each row as a column, each squared as a float64 scalar (C pow).
+
+    np.square of the column would round differently in the last bit for
+    about one value in a thousand.
+    """
+    return np.array([norm ** 2 for norm in orbits[:, N]]).reshape(-1, 1)
+
+
+def _h1(orbits, C, N):
+    return orbits[:, :N] ** 2, "<=", 16.0 * C * C * N * N
+
+
+def _h2(orbits, C, N, M):
+    return _top_squares(orbits, N) / orbits[:, N - np.arange(M)] ** 2, "<=", 16.0 * C * C * M * M
+
+
+def _h3(orbits, C, N):
+    return 1.0 / orbits[:, :N], ">=", math.sqrt(N) / (4.0 * C)
+
+
+def _h4(orbits, C, N, M1, M2):
+    terms = orbits[:, N - np.arange(M1, M2)] ** 2 / _top_squares(orbits, N)
+    return terms, ">=", (M2 - M1) ** 2 / (16.0 * C * C * M2 * M2)
+
+
+#: Claim id -> (claim, whether it assumes T^N x != 0).  H2..H4 do, and an
+#: instance of one on a probe with ||T^N x|| <= _ORBIT_FLOOR is vacuous.
+_CLAIMS = {"H1": (_h1, False), "H2": (_h2, True), "H3": (_h3, True), "H4": (_h4, True)}
+
+
+def _claim_lhs(check_id: str, orbits: np.ndarray, C, index: dict):
+    """(live, lhs, op, bound) of one claim instance on each row of an orbit table.
+
+    live marks the rows the claim gates: all of them for H1, else those
+    with ||T^N x|| above _ORBIT_FLOOR, NaN included.  lhs holds the live
+    rows' sums, each row summed alone, as np.sum sums one probe's terms:
+    a sum along the table's axis may round differently.  Vacuous rows
+    are never evaluated, so they raise no division warning.
+    """
+    claim, needs_orbit = _CLAIMS[check_id]
+    live = ~(orbits[:, index["N"]] <= _ORBIT_FLOOR) if needs_orbit else np.ones(len(orbits), bool)
+    terms, op, bound = claim(orbits[live], C, **index)
+    return live, np.array([np.add.reduce(row) for row in terms]), op, float(bound)
+
+
+def _hilbert_claim(check_id: str, norms, C, index: dict, params) -> CheckRecord:
+    info = {**index, **(params or {})}
+    live, lhs, op, bound = _claim_lhs(check_id, norms[None], C, index)
+    if not live[0]:
+        return CheckRecord(check_id, "vacuous-pass", params=info)
+    return gate(check_id, lhs[0], op, bound, _REL_SLACK, info)
+
+
 def hilbert_claim1(norms, C, N, params=None) -> CheckRecord:
     """Orbit energy bound: sum_{j<N} ||T^j x||^2 <= 16 C^2 N^2."""
     if N < 1:
         raise ValidationError("N must be at least 1")
-    norms = _orbit(norms, N - 1)
-    lhs = float(np.sum(norms[:N] ** 2))
-    bound = 16.0 * C * C * N * N
-    return gate("H1", lhs, "<=", bound, _REL_SLACK, {"N": int(N), **(params or {})})
+    return _hilbert_claim("H1", _orbit(norms, N - 1), C, {"N": int(N)}, params)
 
 
 def hilbert_claim2(norms, C, N, M, params=None) -> CheckRecord:
     """Inverse-orbit bound: sum_{j<M} ||T^N x||^2 / ||T^{N-j} x||^2 <= 16 C^2 M^2."""
     if not 0 < M < N:
         raise ValidationError("need 0 < M < N")
-    norms = _orbit(norms, N)
-    info = {"N": int(N), "M": int(M), **(params or {})}
-    if norms[N] <= _ORBIT_FLOOR:
-        return CheckRecord("H2", "vacuous-pass", params=info)
-    js = np.arange(M)
-    lhs = float(np.sum(norms[N] ** 2 / norms[N - js] ** 2))
-    bound = 16.0 * C * C * M * M
-    return gate("H2", lhs, "<=", bound, _REL_SLACK, info)
+    return _hilbert_claim("H2", _orbit(norms, N), C, {"N": int(N), "M": int(M)}, params)
 
 
 def hilbert_claim3(norms, C, N, params=None) -> CheckRecord:
     """Reciprocal-orbit bound: sum_{j<N} 1/||T^j x|| >= sqrt(N)/(4C)."""
     if N < 1:
         raise ValidationError("N must be at least 1")
-    norms = _orbit(norms, N)
-    info = {"N": int(N), **(params or {})}
-    if norms[N] <= _ORBIT_FLOOR:
-        return CheckRecord("H3", "vacuous-pass", params=info)
-    lhs = float(np.sum(1.0 / norms[:N]))
-    bound = math.sqrt(N) / (4.0 * C)
-    return gate("H3", lhs, ">=", bound, _REL_SLACK, info)
+    return _hilbert_claim("H3", _orbit(norms, N), C, {"N": int(N)}, params)
 
 
 def hilbert_claim4(norms, C, N, M1, M2, params=None) -> CheckRecord:
     """Window bound: sum_{M1<=j<M2} ||T^{N-j}x||^2/||T^N x||^2 >= (M2-M1)^2/(16 C^2 M2^2)."""
     if not 0 < M1 < M2 < N:
         raise ValidationError("need 0 < M1 < M2 < N")
-    norms = _orbit(norms, N)
-    info = {"N": int(N), "M1": int(M1), "M2": int(M2), **(params or {})}
-    if norms[N] <= _ORBIT_FLOOR:
-        return CheckRecord("H4", "vacuous-pass", params=info)
-    js = np.arange(M1, M2)
-    lhs = float(np.sum(norms[N - js] ** 2 / norms[N] ** 2))
-    bound = (M2 - M1) ** 2 / (16.0 * C * C * M2 * M2)
-    return gate("H4", lhs, ">=", bound, _REL_SLACK, info)
+    return _hilbert_claim("H4", _orbit(norms, N), C,
+                          {"N": int(N), "M1": int(M1), "M2": int(M2)}, params)
 
 
 def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> CheckRecord:
@@ -589,6 +636,59 @@ def dyadic_ladder(top: int) -> tuple:
     return tuple(1 << k for k in range(top.bit_length()))
 
 
+#: Columns of a claims.csv table (thm2.7-claims prepends "operator").
+CLAIM_COLUMNS = ("claim", "x_seed", "N", "M", "M1", "M2", "lhs", "bound", "margin", "status")
+
+_VACUOUS_CELLS = (None, None, None, "vacuous-pass")
+
+
+class ClaimRecords(list):
+    """run_hilbert_claims' records, one per claim instance, and ``rows``: one per probe.
+
+    ``rows`` are the claims.csv rows in CLAIM_COLUMNS order, probe by
+    probe and on each probe instance by instance, each the row of the
+    one-probe hilbert_claim1..4 record of that probe and instance.
+    """
+
+    def __init__(self, records=(), rows=()):
+        super().__init__(records)
+        self.rows = list(rows)
+
+
+def _claim_instances(ladder: tuple):
+    """(check_id, index) of every claim instance on a probe, in claims.csv order."""
+    for N in ladder:
+        yield "H1", {"N": N}
+        yield "H3", {"N": N}
+        yield from (("H2", {"N": N, "M": M}) for M in ladder if M < N)
+        yield from (("H4", {"N": N, "M1": M1, "M2": M2})
+                    for M1 in ladder for M2 in ladder if M1 < M2 < N)
+
+
+def _claim_group(check_id: str, orbits: np.ndarray, C, index: dict, params: dict):
+    """(record, cells) of one claim instance on every probe of an orbit table.
+
+    The record gates the live probe of smallest margin (the first on
+    ties, a NaN before all): it fails exactly when some probe fails, and
+    its params give that probe as x_seed and the number gated as probes.
+    With no live probe it is one vacuous-pass record.  cells holds each
+    probe's (lhs, bound, margin, status), decided by reports.margins as
+    gate decides one probe.
+    """
+    live, lhs, op, bound = _claim_lhs(check_id, orbits, C, index)
+    cells = [_VACUOUS_CELLS] * len(orbits)
+    if not lhs.size:
+        return CheckRecord(check_id, "vacuous-pass", params={**index, "probes": 0, **params}), cells
+    margin, ok = margins(check_id, lhs, op, bound, _REL_SLACK)
+    probes = np.flatnonzero(live)
+    worst = int(np.argmin(margin))
+    record = gate(check_id, lhs[worst], op, bound, _REL_SLACK,
+                  {**index, "x_seed": int(probes[worst]), "probes": int(probes.size), **params})
+    for i, value, gap, passed in zip(probes.tolist(), lhs.tolist(), margin.tolist(), ok.tolist()):
+        cells[i] = (value, bound, gap, "pass" if passed else "fail")
+    return record, cells
+
+
 def run_hilbert_claims(
     op: OperatorSpec,
     C: float,
@@ -596,36 +696,36 @@ def run_hilbert_claims(
     n_top: int = 64,
     seed: int = SEED,
     params=None,
-) -> list:
-    """All four orbit claims over seeded unit probes and dyadic ladders.
+) -> ClaimRecords:
+    """All four orbit claims over seeded unit probes and dyadic ladders, one record per instance.
 
-    The probes step together as the columns of one block, up to n_top
-    (orbit_norms), and every claim instance on a probe reads its norms
-    from that probe's row.  ``params`` are merged into every record's
-    params beside the probe's ``x_seed``.
+    An instance is a claim with its N and its M or (M1, M2).  The probes
+    step together as the columns of one block, up to n_top (orbit_norms),
+    and each instance is evaluated on all their orbits at once.  Its one
+    record gates the worst live probe, or is vacuous-pass when no probe
+    is live (_claim_group), so the records fail exactly when some probe
+    fails an instance.  ``rows`` of the result keeps every probe's
+    verdict, as the one-probe hilbert_claim1..4 records would give it.
+    ``params`` are merged into every record's params.
     """
     if n_probes < 0:
         raise ValidationError("n_probes must be non-negative")
-    d = dimension(op)
     ladder = dyadic_ladder(n_top)
+    if not n_probes:
+        return ClaimRecords()
+    d = dimension(op)
     probes = []
     for i in range(n_probes):
         rng = np.random.default_rng([seed, i])
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append(x / np.linalg.norm(x))
-    # The reshape keeps a block of no probes (d, 0).
-    orbits = orbit_norms(op, np.array(probes, dtype=complex).reshape(len(probes), d).T, n_top)
-    results = []
-    for i, norms in enumerate(orbits):
-        tag = {"x_seed": i, **(params or {})}
-        for N in ladder:
-            results.append(hilbert_claim1(norms, C, N, tag))
-            results.append(hilbert_claim3(norms, C, N, tag))
-            for M in ladder:
-                if 0 < M < N:
-                    results.append(hilbert_claim2(norms, C, N, M, tag))
-            for M1 in ladder:
-                for M2 in ladder:
-                    if 0 < M1 < M2 < N:
-                        results.append(hilbert_claim4(norms, C, N, M1, M2, tag))
-    return results
+    orbits = orbit_norms(op, np.array(probes).T, n_top)
+    records, columns = [], []
+    for check_id, index in _claim_instances(ladder):
+        record, cells = _claim_group(check_id, orbits, C, index, params or {})
+        records.append(record)
+        head = (check_id, index["N"], index.get("M"), index.get("M1"), index.get("M2"))
+        columns.append((head, cells))
+    rows = [(check_id, i, *rest, *cells[i])
+            for i in range(n_probes) for (check_id, *rest), cells in columns]
+    return ClaimRecords(records, rows)

@@ -3,6 +3,8 @@
 Every record of a report is a CheckRecord, and gate is the only code
 that decides a pass or fail status: it stores the compared value, the
 comparison, the bound, the slack and the margin beside the verdict.
+Its rule is margins, which also decides the per-probe status column of
+a table whose rows a single record gates.
 
 Identical run configuration and seed must produce byte-identical files,
 so both writers are the standard library's with fixed settings: object
@@ -151,13 +153,24 @@ def gate(check_id, value, op, bound, slack=0.0, params=None, detail="") -> Check
     a strict one on margin > 0; a strict op admits no slack.
     """
     value, bound, slack = float(value), float(bound), float(slack)
+    margin, ok = margins(check_id, value, op, bound, slack)
+    return CheckRecord(check_id, "pass" if ok else "fail", value, op, bound, slack, margin,
+                       dict(params or {}), detail)
+
+
+def margins(check_id, values, op, bound, slack=0.0):
+    """(margin, ok) of ``values op bound``: gate's rule, elementwise on an array of values.
+
+    A NaN value has a NaN margin and is not ok.  A caller that decides
+    a verdict per array entry (one claim on many probes) takes it from
+    here, so each entry is judged exactly as gate would judge it alone.
+    """
     strict = op in ("<", ">")
     if strict and slack:
         raise ValidationError(f"{check_id}: a strict comparison takes no slack")
-    margin = bound - value if op in ("<", "<=") else value - bound
+    margin = bound - values if op in ("<", "<=") else values - bound
     ok = margin > 0.0 if strict else margin >= -slack * abs(bound)
-    return CheckRecord(check_id, "pass" if ok else "fail", value, op, bound, slack, margin,
-                       dict(params or {}), detail)
+    return margin, ok
 
 
 #: Both writers print a float as its shortest round-trip repr and refuse
@@ -202,6 +215,25 @@ def _csv_cell(value):
     return value
 
 
+#: Cell types the csv module writes as they are: a float as its repr.
+#: Subclasses (bool, np.float64) are not among them.
+_AS_IS = frozenset((str, int, float, type(None)))
+
+
+def _csv_row(row):
+    """row as a tuple if every cell is of an _AS_IS type and every float finite, else cell by cell.
+
+    The common row is checked by builtins alone, with no Python call
+    per cell; any other row goes through _csv_cell, which refuses it or
+    converts its cells.
+    """
+    row = tuple(row)
+    floats = [v for v in row if type(v) is float]
+    if _AS_IS.issuperset(map(type, row)) and all(map(math.isfinite, floats)):
+        return row
+    return list(map(_csv_cell, row))
+
+
 def write_csv(path, header, rows) -> Path:
     """RFC-4180 table: mandatory header row, CRLF line endings.
 
@@ -211,8 +243,8 @@ def write_csv(path, header, rows) -> Path:
     path = Path(path)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(map(_csv_cell, header))
-    writer.writerows(map(_csv_cell, row) for row in rows)
+    writer.writerow(_csv_row(header))
+    writer.writerows(map(_csv_row, rows))
     path.write_bytes(buffer.getvalue().encode("ascii"))
     return path
 

@@ -41,6 +41,7 @@ from .constructions import (
 from .errors import ValidationError
 from .growth import growth_fit
 from .kreiss import (
+    CLAIM_COLUMNS,
     dyadic_ladder,
     kb2_constant,
     lemma21_bound,
@@ -81,17 +82,6 @@ def _rel_gate(check_id, estimate, expected, tolerance, detail="") -> CheckRecord
     return gate(check_id, _rel_err(estimate, expected), "<=", tolerance,
                 params={"estimate": float(estimate), "expected": float(expected)},
                 detail=detail)
-
-
-#: Columns of a claims.csv table (thm2.7-claims prepends "operator").
-CLAIM_COLUMNS = ("claim", "x_seed", "N", "M", "M1", "M2", "lhs", "bound", "margin", "status")
-
-
-def claim_row(claim: CheckRecord) -> tuple:
-    """The claims.csv row of one orbit-claim record, in CLAIM_COLUMNS order."""
-    p = claim.params
-    return (claim.check_id, p.get("x_seed"), p.get("N"), p.get("M"), p.get("M1"), p.get("M2"),
-            claim.value, claim.bound, claim.margin, claim.status)
 
 
 #: Columns of a growth.csv table.
@@ -236,7 +226,7 @@ def _thm27(seed: int):
         claims = run_hilbert_claims(op, c_quad, n_probes=64, n_top=64, seed=seed,
                                     params={"operator": label})
         results.extend(claims)
-        rows.extend((label, *claim_row(claim)) for claim in claims)
+        rows.extend((label, *row) for row in claims.rows)
     return results, {"claims.csv": (("operator", *CLAIM_COLUMNS), rows)}
 
 

@@ -155,6 +155,21 @@ def test_csv_that_fails_writes_nothing(tmp_path, row, error):
     assert not path.exists()
 
 
+def test_numpy_cells_are_converted_and_checked_on_every_row(tmp_path):
+    # Rows of plain cells take the writer's fast path; a numpy cell in any
+    # row, the last of a long table too, is still converted or refused.
+    rows = [(k, 0.5 * k, None, "x") for k in range(2000)]
+    path = write_csv(tmp_path / "t.csv", ("k", "v", "e", "s"),
+                     [*rows, (np.bool_(True), np.float32(0.1), np.bool_(False), "y")])
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[1:3] == [b"0,0.0,,x", b"1,0.5,,x"]
+    assert lines[-2:] == [f"true,{float(np.float32(0.1))!r},false,y".encode(), b""]
+    for bad in (np.float64("nan"), np.float64("-inf")):
+        with pytest.raises(kl.ValidationError, match="non-finite"):
+            write_csv(tmp_path / "bad.csv", ("k", "v", "e", "s"), [*rows, (1, bad, None, "y")])
+        assert not (tmp_path / "bad.csv").exists()
+
+
 def test_empty_tables_are_valid_files(tmp_path):
     config = kl.RunConfig(command="powers")
     paths = kl.emit_report(config, [], {"empty.csv": (("k", "norm"), [])}, tmp_path)

@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kreisslab as kl
 import kreisslab.cesaro
+import kreisslab.cli
 import kreisslab.kreiss
 from kreisslab.cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _dense_norm, _frobenius,
                               _mean_cells, _rotated_mean_norms, _schatten4, _swept_count)
@@ -863,6 +869,54 @@ def test_orbit_norms_of_a_block_are_its_columns_orbits():
     assert kl.orbit_norms(kl.build_TN(8, 0.45), np.zeros((16, 0)), 4).shape == (0, 5)
 
 
+def one_probe_claims(orbit, C, ladder, tag):
+    """The one-probe records of every claim instance on one probe, in claims.csv order.
+
+    orbit(top) gives the probe's norms ||T^j x|| for j <= top at least.
+    """
+    records = []
+    for N in ladder:
+        records.append(kl.hilbert_claim1(orbit(N - 1), C, N, tag))
+        records.append(kl.hilbert_claim3(orbit(N), C, N, tag))
+        records += [kl.hilbert_claim2(orbit(N), C, N, M, tag) for M in ladder if M < N]
+        records += [kl.hilbert_claim4(orbit(N), C, N, M1, M2, tag)
+                    for M1 in ladder for M2 in ladder if M1 < M2 < N]
+    return records
+
+
+def claim_row(record):
+    """The claims.csv row of one one-probe claim record."""
+    p = record.params
+    return (record.check_id, p["x_seed"], p["N"], p.get("M"), p.get("M1"), p.get("M2"),
+            record.value, record.bound, record.margin, record.status)
+
+
+def assert_claim_groups(results, per_probe, params=None):
+    """results are the group records and rows of the one-probe records per_probe[probe][instance].
+
+    Each group record gates the live probe of smallest margin (the first
+    on ties) with that probe's value, bound and margin, and counts the
+    live probes; a group without one is a single vacuous-pass record.
+    """
+    assert results.rows == [claim_row(record) for records in per_probe for record in records]
+    assert len(results) == len(per_probe[0])
+    for k, group in enumerate(results):
+        instance = [records[k] for records in per_probe]
+        index = {key: value for key, value in instance[0].params.items()
+                 if key in ("N", "M", "M1", "M2")}
+        gated = [record for record in instance if record.status != "vacuous-pass"]
+        if not gated:
+            assert group.to_dict() == kl.CheckRecord(
+                instance[0].check_id, "vacuous-pass",
+                params={**index, "probes": 0, **(params or {})}).to_dict()
+            continue
+        worst = min(gated, key=lambda record: record.margin)
+        assert group.to_dict() == kl.gate(
+            worst.check_id, worst.value, worst.op, worst.bound, worst.slack,
+            {**index, "x_seed": worst.params["x_seed"], "probes": len(gated),
+             **(params or {})}).to_dict()
+
+
 def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
     op = kl.build_bermbmp_shift(0.45, "forward", 16)
     C = kl.kb2_constant(op, 32).kb2_sum_C
@@ -874,24 +928,116 @@ def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(kl.kreiss, "orbit_norms", counting)
-    results = kl.run_hilbert_claims(op, C, n_probes=3, n_top=16, seed=5)
-    assert calls == [((kl.dimension(op), 3), 16)]
-    # The same records as each instance computing its own orbit up to its N.
-    expected = []
+    results = kl.run_hilbert_claims(op, C, n_probes=3, n_top=32, seed=5, params={"tag": "t"})
+    assert calls == [((kl.dimension(op), 3), 32)]
+    # One record per instance on the ladder 1..32 (6 H1, 6 H3, 15 pairs
+    # M < N for H2, 20 triples M1 < M2 < N for H4); the rows are the
+    # one-probe records of each probe computing its own orbit up to each
+    # instance's N.
+    assert len(results) == 6 + 6 + 15 + 20 and len(results.rows) == 3 * len(results)
+    per_probe = []
     for i in range(3):
         rng = np.random.default_rng([5, i])
         x = rng.standard_normal(kl.dimension(op)) + 1j * rng.standard_normal(kl.dimension(op))
         x /= np.linalg.norm(x)
-        tag = {"x_seed": i}
-        ladder = kl.dyadic_ladder(16)
-        for N in ladder:
-            expected.append(kl.hilbert_claim1(kl.orbit_norms(op, x, N - 1), C, N, tag))
-            expected.append(kl.hilbert_claim3(kl.orbit_norms(op, x, N), C, N, tag))
-            expected += [kl.hilbert_claim2(kl.orbit_norms(op, x, N), C, N, M, tag)
-                         for M in ladder if M < N]
-            expected += [kl.hilbert_claim4(kl.orbit_norms(op, x, N), C, N, M1, M2, tag)
-                         for M1 in ladder for M2 in ladder if M1 < M2 < N]
-    assert [r.to_dict() for r in results] == [r.to_dict() for r in expected]
+        per_probe.append(one_probe_claims(lambda top: kl.orbit_norms(op, x, top), C,
+                                          kl.dyadic_ladder(32), {"x_seed": i, "tag": "t"}))
+    assert_claim_groups(results, per_probe, {"tag": "t"})
+    # The nilpotent shift of dimension 16 annihilates every probe from
+    # N = 16 on: whole groups are vacuous there, except H1's, which never is.
+    for record in results:
+        vanished = record.params["N"] >= 16 and record.check_id != "H1"
+        assert record.status == ("vacuous-pass" if vanished else "pass")
+
+
+def doctored_claims(monkeypatch, doctor, n_probes=4):
+    """run_hilbert_claims of tn 8 with doctor(orbits) applied to its orbit table.
+
+    Returns (results, the one-probe records of each doctored orbit, C).
+    """
+    op = kl.build_TN(8, 0.3)
+    C = kl.kb2_constant(op, 32).kb2_sum_C
+    tables = []
+
+    def doctored(*args):
+        orbits = doctor(kl.orbit_norms(*args))
+        tables.append(orbits)
+        return orbits
+
+    monkeypatch.setattr(kl.kreiss, "orbit_norms", doctored)
+    results = kl.run_hilbert_claims(op, C, n_probes=n_probes, n_top=16)
+    per_probe = [one_probe_claims(lambda top, orbit=orbit: orbit, C, kl.dyadic_ladder(16),
+                                  {"x_seed": i})
+                 for i, orbit in enumerate(tables[0])]
+    return results, per_probe, C
+
+
+def test_claim_group_gates_its_live_probes_only(monkeypatch):
+    # Probe 1 vanishes from j = 5 on, the other probes stay live up to 16.
+    def cut(orbits):
+        orbits[1, 5:] = 0.0
+        return orbits
+
+    results, per_probe, _ = doctored_claims(monkeypatch, cut)
+    assert_claim_groups(results, per_probe)
+    by_instance = {(r.check_id, *(r.params.get(k) for k in ("N", "M", "M1", "M2"))): r
+                   for r in results}
+    mixed = by_instance[("H3", 8, None, None, None)]
+    assert mixed.status == "pass" and mixed.params["probes"] == 3 and mixed.params["x_seed"] != 1
+    assert [row[-1] for row in results.rows if row[:3] == ("H3", 1, 8)] == ["vacuous-pass"]
+    assert by_instance[("H3", 4, None, None, None)].params["probes"] == 4
+    # H1 has no vacuous case: it gates every probe at every N.
+    assert {r.params["probes"] for r in results if r.check_id == "H1"} == {4}
+
+
+def test_one_failing_probe_fails_its_group_and_the_exit_status(monkeypatch, tmp_path):
+    # Probe 2's orbit grows 1000-fold after j = 0: H1 fails on it alone.
+    def grow(orbits):
+        orbits[2, 1:] *= 1e3
+        return orbits
+
+    results, per_probe, _ = doctored_claims(monkeypatch, grow)
+    assert_claim_groups(results, per_probe)
+    failing = [r for r in results if r.status == "fail"]
+    assert failing and all(r.params["x_seed"] == 2 for r in failing)
+    assert {row[1] for row in results.rows if row[-1] == "fail"} == {2}
+    code = kl.cli.main(["claims", "--operator", "tn", "--trunc", "8", "--eta", "0.3",
+                        "--n-max", "32", "--k-max", "16", "--probes", "4",
+                        "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_bytes())
+    assert report["summary"]["failed"] == len([r for r in report["results"]
+                                               if r["status"] == "fail"]) > 0
+
+
+def test_a_nan_lhs_fails_its_group(monkeypatch):
+    # ||T^3 x|| of probe 1 is NaN: every instance that sums it fails on
+    # that probe alone, and its group gates the NaN before any finite margin.
+    def poison(orbits):
+        orbits[1, 3] = np.nan
+        return orbits
+
+    results, per_probe, _ = doctored_claims(monkeypatch, poison)
+    assert [r.status for r in results if r.check_id == "H1"] == ["pass"] * 2 + ["fail"] * 3
+    for group, alone in zip(results, per_probe[1]):
+        assert (group.status == "fail") == (alone.status == "fail") == (alone.value != alone.value)
+        if group.status == "fail":
+            assert math.isnan(group.value) and group.params["x_seed"] == 1
+    rows = [claim_row(record) for records in per_probe for record in records]
+    assert [row for row in results.rows if row[1] != 1] == [row for row in rows if row[1] != 1]
+    assert ([row[-1] for row in results.rows if row[1] == 1]
+            == [row[-1] for row in rows if row[1] == 1])
+
+
+def test_claims_raise_no_warning_from_vacuous_probes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(kl.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "kreisslab", "reproduce",
+                          "thm2.7-claims", "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "Warning" not in out.stderr
+    report = json.loads((tmp_path / "report.json").read_bytes())
+    assert report["summary"]["vacuous_pass"] == 60 and report["summary"]["failed"] == 0
 
 
 def test_claim_driver_zero_failures():
