@@ -6,7 +6,10 @@ single-operator means read the stream _power_sums, one multiplication
 per step.  The rotated mean sweeps step the swept points of a leaf
 together, as stacks (_mean_cells): since (lam T)^n = lam^n T^n, a stack
 makes one product of the leaf's own power per step, real for a real
-leaf, and scales it by every point's lam^n.  The probes and the mean
+leaf, and scales it by every point's lam^n.  Their first pass steps no
+stack at all: ||sum_j lam^j T^j||_F^2 is a quadratic form in the Gram
+matrix of the powers, <T^j, T^k>, so the chain of the leaf's powers
+bounds every cell of every point (_seed_bounds).  The probes and the mean
 differences read their sums only at sparse rungs; past d + 1 steps they
 reach the rungs by doubling when that costs fewer flops (_rung_sums),
 about 3 d^3 flops per doubling of n instead of n block products.
@@ -91,6 +94,14 @@ _EPS = float(np.finfo(float).eps)
 #: three, beside two single matrices, so the sweeps stay within a few
 #: hundred KiB of working memory.
 _STACK_BYTES = 1 << 17
+
+#: Size of the block of a leaf's powers that one pass of the chain holds
+#: in the first pass of the mean sweeps (_gram_windows).  The powers up
+#: to n = 128 of a leaf below d = 64 fit one block.
+_POWER_BYTES = 1 << 22
+
+#: Values of n per window of the Gram strips and tables of _seed_bounds.
+_SEED_WINDOW = 256
 
 
 def _dense_norm(mat: np.ndarray) -> float:
@@ -266,18 +277,150 @@ def _norm_unless_beaten(mat: np.ndarray, beaten):
     return None if _bounds_beaten(mat, beaten) else _dense_norm(mat)
 
 
-def _stack_frobenius(stack: np.ndarray) -> np.ndarray:
-    """_frobenius of each matrix of a stack, one sum of squares per matrix.
+def _power_chain(mat: np.ndarray, n_max: int):
+    """Yield T^0 = I, T^1, .., T^top, where top <= n_max is the last nonzero power.
 
-    The squares are summed on a real view of the stack, with no copy, in
-    another order than _frobenius's: the result differs from it within
-    the rounding that _bounds_beaten allows for.  A NaN or underflowed
-    sum gives inf, as in _frobenius.
+    Each power is made as _stack_sums makes it, by the same product into
+    a spare array, so it equals the power of every stack bit for bit.
+    The yielded array is overwritten two steps later.
     """
-    flat = (stack.view(float) if np.iscomplexobj(stack) else stack).reshape(len(stack), -1)
-    root = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    root[~(root >= 1e-150)] = np.inf
-    return root
+    power = np.eye(mat.shape[0], dtype=mat.dtype)
+    spare = np.empty_like(power)
+    yield power
+    for _ in range(n_max):
+        np.matmul(power, mat, out=spare)
+        if not spare.any():
+            return
+        power, spare = spare, power
+        yield power
+
+
+def _gram_windows(mat: np.ndarray, n_max: int):
+    """Yield (n0, strip) for n0 = 0, _SEED_WINDOW, .. <= n_max: the Gram matrix of the powers by columns.
+
+    strip[j, k - n0] = <T^j, T^k> = sum conj(T^j) T^k for j <= k and k
+    in the window n0 <= k < n0 + _SEED_WINDOW, up to top, the last
+    nonzero power of the chain (_power_chain) up to n_max; the entries
+    below the diagonal are zero, and a window past top gives None.  Each
+    entry is one dot product of two flattened powers, taken as a batch
+    of 1 x 1 matrix products, so it has the same bits in any grouping;
+    the entries of one matrix product would round differently with its
+    shape.  A window's rows are filled one block at a time: a pass steps
+    the chain up to the window's end, holds the powers of its block, at
+    most _POWER_BYTES of them, and dots each power of the window with the
+    held ones.  So every blocking gives the same strips, one pass serves
+    a window whose powers fit one block, and what is held stays within
+    one block of powers and one strip of _SEED_WINDOW columns.
+    """
+    per = max(1, _POWER_BYTES // (mat.size * mat.itemsize))
+    top = n_max
+    for n0 in range(0, n_max + 1, _SEED_WINDOW):
+        n1 = min(n0 + _SEED_WINDOW, top + 1)
+        strip = np.zeros((n1, n1 - n0), dtype=mat.dtype) if n1 > n0 else None
+        start = 0
+        while strip is not None and start < n1:
+            held = np.empty((min(per, n1 - start), 1, mat.size), dtype=mat.dtype)
+            for k, power in enumerate(_power_chain(mat, n1 - 1)):
+                if start <= k < start + len(held):
+                    held[k - start, 0] = power.ravel().conj()
+                if k >= max(start, n0):
+                    count = min(k + 1 - start, len(held))
+                    dots = np.matmul(held[:count], power.reshape(-1, 1))
+                    strip[start:start + count, k - n0] = dots[:, 0, 0]
+            if k < n1 - 1:  # a zero power ended the chain: top is k
+                top, n1 = k, k + 1
+                strip = strip[:n1, :n1 - n0] if n1 > n0 else None
+            start += len(held)
+        yield n0, strip
+
+
+def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: bool):
+    """(bound1, bound2): upper bounds of ||totals||_F and ||triangulars||_F, no stack stepped.
+
+    Each array has one row per point scalars[p] and one column per
+    n = 0..n_max, and bounds the Frobenius norm of the cell that
+    _stack_sums steps for the compacted leaf mat at that point (bound2
+    is None unless want_order2).  Write P_j for the stepped powers of
+    _gram_windows, H for their Gram matrix, and mu = s / |s| for a point
+    s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
+    ||E_n||_F^2 = sum_m w_m Re(mu^m c_n(m)), w_0 = 1 and w_m = 2 else,
+    with c_n(m) = sum_(j<=n-m) H[j, j+m] a cumulative sum along the m-th
+    diagonal of H.  The triangular sum F_n = sum_(j<=n) (n+1-j) mu^j P_j
+    takes 2 C + (m - 1) B in place of c_n(m), where B and C are the
+    cumulative sums of c and of B in n: sum_j (n+1-j)(n+1-j-m) H[j, j+m]
+    = 2 C + (m - 1) B.  The sums run over the windows of n in which
+    _gram_windows yields H, and the transform to the points is one
+    product per window with the table w_m mu^m, so there is no loop per n.
+
+    The allowance makes each value a bound of the stepped cell.  With S
+    the weighted sum of ||P_j||_F (sum_j ||P_j|| for order 1,
+    sum_j (n+1-j) ||P_j|| for order 2), the computed square q may miss
+    ||E_n||^2 by kappa S^2, kappa = (L + 4 top + 16 n + 32) eps with L
+    the length of the Gram's inner products.  Rounding each source's
+    constant up, that covers the Gram product ((L + 2) eps), the three
+    cumulative sums (7 n eps), the running powers of mu (8 n eps), the
+    transform (3 top eps) and the last additions.  The stepped cell X_n
+    differs from E_n by at most a S: its running lam^n drifts from mu^n
+    by rho(n) = expm1(n (|ln|s|| + 2 eps)), and its products and sums
+    round by (n + 3) eps, so a = rho + (n + 3) eps (1 + rho); the
+    triangular sum adds n eps (1 + a).  The bound is
+    (sqrt(q + kappa S^2) + a S)(1 + 4 eps), with S first raised by its
+    own rounding.  Since P_0 = I, S^2 >= d, so the allowance dwarfs
+    whatever the squares in H lost to underflow.  A bound that is not
+    finite (an overflowed or NaN power) is inf: no bound.  A cell past
+    a zero power (settled, the previous total unchanged) gets -inf in
+    bound1, as its mean cannot rise.
+    """
+    ns = np.arange(n_max + 1)
+    inner = mat.size * (2 if np.iscomplexobj(mat) else 1)
+    modulus = np.abs(scalars)
+    phases = np.empty((n_max + 1, len(scalars)), dtype=complex)  # w_m mu^m
+    phases[0] = 1.0
+    phases[1:] = 2.0 * np.cumprod(np.broadcast_to(scalars / modulus, (n_max, len(scalars))), axis=0)
+    phases_re, phases_im = phases.real.copy(), phases.imag.copy()
+    sums = [np.zeros((n_max + 1, len(scalars))) for _ in range(1 + want_order2)]
+    norms = np.zeros(n_max + 1)  # ||T^j||_F
+    carries = np.zeros((3, n_max + 1), dtype=mat.dtype)
+    top = -1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n0, strip in _gram_windows(mat, n_max):
+            window = ns[n0:n0 + _SEED_WINDOW, None]
+            if strip is not None:
+                top = n0 + strip.shape[1] - 1
+                norms[n0:top + 1] = np.sqrt(strip.diagonal(-n0).real)
+            ms = np.arange(min(top + 1, n0 + len(window)))  # diagonals m <= n
+            j = window - ms  # the entry H[n - m, n] of diagonal m at n
+            live = (j >= 0) & (window <= top)
+            diagonal = (np.where(live, strip[np.clip(j, 0, top), np.clip(window - n0, 0, top - n0)],
+                                 0.0) if strip is not None else np.zeros(live.shape, mat.dtype))
+            tables = []
+            for carry in carries[:1 + 2 * want_order2, :len(ms)]:
+                diagonal = carry + np.cumsum(diagonal, axis=0)
+                carry[:] = diagonal[-1]
+                tables.append(diagonal)
+            if want_order2:
+                _, once, twice = tables
+                tables = [tables[0], 2.0 * twice + (ms - 1.0) * once]
+            for out, table in zip(sums, tables):
+                part = table.real @ phases_re[:len(ms)]
+                if np.iscomplexobj(table):
+                    part -= table.imag @ phases_im[:len(ms)]
+                out[n0:n0 + _SEED_WINDOW] = part
+        size1 = np.cumsum(norms)
+        drift = np.expm1(np.outer(np.abs(np.log(modulus)) + 2.0 * _EPS, ns))
+        allow1 = drift + (ns + 3.0) * _EPS * (1.0 + drift)
+        sizes = [(size1, allow1)]
+        if want_order2:
+            sizes.append((np.cumsum(size1), allow1 + ns * _EPS * (1.0 + allow1)))
+        kappa = (inner + 4.0 * top + 16.0 * ns + 32.0) * _EPS
+        bounds = []
+        for q, (size, allow) in zip(sums, sizes):
+            size = size * (1.0 + (inner + 3.0 * ns + 8.0) * _EPS)
+            bound = (np.sqrt(np.maximum(q.T + kappa * size**2, 0.0)) + allow * size) * (1.0 + 4.0 * _EPS)
+            bound[~(bound < np.inf)] = np.inf
+            bounds.append(bound)
+    bounds[0][:, top + 1:] = -np.inf
+    return bounds[0], bounds[1] if want_order2 else None
 
 
 def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool, plan=None):
@@ -421,40 +564,54 @@ class _MeanSups:
         self.best2_sum = np.maximum(self.best2_sum, value * ((n + 2.0) / (2.0 * (n + 1.0))))
 
     def seed(self, op, n_max, lams):
-        """Pass 1: store every cell's Frobenius bound, norm the top-bound cells; return the plan.
+        """Pass 1: bound every cell by power algebra, norm the top-bound cells; return the plan.
 
         Returns the plan of _mean_cells for the second pass and the
         stored bounds, one (len(lams), n_max + 1) array per leaf and
-        order; a settled or already normed cell's bound is -inf.  The
-        seeds are the cells of largest bound for best1, best2 and
-        best2_sum (one cell may serve two); each is copied when it
-        becomes the top and normed once the pass ends.
+        order (None for order 2 unless want_order2); a settled or
+        already normed cell's bound is -inf.  The bounds of a leaf come
+        from the Gram matrix of its powers (_seed_bounds), so no stack
+        is stepped for them.  The seeds are the cells of largest bound
+        for best1, best2 and best2_sum (one cell may serve two).  Only the
+        seeds' points are stepped, as stacks of _mean_cells up to their
+        seeds' n, which give each cell the bits it has in any stack, and
+        the seed cells are normed.
         """
         ns = np.arange(n_max + 1)
-        bounds1 = [np.full((len(lams), n_max + 1), -np.inf) for _ in blocks(op)]
-        bounds2 = [np.full((len(lams), n_max + 1), -np.inf) for _ in blocks(op)]
-        tops = {}  # sup -> (key, (order, leaf, point, n), copy of the cell's matrix)
-        for leaf, rows, n, totals, triangulars, settled in _mean_cells(op, n_max, lams,
-                                                                        self.want_order2):
-            rounding = 1.0 + totals.shape[-1] ** 2 * _EPS
-            bound = _stack_frobenius(totals) * rounding
-            bound[settled] = -np.inf
-            bounds1[leaf][rows, n] = bound
-            keys = [("1", 1, bound / (n + 1), totals)]
+        bounds1, bounds2 = [], []
+        tops = {}  # sup -> (key, (order, leaf, point, n))
+        for leaf, (_, _, scalar, block) in enumerate(blocks(op)):
+            scalars = lams if scalar == 1.0 else lams * scalar
+            bound1, bound2 = _seed_bounds(_compact(materialize(block)), n_max,
+                                          np.asarray(scalars, dtype=complex), self.want_order2)
+            bounds1.append(bound1)
+            bounds2.append(bound2)
+            keys = [("1", 1, bound1 / (ns + 1))]
             if self.want_order2:
-                bound = _stack_frobenius(triangulars) * rounding
-                bounds2[leaf][rows, n] = bound
-                scale = 2.0 / ((n + 1) * (n + 2))
-                keys += [("2", 2, bound * scale, triangulars),
-                         ("2sum", 2, bound * scale * ((n + 2.0) / (2.0 * (n + 1.0))), triangulars)]
-            for sup, order, key, stack in keys:
-                k = key.argmax()
-                if sup not in tops or key[k] > tops[sup][0]:
-                    tops[sup] = (key[k], (order, leaf, rows[k], n), stack[k].copy())
-        # The order-2 sups may share their seed: norm each cell once.
-        for (order, leaf, point, n), mat in {cell: mat for _, cell, mat in tops.values()}.items():
-            (self.add1 if order == 1 else self.add2)(_dense_norm(mat), n)
-            (bounds1 if order == 1 else bounds2)[leaf][point, n] = -np.inf
+                scale = 2.0 / ((ns + 1) * (ns + 2))
+                keys += [("2", 2, bound2 * scale),
+                         ("2sum", 2, bound2 * scale * ((ns + 2.0) / (2.0 * (ns + 1.0))))]
+            for sup, order, key in keys:
+                point, n = np.unravel_index(key.argmax(), key.shape)
+                if sup not in tops or key[point, n] > tops[sup][0]:
+                    tops[sup] = (key[point, n], (order, leaf, int(point), int(n)))
+        # The order-2 sups may share their seed, and one point may hold two
+        # seeds: each point is stepped once, up to its last seed.
+        seeds = {cell for _, cell in tops.values()}
+        stops = [{} for _ in bounds1]
+        for _, leaf, point, n in seeds:
+            stops[leaf][point] = max(n, stops[leaf].get(point, 0))
+        replay = [(np.array(list(stop)), np.array(list(stop.values()))) if stop else None
+                  for stop in stops]
+        for leaf, rows, n, totals, triangulars, _ in _mean_cells(op, n_max, lams,
+                                                                 self.want_order2, replay):
+            for k, point in enumerate(rows):
+                if (1, leaf, point, n) in seeds:
+                    self.add1(_dense_norm(totals[k]), n)
+                    bounds1[leaf][point, n] = -np.inf
+                if (2, leaf, point, n) in seeds:
+                    self.add2(_dense_norm(triangulars[k]), n)
+                    bounds2[leaf][point, n] = -np.inf
         plan = []
         for leaf_bounds1, leaf_bounds2 in zip(bounds1, bounds2):
             live = ~self.beaten1(leaf_bounds1, ns)
@@ -495,10 +652,13 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     sup2_sum = sup ||M_n^(2)(lam*T)|| * (n+2)/(2(n+1)) are None unless
     want_order2.  Each sup is found by bound-and-prune over the cells
     (lam, n) of every leaf, with one running best per sup across leaves
-    and angles.  A sweep of more than one point runs two passes over the
-    stacks of _mean_cells.  The first stores one Frobenius bound per
-    cell, scaled like its value, and seeds each best with the norm of
-    the cell of largest bound.  The second replays, leaf by leaf, only
+    and angles.  A sweep of more than one point runs two passes.  The
+    first steps no stack: it bounds the Frobenius norm of every cell of
+    every point from the Gram matrix of the leaf's powers, each power
+    stepped once (_seed_bounds), raised by an allowance for rounding so
+    that it bounds the stepped cell.  It seeds each best with the norm
+    of the cell of largest bound, scaled like its value, stepped alone.
+    The second replays, leaf by leaf, the stacks of _mean_cells for only
     the points that still have a cell whose bound the seeds do not beat,
     up to the last such n, and norms a cell only when neither its stored
     bound nor its Schatten-4 bound is beaten by the running best.  The

@@ -706,7 +706,8 @@ def run_hilbert_claims(
     is live (_claim_group), so the records fail exactly when some probe
     fails an instance.  ``rows`` of the result keeps every probe's
     verdict, as the one-probe hilbert_claim1..4 records would give it.
-    ``params`` are merged into every record's params.
+    ``params`` are merged into every record's params.  A non-finite orbit
+    norm is a numerical failure, not a verdict: it raises ConvergenceError.
     """
     if n_probes < 0:
         raise ValidationError("n_probes must be non-negative")
@@ -720,12 +721,22 @@ def run_hilbert_claims(
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append(x / np.linalg.norm(x))
     orbits = orbit_norms(op, np.array(probes).T, n_top)
+    lost = np.argwhere(~np.isfinite(orbits))
+    if lost.size:
+        probe, j = lost[0].tolist()
+        raise ConvergenceError(f"orbit norm ||T^{j} x|| of probe {probe} is not finite "
+                               f"({orbits[probe, j]})")
+    return _claim_table(orbits, C, ladder, params or {})
+
+
+def _claim_table(orbits: np.ndarray, C, ladder: tuple, params: dict) -> ClaimRecords:
+    """run_hilbert_claims' records and rows from its (probes, n_top + 1) orbit table."""
     records, columns = [], []
     for check_id, index in _claim_instances(ladder):
-        record, cells = _claim_group(check_id, orbits, C, index, params or {})
+        record, cells = _claim_group(check_id, orbits, C, index, params)
         records.append(record)
         head = (check_id, index["N"], index.get("M"), index.get("M1"), index.get("M2"))
         columns.append((head, cells))
     rows = [(check_id, i, *rest, *cells[i])
-            for i in range(n_probes) for (check_id, *rest), cells in columns]
+            for i in range(len(orbits)) for (check_id, *rest), cells in columns]
     return ClaimRecords(records, rows)

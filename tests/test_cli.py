@@ -333,6 +333,29 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: power iteration stalled")
 
 
+@pytest.mark.parametrize("argv", [
+    ["claims", "--operator", "tn", "--trunc", "8", "--eta", "0.3", "--k-max", "16",
+     "--probes", "4"],
+    ["reproduce", "thm2.7-claims"],
+])
+def test_a_non_finite_orbit_norm_exits_3_with_no_report(tmp_path, capsys, monkeypatch, argv):
+    # Once a NaN at ||T^3 x|| reached the report writer: exit 2 and an empty --out.
+    real = kreisslab.kreiss.orbit_norms
+
+    def poisoned(*args):
+        orbits = real(*args)
+        orbits[1, 3] = np.nan
+        return orbits
+
+    monkeypatch.setattr(kreisslab.kreiss, "orbit_norms", poisoned)
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: orbit norm ||T^3 x|| of probe 1 is not finite (nan)"]
+    assert "Traceback" not in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_long_strong_chain_near_the_circle_stays_finite(tmp_path):
     # At lam = -r, r - 1 = 2^-12, R^85 of ergces 20 overflows, but every
     # strong term (r-1)^k ||R^k|| is finite: the sweep powers the scaled

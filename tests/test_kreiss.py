@@ -13,7 +13,8 @@ import kreisslab.cesaro
 import kreisslab.cli
 import kreisslab.kreiss
 from kreisslab.cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _dense_norm, _frobenius,
-                              _mean_cells, _rotated_mean_norms, _schatten4, _swept_count)
+                              _mean_cells, _rotated_mean_norms, _schatten4, _seed_bounds,
+                              _swept_count)
 from kreisslab.kreiss import (_chain_reach, _leaf_inverse, _plain_beaten, certify_spectral_radius,
                               default_radii)
 from kreisslab.operators import _compact
@@ -754,6 +755,101 @@ def test_a_non_finite_mean_cell_raises(angles):
             kl.kb2_constant(kl.Dense(np.array(mat)), 8, angles)
 
 
+def leaf_seed_bounds(op, n_max, lams):
+    """_seed_bounds of each leaf of op at the points lams (times the leaf's rotation)."""
+    return [_seed_bounds(_compact(kl.materialize(leaf)), n_max,
+                         np.asarray(lams if scalar == 1.0 else lams * scalar, dtype=complex), True)
+            for _, _, scalar, leaf in kl.blocks(op)]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 32, 300])
+@pytest.mark.parametrize("op", [*SWEEP_OPS.values(), COMPLEX_TWIN],
+                         ids=[*SWEEP_OPS.keys(), "complex-dense"])
+def test_seed_bounds_hold_every_stepped_cell(op, n_max):
+    # The power-algebra bounds hold the Frobenius norm of the cell the
+    # stacks step, of both orders, at every point and n (n_max = 300
+    # spans two windows of the Gram strips).
+    _, lams = _angle_grid(op, 8)
+    lams = lams[:_swept_count(op, lams)]
+    bounds = leaf_seed_bounds(op, n_max, lams)
+    cells = 0
+    for leaf, rows, n, totals, triangulars, settled in _mean_cells(op, n_max, lams, True):
+        bound1, bound2 = bounds[leaf]
+        for k, point in enumerate(rows):
+            if settled[k]:
+                assert bound1[point, n] == -np.inf
+            else:
+                assert _frobenius(totals[k]) <= bound1[point, n] < np.inf
+            assert _frobenius(triangulars[k]) <= bound2[point, n] < np.inf
+            cells += 1
+    assert cells == len(bounds) * len(lams) * (n_max + 1)
+
+
+def seeded(op, n_max, angles):
+    """(plan, bounds1, bounds2, seeded bests) of the first pass of kb2_constant's sweep."""
+    _, lams = _angle_grid(op, angles)
+    sups = kreisslab.cesaro._MeanSups(True)
+    plan, bounds1, bounds2 = sups.seed(op, n_max, lams[:_swept_count(op, lams)])
+    return plan, bounds1, bounds2, (sups.best1, sups.best2, sups.best2_sum)
+
+
+@pytest.mark.parametrize("name", ["tzblock-8", "rotated-dense-plus-shift"])
+def test_the_row_block_gram_gives_the_same_bounds(name, monkeypatch):
+    op = SWEEP_OPS[name]
+    one_block = seeded(op, 32, 16)
+    report = kl.kb2_constant(op, 32, 16)
+    chains = []
+    chain = kreisslab.cesaro._power_chain
+
+    def counting(mat, n_max):
+        chains.append(n_max)
+        return chain(mat, n_max)
+
+    monkeypatch.setattr(kreisslab.cesaro, "_power_chain", counting)
+    monkeypatch.setattr(kreisslab.cesaro, "_POWER_BYTES", 1)  # one power per block
+    row_blocks = seeded(op, 32, 16)
+    # One pass of the chain per nonzero power T^0..T^top of each leaf.
+    assert len(chains) == sum(np.linalg.matrix_power(kl.materialize(leaf), j).any()
+                              for *_, leaf in kl.blocks(op) for j in range(33)) > len(one_block[1])
+    for got, want in zip(row_blocks[0], one_block[0]):
+        assert (got is None) == (want is None)
+        if got is not None:
+            np.testing.assert_array_equal(got[0], want[0], strict=True)
+            np.testing.assert_array_equal(got[1], want[1], strict=True)
+    for got, want in zip(row_blocks[1] + row_blocks[2], one_block[1] + one_block[2]):
+        np.testing.assert_array_equal(got, want, strict=True)
+    assert row_blocks[3] == one_block[3]
+    again = kl.kb2_constant(op, 32, 16)
+    assert (again.ukb_C, again.kb2_C, again.kb2_sum_C) == (report.ukb_C, report.kb2_C,
+                                                           report.kb2_sum_C)
+
+
+def test_the_seed_steps_no_stack(monkeypatch):
+    # The first pass bounds every cell from the powers alone; it steps
+    # only the points of its seeds, at most one stack per seed.
+    stacks = {"seed": 0, "prune": 0}
+    phase = ["prune"]
+    stack_sums, seed = kreisslab.cesaro._stack_sums, kreisslab.cesaro._MeanSups.seed
+
+    def counting_stacks(*args):
+        stacks[phase[0]] += 1
+        return stack_sums(*args)
+
+    def counting_seed(self, *args):
+        phase[0] = "seed"
+        try:
+            return seed(self, *args)
+        finally:
+            phase[0] = "prune"
+
+    monkeypatch.setattr(kreisslab.cesaro, "_stack_sums", counting_stacks)
+    monkeypatch.setattr(kreisslab.cesaro._MeanSups, "seed", counting_seed)
+    report = kl.kb2_constant(kl.build_tz_block(16), 128, 64)
+    assert 1 <= stacks["seed"] <= 3 and stacks["prune"] >= 1
+    assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == (
+        9.612697312887624, 7.618976457286323, 4.009987609098064)
+
+
 def test_mean_sweeps_reject_a_negative_n_max():
     with pytest.raises(kl.ValidationError, match="n_max"):
         kl.kb2_constant(kl.build_tz_block(4), -5, 8)
@@ -950,10 +1046,13 @@ def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
         assert record.status == ("vacuous-pass" if vanished else "pass")
 
 
-def doctored_claims(monkeypatch, doctor, n_probes=4):
+def doctored_claims(monkeypatch, doctor, n_probes=4, finite=True):
     """run_hilbert_claims of tn 8 with doctor(orbits) applied to its orbit table.
 
     Returns (results, the one-probe records of each doctored orbit, C).
+    A table that is not finite (finite=False) must raise ConvergenceError
+    in run_hilbert_claims; its results are then those of the table
+    evaluator that run_hilbert_claims hands a finite table.
     """
     op = kl.build_TN(8, 0.3)
     C = kl.kb2_constant(op, 32).kb2_sum_C
@@ -965,7 +1064,12 @@ def doctored_claims(monkeypatch, doctor, n_probes=4):
         return orbits
 
     monkeypatch.setattr(kl.kreiss, "orbit_norms", doctored)
-    results = kl.run_hilbert_claims(op, C, n_probes=n_probes, n_top=16)
+    if finite:
+        results = kl.run_hilbert_claims(op, C, n_probes=n_probes, n_top=16)
+    else:
+        with pytest.raises(kl.ConvergenceError, match="not finite"):
+            kl.run_hilbert_claims(op, C, n_probes=n_probes, n_top=16)
+        results = kl.kreiss._claim_table(tables[0], C, kl.dyadic_ladder(16), {})
     per_probe = [one_probe_claims(lambda top, orbit=orbit: orbit, C, kl.dyadic_ladder(16),
                                   {"x_seed": i})
                  for i, orbit in enumerate(tables[0])]
@@ -1017,7 +1121,7 @@ def test_a_nan_lhs_fails_its_group(monkeypatch):
         orbits[1, 3] = np.nan
         return orbits
 
-    results, per_probe, _ = doctored_claims(monkeypatch, poison)
+    results, per_probe, _ = doctored_claims(monkeypatch, poison, finite=False)
     assert [r.status for r in results if r.check_id == "H1"] == ["pass"] * 2 + ["fail"] * 3
     for group, alone in zip(results, per_probe[1]):
         assert (group.status == "fail") == (alone.status == "fail") == (alone.value != alone.value)
