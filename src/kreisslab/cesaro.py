@@ -3,11 +3,11 @@
 Every mean is a running sum of powers, never recomputing a power from
 the start, and no power is multiplied past an exactly zero one.  The
 single-operator means read the stream _power_sums, one multiplication
-per step.  The rotated mean sweeps step the swept points of a leaf
-together, as stacks (_mean_cells): since (lam T)^n = lam^n T^n, a stack
-makes one product of the leaf's own power per step, real for a real
-leaf, and scales it by every point's lam^n.  Their first pass steps no
-stack at all: ||sum_j lam^j T^j||_F^2 is a quadratic form in the Gram
+per step.  The rotated mean sweeps step each swept point of a leaf
+alone (_mean_cells): since (lam T)^n = lam^n T^n, a point makes one
+product of the leaf's own power per step (_power_chain), real for a
+real leaf, and scales it by its lam^n.  Their first pass steps no point
+for its bounds: ||sum_j lam^j T^j||_F^2 is a quadratic form in the Gram
 matrix of the powers, <T^j, T^k>, so the chain of the leaf's powers
 bounds every cell of every point (_seed_bounds).  The probes and the mean
 differences read their sums only at sparse rungs; past d + 1 steps they
@@ -89,11 +89,6 @@ PROBE_TOLERANCE = 1e-3
 _PRUNE_SLACK = 1e-12
 
 _EPS = float(np.finfo(float).eps)
-
-#: Size of one array of a stack of points in _mean_cells.  A stack holds
-#: three, beside two single matrices, so the sweeps stay within a few
-#: hundred KiB of working memory.
-_STACK_BYTES = 1 << 17
 
 #: Size of the block of a leaf's powers that one pass of the chain holds
 #: in the first pass of the mean sweeps (_gram_windows).  The powers up
@@ -280,9 +275,9 @@ def _norm_unless_beaten(mat: np.ndarray, beaten):
 def _power_chain(mat: np.ndarray, n_max: int):
     """Yield T^0 = I, T^1, .., T^top, where top <= n_max is the last nonzero power.
 
-    Each power is made as _stack_sums makes it, by the same product into
-    a spare array, so it equals the power of every stack bit for bit.
-    The yielded array is overwritten two steps later.
+    Each power is one product into a spare array, so the seed's Gram
+    matrix (_gram_windows) and the cells of _mean_cells see the same
+    powers bit for bit.  The yielded array is overwritten two steps later.
     """
     power = np.eye(mat.shape[0], dtype=mat.dtype)
     spare = np.empty_like(power)
@@ -335,11 +330,11 @@ def _gram_windows(mat: np.ndarray, n_max: int):
 
 
 def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: bool):
-    """(bound1, bound2): upper bounds of ||totals||_F and ||triangulars||_F, no stack stepped.
+    """(bound1, bound2): upper bounds of ||total||_F and ||triangular||_F, no point stepped.
 
     Each array has one row per point scalars[p] and one column per
     n = 0..n_max, and bounds the Frobenius norm of the cell that
-    _stack_sums steps for the compacted leaf mat at that point (bound2
+    _mean_cells steps for the compacted leaf mat at that point (bound2
     is None unless want_order2).  Write P_j for the stepped powers of
     _gram_windows, H for their Gram matrix, and mu = s / |s| for a point
     s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
@@ -424,28 +419,26 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
 
 
 def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool, plan=None):
-    """Yield (leaf, rows, n, totals, triangulars, settled): one step n of one stack of points.
+    """Yield (leaf, point, n, total, triangular, settled): one step n of one swept point.
 
-    The points rows (a list of indices into lams) step together as one
-    stack: totals[k] = sum_{j<=n} lam^j T^j and, when want_order2,
-    triangulars[k] = sum_{j<=n} (n+1-j) lam^j T^j, for lam =
-    lams[rows[k]] (times the leaf's rotation scalar) and T the leaf-th
-    leaf of blocks(op).  Direct sums reduce blockwise (the mean of a
-    block diagonal is block diagonal, its norm the max over blocks);
-    rotations fold their scalar into the grid.  The points where the
-    leaf and lam are both real (lam = 1 of a real leaf) and the other
-    points form separate stacks of at most _STACK_BYTES per array.  Each
-    stack steps one power T^n of the compacted leaf per n, real when the
-    leaf is real, and adds lam^n T^n to every total (_stack_sums).
+    total = sum_{j<=n} lam^j T^j and, when want_order2, triangular =
+    sum_{j<=n} (n+1-j) lam^j T^j, for lam = lams[point] (times the leaf's
+    rotation scalar) and T the leaf-th leaf of blocks(op).  Direct sums
+    reduce blockwise (the mean of a block diagonal is block diagonal, its
+    norm the max over blocks); rotations fold their scalar into the grid.
+    Each point steps alone, one point after another.  Since
+    (lam T)^n = lam^n T^n, its powers T^n are those of the compacted
+    leaf (_power_chain), real when the leaf is real, and lam^n T^n is one
+    broadcast multiply into a spare array, with lam^n a running product,
+    real when the leaf and lam are both real (lam = 1 of a real leaf).
     settled says that T^n, the power behind this step, is exactly zero
-    (so totals is the previous step's unchanged); it is shared by the
-    stack, and once it holds T is no longer multiplied.  The arrays are
-    updated in place at the next step, so a consumer copies what it keeps.
+    (so total is the previous step's unchanged), and once it holds T is
+    no longer multiplied.  The arrays are updated in place at the next
+    step, so a consumer copies what it keeps.
 
     plan, when given, has one entry per leaf: None skips the leaf, and
     (points, stops) steps only the points of lams at the indices points,
-    point points[i] at least up to n = stops[i].  Points are stacked in
-    the order of their stops, and a stack ends at the largest of them.
+    point points[i] up to n = stops[i] and no further.
     """
     lams = np.asarray(lams, dtype=complex)
     for leaf_index, (_, _, scalar, leaf) in enumerate(blocks(op)):
@@ -456,57 +449,28 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
         else:
             points, stops = plan[leaf_index]
         mat = _compact(materialize(leaf))
-        scalars = (lams if scalar == 1.0 else lams * scalar)[points]
-        real = np.isrealobj(mat) & (scalars.imag == 0.0)
-        for part, dtype in ((real, float), (~real, complex)):
-            size = max(1, _STACK_BYTES // (mat.size * np.dtype(dtype).itemsize))
-            order = np.argsort(stops[part], kind="stable")
-            rows, ends, factors = points[part][order], stops[part][order], scalars[part][order]
-            if dtype is float:
-                factors = factors.real.copy()
-            for first in range(0, len(rows), size):
-                chunk = slice(first, first + size)
-                yield from _stack_sums(leaf_index, rows[chunk], mat, factors[chunk],
-                                       int(ends[chunk][-1]), want_order2)
-
-
-def _stack_sums(leaf_index: int, rows: np.ndarray, mat: np.ndarray, scalars: np.ndarray,
-                n_stop: int, want_order2: bool):
-    """The cells of _mean_cells for the points scalars[k] * mat, n = 0..n_stop.
-
-    One power T^n = T^(n-1) T of the matrix alone is made per step, in
-    its own dtype, so a stack of any size costs one product of two
-    single matrices, and (lam T)^n = lam^n T^n for every point comes
-    from one broadcast multiply into a spare stack, with lam^n a running
-    product of the scalars.  The sums are added in place: a stack costs
-    three arrays of its size (terms, totals, triangulars) and two
-    single matrices (the power and its spare).
-    """
-    rows = rows.tolist()
-    d = mat.shape[0]
-    power = np.eye(d, dtype=mat.dtype)
-    spare = np.empty_like(power)
-    lam_n = np.ones_like(scalars)
-    terms = np.empty((len(rows), d, d), dtype=scalars.dtype)
-    total = np.zeros_like(terms)
-    diagonal = range(d)
-    total[:, diagonal, diagonal] = 1.0
-    triangular = total.copy() if want_order2 else None
-    settled = np.zeros(len(rows), dtype=bool)
-    yield leaf_index, rows, 0, total, triangular, settled
-    for n in range(1, n_stop + 1):
-        if not settled[0]:
-            np.matmul(power, mat, out=spare)
-            power, spare = spare, power
-            # Out of place: numpy may round an in-place product of one
-            # element differently, and each point must equal its lone stepping.
-            lam_n = lam_n * scalars
-            np.multiply(lam_n[:, None, None], power, out=terms)
-            total += terms
-            settled = np.full(len(rows), not power.any())
-        if want_order2:
-            triangular += total
-        yield leaf_index, rows, n, total, triangular, settled
+        scalars = lams if scalar == 1.0 else lams * scalar
+        for point, stop in zip(points.tolist(), stops.tolist()):
+            # One-element arrays: numpy rounds a complex product differently
+            # with the shape of its operands, and every point must keep its bits.
+            lam = scalars[point:point + 1]
+            if np.isrealobj(mat) and lam.imag[0] == 0.0:
+                lam = lam.real.copy()
+            lam_n = np.ones_like(lam)
+            term = np.empty((1, *mat.shape), dtype=lam.dtype)
+            total = np.eye(mat.shape[0], dtype=lam.dtype)
+            triangular = total.copy() if want_order2 else None
+            powers = _power_chain(mat, stop)
+            for n in range(stop + 1):
+                power = next(powers, None)  # None past the last nonzero power
+                if n and power is not None:
+                    # Out of place: numpy may round an in-place product of one element differently.
+                    lam_n = lam_n * lam
+                    np.multiply(lam_n[:, None, None], power, out=term)
+                    total += term[0]
+                if n and want_order2:
+                    triangular += total
+                yield leaf_index, point, n, total, triangular, power is None
 
 
 def _rotated_mean_norms(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
@@ -520,15 +484,13 @@ def _rotated_mean_norms(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     shape = (len(lams), n_max + 1)
     norm1 = np.zeros(shape)
     norm2 = np.zeros(shape) if want_order2 else None
-    top = np.zeros(len(lams))
-    for _, rows, n, totals, triangulars, settled in _mean_cells(op, n_max, lams, want_order2):
-        for k, li in enumerate(rows):
-            if not settled[k]:
-                top[li] = _dense_norm(totals[k])
-            norm1[li, n] = np.maximum(norm1[li, n], top[li] / (n + 1))
-            if want_order2:
-                value = 2.0 * _dense_norm(triangulars[k]) / ((n + 1) * (n + 2))
-                norm2[li, n] = np.maximum(norm2[li, n], value)
+    for _, point, n, total, triangular, settled in _mean_cells(op, n_max, lams, want_order2):
+        if not settled:  # n = 0 never is
+            top = _dense_norm(total)
+        norm1[point, n] = np.maximum(norm1[point, n], top / (n + 1))
+        if want_order2:
+            value = 2.0 * _dense_norm(triangular) / ((n + 1) * (n + 2))
+            norm2[point, n] = np.maximum(norm2[point, n], value)
     return norm1, norm2
 
 
@@ -546,11 +508,11 @@ class _MeanSups:
         self.best2 = self.best2_sum = 0.0
 
     def beaten1(self, bound, n):
-        """True where a bound on ||totals[k]|| shows that its mean cannot exceed best1."""
+        """True where a bound on ||total|| shows that its mean cannot exceed best1."""
         return _beaten(bound / (n + 1), self.best1)
 
     def beaten2(self, bound, n):
-        """True where a bound on ||triangulars[k]|| shows that neither order-2 sup can rise."""
+        """True where a bound on ||triangular|| shows that neither order-2 sup can rise."""
         scale = 2.0 / ((n + 1) * (n + 2))
         quad = (n + 2.0) / (2.0 * (n + 1.0))
         return _beaten(bound * scale, self.best2) & _beaten(bound * scale * quad, self.best2_sum)
@@ -570,12 +532,11 @@ class _MeanSups:
         stored bounds, one (len(lams), n_max + 1) array per leaf and
         order (None for order 2 unless want_order2); a settled or
         already normed cell's bound is -inf.  The bounds of a leaf come
-        from the Gram matrix of its powers (_seed_bounds), so no stack
+        from the Gram matrix of its powers (_seed_bounds), so no point
         is stepped for them.  The seeds are the cells of largest bound
         for best1, best2 and best2_sum (one cell may serve two).  Only the
-        seeds' points are stepped, as stacks of _mean_cells up to their
-        seeds' n, which give each cell the bits it has in any stack, and
-        the seed cells are normed.
+        seeds' points are stepped, by _mean_cells up to their seeds' n,
+        and the seed cells are normed.
         """
         ns = np.arange(n_max + 1)
         bounds1, bounds2 = [], []
@@ -603,15 +564,14 @@ class _MeanSups:
             stops[leaf][point] = max(n, stops[leaf].get(point, 0))
         replay = [(np.array(list(stop)), np.array(list(stop.values()))) if stop else None
                   for stop in stops]
-        for leaf, rows, n, totals, triangulars, _ in _mean_cells(op, n_max, lams,
-                                                                 self.want_order2, replay):
-            for k, point in enumerate(rows):
-                if (1, leaf, point, n) in seeds:
-                    self.add1(_dense_norm(totals[k]), n)
-                    bounds1[leaf][point, n] = -np.inf
-                if (2, leaf, point, n) in seeds:
-                    self.add2(_dense_norm(triangulars[k]), n)
-                    bounds2[leaf][point, n] = -np.inf
+        for leaf, point, n, total, triangular, _ in _mean_cells(op, n_max, lams,
+                                                                self.want_order2, replay):
+            if (1, leaf, point, n) in seeds:
+                self.add1(_dense_norm(total), n)
+                bounds1[leaf][point, n] = -np.inf
+            if (2, leaf, point, n) in seeds:
+                self.add2(_dense_norm(triangular), n)
+                bounds2[leaf][point, n] = -np.inf
         plan = []
         for leaf_bounds1, leaf_bounds2 in zip(bounds1, bounds2):
             live = ~self.beaten1(leaf_bounds1, ns)
@@ -629,20 +589,18 @@ class _MeanSups:
         Frobenius and Schatten-4 bounds are tried, and only then is it
         normed (_norm_unless_beaten).
         """
-        for leaf, rows, n, totals, triangulars, settled in cells:
-            for k, point in enumerate(rows):
-                # Past a zero power the total is unchanged, so its mean only
-                # shrinks: the previous cell's value is already at most best1.
-                if not settled[k] and (bounds1 is None
-                                       or not self.beaten1(bounds1[leaf][point, n], n)):
-                    top = _norm_unless_beaten(totals[k], lambda bound: self.beaten1(bound, n))
-                    if top is not None:
-                        self.add1(top, n)
-                if self.want_order2 and (bounds2 is None
-                                         or not self.beaten2(bounds2[leaf][point, n], n)):
-                    top = _norm_unless_beaten(triangulars[k], lambda bound: self.beaten2(bound, n))
-                    if top is not None:
-                        self.add2(top, n)
+        for leaf, point, n, total, triangular, settled in cells:
+            # Past a zero power the total is unchanged, so its mean only
+            # shrinks: the previous cell's value is already at most best1.
+            if not settled and (bounds1 is None or not self.beaten1(bounds1[leaf][point, n], n)):
+                top = _norm_unless_beaten(total, lambda bound: self.beaten1(bound, n))
+                if top is not None:
+                    self.add1(top, n)
+            if self.want_order2 and (bounds2 is None
+                                     or not self.beaten2(bounds2[leaf][point, n], n)):
+                top = _norm_unless_beaten(triangular, lambda bound: self.beaten2(bound, n))
+                if top is not None:
+                    self.add2(top, n)
 
 
 def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
@@ -653,17 +611,17 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     want_order2.  Each sup is found by bound-and-prune over the cells
     (lam, n) of every leaf, with one running best per sup across leaves
     and angles.  A sweep of more than one point runs two passes.  The
-    first steps no stack: it bounds the Frobenius norm of every cell of
-    every point from the Gram matrix of the leaf's powers, each power
-    stepped once (_seed_bounds), raised by an allowance for rounding so
-    that it bounds the stepped cell.  It seeds each best with the norm
-    of the cell of largest bound, scaled like its value, stepped alone.
-    The second replays, leaf by leaf, the stacks of _mean_cells for only
-    the points that still have a cell whose bound the seeds do not beat,
-    up to the last such n, and norms a cell only when neither its stored
-    bound nor its Schatten-4 bound is beaten by the running best.  The
-    means grow with n, so without the seed the best would rise one cell
-    at a time and prune little.  A one-point sweep (the rotation shortcut)
+    first steps no point for its bounds: it bounds the Frobenius norm of
+    every cell of every point from the Gram matrix of the leaf's powers,
+    each power stepped once (_seed_bounds), raised by an allowance for
+    rounding so that it bounds the stepped cell.  It seeds each best with
+    the norm of the cell of largest bound, scaled like its value, stepped
+    alone.  The second steps, leaf by leaf and point by point
+    (_mean_cells), only the points that still have a cell whose bound the
+    seeds do not beat, each up to its last such n, and norms a cell only
+    when neither its stored bound nor its Schatten-4 bound is beaten by
+    the running best.  The means grow with n, so without the seed the
+    best would rise one cell at a time and prune little.  A one-point sweep (the rotation shortcut)
     runs the second pass alone.  Every normed cell goes through
     _dense_norm and the same expression as the exhaustive tables, so the
     sups equal the maxima of those tables bit for bit; pruning can skip

@@ -5,11 +5,13 @@ reproduce.  Every run writes a deterministic report.json into --out,
 and --format csv adds the run's CSV tables next to it (reproduce always
 writes both): the same flags and seed always produce byte-identical
 files.  The exit status is 1 when any definite check failed, 2 when the
-input is invalid, and 3 when a numerical kernel failed: the power
-iteration in the spectral norm of a structured operator above SVD_CAP
-stalled, the SVD of a resolvent system failed, a matrix to be normed
-had a non-finite entry, a resolvent was singular, or a dense size cap
-was exceeded.  Explicit matrices are normed by a Gram
+input is invalid (an --out that is not, or cannot become, a writable
+directory included, rejected before any sweep runs), and 3 when a
+numerical kernel failed: the power iteration in the spectral norm of a
+structured operator above SVD_CAP stalled, the SVD of a resolvent
+system failed, a matrix to be normed had a non-finite entry, an orbit
+norm of the claims was not finite, a resolvent was singular, or a dense
+size cap was exceeded.  Explicit matrices are normed by a Gram
 eigensolve (operators._matrix_norm) and never stall.
 
 KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import os
 import sys
+from pathlib import Path
 
 from .cesaro import rotated_mean_norm_profile
 from .constructions import CATALOG_NAMES, make_operator, shields_certified_kmax
@@ -99,6 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0x5EED)
     p.add_argument("--out", default=".")
     return parser
+
+
+def _check_out(out):
+    """Reject an --out that cannot become a writable directory, before any sweep runs.
+
+    The nearest existing path at or above out must be a writable
+    directory: out itself, or an ancestor under which out is created.
+    """
+    path = Path(out).absolute()
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ValidationError(f"--out {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ValidationError(f"--out {out}: {existing} is not writable")
 
 
 def _operator_entry(args):
@@ -280,6 +298,7 @@ def main(argv=None) -> int:
         "reproduce": _cmd_reproduce,
     }
     try:
+        _check_out(args.out)
         return handlers[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -317,6 +317,35 @@ def test_invalid_sweep_settings_exit_2_and_write_no_report(tmp_path, capsys, mon
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["construct", "--operator", "tn"], "taken"),
+    (["reproduce", "thm1.5"], "taken/sub"),
+    (["kreiss", "--operator", "tzblock", "--trunc", "4", "--angles", "4"], "taken"),
+], ids=["construct", "reproduce", "kreiss"])
+def test_an_unusable_out_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch, argv, out):
+    # Each once ended in a FileExistsError or NotADirectoryError traceback
+    # (exit 1, "a check failed"), kreiss only after its whole sweep.
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before --out was checked")
+
+    for name in ("spectral_norm", "kreiss_constant", "kb2_constant", "reproduce"):
+        monkeypatch.setattr(kreisslab.cli, name, sweep)
+    (tmp_path / "taken").write_text("kept")
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: --out") and "is not a directory" in line
+    assert (tmp_path / "taken").read_text() == "kept"
+
+
+def test_an_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(kreisslab.cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "new"
+    assert main(["construct", "--operator", "tn", "--trunc", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: {tmp_path} is not writable\n"
+    assert not out.exists()
+
+
 def test_claims_reject_a_negative_probe_count():
     with pytest.raises(kreisslab.ValidationError):
         kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=-1, n_top=4)

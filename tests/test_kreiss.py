@@ -644,11 +644,8 @@ def stepped_alone(mat, lam, n_max):
     return cells
 
 
-# One point per stack, or the default stacks.
-@pytest.mark.parametrize("stack_bytes", [1, kreisslab.cesaro._STACK_BYTES])
 @pytest.mark.parametrize("op", SWEEP_OPS.values(), ids=SWEEP_OPS.keys())
-def test_stacked_cells_equal_stepping_each_point_alone(op, stack_bytes, monkeypatch):
-    monkeypatch.setattr(kreisslab.cesaro, "_STACK_BYTES", stack_bytes)
+def test_swept_cells_equal_stepping_each_point_alone(op):
     _, lams = _angle_grid(op, 8)
     lams = lams[:_swept_count(op, lams)]
     # A rotated leaf's points are its scalar times the grid, as one array product.
@@ -657,21 +654,20 @@ def test_stacked_cells_equal_stepping_each_point_alone(op, stack_bytes, monkeypa
     stops = {len(lams) - 1: 5, 0: 3}
     plan = [(np.array(list(stops)), np.array(list(stops.values())))] + [None] * (len(leaves) - 1)
     for chosen in (None, plan):
-        seen = set()
-        for leaf, rows, n, totals, triangulars, settled in _mean_cells(op, 12, lams, True, chosen):
+        seen = []
+        for leaf, point, n, total, triangular, settled in _mean_cells(op, 12, lams, True, chosen):
             points, mat = leaves[leaf]
-            for k, point in enumerate(rows):
-                cells = stepped_alone(mat, points[point], 12)
-                np.testing.assert_array_equal(totals[k], cells[n][0], strict=True)
-                np.testing.assert_array_equal(triangulars[k], cells[n][1], strict=True)
-                assert settled[k] == (n > 0 and not cells[n][2].any())
-                seen.add((leaf, int(point), n))
+            cells = stepped_alone(mat, points[point], 12)
+            np.testing.assert_array_equal(total, cells[n][0], strict=True)
+            np.testing.assert_array_equal(triangular, cells[n][1], strict=True)
+            assert settled is (n > 0 and not cells[n][2].any())
+            seen.append((leaf, point, n))
         if chosen is None:
-            assert seen == {(leaf, point, n) for leaf in range(len(leaves))
-                            for point in range(len(lams)) for n in range(13)}
-        else:  # each planned point up to its stop, or on to the end of its stack
-            assert {(0, point, n) for point, stop in stops.items() for n in range(stop + 1)} <= seen
-            assert seen <= {(0, point, n) for point in stops for n in range(6)}
+            assert sorted(seen) == [(leaf, point, n) for leaf in range(len(leaves))
+                                    for point in range(len(lams)) for n in range(13)]
+        else:  # each planned point up to exactly its stop
+            assert sorted(seen) == sorted((0, point, n) for point, stop in stops.items()
+                                          for n in range(stop + 1))
 
 
 def stepped_chain(mat, lam, n_max):
@@ -702,25 +698,24 @@ def test_scaled_real_powers_equal_the_complex_chain(op):
     leaves = [(lams if scalar == 1.0 else lams * scalar, kl.materialize(leaf))
               for _, _, scalar, leaf in kl.blocks(op)]
     chains = {}
-    for leaf, rows, n, totals, triangulars, _ in _mean_cells(op, 24, lams, True):
+    for leaf, point, n, total, triangular, _ in _mean_cells(op, 24, lams, True):
         points, mat = leaves[leaf]
-        for k, point in enumerate(rows):
-            if (leaf, point) not in chains:
-                chains[leaf, point] = stepped_chain(mat, points[point], 24)
-            total, triangular, size, size2 = chains[leaf, point][n]
-            np.testing.assert_allclose(totals[k], total, rtol=0, atol=1e-13 * size)
-            np.testing.assert_allclose(triangulars[k], triangular, rtol=0, atol=1e-13 * size2)
+        if (leaf, point) not in chains:
+            chains[leaf, point] = stepped_chain(mat, points[point], 24)
+        want, want2, size, size2 = chains[leaf, point][n]
+        np.testing.assert_allclose(total, want, rtol=0, atol=1e-13 * size)
+        np.testing.assert_allclose(triangular, want2, rtol=0, atol=1e-13 * size2)
     assert len(chains) == len(leaves) * len(lams)
 
 
 def test_a_real_grid_steps_its_real_point_apart():
     lams = _angle_grid(NONNORMAL, 8)[1][:5]
-    stacks = [(leaf, tuple(rows), totals.dtype.kind)
-              for leaf, rows, n, totals, *_ in _mean_cells(NONNORMAL, 2, lams, False) if n == 0]
-    assert stacks == [(0, (0,), "f"), (0, (1, 2, 3, 4), "c")]
-    settles = [(n, tuple(settled)) for _, _, n, _, _, settled in
+    kinds = {(leaf, point, total.dtype.kind)
+             for leaf, point, n, total, *_ in _mean_cells(NONNORMAL, 2, lams, False)}
+    assert sorted(kinds) == [(0, 0, "f"), (0, 1, "c"), (0, 2, "c"), (0, 3, "c"), (0, 4, "c")]
+    settles = [(n, settled) for _, _, n, _, _, settled in
                _mean_cells(SWEEP_OPS["settles-mid-sweep"], 6, np.ones(1), False)]
-    assert settles[4:7] == [(4, (False,)), (5, (True,)), (6, (True,))]  # T^5 = 0 for tzblock 4
+    assert settles[4:7] == [(4, False), (5, True), (6, True)]  # T^5 = 0 for tzblock 4
 
 
 def test_the_seeded_mean_sweep_norms_few_cells(monkeypatch):
@@ -766,22 +761,21 @@ def leaf_seed_bounds(op, n_max, lams):
 @pytest.mark.parametrize("op", [*SWEEP_OPS.values(), COMPLEX_TWIN],
                          ids=[*SWEEP_OPS.keys(), "complex-dense"])
 def test_seed_bounds_hold_every_stepped_cell(op, n_max):
-    # The power-algebra bounds hold the Frobenius norm of the cell the
-    # stacks step, of both orders, at every point and n (n_max = 300
+    # The power-algebra bounds hold the Frobenius norm of the cell that
+    # _mean_cells steps, of both orders, at every point and n (n_max = 300
     # spans two windows of the Gram strips).
     _, lams = _angle_grid(op, 8)
     lams = lams[:_swept_count(op, lams)]
     bounds = leaf_seed_bounds(op, n_max, lams)
     cells = 0
-    for leaf, rows, n, totals, triangulars, settled in _mean_cells(op, n_max, lams, True):
+    for leaf, point, n, total, triangular, settled in _mean_cells(op, n_max, lams, True):
         bound1, bound2 = bounds[leaf]
-        for k, point in enumerate(rows):
-            if settled[k]:
-                assert bound1[point, n] == -np.inf
-            else:
-                assert _frobenius(totals[k]) <= bound1[point, n] < np.inf
-            assert _frobenius(triangulars[k]) <= bound2[point, n] < np.inf
-            cells += 1
+        if settled:
+            assert bound1[point, n] == -np.inf
+        else:
+            assert _frobenius(total) <= bound1[point, n] < np.inf
+        assert _frobenius(triangular) <= bound2[point, n] < np.inf
+        cells += 1
     assert cells == len(bounds) * len(lams) * (n_max + 1)
 
 
@@ -802,7 +796,9 @@ def test_the_row_block_gram_gives_the_same_bounds(name, monkeypatch):
     chain = kreisslab.cesaro._power_chain
 
     def counting(mat, n_max):
-        chains.append(n_max)
+        # The seed's replay of its points steps chains too: count the Gram's passes only.
+        if sys._getframe(1).f_code is kreisslab.cesaro._gram_windows.__code__:
+            chains.append(n_max)
         return chain(mat, n_max)
 
     monkeypatch.setattr(kreisslab.cesaro, "_power_chain", counting)
@@ -826,14 +822,15 @@ def test_the_row_block_gram_gives_the_same_bounds(name, monkeypatch):
 
 def test_the_seed_steps_no_stack(monkeypatch):
     # The first pass bounds every cell from the powers alone; it steps
-    # only the points of its seeds, at most one stack per seed.
-    stacks = {"seed": 0, "prune": 0}
+    # only the points of its seeds, at most one point per seed.
+    points = {"seed": set(), "prune": set()}
     phase = ["prune"]
-    stack_sums, seed = kreisslab.cesaro._stack_sums, kreisslab.cesaro._MeanSups.seed
+    cells, seed = kreisslab.cesaro._mean_cells, kreisslab.cesaro._MeanSups.seed
 
-    def counting_stacks(*args):
-        stacks[phase[0]] += 1
-        return stack_sums(*args)
+    def counting_cells(*args):
+        for cell in cells(*args):
+            points[phase[0]].add(cell[:2])  # (leaf, point)
+            yield cell
 
     def counting_seed(self, *args):
         phase[0] = "seed"
@@ -842,12 +839,38 @@ def test_the_seed_steps_no_stack(monkeypatch):
         finally:
             phase[0] = "prune"
 
-    monkeypatch.setattr(kreisslab.cesaro, "_stack_sums", counting_stacks)
+    monkeypatch.setattr(kreisslab.cesaro, "_mean_cells", counting_cells)
     monkeypatch.setattr(kreisslab.cesaro._MeanSups, "seed", counting_seed)
     report = kl.kb2_constant(kl.build_tz_block(16), 128, 64)
-    assert 1 <= stacks["seed"] <= 3 and stacks["prune"] >= 1
+    assert 1 <= len(points["seed"]) <= 3 and points["prune"]
     assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == (
         9.612697312887624, 7.618976457286323, 4.009987609098064)
+
+
+def test_the_prune_pass_steps_the_plan_and_no_more(monkeypatch):
+    # Each planned point is stepped up to its own stop, not on to the
+    # stop of a later point.
+    plans, stepped = [], []
+    cells, seed = kreisslab.cesaro._mean_cells, kreisslab.cesaro._MeanSups.seed
+
+    def recording_seed(self, *args):
+        plan, *bounds = seed(self, *args)
+        plans.append(plan)
+        return (plan, *bounds)
+
+    def recording_cells(*args):
+        for cell in cells(*args):
+            if plans:  # past the seed
+                stepped.append(cell[:3])  # (leaf, point, n)
+            yield cell
+
+    monkeypatch.setattr(kreisslab.cesaro, "_mean_cells", recording_cells)
+    monkeypatch.setattr(kreisslab.cesaro._MeanSups, "seed", recording_seed)
+    kl.kb2_constant(kl.build_ergces(20), 128, 64)
+    [plan] = plans
+    want = [(leaf, point, n) for leaf, entry in enumerate(plan) if entry is not None
+            for point, stop in zip(*entry) for n in range(stop + 1)]
+    assert want and sorted(stepped) == sorted(want)
 
 
 def test_mean_sweeps_reject_a_negative_n_max():
