@@ -6,13 +6,15 @@ and --format csv adds the run's CSV tables next to it (reproduce always
 writes both): the same flags and seed always produce byte-identical
 files.  The exit status is 1 when any definite check failed, 2 when the
 input is invalid (an --out that is not, or cannot become, a writable
-directory included, rejected before any sweep runs), and 3 when a
-numerical kernel failed: the power iteration in the spectral norm of a
-structured operator above SVD_CAP stalled, the SVD of a resolvent
-system failed, a matrix to be normed had a non-finite entry, an orbit
-norm of the claims was not finite, a resolvent was singular, or a dense
-size cap was exceeded.  Explicit matrices are normed by a Gram
-eigensolve (operators._matrix_norm) and never stall.
+directory and a negative --seed included, each rejected before any
+sweep runs), and 3 when a numerical kernel failed: the power iteration
+in the spectral norm of a structured operator above SVD_CAP stalled,
+the SVD of a resolvent system failed (resolvent_norm, which the kreiss
+sweep calls once, as the oracle at its sup), a matrix to be normed had
+a non-finite entry, an orbit norm of the claims was not finite, a
+resolvent was singular, or a dense size cap was exceeded.  Explicit
+matrices are normed by a Gram eigensolve (operators._matrix_norm) and
+never stall.
 
 KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
 """
@@ -117,6 +119,12 @@ def _check_out(out):
         raise ValidationError(f"--out {out}: {existing} is not a directory")
     if not os.access(existing, os.W_OK | os.X_OK):
         raise ValidationError(f"--out {out}: {existing} is not writable")
+
+
+def _check_seed(seed):
+    """Reject a negative --seed before any sweep runs: numpy's seeded generators take none."""
+    if seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {seed}")
 
 
 def _operator_entry(args):
@@ -228,9 +236,10 @@ def _cmd_kreiss(args) -> int:
             "kreiss-sup-on-inner-radius", "info", base.kreiss_C,
             params={"r": base.kreiss_C_radius},
             detail="kreiss sweep: the sup sits on the innermost radius and may lie beyond the grid"))
-    # A skipped grid point may lower its sweep's supremum: one no-verdict record each.
-    for sweep, points in (("kreiss", base.skipped), ("strong", base.strong_skipped)):
-        for r, mu in points:
+    # A skipped grid point leaves both sweeps and may lower either sup: one no-verdict
+    # record per sweep.
+    for sweep in ("kreiss", "strong"):
+        for r, mu in base.skipped:
             results.append(CheckRecord(
                 "skipped-grid-point", "skipped",
                 params={"sweep": sweep, "r": r, "angle": cmath.phase(mu)},
@@ -299,6 +308,7 @@ def main(argv=None) -> int:
     }
     try:
         _check_out(args.out)
+        _check_seed(args.seed)
         return handlers[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ class ConvergenceError(RuntimeError):
     carries the best estimate seen, the residual it achieved and the
     iterations spent.  An explicit matrix with a non-finite entry, or
     whose Gram eigensolve fails, and a resolvent system whose SVD fails
-    raise it with none of them.
+    (in resolvent_norm, which the kreiss grid sweep calls once, as the
+    oracle at its sup) raise it with none of them.
     """
 
     def __init__(self, message, best=None, residual=None, iterations=None):

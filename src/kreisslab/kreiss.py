@@ -11,15 +11,17 @@ whose bounds (Frobenius, then Schatten-4) cannot beat the running best
 is skipped, and every other cell is normed as in an exhaustive sweep,
 so pruning can skip a cell but never change a value.  The plain and
 strong constants come from one pass over the annulus grid that inverts
-each block once per point: the inverse bounds the plain value, which
-resolvent_norm still computes wherever the bound cannot rule it out,
-and the powers of (r-1) times it are the strong sweep's cells.  For a
-real operator every grid sweep evaluates only the angles 0..N/2 of its
-N-point grid, whose values the conjugate half repeats
-(cesaro._swept_count).  The claims read the orbit norms norms[j] =
-||T^j x|| from orbit_norms, so one orbit serves every claim instance on
-a probe, and run_hilbert_claims evaluates each instance on all probes
-at once, as one record that gates the worst of them.
+each block once per point: the powers of Q = (r-1) times that inverse
+are the strong sweep's cells, and the first of them, ||Q||, is also the
+plain sweep's cell.  resolvent_norm, 1/sigma_min from an SVD of the
+system, is the plain constant's independent oracle, taken once at the
+point where the sup is reached.  For a real operator every grid sweep
+evaluates only the angles 0..N/2 of its N-point grid, whose values the
+conjugate half repeats (cesaro._swept_count).  The claims read the
+orbit norms norms[j] = ||T^j x|| from orbit_norms, so one orbit serves
+every claim instance on a probe, and run_hilbert_claims evaluates each
+instance on all probes at once, as one record that gates the worst of
+them.
 
 Every checker returns a reports.CheckRecord: a verdict decided by
 reports.gate, which stores the value, the comparison, the bound, the
@@ -35,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _frobenius, _norm_unless_beaten,
-                     _swept_count, rotated_mean_tables)
+from .cesaro import (_EPS, _angle_grid, _beaten, _frobenius, _norm_unless_beaten, _swept_count,
+                     rotated_mean_tables)
 from .errors import ConvergenceError, SingularError, ValidationError
 from .operators import SEED, OperatorSpec, WeightedShift, apply, blocks, dimension, materialize
 from .reports import CheckRecord, gate, margins
@@ -89,6 +91,7 @@ class KreissReport:
 
     kreiss_C: float | None = None
     kreiss_C_radius: float | None = None
+    kreiss_C_svd: float | None = None
     ukb_C: float | None = None
     kb2_C: float | None = None
     strong_C: float | None = None
@@ -99,12 +102,12 @@ class KreissReport:
     k_max: int | None = None
     rotation_shortcut: bool = False
     skipped: tuple = ()
-    strong_skipped: tuple = ()
 
     def to_dict(self) -> dict:
         return {
             "kreiss_C": self.kreiss_C,
             "kreiss_C_radius": self.kreiss_C_radius,
+            "kreiss_C_svd": self.kreiss_C_svd,
             "ukb_C": self.ukb_C,
             "kb2_C": self.kb2_C,
             "strong_C": self.strong_C,
@@ -114,7 +117,7 @@ class KreissReport:
             "n_max": self.n_max,
             "k_max": self.k_max,
             "rotation_shortcut": self.rotation_shortcut,
-            "skipped": [list(point) for point in self.skipped + self.strong_skipped],
+            "skipped": [list(point) for point in self.skipped],
         }
 
 
@@ -170,28 +173,12 @@ def resolvent_norm(op: OperatorSpec, lam: complex) -> float:
                for *_, scalar, leaf in blocks(op))
 
 
-def _leaf_inverse(mat: np.ndarray, eye: np.ndarray, lam: complex):
-    """(system, inv(system)) for system = lam I - mat; a failed inverse is a singular point."""
-    system = lam * eye - mat
+def _leaf_inverse(mat: np.ndarray, eye: np.ndarray, lam: complex) -> np.ndarray:
+    """R = inv(lam I - mat), a block's one inverse at a grid point; failing, a singular point."""
     try:
-        return system, np.linalg.inv(system)
+        return np.linalg.inv(lam * eye - mat)
     except np.linalg.LinAlgError as exc:
         raise SingularError(f"resolvent singular at lam={lam}") from exc
-
-
-def _plain_beaten(system: np.ndarray, resolvent: np.ndarray, r: float, best: float) -> bool:
-    """True when (r-1) / sigma_min(system) cannot exceed best, judged from R = inv(system).
-
-    The plain sweep's value is 1/sigma_min from an SVD of the system,
-    its bounds those of the computed inverse R (_bounds_beaten).  Two
-    errors sit between them: R differs from the exact inverse, and the
-    SVD's sigma_min from the exact one, each by about d eps cond
-    relative, and cond(system) <= ||system||_F ||R||_F.  So each bound
-    of (r-1) ||R|| is raised by d eps ||system||_F ||R||_F before
-    _beaten compares it.
-    """
-    inversion = 1.0 + system.shape[0] * _EPS * _frobenius(system) * _frobenius(resolvent)
-    return _bounds_beaten(resolvent, lambda bound: _beaten((r - 1.0) * bound * inversion, best))
 
 
 def _chain_reach(k_max: int, d: int) -> float:
@@ -206,30 +193,36 @@ def _chain_reach(k_max: int, d: int) -> float:
     return 1.0 + k_max * d * d * _EPS
 
 
-def _leaf_strong_sup(scaled: np.ndarray, k_max: int, best: float) -> float:
-    """max(best, sup over k <= k_max of ||Q^k||) for one block's scaled inverse Q = (r-1) R.
+def _leaf_chain(scaled: np.ndarray, k_max: int, plain: float, strong: float):
+    """(plain, strong) raised by one block's terms ||Q^k||, k <= max(k_max, 1), of Q = (r-1) R.
 
-    ||Q^k|| = (r-1)^k ||R^k|| is the strong term itself, so Q^k can
-    overflow only where a term nears the float range.  Each power goes
-    through the cascade of _norm_unless_beaten against the running best,
-    with its bound raised by _chain_reach.  The chain stops at the first
-    beaten power j when ||Q||_F <= 1: for every k >= j, ||Q^k|| <=
-    bound_j ||Q||_F^(k-j) <= bound_j, so no later power can win either,
-    and the products that would form them are not computed.
+    ||Q|| = (r-1) ||R|| is the block's plain term and the strong sweep's
+    k = 1 term, and ||Q^k|| = (r-1)^k ||R^k|| its k-th strong term, so
+    Q^k can overflow only where a term nears the float range.  Each
+    power goes through the cascade of _norm_unless_beaten with its bound
+    raised by _chain_reach: the k = 1 term against the plain best, which
+    never exceeds the strong best, so a pruned k = 1 term can raise
+    neither; every later term against the strong best.  The chain stops
+    at the first pruned power j when ||Q||_F <= 1: for every k >= j,
+    ||Q^k|| <= bound_j ||Q||_F^(k-j) <= bound_j, so no later power can
+    win either, and the products that would form them are not computed.
     """
     reach = _chain_reach(k_max, scaled.shape[0])
     may_stop = _frobenius(scaled) <= 1.0
     power = scaled
-    for k in range(1, k_max + 1):
+    for k in range(1, max(k_max, 1) + 1):
         if k > 1:
             power = power @ scaled
+        best = plain if k == 1 else strong
         norm = _norm_unless_beaten(power, lambda bound: _beaten(bound * reach, best))
         if norm is None:
             if may_stop:
                 break
         else:
-            best = max(best, norm)
-    return best
+            if k == 1:
+                plain = max(plain, norm)
+            strong = max(strong, norm)
+    return plain, strong
 
 
 def _with_mirrors(r: float, angles: np.ndarray, lost: list, swept: int) -> list:
@@ -246,93 +239,85 @@ def _with_mirrors(r: float, angles: np.ndarray, lost: list, swept: int) -> list:
 def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int):
     """One pass over the grid's points lam = r * mu for the plain sup and the strong sup.
 
-    Returns (shortcut, best, radius, skipped, strong, strong_skipped).
-    Each block is materialized once for the grid and inverted once per
-    point, and that inverse serves both sweeps: the plain value (r-1)
-    ||(lam I - T)^-1|| comes from resolvent_norm, unchanged, wherever
-    _plain_beaten cannot rule the point out, and the strong sweep reads
-    the powers of the scaled inverse (r-1) R (_leaf_strong_sup) when
-    k_max >= 1.  radius is the radius where the plain sup is first
-    reached in grid order (None when no point rises above 0).
+    Returns (shortcut, plain, point, skipped, strong).  Each block is
+    materialized once for the grid and inverted once per point, and one
+    chain of powers of the scaled inverse Q = (r-1) R serves both sweeps
+    (_leaf_chain): its k = 1 term ||Q|| = (r-1) ||(lam I - T)^-1|| raises
+    the plain sup and the strong sup, its terms k = 2..k_max the strong
+    sup alone.  point is (r, lam) where the plain sup is first reached
+    in grid order (None when no point rises above 0).
     Shift-like operators are rotation invariant, so one angle per radius
     is evaluated and recorded as a shortcut.  A real operator (every
     leaf real, every rotation scalar real) has ||R(conj lam)|| =
     ||R(lam)|| and the same for every strong term, so at each radius
-    only angles 0..N/2 are evaluated (_swept_count): the sups and radius
+    only angles 0..N/2 are evaluated (_swept_count): the sups and point
     are those of the full grid, and a skipped non-real point stands for
-    its conjugate, which is listed with it in grid order.  A point whose
-    inverse fails is left out of the strong sweep and normed unpruned by
-    the plain one; a point where resolvent_norm raises SingularError is
-    left out of the plain sweep.
-    Each sweep lists its points as (r, mu), radius by radius, angles in
-    grid order.
+    its conjugate, which is listed with it in grid order.  A point where
+    some block's inverse fails is left out of both sweeps and listed
+    once in skipped as (r, mu), radius by radius, angles in grid order.
     """
     shortcut, angles = _angle_grid(op, grid.angle_count)
     swept = _swept_count(op, angles)
     leaves = [(scalar, materialize(leaf), np.eye(stop - start))
               for start, stop, scalar, leaf in blocks(op)]
-    best = strong = 0.0
-    radius = None
+    plain = strong = 0.0
+    point = None
     skipped = []
-    strong_skipped = []
     for r in grid.radii:
-        lost, strong_lost = [], []
+        lost = []
         for k, mu in enumerate(angles[:swept]):
             lam = r * mu
             try:
                 inverses = [_leaf_inverse(mat, eye, lam if scalar == 1.0 else lam / scalar)
                             for scalar, mat, eye in leaves]
             except SingularError:
-                inverses = None
-            # A point without inverses has no bound: the plain sweep norms it.
-            if not (inverses and all(_plain_beaten(system, resolvent, r, best)
-                                     for system, resolvent in inverses)):
-                try:
-                    point = max(best, (r - 1.0) * resolvent_norm(op, lam))
-                except SingularError:
-                    lost.append(k)
-                else:
-                    if point > best:
-                        radius = float(r)
-                    best = point
-            if k_max:
-                if inverses is None:
-                    strong_lost.append(k)
-                    continue
-                for _, resolvent in inverses:
-                    strong = _leaf_strong_sup((r - 1.0) * resolvent, k_max, strong)
+                lost.append(k)
+                continue
+            before = plain
+            for resolvent in inverses:
+                plain, strong = _leaf_chain((r - 1.0) * resolvent, k_max, plain, strong)
+            if plain > before:
+                point = (float(r), complex(lam))
         skipped += _with_mirrors(r, angles, lost, swept)
-        strong_skipped += _with_mirrors(r, angles, strong_lost, swept)
-    return shortcut, best, radius, tuple(skipped), strong, tuple(strong_skipped)
+    return shortcut, plain, point, tuple(skipped), strong
 
 
 def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> KreissReport:
     """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||, and the strong sup for k_max >= 1.
 
-    kreiss_C_radius is the radius where the sup is first reached; on the
-    innermost radius the true sup may lie closer to the unit circle.
-    With k_max >= 1 the same pass also fills strong_C (and k_max and
-    strong_skipped).  For a real operator only angles 0..N/2 are
-    evaluated, and every value, the radius and the skip lists equal
-    those of the full grid: a skipped non-real point is listed with its
-    conjugate.  Every block is materialized, so a block above DENSE_CAP
-    raises SizeError.  Singular grid points are skipped and listed in
-    the report; a failed SVD raises ConvergenceError.
+    kreiss_C is the k = 1 term of the strong sweep's chains, each point's
+    value the Gram norm of (r-1) R from the block's inverse R
+    (_grid_pass).  kreiss_C_radius is the radius where the sup is first
+    reached; on the innermost radius the true sup may lie closer to the
+    unit circle.  kreiss_C_svd is the oracle at that first point:
+    (r-1) / sigma_min(lam I - T) from resolvent_norm, the one SVD of the
+    sweep, None when no point rises above 0.  With k_max >= 1 the same
+    pass also fills strong_C and k_max.  For a real operator only angles
+    0..N/2 are evaluated, and every value, the radius and the skip list
+    equal those of the full grid: a skipped non-real point is listed
+    with its conjugate.  Every block is materialized, so a block above
+    DENSE_CAP raises SizeError.  A point without an inverse leaves both
+    sweeps and is listed once in skipped; a failed norm or SVD raises
+    ConvergenceError.
     """
     _require_contractive_spectrum(op)
     if k_max < 0:
         raise ValidationError("k_max must be non-negative")
-    shortcut, best, radius, skipped, strong, strong_skipped = _grid_pass(op, grid, k_max)
+    shortcut, plain, point, skipped, strong = _grid_pass(op, grid, k_max)
+    radius = oracle = None
+    if point is not None:
+        radius, lam = point
+        oracle = (radius - 1.0) * resolvent_norm(op, lam)
     return KreissReport(
-        kreiss_C=best,
+        kreiss_C=plain,
         kreiss_C_radius=radius,
+        kreiss_C_svd=oracle,
         strong_C=strong if k_max else None,
         radii=grid.radii,
         angle_count=grid.angle_count,
         k_max=k_max or None,
         rotation_shortcut=shortcut,
         skipped=skipped,
-        strong_skipped=strong_skipped,
     )
 
 
@@ -375,13 +360,14 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
 
     Each term is the norm of a power of the scaled inverse (|lam|-1) R,
     which stays in range wherever the term does.  Singular grid points
-    are skipped and listed in strong_skipped.  This is kreiss_constant's
-    report without its plain sweep's fields: the strong sweep reads none
-    of them.
+    are skipped and listed in skipped.  This is kreiss_constant's report
+    without its plain sweep's fields (kreiss_C, kreiss_C_radius and
+    kreiss_C_svd): the strong sweep reads none of them.
     """
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
-    return replace(kreiss_constant(op, grid, k_max), kreiss_C=None, kreiss_C_radius=None, skipped=())
+    return replace(kreiss_constant(op, grid, k_max), kreiss_C=None, kreiss_C_radius=None,
+                   kreiss_C_svd=None)
 
 
 def _vector_norms(v: np.ndarray):
@@ -711,6 +697,8 @@ def run_hilbert_claims(
     """
     if n_probes < 0:
         raise ValidationError("n_probes must be non-negative")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     ladder = dyadic_ladder(n_top)
     if not n_probes:
         return ClaimRecords()

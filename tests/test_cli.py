@@ -346,6 +346,33 @@ def test_an_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["claims", "--operator", "tn", "--trunc", "8", "--probes", "2", "--k-max", "4", "--seed", "-1"],
+    ["reproduce", "thm1.5", "--seed", "-1"],
+    ["reproduce", "thm2.7-claims", "--seed", "-3"],
+    ["construct", "--operator", "tzblock", "--trunc", "4", "--seed", "-1"],
+], ids=["claims", "thm1.5", "thm2.7-claims", "construct"])
+def test_a_negative_seed_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch, argv):
+    # numpy's seeded generators reject a negative seed: the claims and
+    # reproduce runs ended in a ValueError traceback (exit 1, "a check
+    # failed"), claims only after its whole kb2_constant sweep.
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before --seed was checked")
+
+    for name in ("spectral_norm", "kb2_constant", "run_hilbert_claims", "reproduce"):
+        monkeypatch.setattr(kreisslab.cli, name, sweep)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: --seed must be non-negative, got {argv[-1]}"
+    assert not out.exists()
+
+
+def test_claims_reject_a_negative_seed():
+    with pytest.raises(kreisslab.ValidationError):
+        kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=2, n_top=4, seed=-1)
+
+
 def test_claims_reject_a_negative_probe_count():
     with pytest.raises(kreisslab.ValidationError):
         kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=-1, n_top=4)
@@ -461,8 +488,8 @@ def test_every_verdict_is_its_recorded_gate(tmp_path, argv):
 
 
 def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
-    # The first resolvent of each sweep fails; both points must surface in
-    # the report, not only lower strong_C and kreiss_C unseen.
+    # The first resolvent inverse fails: the point leaves both sweeps and must
+    # surface in the report once per sweep, not only lower strong_C and kreiss_C unseen.
     def fail_first(fn, error):
         calls = []
 
@@ -474,8 +501,6 @@ def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(np.linalg, "inv", fail_first(np.linalg.inv, np.linalg.LinAlgError()))
-    monkeypatch.setattr(kreisslab.kreiss, "resolvent_norm",
-                        fail_first(kreisslab.kreiss.resolvent_norm, kreisslab.SingularError()))
     code = main(["kreiss", "--operator", "ergces", "--trunc", "6", "--n-max", "8",
                  "--out", str(tmp_path)])
     report = read_report(tmp_path)
@@ -484,7 +509,7 @@ def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
         ("kreiss", 1.5, 0.0, "skipped"),
         ("strong", 1.5, 0.0, "skipped"),
     ]
-    assert report["results"][0]["skipped"] == [[1.5, [1.0, 0.0]], [1.5, [1.0, 0.0]]]
+    assert report["results"][0]["skipped"] == [[1.5, [1.0, 0.0]]]
     # kreiss-report, kreiss-sup-on-inner-radius (ergces peaks there), the two
     # mean-sweep-below-kreiss records (ukb_C and kb2_C at n_max = 8) and the two skipped points
     assert report["summary"]["no_verdict"] == 6

@@ -15,8 +15,7 @@ import kreisslab.kreiss
 from kreisslab.cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _dense_norm, _frobenius,
                               _mean_cells, _rotated_mean_norms, _schatten4, _seed_bounds,
                               _swept_count)
-from kreisslab.kreiss import (_chain_reach, _leaf_inverse, _plain_beaten, certify_spectral_radius,
-                              default_radii)
+from kreisslab.kreiss import _chain_reach, _leaf_inverse, certify_spectral_radius, default_radii
 from kreisslab.operators import _compact
 
 
@@ -235,15 +234,14 @@ def exhaustive_mean_sups(op, n_max, angles):
             float((norm2 * ((n + 2.0) / (2.0 * (n + 1.0)))).max()))
 
 
-def exhaustive_strong_sup(op, grid, k_max):
-    """(strong_C, skipped) of the strong sweep with every (point, block, k) cell normed.
+def exhaustive_inverses(op, grid):
+    """(r, mu, resolvents) at every grid point in order; resolvents is None where an inverse fails.
 
-    Each cell is ||Q^k|| for the scaled inverse Q = (r-1) R.
+    Each block's resolvent is inv(lam' I - A) with lam' = lam / scalar,
+    as the sweeps fold each rotation into lam.
     """
     _, angles = _angle_grid(op, grid.angle_count)
     leaves = [(scalar, kl.materialize(leaf)) for _, _, scalar, leaf in kl.blocks(op)]
-    best = 0.0
-    skipped = []
     for r in grid.radii:
         for mu in angles:
             try:
@@ -251,32 +249,49 @@ def exhaustive_strong_sup(op, grid, k_max):
                                             * np.eye(mat.shape[0]) - mat)
                               for scalar, mat in leaves]
             except np.linalg.LinAlgError:
-                skipped.append((float(r), complex(mu)))
-                continue
-            for resolvent in resolvents:
-                scaled = (r - 1.0) * resolvent
-                power = scaled
-                for k in range(1, k_max + 1):
-                    if k > 1:
-                        power = power @ scaled
-                    best = max(best, _dense_norm(power))
+                resolvents = None
+            yield r, mu, resolvents
+
+
+def exhaustive_strong_sup(op, grid, k_max):
+    """(strong_C, skipped) of the strong sweep with every (point, block, k) cell normed.
+
+    Each cell is ||Q^k|| for the scaled inverse Q = (r-1) R.
+    """
+    best = 0.0
+    skipped = []
+    for r, mu, resolvents in exhaustive_inverses(op, grid):
+        if resolvents is None:
+            skipped.append((float(r), complex(mu)))
+            continue
+        for resolvent in resolvents:
+            scaled = (r - 1.0) * resolvent
+            power = scaled
+            for k in range(1, k_max + 1):
+                if k > 1:
+                    power = power @ scaled
+                best = max(best, _dense_norm(power))
     return best, tuple(skipped)
 
 
+def exhaustive_plain_terms(op, grid):
+    """(r, mu, term) at every grid point in order: the max over blocks of ||(r-1) R||, or None."""
+    return [(r, mu, None if resolvents is None
+             else max(_dense_norm((r - 1.0) * resolvent) for resolvent in resolvents))
+            for r, mu, resolvents in exhaustive_inverses(op, grid)]
+
+
 def exhaustive_plain_sweep(op, grid):
-    """(kreiss_C, kreiss_C_radius, skipped) with every grid point normed by resolvent_norm."""
-    _, angles = _angle_grid(op, grid.angle_count)
+    """(kreiss_C, kreiss_C_radius, skipped) of the exhaustive k = 1 sweep: every point normed."""
     best, radius, skipped = 0.0, None, []
-    for r in grid.radii:
-        for mu in angles:
-            try:
-                point = max(best, (r - 1.0) * kreisslab.kreiss.resolvent_norm(op, r * mu))
-            except kl.SingularError:
-                skipped.append((float(r), complex(mu)))
-                continue
-            if point > best:
-                radius = float(r)
-            best = point
+    for r, mu, term in exhaustive_plain_terms(op, grid):
+        if term is None:
+            skipped.append((float(r), complex(mu)))
+            continue
+        point = max(best, term)
+        if point > best:
+            radius = float(r)
+        best = point
     return best, radius, tuple(skipped)
 
 
@@ -323,7 +338,7 @@ def test_fused_pass_equals_the_exhaustive_sweeps(op, monkeypatch):
     plain = exhaustive_plain_sweep(op, grid)
     strong = exhaustive_strong_sup(op, grid, 8)
     assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == plain
-    assert (fused.strong_C, fused.strong_skipped) == strong
+    assert (fused.strong_C, fused.skipped) == strong
     alone = kl.kreiss_constant(op, grid)
     assert (alone.kreiss_C, alone.kreiss_C_radius, alone.skipped, alone.strong_C) == (*plain, None)
     assert kl.strong_kreiss_constant(op, grid, 8).strong_C == strong[0]
@@ -333,74 +348,64 @@ def test_fused_pass_equals_the_exhaustive_sweeps(op, monkeypatch):
 COMPLEX_TWIN = kl.Dense(NONNORMAL.matrix * np.exp(0.3j))
 
 
-def failing_points(monkeypatch, no_inverse, lost, corner):
-    """Fail np.linalg.inv at the points no_inverse and resolvent_norm at lost.
+def failing_points(monkeypatch, no_inverse, corner):
+    """Fail np.linalg.inv at the points no_inverse, told apart by the corner entry lam - corner.
 
-    Returns the list of points resolvent_norm is asked for.
+    Returns the corner entries of the systems np.linalg.inv is asked for.
     """
-    inv, norm = np.linalg.inv, kreisslab.kreiss.resolvent_norm
-    normed = []
+    inv = np.linalg.inv
+    inverted = []
 
     def failing_inv(a):
-        if any(a[0, 0] == lam - corner for lam in no_inverse):
+        inverted.append(a[0, 0])
+        if any(a[0, 0] == point - corner for point in no_inverse):
             raise np.linalg.LinAlgError("singular")
         return inv(a)
 
-    def failing_norm(op, lam):
-        normed.append(lam)
-        if lam in lost:
-            raise kl.SingularError("singular")
-        return norm(op, lam)
-
     monkeypatch.setattr(np.linalg, "inv", failing_inv)
-    monkeypatch.setattr(kreisslab.kreiss, "resolvent_norm", failing_norm)
-    return normed
+    return inverted
 
 
 def test_fused_pass_skips_the_points_the_exhaustive_sweeps_skip(monkeypatch):
-    # Two points lose their inverse: the strong sweep skips both, the plain
-    # sweep norms them unpruned and skips the one whose SVD fails too.
+    # Two points lose their inverse: both sweeps skip both, each listed once.
     # Angles 3 and 5 of 8 are a conjugate pair, so only a complex operator,
     # which is swept at every angle, can lose them independently.
     op = COMPLEX_TWIN
     grid = kl.AnnulusGrid.default(8)
     _, angles = _angle_grid(op, 8)
     radii = grid.radii
-    lost = radii[7] * angles[3]
-    no_inverse = {radii[1] * angles[5], lost}
-    normed = failing_points(monkeypatch, no_inverse, {lost}, kl.materialize(op)[0, 0])
+    no_inverse = {radii[1] * angles[5], radii[7] * angles[3]}
+    failing_points(monkeypatch, no_inverse, kl.materialize(op)[0, 0])
     fused = kl.kreiss_constant(op, grid, 8)
-    assert no_inverse <= set(normed)
-    assert fused.skipped == ((radii[7], complex(angles[3])),)
-    assert fused.strong_skipped == ((radii[1], complex(angles[5])), (radii[7], complex(angles[3])))
+    assert fused.skipped == ((radii[1], complex(angles[5])), (radii[7], complex(angles[3])))
     assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == exhaustive_plain_sweep(op, grid)
-    assert (fused.strong_C, fused.strong_skipped) == exhaustive_strong_sup(op, grid, 8)
-    assert fused.to_dict()["skipped"] == [list(p) for p in fused.skipped + fused.strong_skipped]
+    assert (fused.strong_C, fused.skipped) == exhaustive_strong_sup(op, grid, 8)
+    assert fused.to_dict()["skipped"] == [list(p) for p in fused.skipped]
 
 
 def test_a_real_operator_skips_a_lost_point_with_its_conjugate(monkeypatch):
     # The half sweep of a real operator evaluates angles 0..4 of 8.  A point
     # lost at angle 3 stands for its conjugate at angle 5, which the sweep
-    # never visits: both are listed, in grid order, on every sweep.  The
-    # full-grid sweeps lose the conjugate too, as a real singular point would.
+    # never visits: both are listed once, in grid order, for both sweeps.
+    # The full-grid sweeps lose the conjugate too, as a real singular point would.
     op = NONNORMAL
     grid = kl.AnnulusGrid.default(8)
     _, angles = _angle_grid(op, 8)
     radii = grid.radii
     lost = radii[7] * angles[3]
-    normed = failing_points(monkeypatch, {lost}, {lost}, kl.materialize(op)[0, 0])
+    corner = kl.materialize(op)[0, 0]
+    inverted = failing_points(monkeypatch, {lost}, corner)
     fused = kl.kreiss_constant(op, grid, 8)
-    unswept = {radius * mu for radius in radii for mu in angles[5:]}
-    assert lost in normed and not unswept & set(normed)
+    unswept = {radius * mu - corner for radius in radii for mu in angles[5:]}
+    assert lost - corner in inverted and not unswept & set(inverted)
     pair = ((radii[7], complex(angles[3])), (radii[7], complex(angles[5])))
     assert angles[5] == np.conj(angles[3])
-    assert fused.skipped == fused.strong_skipped == pair
-    assert fused.to_dict()["skipped"] == [list(p) for p in pair + pair]
+    assert fused.skipped == pair
+    assert fused.to_dict()["skipped"] == [list(p) for p in pair]
     monkeypatch.undo()
-    both = {lost, np.conj(lost)}
-    failing_points(monkeypatch, both, both, kl.materialize(op)[0, 0])
+    failing_points(monkeypatch, {lost, np.conj(lost)}, corner)
     assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == exhaustive_plain_sweep(op, grid)
-    assert (fused.strong_C, fused.strong_skipped) == exhaustive_strong_sup(op, grid, 8)
+    assert (fused.strong_C, fused.skipped) == exhaustive_strong_sup(op, grid, 8)
 
 
 #: Real operators, whose sweeps evaluate angles 0..N/2 of an N-point grid.
@@ -429,7 +434,7 @@ def test_half_sweeps_of_a_real_operator_equal_the_full_grid(op, angles):
     grid = kl.AnnulusGrid.default(angles)
     fused = kl.kreiss_constant(op, grid, 8)
     assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == exhaustive_plain_sweep(op, grid)
-    assert (fused.strong_C, fused.strong_skipped) == exhaustive_strong_sup(op, grid, 8)
+    assert (fused.strong_C, fused.skipped) == exhaustive_strong_sup(op, grid, 8)
 
 
 @pytest.mark.parametrize("angles", [1, 2, 3, 7, 8, 16, 64, 255])
@@ -523,23 +528,6 @@ def test_schatten4_bound_with_its_slack_covers_the_svd():
     assert _schatten4(np.zeros((3, 3))) == _schatten4(np.full((3, 3), 1e-80)) == math.inf
 
 
-def test_inversion_aware_plain_bound_covers_the_svd_near_the_circle():
-    # ergces 20 at r - 1 = 2^-12: cond(lam I - T) up to about 1e5, so the
-    # inverse carries the largest rounding of any default grid point.
-    op = kl.build_ergces(20)
-    mat = kl.materialize(op)
-    eye = np.eye(mat.shape[0])
-    r = 1.0 + 2.0 ** -12
-    _, angles = _angle_grid(op, 64)
-    worst = 0.0
-    for mu in angles:
-        system, resolvent = _leaf_inverse(mat, eye, r * mu)
-        value = (r - 1.0) * kl.resolvent_norm(op, r * mu)
-        assert not _plain_beaten(system, resolvent, r, value)
-        worst = max(worst, mat.shape[0] * _EPS * _frobenius(system) * _frobenius(resolvent))
-    assert 1e-12 < worst < 1e-9  # the inversion term matters, yet prunes like a 1e-9 slack
-
-
 @pytest.mark.parametrize("op", [NONNORMAL, contractive_dense(16, 3), kl.build_tz_block(8),
                                 kl.build_ergces(12)],
                          ids=["nonnormal", "dense-16", "tzblock-8", "ergces-12"])
@@ -555,7 +543,7 @@ def test_chain_cut_covers_every_later_term(op):
     _, angles = _angle_grid(op, 16)
     for r in default_radii():
         for mu in angles:
-            _, resolvent = _leaf_inverse(mat, np.eye(d), r * mu)
+            resolvent = _leaf_inverse(mat, np.eye(d), r * mu)
             scaled = (r - 1.0) * resolvent
             if _frobenius(scaled) > 1.0:
                 continue
@@ -613,13 +601,72 @@ def test_pruned_sweeps_of_a_tz_block_norm_few_cells(monkeypatch):
     op = kl.build_tz_block(16)
     report = kl.kb2_constant(op, 128, 64)
     fused = kl.kreiss_constant(op, kl.AnnulusGrid.default(64), 16)
-    assert len(calls) <= 130  # 97 of 14,850 cells: 8,514 means and 6,336 resolvent powers
-    assert len(solves) <= 80  # 62 sigma_min SVDs of 396 grid points
+    assert len(solves) == 1  # the oracle's one sigma_min SVD
+    # 156 of 14,850 cells (8,514 means and 6,336 resolvent powers) and the oracle
+    assert len(calls) + len(solves) <= 210
     # the exhaustive sweep's values
     got = (report.ukb_C, report.kb2_C, report.kb2_sum_C, fused.strong_C, fused.kreiss_C)
     want = (9.612697312887626, 7.618976457286319, 4.009987609098062, 9.693293899356368,
             6.032400028538849)
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+ORACLE_CASES = {
+    "tzblock-8": (kl.build_tz_block(8), kl.AnnulusGrid.default(64)),
+    "tzblock-16": (kl.build_tz_block(16), kl.AnnulusGrid.default(64)),
+    "ergces-12": (kl.build_ergces(12), kl.AnnulusGrid.default(64)),
+    "ergces-20": (kl.build_ergces(20), kl.AnnulusGrid.default(64)),
+    # cond(lam I - T) up to about 1e5: the inverse carries the largest
+    # rounding of any default grid point.
+    "ergces-20-near-circle": (kl.build_ergces(20), kl.AnnulusGrid((1.0 + 2.0**-12,), 64)),
+    **{name: (op, kl.AnnulusGrid.default(16)) for name, op in SWEEP_OPS.items()},
+    "nonnormal": (NONNORMAL, kl.AnnulusGrid.default(16)),
+}
+
+
+@pytest.mark.parametrize("op, grid", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_the_svd_oracle_matches_kreiss_C_at_its_sup(op, grid):
+    # kreiss_C is the Gram norm of (r-1) R; kreiss_C_svd is (r-1) / sigma_min
+    # of the system at the first grid point where kreiss_C is reached.
+    report = kl.kreiss_constant(op, grid)
+    terms = exhaustive_plain_terms(op, grid)
+    r, mu = next((r, mu) for r, mu, term in terms if term == report.kreiss_C)
+    assert report.kreiss_C_radius == r
+    assert report.kreiss_C_svd == (r - 1.0) * kl.resolvent_norm(op, r * mu)
+    assert abs(report.kreiss_C_svd - report.kreiss_C) <= 1e-12 * report.kreiss_C
+    assert report.to_dict()["kreiss_C_svd"] == report.kreiss_C_svd
+    assert kl.strong_kreiss_constant(op, grid, 4).kreiss_C_svd is None
+
+
+def test_the_grid_pass_takes_no_svd(monkeypatch):
+    # The sweep norms every resolvent term from its inverse; the one SVD is
+    # the oracle's, and with no point to check there is none.
+    svds, solves = [], []
+    svd, resolvent_norm = np.linalg.svd, kreisslab.kreiss.resolvent_norm
+
+    def counting_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def counting_resolvent(op, lam):
+        solves.append(lam)
+        return resolvent_norm(op, lam)
+
+    def singular(a):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(kreisslab.kreiss, "resolvent_norm", counting_resolvent)
+    op, grid = kl.build_tz_block(16), kl.AnnulusGrid.default(64)
+    assert kl.kreiss_constant(op, grid, 16).kreiss_C_svd is not None
+    assert (len(svds), len(solves)) == (1, 1)
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    svds.clear()
+    solves.clear()
+    report = kl.kreiss_constant(op, grid, 16)
+    assert (report.kreiss_C, report.kreiss_C_radius, report.kreiss_C_svd) == (0.0, None, None)
+    assert len(report.skipped) == len(grid.radii) * 64
+    assert (svds, solves) == ([], [])
 
 
 def stepped_alone(mat, lam, n_max):
