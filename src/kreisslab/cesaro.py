@@ -90,11 +90,6 @@ _PRUNE_SLACK = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
-#: Size of the block of a leaf's powers that one pass of the chain holds
-#: in the first pass of the mean sweeps (_gram_windows).  The powers up
-#: to n = 128 of a leaf below d = 64 fit one block.
-_POWER_BYTES = 1 << 22
-
 #: Values of n per window of the Gram strips and tables of _seed_bounds.
 _SEED_WINDOW = 256
 
@@ -276,8 +271,11 @@ def _power_chain(mat: np.ndarray, n_max: int):
     """Yield T^0 = I, T^1, .., T^top, where top <= n_max is the last nonzero power.
 
     Each power is one product into a spare array, so the seed's Gram
-    matrix (_gram_windows) and the cells of _mean_cells see the same
-    powers bit for bit.  The yielded array is overwritten two steps later.
+    matrix (_seed_bounds) and the cells of _mean_cells see the same
+    powers bit for bit.  The yielded array is overwritten two steps
+    later, so a consumer copies what it keeps: _seed_bounds copies every
+    power, (top + 1) d^2 entries per dense leaf of a multi-angle sweep,
+    and _mean_cells none.
     """
     power = np.eye(mat.shape[0], dtype=mat.dtype)
     spare = np.empty_like(power)
@@ -290,69 +288,35 @@ def _power_chain(mat: np.ndarray, n_max: int):
         yield power
 
 
-def _gram_windows(mat: np.ndarray, n_max: int):
-    """Yield (n0, strip) for n0 = 0, _SEED_WINDOW, .. <= n_max: the Gram matrix of the powers by columns.
-
-    strip[j, k - n0] = <T^j, T^k> = sum conj(T^j) T^k for j <= k and k
-    in the window n0 <= k < n0 + _SEED_WINDOW, up to top, the last
-    nonzero power of the chain (_power_chain) up to n_max; the entries
-    below the diagonal are zero, and a window past top gives None.  Each
-    entry is one dot product of two flattened powers, taken as a batch
-    of 1 x 1 matrix products, so it has the same bits in any grouping;
-    the entries of one matrix product would round differently with its
-    shape.  A window's rows are filled one block at a time: a pass steps
-    the chain up to the window's end, holds the powers of its block, at
-    most _POWER_BYTES of them, and dots each power of the window with the
-    held ones.  So every blocking gives the same strips, one pass serves
-    a window whose powers fit one block, and what is held stays within
-    one block of powers and one strip of _SEED_WINDOW columns.
-    """
-    per = max(1, _POWER_BYTES // (mat.size * mat.itemsize))
-    top = n_max
-    for n0 in range(0, n_max + 1, _SEED_WINDOW):
-        n1 = min(n0 + _SEED_WINDOW, top + 1)
-        strip = np.zeros((n1, n1 - n0), dtype=mat.dtype) if n1 > n0 else None
-        start = 0
-        while strip is not None and start < n1:
-            held = np.empty((min(per, n1 - start), 1, mat.size), dtype=mat.dtype)
-            for k, power in enumerate(_power_chain(mat, n1 - 1)):
-                if start <= k < start + len(held):
-                    held[k - start, 0] = power.ravel().conj()
-                if k >= max(start, n0):
-                    count = min(k + 1 - start, len(held))
-                    dots = np.matmul(held[:count], power.reshape(-1, 1))
-                    strip[start:start + count, k - n0] = dots[:, 0, 0]
-            if k < n1 - 1:  # a zero power ended the chain: top is k
-                top, n1 = k, k + 1
-                strip = strip[:n1, :n1 - n0] if n1 > n0 else None
-            start += len(held)
-        yield n0, strip
-
-
 def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: bool):
     """(bound1, bound2): upper bounds of ||total||_F and ||triangular||_F, no point stepped.
 
     Each array has one row per point scalars[p] and one column per
     n = 0..n_max, and bounds the Frobenius norm of the cell that
     _mean_cells steps for the compacted leaf mat at that point (bound2
-    is None unless want_order2).  Write P_j for the stepped powers of
-    _gram_windows, H for their Gram matrix, and mu = s / |s| for a point
-    s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
+    is None unless want_order2).  Write P_j for the powers of the chain
+    (_power_chain), top for the last nonzero one up to n_max, H for their
+    Gram matrix, H[j, k] = <P_j, P_k> = sum conj(P_j) P_k, and mu = s / |s|
+    for a point s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
     ||E_n||_F^2 = sum_m w_m Re(mu^m c_n(m)), w_0 = 1 and w_m = 2 else,
     with c_n(m) = sum_(j<=n-m) H[j, j+m] a cumulative sum along the m-th
     diagonal of H.  The triangular sum F_n = sum_(j<=n) (n+1-j) mu^j P_j
     takes 2 C + (m - 1) B in place of c_n(m), where B and C are the
     cumulative sums of c and of B in n: sum_j (n+1-j)(n+1-j-m) H[j, j+m]
-    = 2 C + (m - 1) B.  The sums run over the windows of n in which
-    _gram_windows yields H, and the transform to the points is one
-    product per window with the table w_m mu^m, so there is no loop per n.
+    = 2 C + (m - 1) B.  The chain is stepped once and held as one stack,
+    one flattened row per power: (top + 1) d^2 entries for the leaf.  The
+    sums run over windows of _SEED_WINDOW values of n.  A window's rows
+    of H are one matrix product of its powers with the stack, so H is
+    never held whole, and the transform to the points is one product per
+    window with the table w_m mu^m, so there is no loop per n.
 
     The allowance makes each value a bound of the stepped cell.  With S
     the weighted sum of ||P_j||_F (sum_j ||P_j|| for order 1,
     sum_j (n+1-j) ||P_j|| for order 2), the computed square q may miss
     ||E_n||^2 by kappa S^2, kappa = (L + 4 top + 16 n + 32) eps with L
     the length of the Gram's inner products.  Rounding each source's
-    constant up, that covers the Gram product ((L + 2) eps), the three
+    constant up, that covers the Gram product ((L + 2) eps, in any
+    summation order of its inner products), the three
     cumulative sums (7 n eps), the running powers of mu (8 n eps), the
     transform (3 top eps) and the last additions.  The stepped cell X_n
     differs from E_n by at most a S: its running lam^n drifts from mu^n
@@ -376,18 +340,24 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
     sums = [np.zeros((n_max + 1, len(scalars))) for _ in range(1 + want_order2)]
     norms = np.zeros(n_max + 1)  # ||T^j||_F
     carries = np.zeros((3, n_max + 1), dtype=mat.dtype)
-    top = -1
     with np.errstate(over="ignore", invalid="ignore"):
-        for n0, strip in _gram_windows(mat, n_max):
+        stack = np.empty((n_max + 1, mat.size), dtype=mat.dtype)
+        for top, power in enumerate(_power_chain(mat, n_max)):
+            stack[top] = power.ravel()  # a copy: the chain overwrites its power
+        for n0 in range(0, n_max + 1, _SEED_WINDOW):
             window = ns[n0:n0 + _SEED_WINDOW, None]
-            if strip is not None:
-                top = n0 + strip.shape[1] - 1
-                norms[n0:top + 1] = np.sqrt(strip.diagonal(-n0).real)
             ms = np.arange(min(top + 1, n0 + len(window)))  # diagonals m <= n
             j = window - ms  # the entry H[n - m, n] of diagonal m at n
             live = (j >= 0) & (window <= top)
-            diagonal = (np.where(live, strip[np.clip(j, 0, top), np.clip(window - n0, 0, top - n0)],
-                                 0.0) if strip is not None else np.zeros(live.shape, mat.dtype))
+            if n0 > top:
+                diagonal = np.zeros(live.shape, mat.dtype)
+            else:
+                held = stack[n0:min(n0 + _SEED_WINDOW, top + 1)]
+                # rows[k - n0, j] = <P_k, P_j> = conj(H[j, k]); conj() of a real window is itself
+                rows = held.conj() @ stack[:n0 + len(held)].T
+                norms[n0:n0 + len(held)] = np.sqrt(rows.diagonal(n0).real)
+                diagonal = np.where(live, rows[np.minimum(window, top) - n0, np.clip(j, 0, top)].conj(),
+                                    0.0)
             tables = []
             for carry in carries[:1 + 2 * want_order2, :len(ms)]:
                 diagonal = carry + np.cumsum(diagonal, axis=0)
@@ -749,10 +719,13 @@ def ergodic_probe(
     ``tz-ergodic-probe`` checks of ``reproduce``).  The means are read
     only at the rungs: the block is stepped for at most d + 1 steps,
     and the rest is doubled when that costs fewer flops (_rung_sums).
+    A negative seed raises ValidationError, as numpy's generators take none.
     """
     ladder = tuple(int(n) for n in ladder)
     if len(ladder) < 2:
         raise ValidationError("ladder needs at least two rungs")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 0:
         raise ValidationError("ladder must be strictly increasing and non-negative")
     d = dimension(op)

@@ -392,8 +392,11 @@ def orbit_norms(op: OperatorSpec, x: np.ndarray, kmax: int) -> np.ndarray:
     one apply per j; row p of the result is then column p's orbit, equal
     bit for bit to orbit_norms of that column alone when op has no dense
     block.  Once T^j x is exactly zero every later vector is too, so op
-    is not applied again and the remaining norms stay 0.0.
+    is not applied again and the remaining norms stay 0.0.  A negative
+    kmax raises ValidationError.
     """
+    if kmax < 0:
+        raise ValidationError(f"kmax must be non-negative, got {kmax}")
     v = np.asarray(x, dtype=complex)
     out = np.zeros(v.shape[1:] + (kmax + 1,))
     out[..., 0] = _vector_norms(v)

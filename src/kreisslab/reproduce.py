@@ -451,12 +451,16 @@ def reproduce(theorem_id: str, out_dir=".", seed: int = SEED) -> int:
 
     Writes report.json plus the experiment's CSV tables into out_dir.
     The status is 0 exactly when every definite check passed; reports
-    are written either way.
+    are written either way.  An unknown id or a negative seed (numpy's
+    seeded generators take none) raises ValidationError before anything
+    runs or is written.
     """
     if theorem_id not in RUNNERS:
         raise ValidationError(
             f"unknown experiment id {theorem_id!r}; choose from {sorted(RUNNERS)}"
         )
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     records, tables = RUNNERS[theorem_id](seed)
     results = [record.to_dict() for record in records]
     config = RunConfig(command="reproduce", operator=theorem_id, seed=seed, out=str(out_dir))

@@ -381,6 +381,12 @@ def test_probe_zero_operator():
     assert np.all(np.diff(probe.gaps, axis=1) < 0)
 
 
+def test_probe_rejects_a_negative_seed():
+    # It ended in numpy's ValueError ("expected non-negative integer").
+    with pytest.raises(kl.ValidationError, match="seed must be non-negative, got -1"):
+        kl.ergodic_probe(kl.build_tz_block(4), probes=2, seed=-1)
+
+
 def test_probe_ergces_positive_verdict():
     probe = kl.ergodic_probe(
         kl.build_ergces(20), probes=8, ladder=(16, 64, 256, 1024, 4096, 8192, 16384)

@@ -373,6 +373,20 @@ def test_claims_reject_a_negative_seed():
         kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=2, n_top=4, seed=-1)
 
 
+def test_reproduce_rejects_a_negative_seed_before_writing(tmp_path, monkeypatch):
+    # It ended in numpy's ValueError ("expected non-negative integer").
+    import kreisslab.reproduce as r
+
+    def runner(seed):
+        raise AssertionError("an experiment ran before its seed was checked")
+
+    monkeypatch.setitem(r.RUNNERS, "thm1.5", runner)
+    out = tmp_path / "out"
+    with pytest.raises(kreisslab.ValidationError, match="seed must be non-negative, got -1"):
+        r.reproduce("thm1.5", out, seed=-1)
+    assert not out.exists()
+
+
 def test_claims_reject_a_negative_probe_count():
     with pytest.raises(kreisslab.ValidationError):
         kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=-1, n_top=4)

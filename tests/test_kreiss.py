@@ -826,45 +826,27 @@ def test_seed_bounds_hold_every_stepped_cell(op, n_max):
     assert cells == len(bounds) * len(lams) * (n_max + 1)
 
 
-def seeded(op, n_max, angles):
-    """(plan, bounds1, bounds2, seeded bests) of the first pass of kb2_constant's sweep."""
-    _, lams = _angle_grid(op, angles)
-    sups = kreisslab.cesaro._MeanSups(True)
-    plan, bounds1, bounds2 = sups.seed(op, n_max, lams[:_swept_count(op, lams)])
-    return plan, bounds1, bounds2, (sups.best1, sups.best2, sups.best2_sum)
-
-
-@pytest.mark.parametrize("name", ["tzblock-8", "rotated-dense-plus-shift"])
-def test_the_row_block_gram_gives_the_same_bounds(name, monkeypatch):
-    op = SWEEP_OPS[name]
-    one_block = seeded(op, 32, 16)
-    report = kl.kb2_constant(op, 32, 16)
+def test_the_seed_steps_each_leaf_chain_once(monkeypatch):
+    # The Gram matrix of the seed comes from one held stack of each leaf's
+    # powers: one pass of the chain per leaf, however long the chain.
     chains = []
     chain = kreisslab.cesaro._power_chain
 
     def counting(mat, n_max):
-        # The seed's replay of its points steps chains too: count the Gram's passes only.
-        if sys._getframe(1).f_code is kreisslab.cesaro._gram_windows.__code__:
+        # The points that _mean_cells steps make chains too: count the Gram's passes only.
+        if sys._getframe(1).f_code is not kreisslab.cesaro._mean_cells.__code__:
             chains.append(n_max)
         return chain(mat, n_max)
 
     monkeypatch.setattr(kreisslab.cesaro, "_power_chain", counting)
-    monkeypatch.setattr(kreisslab.cesaro, "_POWER_BYTES", 1)  # one power per block
-    row_blocks = seeded(op, 32, 16)
-    # One pass of the chain per nonzero power T^0..T^top of each leaf.
-    assert len(chains) == sum(np.linalg.matrix_power(kl.materialize(leaf), j).any()
-                              for *_, leaf in kl.blocks(op) for j in range(33)) > len(one_block[1])
-    for got, want in zip(row_blocks[0], one_block[0]):
-        assert (got is None) == (want is None)
-        if got is not None:
-            np.testing.assert_array_equal(got[0], want[0], strict=True)
-            np.testing.assert_array_equal(got[1], want[1], strict=True)
-    for got, want in zip(row_blocks[1] + row_blocks[2], one_block[1] + one_block[2]):
-        np.testing.assert_array_equal(got, want, strict=True)
-    assert row_blocks[3] == one_block[3]
-    again = kl.kb2_constant(op, 32, 16)
-    assert (again.ukb_C, again.kb2_C, again.kb2_sum_C) == (report.ukb_C, report.kb2_C,
-                                                           report.kb2_sum_C)
+    for op, n_max, angles, constants in (
+            (kl.build_ergces(12), 300, 8, (11.310509511102788, 8.985419312145599, 4.507635601774037)),
+            (kl.build_tz_block(64), 128, 64,
+             (38.43896565153635, 30.76294672545954, 15.592178477287712))):
+        chains.clear()
+        report = kl.kb2_constant(op, n_max, angles)
+        assert chains == [n_max] * len(kl.blocks(op))
+        assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == constants
 
 
 def test_the_seed_steps_no_stack(monkeypatch):
@@ -1020,6 +1002,13 @@ def test_orbit_norms_stop_at_an_exactly_zero_vector(monkeypatch):
     assert len(calls) == 8
     assert norms.tolist() == stepped
     assert norms[8] == 0.0 < norms[7]
+
+
+def test_orbit_norms_reject_a_negative_kmax():
+    # It raised IndexError from its empty table.
+    with pytest.raises(kl.ValidationError, match="kmax must be non-negative, got -1"):
+        kl.orbit_norms(kl.build_TN(8, 0.45), unit(8), -1)
+    assert kl.orbit_norms(kl.build_TN(8, 0.45), unit(8), 0).tolist() == [1.0]
 
 
 def test_orbit_norms_of_a_block_are_its_columns_orbits():
