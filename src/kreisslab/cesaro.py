@@ -1,18 +1,20 @@
 """Cesaro means, second means, rotated mean profiles, and ergodicity probes.
 
 Every mean is a running sum of powers, never recomputing a power from
-the start, and no power is multiplied past an exactly zero one.  The
-single-operator means read the stream _power_sums, one multiplication
-per step.  The rotated mean sweeps step each swept point of a leaf
-alone (_mean_cells): since (lam T)^n = lam^n T^n, a point makes one
-product of the leaf's own power per step (_power_chain), real for a
-real leaf, and scales it by its lam^n.  Their first pass steps no point
-for its bounds: ||sum_j lam^j T^j||_F^2 is a quadratic form in the Gram
-matrix of the powers, <T^j, T^k>, so the chain of the leaf's powers
-bounds every cell of every point (_seed_bounds).  The probes and the mean
-differences read their sums only at sparse rungs; past d + 1 steps they
-reach the rungs by doubling when that costs fewer flops (_rung_sums),
-about 3 d^3 flops per doubling of n instead of n block products.
+the start, and no power is multiplied past an exactly zero one.  Every
+power comes from the one stream _power_sums, one product per step.  The
+rotated mean sweeps step each swept point of a leaf alone
+(_mean_cells): since (lam T)^n = lam^n T^n, a point steps the leaf's
+own powers, real for a real leaf, and scales each by its lam^n.  Their
+first pass steps no point for its bounds: ||sum_j lam^j T^j||_F^2 is a
+quadratic form in the Gram matrix of the powers, <T^j, T^k>, so one
+pass over the leaf's powers bounds every cell of every point
+(_seed_bounds).  These bounds pick the seeds and the points to step;
+each stepped cell is then checked once, by the cascade of
+_norm_unless_beaten.  The probes and the mean differences read their
+sums only at sparse rungs; past d + 1 steps they reach the rungs by
+doubling when that costs fewer flops (_rung_sums), about 3 d^3 flops
+per doubling of n instead of n block products.
 
 Rotated profiles take the sup over a uniform unimodular grid; for
 shift-like operators the rotation is a unitary equivalence, so a single
@@ -26,6 +28,7 @@ kreiss) evaluates only its points 0..N/2 (_swept_count).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,7 @@ from .operators import (
     _compact,
     _dense_dimension,
     _matrix_norm,
+    _power_sums,
     apply,
     blocks,
     dimension,
@@ -99,6 +103,17 @@ def _dense_norm(mat: np.ndarray) -> float:
     return _matrix_norm(mat).value
 
 
+def _angle_count(angle_count) -> int:
+    """angle_count as an int of at least 1: any integral type passes, a float does not."""
+    try:
+        count = operator.index(angle_count)
+    except TypeError:
+        raise ValidationError(f"angle count must be an integer, got {angle_count!r}") from None
+    if count < 1:
+        raise ValidationError("angle count must be at least 1")
+    return count
+
+
 def _angle_grid(op: OperatorSpec, angle_count: int):
     """(shortcut, lams): lam = 1 alone for shift-like op, else the uniform N-point grid.
 
@@ -108,8 +123,7 @@ def _angle_grid(op: OperatorSpec, angle_count: int):
     Point N/2 of an even grid, exp(i pi) = -1 + 1.2e-16i, is its own
     partner in the sweeps (_swept_count).
     """
-    if angle_count < 1:
-        raise ValidationError("angle count must be at least 1")
+    angle_count = _angle_count(angle_count)
     if is_shift_like(op):
         return True, np.array([1.0 + 0.0j])
     head = np.exp(2j * np.pi * np.arange(angle_count // 2 + 1) / angle_count)
@@ -132,25 +146,6 @@ def _swept_count(op: OperatorSpec, lams: np.ndarray) -> int:
                and (not isinstance(leaf, Dense) or np.isrealobj(_compact(leaf.matrix)))
                for *_, scalar, leaf in blocks(op))
     return len(lams) // 2 + 1 if real else len(lams)
-
-
-def _power_sums(step, start, n_max: int):
-    """Yield (n, T^n s, sum_{j<=n} T^j s, settled) for n = 1..n_max, where step(v) = T v.
-
-    settled says that T^n s is exactly zero.  From then on every power
-    is that zero and the sum no longer changes, so step is not called
-    again and the same two arrays are yielded up to n_max: the values
-    equal those of stepping on, up to the sign of a zero entry.
-    """
-    power = total = start
-    settled = False
-    for n in range(1, n_max + 1):
-        if not settled:
-            power = step(power)
-            total = total + power
-            # The first entry is a cheap witness on streams that never reach zero.
-            settled = not (power.item(0) or power.any())
-        yield n, power, total, settled
 
 
 def _doubled_sums(mat: np.ndarray, power: np.ndarray, total: np.ndarray, start: int, rungs):
@@ -267,43 +262,22 @@ def _norm_unless_beaten(mat: np.ndarray, beaten):
     return None if _bounds_beaten(mat, beaten) else _dense_norm(mat)
 
 
-def _power_chain(mat: np.ndarray, n_max: int):
-    """Yield T^0 = I, T^1, .., T^top, where top <= n_max is the last nonzero power.
-
-    Each power is one product into a spare array, so the seed's Gram
-    matrix (_seed_bounds) and the cells of _mean_cells see the same
-    powers bit for bit.  The yielded array is overwritten two steps
-    later, so a consumer copies what it keeps: _seed_bounds copies every
-    power, (top + 1) d^2 entries per dense leaf of a multi-angle sweep,
-    and _mean_cells none.
-    """
-    power = np.eye(mat.shape[0], dtype=mat.dtype)
-    spare = np.empty_like(power)
-    yield power
-    for _ in range(n_max):
-        np.matmul(power, mat, out=spare)
-        if not spare.any():
-            return
-        power, spare = spare, power
-        yield power
-
-
 def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: bool):
     """(bound1, bound2): upper bounds of ||total||_F and ||triangular||_F, no point stepped.
 
     Each array has one row per point scalars[p] and one column per
     n = 0..n_max, and bounds the Frobenius norm of the cell that
     _mean_cells steps for the compacted leaf mat at that point (bound2
-    is None unless want_order2).  Write P_j for the powers of the chain
-    (_power_chain), top for the last nonzero one up to n_max, H for their
-    Gram matrix, H[j, k] = <P_j, P_k> = sum conj(P_j) P_k, and mu = s / |s|
-    for a point s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
+    is None unless want_order2).  Write P_j for the powers that
+    _power_sums steps from P_0 = I, as _mean_cells does, top for the
+    last nonzero one up to n_max, H for their Gram matrix,
+    H[j, k] = <P_j, P_k> = sum conj(P_j) P_k, and mu = s / |s| for a point s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
     ||E_n||_F^2 = sum_m w_m Re(mu^m c_n(m)), w_0 = 1 and w_m = 2 else,
     with c_n(m) = sum_(j<=n-m) H[j, j+m] a cumulative sum along the m-th
     diagonal of H.  The triangular sum F_n = sum_(j<=n) (n+1-j) mu^j P_j
     takes 2 C + (m - 1) B in place of c_n(m), where B and C are the
     cumulative sums of c and of B in n: sum_j (n+1-j)(n+1-j-m) H[j, j+m]
-    = 2 C + (m - 1) B.  The chain is stepped once and held as one stack,
+    = 2 C + (m - 1) B.  The powers are stepped once and held as one stack,
     one flattened row per power: (top + 1) d^2 entries for the leaf.  The
     sums run over windows of _SEED_WINDOW values of n.  A window's rows
     of H are one matrix product of its powers with the stack, so H is
@@ -342,8 +316,14 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
     carries = np.zeros((3, n_max + 1), dtype=mat.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         stack = np.empty((n_max + 1, mat.size), dtype=mat.dtype)
-        for top, power in enumerate(_power_chain(mat, n_max)):
-            stack[top] = power.ravel()  # a copy: the chain overwrites its power
+        eye = np.eye(mat.shape[0], dtype=mat.dtype)
+        stack[0] = eye.ravel()
+        top = 0
+        for n, power, _, settled in _power_sums(lambda p: p @ mat, eye, n_max):
+            if settled:
+                break
+            stack[n] = power.ravel()
+            top = n
         for n0 in range(0, n_max + 1, _SEED_WINDOW):
             window = ns[n0:n0 + _SEED_WINDOW, None]
             ms = np.arange(min(top + 1, n0 + len(window)))  # diagonals m <= n
@@ -398,13 +378,13 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
     norm the max over blocks); rotations fold their scalar into the grid.
     Each point steps alone, one point after another.  Since
     (lam T)^n = lam^n T^n, its powers T^n are those of the compacted
-    leaf (_power_chain), real when the leaf is real, and lam^n T^n is one
+    leaf (_power_sums), real when the leaf is real, and lam^n T^n is one
     broadcast multiply into a spare array, with lam^n a running product,
     real when the leaf and lam are both real (lam = 1 of a real leaf).
-    settled says that T^n, the power behind this step, is exactly zero
-    (so total is the previous step's unchanged), and once it holds T is
-    no longer multiplied.  The arrays are updated in place at the next
-    step, so a consumer copies what it keeps.
+    settled is the stream's flag: T^n is exactly zero (so total is the
+    previous step's unchanged), and T is no longer multiplied.  The
+    arrays are updated in place at the next step, so a consumer copies
+    what it keeps.
 
     plan, when given, has one entry per leaf: None skips the leaf, and
     (points, stops) steps only the points of lams at the indices points,
@@ -419,6 +399,7 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
         else:
             points, stops = plan[leaf_index]
         mat = _compact(materialize(leaf))
+        eye = np.eye(mat.shape[0], dtype=mat.dtype)
         scalars = lams if scalar == 1.0 else lams * scalar
         for point, stop in zip(points.tolist(), stops.tolist()):
             # One-element arrays: numpy rounds a complex product differently
@@ -430,17 +411,16 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
             term = np.empty((1, *mat.shape), dtype=lam.dtype)
             total = np.eye(mat.shape[0], dtype=lam.dtype)
             triangular = total.copy() if want_order2 else None
-            powers = _power_chain(mat, stop)
-            for n in range(stop + 1):
-                power = next(powers, None)  # None past the last nonzero power
-                if n and power is not None:
+            yield leaf_index, point, 0, total, triangular, False
+            for n, power, _, settled in _power_sums(lambda p: p @ mat, eye, stop):
+                if not settled:
                     # Out of place: numpy may round an in-place product of one element differently.
                     lam_n = lam_n * lam
                     np.multiply(lam_n[:, None, None], power, out=term)
                     total += term[0]
-                if n and want_order2:
+                if want_order2:
                     triangular += total
-                yield leaf_index, point, n, total, triangular, power is None
+                yield leaf_index, point, n, total, triangular, settled
 
 
 def _rotated_mean_norms(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
@@ -498,15 +478,14 @@ class _MeanSups:
     def seed(self, op, n_max, lams):
         """Pass 1: bound every cell by power algebra, norm the top-bound cells; return the plan.
 
-        Returns the plan of _mean_cells for the second pass and the
-        stored bounds, one (len(lams), n_max + 1) array per leaf and
-        order (None for order 2 unless want_order2); a settled or
-        already normed cell's bound is -inf.  The bounds of a leaf come
-        from the Gram matrix of its powers (_seed_bounds), so no point
-        is stepped for them.  The seeds are the cells of largest bound
-        for best1, best2 and best2_sum (one cell may serve two).  Only the
-        seeds' points are stepped, by _mean_cells up to their seeds' n,
-        and the seed cells are normed.
+        Returns the plan of _mean_cells for the second pass: each point
+        with a cell whose bound the seeds do not beat, up to its last
+        such n.  The bounds of a leaf come from the Gram matrix of its
+        powers (_seed_bounds), so no point is stepped for them.  The
+        seeds are the cells of largest bound for best1, best2 and
+        best2_sum (one cell may serve two).  Only the seeds' points are
+        stepped, up to their seeds' n, and the seed cells are normed; a
+        settled or normed cell's bound is -inf, which shortens the plan.
         """
         ns = np.arange(n_max + 1)
         bounds1, bounds2 = [], []
@@ -550,24 +529,22 @@ class _MeanSups:
             points = np.flatnonzero(live.any(axis=1))
             last = n_max - np.argmax(live[points, ::-1], axis=1)
             plan.append((points, last) if len(points) else None)
-        return plan, bounds1, bounds2
+        return plan
 
-    def prune(self, cells, bounds1=None, bounds2=None):
+    def prune(self, cells):
         """Pass 2 (or the only pass): norm each cell that no bound shows to be beaten.
 
-        A cell whose stored bound is beaten is skipped; else its
-        Frobenius and Schatten-4 bounds are tried, and only then is it
-        normed (_norm_unless_beaten).
+        Each cell's one check is the cascade of _norm_unless_beaten: its
+        Frobenius and Schatten-4 bounds, and only then its norm.
         """
-        for leaf, point, n, total, triangular, settled in cells:
+        for _, _, n, total, triangular, settled in cells:
             # Past a zero power the total is unchanged, so its mean only
             # shrinks: the previous cell's value is already at most best1.
-            if not settled and (bounds1 is None or not self.beaten1(bounds1[leaf][point, n], n)):
+            if not settled:
                 top = _norm_unless_beaten(total, lambda bound: self.beaten1(bound, n))
                 if top is not None:
                     self.add1(top, n)
-            if self.want_order2 and (bounds2 is None
-                                     or not self.beaten2(bounds2[leaf][point, n], n)):
+            if self.want_order2:
                 top = _norm_unless_beaten(triangular, lambda bound: self.beaten2(bound, n))
                 if top is not None:
                     self.add2(top, n)
@@ -589,10 +566,11 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     alone.  The second steps, leaf by leaf and point by point
     (_mean_cells), only the points that still have a cell whose bound the
     seeds do not beat, each up to its last such n, and norms a cell only
-    when neither its stored bound nor its Schatten-4 bound is beaten by
-    the running best.  The means grow with n, so without the seed the
-    best would rise one cell at a time and prune little.  A one-point sweep (the rotation shortcut)
-    runs the second pass alone.  Every normed cell goes through
+    when neither its Frobenius nor its Schatten-4 bound is beaten by the
+    running best: a seed cell that the plan steps again is normed again.
+    The means grow with n, so without the seed the best would rise one
+    cell at a time and prune little.  A one-point sweep (the rotation
+    shortcut) runs the second pass alone.  Every normed cell goes through
     _dense_norm and the same expression as the exhaustive tables, so the
     sups equal the maxima of those tables bit for bit; pruning can skip
     a cell, never change a value.  A cell with a non-finite entry has no
@@ -602,11 +580,8 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     if n_max < 0:
         raise ValidationError("n_max must be non-negative")
     sups = _MeanSups(want_order2)
-    if len(lams) > 1:
-        plan, bounds1, bounds2 = sups.seed(op, n_max, lams)
-        sups.prune(_mean_cells(op, n_max, lams, want_order2, plan), bounds1, bounds2)
-    else:
-        sups.prune(_mean_cells(op, n_max, lams, want_order2))
+    plan = sups.seed(op, n_max, lams) if len(lams) > 1 else None
+    sups.prune(_mean_cells(op, n_max, lams, want_order2, plan))
     if want_order2:
         return float(sups.best1), float(sups.best2), float(sups.best2_sum)
     return float(sups.best1), None, None

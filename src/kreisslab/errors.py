@@ -20,10 +20,10 @@ class SingularError(ArithmeticError):
 class ConvergenceError(RuntimeError):
     """A norm estimate failed: an iteration stalled or a matrix had no norm.
 
-    Only the spectral norm of a structured operator is iterated: a
-    shift, direct sum or rotation above SVD_CAP.  A stalled iteration
-    carries the best estimate seen, the residual it achieved and the
-    iterations spent.  An explicit matrix with a non-finite entry, or
+    Only the spectral norm of a structured operator (a shift, direct sum
+    or rotation) is iterated, at every size; only above SVD_CAP does a
+    stall raise, carrying the best estimate seen, the residual it
+    achieved and the iterations spent.  An explicit matrix with a non-finite entry, or
     whose Gram eigensolve fails, and a resolvent system whose SVD fails
     (in resolvent_norm, which the kreiss grid sweep calls once, as the
     oracle at its sup) raise it with none of them.

@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cesaro import (_EPS, _angle_grid, _beaten, _frobenius, _norm_unless_beaten, _swept_count,
-                     rotated_mean_tables)
+from .cesaro import (_EPS, _angle_count, _angle_grid, _beaten, _frobenius, _norm_unless_beaten,
+                     _swept_count, rotated_mean_tables)
 from .errors import ConvergenceError, SingularError, ValidationError
 from .operators import SEED, OperatorSpec, WeightedShift, apply, blocks, dimension, materialize
 from .reports import CheckRecord, gate, margins
@@ -68,8 +68,7 @@ class AnnulusGrid:
         object.__setattr__(self, "radii", radii)
         if not radii or not all(math.isfinite(r) and r > 1.0 + 1e-9 for r in radii):
             raise ValidationError("all radii must be finite and exceed 1 + 1e-9")
-        if self.angle_count < 1:
-            raise ValidationError("angle count must be at least 1")
+        object.__setattr__(self, "angle_count", _angle_count(self.angle_count))
 
     @classmethod
     def default(cls, angle_count: int = 64) -> "AnnulusGrid":
@@ -568,15 +567,18 @@ def lemma21_bound(a, r_grid=None) -> CheckRecord:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise ValidationError("sequence must be 1-D with at least two entries")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("sequence entries must be finite")
     if np.any(a < 0):
         raise ValidationError("sequence must be non-negative")
     if np.any(np.diff(a) < -1e-12 * max(1.0, float(a.max()))):
         raise ValidationError("sequence must be non-decreasing")
     if r_grid is None:
         r_grid = tuple(1.0 - 2.0 ** (-m) for m in range(1, 13))
-    radii = np.sort(np.asarray(r_grid, dtype=float))
-    if np.any(radii <= 0.0) or np.any(radii >= 1.0):
-        raise ValidationError("radius grid must lie inside (0, 1)")
+    radii = np.asarray(r_grid, dtype=float)
+    if radii.ndim != 1 or not radii.size or not np.all((radii > 0.0) & (radii < 1.0)):  # also NaN
+        raise ValidationError("radius grid must be a non-empty 1-D sequence inside (0, 1)")
+    radii = np.sort(radii)
 
     length = a.size
     ks = np.arange(length, dtype=float)

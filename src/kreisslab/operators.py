@@ -432,7 +432,7 @@ def spectral_norm(op: OperatorSpec, tol: float = 1e-10) -> NormEstimate:
     on disagreement or a stall (labelled "dense-svd-oracle"), above the
     cap a stall raises ConvergenceError.
     """
-    if tol <= 0:
+    if not tol > 0:  # also NaN
         raise ValidationError("tolerance must be positive")
     if isinstance(op, Dense):
         return _matrix_norm(op.matrix)
@@ -470,19 +470,37 @@ def _shift_power_norms(op: WeightedShift, kmax: int) -> np.ndarray:
     return out
 
 
+def _power_sums(step, start, n_max: int):
+    """Yield (n, T^n s, sum_{j<=n} T^j s, settled) for n = 1..n_max, where step(v) = T v.
+
+    settled says that T^n s is exactly zero.  From then on every power
+    is that zero and the sum no longer changes, so step is not called
+    again and the same two arrays are yielded up to n_max: the values
+    equal those of stepping on, up to the sign of a zero entry.
+    """
+    power = total = start
+    settled = False
+    for n in range(1, n_max + 1):
+        if not settled:
+            power = step(power)
+            total = total + power
+            # The first entry is a cheap witness on streams that never reach zero.
+            settled = not (power.item(0) or power.any())
+        yield n, power, total, settled
+
+
 def _leaf_power_norms(leaf, kmax: int) -> NormSeries:
     ks = np.arange(1, kmax + 1)
     if isinstance(leaf, WeightedShift):
         return NormSeries(ks, _shift_power_norms(leaf, kmax), ("closed-form",) * kmax)
     mat = _compact(materialize(leaf))
-    power = mat
-    vals = np.zeros(kmax)
-    for i in range(kmax):
-        if i:
-            power = power @ mat
-        norm = _matrix_norm(power)
-        vals[i] = norm.value
-    return NormSeries(ks, vals, (norm.method,) * kmax)
+    vals = np.zeros(kmax)  # the tail past a zero power stays 0.0
+    eye = np.eye(mat.shape[0], dtype=mat.dtype)
+    for n, power, _, settled in _power_sums(lambda p: p @ mat, eye, kmax):
+        if settled:
+            break
+        vals[n - 1] = _matrix_norm(power).value
+    return NormSeries(ks, vals, ("dense-gram",) * kmax)
 
 
 def power_norms(op: OperatorSpec, kmax: int) -> NormSeries:
@@ -490,10 +508,11 @@ def power_norms(op: OperatorSpec, kmax: int) -> NormSeries:
 
     Weighted shifts use the exact closed form: ||S^k|| is the largest
     product of k consecutive ratios (equivalently max_j w_{j+k}/w_j),
-    and is 0 once k reaches the dimension.  Dense blocks power the
-    matrix and norm each power by _matrix_norm.  Rotations leave
-    power norms unchanged, and a direct sum takes the max over its
-    blocks, each k tagged by the first block attaining it.
+    and is 0 once k reaches the dimension.  Dense blocks step their
+    powers by _power_sums and norm each by _matrix_norm up to the first
+    zero power; the zero tail is 0.0, neither formed nor normed.
+    Rotations leave power norms unchanged, and a direct sum takes the
+    max over its blocks, each k tagged by the first block attaining it.
     """
     if kmax < 1:
         raise ValidationError("kmax must be at least 1")

@@ -20,7 +20,6 @@ import numpy as np
 from .cesaro import (
     PROBE_TOLERANCE,
     _dense_norm,
-    _power_sums,
     cesaro_identity_check,
     ergodic_probe,
     mean_difference_decay,
@@ -56,6 +55,7 @@ from .operators import (
     Dense,
     NormSeries,
     _matrix_norm,
+    _power_sums,
     apply,
     materialize,
     power_norms,

@@ -828,17 +828,17 @@ def test_seed_bounds_hold_every_stepped_cell(op, n_max):
 
 def test_the_seed_steps_each_leaf_chain_once(monkeypatch):
     # The Gram matrix of the seed comes from one held stack of each leaf's
-    # powers: one pass of the chain per leaf, however long the chain.
+    # powers: one pass of the power stream per leaf, however long the chain.
     chains = []
-    chain = kreisslab.cesaro._power_chain
+    stream = kreisslab.cesaro._power_sums
 
-    def counting(mat, n_max):
-        # The points that _mean_cells steps make chains too: count the Gram's passes only.
+    def counting(step, start, n_max):
+        # The points that _mean_cells steps make streams too: count the Gram's passes only.
         if sys._getframe(1).f_code is not kreisslab.cesaro._mean_cells.__code__:
             chains.append(n_max)
-        return chain(mat, n_max)
+        return stream(step, start, n_max)
 
-    monkeypatch.setattr(kreisslab.cesaro, "_power_chain", counting)
+    monkeypatch.setattr(kreisslab.cesaro, "_power_sums", counting)
     for op, n_max, angles, constants in (
             (kl.build_ergces(12), 300, 8, (11.310509511102788, 8.985419312145599, 4.507635601774037)),
             (kl.build_tz_block(64), 128, 64,
@@ -883,9 +883,9 @@ def test_the_prune_pass_steps_the_plan_and_no_more(monkeypatch):
     cells, seed = kreisslab.cesaro._mean_cells, kreisslab.cesaro._MeanSups.seed
 
     def recording_seed(self, *args):
-        plan, *bounds = seed(self, *args)
+        plan = seed(self, *args)
         plans.append(plan)
-        return (plan, *bounds)
+        return plan
 
     def recording_cells(*args):
         for cell in cells(*args):
@@ -913,6 +913,22 @@ def test_angle_grid_rejects_no_angles():
     for op in (NONNORMAL, kl.build_TN(4, 0.3)):
         with pytest.raises(kl.ValidationError, match="angle"):
             _angle_grid(op, 0)
+
+
+def test_angle_counts_must_be_integers():
+    op = kl.build_tz_block(4)
+    for count in (2.5, 8.0, "8"):
+        with pytest.raises(kl.ValidationError, match="angle count must be an integer"):
+            kl.kb2_constant(op, 8, count)
+        with pytest.raises(kl.ValidationError, match="angle count must be an integer"):
+            kl.rotated_mean_norm_profile(op, 4, angle_count=count)
+        with pytest.raises(kl.ValidationError, match="angle count must be an integer"):
+            kl.AnnulusGrid((1.5,), count)
+    # Any integral type passes, numpy's included, and gives the same grid as an int.
+    grid = kl.AnnulusGrid((1.5,), np.int64(8))
+    assert grid.angle_count == 8 and type(grid.angle_count) is int
+    np.testing.assert_array_equal(_angle_grid(op, np.int32(8))[1], _angle_grid(op, 8)[1])
+    assert kl.kb2_constant(op, 8, np.int64(8)).kb2_C == kl.kb2_constant(op, 8, 8).kb2_C
 
 
 def test_dyadic_ladder_needs_a_power_of_two_top():
@@ -1311,6 +1327,17 @@ def test_lemma_validation():
         kl.lemma21_bound(np.array([-1.0, 0.0, 1.0]))
     with pytest.raises(kl.ValidationError):
         kl.lemma21_bound(np.ones(10), r_grid=(0.5, 1.5))
+
+
+def test_lemma_rejects_an_empty_grid_and_non_finite_entries():
+    for grid in ((), [], np.empty(0), 0.5):
+        with pytest.raises(kl.ValidationError, match="radius grid"):
+            kl.lemma21_bound([1.0, 2.0, 3.0], r_grid=grid)
+    with pytest.raises(kl.ValidationError, match="radius grid"):
+        kl.lemma21_bound([1.0, 2.0, 3.0], r_grid=(0.5, np.nan))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(kl.ValidationError, match="finite"):
+            kl.lemma21_bound([1.0, 2.0, bad])
 
 
 # --- spectral radius certification ---

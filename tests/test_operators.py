@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kreisslab as kl
+import kreisslab.operators
 from kreisslab.cesaro import _dense_norm, _rotated_mean_norms, rotated_mean_tables
 from kreisslab.kreiss import certify_spectral_radius, resolvent_norm
 from kreisslab.operators import _matrix_norm
@@ -215,6 +216,16 @@ def test_spectral_norm_invalid_tolerance():
         kl.spectral_norm(kl.Dense(np.eye(2)), tol=0.0)
 
 
+def test_spectral_norm_rejects_a_nan_tolerance(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(kreisslab.operators, "_power_iteration", refuse)
+    for op in (kl.build_TN(4, 0.3), kl.Dense(np.eye(2))):
+        with pytest.raises(kl.ValidationError, match="tolerance"):
+            kl.spectral_norm(op, tol=float("nan"))
+
+
 def test_explicit_matrices_are_never_iterated(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("power iteration ran")
@@ -412,6 +423,30 @@ def test_power_norms_nilpotent_beyond_dimension():
     series = kl.power_norms(kl.build_TN(2, 0.25), 8)
     assert np.all(series.values[4:] == 0.0)
     assert series.values[3] == 0.0  # dimension 4: T^4 = 0
+
+
+def test_dense_power_norms_stop_at_the_first_zero_power(monkeypatch):
+    # tzblock 4 is a dense 8 x 8 block with T^5 = 0: T^1..T^4 are normed,
+    # and the tail is exactly 0.0 without a norm.
+    op = kl.build_tz_block(4)
+    normed = []
+
+    def counting(mat):
+        normed.append(mat.shape)
+        return _matrix_norm(mat)
+
+    monkeypatch.setattr(kreisslab.operators, "_matrix_norm", counting)
+    series = kl.power_norms(op, 20)
+    assert len(normed) == 4
+    mat = kl.materialize(op).real
+    power = mat
+    want = []
+    for k in range(1, 21):
+        want.append(_matrix_norm(power).value)
+        power = power @ mat
+    np.testing.assert_array_equal(series.values, want)
+    assert np.all(series.values[4:] == 0.0) and np.all(series.values[:4] > 0.0)
+    assert series.methods == ("dense-gram",) * 20
 
 
 def test_power_norms_direct_sum_is_summand_max():
