@@ -28,7 +28,6 @@ kreiss) evaluates only its points 0..N/2 (_swept_count).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .operators import (
     OperatorSpec,
     _check_dim,
     _compact,
+    _count,
     _dense_dimension,
     _matrix_norm,
     _power_sums,
@@ -94,24 +94,14 @@ _PRUNE_SLACK = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
-#: Values of n per window of the Gram strips and tables of _seed_bounds.
+#: Side of the table budget of _seed_bounds: each window's Gram strip
+#: and tables hold at most _SEED_WINDOW**2 entries.
 _SEED_WINDOW = 256
 
 
 def _dense_norm(mat: np.ndarray) -> float:
     """Spectral norm of an explicit matrix under the shared norm policy."""
     return _matrix_norm(mat).value
-
-
-def _angle_count(angle_count) -> int:
-    """angle_count as an int of at least 1: any integral type passes, a float does not."""
-    try:
-        count = operator.index(angle_count)
-    except TypeError:
-        raise ValidationError(f"angle count must be an integer, got {angle_count!r}") from None
-    if count < 1:
-        raise ValidationError("angle count must be at least 1")
-    return count
 
 
 def _angle_grid(op: OperatorSpec, angle_count: int):
@@ -123,7 +113,7 @@ def _angle_grid(op: OperatorSpec, angle_count: int):
     Point N/2 of an even grid, exp(i pi) = -1 + 1.2e-16i, is its own
     partner in the sweeps (_swept_count).
     """
-    angle_count = _angle_count(angle_count)
+    angle_count = _count(angle_count, "angle count", 1)
     if is_shift_like(op):
         return True, np.array([1.0 + 0.0j])
     head = np.exp(2j * np.pi * np.arange(angle_count // 2 + 1) / angle_count)
@@ -271,7 +261,8 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
     is None unless want_order2).  Write P_j for the powers that
     _power_sums steps from P_0 = I, as _mean_cells does, top for the
     last nonzero one up to n_max, H for their Gram matrix,
-    H[j, k] = <P_j, P_k> = sum conj(P_j) P_k, and mu = s / |s| for a point s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
+    H[j, k] = <P_j, P_k> = sum conj(P_j) P_k, and mu = s / |s| for a
+    point s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
     ||E_n||_F^2 = sum_m w_m Re(mu^m c_n(m)), w_0 = 1 and w_m = 2 else,
     with c_n(m) = sum_(j<=n-m) H[j, j+m] a cumulative sum along the m-th
     diagonal of H.  The triangular sum F_n = sum_(j<=n) (n+1-j) mu^j P_j
@@ -279,10 +270,13 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
     cumulative sums of c and of B in n: sum_j (n+1-j)(n+1-j-m) H[j, j+m]
     = 2 C + (m - 1) B.  The powers are stepped once and held as one stack,
     one flattened row per power: (top + 1) d^2 entries for the leaf.  The
-    sums run over windows of _SEED_WINDOW values of n.  A window's rows
-    of H are one matrix product of its powers with the stack, so H is
-    never held whole, and the transform to the points is one product per
-    window with the table w_m mu^m, so there is no loop per n.
+    sums run over windows of n sized by one table budget: a window of
+    b = max(1, _SEED_WINDOW**2 // (top + 1)) values of n holds tables of
+    b (top + 1) entries at most, whatever n_max, so every sweep with
+    n_max < 256 runs as one window.  A window's rows of H are one matrix
+    product of its powers with the stack, so H is never held whole, and
+    the transform to the points is one product per window with the
+    table w_m mu^m, so there is no loop per n.
 
     The allowance makes each value a bound of the stepped cell.  With S
     the weighted sum of ||P_j||_F (sum_j ||P_j|| for order 1,
@@ -290,9 +284,10 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
     ||E_n||^2 by kappa S^2, kappa = (L + 4 top + 16 n + 32) eps with L
     the length of the Gram's inner products.  Rounding each source's
     constant up, that covers the Gram product ((L + 2) eps, in any
-    summation order of its inner products), the three
-    cumulative sums (7 n eps), the running powers of mu (8 n eps), the
-    transform (3 top eps) and the last additions.  The stepped cell X_n
+    summation order of its inner products), the three cumulative sums
+    (7 n eps, however the windows split n, since each window's running
+    sums are added to its carries), the running powers of mu (8 n eps),
+    the transform (3 top eps) and the last additions.  The stepped cell X_n
     differs from E_n by at most a S: its running lam^n drifts from mu^n
     by rho(n) = expm1(n (|ln|s|| + 2 eps)), and its products and sums
     round by (n + 3) eps, so a = rho + (n + 3) eps (1 + rho); the
@@ -324,15 +319,16 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
                 break
             stack[n] = power.ravel()
             top = n
-        for n0 in range(0, n_max + 1, _SEED_WINDOW):
-            window = ns[n0:n0 + _SEED_WINDOW, None]
+        rows_per_window = max(1, _SEED_WINDOW**2 // (top + 1))
+        for n0 in range(0, n_max + 1, rows_per_window):
+            window = ns[n0:n0 + rows_per_window, None]
             ms = np.arange(min(top + 1, n0 + len(window)))  # diagonals m <= n
             j = window - ms  # the entry H[n - m, n] of diagonal m at n
             live = (j >= 0) & (window <= top)
             if n0 > top:
                 diagonal = np.zeros(live.shape, mat.dtype)
             else:
-                held = stack[n0:min(n0 + _SEED_WINDOW, top + 1)]
+                held = stack[n0:min(n0 + rows_per_window, top + 1)]
                 # rows[k - n0, j] = <P_k, P_j> = conj(H[j, k]); conj() of a real window is itself
                 rows = held.conj() @ stack[:n0 + len(held)].T
                 norms[n0:n0 + len(held)] = np.sqrt(rows.diagonal(n0).real)
@@ -350,7 +346,7 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
                 part = table.real @ phases_re[:len(ms)]
                 if np.iscomplexobj(table):
                     part -= table.imag @ phases_im[:len(ms)]
-                out[n0:n0 + _SEED_WINDOW] = part
+                out[n0:n0 + rows_per_window] = part
         size1 = np.cumsum(norms)
         drift = np.expm1(np.outer(np.abs(np.log(modulus)) + 2.0 * _EPS, ns))
         allow1 = drift + (ns + 3.0) * _EPS * (1.0 + drift)
@@ -577,8 +573,6 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     finite bound, so it is normed, and _dense_norm raises
     ConvergenceError, as in the tables.
     """
-    if n_max < 0:
-        raise ValidationError("n_max must be non-negative")
     sups = _MeanSups(want_order2)
     plan = sups.seed(op, n_max, lams) if len(lams) > 1 else None
     sups.prune(_mean_cells(op, n_max, lams, want_order2, plan))
@@ -604,8 +598,7 @@ def rotated_mean_norm_profile(
     """
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
-    if n_max < 0:
-        raise ValidationError("n_max must be non-negative")
+    n_max = _count(n_max, "n_max")
     shortcut, lams = _angle_grid(op, angle_count)
     norm1, norm2 = _rotated_mean_norms(op, n_max, lams[:_swept_count(op, lams)], order == 2)
     chosen = norm1 if order == 1 else norm2
@@ -622,8 +615,7 @@ def rotated_mean_norm_profile(
 
 def cesaro_mean(op: OperatorSpec, n: int) -> Dense:
     """The average of powers I, T, .., T^n as a dense operator."""
-    if n < 0:
-        raise ValidationError("mean index must be non-negative")
+    n = _count(n, "mean index")
     total = np.eye(_dense_dimension(op), dtype=complex)
     if n > 0:
         mat = materialize(op)
@@ -640,8 +632,7 @@ def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:
     stream up to n_max + 1 serves every n, holding the last three means
     and the last two powers.
     """
-    if n_max < 1:
-        raise ValidationError("identity check needs n_max >= 1")
+    n_max = _count(n_max, "n_max", 1)
     mat = materialize(op)
     eye = np.eye(mat.shape[0], dtype=complex)
     out = np.empty(n_max)
@@ -665,11 +656,11 @@ def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     stepped, or doubled on the compacted matrix once doubling costs
     fewer flops.
     """
-    ladder = tuple(int(n) for n in ladder)
+    ladder = tuple(_count(n, "ladder rung") for n in ladder)
     if not ladder:
         raise ValidationError("ladder needs at least one rung")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(n < 0 for n in ladder):
-        raise ValidationError("ladder must be strictly increasing and non-negative")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValidationError("ladder must be strictly increasing")
     mat = materialize(op)
     eye = np.eye(mat.shape[0], dtype=complex)
     rungs = sorted({m for n in ladder for m in (n, n + 1)} - {0})
@@ -696,13 +687,13 @@ def ergodic_probe(
     and the rest is doubled when that costs fewer flops (_rung_sums).
     A negative seed raises ValidationError, as numpy's generators take none.
     """
-    ladder = tuple(int(n) for n in ladder)
+    ladder = tuple(_count(n, "ladder rung") for n in ladder)
     if len(ladder) < 2:
         raise ValidationError("ladder needs at least two rungs")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 0:
-        raise ValidationError("ladder must be strictly increasing and non-negative")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValidationError("ladder must be strictly increasing")
     d = dimension(op)
     if isinstance(probes, int):
         rng = np.random.default_rng(seed)

@@ -37,10 +37,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cesaro import (_EPS, _angle_count, _angle_grid, _beaten, _frobenius, _norm_unless_beaten,
-                     _swept_count, rotated_mean_tables)
+from .cesaro import (_EPS, _angle_grid, _beaten, _frobenius, _norm_unless_beaten, _swept_count,
+                     rotated_mean_tables)
 from .errors import ConvergenceError, SingularError, ValidationError
-from .operators import SEED, OperatorSpec, WeightedShift, apply, blocks, dimension, materialize
+from .operators import (SEED, OperatorSpec, WeightedShift, _count, apply, blocks, dimension,
+                        materialize)
 from .reports import CheckRecord, gate, margins
 
 #: Dimension up to which the spectral-radius precondition is verified
@@ -49,6 +50,9 @@ EIG_CHECK_CAP = 256
 
 _REL_SLACK = 1e-9
 _ORBIT_FLOOR = 1e-300
+
+#: Terms per block of tn_claim2_bound's streamed power sum.
+_SUM_BLOCK = 1 << 16
 
 
 def default_radii(levels: int = 12) -> tuple:
@@ -68,7 +72,7 @@ class AnnulusGrid:
         object.__setattr__(self, "radii", radii)
         if not radii or not all(math.isfinite(r) and r > 1.0 + 1e-9 for r in radii):
             raise ValidationError("all radii must be finite and exceed 1 + 1e-9")
-        object.__setattr__(self, "angle_count", _angle_count(self.angle_count))
+        object.__setattr__(self, "angle_count", _count(self.angle_count, "angle count", 1))
 
     @classmethod
     def default(cls, angle_count: int = 64) -> "AnnulusGrid":
@@ -300,8 +304,7 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> Krei
     ConvergenceError.
     """
     _require_contractive_spectrum(op)
-    if k_max < 0:
-        raise ValidationError("k_max must be non-negative")
+    k_max = _count(k_max, "k_max")
     shortcut, plain, point, skipped, strong = _grid_pass(op, grid, k_max)
     radius = oracle = None
     if point is not None:
@@ -322,6 +325,7 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> Krei
 
 def uniform_kreiss_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissReport:
     """sup over n <= n_max and the angle grid of ||M_n(lam T)||, by bound-and-prune."""
+    n_max = _count(n_max, "n_max")
     shortcut, lams = _angle_grid(op, angles)
     ukb, _, _ = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)])
     return KreissReport(
@@ -342,6 +346,7 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
     cells that cannot attain them but never changes a value, so ukb_C
     equals uniform_kreiss_constant's value exactly.
     """
+    n_max = _count(n_max, "n_max")
     shortcut, lams = _angle_grid(op, angles)
     ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)], True)
     return KreissReport(
@@ -363,8 +368,7 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
     without its plain sweep's fields (kreiss_C, kreiss_C_radius and
     kreiss_C_svd): the strong sweep reads none of them.
     """
-    if k_max < 1:
-        raise ValidationError("k_max must be at least 1")
+    k_max = _count(k_max, "k_max", 1)
     return replace(kreiss_constant(op, grid, k_max), kreiss_C=None, kreiss_C_radius=None,
                    kreiss_C_svd=None)
 
@@ -394,8 +398,7 @@ def orbit_norms(op: OperatorSpec, x: np.ndarray, kmax: int) -> np.ndarray:
     is not applied again and the remaining norms stay 0.0.  A negative
     kmax raises ValidationError.
     """
-    if kmax < 0:
-        raise ValidationError(f"kmax must be non-negative, got {kmax}")
+    kmax = _count(kmax, "kmax")
     v = np.asarray(x, dtype=complex)
     out = np.zeros(v.shape[1:] + (kmax + 1,))
     out[..., 0] = _vector_norms(v)
@@ -479,31 +482,30 @@ def _hilbert_claim(check_id: str, norms, C, index: dict, params) -> CheckRecord:
 
 def hilbert_claim1(norms, C, N, params=None) -> CheckRecord:
     """Orbit energy bound: sum_{j<N} ||T^j x||^2 <= 16 C^2 N^2."""
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    return _hilbert_claim("H1", _orbit(norms, N - 1), C, {"N": int(N)}, params)
+    N = _count(N, "N", 1)
+    return _hilbert_claim("H1", _orbit(norms, N - 1), C, {"N": N}, params)
 
 
 def hilbert_claim2(norms, C, N, M, params=None) -> CheckRecord:
     """Inverse-orbit bound: sum_{j<M} ||T^N x||^2 / ||T^{N-j} x||^2 <= 16 C^2 M^2."""
+    N, M = _count(N, "N"), _count(M, "M")
     if not 0 < M < N:
         raise ValidationError("need 0 < M < N")
-    return _hilbert_claim("H2", _orbit(norms, N), C, {"N": int(N), "M": int(M)}, params)
+    return _hilbert_claim("H2", _orbit(norms, N), C, {"N": N, "M": M}, params)
 
 
 def hilbert_claim3(norms, C, N, params=None) -> CheckRecord:
     """Reciprocal-orbit bound: sum_{j<N} 1/||T^j x|| >= sqrt(N)/(4C)."""
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    return _hilbert_claim("H3", _orbit(norms, N), C, {"N": int(N)}, params)
+    N = _count(N, "N", 1)
+    return _hilbert_claim("H3", _orbit(norms, N), C, {"N": N}, params)
 
 
 def hilbert_claim4(norms, C, N, M1, M2, params=None) -> CheckRecord:
     """Window bound: sum_{M1<=j<M2} ||T^{N-j}x||^2/||T^N x||^2 >= (M2-M1)^2/(16 C^2 M2^2)."""
+    N, M1, M2 = _count(N, "N"), _count(M1, "M1"), _count(M2, "M2")
     if not 0 < M1 < M2 < N:
         raise ValidationError("need 0 < M1 < M2 < N")
-    return _hilbert_claim("H4", _orbit(norms, N), C,
-                          {"N": int(N), "M1": int(M1), "M2": int(M2)}, params)
+    return _hilbert_claim("H4", _orbit(norms, N), C, {"N": N, "M1": M1, "M2": M2}, params)
 
 
 def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> CheckRecord:
@@ -524,14 +526,13 @@ def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> CheckRecord:
     d = gamma.size
     if delta.size != d:
         raise ValidationError("coefficient vectors must share a length")
-    if n < 0:
-        raise ValidationError("window length n must be non-negative")
+    n = _count(n, "window length n")
     powers = np.arange(1, d + 1, dtype=float) ** eta
     prefix = np.concatenate(([0.0], np.cumsum(delta * powers)))
     j = np.arange(1, d + 1)
     windows = prefix[np.minimum(j + n, d)] - prefix[j - 1]
     lhs = float(np.sum(gamma * windows / powers)) / (n + 1)
-    info = {"eta": float(eta), "n": int(n), "d": int(d), **(params or {})}
+    info = {"eta": float(eta), "n": n, "d": int(d), **(params or {})}
     return gate("TN-C1", lhs, "<=", c1, _REL_SLACK, info)
 
 
@@ -540,17 +541,22 @@ def tn_claim2_bound(eta, M) -> CheckRecord:
 
     The constant 1/(1-2 eta) comes from comparing the sum with the
     integral of t^(-2 eta); checked by direct summation with 1e-12
-    relative slack.
+    relative slack.  The sum is streamed in blocks of _SUM_BLOCK terms,
+    each summed by numpy, and the block sums are added by math.fsum, so
+    the check holds O(_SUM_BLOCK) memory at any M and keeps the error
+    bound of pairwise summation.
     """
     if not 0.0 < eta < 0.5:
         raise ValidationError("eta must lie in (0, 1/2)")
-    if M < 1:
-        raise ValidationError("M must be at least 1")
-    j = np.arange(1, M + 1, dtype=float)
-    lhs = float(np.sum(j ** (-2.0 * eta)))
+    M = _count(M, "M", 1)
+    parts = []
+    for start in range(1, M + 1, _SUM_BLOCK):
+        j = np.arange(start, min(start + _SUM_BLOCK, M + 1), dtype=float)
+        parts.append(float(np.sum(j ** (-2.0 * eta))))
+    lhs = math.fsum(parts)
     c2 = 1.0 / (1.0 - 2.0 * eta)
     bound = c2 * float(M) ** (1.0 - 2.0 * eta)
-    return gate("TN-C2", lhs, "<=", bound, 1e-12, {"eta": float(eta), "M": int(M), "c2": c2})
+    return gate("TN-C2", lhs, "<=", bound, 1e-12, {"eta": float(eta), "M": M, "c2": c2})
 
 
 def lemma21_bound(a, r_grid=None) -> CheckRecord:
@@ -621,8 +627,8 @@ def lemma21_bound(a, r_grid=None) -> CheckRecord:
 
 def dyadic_ladder(top: int) -> tuple:
     """1, 2, 4, .. up to and including top, which must be a power of two >= 1."""
-    top = int(top)
-    if top < 1 or top & (top - 1):
+    top = _count(top, "ladder top (a power of two)", 1)
+    if top & (top - 1):
         raise ValidationError(f"ladder top must be a power of two >= 1, got {top}")
     return tuple(1 << k for k in range(top.bit_length()))
 
@@ -700,8 +706,7 @@ def run_hilbert_claims(
     ``params`` are merged into every record's params.  A non-finite orbit
     norm is a numerical failure, not a verdict: it raises ConvergenceError.
     """
-    if n_probes < 0:
-        raise ValidationError("n_probes must be non-negative")
+    n_probes = _count(n_probes, "n_probes")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
     ladder = dyadic_ladder(n_top)

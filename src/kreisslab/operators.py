@@ -15,6 +15,7 @@ so it materializes with the ratios on the subdiagonal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -262,6 +263,24 @@ def _check_dim(op: OperatorSpec, x: np.ndarray, ndims=(1,)) -> np.ndarray:
     return x.astype(complex, copy=False)
 
 
+def _count(value, name: str, minimum: int = 0) -> int:
+    """value as an int of at least minimum: any integral type passes, a float does not.
+
+    Every count of the public API (a number of powers, steps, terms,
+    probes or angles) goes through here, so a float such as 2.5 or 8.0
+    raises ValidationError rather than a TypeError deep in a loop, or a
+    silent truncation.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        least = f"at least {minimum}" if minimum else "non-negative"
+        raise ValidationError(f"{name} must be {least}, got {count}")
+    return count
+
+
 def _join(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -427,13 +446,15 @@ def spectral_norm(op: OperatorSpec, tol: float = 1e-10) -> NormEstimate:
     Dense operators are normed by _matrix_norm, the Gram eigensolve
     ("dense-gram"); ``tol`` does not apply to them.  Structured
     operators run seeded power iteration on op* op through their O(d)
-    action to residual ``tol``; at or below SVD_CAP the _matrix_norm of
+    action to relative residual ``tol``, which must lie in (0, 1): a
+    residual of 1 or more stops a random start at once, far from the
+    norm.  At or below SVD_CAP the _matrix_norm of
     the materialized matrix cross-checks the estimate and overrides it
     on disagreement or a stall (labelled "dense-svd-oracle"), above the
     cap a stall raises ConvergenceError.
     """
-    if not tol > 0:  # also NaN
-        raise ValidationError("tolerance must be positive")
+    if not 0 < tol < 1:  # also NaN and inf
+        raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     if isinstance(op, Dense):
         return _matrix_norm(op.matrix)
     d = dimension(op)
@@ -514,8 +535,7 @@ def power_norms(op: OperatorSpec, kmax: int) -> NormSeries:
     Rotations leave power norms unchanged, and a direct sum takes the
     max over its blocks, each k tagged by the first block attaining it.
     """
-    if kmax < 1:
-        raise ValidationError("kmax must be at least 1")
+    kmax = _count(kmax, "kmax", 1)
     series = [_leaf_power_norms(leaf, kmax) for *_, leaf in blocks(op)]
     values = np.array([s.values for s in series])
     first = np.argmax(values, axis=0)  # the first block attaining each max

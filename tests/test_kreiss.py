@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ import kreisslab as kl
 import kreisslab.cesaro
 import kreisslab.cli
 import kreisslab.kreiss
-from kreisslab.cesaro import (_EPS, _angle_grid, _beaten, _bounds_beaten, _dense_norm, _frobenius,
-                              _mean_cells, _rotated_mean_norms, _schatten4, _seed_bounds,
-                              _swept_count)
+from kreisslab.cesaro import (_EPS, _SEED_WINDOW, _angle_grid, _beaten, _bounds_beaten,
+                              _dense_norm, _frobenius, _mean_cells, _rotated_mean_norms,
+                              _schatten4, _seed_bounds, _swept_count)
 from kreisslab.kreiss import _chain_reach, _leaf_inverse, certify_spectral_radius, default_radii
 from kreisslab.operators import _compact
 
@@ -826,6 +827,37 @@ def test_seed_bounds_hold_every_stepped_cell(op, n_max):
     assert cells == len(bounds) * len(lams) * (n_max + 1)
 
 
+def test_a_sweep_past_the_table_budget_keeps_the_exhaustive_maxima():
+    # The powers of ergces 6 never settle, so at n_max 1024 the table
+    # budget cuts the seed's windows to 63 values of n.
+    op, n_max = kl.build_ergces(6), 1024
+    assert _SEED_WINDOW**2 // (n_max + 1) == 63
+    report = kl.kb2_constant(op, n_max, 8)
+    assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == exhaustive_mean_sups(op, n_max, 8)
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_seed_tables_keep_to_their_budget():
+    # Windows of 256 values of n held 90.8 MiB of tables here; the budget
+    # of _SEED_WINDOW**2 entries per table leaves the held power stack,
+    # the phase table and the bound arrays as the bulk.
+    op = kl.build_ergces(12)
+    _, lams = _angle_grid(op, 64)
+    lams = lams[:_swept_count(op, lams)]
+    assert len(lams) == 33
+    mat = _compact(kl.materialize(op))
+    assert traced_peak(lambda: _seed_bounds(mat, 4096, lams, True)) < 24 * 2**20
+
+
 def test_the_seed_steps_each_leaf_chain_once(monkeypatch):
     # The Gram matrix of the seed comes from one held stack of each leaf's
     # powers: one pass of the power stream per leaf, however long the chain.
@@ -929,6 +961,48 @@ def test_angle_counts_must_be_integers():
     assert grid.angle_count == 8 and type(grid.angle_count) is int
     np.testing.assert_array_equal(_angle_grid(op, np.int32(8))[1], _angle_grid(op, 8)[1])
     assert kl.kb2_constant(op, 8, np.int64(8)).kb2_C == kl.kb2_constant(op, 8, 8).kb2_C
+
+
+COUNTED_CALLS = {
+    "power_norms": ("kmax", lambda k: kl.power_norms(kl.build_tz_block(4), k)),
+    "kb2_constant": ("n_max", lambda n: kl.kb2_constant(kl.build_tz_block(4), n, 8)),
+    "kb2_constant-shift": ("n_max", lambda n: kl.kb2_constant(kl.build_TN(4, 0.3), n, 1)),
+    "uniform_kreiss_constant": ("n_max", lambda n: kl.uniform_kreiss_constant(
+        kl.build_tz_block(4), n, 8)),
+    "kreiss_constant": ("k_max", lambda k: kl.kreiss_constant(
+        kl.build_tz_block(4), kl.AnnulusGrid.default(8), k)),
+    "strong_kreiss_constant": ("k_max", lambda k: kl.strong_kreiss_constant(
+        kl.build_tz_block(4), kl.AnnulusGrid.default(8), k)),
+    "rotated_mean_norm_profile": ("n_max", lambda n: kl.rotated_mean_norm_profile(
+        kl.build_tz_block(4), n, 4)),
+    "cesaro_mean": ("mean index", lambda n: kl.cesaro_mean(kl.build_tz_block(4), n)),
+    "cesaro_identity_check": ("n_max", lambda n: kl.cesaro_identity_check(
+        kl.build_tz_block(4), n)),
+    "mean_difference_decay": ("ladder rung", lambda n: kl.mean_difference_decay(
+        kl.build_tz_block(4), (1, n))),
+    "ergodic_probe": ("ladder rung", lambda n: kl.ergodic_probe(
+        kl.build_tz_block(4), 2, (1, n))),
+    "orbit_norms": ("kmax", lambda k: kl.orbit_norms(kl.build_tz_block(4), unit(8), k)),
+    "hilbert_claim1": ("N", lambda n: kl.hilbert_claim1(
+        kl.orbit_norms(zero_op(), unit(4), 4), 1.0, n)),
+    "tn_claim1_bound": ("window length n", lambda n: kl.tn_claim1_bound(
+        0.3, n, np.ones(4) / 2.0, np.ones(4) / 2.0, 1.0)),
+    "tn_claim2_bound": ("M", lambda m: kl.tn_claim2_bound(0.3, m)),
+    "dyadic_ladder": ("ladder top", lambda top: kl.dyadic_ladder(top)),
+    "run_hilbert_claims": ("n_probes", lambda n: kl.run_hilbert_claims(
+        kl.build_tz_block(4), 1.0, n, 4)),
+}
+
+
+@pytest.mark.parametrize("count, call", COUNTED_CALLS.values(), ids=COUNTED_CALLS.keys())
+def test_counts_must_be_integers(count, call):
+    # A float count once ended in a raw TypeError, or was truncated: tn_claim2_bound(0.3, 2.5)
+    # summed j = 1..3 under a record that said M = 2.
+    for value in (2.5, 8.0, 4.5):
+        with pytest.raises(kl.ValidationError, match=f"{count}.* must be an integer"):
+            call(value)
+    # Any integral type passes, numpy's included, as the int it stands for.
+    assert repr(call(np.int64(2))) == repr(call(2))
 
 
 def test_dyadic_ladder_needs_a_power_of_two_top():
@@ -1290,7 +1364,20 @@ def test_tn_claim2_fsum_oracle():
 
 @pytest.mark.parametrize("eta", [0.05, 0.15, 0.25, 0.35, 0.45])
 def test_tn_claim2_large_sweep(eta):
-    assert kl.tn_claim2_bound(eta, 10**6).passed
+    import mpmath
+
+    m = 10**6
+    res = kl.tn_claim2_bound(eta, m)
+    assert res.passed
+    # zeta(s) - zeta(s, M + 1) is the partial sum sum_{j<=M} j^(-s), for s < 1 too.
+    with mpmath.workdps(40):
+        exact = mpmath.zeta(2 * eta) - mpmath.zeta(2 * eta, m + 1)
+        assert abs(mpmath.mpf(res.value) - exact) <= 1e-13 * exact
+
+
+def test_tn_claim2_streams_its_sum():
+    # Holding all 10^6 terms at once takes 16 MiB.
+    assert traced_peak(lambda: kl.tn_claim2_bound(0.45, 10**6)) < 2 * 2**20
 
 
 # --- square-root growth bound ---

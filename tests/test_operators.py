@@ -226,6 +226,19 @@ def test_spectral_norm_rejects_a_nan_tolerance(monkeypatch):
             kl.spectral_norm(op, tol=float("nan"))
 
 
+def test_spectral_norm_rejects_a_tolerance_of_one_or_more(monkeypatch):
+    # With tol = inf the iteration stopped after one step of TN(300, 0.45)
+    # at 1.00718, against the norm 1.36604, and called that power-iteration.
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(kreisslab.operators, "_power_iteration", refuse)
+    for tol in (1.0, 2.0, float("inf")):
+        for op in (kl.build_TN(300, 0.45), kl.Dense(np.eye(2))):
+            with pytest.raises(kl.ValidationError, match="tolerance must lie in"):
+                kl.spectral_norm(op, tol=tol)
+
+
 def test_explicit_matrices_are_never_iterated(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("power iteration ran")
