@@ -232,8 +232,8 @@ def _beaten(bound: float, best: float) -> bool:
     return bound * (1.0 + _PRUNE_SLACK) < best
 
 
-def _bounds_beaten(mat: np.ndarray, beaten) -> bool:
-    """True when beaten(bound) holds for an upper bound of mat's spectral norm.
+def _bounds_beaten(mat: np.ndarray, beaten):
+    """The first upper bound of mat's spectral norm for which beaten(bound) holds, else None.
 
     The bounds run cheapest first: the Frobenius norm, then the
     Schatten-4 norm.  Each is first raised by d^2 eps (d the larger side
@@ -241,15 +241,27 @@ def _bounds_beaten(mat: np.ndarray, beaten) -> bool:
     and of the d-term inner products of the Gram matrix, whose Frobenius
     norm is at least ||mat||_F^2 / sqrt(d); beaten adds _PRUNE_SLACK
     through _beaten.  So a bound is beaten only when the exact norm, and
-    the Gram eigensolve's value of it (_dense_norm), cannot win.
+    the Gram eigensolve's value of it (_dense_norm), cannot win.  Every
+    bound is positive (_frobenius), so the result is true exactly when
+    one is beaten.
     """
     rounding = 1.0 + max(mat.shape) ** 2 * _EPS
-    return beaten(_frobenius(mat) * rounding) or beaten(_schatten4(mat) * rounding)
+    bound = _frobenius(mat) * rounding
+    if beaten(bound):
+        return bound
+    bound = _schatten4(mat) * rounding
+    return bound if beaten(bound) else None
 
 
 def _norm_unless_beaten(mat: np.ndarray, beaten):
-    """_dense_norm(mat), or None when _bounds_beaten(mat, beaten): pruning never changes a value."""
-    return None if _bounds_beaten(mat, beaten) else _dense_norm(mat)
+    """(value, normed): (_dense_norm(mat), True), or (bound, False) for the bound beaten held for.
+
+    Either value bounds mat's norm, the normed one up to the rounding of
+    the Gram eigensolve, so a caller may carry it on; pruning never
+    changes a value.
+    """
+    bound = _bounds_beaten(mat, beaten)
+    return (_dense_norm(mat), True) if bound is None else (bound, False)
 
 
 def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: bool):
@@ -537,12 +549,12 @@ class _MeanSups:
             # Past a zero power the total is unchanged, so its mean only
             # shrinks: the previous cell's value is already at most best1.
             if not settled:
-                top = _norm_unless_beaten(total, lambda bound: self.beaten1(bound, n))
-                if top is not None:
+                top, normed = _norm_unless_beaten(total, lambda bound: self.beaten1(bound, n))
+                if normed:
                     self.add1(top, n)
             if self.want_order2:
-                top = _norm_unless_beaten(triangular, lambda bound: self.beaten2(bound, n))
-                if top is not None:
+                top, normed = _norm_unless_beaten(triangular, lambda bound: self.beaten2(bound, n))
+                if normed:
                     self.add2(top, n)
 
 
@@ -678,8 +690,9 @@ def ergodic_probe(
 ) -> ErgodicProbe:
     """Cauchy gaps ||M_n(T)x - M_m(T)x|| across the ladder.
 
-    ``probes`` is either a count of seeded unit vectors or an explicit
-    sequence of vectors (normalized here).  The probe decides nothing:
+    ``probes`` is either a count of seeded unit vectors, of any integral
+    type (a float raises ValidationError), or an explicit sequence of
+    vectors (normalized here).  The probe decides nothing:
     a caller gates the final gaps, ``gaps[:, -1]``, against
     PROBE_TOLERANCE (the ``ergces-ergodic-probe`` and
     ``tz-ergodic-probe`` checks of ``reproduce``).  The means are read
@@ -695,18 +708,22 @@ def ergodic_probe(
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValidationError("ladder must be strictly increasing")
     d = dimension(op)
-    if isinstance(probes, int):
+    try:
+        given = iter(probes)
+    except TypeError:  # not vectors: a count, of any integral type
+        given = None
+    if given is None:
         rng = np.random.default_rng(seed)
         vecs = []
         labels = []
-        for i in range(probes):
+        for i in range(_count(probes, "probe count", 1)):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vecs.append(v / np.linalg.norm(v))
             labels.append(f"seeded-{i}")
     else:
         vecs = []
         labels = []
-        for i, v in enumerate(probes):
+        for i, v in enumerate(given):
             v = _check_dim(op, v)
             norm = np.linalg.norm(v)
             if norm == 0:

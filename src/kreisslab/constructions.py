@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import Dense, DirectSum, OperatorSpec, WeightedShift, WeightSequence
+from .operators import Dense, DirectSum, OperatorSpec, WeightedShift, WeightSequence, _count
 
 #: Open-interval parameters are kept this far away from their endpoints;
 #: boundary values void the estimates the constructions are built to probe.
@@ -36,9 +36,7 @@ class TNParams:
     eta: float
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValidationError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _count(self.n, "n", 1))
         object.__setattr__(self, "eta", _require_open("eta", self.eta, 0.0, 0.5))
 
 
@@ -54,9 +52,7 @@ class DirectSumParams:
         eps = _require_open("epsilon", self.epsilon, 0.0, 1.0)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "eta", _require_open("eta", self.eta, (1.0 - eps) / 2.0, 0.5))
-        if int(self.n_max) < 2:
-            raise ValidationError("n_max must be at least 2")
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", _count(self.n_max, "n_max", 2))
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,7 @@ class ErgcesParams:
     j_max: int
 
     def __post_init__(self):
-        if int(self.j_max) < 2:
-            raise ValidationError("truncation level must be at least 2")
-        object.__setattr__(self, "j_max", int(self.j_max))
+        object.__setattr__(self, "j_max", _count(self.j_max, "truncation level", 2))
 
     @property
     def eps(self) -> np.ndarray:
@@ -102,8 +96,9 @@ def build_TN(n: int, eta: float) -> WeightedShift:
     (2n-1)-st power attains w_{2n}/w_1 = n**(2*eta): maximal transient
     growth under a uniform bound on all the averaged powers.
     """
-    w = tn_weights(n, eta)
-    seq = WeightSequence(w, eta=float(eta), n=int(n))
+    p = TNParams(n, eta)
+    w = tn_weights(p.n, p.eta)
+    seq = WeightSequence(w, eta=p.eta, n=p.n)
     return WeightedShift("forward", w[1:] / w[:-1], seq)
 
 
@@ -124,7 +119,7 @@ def shields_certified_kmax(n_max: int) -> int:
     Odd k = 2n-1 needs summand n, even k = 2n needs summand n+1, so
     every k up to 2*n_max - 2 is covered.
     """
-    return 2 * int(n_max) - 2
+    return 2 * _count(n_max, "n_max", 1) - 2
 
 
 def build_bermbmp_shift(alpha: float, direction: str = "forward", d: int = 2) -> WeightedShift:
@@ -135,9 +130,7 @@ def build_bermbmp_shift(alpha: float, direction: str = "forward", d: int = 2) ->
     bounded rotated Cesaro means.  Requires 0 < alpha < 1/2.
     """
     alpha = _require_open("alpha", alpha, 0.0, 0.5)
-    if int(d) < 2:
-        raise ValidationError("dimension must be at least 2")
-    d = int(d)
+    d = _count(d, "dimension", 2)
     j = np.arange(1, d, dtype=float)
     ratios = ((j + 1) / j) ** alpha
     seq = WeightSequence(np.arange(1, d + 1, dtype=float) ** alpha)
@@ -170,9 +163,7 @@ def ergces_power_closed_form(j_max: int, n: int) -> np.ndarray:
     (-1)**n * eps_j * (1 - c_j**n)/(1 - c_j); all other entries vanish.
     """
     p = ErgcesParams(j_max)
-    if int(n) < 1:
-        raise ValidationError("power must be at least 1")
-    n = int(n)
+    n = _count(n, "power", 1)
     size = p.j_max + 1
     mat = np.zeros((size, size))
     sign = -1.0 if n % 2 else 1.0
@@ -196,9 +187,7 @@ def build_tz_block(d: int) -> Dense:
     truncation d the power-norm claims are trusted only for n well below
     d (see the catalog notes).
     """
-    if int(d) < 2:
-        raise ValidationError("block dimension must be at least 2")
-    d = int(d)
+    d = _count(d, "block dimension", 2)
     b = _backward_shift_matrix(d)
     mat = np.zeros((2 * d, 2 * d))
     mat[:d, :d] = b
@@ -215,9 +204,7 @@ def tz_block_power(d: int, n: int) -> np.ndarray:
     so the power is built directly, with no matrix product; its entries
     are small integers, equal bit for bit to the dense power.
     """
-    if int(n) < 1:
-        raise ValidationError("power must be at least 1")
-    d, n = int(d), int(n)
+    d, n = _count(d, "block dimension", 1), _count(n, "power", 1)
     bn = np.eye(d, k=n)
     mat = np.zeros((2 * d, 2 * d))
     mat[:d, :d] = bn
@@ -247,7 +234,7 @@ def tz_block_power_norms(d: int, k_max: int) -> np.ndarray:
     square root of its upper end.  Each sweep strictly narrows every
     bracket wider than 2 ulps, so the loop ends after about 13 sweeps.
     """
-    d, k_max = int(d), int(k_max)
+    d, k_max = _count(d, "block dimension"), _count(k_max, "k_max")
     if not 1 <= k_max < d:
         raise ValidationError("k_max must satisfy 1 <= k_max < d")
     n = np.arange(1, k_max + 1, dtype=float)
@@ -318,7 +305,8 @@ def make_operator(name: str, **params) -> CatalogEntry:
     (alpha, direction, d), ergces (j_max), tzblock (d).
     """
     if name == "tn":
-        n, eta = int(params["n"]), float(params["eta"])
+        p = TNParams(params["n"], params["eta"])
+        n, eta = p.n, p.eta
         spec = build_TN(n, eta)
         notes = (
             f"norm 2**eta and top power norm n**(2*eta) exact for n={n}",
@@ -326,7 +314,7 @@ def make_operator(name: str, **params) -> CatalogEntry:
         )
         return CatalogEntry(name, spec, {"n": n, "eta": eta}, notes)
     if name == "shields":
-        p = DirectSumParams(float(params["epsilon"]), float(params["eta"]), int(params["n_max"]))
+        p = DirectSumParams(float(params["epsilon"]), float(params["eta"]), params["n_max"])
         spec = build_shields_counterexample(p.epsilon, p.eta, p.n_max)
         notes = (
             f"power-norm lower bound certified for k <= {shields_certified_kmax(p.n_max)}",
@@ -338,7 +326,7 @@ def make_operator(name: str, **params) -> CatalogEntry:
     if name == "bermbmp":
         alpha = float(params["alpha"])
         direction = str(params.get("direction", "forward"))
-        d = int(params["d"])
+        d = _count(params["d"], "dimension")
         spec = build_bermbmp_shift(alpha, direction, d)
         notes = (
             f"truncation of the infinite {direction} shift; power norms exact for k < {d}",
@@ -346,7 +334,7 @@ def make_operator(name: str, **params) -> CatalogEntry:
         )
         return CatalogEntry(name, spec, {"alpha": alpha, "direction": direction, "d": d}, notes)
     if name == "ergces":
-        j_max = int(params["j_max"])
+        j_max = ErgcesParams(params["j_max"]).j_max
         spec = build_ergces(j_max)
         notes = (
             f"truncation at basis index {j_max}; closed-form powers exact at this truncation",
@@ -354,7 +342,7 @@ def make_operator(name: str, **params) -> CatalogEntry:
         )
         return CatalogEntry(name, spec, {"j_max": j_max}, notes)
     if name == "tzblock":
-        d = int(params["d"])
+        d = _count(params["d"], "block dimension")
         spec = build_tz_block(d)
         notes = (
             f"truncation at block dimension {d}; power-norm claims trusted for n << {d}",

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cesaro import (_EPS, _angle_grid, _beaten, _frobenius, _norm_unless_beaten, _swept_count,
+from .cesaro import (_EPS, _angle_grid, _beaten, _norm_unless_beaten, _swept_count,
                      rotated_mean_tables)
 from .errors import ConvergenceError, SingularError, ValidationError
 from .operators import (SEED, OperatorSpec, WeightedShift, _count, apply, blocks, dimension,
@@ -184,16 +184,26 @@ def _leaf_inverse(mat: np.ndarray, eye: np.ndarray, lam: complex) -> np.ndarray:
         raise SingularError(f"resolvent singular at lam={lam}") from exc
 
 
-def _chain_reach(k_max: int, d: int) -> float:
-    """Factor by which a computed term past power j may exceed power j's bound if ||Q||_F <= 1.
+def _chain_reach(k_max: int, d: int, cap: float = 1.0) -> float:
+    """Rounding allowance of _leaf_chain's split bound: ||P_(k+m)|| <= U_k cap times this.
 
-    A computed product P <- P Q errs by at most d eps ||P||_F ||Q||_F <=
-    d^1.5 eps ||P|| ||Q||_F in norm, so ||P Q|| grows by at most a factor
-    ||Q||_F (1 + d^1.5 eps) a step, from either bound of ||P||, and the
-    computed ||Q||_F is off by at most d^2 eps / 2 relative.  Over at
-    most k_max steps that stays below k_max d^2 eps.
+    P_j is the computed j-th power of Q (P_1 = Q, P_(j+1) = fl(P_j Q))
+    and U_j the cascade's value of it, which bounds ||P_j|| exactly as a
+    cascade bound and up to a factor 1 + s, s = d^2 eps, as a Gram
+    eigensolve's norm.  a is the first power with U_a <= 1, cap =
+    max(1, U_1, .., U_(a-1)) and K = max(k_max, 1).  A product errs by E_j, ||E_j|| <= s ||P_j|| ||Q|| (d-term sums, and
+    ||.||_F <= sqrt(d) ||.||), so P_(k+m) = P_k Q^m + sum_(i<m) E_(k+i)
+    Q^(m-1-i), and each exact power Q^j is P_j less such a sum.  With
+    c = cap (1 + s) and y = s K c^3 that gives ||Q^j|| <= c (1 + 2 s K c^2)
+    for j < a and ||Q^a|| <= 1 + 2 s a c^3, so ||Q^m|| <= c e^(4y) for
+    every m <= K by submultiplicativity, and by induction on m
+    ||P_(k+m)|| <= ||P_k|| c e^(6y) while y <= 1/9.  In all,
+    ||P_(k+m)|| <= U_k cap e^(8 s K cap^3) <= U_k cap (1 + 10 s K cap^3)
+    while that slack is at most 1/2; past it the allowance is inf, and
+    the chain does not stop.
     """
-    return 1.0 + k_max * d * d * _EPS
+    slack = 10.0 * max(k_max, 1) * d * d * _EPS * cap * cap * cap
+    return 1.0 + slack if slack <= 0.5 else math.inf
 
 
 def _leaf_chain(scaled: np.ndarray, k_max: int, plain: float, strong: float):
@@ -202,29 +212,39 @@ def _leaf_chain(scaled: np.ndarray, k_max: int, plain: float, strong: float):
     ||Q|| = (r-1) ||R|| is the block's plain term and the strong sweep's
     k = 1 term, and ||Q^k|| = (r-1)^k ||R^k|| its k-th strong term, so
     Q^k can overflow only where a term nears the float range.  Each
-    power goes through the cascade of _norm_unless_beaten with its bound
-    raised by _chain_reach: the k = 1 term against the plain best, which
-    never exceeds the strong best, so a pruned k = 1 term can raise
-    neither; every later term against the strong best.  The chain stops
-    at the first pruned power j when ||Q||_F <= 1: for every k >= j,
-    ||Q^k|| <= bound_j ||Q||_F^(k-j) <= bound_j, so no later power can
-    win either, and the products that would form them are not computed.
+    power goes through the cascade of _norm_unless_beaten: the k = 1
+    term against the plain best, which never exceeds the strong best, so
+    a pruned k = 1 term can raise neither; every later term against the
+    strong best.  The cascade's value U_k, the power's norm or the bound
+    it was pruned with, bounds ||Q^k||.  At the first a with U_a <= 1 the
+    chain fixes cap = max(1, U_1, .., U_(a-1)): each m = q a + r has
+    ||Q^m|| <= U_a^q U_r <= cap (U_0 = 1), so every later power Q^k Q^m
+    has norm at most U_k cap.  From a on the chain stops at the first k
+    whose U_k cap, raised by _chain_reach for rounding, the strong best
+    beats: no later power can win, and the products that would form them
+    are not computed.  a = 1 (cap = 1, as where ||Q||_F <= 1) stops at
+    the first power pruned with that allowance to spare.  A term once
+    taken never exceeds the strong best (a pruned bound is below it), so
+    cap <= max(1, strong) and a chain mostly stops at a itself.
     """
-    reach = _chain_reach(k_max, scaled.shape[0])
-    may_stop = _frobenius(scaled) <= 1.0
+    d = scaled.shape[0]
+    cap, split = 1.0, None
     power = scaled
     for k in range(1, max(k_max, 1) + 1):
         if k > 1:
             power = power @ scaled
         best = plain if k == 1 else strong
-        norm = _norm_unless_beaten(power, lambda bound: _beaten(bound * reach, best))
-        if norm is None:
-            if may_stop:
-                break
-        else:
+        value, normed = _norm_unless_beaten(power, lambda bound: _beaten(bound, best))
+        if normed:
             if k == 1:
-                plain = max(plain, norm)
-            strong = max(strong, norm)
+                plain = max(plain, value)
+            strong = max(strong, value)
+        if split is None and value <= 1.0:
+            split = cap * _chain_reach(k_max, d, cap)
+        if split is None:
+            cap = max(cap, value)
+        elif _beaten(value * split, strong):
+            break
     return plain, strong
 
 

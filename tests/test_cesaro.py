@@ -498,6 +498,17 @@ def test_probes_above_the_dense_cap_step_through_apply():
     np.testing.assert_array_equal(probe.gaps, expected)
 
 
+def test_probe_count_of_any_integral_type():
+    # A count is told from vectors by operator.index, so a numpy integer
+    # counts and a float is an error rather than a TypeError.
+    op = kl.build_tz_block(4)
+    probe = kl.ergodic_probe(op, np.int64(2), (1, 2))
+    np.testing.assert_array_equal(probe.gaps, kl.ergodic_probe(op, 2, (1, 2)).gaps)
+    for count in (2.0, 2.5, np.float64(2)):
+        with pytest.raises(kl.ValidationError, match="probe count must be an integer"):
+            kl.ergodic_probe(op, count, (1, 2))
+
+
 def test_probe_validation():
     with pytest.raises(kl.ValidationError):
         kl.ergodic_probe(kl.Dense(np.eye(2)), probes=[np.zeros(2)])

@@ -309,3 +309,39 @@ def test_make_operator_names():
 def test_make_operator_unknown_name():
     with pytest.raises(kl.ValidationError):
         kl.make_operator("volterra", d=4)
+
+
+#: Every catalog entry point that takes a size, called with a float one.
+FLOAT_SIZES = {
+    "build_TN": lambda: kl.build_TN(4.5, 0.3),
+    "build_tz_block": lambda: kl.build_tz_block(4.7),
+    "build_ergces": lambda: kl.build_ergces(6.9),
+    "build_bermbmp_shift": lambda: kl.build_bermbmp_shift(0.3, "forward", 4.5),
+    "build_shields_counterexample": lambda: kl.build_shields_counterexample(0.15, 0.45, 4.5),
+    "make_operator": lambda: kl.make_operator("tzblock", d=4.5),
+    "shields_certified_kmax": lambda: kl.shields_certified_kmax(4.5),
+    "tz_block_power": lambda: kl.tz_block_power(8, 2.5),
+    "tz_block_power_norms": lambda: kl.tz_block_power_norms(8, 2.5),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_SIZES.values(), ids=FLOAT_SIZES.keys())
+def test_a_float_size_is_rejected_not_truncated(call):
+    with pytest.raises(kl.ValidationError, match="must be an integer"):
+        call()
+
+
+def test_any_integral_size_builds_the_same_operator():
+    for name, params in (("tn", {"n": np.int64(4), "eta": 0.3}),
+                         ("shields", {"epsilon": 0.15, "eta": 0.45, "n_max": np.int32(3)}),
+                         ("bermbmp", {"alpha": 0.3, "d": np.int64(8)}),
+                         ("ergces", {"j_max": np.int16(5)}),
+                         ("tzblock", {"d": np.uint8(4)})):
+        entry = kl.make_operator(name, **params)
+        plain = kl.make_operator(name, **{k: v.item() if isinstance(v, np.generic) else v
+                                          for k, v in params.items()})
+        np.testing.assert_array_equal(kl.materialize(entry.spec), kl.materialize(plain.spec))
+        assert (entry.params, entry.notes) == (plain.params, plain.notes)
+        assert all(type(value) is type(plain.params[key]) for key, value in entry.params.items())
+    assert kl.shields_certified_kmax(np.int64(64)) == 126
+    np.testing.assert_array_equal(kl.tz_block_power(np.int64(8), np.int64(3)), kl.tz_block_power(8, 3))

@@ -560,6 +560,134 @@ def test_chain_cut_covers_every_later_term(op):
     assert pairs > 0
 
 
+def strongly_nonnormal(d, seed, real):
+    """Q (diag(0.9 u) + 2 N) Q*: eigenvalues 0.9 u inside the disk, N a random strict upper triangle."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda: rng.standard_normal((d, d))) if real else \
+        (lambda: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    unit, _ = np.linalg.qr(draw())
+    phases = rng.uniform(-1.0, 1.0, d) if real else np.exp(2j * np.pi * rng.uniform(size=d))
+    core = np.diag(0.9 * phases) + 2.0 * np.triu(draw(), 1)
+    return kl.Dense(unit @ core @ unit.conj().T)
+
+
+#: Operators whose stopped strong chains must give the values of chains normed at every k.
+CHAIN_OPS = {
+    "tzblock-8": kl.build_tz_block(8),
+    "tzblock-16": kl.build_tz_block(16),
+    "ergces-12": kl.build_ergces(12),
+    "ergces-20": kl.build_ergces(20),
+    "tn-16": kl.build_TN(16, 0.3),  # the rotation shortcut: one angle per radius
+    "shift-plus-dense": kl.DirectSum((kl.build_bermbmp_shift(0.3, "backward", 6), NONNORMAL)),
+    "rotated-leaf": kl.DirectSum((kl.RotatedScale(np.exp(0.4j), kl.build_tz_block(6)),
+                                  kl.build_ergces(5))),
+    "real-nonnormal": strongly_nonnormal(10, 5, True),
+    "complex-nonnormal": strongly_nonnormal(10, 6, False),
+}
+
+
+@pytest.mark.parametrize("op", CHAIN_OPS.values(), ids=CHAIN_OPS.keys())
+def test_stopped_chains_equal_chains_normed_at_every_power(op):
+    grid = kl.AnnulusGrid.default(32)
+    report = kl.kreiss_constant(op, grid, 16)
+    plain = exhaustive_plain_sweep(op, grid)
+    assert (report.kreiss_C, report.kreiss_C_radius, report.skipped) == plain
+    assert (report.strong_C, report.skipped) == exhaustive_strong_sup(op, grid, 16)
+
+
+def test_strong_chains_stop_by_submultiplicativity(monkeypatch):
+    # Cascade calls and Gram eigensolves of kreiss_constant(op, default(64), 16):
+    # 3,246 and 125 on tzblock 16, 1,200 and 170 on ergces 20 when a chain
+    # stopped only where ||Q||_F <= 1.
+    calls, solves = [], []
+    cascade = kreisslab.cesaro._norm_unless_beaten
+
+    def counting(mat, beaten):
+        calls.append(mat.shape)
+        return cascade(mat, beaten)
+
+    def counting_norm(mat):
+        solves.append(mat.shape)
+        return _dense_norm(mat)
+
+    monkeypatch.setattr(kreisslab.kreiss, "_norm_unless_beaten", counting)
+    monkeypatch.setattr(kreisslab.cesaro, "_dense_norm", counting_norm)
+    for op, most_calls, most_solves in ((kl.build_tz_block(16), 1300, 125),
+                                        (kl.build_ergces(20), 720, 170)):
+        calls.clear()
+        solves.clear()
+        kl.kreiss_constant(op, kl.AnnulusGrid.default(64), 16)
+        assert len(calls) <= most_calls
+        assert len(solves) <= most_solves
+
+
+def chain_powers(scaled, k_max):
+    """The computed powers Q, Q Q, .. of a chain, each formed from the last, and their norms."""
+    powers = [scaled]
+    for _ in range(k_max - 1):
+        powers.append(powers[-1] @ scaled)
+    return powers, [_dense_norm(power) for power in powers]
+
+
+@pytest.mark.parametrize("op", [NONNORMAL, strongly_nonnormal(10, 5, True),
+                                strongly_nonnormal(10, 6, False), kl.build_tz_block(8)],
+                         ids=["nonnormal", "real-nonnormal", "complex-nonnormal", "tzblock-8"])
+def test_split_bound_covers_every_later_term(op):
+    # Past the first power a with ||Q^a|| <= 1, every computed term k + m
+    # stays within U_k cap _chain_reach(k_max, d, cap) of term k's value,
+    # with cap = max(1, ||Q||, .., ||Q^(a-1)||) from the values themselves,
+    # the smallest the cascade can give.
+    mat = kl.materialize(op)
+    d = mat.shape[0]
+    k_max = 16
+    pairs = 0
+    _, angles = _angle_grid(op, 16)
+    for r in default_radii():
+        for mu in angles:
+            _, terms = chain_powers((r - 1.0) * _leaf_inverse(mat, np.eye(d), r * mu), k_max)
+            a = next((k for k, term in enumerate(terms) if term <= 1.0), None)
+            if not a:  # no such power, or a = 1 (test_chain_cut_covers_every_later_term)
+                continue
+            cap = max(1.0, *terms[:a])
+            split = cap * _chain_reach(k_max, d, cap)
+            for k in range(a, k_max):
+                assert not any(_beaten(terms[k] * split, term) for term in terms[k + 1:])
+                pairs += k_max - 1 - k
+    assert pairs > 0
+
+
+def test_a_chain_past_a_large_first_power_stops_at_its_cap(monkeypatch):
+    # On tzblock 8 at lam = 1.5i, ||Q|| = 2.07 and ||Q^3|| = 2.83 peak before
+    # ||Q^7|| = 0.98: the chain can stop only on the cap of its first six
+    # powers, since ||Q||_F > 1.  Against any running best, the stopped
+    # chain gives the values of the chain normed at every power.
+    mat = kl.materialize(kl.build_tz_block(8))
+    r, lam = 1.5, 1.5j
+    scaled = (r - 1.0) * _leaf_inverse(mat, np.eye(16), lam)
+    _, terms = chain_powers(scaled, 16)
+    assert _frobenius(scaled) > terms[0] > 1.0 and terms[6] <= 1.0 < min(terms[:6])
+    calls = []
+    cascade = kreisslab.cesaro._norm_unless_beaten
+
+    def counting(mat, beaten):
+        calls.append(mat.shape)
+        return cascade(mat, beaten)
+
+    monkeypatch.setattr(kreisslab.kreiss, "_norm_unless_beaten", counting)
+    top = max(terms)
+    stops = 0
+    for strong in (0.0, 0.5, *terms, *(0.999 * t for t in terms), 1.001 * top, 1.5 * top, 9.0):
+        calls.clear()
+        plain, got = kreisslab.kreiss._leaf_chain(scaled, 16, min(strong, terms[0]), strong)
+        assert (plain, got) == (terms[0], max(strong, top))
+        stops += len(calls) < 16
+        assert len(calls) >= 7 or strong > top  # never before a = 7 unless nothing can win
+    assert stops >= 3
+    calls.clear()
+    kreisslab.kreiss._leaf_chain(scaled, 16, 0.0, 1.5 * top)
+    assert 7 <= len(calls) < 16
+
+
 def test_strong_chain_matches_a_40_digit_oracle_where_resolvent_powers_overflow():
     # At r - 1 = 2^-12, R^k of ergces 8 overflows before k = 100, but every
     # term sigma_1(Q^k) of the scaled inverse Q = (r-1) R stays in range.
