@@ -2,13 +2,17 @@
 
 Every mean is a running sum of powers, never recomputing a power from
 the start, and no power is multiplied past an exactly zero one.  Every
-power comes from the one stream _power_sums, one product per step.  The
-rotated mean sweeps step each swept point of a leaf alone
-(_mean_cells): since (lam T)^n = lam^n T^n, a point steps the leaf's
-own powers, real for a real leaf, and scales each by its lam^n.  Their
-first pass steps no point for its bounds: ||sum_j lam^j T^j||_F^2 is a
-quadratic form in the Gram matrix of the powers, <T^j, T^k>, so one
-pass over the leaf's powers bounds every cell of every point
+power comes from the one stream _power_sums, one product per step, in
+the field of materialize: real for a real operator, as every catalog
+operator is, at about a third of the cost of a complex product.  A real
+mean is its sum times the reciprocal of n + 1, the product numpy forms
+when it divides a complex sum by n + 1, so a real stream keeps the bits
+of the complex one.  The rotated mean sweeps step each swept point of a
+leaf alone (_mean_cells): since (lam T)^n = lam^n T^n, a point steps the
+leaf's own powers, real for a real leaf, and scales each by its lam^n.
+Their first pass steps no point for its bounds: ||sum_j lam^j T^j||_F^2
+is a quadratic form in the Gram matrix of the powers, <T^j, T^k>, so
+one pass over the leaf's powers bounds every cell of every point
 (_seed_bounds).  These bounds pick the seeds and the points to step;
 each stepped cell is then checked once, by the cascade of
 _norm_unless_beaten.  The probes and the mean differences read their
@@ -39,9 +43,8 @@ from .operators import (
     Dense,
     OperatorSpec,
     _check_dim,
-    _compact,
     _count,
-    _dense_dimension,
+    _is_real,
     _matrix_norm,
     _power_sums,
     apply,
@@ -123,19 +126,16 @@ def _angle_grid(op: OperatorSpec, angle_count: int):
 def _swept_count(op: OperatorSpec, lams: np.ndarray) -> int:
     """How many leading points of lams = _angle_grid(op, N)[1] a sweep must evaluate.
 
-    When every leaf of op is real and every rotation scalar is real, the
-    matrix of each cell at conj(lam) is the entrywise conjugate of the
-    one at lam, since the means, resolvents and their powers have real
-    coefficients.  Rounding is symmetric under negation, and the
-    products, Gram eigensolves, inverses and SVDs treat the sign of an
-    imaginary part symmetrically, so the computed norms agree bit for
-    bit as well: points 0..N/2 carry every value of the grid.  Otherwise
-    every point is evaluated.
+    When op is real (_is_real: every rotation scalar is real and every
+    Dense leaf has a zero imaginary part), the matrix of each cell at
+    conj(lam) is the entrywise conjugate of the one at lam, since the
+    means, resolvents and their powers have real coefficients.  Rounding
+    is symmetric under negation, and the products, Gram eigensolves,
+    inverses and SVDs treat the sign of an imaginary part symmetrically,
+    so the computed norms agree bit for bit as well: points 0..N/2 carry
+    every value of the grid.  Otherwise every point is evaluated.
     """
-    real = all(complex(scalar).imag == 0.0
-               and (not isinstance(leaf, Dense) or np.isrealobj(_compact(leaf.matrix)))
-               for *_, scalar, leaf in blocks(op))
-    return len(lams) // 2 + 1 if real else len(lams)
+    return len(lams) // 2 + 1 if _is_real(op) else len(lams)
 
 
 def _doubled_sums(mat: np.ndarray, power: np.ndarray, total: np.ndarray, start: int, rungs):
@@ -174,11 +174,11 @@ def _rung_sums(start, rungs, step, mat=None):
 
     s = start is a (d, p) block and step(v) = T v.  The sums are stepped
     as in _power_sums until they settle (a nilpotent T settles within d
-    steps) or d + 1 steps pass.  Then, when mat (T itself, explicit and
-    compacted) is given and the remaining rest = rungs[-1] - n steps
-    would cost more flops than doubling, 3 d bit_length(rest) < rest p,
-    each remaining rung is reached by _doubled_sums; else stepping goes
-    on.  With s = I, step may equally multiply from the right.
+    steps) or d + 1 steps pass.  Then, when mat (T itself, as
+    materialize gives it) is given and the remaining rest = rungs[-1] - n
+    steps would cost more flops than doubling, 3 d bit_length(rest) <
+    rest p, each remaining rung is reached by _doubled_sums; else
+    stepping goes on.  With s = I, step may equally multiply from the right.
     """
     wanted = set(rungs)
     stream = _power_sums(step, start, rungs[-1])
@@ -269,7 +269,7 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
 
     Each array has one row per point scalars[p] and one column per
     n = 0..n_max, and bounds the Frobenius norm of the cell that
-    _mean_cells steps for the compacted leaf mat at that point (bound2
+    _mean_cells steps for the materialized leaf mat at that point (bound2
     is None unless want_order2).  Write P_j for the powers that
     _power_sums steps from P_0 = I, as _mean_cells does, top for the
     last nonzero one up to n_max, H for their Gram matrix,
@@ -385,7 +385,7 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
     reduce blockwise (the mean of a block diagonal is block diagonal, its
     norm the max over blocks); rotations fold their scalar into the grid.
     Each point steps alone, one point after another.  Since
-    (lam T)^n = lam^n T^n, its powers T^n are those of the compacted
+    (lam T)^n = lam^n T^n, its powers T^n are those of the materialized
     leaf (_power_sums), real when the leaf is real, and lam^n T^n is one
     broadcast multiply into a spare array, with lam^n a running product,
     real when the leaf and lam are both real (lam = 1 of a real leaf).
@@ -406,7 +406,7 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
             continue
         else:
             points, stops = plan[leaf_index]
-        mat = _compact(materialize(leaf))
+        mat = materialize(leaf)
         eye = np.eye(mat.shape[0], dtype=mat.dtype)
         scalars = lams if scalar == 1.0 else lams * scalar
         for point, stop in zip(points.tolist(), stops.tolist()):
@@ -500,7 +500,7 @@ class _MeanSups:
         tops = {}  # sup -> (key, (order, leaf, point, n))
         for leaf, (_, _, scalar, block) in enumerate(blocks(op)):
             scalars = lams if scalar == 1.0 else lams * scalar
-            bound1, bound2 = _seed_bounds(_compact(materialize(block)), n_max,
+            bound1, bound2 = _seed_bounds(materialize(block), n_max,
                                           np.asarray(scalars, dtype=complex), self.want_order2)
             bounds1.append(bound1)
             bounds2.append(bound2)
@@ -626,13 +626,18 @@ def rotated_mean_norm_profile(
 
 
 def cesaro_mean(op: OperatorSpec, n: int) -> Dense:
-    """The average of powers I, T, .., T^n as a dense operator."""
+    """The average of powers I, T, .., T^n as a dense operator.
+
+    Its matrix is in the field of materialize(op), float64 for a real op,
+    and is the power sum times the reciprocal of n + 1, as in
+    cesaro_identity_check.
+    """
     n = _count(n, "mean index")
-    total = np.eye(_dense_dimension(op), dtype=complex)
+    mat = materialize(op)
+    total = np.eye(mat.shape[0], dtype=mat.dtype)
     if n > 0:
-        mat = materialize(op)
         *_, (_, _, total, _) = _power_sums(lambda p: p @ mat, total, n)  # the last sum
-    return Dense(total / (n + 1))
+    return Dense(total * (1.0 / (n + 1)))
 
 
 def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:
@@ -642,20 +647,24 @@ def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:
     (n+2)/(n+1) M_{n+1} - M_n = T^{n+1}/(n+1), both in operator norm;
     entry n-1 of the result is the residual at index n.  One power
     stream up to n_max + 1 serves every n, holding the last three means
-    and the last two powers.
+    and the last two powers.  The stream is real for a real op
+    (materialize).  numpy divides a complex array by a real scalar as a
+    product with its reciprocal, so each mean is written as that product:
+    a real stream gets the bits of the complex one.
     """
     n_max = _count(n_max, "n_max", 1)
     mat = materialize(op)
-    eye = np.eye(mat.shape[0], dtype=complex)
+    eye = np.eye(mat.shape[0], dtype=mat.dtype)
     out = np.empty(n_max)
     mean_before = None  # at stream index j: M_{j-2}, M_{j-1} and T^{j-1}
     mean, power = eye, eye
     for j, next_power, total, _ in _power_sums(lambda p: p @ mat, eye, n_max + 1):
-        next_mean = total / (j + 1)
+        next_mean = total * (1.0 / (j + 1))
         if j >= 2:
             n = j - 1
             first = _dense_norm(power - ((n + 1) * mean - n * mean_before))
-            second = _dense_norm((n + 2) / (n + 1) * next_mean - mean - next_power / (n + 1))
+            second = _dense_norm((n + 2) / (n + 1) * next_mean - mean
+                                 - next_power * (1.0 / (n + 1)))
             out[n - 1] = max(first, second)
         mean_before, mean, power = mean, next_mean, next_power
     return out
@@ -664,9 +673,10 @@ def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:
 def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     """||M_{n+1}(T) - M_n(T)|| at each ladder index n.
 
-    The power sums at n and n + 1 come from _rung_sums on the identity:
-    stepped, or doubled on the compacted matrix once doubling costs
-    fewer flops.
+    The power sums at n and n + 1 come from _rung_sums on the identity,
+    real for a real op (materialize): stepped, or doubled once doubling
+    costs fewer flops.  The means are products with the reciprocal, as in
+    cesaro_identity_check.
     """
     ladder = tuple(_count(n, "ladder rung") for n in ladder)
     if not ladder:
@@ -674,12 +684,13 @@ def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValidationError("ladder must be strictly increasing")
     mat = materialize(op)
-    eye = np.eye(mat.shape[0], dtype=complex)
+    eye = np.eye(mat.shape[0], dtype=mat.dtype)
     rungs = sorted({m for n in ladder for m in (n, n + 1)} - {0})
     sums = {0: eye}
-    for n, _, total in _rung_sums(eye, rungs, lambda p: p @ mat, _compact(mat)):
+    for n, _, total in _rung_sums(eye, rungs, lambda p: p @ mat, mat):
         sums[n] = total
-    return np.array([_dense_norm(sums[n + 1] / (n + 2) - sums[n] / (n + 1)) for n in ladder])
+    return np.array([_dense_norm(sums[n + 1] * (1.0 / (n + 2)) - sums[n] * (1.0 / (n + 1)))
+                     for n in ladder])
 
 
 def ergodic_probe(
@@ -698,13 +709,13 @@ def ergodic_probe(
     ``tz-ergodic-probe`` checks of ``reproduce``).  The means are read
     only at the rungs: the block is stepped for at most d + 1 steps,
     and the rest is doubled when that costs fewer flops (_rung_sums).
-    A negative seed raises ValidationError, as numpy's generators take none.
+    A negative or non-integral seed raises ValidationError, as numpy's
+    generators take neither.
     """
+    seed = _count(seed, "seed")
     ladder = tuple(_count(n, "ladder rung") for n in ladder)
     if len(ladder) < 2:
         raise ValidationError("ladder needs at least two rungs")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValidationError("ladder must be strictly increasing")
     d = dimension(op)
@@ -733,7 +744,7 @@ def ergodic_probe(
     if not vecs:
         raise ValidationError("at least one probe is required")
     # Long ladders dominate the cost: the probes advance together as the
-    # columns of one block, by one product with the compacted matrix per
+    # columns of one block, by one product with the materialized matrix per
     # step when it fits, else by one structured apply of the block.  A
     # real matrix steps a complex block X as the real block [Re X | Im X]
     # at half the flops of a complex product, and the complex sums are
@@ -744,7 +755,7 @@ def ergodic_probe(
     split = False
     mat = None
     if d <= DENSE_CAP:
-        mat = _compact(materialize(op))
+        mat = materialize(op)
         if not np.iscomplexobj(mat):
             split = bool(block.imag.any())
             block = np.hstack((block.real, block.imag)) if split else block.real.copy()

@@ -726,9 +726,8 @@ def run_hilbert_claims(
     ``params`` are merged into every record's params.  A non-finite orbit
     norm is a numerical failure, not a verdict: it raises ConvergenceError.
     """
+    seed = _count(seed, "seed")
     n_probes = _count(n_probes, "n_probes")
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
     ladder = dyadic_ladder(n_top)
     if not n_probes:
         return ClaimRecords()

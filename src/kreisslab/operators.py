@@ -321,14 +321,33 @@ def _dense_dimension(op: OperatorSpec) -> int:
     return d
 
 
+def _is_real(op: OperatorSpec) -> bool:
+    """Whether every rotation scalar of op is real and every Dense leaf has a zero imaginary part.
+
+    The one realness predicate: materialize picks its field by it, and
+    the rotated sweeps halve their grids by it (cesaro._swept_count).
+    """
+    return all(scalar.imag == 0.0
+               and not (isinstance(leaf, Dense) and np.iscomplexobj(leaf.matrix)
+                        and leaf.matrix.imag.any())
+               for *_, scalar, leaf in blocks(op))
+
+
 def materialize(op: OperatorSpec) -> np.ndarray:
-    """Explicit complex matrix of op, exact for structured variants."""
+    """Explicit matrix of op, exact for structured variants.
+
+    float64 when op is real (_is_real), complex128 otherwise.  A real
+    rotation scalar multiplies a real block with the bits of the real
+    part of the complex product, so the entries equal those of the
+    complex matrix either way.
+    """
     d = _dense_dimension(op)
-    mat = np.zeros((d, d), dtype=complex)
+    real = _is_real(op)
+    mat = np.zeros((d, d), dtype=float if real else complex)
     for start, stop, scalar, leaf in blocks(op):
         block = mat[start:stop, start:stop]
         if isinstance(leaf, Dense):
-            block[...] = leaf.matrix
+            block[...] = leaf.matrix.real if real else leaf.matrix
         else:
             idx = np.arange(stop - start - 1)
             if leaf.direction == "forward":
@@ -336,7 +355,7 @@ def materialize(op: OperatorSpec) -> np.ndarray:
             else:
                 block[idx, idx + 1] = leaf.ratios
         if scalar != 1.0:
-            block *= scalar
+            block *= scalar.real if real else scalar
     return mat
 
 
@@ -514,7 +533,7 @@ def _leaf_power_norms(leaf, kmax: int) -> NormSeries:
     ks = np.arange(1, kmax + 1)
     if isinstance(leaf, WeightedShift):
         return NormSeries(ks, _shift_power_norms(leaf, kmax), ("closed-form",) * kmax)
-    mat = _compact(materialize(leaf))
+    mat = materialize(leaf)
     vals = np.zeros(kmax)  # the tail past a zero power stays 0.0
     eye = np.eye(mat.shape[0], dtype=mat.dtype)
     for n, power, _, settled in _power_sums(lambda p: p @ mat, eye, kmax):

@@ -54,6 +54,7 @@ from .operators import (
     SEED,
     Dense,
     NormSeries,
+    _count,
     _matrix_norm,
     _power_sums,
     apply,
@@ -176,7 +177,7 @@ def _thm25(seed: int):
     fit = growth_fit(series, (16, k_top))
     results = []
 
-    norm = float(power_norms(op, 1).values[0])
+    norm = float(full.values[0])
     results.append(gate("shields-norm-closed-form", abs(norm - 2.0**eta), "<=", 1e-12,
                         params={"norm": norm}, detail="|norm - 2**eta|"))
     results.append(gate("shields-norm", norm, "<", math.sqrt(2.0),
@@ -270,13 +271,17 @@ def _prop35(seed: int):
     mean_rows = []
     worst_norm = 0.0
     worst_entry_excess = -np.inf
-    for n, power, total, _ in _power_sums(lambda p: p @ mat, np.eye(size, dtype=complex), 256):
+    power_norm = {}  # ||T^n|| at the n that ergces-power-decay compares
+    for n, power, total, _ in _power_sums(lambda p: p @ mat, np.eye(size, dtype=mat.dtype), 256):
         if n <= 200:
             gap = float(np.max(np.abs(power - ergces_power_closed_form(j_max, n))))
             worst_gap = max(worst_gap, gap)
             gap_rows.append((n, gap))
+        if n in (32, 256):
+            power_norm[n] = _dense_norm(power)
         if n % 2 == 0:
-            mean = total / (n + 1)
+            # The product with the reciprocal has the bits of a complex sum's quotient.
+            mean = total * (1.0 / (n + 1))
             norm = _dense_norm(mean)
             worst_norm = max(worst_norm, norm)
             excess = float(np.max(np.abs(mean[0, 1:]) - eps / 2.0))
@@ -289,9 +294,8 @@ def _prop35(seed: int):
     results.append(gate("ergces-even-mean-entries", worst_entry_excess, "<=", 1e-9,
                         detail="max of |(M_2k)_{0,j}| - eps_j/2"))
 
-    series = power_norms(op, 256)
-    r32 = float(series.values[31]) / 32.0
-    r256 = float(series.values[255]) / 256.0
+    r32 = power_norm[32] / 32.0
+    r256 = power_norm[256] / 256.0
     results.append(gate("ergces-power-decay", r256, "<", r32 / 2.0,
                         detail="n^-1 ||T^n|| halves between n=32 and n=256"))
 
@@ -451,16 +455,15 @@ def reproduce(theorem_id: str, out_dir=".", seed: int = SEED) -> int:
 
     Writes report.json plus the experiment's CSV tables into out_dir.
     The status is 0 exactly when every definite check passed; reports
-    are written either way.  An unknown id or a negative seed (numpy's
-    seeded generators take none) raises ValidationError before anything
-    runs or is written.
+    are written either way.  An unknown id or a negative or non-integral
+    seed (numpy's seeded generators take neither) raises ValidationError
+    before anything runs or is written.
     """
     if theorem_id not in RUNNERS:
         raise ValidationError(
             f"unknown experiment id {theorem_id!r}; choose from {sorted(RUNNERS)}"
         )
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    seed = _count(seed, "seed")
     records, tables = RUNNERS[theorem_id](seed)
     results = [record.to_dict() for record in records]
     config = RunConfig(command="reproduce", operator=theorem_id, seed=seed, out=str(out_dir))

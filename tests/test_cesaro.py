@@ -5,6 +5,8 @@ import pytest
 
 import kreisslab as kl
 import kreisslab.cesaro
+import kreisslab.operators
+import kreisslab.reproduce
 from kreisslab.cesaro import (_dense_norm, _doubled_sums, _power_sums, _rotated_mean_norms,
                               _rung_sums)
 from kreisslab.operators import _compact, _dense_dimension
@@ -387,6 +389,20 @@ def test_probe_rejects_a_negative_seed():
         kl.ergodic_probe(kl.build_tz_block(4), probes=2, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, "7"])
+def test_probe_rejects_a_non_integral_seed(seed):
+    # They ended in numpy's TypeError ("SeedSequence expects int") or in a failed `<`.
+    with pytest.raises(kl.ValidationError, match="seed must be an integer"):
+        kl.ergodic_probe(kl.build_tz_block(4), probes=2, seed=seed)
+
+
+def test_probe_takes_a_seed_of_any_integral_type():
+    op = kl.build_tz_block(4)
+    expected = kl.ergodic_probe(op, probes=2, ladder=(4, 8), seed=7).gaps
+    got = kl.ergodic_probe(op, probes=2, ladder=(4, 8), seed=np.int64(7)).gaps
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_probe_ergces_positive_verdict():
     probe = kl.ergodic_probe(
         kl.build_ergces(20), probes=8, ladder=(16, 64, 256, 1024, 4096, 8192, 16384)
@@ -520,3 +536,79 @@ def test_probe_validation():
         kl.ergodic_probe(kl.Dense(np.eye(2)), probes=2, ladder=(8,))
     with pytest.raises(kl.ValidationError):
         kl.ergodic_probe(kl.Dense(np.eye(2)), probes=2, ladder=(-5, 16))
+
+
+def test_real_operators_step_real_power_streams(monkeypatch, tmp_path):
+    # materialize decides the field once: every stream of a real operator
+    # starts real, with no complex array whose imaginary parts are all zero.
+    starts = []
+
+    def recording(step, start, n_max):
+        starts.append(start.dtype)
+        return _power_sums(step, start, n_max)
+
+    for module in (kreisslab.operators, kreisslab.cesaro, kreisslab.reproduce):
+        monkeypatch.setattr(module, "_power_sums", recording)
+    ergces, tz = kl.build_ergces(8), kl.build_tz_block(4)
+    calls = {
+        "identity-ergces": lambda: kl.cesaro_identity_check(ergces, 16),
+        "identity-tzblock": lambda: kl.cesaro_identity_check(tz, 16),
+        "identity-tn": lambda: kl.cesaro_identity_check(kl.build_TN(4, 0.3), 16),
+        "decay": lambda: kl.mean_difference_decay(ergces, (16, 64)),
+        "mean": lambda: kl.cesaro_mean(kl.DirectSum((tz, kl.build_TN(3, 0.3))), 5),
+        "powers": lambda: kl.power_norms(ergces, 12),
+        "profile": lambda: kl.rotated_mean_norm_profile(tz, 12, angle_count=8, order=2),
+        "kb2": lambda: kl.kb2_constant(ergces, 16, 8),
+        "prop3.5": lambda: kreisslab.reproduce.reproduce("prop3.5", tmp_path),
+    }
+    for name, call in calls.items():
+        starts.clear()
+        call()
+        assert starts and set(starts) == {np.dtype(float)}, name
+    assert kl.cesaro_mean(ergces, 3).matrix.dtype == np.dtype(float)
+
+
+def test_a_real_mean_is_its_sum_times_the_reciprocal():
+    # numpy divides a complex array by a real scalar as a product with the
+    # scalar's reciprocal, so a real stream's mean must be written
+    # x * (1.0 / c), not x / c, to keep the bits of the complex one.
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(512) * 2.0 ** rng.integers(-60, 60, 512)
+    quotients_differ = False
+    for c in range(1, 4097):
+        expected = ((x + 0j) / c).real
+        np.testing.assert_array_equal((x * (1.0 / c)).view(np.int64), expected.view(np.int64))
+        quotients_differ = quotients_differ or not np.array_equal(x / c, expected)
+    assert quotients_differ
+
+
+def complex_identity_residuals(mat, n_max):
+    """cesaro_identity_check's residuals from a complex stream and complex quotients."""
+    eye = np.eye(mat.shape[0], dtype=complex)
+    mat = mat.astype(complex)
+    out, powers, means, total = [], [eye], [eye], eye
+    for j in range(1, n_max + 2):
+        powers.append(powers[-1] @ mat)
+        total = total + powers[-1]
+        means.append(total / (j + 1))
+    for n in range(1, n_max + 1):
+        first = _dense_norm(powers[n] - ((n + 1) * means[n] - n * means[n - 1]))
+        second = _dense_norm((n + 2) / (n + 1) * means[n + 1] - means[n] - powers[n + 1] / (n + 1))
+        out.append(max(first, second))
+    return np.array(out)
+
+
+def test_real_means_keep_the_bits_of_complex_quotients():
+    # Integer powers and sums are exact in either field, so only the means'
+    # quotients can tell a real stream from a complex one: written as
+    # products with the reciprocal, they agree bit for bit.
+    mat = np.random.default_rng(5).integers(-1, 2, (6, 6)).astype(float)
+    op = kl.Dense(mat)
+    np.testing.assert_array_equal(kl.cesaro_identity_check(op, 12),
+                                  complex_identity_residuals(mat, 12))
+    total = sum(np.linalg.matrix_power(mat.astype(complex), j) for j in range(7))
+    np.testing.assert_array_equal(kl.cesaro_mean(op, 6).matrix, (total / 7).real)
+    sums = {n: sum(np.linalg.matrix_power(mat.astype(complex), j) for j in range(n + 1))
+            for n in (3, 4, 7, 8)}
+    expected = [_dense_norm(sums[n + 1] / (n + 2) - sums[n] / (n + 1)) for n in (3, 7)]
+    np.testing.assert_array_equal(kl.mean_difference_decay(op, (3, 7)), expected)

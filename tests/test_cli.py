@@ -387,6 +387,52 @@ def test_reproduce_rejects_a_negative_seed_before_writing(tmp_path, monkeypatch)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [2.5, "7"])
+def test_claims_reject_a_non_integral_seed(seed, monkeypatch):
+    # They ended in numpy's TypeError ("SeedSequence expects int") or in a failed `<`.
+    def orbits(*args):
+        raise AssertionError("orbits were stepped before the seed was checked")
+
+    monkeypatch.setattr(kreisslab.kreiss, "orbit_norms", orbits)
+    with pytest.raises(kreisslab.ValidationError, match="seed must be an integer"):
+        kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=2, n_top=4,
+                                     seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2.5, "7"])
+def test_reproduce_rejects_a_non_integral_seed_before_running(seed, tmp_path, monkeypatch):
+    # thm2.4 ran its whole mean sweep before numpy's TypeError ("seed must be integer").
+    import kreisslab.reproduce as r
+
+    def runner(seed):
+        raise AssertionError("an experiment ran before its seed was checked")
+
+    monkeypatch.setitem(r.RUNNERS, "thm2.4", runner)
+    out = tmp_path / "out"
+    with pytest.raises(kreisslab.ValidationError, match="seed must be an integer"):
+        r.reproduce("thm2.4", out, seed=seed)
+    assert not out.exists()
+
+
+def test_prop35_reads_its_norms_from_the_checked_stream():
+    # ergces-power-decay reads ||T^32|| and ||T^256|| from the stream that
+    # is checked against the closed form: the values of power_norms, bit for bit.
+    # Its even means are that stream's sums times the reciprocal of n + 1,
+    # which is what cesaro_mean computes.
+    from kreisslab.cesaro import _dense_norm
+    from kreisslab.reproduce import _prop35
+
+    op = kreisslab.build_ergces(20)
+    records, tables = _prop35(kreisslab.SEED)
+    (decay,) = [r for r in records if r.check_id == "ergces-power-decay"]
+    norms = kreisslab.power_norms(op, 256).values[[31, 255]]
+    assert decay.value == float(norms[1]) / 256.0
+    assert decay.bound == float(norms[0]) / 32.0 / 2.0
+    _, rows = tables["even_means.csv"]
+    means = [kreisslab.cesaro_mean(op, 2 * k).matrix for k in range(1, 129)]
+    assert rows == [(k, _dense_norm(mean)) for k, mean in enumerate(means, 1)]
+
+
 def test_claims_reject_a_negative_probe_count():
     with pytest.raises(kreisslab.ValidationError):
         kreisslab.run_hilbert_claims(kreisslab.build_tz_block(4), 1.0, n_probes=-1, n_top=4)

@@ -928,7 +928,7 @@ def test_a_non_finite_mean_cell_raises(angles):
 
 def leaf_seed_bounds(op, n_max, lams):
     """_seed_bounds of each leaf of op at the points lams (times the leaf's rotation)."""
-    return [_seed_bounds(_compact(kl.materialize(leaf)), n_max,
+    return [_seed_bounds(kl.materialize(leaf), n_max,
                          np.asarray(lams if scalar == 1.0 else lams * scalar, dtype=complex), True)
             for _, _, scalar, leaf in kl.blocks(op)]
 
@@ -982,7 +982,7 @@ def test_the_seed_tables_keep_to_their_budget():
     _, lams = _angle_grid(op, 64)
     lams = lams[:_swept_count(op, lams)]
     assert len(lams) == 33
-    mat = _compact(kl.materialize(op))
+    mat = kl.materialize(op)
     assert traced_peak(lambda: _seed_bounds(mat, 4096, lams, True)) < 24 * 2**20
 
 

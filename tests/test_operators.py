@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import kreisslab as kl
 import kreisslab.operators
+import kreisslab.reproduce
 from kreisslab.cesaro import _dense_norm, _rotated_mean_norms, rotated_mean_tables
 from kreisslab.kreiss import certify_spectral_radius, resolvent_norm
 from kreisslab.operators import _matrix_norm
@@ -160,6 +161,46 @@ def test_materialize_tn_subdiagonal():
     got = kl.materialize(kl.build_TN(2, 0.25))
     np.testing.assert_allclose(got, expected, rtol=1e-14)
     np.testing.assert_allclose(np.diag(got.real, -1), [2**0.25, 1.0, 2**0.25], rtol=1e-14)
+
+
+def complex_materialization(op):
+    """The complex matrix of op, entry by entry as a complex field builds it."""
+    d = kl.dimension(op)
+    mat = np.zeros((d, d), dtype=complex)
+    for start, stop, scalar, leaf in kl.blocks(op):
+        block = mat[start:stop, start:stop]
+        if isinstance(leaf, kl.Dense):
+            block[...] = leaf.matrix
+        else:
+            idx = np.arange(stop - start - 1)
+            rows, cols = (idx + 1, idx) if leaf.direction == "forward" else (idx, idx + 1)
+            block[rows, cols] = leaf.ratios
+        if scalar != 1.0:
+            block *= scalar
+    return mat
+
+
+@pytest.mark.parametrize("op, dtype", [
+    *[(kl.make_operator(name, **params).spec, float)
+      for name, params in kreisslab.reproduce.CANONICAL_CATALOG],
+    (kl.RotatedScale(-1, kl.build_tz_block(3)), float),
+    (kl.DirectSum((kl.RotatedScale(-1, kl.build_TN(2, 0.3)), kl.build_ergces(3))), float),
+    (kl.Dense(kl.materialize(kl.build_ergces(4)) + 0j), float),
+    (kl.RotatedScale(1j, kl.build_TN(3, 0.3)), complex),
+    (kl.DirectSum((kl.build_ergces(3), kl.RotatedScale(1j, kl.build_tz_block(2)))), complex),
+    (random_dense(5, 7), complex),
+], ids=lambda x: getattr(x, "__name__", type(x).__name__))
+def test_materialize_is_real_exactly_when_the_operator_is(op, dtype):
+    got = kl.materialize(op)
+    expected = complex_materialization(op)
+    assert got.dtype == np.dtype(dtype)
+    assert kreisslab.operators._is_real(op) == (dtype is float)
+    np.testing.assert_array_equal(got, expected)
+    if dtype is float:
+        # The real entries carry the bits of the complex ones, down to the sign of a zero.
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected.real))
+    else:
+        np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(expected.imag))
 
 
 def test_materialize_cap():
