@@ -70,7 +70,6 @@ from .kreiss import (
 from .operators import (
     DENSE_CAP,
     SEED,
-    SVD_CAP,
     Dense,
     DirectSum,
     NormEstimate,

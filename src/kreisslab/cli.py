@@ -7,14 +7,13 @@ writes both): the same flags and seed always produce byte-identical
 files.  The exit status is 1 when any definite check failed, 2 when the
 input is invalid (an --out that is not, or cannot become, a writable
 directory and a negative --seed included, each rejected before any
-sweep runs), and 3 when a numerical kernel failed: the power iteration
-in the spectral norm of a structured operator above SVD_CAP stalled,
-the SVD of a resolvent system failed (resolvent_norm, which the kreiss
-sweep calls once, as the oracle at its sup), a matrix to be normed had
-a non-finite entry, an orbit norm of the claims was not finite, a
-resolvent was singular, or a dense size cap was exceeded.  Explicit
-matrices are normed by a Gram eigensolve (operators._matrix_norm) and
-never stall.
+sweep runs), and 3 when a numerical kernel failed: the Gram eigensolve
+of a matrix to be normed failed or met a non-finite entry, the SVD of
+a resolvent system failed (resolvent_norm, which the kreiss sweep
+calls once, as the oracle at its sup), an orbit norm of the claims was
+not finite, a resolvent was singular, or a dense size cap was
+exceeded.  A stalled power iteration is not a failure: spectral_norm
+then takes its structural oracle's value.
 
 KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
 """

@@ -18,19 +18,12 @@ class SingularError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """A norm estimate failed: an iteration stalled or a matrix had no norm.
+    """A norm could not be computed.
 
-    Only the spectral norm of a structured operator (a shift, direct sum
-    or rotation) is iterated, at every size; only above SVD_CAP does a
-    stall raise, carrying the best estimate seen, the residual it
-    achieved and the iterations spent.  An explicit matrix with a non-finite entry, or
-    whose Gram eigensolve fails, and a resolvent system whose SVD fails
-    (in resolvent_norm, which the kreiss grid sweep calls once, as the
-    oracle at its sup) raise it with none of them.
+    An explicit matrix with a non-finite entry, or whose Gram eigensolve
+    fails, a resolvent system whose SVD fails (in resolvent_norm, which
+    the kreiss grid sweep calls once, as the oracle at its sup) and an
+    orbit norm of the claims that is not finite raise it.  A stalled
+    power iteration does not: spectral_norm then takes its structural
+    oracle's value.
     """
-
-    def __init__(self, message, best=None, residual=None, iterations=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
-        self.iterations = iterations

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -440,13 +441,29 @@ def test_claims_reject_a_negative_probe_count():
                                         n_top=4) == []
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # A shift of dimension 600 > SVD_CAP is normed by power iteration alone;
-    # a stall is a clean error line and exit 3, not a traceback.
+    # A failed Gram eigensolve is a clean error line and exit 3, not a traceback.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code = main(["construct", "--operator", "tzblock", "--trunc", "4", "--out", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: Gram eigensolve failed: Eigenvalues did not converge"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_a_stalled_shift_norm_is_not_a_failure(tmp_path, capsys, monkeypatch):
+    # tn 300 has d = 600: the closed form max r_j overrides a stalled
+    # estimate at every size, so a stall is not an exit 3.
     monkeypatch.setattr(kreisslab.operators, "_power_iteration",
                         lambda *args, **kwargs: (1.0, 0.5, 300, False))
     code = main(["construct", "--operator", "tn", "--trunc", "300", "--out", str(tmp_path)])
-    assert code == 3
-    assert capsys.readouterr().err.startswith("error: power iteration stalled")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    record = read_report(tmp_path)["results"][0]
+    assert abs(record["value"] - kreisslab.build_TN(300, 0.45).ratios.max()) <= 1e-14
 
 
 @pytest.mark.parametrize("argv", [
@@ -488,9 +505,24 @@ def test_long_strong_chain_near_the_circle_stays_finite(tmp_path):
     assert report["strong_C"] >= report["kreiss_C"]
 
 
+def test_identity_commands_are_cli_lines():
+    # tools/identity.py compares these commands with a parent's; each must
+    # parse, and together they run every reproduce id.
+    path = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    parser = kreisslab.cli.build_parser()
+    for command in identity.COMMANDS:
+        parser.parse_args([*command, "--out", "unused"])
+    ids = {command[1] for command in identity.COMMANDS if command[0] == "reproduce"}
+    assert ids == set(REPRODUCIBLE_IDS)
+
+
 def test_tz_block_above_the_svd_cap_is_normed(tmp_path):
-    # d = 1024 > SVD_CAP, with top singular values too clustered for a power
-    # iteration to separate: the Gram eigensolve norms it.
+    # d = 1024, with top singular values too clustered for a power iteration
+    # to separate: an explicit block is never iterated, the Gram eigensolve
+    # norms it.
     code = main(["construct", "--operator", "tzblock", "--trunc", "512",
                  "--out", str(tmp_path)])
     assert code == 0

@@ -223,7 +223,7 @@ def test_tz_block_power_formula_matches_dense():
 
 
 def test_tz_block_power_is_normed_like_the_dense_power():
-    # d = 600 > SVD_CAP: both sides take the same norm route on equal matrices.
+    # d = 600: both sides take the Gram eigensolve on equal matrices.
     series = kl.power_norms(kl.build_tz_block(300), 8)
     closed = [kl.spectral_norm(kl.Dense(kl.tz_block_power(300, k))).value for k in range(1, 9)]
     np.testing.assert_array_equal(closed, series.values)

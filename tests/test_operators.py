@@ -280,6 +280,48 @@ def test_spectral_norm_rejects_a_tolerance_of_one_or_more(monkeypatch):
                 kl.spectral_norm(op, tol=tol)
 
 
+def _structured_norm_cases():
+    # (operator, its norm by structure): a shift's largest ratio, a direct
+    # sum's largest block norm, a rotated Dense leaf's Gram norm.
+    shift = kl.build_TN(64, 0.45)
+    shields = kl.build_shields_counterexample(0.15, 0.45, 6)
+    mat = np.random.default_rng(3).standard_normal((12, 12))
+    return (
+        (shift, shift.ratios.max()),
+        (shields, max(leaf.ratios.max() for *_, leaf in kl.blocks(shields))),
+        (kl.RotatedScale(np.exp(0.7j), kl.Dense(mat)), _matrix_norm(mat).value),
+    )
+
+
+def test_structured_norms_are_checked_without_materializing_the_operator(monkeypatch):
+    real = kreisslab.operators.materialize
+    seen = []
+
+    def recording(op):
+        seen.append(op)
+        return real(op)
+
+    monkeypatch.setattr(kreisslab.operators, "materialize", recording)
+    for op, norm in _structured_norm_cases():
+        est = kl.spectral_norm(op)
+        assert est.method == "power-iteration"
+        assert abs(est.value - norm) <= 1e-14 * norm
+        assert not any(arg is op for arg in seen)
+
+
+def test_a_stall_takes_the_structural_oracle_at_every_size(monkeypatch):
+    # A stalled iteration takes the oracle's value at every size, d = 600
+    # included, and raises nothing.
+    monkeypatch.setattr(kreisslab.operators, "_power_iteration",
+                        lambda *args, **kwargs: (1.0, 0.5, 300, False))
+    tn = kl.build_TN(300, 0.45)
+    assert kl.dimension(tn) == 600
+    for op, norm in ((tn, tn.ratios.max()), *_structured_norm_cases()):
+        est = kl.spectral_norm(op)
+        assert (est.method, est.residual, est.iterations) == ("dense-svd-oracle", 0.5, 300)
+        assert abs(est.value - norm) <= 1e-14 * norm
+
+
 def test_explicit_matrices_are_never_iterated(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("power iteration ran")
@@ -297,9 +339,8 @@ def test_explicit_matrices_are_never_iterated(monkeypatch):
     assert abs(_dense_norm(mat) - sigma) <= 1e-12 * sigma
     assert _matrix_norm(np.diag([1.0, 0.5, 0.25, 0.125])).value == 1.0
 
-    # Above SVD_CAP too, and on top singular values no iteration separates.
+    # At d = 600 too, and on top singular values no iteration separates.
     d = 600
-    assert d > kl.SVD_CAP
     rng = np.random.default_rng(13)
     u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -320,11 +361,12 @@ def test_explicit_matrices_are_never_iterated(monkeypatch):
 
 
 def test_matrix_norm_above_the_svd_cap_is_the_gram_eigensolve():
-    # sqrt(lambda_max(A* A)) agrees with the SVD to about d*eps*sigma_1.
+    # sqrt(lambda_max(A* A)) agrees with the SVD to about d*eps*sigma_1, and
+    # is what spectral_norm gives an explicit matrix at d = 600 and 1024.
     def check(mat):
         d = mat.shape[0]
-        assert d > kl.SVD_CAP
         est = _matrix_norm(mat)
+        assert kl.spectral_norm(kl.Dense(mat)) == est
         sigma = np.linalg.svd(mat, compute_uv=False)[0]
         assert (est.method, est.residual, est.iterations) == ("dense-gram", 0.0, 0)
         assert abs(est.value - sigma) <= 4 * d * np.finfo(float).eps * sigma
@@ -439,7 +481,7 @@ def test_gram_eigensolve_drops_the_zero_rows_and_columns(monkeypatch):
 
 
 def test_public_signatures_carry_no_cap_knob():
-    # Norm and size policy is fixed by SVD_CAP and DENSE_CAP, not per call.
+    # Size policy is fixed by DENSE_CAP, not per call.
     for name in kl.__all__:
         obj = getattr(kl, name)
         if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
