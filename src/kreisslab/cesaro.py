@@ -101,6 +101,11 @@ _EPS = float(np.finfo(float).eps)
 #: and tables hold at most _SEED_WINDOW**2 entries.
 _SEED_WINDOW = 256
 
+#: Multiply-adds from which OpenBLAS (0.3.31, 2 threads) hands a real
+#: matrix product to its thread pool; a complex product counts eight
+#: times.  Smaller products run on the calling thread.
+_POOLED_PRODUCT = 2**19
+
 
 def _dense_norm(mat: np.ndarray) -> float:
     """Spectral norm of an explicit matrix under the shared norm policy."""
@@ -264,6 +269,24 @@ def _norm_unless_beaten(mat: np.ndarray, beaten):
     return (_dense_norm(mat), True) if bound is None else (bound, False)
 
 
+def _gram_strip(held: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """held.conj() @ powers.T, in row blocks that each stay below _POOLED_PRODUCT.
+
+    The blocks are written into one preallocated strip.  When fewer than
+    two rows fit (one row would be a matrix-vector product, which the
+    pool takes at smaller sizes), the strip is one product: work that
+    large pays for the pool.
+    """
+    row = powers.size * (8 if np.iscomplexobj(powers) else 1)
+    step = (_POOLED_PRODUCT - 1) // row
+    if step < 2:
+        step = len(held)
+    strip = np.empty((len(held), len(powers)), dtype=powers.dtype)
+    for i in range(0, len(held), step):
+        np.matmul(held[i:i + step].conj(), powers.T, out=strip[i:i + step])
+    return strip
+
+
 def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: bool):
     """(bound1, bound2): upper bounds of ||total||_F and ||triangular||_F, no point stepped.
 
@@ -285,10 +308,13 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
     sums run over windows of n sized by one table budget: a window of
     b = max(1, _SEED_WINDOW**2 // (top + 1)) values of n holds tables of
     b (top + 1) entries at most, whatever n_max, so every sweep with
-    n_max < 256 runs as one window.  A window's rows of H are one matrix
-    product of its powers with the stack, so H is never held whole, and
-    the transform to the points is one product per window with the
-    table w_m mu^m, so there is no loop per n.
+    n_max < 256 runs as one window.  A window's rows of H are one strip,
+    the product of its powers with the stack, so H is never held whole,
+    and the transform to the points is one product per window with the
+    table w_m mu^m, so there is no loop per n.  The strip is formed in
+    row blocks that stay on the calling thread (_gram_strip): one product
+    handed to OpenBLAS's pool costs about 0.15 s of a spinning core after
+    the call, as long as the rest of a small sweep.
 
     The allowance makes each value a bound of the stepped cell.  With S
     the weighted sum of ||P_j||_F (sum_j ||P_j|| for order 1,
@@ -342,7 +368,7 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
             else:
                 held = stack[n0:min(n0 + rows_per_window, top + 1)]
                 # rows[k - n0, j] = <P_k, P_j> = conj(H[j, k]); conj() of a real window is itself
-                rows = held.conj() @ stack[:n0 + len(held)].T
+                rows = _gram_strip(held, stack[:n0 + len(held)])
                 norms[n0:n0 + len(held)] = np.sqrt(rows.diagonal(n0).real)
                 diagonal = np.where(live, rows[np.minimum(window, top) - n0, np.clip(j, 0, top)].conj(),
                                     0.0)

@@ -162,8 +162,9 @@ class NormEstimate:
     """A spectral-norm value together with how it was obtained."""
 
     value: float
-    # "power-iteration" | "dense-gram" | "dense-svd-oracle" (power_norms'
-    # value overriding the iteration)
+    # "power-iteration" | "dense-gram" | "closed-form" (power_norms' label
+    # of a structured operator with a Dense block) | "dense-svd-oracle"
+    # (power_norms' value overriding the iteration)
     method: str
     residual: float
     iterations: int
@@ -459,25 +460,31 @@ def spectral_norm(op: OperatorSpec, tol: float = 1e-10) -> NormEstimate:
     """Largest singular value of op.
 
     Dense operators are normed by _matrix_norm, the Gram eigensolve
-    ("dense-gram"); ``tol`` does not apply to them.  Structured
-    operators run seeded power iteration on op* op through their O(d)
-    action to relative residual ``tol``, which must lie in (0, 1): a
-    residual of 1 or more stops a random start at once, far from the
-    norm.  At every size power_norms(op, 1) cross-checks the estimate:
-    the max over op's blocks of each shift's closed form and each Dense
-    leaf's _matrix_norm, exact by structure since a rotation changes no
-    norm.  It overrides the estimate on disagreement or a stall
-    (labelled "dense-svd-oracle"), so a stall is never an error.
+    ("dense-gram"); ``tol`` does not apply to them.  Every structured
+    operator has an oracle exact by structure, power_norms(op, 1): the
+    max over op's blocks of each shift's closed form and each Dense
+    leaf's _matrix_norm, since a rotation changes no norm.  An operator
+    with a Dense block returns that value with its block's label
+    ("dense-gram" or "closed-form"): iterating would only repeat the
+    leaf's eigensolve at far greater cost.  Shift-like operators run
+    seeded power iteration on op* op through their O(d) action to
+    relative residual ``tol``, which must lie in (0, 1): a residual of 1
+    or more stops a random start at once, far from the norm.  The oracle
+    overrides the estimate on disagreement or a stall (labelled
+    "dense-svd-oracle"), so a stall is never an error.
     """
     if not 0 < tol < 1:  # also NaN and inf
         raise ValidationError(f"tolerance must lie in (0, 1), got {tol!r}")
     if isinstance(op, Dense):
         return _matrix_norm(op.matrix)
+    oracle = power_norms(op, 1)
+    sigma = float(oracle.values[0])
+    if not is_shift_like(op):
+        return NormEstimate(sigma, oracle.methods[0], 0.0, 0)
     op_adj = adjoint(op)
     value, res, iters, ok = _power_iteration(
         lambda v: apply(op, v), lambda v: apply(op_adj, v), dimension(op), tol
     )
-    sigma = float(power_norms(op, 1).values[0])
     if not (ok and abs(value - sigma) <= 1e-8 * max(sigma, value, 1e-300)):
         return NormEstimate(sigma, "dense-svd-oracle", res, iters)
     return NormEstimate(value, "power-iteration", res, iters)

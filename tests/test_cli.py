@@ -505,18 +505,38 @@ def test_long_strong_chain_near_the_circle_stays_finite(tmp_path):
     assert report["strong_C"] >= report["kreiss_C"]
 
 
+def load_file(relative):
+    """The module at a path relative to the repository root."""
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_identity_commands_are_cli_lines():
     # tools/identity.py compares these commands with a parent's; each must
     # parse, and together they run every reproduce id.
-    path = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
-    spec = importlib.util.spec_from_file_location("identity", path)
-    identity = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(identity)
+    identity = load_file("tools/identity.py")
     parser = kreisslab.cli.build_parser()
     for command in identity.COMMANDS:
         parser.parse_args([*command, "--out", "unused"])
     ids = {command[1] for command in identity.COMMANDS if command[0] == "reproduce"}
     assert ids == set(REPRODUCIBLE_IDS)
+
+
+def test_pool_cpu_commands_are_the_benchmark_ops():
+    # tools/pool_cpu.py measures these commands; each must parse, and they
+    # are the ops of the benchmark's workloads.
+    pool_cpu = load_file("tools/pool_cpu.py")
+    parser = kreisslab.cli.build_parser()
+    for command in pool_cpu.COMMANDS:
+        parser.parse_args([*command, "--out", "unused"])
+    workloads = load_file("perfbench/workloads.py")
+    assert pool_cpu.BLAS_THREADS == workloads.BLAS_THREADS
+    assert sorted(pool_cpu.COMMANDS) == sorted(op for workload in workloads.WORKLOADS.values()
+                                               for op in workload.ops)
 
 
 def test_tz_block_above_the_svd_cap_is_normed(tmp_path):

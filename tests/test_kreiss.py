@@ -13,9 +13,9 @@ import kreisslab as kl
 import kreisslab.cesaro
 import kreisslab.cli
 import kreisslab.kreiss
-from kreisslab.cesaro import (_EPS, _SEED_WINDOW, _angle_grid, _beaten, _bounds_beaten,
-                              _dense_norm, _frobenius, _mean_cells, _rotated_mean_norms,
-                              _schatten4, _seed_bounds, _swept_count)
+from kreisslab.cesaro import (_EPS, _POOLED_PRODUCT, _SEED_WINDOW, _angle_grid, _beaten,
+                              _bounds_beaten, _dense_norm, _frobenius, _gram_strip, _mean_cells,
+                              _rotated_mean_norms, _schatten4, _seed_bounds, _swept_count)
 from kreisslab.kreiss import _chain_reach, _leaf_inverse, certify_spectral_radius, default_radii
 from kreisslab.operators import _compact
 
@@ -1007,6 +1007,68 @@ def test_the_seed_steps_each_leaf_chain_once(monkeypatch):
         report = kl.kb2_constant(op, n_max, angles)
         assert chains == [n_max] * len(kl.blocks(op))
         assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == constants
+
+
+def recorded_products(monkeypatch):
+    """The (M, N, K) of each np.matmul product formed from now on in this test."""
+    products = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        products.append((a.shape[0], b.shape[1], a.shape[1]))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return products
+
+
+def test_the_seed_strip_of_small_powers_stays_below_the_pooled_size(monkeypatch):
+    # At the kreiss defaults the seed of ergces 20 (d = 21, never settling)
+    # forms its 129 x 129 x 441 Gram strip in blocks that OpenBLAS keeps on
+    # the calling thread, covering every row of the strip.
+    op = kl.build_ergces(20)
+    _, lams = _angle_grid(op, 64)
+    lams = lams[:_swept_count(op, lams)]
+    assert len(lams) == 33
+    products = recorded_products(monkeypatch)
+    _seed_bounds(kl.materialize(op), 128, lams, True)
+    assert all(m * n * k < _POOLED_PRODUCT and (n, k) == (129, 441) for m, n, k in products)
+    assert sum(m for m, _, _ in products) == 129
+
+
+def test_a_seed_strip_past_the_pooled_size_per_row_is_one_product(monkeypatch):
+    # d = 64 at n_max 128: one row of the strip is 129 x 4096 multiply-adds,
+    # past _POOLED_PRODUCT, so the window's strip stays one product.
+    rng = np.random.default_rng(21)
+    mat = rng.standard_normal((64, 64))
+    mat *= 0.95 / np.max(np.abs(np.linalg.eigvals(mat)))
+    assert 129 * mat.size >= _POOLED_PRODUCT
+    products = recorded_products(monkeypatch)
+    _seed_bounds(mat, 128, np.array([1.0, -1.0], dtype=complex), True)
+    assert products == [(129, 129, 4096)]
+
+
+@pytest.mark.parametrize("dtype, size", [(float, 441), (complex, 100)])
+def test_a_blocked_gram_strip_equals_the_whole_product(dtype, size):
+    # Blocking changes at most the summation order of each inner product,
+    # which the seed's allowance of (L + 2) eps ||P_j||_F ||P_k||_F covers.
+    rng = np.random.default_rng(8)
+    powers = rng.standard_normal((129, size)).astype(dtype)
+    if dtype is complex:
+        powers += 1j * rng.standard_normal((129, size))
+    held = powers[40:]
+    strip = _gram_strip(held, powers)
+    inner = size * (2 if dtype is complex else 1)
+    row_norms = np.linalg.norm(powers, axis=1)
+    allowance = (inner + 2) * _EPS * np.outer(row_norms[40:], row_norms)
+    assert np.all(np.abs(strip - held.conj() @ powers.T) <= allowance)
+
+
+@pytest.mark.parametrize("op", [kl.build_ergces(20), kl.build_tz_block(16)],
+                         ids=["ergces-20", "tzblock-16"])
+def test_kreiss_default_mean_sups_equal_the_exhaustive_maxima(op):
+    report = kl.kb2_constant(op, 128, 64)
+    assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == exhaustive_mean_sups(op, 128, 64)
 
 
 def test_the_seed_steps_no_stack(monkeypatch):

@@ -304,22 +304,44 @@ def test_structured_norms_are_checked_without_materializing_the_operator(monkeyp
     monkeypatch.setattr(kreisslab.operators, "materialize", recording)
     for op, norm in _structured_norm_cases():
         est = kl.spectral_norm(op)
-        assert est.method == "power-iteration"
+        assert est.method == ("power-iteration" if kl.is_shift_like(op) else "dense-gram")
         assert abs(est.value - norm) <= 1e-14 * norm
         assert not any(arg is op for arg in seen)
 
 
 def test_a_stall_takes_the_structural_oracle_at_every_size(monkeypatch):
     # A stalled iteration takes the oracle's value at every size, d = 600
-    # included, and raises nothing.
+    # included, and raises nothing; an operator with a Dense block is not
+    # iterated at all.
     monkeypatch.setattr(kreisslab.operators, "_power_iteration",
                         lambda *args, **kwargs: (1.0, 0.5, 300, False))
     tn = kl.build_TN(300, 0.45)
     assert kl.dimension(tn) == 600
     for op, norm in ((tn, tn.ratios.max()), *_structured_norm_cases()):
         est = kl.spectral_norm(op)
-        assert (est.method, est.residual, est.iterations) == ("dense-svd-oracle", 0.5, 300)
+        stalled = ("dense-svd-oracle", 0.5, 300) if kl.is_shift_like(op) else ("dense-gram", 0.0, 0)
+        assert (est.method, est.residual, est.iterations) == stalled
         assert abs(est.value - norm) <= 1e-14 * norm
+
+
+def test_structured_operators_with_a_dense_block_are_never_iterated(monkeypatch):
+    # Their oracle power_norms(op, 1) is exact, so its value and the label
+    # of the block attaining it come back without a power iteration.
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(kreisslab.operators, "_power_iteration", refuse)
+    mat = np.random.default_rng(3).standard_normal((12, 12))
+    small = mat / (2.0 * _matrix_norm(mat).value)  # norm 1/2, below the shift's 2**0.45
+    shift = kl.build_TN(8, 0.45)
+    for op, norm, method in (
+            (kl.RotatedScale(-1.0, kl.Dense(mat)), _matrix_norm(mat).value, "dense-gram"),
+            (kl.DirectSum((kl.Dense(small), shift)), shift.ratios.max(), "closed-form"),
+            (kl.RotatedScale(np.exp(0.7j), kl.DirectSum((shift, kl.Dense(mat)))),
+             _matrix_norm(mat).value, "dense-gram")):
+        assert not kl.is_shift_like(op)
+        est = kl.spectral_norm(op)
+        assert (est.value, est.method, est.residual, est.iterations) == (norm, method, 0.0, 0)
 
 
 def test_explicit_matrices_are_never_iterated(monkeypatch):

@@ -36,6 +36,8 @@ COMMANDS = (
     ("kreiss", "--operator", "tzblock", "--trunc", "16", *_CSV),
     ("kreiss", "--operator", "tzblock", "--trunc", "32", *_CSV),
     ("kreiss", "--operator", "ergces", "--trunc", "20", *_CSV),
+    # n_max 4096 splits the mean-sweep seed into windows (_SEED_WINDOW).
+    ("kreiss", "--operator", "ergces", "--trunc", "12", "--n-max", "4096", *_CSV),
     ("kreiss", "--operator", "tn", "--trunc", "16", *_CSV),
     ("kreiss", "--operator", "bermbmp", "--trunc", "32", *_CSV),
     ("kreiss", "--operator", "shields", "--nmax-sum", "6", *_CSV),
