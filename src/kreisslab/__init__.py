@@ -1,17 +1,6 @@
 """Numerical laboratory for resolvent bounds, Cesaro means, and power-norm
 growth of structured Hilbert-space operators.
-
-KREISSLAB_THREADS, when set, caps the linear-algebra thread pools.  BLAS
-reads its variables when numpy loads, so the cap is applied here, before
-any submodule imports numpy.
 """
-
-import os as _os
-
-if _os.environ.get("KREISSLAB_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["KREISSLAB_THREADS"])
 
 from .cesaro import (
     PROBE_TOLERANCE,

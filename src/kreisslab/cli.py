@@ -14,8 +14,6 @@ calls once, as the oracle at its sup), an orbit norm of the claims was
 not finite, a resolvent was singular, or a dense size cap was
 exceeded.  A stalled power iteration is not a failure: spectral_norm
 then takes its structural oracle's value.
-
-KREISSLAB_THREADS is applied by the package import (kreisslab/__init__).
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import argparse
 import cmath
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .cesaro import rotated_mean_norm_profile
@@ -222,23 +221,18 @@ def _cmd_kreiss(args) -> int:
             else AnnulusGrid.default(args.angles))
     base = kreiss_constant(entry.spec, grid, args.k_max)  # the plain and strong sweeps in one pass
     kb2 = kb2_constant(entry.spec, args.n_max, args.angles)
-    merged = base.to_dict()
-    merged.update({
-        "ukb_C": kb2.ukb_C,
-        "kb2_C": kb2.kb2_C,
-        "kb2_sum_C": kb2.kb2_sum_C,
-        "n_max": args.n_max,
-    })
-    results = [CheckRecord("kreiss-report", "info", params=merged)]
-    if base.kreiss_C_radius == min(grid.radii):
+    report = replace(base, ukb_C=kb2.ukb_C, kb2_C=kb2.kb2_C, kb2_sum_C=kb2.kb2_sum_C,
+                     n_max=kb2.n_max)
+    results = [CheckRecord("kreiss-report", "info", params=report.to_dict())]
+    if report.kreiss_C_radius == min(grid.radii):
         results.append(CheckRecord(
-            "kreiss-sup-on-inner-radius", "info", base.kreiss_C,
-            params={"r": base.kreiss_C_radius},
+            "kreiss-sup-on-inner-radius", "info", report.kreiss_C,
+            params={"r": report.kreiss_C_radius},
             detail="kreiss sweep: the sup sits on the innermost radius and may lie beyond the grid"))
     # A skipped grid point leaves both sweeps and may lower either sup: one no-verdict
     # record per sweep.
     for sweep in ("kreiss", "strong"):
-        for r, mu in base.skipped:
+        for r, mu in report.skipped:
             results.append(CheckRecord(
                 "skipped-grid-point", "skipped",
                 params={"sweep": sweep, "r": r, "angle": cmath.phase(mu)},
@@ -246,13 +240,14 @@ def _cmd_kreiss(args) -> int:
     # Abel summation gives (r-1) ||R(r mu)|| <= sup_n ||M_n(conj(mu) T)||, and the same
     # with the second means, so a mean constant below kreiss_C is an under-resolved sweep.
     for name in ("ukb_C", "kb2_C"):
-        if merged[name] < base.kreiss_C * (1.0 - 1e-9):
+        value = getattr(report, name)
+        if value < report.kreiss_C * (1.0 - 1e-9):
             results.append(CheckRecord(
-                "mean-sweep-below-kreiss", "info", merged[name],
-                params={"constant": name, "kreiss_C": base.kreiss_C},
+                "mean-sweep-below-kreiss", "info", value,
+                params={"constant": name, "kreiss_C": report.kreiss_C},
                 detail=f"{name} is below kreiss_C, which it bounds: the mean sweep is "
                        "under-resolved in n_max or angles"))
-    rows = [(name, merged[name]) for name in
+    rows = [(name, getattr(report, name)) for name in
             ("kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C")]
     return _emit(args, _config(args, "kreiss", entry), results,
                  {"constants.csv": (("constant", "value"), rows)})

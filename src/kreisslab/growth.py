@@ -33,7 +33,9 @@ def growth_fit(series: NormSeries, window) -> GrowthReport:
         raise ValidationError("fit window must contain at least 8 points")
     vals = series.values[mask]
     if np.any(vals <= 0):
-        raise ValidationError("fit window must contain positive norms only")
+        first = int(np.argmax(vals <= 0))
+        raise ValidationError("fit window must contain positive norms only: "
+                              f"k = {series.k[mask][first]} has ||T^k|| = {vals[first]:g}")
     logk = np.log(series.k[mask].astype(float))
     logv = np.log(vals)
     design = np.column_stack([logk, np.ones_like(logk)])

@@ -42,7 +42,7 @@ from .cesaro import (_EPS, _angle_grid, _beaten, _norm_unless_beaten, _swept_cou
 from .errors import ConvergenceError, SingularError, ValidationError
 from .operators import (SEED, OperatorSpec, WeightedShift, _count, apply, blocks, dimension,
                         materialize)
-from .reports import CheckRecord, gate, margins
+from .reports import CheckRecord, field_values, gate, margins
 
 #: Dimension up to which the spectral-radius precondition is verified
 #: by a dense eigenvalue computation when structure does not settle it.
@@ -107,21 +107,10 @@ class KreissReport:
     skipped: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "kreiss_C": self.kreiss_C,
-            "kreiss_C_radius": self.kreiss_C_radius,
-            "kreiss_C_svd": self.kreiss_C_svd,
-            "ukb_C": self.ukb_C,
-            "kb2_C": self.kb2_C,
-            "strong_C": self.strong_C,
-            "kb2_sum_C": self.kb2_sum_C,
-            "radii": list(self.radii) if self.radii is not None else None,
-            "angle_count": self.angle_count,
-            "n_max": self.n_max,
-            "k_max": self.k_max,
-            "rotation_shortcut": self.rotation_shortcut,
-            "skipped": [list(point) for point in self.skipped],
-        }
+        data = field_values(self)
+        data["radii"] = list(self.radii) if self.radii is not None else None
+        data["skipped"] = [list(point) for point in self.skipped]
+        return data
 
 
 def certify_spectral_radius(op: OperatorSpec):
@@ -352,15 +341,7 @@ def uniform_kreiss_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> 
     n_max = 127 = 2N - 1; T_N is nilpotent of order 2N, so past that its
     means only shrink.
     """
-    n_max = _count(n_max, "n_max")
-    shortcut, lams = _angle_grid(op, angles)
-    ukb, _, _ = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)])
-    return KreissReport(
-        ukb_C=ukb,
-        angle_count=angles,
-        n_max=n_max,
-        rotation_shortcut=shortcut,
-    )
+    return _mean_constants(op, n_max, angles, False)
 
 
 def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissReport:
@@ -375,9 +356,15 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
     truncates every sup in n, and each is a lower bound for the sup over
     all n.
     """
+    return _mean_constants(op, n_max, angles, True)
+
+
+def _mean_constants(op: OperatorSpec, n_max: int, angles: int, want_order2: bool) -> KreissReport:
+    """The report of one rotated_mean_tables sweep over the swept angles of the grid."""
     n_max = _count(n_max, "n_max")
     shortcut, lams = _angle_grid(op, angles)
-    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)], True)
+    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)],
+                                            want_order2)
     return KreissReport(
         ukb_C=ukb,
         kb2_C=kb2,

@@ -22,7 +22,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,34 +49,24 @@ class RunConfig:
         _check_keys(f"{self.command} config", self.params)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "operator": self.operator,
-            "params": dict(self.params),
-            "n_max": self.n_max,
-            "k_max": self.k_max,
-            "angles": self.angles,
-            "radii": list(self.radii) if self.radii is not None else None,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
+        data = field_values(self)
+        data["params"] = dict(self.params)
+        if self.radii is not None:
+            data["radii"] = list(self.radii)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        radii = data.get("radii")
-        return cls(
-            command=data["command"],
-            operator=data.get("operator"),
-            params=dict(data.get("params", {})),
-            n_max=data.get("n_max"),
-            k_max=data.get("k_max"),
-            angles=data.get("angles"),
-            radii=tuple(radii) if radii is not None else None,
-            seed=data.get("seed", 0x5EED),
-            out=data.get("out", "."),
-            format=data.get("format", "json"),
-        )
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        kwargs["params"] = dict(data.get("params", {}))
+        if kwargs.get("radii") is not None:
+            kwargs["radii"] = tuple(kwargs["radii"])
+        return cls(**kwargs)
+
+
+def field_values(record) -> dict:
+    """{name: value} of a dataclass record's fields, in declaration order, values as they are."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _check_keys(owner: str, params: dict) -> None:
@@ -118,8 +108,8 @@ class CheckRecord:
         if self.op is not None and self.op not in OPS:
             raise ValidationError(f"{self.check_id}: unknown comparison {self.op!r}")
         _check_keys(self.check_id, self.params)
-        if not _FIELDS.isdisjoint(self.params):
-            clash = sorted(_FIELDS.intersection(self.params))
+        clash = sorted(self.params.keys() & _FIELDS)
+        if clash:
             raise ValidationError(f"{self.check_id}: params repeat fields {clash}")
 
     @property
@@ -128,20 +118,11 @@ class CheckRecord:
         return _PASSED.get(self.status)
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "value": self.value,
-            "op": self.op,
-            "bound": self.bound,
-            "slack": self.slack,
-            "margin": self.margin,
-            "detail": self.detail,
-            **self.params,
-        }
+        return {**{name: getattr(self, name) for name in _FIELDS}, **self.params}
 
 
-_FIELDS = frozenset(CheckRecord.__dataclass_fields__) - {"params"}
+#: CheckRecord's fixed fields in declaration order; params are flattened beside them.
+_FIELDS = tuple(f.name for f in fields(CheckRecord) if f.name != "params")
 _PASSED = {"pass": True, "vacuous-pass": True, "fail": False}
 
 

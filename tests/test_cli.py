@@ -1,8 +1,7 @@
+import dataclasses
 import importlib.util
 import json
 import math
-import os
-import subprocess
 import sys
 import types
 import warnings
@@ -89,6 +88,28 @@ def test_growth_gates_the_envelope_like_thm25(tmp_path):
     assert envelope("growth")[0]["status"] == "pass"
     growth_csv = (tmp_path / "growth" / "growth.csv").read_bytes()
     assert growth_csv == (tmp_path / "thm25" / "growth.csv").read_bytes()
+
+
+def test_growth_names_the_first_zero_power_in_the_window(tmp_path, capsys):
+    # T_N of tn 16 is nilpotent of order 2N = 32, inside the default window (16, 126).
+    assert main(["growth", "--operator", "tn", "--trunc", "16", "--out", str(tmp_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: fit window must contain positive norms only")
+    assert "k = 32" in line
+
+
+def test_kreiss_report_record_is_one_kreiss_report(tmp_path):
+    # The record holds exactly KreissReport's fields, besides CheckRecord's own,
+    # and its mean constants are kb2_constant's.
+    assert main(["kreiss", "--operator", "tzblock", "--trunc", "4", "--angles", "4",
+                 "--out", str(tmp_path)]) == 0
+    record = read_report(tmp_path)["results"][0]
+    assert record["check_id"] == "kreiss-report"
+    own = {f.name for f in dataclasses.fields(kreisslab.CheckRecord)} - {"params"}
+    assert record.keys() - own == {f.name for f in dataclasses.fields(kreisslab.KreissReport)}
+    kb2 = kreisslab.kb2_constant(kreisslab.make_operator("tzblock", d=4).spec, 128, 4)
+    for name in ("ukb_C", "kb2_C", "kb2_sum_C", "n_max"):
+        assert record[name] == getattr(kb2, name), name
 
 
 def test_kreiss_constants_table(tmp_path):
@@ -243,33 +264,6 @@ def test_ex29_outputs_byte_identical_across_runs(tmp_path):
         assert (tmp_path / name).read_bytes() == data, name
     ids = [r["check_id"] for r in read_report(tmp_path)["results"]]
     assert "tz-norm-dense-oracle" in ids and "tz-growth-vs-kreiss-rate" in ids
-
-
-#: Records OPENBLAS_NUM_THREADS at the moment numpy is first imported.
-_SEE_NUMPY_LOAD = """
-import os, sys
-
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and "seen" not in globals():
-            globals()["seen"] = os.environ.get("OPENBLAS_NUM_THREADS")
-        return None
-
-sys.meta_path.insert(0, Spy())
-import kreisslab
-print(seen)
-"""
-
-
-def test_thread_cap_env():
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS")}
-    env["KREISSLAB_THREADS"] = "1"
-    env["PYTHONPATH"] = str(Path(kreisslab.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", _SEE_NUMPY_LOAD], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["1"]
 
 
 def test_reproduce_names_the_submodule():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -192,13 +193,28 @@ def test_report_bytes_deterministic(tmp_path):
 
 
 def test_run_config_roundtrip():
-    config = kl.RunConfig(
-        command="kreiss", operator="tn", params={"n": 16, "eta": 0.45},
-        n_max=128, k_max=16, angles=64, radii=(1.5, 1.25), seed=3,
-        out="runs", format="csv",
-    )
-    blob = to_json_bytes(config.to_dict())
-    assert kl.RunConfig.from_dict(json.loads(blob)) == config
+    values = {"command": "kreiss", "operator": "tn", "params": {"n": 16, "eta": 0.45},
+              "n_max": 128, "k_max": 16, "angles": 64, "radii": (1.5, 1.25), "seed": 3,
+              "out": "runs", "format": "csv"}
+    assert values.keys() == {f.name for f in dataclasses.fields(kl.RunConfig)}
+    config = kl.RunConfig(**values)
+    for f in dataclasses.fields(kl.RunConfig):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(config, f.name) != f.default, f.name
+        if f.default_factory is not dataclasses.MISSING:
+            assert getattr(config, f.name) != f.default_factory(), f.name
+    assert config.to_dict() == {**values, "radii": [1.5, 1.25]}
+    assert kl.RunConfig.from_dict(json.loads(to_json_bytes(config.to_dict()))) == config
+
+
+def test_every_field_is_serialized():
+    report = kl.KreissReport(radii=(1.5,), skipped=((1.5, 1.0 + 0j),))
+    assert report.to_dict().keys() == {f.name for f in dataclasses.fields(kl.KreissReport)}
+    assert report.to_dict()["radii"] == [1.5]
+    assert report.to_dict()["skipped"] == [[1.5, 1.0 + 0j]]
+    record = kl.CheckRecord("c", "info", params={"n": 3, "r": 1.5})
+    names = {f.name for f in dataclasses.fields(kl.CheckRecord)} - {"params"}
+    assert record.to_dict().keys() == names | {"n", "r"}
 
 
 def test_summarize_counts():

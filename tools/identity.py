@@ -47,6 +47,8 @@ COMMANDS = (
     ("claims", "--operator", "tzblock", "--trunc", "8", "--probes", "8", "--k-max", "16",
      *_CSV),
     ("powers", "--operator", "ergces", "--trunc", "20", *_CSV),
+    ("growth", "--operator", "shields", "--nmax-sum", "50", "--window", "16", "60", *_CSV),
+    ("growth", "--operator", "ergces", "--trunc", "20", *_CSV),
     ("construct", "--operator", "tzblock", "--trunc", "512", *_CSV),
     ("construct", "--operator", "tn", "--trunc", "300", *_CSV),
     ("construct", "--operator", "shields", "--nmax-sum", "20", *_CSV),

@@ -87,7 +87,6 @@ print(json.dumps([code, main_cpu, cpu - main_cpu, tail]))
 def measure(argv, out: Path):
     """(exit code, main-thread CPU, pool CPU, pool CPU in the tail) of one fresh run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("KREISSLAB_THREADS", None)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(BLAS_THREADS)
     proc = subprocess.run([sys.executable, "-c", _CHILD, str(TAIL_S), str(out), *argv],
