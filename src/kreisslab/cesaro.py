@@ -699,6 +699,16 @@ def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:
     return out
 
 
+def _ladder(ladder, least: int) -> tuple:
+    """ladder as a strictly increasing tuple of counts with at least ``least`` (1 or 2) rungs."""
+    ladder = tuple(_count(n, "ladder rung") for n in ladder)
+    if len(ladder) < least:
+        raise ValidationError(f"ladder needs at least {('one rung', 'two rungs')[least - 1]}")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValidationError("ladder must be strictly increasing")
+    return ladder
+
+
 def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     """||M_{n+1}(T) - M_n(T)|| at each ladder index n.
 
@@ -707,11 +717,7 @@ def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     costs fewer flops.  The means are products with the reciprocal, as in
     cesaro_identity_check.
     """
-    ladder = tuple(_count(n, "ladder rung") for n in ladder)
-    if not ladder:
-        raise ValidationError("ladder needs at least one rung")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValidationError("ladder must be strictly increasing")
+    ladder = _ladder(ladder, 1)
     mat = materialize(op)
     eye = np.eye(mat.shape[0], dtype=mat.dtype)
     rungs = sorted({m for n in ladder for m in (n, n + 1)} - {0})
@@ -742,11 +748,7 @@ def ergodic_probe(
     generators take neither.
     """
     seed = _count(seed, "seed")
-    ladder = tuple(_count(n, "ladder rung") for n in ladder)
-    if len(ladder) < 2:
-        raise ValidationError("ladder needs at least two rungs")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValidationError("ladder must be strictly increasing")
+    ladder = _ladder(ladder, 2)
     d = dimension(op)
     try:
         given = iter(probes)

@@ -22,7 +22,7 @@ import argparse
 import cmath
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .cesaro import rotated_mean_norm_profile
@@ -31,7 +31,7 @@ from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
 from .kreiss import (CLAIM_COLUMNS, AnnulusGrid, dyadic_ladder, kb2_constant, kreiss_constant,
                      run_hilbert_claims)
-from .operators import WeightedShift, dimension, power_norms, spectral_norm
+from .operators import SEED, WeightedShift, _count, dimension, power_norms, spectral_norm
 from .reports import CheckRecord, RunConfig, emit_report, summarize
 from .reproduce import GROWTH_COLUMNS, reproduce, shields_envelope
 
@@ -48,19 +48,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, operator=True):
-        if operator:
-            p.add_argument("--operator", required=True, choices=CATALOG_NAMES)
-            p.add_argument("--trunc", type=int, default=16,
-                           help="size parameter: n for tn, d for bermbmp/tzblock, "
-                                "basis cutoff for ergces")
-            p.add_argument("--eta", type=float, default=0.45,
-                           help="shift exponent (also the bermbmp exponent)")
-            p.add_argument("--epsilon", type=float, default=0.15)
-            p.add_argument("--nmax-sum", type=int, default=8,
-                           help="number of direct summands for shields")
-            p.add_argument("--direction", choices=("forward", "backward"), default="forward")
-        p.add_argument("--seed", type=int, default=0x5EED)
+    def add_common(p):
+        p.add_argument("--operator", required=True, choices=CATALOG_NAMES)
+        p.add_argument("--trunc", type=int, default=16,
+                       help="size parameter: n for tn, d for bermbmp/tzblock, "
+                            "basis cutoff for ergces")
+        p.add_argument("--eta", type=float, default=0.45,
+                       help="shift exponent (also the bermbmp exponent)")
+        p.add_argument("--epsilon", type=float, default=0.15)
+        p.add_argument("--nmax-sum", type=int, default=8,
+                       help="number of direct summands for shields")
+        p.add_argument("--direction", choices=("forward", "backward"), default="forward")
+        p.add_argument("--seed", type=int, default=SEED)
         p.add_argument("--out", default=".")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -100,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run one canonical experiment end to end")
     p.add_argument("theorem_id")
-    p.add_argument("--seed", type=int, default=0x5EED)
+    p.add_argument("--seed", type=int, default=SEED)
     p.add_argument("--out", default=".")
     return parser
 
@@ -119,12 +118,6 @@ def _check_out(out):
         raise ValidationError(f"--out {out}: {existing} is not writable")
 
 
-def _check_seed(seed):
-    """Reject a negative --seed before any sweep runs: numpy's seeded generators take none."""
-    if seed < 0:
-        raise ValidationError(f"--seed must be non-negative, got {seed}")
-
-
 def _operator_entry(args):
     name = args.operator
     if name == "tn":
@@ -139,19 +132,13 @@ def _operator_entry(args):
     return make_operator("tzblock", d=args.trunc)
 
 
-def _config(args, command, entry):
-    return RunConfig(
-        command=command,
-        operator=entry.name,
-        params=dict(entry.params),
-        n_max=getattr(args, "n_max", None),
-        k_max=getattr(args, "k_max", None),
-        angles=getattr(args, "angles", None),
-        radii=getattr(args, "radii", None),
-        seed=args.seed,
-        out=str(args.out),
-        format=args.format,
-    )
+def _config(args, entry):
+    """The run's RunConfig: each field from the flag of its name, every other flag an option."""
+    parsed = vars(args)
+    fixed = {f.name for f in fields(RunConfig)} & parsed.keys()
+    return RunConfig(params=dict(entry.params),
+                     options={name: value for name, value in parsed.items() if name not in fixed},
+                     **{name: parsed[name] for name in fixed})
 
 
 def _emit(args, config, records, tables):
@@ -174,7 +161,7 @@ def _cmd_construct(args) -> int:
             rows = [(j + 1, float(w)) for j, w in enumerate(entry.spec.weights.values)]
         else:
             rows = [(j + 1, float(r)) for j, r in enumerate(entry.spec.ratios)]
-    return _emit(args, _config(args, "construct", entry), results,
+    return _emit(args, _config(args, entry), results,
                  {"operator.csv": (("index", "value"), rows)})
 
 
@@ -185,7 +172,7 @@ def _cmd_powers(args) -> int:
 
     results = [CheckRecord("power-norms", "info", float(series.values.max()),
                            detail=f"k <= {args.k_max}")]
-    return _emit(args, _config(args, "powers", entry), results,
+    return _emit(args, _config(args, entry), results,
                  {"powers.csv": (("k", "norm", "method"), rows)})
 
 
@@ -200,22 +187,19 @@ def _cmd_cesaro(args) -> int:
                            detail=f"order={profile.order}; "
                                   f"rotation_shortcut={profile.rotation_shortcut}; "
                                   f"angle_count={profile.angle_count}")]
-    return _emit(args, _config(args, "cesaro", entry), results,
+    return _emit(args, _config(args, entry), results,
                  {"means.csv": (("n", "norm_M1", "norm_M2", "sup_lambda"), rows)})
 
 
 def _check_sweep(args):
     """Reject the mean sweep's settings before any sweep runs, not after the first."""
-    if args.n_max < 0:
-        raise ValidationError("n_max must be non-negative")
-    if args.angles < 1:
-        raise ValidationError("angle count must be at least 1")
+    _count(args.n_max, "n_max")
+    _count(args.angles, "angle count", 1)
 
 
 def _cmd_kreiss(args) -> int:
     _check_sweep(args)
-    if args.k_max < 1:
-        raise ValidationError("k_max must be at least 1")
+    _count(args.k_max, "k_max", 1)
     entry = _operator_entry(args)
     grid = (AnnulusGrid(args.radii, args.angles) if args.radii is not None
             else AnnulusGrid.default(args.angles))
@@ -249,22 +233,21 @@ def _cmd_kreiss(args) -> int:
                        "under-resolved in n_max or angles"))
     rows = [(name, getattr(report, name)) for name in
             ("kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C")]
-    return _emit(args, _config(args, "kreiss", entry), results,
+    return _emit(args, _config(args, entry), results,
                  {"constants.csv": (("constant", "value"), rows)})
 
 
 def _cmd_claims(args) -> int:
     _check_sweep(args)
     dyadic_ladder(args.k_max)
-    if args.probes < 1:
-        raise ValidationError("claims need at least one probe")
+    _count(args.probes, "n_probes", 1)
     entry = _operator_entry(args)
     report = kb2_constant(entry.spec, args.n_max, args.angles)
     constant = float(report.kb2_sum_C)
     claims = run_hilbert_claims(entry.spec, constant, n_probes=args.probes,
                                 n_top=args.k_max, seed=args.seed)
     results = [CheckRecord("kb2-sum-constant", "info", constant), *claims]
-    return _emit(args, _config(args, "claims", entry), results,
+    return _emit(args, _config(args, entry), results,
                  {"claims.csv": (CLAIM_COLUMNS, claims.rows)})
 
 
@@ -279,7 +262,7 @@ def _cmd_growth(args) -> int:
         results.append(envelope)
     else:
         rows = [(int(k), float(v), None, None) for k, v in zip(series.k, series.values)]
-    return _emit(args, _config(args, "growth", entry), results,
+    return _emit(args, _config(args, entry), results,
                  {"growth.csv": (GROWTH_COLUMNS, rows)})
 
 
@@ -302,7 +285,7 @@ def main(argv=None) -> int:
     }
     try:
         _check_out(args.out)
-        _check_seed(args.seed)
+        _count(args.seed, "--seed")  # numpy's seeded generators take no negative seed
         return handlers[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,40 +28,35 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .operators import SEED
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on; round-trips through the report header."""
+    """Everything a run depends on; round-trips through the report header.
+
+    ``params`` are the catalog operator's normalized parameters and
+    ``options`` every other parsed flag of the command, as parsed.
+    """
 
     command: str
     operator: str | None = None
     params: dict = field(default_factory=dict)
-    n_max: int | None = None
-    k_max: int | None = None
-    angles: int | None = None
-    radii: tuple | None = None
-    seed: int = 0x5EED
+    options: dict = field(default_factory=dict)
+    seed: int = SEED
     out: str = "."
     format: str = "json"
 
     def __post_init__(self):
         _check_keys(f"{self.command} config", self.params)
+        _check_keys(f"{self.command} config", self.options)
 
     def to_dict(self) -> dict:
-        data = field_values(self)
-        data["params"] = dict(self.params)
-        if self.radii is not None:
-            data["radii"] = list(self.radii)
-        return data
+        return {**field_values(self), "params": dict(self.params), "options": dict(self.options)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        kwargs["params"] = dict(data.get("params", {}))
-        if kwargs.get("radii") is not None:
-            kwargs["radii"] = tuple(kwargs["radii"])
-        return cls(**kwargs)
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def field_values(record) -> dict:

@@ -466,6 +466,7 @@ def reproduce(theorem_id: str, out_dir=".", seed: int = SEED) -> int:
     seed = _count(seed, "seed")
     records, tables = RUNNERS[theorem_id](seed)
     results = [record.to_dict() for record in records]
-    config = RunConfig(command="reproduce", operator=theorem_id, seed=seed, out=str(out_dir))
+    config = RunConfig(command="reproduce", operator=theorem_id, seed=seed, out=str(out_dir),
+                       format="csv")
     emit_report(config, results, tables, out_dir)
     return 0 if summarize(results)["all_passed"] else 1

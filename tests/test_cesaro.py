@@ -641,3 +641,15 @@ def test_real_means_keep_the_bits_of_complex_quotients():
             for n in (3, 4, 7, 8)}
     expected = [_dense_norm(sums[n + 1] / (n + 2) - sums[n] / (n + 1)) for n in (3, 7)]
     np.testing.assert_array_equal(kl.mean_difference_decay(op, (3, 7)), expected)
+
+
+@pytest.mark.parametrize("probe, ladder, message", [
+    (False, (), "ladder needs at least one rung"),
+    (True, (16,), "ladder needs at least two rungs"),
+    (False, (4, 4), "ladder must be strictly increasing"),
+    (True, (8, 4), "ladder must be strictly increasing"),
+], ids=["decay-empty", "probe-one-rung", "decay-repeated", "probe-decreasing"])
+def test_ladder_rule(probe, ladder, message):
+    op = kl.build_tz_block(4)
+    with pytest.raises(kl.ValidationError, match=message):
+        kl.ergodic_probe(op, 2, ladder) if probe else kl.mean_difference_decay(op, ladder)

@@ -273,6 +273,62 @@ def test_reproduce_names_the_submodule():
     assert callable(r.reproduce)
 
 
+_SUBCOMMAND_LINES = {
+    "construct": ["--operator", "bermbmp", "--trunc", "6", "--direction", "backward"],
+    "powers": ["--operator", "tn", "--trunc", "8", "--k-max", "5"],
+    "cesaro": ["--operator", "tzblock", "--trunc", "4", "--angles", "4", "--order", "2"],
+    "kreiss": ["--operator", "tzblock", "--trunc", "4", "--radii", "1.5,2"],
+    "claims": ["--operator", "tzblock", "--trunc", "4", "--probes", "2"],
+    "growth": ["--operator", "shields", "--nmax-sum", "4", "--window", "2", "6"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_LINES))
+def test_config_holds_every_parsed_flag(command):
+    # The config once left out cesaro --order, claims --probes and
+    # growth --window: every parsed dest is a fixed field or an option.
+    args = kreisslab.cli.build_parser().parse_args(
+        [command, *_SUBCOMMAND_LINES[command], "--seed", "5", "--out", "runs",
+         "--format", "csv"])
+    entry = kreisslab.cli._operator_entry(args)
+    config = kreisslab.cli._config(args, entry)
+    fixed = {f.name for f in dataclasses.fields(config)} - {"params", "options"}
+    assert not config.options.keys() & fixed
+    assert config.params == entry.params
+    for dest, value in vars(args).items():
+        assert (getattr(config, dest) if dest in fixed else config.options[dest]) == value, dest
+
+
+@pytest.mark.parametrize("argv, flag, values", [
+    (["cesaro", "--operator", "tzblock", "--trunc", "4", "--angles", "4", "--n-max", "8"],
+     "--order", (["1"], ["2"])),
+    (["claims", "--operator", "tzblock", "--trunc", "4", "--angles", "4", "--n-max", "8",
+      "--k-max", "4"], "--probes", (["2"], ["4"])),
+    (["growth", "--operator", "ergces", "--trunc", "8", "--k-max", "60"],
+     "--window", (["16", "60"], ["20", "60"])),
+], ids=["order", "probes", "window"])
+def test_configs_differ_with_a_flag(tmp_path, argv, flag, values):
+    configs = []
+    for i, value in enumerate(values):
+        out = tmp_path / str(i)
+        assert main([*argv, flag, *value, "--out", str(out)]) == 0
+        config = read_report(out)["config"]
+        del config["out"]
+        configs.append(config)
+    assert configs[0] != configs[1]
+
+
+def test_reproduce_records_the_csv_format_it_writes(tmp_path, monkeypatch):
+    import kreisslab.reproduce as r
+
+    monkeypatch.setitem(r.RUNNERS, "thm1.5", lambda seed: ([], {"t.csv": (("a",), [])}))
+    assert r.reproduce("thm1.5", tmp_path, seed=3) == 0
+    assert (tmp_path / "t.csv").exists()
+    assert read_report(tmp_path)["config"] == {
+        "command": "reproduce", "operator": "thm1.5", "params": {}, "options": {}, "seed": 3,
+        "out": str(tmp_path), "format": "csv"}
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     code = main(["construct", "--operator", "tn", "--trunc", "4", "--eta", "0.9",
                  "--out", str(tmp_path)])
@@ -521,16 +577,25 @@ def test_identity_commands_are_cli_lines():
 
 
 def test_pool_cpu_commands_are_the_benchmark_ops():
-    # tools/pool_cpu.py measures these commands; each must parse, and they
-    # are the ops of the benchmark's workloads.
+    # tools/pool_cpu.py measures these commands, which it reads from the
+    # benchmark's workloads; each must parse.
     pool_cpu = load_file("tools/pool_cpu.py")
     parser = kreisslab.cli.build_parser()
     for command in pool_cpu.COMMANDS:
         parser.parse_args([*command, "--out", "unused"])
-    workloads = load_file("perfbench/workloads.py")
-    assert pool_cpu.BLAS_THREADS == workloads.BLAS_THREADS
-    assert sorted(pool_cpu.COMMANDS) == sorted(op for workload in workloads.WORKLOADS.values()
-                                               for op in workload.ops)
+
+
+def test_identity_names_a_config_change_apart_from_the_report(tmp_path):
+    # --epsilon does not enter a tn operator, so these two runs differ in
+    # their config alone, which tools/identity.py names apart from the rest
+    # of report.json.
+    identity = load_file("tools/identity.py")
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["powers", "--operator", "tn", "--trunc", "4", "--k-max", "3", "--format", "csv"]
+    before = identity.outputs(src, argv, tmp_path / "a")
+    after = identity.outputs(src, [*argv, "--epsilon", "0.2"], tmp_path / "b")
+    assert before[2].keys() == {"powers.csv"}
+    assert identity.differences(before, after) == ["config"]
 
 
 def test_tz_block_above_the_svd_cap_is_normed(tmp_path):

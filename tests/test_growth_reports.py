@@ -193,8 +193,8 @@ def test_report_bytes_deterministic(tmp_path):
 
 
 def test_run_config_roundtrip():
-    values = {"command": "kreiss", "operator": "tn", "params": {"n": 16, "eta": 0.45},
-              "n_max": 128, "k_max": 16, "angles": 64, "radii": (1.5, 1.25), "seed": 3,
+    values = {"command": "growth", "operator": "tn", "params": {"n": 16, "eta": 0.45},
+              "options": {"k_max": 126, "window": [16, 60], "trunc": 16}, "seed": 3,
               "out": "runs", "format": "csv"}
     assert values.keys() == {f.name for f in dataclasses.fields(kl.RunConfig)}
     config = kl.RunConfig(**values)
@@ -203,7 +203,7 @@ def test_run_config_roundtrip():
             assert getattr(config, f.name) != f.default, f.name
         if f.default_factory is not dataclasses.MISSING:
             assert getattr(config, f.name) != f.default_factory(), f.name
-    assert config.to_dict() == {**values, "radii": [1.5, 1.25]}
+    assert config.to_dict() == values
     assert kl.RunConfig.from_dict(json.loads(to_json_bytes(config.to_dict()))) == config
 
 

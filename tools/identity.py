@@ -7,9 +7,11 @@ directory, so an interrupted run leaves nothing registered in the
 repository.  Each command of COMMANDS then runs twice, as
 ``python -m kreisslab <command> --out <dir>`` with PYTHONPATH at the
 parent's ``src`` and at the working tree's.  A command is the same when
-its exit code, its stdout, every CSV it writes and its report.json less
-``config.out`` are equal byte for byte.  One line per command is
-printed, and the exit status is 1 when any command differs.
+its exit code, its stdout, every CSV it writes, its report's ``config``
+block less ``out`` and the rest of its report.json are equal byte for
+byte.  One line per command is printed, naming the parts that differ,
+so a change of the config layout alone shows as ``config``.  The exit
+status is 1 when any command differs.
 
 Byte identity rests on the BLAS build, so this is a tool to run against
 a parent by hand, not a test.
@@ -56,24 +58,28 @@ COMMANDS = (
 
 
 def outputs(src: Path, argv, out: Path):
-    """(exit code, stdout, {csv name: bytes}, report.json less config.out) of one run."""
+    """(exit code, stdout, {csv name: bytes}, config less out, rest of report.json) of one run."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "kreisslab", *argv, "--out", str(out)],
                           env=env, cwd=out.parent, capture_output=True)
     csvs = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
-    report = None
+    config = report = None
     if (out / "report.json").exists():
         parsed = json.loads((out / "report.json").read_bytes())
-        parsed.get("config", {}).pop("out", None)
-        report = json.dumps(parsed)  # floats by repr: equal strings are equal bits
-    return proc.returncode, proc.stdout, csvs, report
+        config = parsed.pop("config", {})
+        config.pop("out", None)
+        # floats by repr: equal strings are equal bits
+        config, report = json.dumps(config), json.dumps(parsed)
+    return proc.returncode, proc.stdout, csvs, config, report
 
 
 def differences(before, after) -> list:
     """Names of the parts in which two outputs() results differ."""
-    (code_a, stdout_a, csv_a, report_a), (code_b, stdout_b, csv_b, report_b) = before, after
+    code_a, stdout_a, csv_a, config_a, report_a = before
+    code_b, stdout_b, csv_b, config_b, report_b = after
     diffs = [name for name, same in (("exit code", code_a == code_b),
                                      ("stdout", stdout_a == stdout_b),
+                                     ("config", config_a == config_b),
                                      ("report.json", report_a == report_b)) if not same]
     return diffs + [name for name in sorted(csv_a.keys() | csv_b.keys())
                     if csv_a.get(name) != csv_b.get(name)]

@@ -4,9 +4,10 @@
 
 Each command of COMMANDS (the ops of perfbench's workloads) runs in a
 fresh process through ``kreisslab.cli.main``, with the working tree's
-``src`` on PYTHONPATH and the BLAS pools pinned to BLAS_THREADS threads,
-as perfbench pins them.  The library itself is serial, so every CPU
-second that the process spends outside its main thread is the pool's.
+``src`` on PYTHONPATH and the BLAS pools pinned to perfbench's
+BLAS_THREADS threads, as perfbench pins them.  The library itself is
+serial, so every CPU second that the process spends outside its main
+thread is the pool's.
 For each command one line gives three figures in seconds, each the
 median of REPEATS fresh runs:
 
@@ -37,9 +38,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-#: Pool size pinned in every run, as perfbench/workloads.py's BLAS_THREADS.
-BLAS_THREADS = 2
+from workloads import BLAS_THREADS, WORKLOADS  # noqa: E402
 
 #: Seconds watched after each command.
 TAIL_S = 0.3
@@ -47,20 +48,8 @@ TAIL_S = 0.3
 #: Fresh runs of each command.
 REPEATS = 3
 
-#: perfbench's ops, by workload, without --seed and --out.
-COMMANDS = (
-    ("reproduce", "ex2.9"),
-    ("construct", "--operator", "tzblock", "--trunc", "512"),
-    ("kreiss", "--operator", "tzblock", "--trunc", "16"),
-    ("kreiss", "--operator", "ergces", "--trunc", "20"),
-    ("reproduce", "thm2.8"),
-    ("reproduce", "prop3.5"),
-    ("reproduce", "thm2.4"),
-    ("reproduce", "thm2.5"),
-    ("reproduce", "thm2.7-claims"),
-    ("reproduce", "thm1.5"),
-    ("reproduce", "lemma2.1"),
-)
+#: perfbench's ops in workload order, without --seed and --out.
+COMMANDS = tuple(op for workload in WORKLOADS.values() for op in workload.ops)
 
 #: Run in the fresh process: argv is TAIL_S, the output directory, then the command.
 _CHILD = """
