@@ -23,6 +23,7 @@ from .constructions import (
     build_shields_counterexample,
     build_tz_block,
     ergces_power_closed_form,
+    ergces_power_sums,
     make_operator,
     shields_certified_kmax,
     tn_weights,

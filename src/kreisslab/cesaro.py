@@ -16,9 +16,7 @@ one pass over the leaf's powers bounds every cell of every point
 (_seed_bounds).  These bounds pick the seeds and the points to step;
 each stepped cell is then checked once, by the cascade of
 _norm_unless_beaten.  The probes and the mean differences read their
-sums only at sparse rungs; past d + 1 steps they reach the rungs by
-doubling when that costs fewer flops (_rung_sums), about 3 d^3 flops
-per doubling of n instead of n block products.
+sums only at sparse rungs of that same stream (_rung_sums).
 
 Rotated profiles take the sup over a uniform unimodular grid; for
 shift-like operators the rotation is a unitary equivalence, so a single
@@ -143,62 +141,13 @@ def _swept_count(op: OperatorSpec, lams: np.ndarray) -> int:
     return len(lams) // 2 + 1 if _is_real(op) else len(lams)
 
 
-def _doubled_sums(mat: np.ndarray, power: np.ndarray, total: np.ndarray, start: int, rungs):
-    """Yield (n, T^n s, sum_{j<=n} T^j s) at each rung n > start, given those two at start.
+def _rung_sums(start, rungs, step):
+    """Yield (n, T^n s, sum_{j<=n} T^j s) of _power_sums at each increasing rung n >= 1.
 
-    mat is T.  With U_a = T + .. + T^a, the sums double exactly:
-    U_2a = U_a + U_a T^a and T^2a = T^a T^a, from one product of the
-    stacked [U_a; T^a] with T^a.  A gap k to the next rung is crossed
-    bit by bit from the lowest, by S_(<a+b) = S_(<a) + T^a S_(<b): for
-    each bit a of k, one product of [U_a; T^a] with the current power
-    adds U_a T^m s to the sum and makes the power T^(m+a) s.  The matrices
-    cost about 2 d^3 flops per level and the block 2 d^2 p per set bit,
-    against d^2 p per step of stepping.
-    """
-    d = mat.shape[0]
-    levels = [np.concatenate((mat, mat))]  # [U_a; T^a] for a = 1, 2, 4, ..
-    n = start
-    for rung in rungs:
-        gap = rung - n
-        for level in range(gap.bit_length()):
-            if level == len(levels):
-                sums, top = levels[-1][:d], levels[-1][d:]
-                product = levels[-1] @ top
-                product[:d] += sums
-                levels.append(product)
-            if gap >> level & 1:
-                product = levels[level] @ power
-                total = total + product[:d]
-                power = product[d:]
-        n = rung
-        yield n, power, total
-
-
-def _rung_sums(start, rungs, step, mat=None):
-    """Yield (n, T^n s, sum_{j<=n} T^j s) at each rung n >= 1 of the increasing rungs.
-
-    s = start is a (d, p) block and step(v) = T v.  The sums are stepped
-    as in _power_sums until they settle (a nilpotent T settles within d
-    steps) or d + 1 steps pass.  Then, when mat (T itself, as
-    materialize gives it) is given and the remaining rest = rungs[-1] - n
-    steps would cost more flops than doubling, 3 d bit_length(rest) <
-    rest p, each remaining rung is reached by _doubled_sums; else
-    stepping goes on.  With s = I, step may equally multiply from the right.
+    s = start is a (d, p) block and step(v) = T v, or v T with s = I.
     """
     wanted = set(rungs)
-    stream = _power_sums(step, start, rungs[-1])
-    d = start.shape[0]
-    for n, power, total, settled in stream:
-        if n in wanted:
-            yield n, power, total
-        if settled or n == d + 1:
-            break
-    rest = rungs[-1] - n
-    if mat is not None and not settled and rest > 0 \
-            and 3 * d * rest.bit_length() < rest * start.shape[1]:
-        yield from _doubled_sums(mat, power, total, n, [r for r in rungs if r > n])
-        return
-    for n, power, total, _ in stream:
+    for n, power, total, _ in _power_sums(step, start, rungs[-1]):
         if n in wanted:
             yield n, power, total
 
@@ -712,18 +661,15 @@ def _ladder(ladder, least: int) -> tuple:
 def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     """||M_{n+1}(T) - M_n(T)|| at each ladder index n.
 
-    The power sums at n and n + 1 come from _rung_sums on the identity,
-    real for a real op (materialize): stepped, or doubled once doubling
-    costs fewer flops.  The means are products with the reciprocal, as in
-    cesaro_identity_check.
+    The power sums at n and n + 1 are stepped by _rung_sums from the
+    identity, real for a real op (materialize).  The means are products
+    with the reciprocal, as in cesaro_identity_check.
     """
     ladder = _ladder(ladder, 1)
     mat = materialize(op)
     eye = np.eye(mat.shape[0], dtype=mat.dtype)
     rungs = sorted({m for n in ladder for m in (n, n + 1)} - {0})
-    sums = {0: eye}
-    for n, _, total in _rung_sums(eye, rungs, lambda p: p @ mat, mat):
-        sums[n] = total
+    sums = {0: eye} | {n: total for n, _, total in _rung_sums(eye, rungs, lambda p: p @ mat)}
     return np.array([_dense_norm(sums[n + 1] * (1.0 / (n + 2)) - sums[n] * (1.0 / (n + 1)))
                      for n in ladder])
 
@@ -738,14 +684,11 @@ def ergodic_probe(
 
     ``probes`` is either a count of seeded unit vectors, of any integral
     type (a float raises ValidationError), or an explicit sequence of
-    vectors (normalized here).  The probe decides nothing:
-    a caller gates the final gaps, ``gaps[:, -1]``, against
-    PROBE_TOLERANCE (the ``ergces-ergodic-probe`` and
-    ``tz-ergodic-probe`` checks of ``reproduce``).  The means are read
-    only at the rungs: the block is stepped for at most d + 1 steps,
-    and the rest is doubled when that costs fewer flops (_rung_sums).
-    A negative or non-integral seed raises ValidationError, as numpy's
-    generators take neither.
+    vectors (normalized here).  A caller may gate the final gaps,
+    ``gaps[:, -1]``, against PROBE_TOLERANCE, but a small gap proves
+    nothing: tzblock's coordinate probes pass on [[B, B-I, 0], [0, B, B-I],
+    [0, 0, B]], whose means grow like n.  The block is read at the rungs
+    (_rung_sums).  A negative or non-integral seed raises ValidationError.
     """
     seed = _count(seed, "seed")
     ladder = _ladder(ladder, 2)
@@ -754,17 +697,14 @@ def ergodic_probe(
         given = iter(probes)
     except TypeError:  # not vectors: a count, of any integral type
         given = None
+    vecs, labels = [], []
     if given is None:
         rng = np.random.default_rng(seed)
-        vecs = []
-        labels = []
         for i in range(_count(probes, "probe count", 1)):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vecs.append(v / np.linalg.norm(v))
             labels.append(f"seeded-{i}")
     else:
-        vecs = []
-        labels = []
         for i, v in enumerate(given):
             v = _check_dim(op, v)
             norm = np.linalg.norm(v)
@@ -779,12 +719,10 @@ def ergodic_probe(
     # step when it fits, else by one structured apply of the block.  A
     # real matrix steps a complex block X as the real block [Re X | Im X]
     # at half the flops of a complex product, and the complex sums are
-    # rebuilt at the ladder's rungs only.  Past d + 1 steps an unsettled
-    # block may reach the remaining rungs by doubling (_rung_sums).
+    # rebuilt at the ladder's rungs only.
     block = np.column_stack(vecs)
     count = block.shape[1]
     split = False
-    mat = None
     if d <= DENSE_CAP:
         mat = materialize(op)
         if not np.iscomplexobj(mat):
@@ -804,7 +742,7 @@ def ergodic_probe(
         return (running / (n + 1)).T.copy()
 
     means = {0: mean(block, 0)}
-    for n, _, running in _rung_sums(block, ladder, step, mat):
+    for n, _, running in _rung_sums(block, ladder, step):
         means[n] = mean(running, n)
     gaps = np.array([[float(np.linalg.norm(row)) for row in means[b] - means[a]]
                      for a, b in zip(ladder, ladder[1:])]).T

@@ -141,10 +141,11 @@ def build_ergces(j_max: int) -> Dense:
     """Cesaro-bounded triangular operator with a unimodular residual point.
 
     Column j has diagonal entry -c_j and first-row entry -eps_j; column 0
-    is -e_0.  The powers stay in the same sparsity pattern (closed form
-    in `ergces_power_closed_form`), the even Cesaro means are bounded by
-    3/2, and (T + I)(-e_j/eps_j) = e_0 - eps_j*e_j witnesses density of
-    the range of T + I.
+    is -e_0.  The powers and their sums stay in the same sparsity pattern
+    (closed forms in `ergces_power_closed_form` and `ergces_power_sums`),
+    every Cesaro mean M_n, n >= 1, has norm below 0.91 whatever j_max,
+    and (T + I)(-e_j/eps_j) = e_0 - eps_j*e_j witnesses density of the
+    range of T + I.
     """
     p = ErgcesParams(j_max)
     size = p.j_max + 1
@@ -172,6 +173,27 @@ def ergces_power_closed_form(j_max: int, n: int) -> np.ndarray:
     mat[idx, idx] = (-p.c) ** n
     mat[0, 1:] = sign * p.eps * (1.0 - p.c**n) / (1.0 - p.c)
     return mat
+
+
+def ergces_power_sums(j_max: int, ns) -> np.ndarray:
+    """Exact sum_{k<=n} T^k = (n+1) M_n of the `build_ergces` matrix, stacked over n in ns.
+
+    Summing `ergces_power_closed_form` with s_n(a) = sum_{k<=n} a^k gives
+    the diagonal s_n(-1), s_n(-c_j) and the first row
+    (s_n(-1) - s_n(-c_j))/eps_j: c_j (1 - c_j^n)/((1 + c_j) eps_j) at even
+    n and -(1 - c_j^(n+1))/((1 + c_j) eps_j) at odd n, as 1 - c_j = eps_j^2.
+    """
+    p = ErgcesParams(j_max)
+    n = np.array([_count(k, "mean index") for k in ns])[:, None]
+    odd = n % 2 == 1
+    log_c = np.log1p(-p.eps**2)
+    lost = -np.expm1(np.where(odd, n + 1, n) * log_c)  # 1 - c^m, accurate where m eps^2 is tiny
+    sums = np.zeros((len(n), p.j_max + 1, p.j_max + 1))
+    idx = np.arange(p.j_max + 1)
+    sums[:, idx, idx] = np.hstack((1.0 - odd, np.where(odd, lost, 1.0 + np.exp((n + 1) * log_c))
+                                   / (1.0 + p.c)))
+    sums[:, 0, 1:] = np.where(odd, -lost, p.c * lost) / ((1.0 + p.c) * p.eps)
+    return sums
 
 
 def _backward_shift_matrix(d: int) -> np.ndarray:

@@ -18,10 +18,8 @@ import math
 import numpy as np
 
 from .cesaro import (
-    PROBE_TOLERANCE,
     _dense_norm,
     cesaro_identity_check,
-    ergodic_probe,
     mean_difference_decay,
     rotated_mean_norm_profile,
 )
@@ -32,6 +30,7 @@ from .constructions import (
     build_shields_counterexample,
     build_tz_block,
     ergces_power_closed_form,
+    ergces_power_sums,
     make_operator,
     shields_certified_kmax,
     tz_block_power,
@@ -259,6 +258,20 @@ def _thm28(seed: int):
 
 
 def _prop35(seed: int):
+    """ergces: closed-form powers and means; mean ergodicity in closed form.
+
+    (n+1) M_n has diagonal s_n(-1), s_n(-c_j) and first row
+    (s_n(-1) - s_n(-c_j))/eps_j, s_n(a) = sum_{k<=n} a^k
+    (ergces_power_sums), checked against the stepped sums.  That entry is
+    at most (1 - c_j^m)/((1 + c_j) eps_j) with m <= n + 1, and
+    1 - c^m <= m eps^2, so |(M_n)_0j| <= eps_j/(1 + c_j).  For n >= 1,
+    |s_n(-1)| <= 1 and |s_n(-c_j)| <= 2/(1 + c_j) <= 8/7, so the diagonal
+    of M_n is at most 4/7 and its row norm at most
+    sqrt(sum_j 4^-j (4/7)^2) <= 4/sqrt(147): ||M_n|| < 0.91 for every
+    n >= 1 and j_max.  The column (n+1) M_n e_j, j >= 1, has entries at
+    most 8/7 and 2^j 4/7, so ||M_n e_j|| <= (sqrt(32)/7) 2^j/(n+1), and
+    M_n e_0 = s_n(-1) e_0/(n+1): M_n -> 0 strongly, and T is mean ergodic.
+    """
     j_max = 20
     op = build_ergces(j_max)
     mat = materialize(op)
@@ -266,10 +279,10 @@ def _prop35(seed: int):
     results = []
 
     eps = 2.0 ** (-np.arange(1, j_max + 1, dtype=float))
-    gap_rows = []
-    worst_gap = 0.0
-    mean_rows = []
-    worst_norm = 0.0
+    ns = np.array([*range(1, 257), *(2**k + i for k in range(9, 45) for i in (0, 1))])
+    sums = ergces_power_sums(j_max, ns)
+    gap_rows, mean_rows, totals = [], [], []
+    worst_gap = worst_norm = 0.0
     worst_entry_excess = -np.inf
     power_norm = {}  # ||T^n|| at the n that ergces-power-decay compares
     for n, power, total, _ in _power_sums(lambda p: p @ mat, np.eye(size, dtype=mat.dtype), 256):
@@ -277,6 +290,7 @@ def _prop35(seed: int):
             gap = float(np.max(np.abs(power - ergces_power_closed_form(j_max, n))))
             worst_gap = max(worst_gap, gap)
             gap_rows.append((n, gap))
+        totals.append(total)
         if n in (32, 256):
             power_norm[n] = _dense_norm(power)
         if n % 2 == 0:
@@ -293,22 +307,29 @@ def _prop35(seed: int):
                         detail="max over k <= 128"))
     results.append(gate("ergces-even-mean-entries", worst_entry_excess, "<=", 1e-9,
                         detail="max of |(M_2k)_{0,j}| - eps_j/2"))
+    results.append(gate("ergces-closed-form-means", np.max(np.abs(sums[:256] - totals)), "<=",
+                        1e-10, detail="entrywise gap of sum_{k<=n} T^k over n <= 256"))
+    ladder = "over n <= 256 and n = 2^k, 2^k + 1 for 9 <= k <= 44"
+    sum_diag, sum_row = sums.diagonal(axis1=1, axis2=2), sums[:, 0, 1:]
+    n1 = ns[:, None] + 1.0
+    first_row = np.abs(sum_row) * (2.0 - eps**2) / (eps * n1)  # 2 - eps^2 = 1 + c
+    results.append(gate("ergces-mean-first-row", first_row.max(), "<=", 1.0, 1e-12,
+                        detail=f"max of |(M_n)_0j| (1 + c_j)/eps_j {ladder}"))
+    bound = (np.abs(sum_diag).max(axis=1) + np.linalg.norm(sum_row, axis=1)) / n1[:, 0]
+    results.append(gate("ergces-mean-bound", bound.max(), "<=", 0.91,
+                        detail=f"max of max|diag M_n| + ||row_0 M_n|| {ladder}"))
+    rate = np.hypot(sum_diag[:, 1:], sum_row) / 2.0 ** np.arange(1, j_max + 1)
+    results.append(gate("ergces-mean-rate", rate.max(), "<=", math.sqrt(32.0) / 7.0,
+                        detail=f"max of (n+1) ||M_n e_j|| / 2^j, j >= 1, {ladder}"))
 
-    r32 = power_norm[32] / 32.0
-    r256 = power_norm[256] / 256.0
-    results.append(gate("ergces-power-decay", r256, "<", r32 / 2.0,
+    results.append(gate("ergces-power-decay", power_norm[256] / 256.0, "<", power_norm[32] / 64.0,
                         detail="n^-1 ||T^n|| halves between n=32 and n=256"))
 
-    e0 = np.zeros(size)
-    e0[0] = 1.0
-    got = apply(op, e0)
-    results.append(gate("ergces-fixed-direction", float(np.max(np.abs(got + e0))), "<=", 0.0,
-                        detail="column 0 is -e_0"))
-    worst_witness = 0.0
-    witness_rows = []
-    for j in range(1, j_max + 1):
-        ej = np.zeros(size)
-        ej[j] = 1.0
+    e0, *basis = np.eye(size)
+    results.append(gate("ergces-fixed-direction", float(np.max(np.abs(apply(op, e0) + e0))), "<=",
+                        0.0, detail="column 0 is -e_0"))
+    worst_witness, witness_rows = 0.0, []
+    for j, ej in enumerate(basis, 1):
         image = apply(op, -ej / eps[j - 1]) + (-ej / eps[j - 1])
         expected = e0.copy()
         expected[j] = -eps[j - 1]
@@ -316,12 +337,6 @@ def _prop35(seed: int):
         witness_rows.append((j, float(np.linalg.norm(image - e0))))
     results.append(gate("ergces-range-witness", worst_witness, "<=", 1e-12,
                         detail="(T+I)(-e_j/eps_j) = e_0 - eps_j e_j, residual norm eps_j"))
-
-    probe = ergodic_probe(
-        op, probes=8, ladder=(16, 64, 256, 1024, 4096, 8192, 16384)
-    )
-    results.append(gate("ergces-ergodic-probe", float(probe.gaps[:, -1].max()), "<=",
-                        PROBE_TOLERANCE, detail="Cauchy gaps at the ladder top"))
 
     tables = {
         "power_gap.csv": (("n", "max_abs_gap"), gap_rows),
@@ -332,13 +347,46 @@ def _prop35(seed: int):
 
 
 def _ex29(seed: int):
+    """tzblock: closed-form powers, growth below its symbol, certified means.
+
+    T = [[B, B - I], [0, B]] (B the backward shift) has T^n =
+    [[B^n, n B^(n-1)(B - I)], [0, B^n]], so M_n = [[m_n(B), q_n(B)], [0, m_n(B)]]
+    with m_n(z) = sum_{k<=n} z^k/(n+1), q_n(z) = (n z^n - sum_{k<n} z^k)/(n+1).
+    The first d coordinates of each half span an invariant subspace of
+    the infinite T, so ||M_n(T_d)|| <= S_n, the sup over |z| = 1 of the
+    symbol's norm (|q_n| + sqrt(|q_n|^2 + 4|m_n|^2))/2 <= |m_n| + |q_n| < 3.
+    The symbol has degree n in the angle, so by Bernstein its derivative is
+    at most n S_n, and N = 4096 angles give S_n <= grid max/(1 - n pi/N).
+    As T_d^(d+1) = 0, n <= d + 1 reaches sup_n ||M_n(T_d)||, and
+    M_n x = O(1/n) for finitely supported x.
+    """
     results = []
-    d_small = 8
-    mat = materialize(build_tz_block(d_small))
-    powers = _power_sums(lambda p: p @ mat, np.eye(2 * d_small), 2 * d_small)
-    gap = max(float(np.max(np.abs(power - tz_block_power(d_small, n)))) for n, power, *_ in powers)
+    sizes = (8, 16, 32)
+    # One angle array per n: the allocator would keep a (points, n) table's megabytes.
+    points, ns = 4096, np.arange(1, sizes[-1] + 2)
+    z = np.exp(2j * np.pi * np.arange(points) / points)
+    zn, below, grid = np.ones(points, complex), np.zeros(points, complex), []
+    for n in ns:  # zn = z^n, below = sum_{k<n} z^k
+        below, zn = below + zn, zn * z
+        m, q = np.abs(below + zn) / (n + 1), np.abs(n * zn - below) / (n + 1)
+        grid.append(np.max(q + np.sqrt(q * q + 4.0 * m * m)))
+    symbol = np.array(grid) / (2.0 - 2.0 * np.pi * ns / points)
+    gap, worst, sups = 0.0, 0.0, []  # sups: sup over n of ||M_n(T_d)||
+    for d in sizes:
+        mat = materialize(build_tz_block(d))
+        norms = []
+        for n, power, total, _ in _power_sums(lambda p: p @ mat, np.eye(len(mat)), d + 1):
+            gap = max(gap, float(np.max(np.abs(power - tz_block_power(d, n)))))
+            norms.append(_dense_norm(total * (1.0 / (n + 1))))
+        sups.append(max(norms))
+        worst = max(worst, float(np.max(np.array(norms) / symbol[:d + 1])))
     results.append(gate("tz-block-power-formula", gap, "<=", 1e-12,
-                        detail=f"d={d_small}, n <= {2 * d_small}"))
+                        detail=f"d in {sizes}, n <= d + 1, the first zero power"))
+    results.append(gate("tz-mean-symbol-bound", worst, "<=", 1.0,
+                        params={"d": list(sizes), "sup_mean_norm": sups},
+                        detail=f"max over d in {sizes} and n <= d + 1 of ||M_n(T_d)|| / S_n"))
+    results.append(gate("tz-mean-symbol-uniform", float(symbol.max()), "<", 3.0,
+                        detail=f"max over n <= {sizes[-1] + 1} of the certified S_n"))
 
     # The norms come from a Sturm count on the tridiagonal Schur complement
     # of each power's integer Gram matrix, with no power built.  The dense
@@ -350,9 +398,7 @@ def _ex29(seed: int):
     rows = [(int(n), float(v), float(r)) for n, v, r in zip(k, values, ratios)]
     results.append(gate("tz-transient-growth", float(ratios.min()), ">=", 1.9,
                         detail=f"min over n <= {k_top} of n^-1 ||T^n|| at d={d}"))
-    # The first d coordinates of each half span an invariant subspace of
-    # the infinite block-Toeplitz operator, so every truncation stays
-    # below the sup of its symbol: ||T^n|| <= n + sqrt(n^2 + 1).
+    # Every truncation stays below the sup of the symbol of T^n, n + sqrt(n^2 + 1).
     symbol_ratio = float(np.max(values / (k + np.sqrt(k**2 + 1.0))))
     results.append(gate("tz-symbol-bound", symbol_ratio, "<=", 1.0, 1e-12,
                         detail=f"max over n <= {k_top} of ||T^n|| / (n + sqrt(n^2 + 1)) at d={d}"))
@@ -367,15 +413,6 @@ def _ex29(seed: int):
     results.append(CheckRecord("tz-growth-vs-kreiss-rate", "info", float(rate[-1]),
                                params={"n": ladder.tolist(), "rate_ratio": rate.tolist()},
                                detail=f"sqrt(log n) ||T^n|| / n at d={d}"))
-
-    probe_vectors = []
-    for j in (0, 3, 17, 256, 261):
-        e = np.zeros(2 * 256)
-        e[j] = 1.0
-        probe_vectors.append(e)
-    probe = ergodic_probe(build_tz_block(256), probes=probe_vectors)
-    results.append(gate("tz-ergodic-probe", float(probe.gaps[:, -1].max()), "<=",
-                        PROBE_TOLERANCE, detail="coordinate probes at d=256"))
     return results, {"tz_growth.csv": (("n", "norm", "ratio"), rows)}
 
 

@@ -7,9 +7,8 @@ import kreisslab as kl
 import kreisslab.cesaro
 import kreisslab.operators
 import kreisslab.reproduce
-from kreisslab.cesaro import (_dense_norm, _doubled_sums, _power_sums, _rotated_mean_norms,
-                              _rung_sums)
-from kreisslab.operators import _compact, _dense_dimension
+from kreisslab.cesaro import _dense_norm, _power_sums, _rotated_mean_norms, _rung_sums
+from kreisslab.operators import _dense_dimension
 from kreisslab.reproduce import CANONICAL_CATALOG
 
 
@@ -332,7 +331,7 @@ def test_mean_difference_ladder_validation():
         kl.mean_difference_decay(kl.Dense(np.eye(2)), (-5, 16))
 
 
-# --- rungs: stepping, then doubling ---
+# --- rungs ---
 
 
 #: Spectral radius 1/2 behind an off-diagonal of 3, as in test_kreiss.
@@ -346,7 +345,7 @@ RUNG_OPS = {
 
 
 def stepped_means(mat, block, ladder):
-    # One product per index: the oracle of the doubled rungs.
+    # One product per index: the oracle of the rung sums.
     means = {0: block}
     power = total = block
     for n in range(1, ladder[-1] + 1):
@@ -358,10 +357,7 @@ def stepped_means(mat, block, ladder):
 
 
 @pytest.mark.parametrize("op", RUNG_OPS.values(), ids=RUNG_OPS.keys())
-def test_doubled_rungs_equal_stepped_ones(op, monkeypatch):
-    doubled = []
-    monkeypatch.setattr(kreisslab.cesaro, "_doubled_sums",
-                        lambda *args: doubled.append(args[3]) or _doubled_sums(*args))
+def test_rung_sums_equal_stepped_ones(op):
     d = kl.dimension(op)
     mat = kl.materialize(op)
     ladder = (3, 16, 64, 255, 1000, 4096)
@@ -377,25 +373,6 @@ def test_doubled_rungs_equal_stepped_ones(op, monkeypatch):
     diffs = kl.mean_difference_decay(op, ladder)
     np.testing.assert_allclose(diffs, [_dense_norm(sums[n + 1] - sums[n]) for n in ladder],
                                rtol=1e-12, atol=0)
-    assert doubled == [d + 1, d + 1]  # the probe and the decay both doubled
-
-
-def test_rung_path_selection(monkeypatch):
-    doubled = []
-    monkeypatch.setattr(kreisslab.cesaro, "_doubled_sums",
-                        lambda *args: doubled.append(args[3]) or _doubled_sums(*args))
-    # Nilpotent: tzblock d settles within d + 1 steps and never doubles.
-    kl.ergodic_probe(kl.build_tz_block(8), probes=8)
-    kl.mean_difference_decay(kl.build_tz_block(8), (64, 512))
-    vecs = list(np.eye(512)[[0, 3, 17, 256, 261]])
-    kl.ergodic_probe(kl.build_tz_block(256), probes=vecs)
-    assert doubled == []
-    # ergces 12 (d = 13) steps d + 1 = 14 times, then doubles.
-    kl.ergodic_probe(kl.build_ergces(12), probes=8)
-    assert doubled == [14]
-    # Doubling pays only when it needs fewer flops: one probe to n = 64 keeps stepping.
-    kl.ergodic_probe(kl.build_ergces(12), probes=[np.ones(13)], ladder=(16, 64))
-    assert doubled == [14]
 
 
 # --- ergodic probes ---
@@ -501,7 +478,7 @@ def test_batched_probes_match_single_probe_orbits_on_seeded_ergces():
 def test_a_real_matrix_steps_complex_probes_as_one_real_block(op, monkeypatch):
     # The seeded probes are complex: the real matrix steps [Re X | Im X],
     # and the gaps equal those of complex products with the matrix, bit for
-    # bit, on the same path (ergces 12 doubles past d + 1 steps, tzblock 8 settles).
+    # bit (ergces 12 steps to the ladder top, tzblock 8 settles).
     d = kl.dimension(op)
     ladder = (16, 64, 256, 1024)
     starts = []
@@ -522,7 +499,7 @@ def test_a_real_matrix_steps_complex_probes_as_one_real_block(op, monkeypatch):
     mat = kl.materialize(op).astype(complex)
     block = np.column_stack(vecs)
     means = {0: block.T.copy()}
-    for n, _, running in _rung_sums(block, ladder, lambda b: mat @ b, _compact(mat)):
+    for n, _, running in _rung_sums(block, ladder, lambda b: mat @ b):
         means[n] = (running / (n + 1)).T.copy()
     expected = [[np.linalg.norm(row) for row in means[b] - means[a]]
                 for a, b in zip(ladder, ladder[1:])]

@@ -266,6 +266,18 @@ def test_ex29_outputs_byte_identical_across_runs(tmp_path):
     assert "tz-norm-dense-oracle" in ids and "tz-growth-vs-kreiss-rate" in ids
 
 
+@pytest.mark.parametrize("theorem_id", ["prop3.5", "ex2.9"])
+def test_certificate_ids_ignore_the_seed(tmp_path, theorem_id):
+    # Nothing in these runs is random: two seeds give the same results and tables.
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        assert main(["reproduce", theorem_id, "--seed", seed, "--out", str(out)]) == 0
+        tables = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+        outputs.append((read_report(out)["results"], tables))
+    assert outputs[0][1] and outputs[0] == outputs[1]
+
+
 def test_reproduce_names_the_submodule():
     import kreisslab.reproduce as r
 
