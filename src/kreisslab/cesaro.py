@@ -16,7 +16,7 @@ one pass over the leaf's powers bounds every cell of every point
 (_seed_bounds).  These bounds pick the seeds and the points to step;
 each stepped cell is then checked once, by the cascade of
 _norm_unless_beaten.  The probes and the mean differences read their
-sums only at sparse rungs of that same stream (_rung_sums).
+sums only at sparse rungs of that same stream.
 
 Rotated profiles take the sup over a uniform unimodular grid; for
 shift-like operators the rotation is a unitary equivalence, so a single
@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import (
-    DENSE_CAP,
     SEED,
     Dense,
     OperatorSpec,
@@ -139,17 +138,6 @@ def _swept_count(op: OperatorSpec, lams: np.ndarray) -> int:
     every value of the grid.  Otherwise every point is evaluated.
     """
     return len(lams) // 2 + 1 if _is_real(op) else len(lams)
-
-
-def _rung_sums(start, rungs, step):
-    """Yield (n, T^n s, sum_{j<=n} T^j s) of _power_sums at each increasing rung n >= 1.
-
-    s = start is a (d, p) block and step(v) = T v, or v T with s = I.
-    """
-    wanted = set(rungs)
-    for n, power, total, _ in _power_sums(step, start, rungs[-1]):
-        if n in wanted:
-            yield n, power, total
 
 
 def _frobenius(mat: np.ndarray) -> float:
@@ -661,15 +649,16 @@ def _ladder(ladder, least: int) -> tuple:
 def mean_difference_decay(op: OperatorSpec, ladder) -> np.ndarray:
     """||M_{n+1}(T) - M_n(T)|| at each ladder index n.
 
-    The power sums at n and n + 1 are stepped by _rung_sums from the
-    identity, real for a real op (materialize).  The means are products
-    with the reciprocal, as in cesaro_identity_check.
+    The power sums at n and n + 1 are read off one _power_sums stream
+    from the identity, real for a real op (materialize).  The means are
+    products with the reciprocal, as in cesaro_identity_check.
     """
     ladder = _ladder(ladder, 1)
     mat = materialize(op)
     eye = np.eye(mat.shape[0], dtype=mat.dtype)
-    rungs = sorted({m for n in ladder for m in (n, n + 1)} - {0})
-    sums = {0: eye} | {n: total for n, _, total in _rung_sums(eye, rungs, lambda p: p @ mat)}
+    rungs = {m for n in ladder for m in (n, n + 1)}
+    stream = _power_sums(lambda p: p @ mat, eye, ladder[-1] + 1)
+    sums = {0: eye} | {n: total for n, _, total, _ in stream if n in rungs}
     return np.array([_dense_norm(sums[n + 1] * (1.0 / (n + 2)) - sums[n] * (1.0 / (n + 1)))
                      for n in ladder])
 
@@ -687,8 +676,8 @@ def ergodic_probe(
     vectors (normalized here).  A caller may gate the final gaps,
     ``gaps[:, -1]``, against PROBE_TOLERANCE, but a small gap proves
     nothing: tzblock's coordinate probes pass on [[B, B-I, 0], [0, B, B-I],
-    [0, 0, B]], whose means grow like n.  The block is read at the rungs
-    (_rung_sums).  A negative or non-integral seed raises ValidationError.
+    [0, 0, B]], whose means grow like n.  A negative or non-integral seed
+    raises ValidationError.
     """
     seed = _count(seed, "seed")
     ladder = _ladder(ladder, 2)
@@ -714,36 +703,16 @@ def ergodic_probe(
             labels.append(f"given-{i}")
     if not vecs:
         raise ValidationError("at least one probe is required")
-    # Long ladders dominate the cost: the probes advance together as the
-    # columns of one block, by one product with the materialized matrix per
-    # step when it fits, else by one structured apply of the block.  A
-    # real matrix steps a complex block X as the real block [Re X | Im X]
-    # at half the flops of a complex product, and the complex sums are
-    # rebuilt at the ladder's rungs only.
+    # The probes advance together as the columns of one block, by one
+    # structured apply per step, and are read at the ladder's rungs.  Row p
+    # of a mean is probe p's M_n(T)x_p, contiguous like a lone vector, so
+    # each gap is normed exactly as it would be for that probe alone; a sum
+    # with no imaginary part is divided as a real array, as a real vector's is.
     block = np.column_stack(vecs)
-    count = block.shape[1]
-    split = False
-    if d <= DENSE_CAP:
-        mat = materialize(op)
-        if not np.iscomplexobj(mat):
-            split = bool(block.imag.any())
-            block = np.hstack((block.real, block.imag)) if split else block.real.copy()
-        step = lambda b: mat @ b
-    else:
-        step = lambda b: apply(op, b)
-
-    def mean(running, n):
-        # Row p is probe p's mean M_n(T)x_p, contiguous like a lone vector,
-        # so each gap is normed exactly as it would be for that probe alone.
-        if split:
-            joined = np.empty((d, count), dtype=complex)
-            joined.real, joined.imag = running[:, :count], running[:, count:]
-            running = joined
-        return (running / (n + 1)).T.copy()
-
-    means = {0: mean(block, 0)}
-    for n, _, running in _rung_sums(block, ladder, step):
-        means[n] = mean(running, n)
+    stream = _power_sums(lambda b: apply(op, b), block, ladder[-1])
+    rungs = ((n, total) for n, _, total, _ in stream if n in ladder)
+    means = {n: ((total if total.imag.any() else total.real) / (n + 1)).T.copy()
+             for n, total in ((0, block), *rungs)}
     gaps = np.array([[float(np.linalg.norm(row)) for row in means[b] - means[a]]
                      for a, b in zip(ladder, ladder[1:])]).T
     return ErgodicProbe(ladder, tuple(labels), gaps)

@@ -143,9 +143,11 @@ def build_ergces(j_max: int) -> Dense:
     Column j has diagonal entry -c_j and first-row entry -eps_j; column 0
     is -e_0.  The powers and their sums stay in the same sparsity pattern
     (closed forms in `ergces_power_closed_form` and `ergces_power_sums`),
-    every Cesaro mean M_n, n >= 1, has norm below 0.91 whatever j_max,
-    and (T + I)(-e_j/eps_j) = e_0 - eps_j*e_j witnesses density of the
-    range of T + I.
+    every Cesaro mean M_n, n >= 1, has norm below 0.91 and first-row
+    entries at most eps_j/2 whatever j_max, and (T + I)(-e_j/eps_j) =
+    e_0 - eps_j*e_j witnesses density of the range of T + I.  The row
+    y_j = 2**j is an exact left eigenvector, y^T T = -y^T, so the Kreiss
+    constant is at least ||y|| = sqrt((4**(j_max+1) - 1)/3).
     """
     p = ErgcesParams(j_max)
     size = p.j_max + 1

@@ -1,4 +1,4 @@
-"""Negative controls: each certificate of mean ergodicity fails on an operator that breaks it.
+"""Negative controls: each certificate of prop3.5 and ex2.9 fails on an operator that breaks it.
 
 A control swaps the construction a runner reads by monkeypatching its
 builder in reproduce's namespace, runs the runner, and asserts that the
@@ -53,5 +53,22 @@ def test_ergces_mean_gate_fails_with_eps_doubled(monkeypatch):
 
     monkeypatch.setattr(reproduce, "build_ergces", doubled)
     records, _ = reproduce._prop35(kl.SEED)
-    assert statuses(records)["ergces-closed-form-means"] == "fail"
+    status = statuses(records)
+    assert status["ergces-closed-form-means"] == "fail"
+    # With eps_j doubled, y_j = 2^j leaves the residual -2^-j in column j.
+    assert status["ergces-left-eigenvector"] == "fail"
+
+
+def test_ergces_first_row_gate_fails_on_first_rows_scaled_by_1_01(monkeypatch):
+    # The bound eps_j/2 is attained at n = 1, so 1% more breaks it.
+    exact = reproduce.ergces_power_sums
+
+    def scaled(j_max, ns):
+        sums = exact(j_max, ns)
+        sums[:, 0, 1:] *= 1.01
+        return sums
+
+    monkeypatch.setattr(reproduce, "ergces_power_sums", scaled)
+    records, _ = reproduce._prop35(kl.SEED)
+    assert statuses(records)["ergces-mean-first-row"] == "fail"
 
