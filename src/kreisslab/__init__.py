@@ -7,7 +7,6 @@ from .cesaro import (
     ErgodicProbe,
     MeanSeries,
     cesaro_identity_check,
-    cesaro_mean,
     ergodic_probe,
     mean_difference_decay,
     rotated_mean_norm_profile,
@@ -66,7 +65,6 @@ from .operators import (
     NormSeries,
     OperatorSpec,
     RotatedScale,
-    WeightSequence,
     WeightedShift,
     adjoint,
     apply,

@@ -37,7 +37,6 @@ import numpy as np
 from .errors import ValidationError
 from .operators import (
     SEED,
-    Dense,
     OperatorSpec,
     _check_dim,
     _count,
@@ -586,21 +585,6 @@ def rotated_mean_norm_profile(
         angle_count=angle_count,
         rotation_shortcut=shortcut,
     )
-
-
-def cesaro_mean(op: OperatorSpec, n: int) -> Dense:
-    """The average of powers I, T, .., T^n as a dense operator.
-
-    Its matrix is in the field of materialize(op), float64 for a real op,
-    and is the power sum times the reciprocal of n + 1, as in
-    cesaro_identity_check.
-    """
-    n = _count(n, "mean index")
-    mat = materialize(op)
-    total = np.eye(mat.shape[0], dtype=mat.dtype)
-    if n > 0:
-        *_, (_, _, total, _) = _power_sums(lambda p: p @ mat, total, n)  # the last sum
-    return Dense(total * (1.0 / (n + 1)))
 
 
 def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:

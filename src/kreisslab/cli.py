@@ -25,6 +25,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .cesaro import rotated_mean_norm_profile
 from .constructions import CATALOG_NAMES, make_operator, shields_certified_kmax
 from .errors import ConvergenceError, SingularError, SizeError, ValidationError
@@ -157,10 +159,8 @@ def _cmd_construct(args) -> int:
                            detail=f"dimension={dimension(entry.spec)}; " + "; ".join(entry.notes))]
     rows = []
     if isinstance(entry.spec, WeightedShift):
-        if entry.spec.weights is not None:
-            rows = [(j + 1, float(w)) for j, w in enumerate(entry.spec.weights.values)]
-        else:
-            rows = [(j + 1, float(r)) for j, r in enumerate(entry.spec.ratios)]
+        weights = np.cumprod(np.concatenate(([1.0], entry.spec.ratios)))
+        rows = [(j + 1, float(w)) for j, w in enumerate(weights)]
     return _emit(args, _config(args, entry), results,
                  {"operator.csv": (("index", "value"), rows)})
 

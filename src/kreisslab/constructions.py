@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import Dense, DirectSum, OperatorSpec, WeightedShift, WeightSequence, _count
+from .operators import Dense, DirectSum, OperatorSpec, WeightedShift, _count
 
 #: Open-interval parameters are kept this far away from their endpoints;
 #: boundary values void the estimates the constructions are built to probe.
@@ -98,8 +98,7 @@ def build_TN(n: int, eta: float) -> WeightedShift:
     """
     p = TNParams(n, eta)
     w = tn_weights(p.n, p.eta)
-    seq = WeightSequence(w, eta=p.eta, n=p.n)
-    return WeightedShift("forward", w[1:] / w[:-1], seq)
+    return WeightedShift("forward", w[1:] / w[:-1])
 
 
 def build_shields_counterexample(epsilon: float, eta: float, n_max: int) -> DirectSum:
@@ -132,9 +131,7 @@ def build_bermbmp_shift(alpha: float, direction: str = "forward", d: int = 2) ->
     alpha = _require_open("alpha", alpha, 0.0, 0.5)
     d = _count(d, "dimension", 2)
     j = np.arange(1, d, dtype=float)
-    ratios = ((j + 1) / j) ** alpha
-    seq = WeightSequence(np.arange(1, d + 1, dtype=float) ** alpha)
-    return WeightedShift(direction, ratios, seq)
+    return WeightedShift(direction, ((j + 1) / j) ** alpha)
 
 
 def build_ergces(j_max: int) -> Dense:

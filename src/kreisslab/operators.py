@@ -44,46 +44,6 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WeightSequence:
-    """Finite positive weight vector w_1..w_d defining a shift.
-
-    When built from the ramp construction the provenance (``eta``, ``n``)
-    is recorded and the anchor values w_1 = 1, w_N = w_{N+1} = N**eta and
-    w_{2N} = N**(2*eta) are enforced to 1e-12 relative.
-    """
-
-    values: np.ndarray
-    eta: float | None = None
-    n: int | None = None
-
-    def __post_init__(self):
-        vals = _frozen_array(self.values, float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValidationError("weights must form a non-empty 1-D vector")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-            raise ValidationError("weights must be positive and finite")
-        if (self.eta is None) != (self.n is None):
-            raise ValidationError("provenance requires both eta and n")
-        if self.n is not None:
-            n = int(self.n)
-            if n < 1 or vals.size != 2 * n:
-                raise ValidationError("provenance dimension must equal 2*n")
-            anchors = (
-                (vals[0], 1.0),
-                (vals[n - 1], float(n) ** self.eta),
-                (vals[n], float(n) ** self.eta),
-                (vals[2 * n - 1], float(n) ** (2 * self.eta)),
-            )
-            for got, want in anchors:
-                if abs(got - want) > 1e-12 * abs(want):
-                    raise ValidationError("weight anchors do not match provenance")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class Dense:
     """Explicit matrix operator: complex input stays complex, any other is float64."""
 
@@ -108,7 +68,6 @@ class WeightedShift:
 
     direction: str
     ratios: np.ndarray
-    weights: WeightSequence | None = None
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -119,13 +78,6 @@ class WeightedShift:
             raise ValidationError("ratio list must be a non-empty 1-D vector")
         if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
             raise ValidationError("shift ratios must be strictly positive and finite")
-        if self.weights is not None:
-            w = self.weights.values
-            if w.size != ratios.size + 1:
-                raise ValidationError("weight sequence length must be dimension")
-            derived = w[1:] / w[:-1]
-            if np.max(np.abs(derived - ratios)) > 1e-12 * np.max(ratios):
-                raise ValidationError("ratios inconsistent with weight sequence")
 
 
 @dataclass(frozen=True)
@@ -242,7 +194,7 @@ def adjoint(op: OperatorSpec) -> OperatorSpec:
         return Dense(op.matrix.conj().T)
     if isinstance(op, WeightedShift):
         flipped = "backward" if op.direction == "forward" else "forward"
-        return WeightedShift(flipped, op.ratios, op.weights)
+        return WeightedShift(flipped, op.ratios)
     if isinstance(op, DirectSum):
         return DirectSum(tuple(adjoint(s) for s in op.summands))
     if isinstance(op, RotatedScale):

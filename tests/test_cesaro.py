@@ -67,29 +67,6 @@ def test_power_stream_makes_no_step_past_a_zero_power():
         np.testing.assert_array_equal(got_total, total)
 
 
-# --- first mean ---
-
-
-def test_mean_zero_index_is_identity():
-    for op in (kl.build_TN(3, 0.3), kl.build_ergces(4), random_dense(5, 1)):
-        mean = kl.cesaro_mean(op, 0)
-        np.testing.assert_array_equal(mean.matrix, np.eye(kl.dimension(op)))
-
-
-def test_mean_of_identity():
-    for n in (1, 5, 17):
-        mean = kl.cesaro_mean(kl.Dense(np.eye(4)), n)
-        np.testing.assert_allclose(mean.matrix, np.eye(4), rtol=1e-14)
-
-
-def test_mean_tn_first_average():
-    op = kl.build_TN(2, 0.25)
-    mean = kl.cesaro_mean(op, 1)
-    oracle = (np.eye(4) + kl.materialize(op)) / 2.0
-    np.testing.assert_allclose(mean.matrix, oracle, atol=1e-15)
-    assert abs(mean.matrix[1, 0] - 2**0.25 / 2.0) <= 1e-15
-
-
 # --- second mean ---
 
 
@@ -281,9 +258,8 @@ def test_mean_respects_dense_cap():
     op = kl.build_TN(2049, 0.3)  # d = 4098 > DENSE_CAP
     tracemalloc.start()
     try:
-        for mean, n in ((kl.cesaro_mean, 2), (kl.cesaro_mean, 0), (cesaro_mean2, 2)):
-            with pytest.raises(kl.SizeError):
-                mean(op, n)
+        with pytest.raises(kl.SizeError):
+            cesaro_mean2(op, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -553,7 +529,6 @@ def test_real_operators_step_real_power_streams(monkeypatch, tmp_path):
         "identity-tzblock": lambda: kl.cesaro_identity_check(tz, 16),
         "identity-tn": lambda: kl.cesaro_identity_check(kl.build_TN(4, 0.3), 16),
         "decay": lambda: kl.mean_difference_decay(ergces, (16, 64)),
-        "mean": lambda: kl.cesaro_mean(kl.DirectSum((tz, kl.build_TN(3, 0.3))), 5),
         "powers": lambda: kl.power_norms(ergces, 12),
         "profile": lambda: kl.rotated_mean_norm_profile(tz, 12, angle_count=8, order=2),
         "kb2": lambda: kl.kb2_constant(ergces, 16, 8),
@@ -563,7 +538,6 @@ def test_real_operators_step_real_power_streams(monkeypatch, tmp_path):
         starts.clear()
         call()
         assert starts and set(starts) == {np.dtype(float)}, name
-    assert kl.cesaro_mean(ergces, 3).matrix.dtype == np.dtype(float)
 
 
 def test_a_real_mean_is_its_sum_times_the_reciprocal():
@@ -604,8 +578,6 @@ def test_real_means_keep_the_bits_of_complex_quotients():
     op = kl.Dense(mat)
     np.testing.assert_array_equal(kl.cesaro_identity_check(op, 12),
                                   complex_identity_residuals(mat, 12))
-    total = sum(np.linalg.matrix_power(mat.astype(complex), j) for j in range(7))
-    np.testing.assert_array_equal(kl.cesaro_mean(op, 6).matrix, (total / 7).real)
     sums = {n: sum(np.linalg.matrix_power(mat.astype(complex), j) for j in range(n + 1))
             for n in (3, 4, 7, 8)}
     expected = [_dense_norm(sums[n + 1] / (n + 2) - sums[n] / (n + 1)) for n in (3, 7)]

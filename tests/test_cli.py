@@ -30,6 +30,20 @@ def test_construct_writes_report(tmp_path):
     assert report["summary"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("argv, weights", [
+    (["--operator", "tn", "--trunc", "64", "--eta", "0.45"], kreisslab.tn_weights(64, 0.45)),
+    (["--operator", "bermbmp", "--trunc", "64", "--eta", "0.3", "--direction", "backward"],
+     np.arange(1.0, 65.0) ** 0.3),
+], ids=["tn", "bermbmp"])
+def test_construct_writes_the_weights_with_w1_one(tmp_path, argv, weights):
+    # The running product of the ratios: the catalog weights to rounding.
+    assert main(["construct", *argv, "--format", "csv", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "operator.csv").read_text().splitlines()
+    assert lines[:2] == ["index,value", "1,1.0"]
+    values = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    np.testing.assert_allclose(values, weights, rtol=4e-15, atol=0)
+
+
 def test_powers_csv_columns(tmp_path):
     code = main(["powers", "--operator", "tn", "--trunc", "8", "--eta", "0.3",
                  "--k-max", "15", "--format", "csv", "--out", str(tmp_path)])
@@ -490,16 +504,16 @@ def test_reproduce_rejects_a_non_integral_seed_before_running(seed, tmp_path, mo
 
 
 def test_prop35_reads_its_norms_from_the_checked_stream():
-    # ergces-power-decay reads ||T^32|| and ||T^256|| from the stream that
-    # is checked against the closed form: the values of power_norms, bit for bit.
+    # ergces-power-bound gates ||r_n||^2/n <= 5/3 for the first row r_n of
+    # T^n, so ||T^n|| <= 1 + sqrt(5n/3): the stepped power norms lie below it.
     from kreisslab.reproduce import _prop35
 
-    op = kreisslab.build_ergces(20)
     records, _ = _prop35(kreisslab.SEED)
-    (decay,) = [r for r in records if r.check_id == "ergces-power-decay"]
-    norms = kreisslab.power_norms(op, 256).values[[31, 255]]
-    assert decay.value == float(norms[1]) / 256.0
-    assert decay.bound == float(norms[0]) / 32.0 / 2.0
+    (bound,) = [r for r in records if r.check_id == "ergces-power-bound"]
+    assert bound.status == "pass"
+    norms = kreisslab.power_norms(kreisslab.build_ergces(20), 256).values
+    for n in (32, 256):
+        assert norms[n - 1] < 1.0 + math.sqrt(5.0 * n / 3.0)
 
 
 def test_claims_reject_a_negative_probe_count():

@@ -1,14 +1,66 @@
-"""Negative controls: each certificate of prop3.5 and ex2.9 fails on an operator that breaks it.
+"""Negative controls: each gate of the reproduce runners fails on an operator that breaks it.
 
 A control swaps the construction a runner reads by monkeypatching its
 builder in reproduce's namespace, runs the runner, and asserts that the
-named gate fails.
+gates it names in CONTROLLED fail.  A gate family with no control is
+listed in NO_CONTROL with the reason, and a coverage test holds every
+gated check id of the eight runners to one of the two tables.
 """
 
+from fnmatch import fnmatchcase
+
 import numpy as np
+import pytest
 
 import kreisslab as kl
 import kreisslab.reproduce as reproduce
+
+#: The check ids each control breaks, as patterns: every id of the run
+#: that matches one must fail, and each pattern must match some id.
+CONTROLLED = {
+    "tn-ratio": ("tn-norm-*", "tn-power-n*", "tn-power-closed-form-*"),
+    "shields-eta-0.35": ("shields-norm-closed-form", "shields-lower-bound", "shields-odd-powers",
+                         "shields-even-powers", "shields-growth-exponent-floor"),
+    "shields-eta-0.499": ("shields-growth-exponent",),
+    "jordan": ("mean-difference-*",),
+    "ergces-eps-doubled": ("ergces-closed-form-powers", "ergces-closed-form-means",
+                           "ergces-left-eigenvector", "ergces-range-witness"),
+    "ergces-first-row": ("ergces-mean-first-row",),
+    "ergces-column-0": ("ergces-fixed-direction",),
+    "tz-three-block": ("tz-mean-symbol-bound",),
+    "tz-nudged": ("tz-block-power-formula",),
+    "bermbmp-ratio": ("bermbmp-ratios", "bermbmp-norm", "bermbmp-power-growth"),
+}
+
+#: Gated check ids with no control, as patterns, each with the reason.
+NO_CONTROL = {
+    "tn-mean-ratio-*": "ratios of sampled mean sups against 1.05 and 1.10; a control needs a "
+                       "shift family whose mean sups grow with N, and none is built",
+    "TN-C1": "the double sum reads no operator, only coefficient vectors and the guide's "
+             "ukb_C; no control lowers that constant below the sum",
+    "TN-C2": "an inequality between a power sum and its integral; it reads no operator",
+    "H[1-4]": "orbit inequalities against kb2_sum_C of the same operator, so a swapped "
+              "operator changes both sides; no operator is known that breaks them",
+    "mean-identities-*": "algebraic identities of powers and means that hold for every "
+                         "matrix; only a broken power stream could fail them",
+    "ergces-mean-bound": "closed form only: ergces_power_sums, which ergces-closed-form-means "
+                         "ties to the built operator",
+    "ergces-mean-rate": "closed form only: ergces_power_sums, which ergces-closed-form-means "
+                        "ties to the built operator",
+    "ergces-power-bound": "closed form only: computed from eps_j, with no operator built",
+    "tz-mean-symbol-uniform": "closed form only: the symbol on the angle grid",
+    "tz-transient-growth": "reads tz_block_power_norms, a Sturm count that no builder reaches",
+    "tz-symbol-bound": "reads tz_block_power_norms, a Sturm count that no builder reaches",
+    "tz-norm-dense-oracle": "compares the Sturm count with the dense norm of tz_block_power; "
+                            "both are closed forms that no builder reaches",
+    "shields-norm": "||T|| = 2^eta < sqrt(2) for every eta that TNParams admits",
+    "shields-odd-power-floor": "||T|| >= 1 for every ramp shift: its first ratio is 2^eta",
+    "L21": "lemma21_bound on fixed scalar sequences; it reads no operator",
+    "lemma-linear-divergence-detected": "a fixed linear sequence; it reads no operator",
+    "bermbmp-annihilates-first": "every backward shift maps e_1 to 0",
+    "bermbmp-absolute-cesaro": "the run reads 1.387 against 2/(1 - alpha) = 2.857; no "
+                               "operator that crosses it was built",
+}
 
 
 def three_block(d):
@@ -18,8 +70,54 @@ def three_block(d):
     return np.block([[b, b - np.eye(d), zero], [zero, b, b - np.eye(d)], [zero, zero, b]])
 
 
+def first_ratio_scaled(shift):
+    """The shift with r_1 scaled by 1 + 1e-6."""
+    ratios = shift.ratios.copy()
+    ratios[0] *= 1.0 + 1e-6
+    return kl.WeightedShift(shift.direction, ratios)
+
+
 def statuses(records):
     return {record.check_id: record.status for record in records}
+
+
+def assert_controlled(records, control):
+    status = statuses(records)
+    for pattern in CONTROLLED[control]:
+        matched = [check for check in status if fnmatchcase(check, pattern)]
+        assert matched and all(status[check] == "fail" for check in matched), pattern
+
+
+def test_tn_gates_fail_with_the_first_ratio_scaled(monkeypatch):
+    # A shift is its ratios: one ratio 1e-6 off breaks the norm, the
+    # closed-form top power and the dense top power of every T_N.
+    build = reproduce.build_TN
+    monkeypatch.setattr(reproduce, "build_TN", lambda n, eta: first_ratio_scaled(build(n, eta)))
+    records, _ = reproduce._thm24(kl.SEED)
+    assert_controlled(records, "tn-ratio")
+    assert sum(record.status == "fail" for record in records) == 24
+
+
+@pytest.mark.parametrize("eta, control", [(0.35, "shields-eta-0.35"),
+                                          (0.499, "shields-eta-0.499")])
+def test_shields_gates_fail_outside_the_exponent_window(monkeypatch, eta, control):
+    # DirectSumParams admits only eta in (0.425, 0.5), so the summands are
+    # built directly: at eta = 0.35 the exponent reads about 0.68, below the
+    # 0.85 floor, and at eta = 0.499 about 0.97, above 0.95.
+    monkeypatch.setattr(reproduce, "build_shields_counterexample", lambda epsilon, _, n_max:
+                        kl.DirectSum(tuple(kl.build_TN(n, eta) for n in range(1, n_max + 1))))
+    records, _ = reproduce._thm25(kl.SEED)
+    assert_controlled(records, control)
+
+
+def test_mean_difference_gates_fail_on_a_jordan_block(monkeypatch):
+    # I + N with N^3 = 0 has M_n ~ n^2 N^2 / 6: not Cesaro bounded, and the
+    # consecutive mean differences grow like n.
+    jordan = kl.Dense(np.eye(3) + np.eye(3, k=-1))
+    monkeypatch.setattr(reproduce, "build_TN", lambda *args: jordan)
+    monkeypatch.setattr(reproduce, "build_ergces", lambda *args: jordan)
+    records, _ = reproduce._thm28(kl.SEED)
+    assert_controlled(records, "jordan")
 
 
 def test_tz_mean_gate_fails_on_the_three_block_control(monkeypatch):
@@ -32,9 +130,22 @@ def test_tz_mean_gate_fails_on_the_three_block_control(monkeypatch):
     records, _ = reproduce._ex29(kl.SEED)
     status = statuses(records)
     assert status["tz-block-power-formula"] == "pass"
-    assert status["tz-mean-symbol-bound"] == "fail"
+    assert_controlled(records, "tz-three-block")
     (bound,) = [r for r in records if r.check_id == "tz-mean-symbol-bound"]
     assert min(bound.params["sup_mean_norm"]) > 3.0
+
+
+def test_tz_power_gate_fails_with_an_entry_nudged(monkeypatch):
+    build = reproduce.build_tz_block
+
+    def nudged(d):
+        mat = kl.materialize(build(d))
+        mat[0, d] += 1e-6
+        return kl.Dense(mat)
+
+    monkeypatch.setattr(reproduce, "build_tz_block", nudged)
+    records, _ = reproduce._ex29(kl.SEED)
+    assert_controlled(records, "tz-nudged")
 
 
 def test_coordinate_probes_pass_on_the_three_block_control():
@@ -53,10 +164,8 @@ def test_ergces_mean_gate_fails_with_eps_doubled(monkeypatch):
 
     monkeypatch.setattr(reproduce, "build_ergces", doubled)
     records, _ = reproduce._prop35(kl.SEED)
-    status = statuses(records)
-    assert status["ergces-closed-form-means"] == "fail"
     # With eps_j doubled, y_j = 2^j leaves the residual -2^-j in column j.
-    assert status["ergces-left-eigenvector"] == "fail"
+    assert_controlled(records, "ergces-eps-doubled")
 
 
 def test_ergces_first_row_gate_fails_on_first_rows_scaled_by_1_01(monkeypatch):
@@ -70,5 +179,34 @@ def test_ergces_first_row_gate_fails_on_first_rows_scaled_by_1_01(monkeypatch):
 
     monkeypatch.setattr(reproduce, "ergces_power_sums", scaled)
     records, _ = reproduce._prop35(kl.SEED)
-    assert statuses(records)["ergces-mean-first-row"] == "fail"
+    assert_controlled(records, "ergces-first-row")
 
+
+def test_ergces_fixed_direction_fails_with_column_0_flipped(monkeypatch):
+    def flipped(j_max):
+        mat = kl.materialize(kl.build_ergces(j_max))
+        mat[0, 0] = 1.0
+        return kl.Dense(mat)
+
+    monkeypatch.setattr(reproduce, "build_ergces", flipped)
+    records, _ = reproduce._prop35(kl.SEED)
+    assert_controlled(records, "ergces-column-0")
+
+
+def test_bermbmp_gates_fail_with_the_first_ratio_scaled(monkeypatch):
+    build = reproduce.build_bermbmp_shift
+    monkeypatch.setattr(reproduce, "build_bermbmp_shift",
+                        lambda *args: first_ratio_scaled(build(*args)))
+    records, _ = reproduce._thm15(kl.SEED)
+    assert_controlled(records, "bermbmp-ratio")
+
+
+def test_every_gate_has_a_control_or_a_reason():
+    patterns = [p for group in CONTROLLED.values() for p in group] + list(NO_CONTROL)
+    gated = [record.check_id for run in reproduce.RUNNERS.values() for record in run(kl.SEED)[0]
+             if record.status in ("pass", "fail")]
+    for check in gated:
+        owners = [p for p in patterns if fnmatchcase(check, p)]
+        assert len(owners) == 1, (check, owners)
+    for pattern in patterns:
+        assert any(fnmatchcase(check, pattern) for check in gated), pattern

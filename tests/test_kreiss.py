@@ -1165,7 +1165,6 @@ COUNTED_CALLS = {
         kl.build_tz_block(4), kl.AnnulusGrid.default(8), k)),
     "rotated_mean_norm_profile": ("n_max", lambda n: kl.rotated_mean_norm_profile(
         kl.build_tz_block(4), n, 4)),
-    "cesaro_mean": ("mean index", lambda n: kl.cesaro_mean(kl.build_tz_block(4), n)),
     "cesaro_identity_check": ("n_max", lambda n: kl.cesaro_identity_check(
         kl.build_tz_block(4), n)),
     "mean_difference_decay": ("ladder rung", lambda n: kl.mean_difference_decay(

@@ -642,16 +642,6 @@ def test_resolvent_singular_point():
 # --- type validation ---
 
 
-def test_weight_sequence_provenance_anchors():
-    with pytest.raises(kl.ValidationError):
-        kl.WeightSequence(np.array([1.0, 2.0, 3.0, 4.0]), eta=0.25, n=2)
-
-
-def test_weight_sequence_requires_positive():
-    with pytest.raises(kl.ValidationError):
-        kl.WeightSequence(np.array([1.0, 0.0]))
-
-
 def test_rotated_scale_requires_unimodular():
     with pytest.raises(kl.ValidationError):
         kl.RotatedScale(1.1, kl.Dense(np.eye(2)))

@@ -53,6 +53,7 @@ COMMANDS = (
     ("growth", "--operator", "ergces", "--trunc", "20", *_CSV),
     ("construct", "--operator", "tzblock", "--trunc", "512", *_CSV),
     ("construct", "--operator", "tn", "--trunc", "300", *_CSV),
+    ("construct", "--operator", "bermbmp", "--trunc", "64", *_CSV),
     ("construct", "--operator", "shields", "--nmax-sum", "20", *_CSV),
 )
 
