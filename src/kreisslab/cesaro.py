@@ -588,35 +588,24 @@ def rotated_mean_norm_profile(
 
 
 def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:
-    """Largest residual of the two power/mean recurrences at each n = 1..n_max.
+    """Residual of T^n = (n+1) M_n - n M_{n-1} in operator norm at each n = 1..n_max.
 
-    Checks T^n = (n+1) M_n - n M_{n-1} and
-    (n+2)/(n+1) M_{n+1} - M_n = T^{n+1}/(n+1), both in operator norm;
-    entry n-1 of the result is the residual at index n.  One power
-    stream up to n_max + 1 serves every n, holding the last three means
-    and the last two powers.  The second residual is normed only when
-    the cascade of _norm_unless_beaten cannot show it below the first,
-    so the max is the same bit for bit.  The stream is real for a real op
-    (materialize).  numpy divides a complex array by a real scalar as a
-    product with its reciprocal, so each mean is written as that product:
-    a real stream gets the bits of the complex one.
+    Entry n-1 of the result is the residual at index n.  One power
+    stream up to n_max serves every n, holding the last mean.  The
+    stream is real for a real op (materialize).  numpy divides a complex
+    array by a real scalar as a product with its reciprocal, so each mean
+    is written as that product: a real stream gets the bits of the
+    complex one.
     """
     n_max = _count(n_max, "n_max", 1)
     mat = materialize(op)
     eye = np.eye(mat.shape[0], dtype=mat.dtype)
     out = np.empty(n_max)
-    mean_before = None  # at stream index j: M_{j-2}, M_{j-1} and T^{j-1}
-    mean, power = eye, eye
-    for j, next_power, total, _ in _power_sums(lambda p: p @ mat, eye, n_max + 1):
-        next_mean = total * (1.0 / (j + 1))
-        if j >= 2:
-            n = j - 1
-            first = _dense_norm(power - ((n + 1) * mean - n * mean_before))
-            second, normed = _norm_unless_beaten(
-                (n + 2) / (n + 1) * next_mean - mean - next_power * (1.0 / (n + 1)),
-                lambda bound: _beaten(bound, first))
-            out[n - 1] = max(first, second) if normed else first
-        mean_before, mean, power = mean, next_mean, next_power
+    mean_before = eye  # M_{n-1}
+    for n, power, total, _ in _power_sums(lambda p: p @ mat, eye, n_max):
+        mean = total * (1.0 / (n + 1))
+        out[n - 1] = _dense_norm(power - ((n + 1) * mean - n * mean_before))
+        mean_before = mean
     return out
 
 

@@ -33,7 +33,8 @@ from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
 from .kreiss import (CLAIM_COLUMNS, AnnulusGrid, dyadic_ladder, kb2_constant, kreiss_constant,
                      run_hilbert_claims)
-from .operators import SEED, WeightedShift, _count, dimension, power_norms, spectral_norm
+from .operators import (SEED, WeightedShift, _count, blocks, dimension, power_norms,
+                        spectral_norm)
 from .reports import CheckRecord, RunConfig, emit_report, summarize
 from .reproduce import GROWTH_COLUMNS, reproduce, shields_envelope
 
@@ -157,10 +158,11 @@ def _cmd_construct(args) -> int:
     est = spectral_norm(entry.spec, tol=1e-10)
     results = [CheckRecord("operator-summary", "info", est.value,
                            detail=f"dimension={dimension(entry.spec)}; " + "; ".join(entry.notes))]
-    rows = []
-    if isinstance(entry.spec, WeightedShift):
-        weights = np.cumprod(np.concatenate(([1.0], entry.spec.ratios)))
-        rows = [(j + 1, float(w)) for j, w in enumerate(weights)]
+    rows = []  # each shift block's weights, w = 1 at its first coordinate
+    for start, _, _, leaf in blocks(entry.spec):
+        if isinstance(leaf, WeightedShift):
+            weights = np.cumprod(np.concatenate(([1.0], leaf.ratios)))
+            rows += [(start + j + 1, float(w)) for j, w in enumerate(weights)]
     return _emit(args, _config(args, entry), results,
                  {"operator.csv": (("index", "value"), rows)})
 

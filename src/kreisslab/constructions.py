@@ -76,6 +76,17 @@ class ErgcesParams:
     def c(self) -> np.ndarray:
         return 1.0 - self.eps**2
 
+    @property
+    def log_c(self) -> np.ndarray:
+        return np.log1p(-self.eps**2)
+
+    def one_minus_c_pow(self, n) -> np.ndarray:
+        """1 - c_j^n as -expm1(n log c_j), n an int or a column broadcast against j.
+
+        The direct difference cancels, as c_j lies within eps_j^2 of 1.
+        """
+        return -np.expm1(n * self.log_c)
+
 
 def tn_weights(n: int, eta: float) -> np.ndarray:
     """Ramp weights: w_j = j**eta up to j = n, then n**(2*eta)/(2n-j+1)**eta.
@@ -159,8 +170,8 @@ def build_ergces(j_max: int) -> Dense:
 def ergces_power_closed_form(j_max: int, n: int) -> np.ndarray:
     """Exact n-th power of the `build_ergces` matrix.
 
-    Diagonal ((-1)**n, (-c_j)**n) and first row
-    (-1)**n * eps_j * (1 - c_j**n)/(1 - c_j); all other entries vanish.
+    Diagonal ((-1)**n, (-c_j)**n) and first row (-1)**n * (1 - c_j**n)/eps_j,
+    as 1 - c_j = eps_j**2; all other entries vanish.
     """
     p = ErgcesParams(j_max)
     n = _count(n, "power", 1)
@@ -170,7 +181,7 @@ def ergces_power_closed_form(j_max: int, n: int) -> np.ndarray:
     mat[0, 0] = sign
     idx = np.arange(1, size)
     mat[idx, idx] = (-p.c) ** n
-    mat[0, 1:] = sign * p.eps * (1.0 - p.c**n) / (1.0 - p.c)
+    mat[0, 1:] = sign * p.one_minus_c_pow(n) / p.eps
     return mat
 
 
@@ -185,11 +196,10 @@ def ergces_power_sums(j_max: int, ns) -> np.ndarray:
     p = ErgcesParams(j_max)
     n = np.array([_count(k, "mean index") for k in ns])[:, None]
     odd = n % 2 == 1
-    log_c = np.log1p(-p.eps**2)
-    lost = -np.expm1(np.where(odd, n + 1, n) * log_c)  # 1 - c^m, accurate where m eps^2 is tiny
+    lost = p.one_minus_c_pow(np.where(odd, n + 1, n))
     sums = np.zeros((len(n), p.j_max + 1, p.j_max + 1))
     idx = np.arange(p.j_max + 1)
-    sums[:, idx, idx] = np.hstack((1.0 - odd, np.where(odd, lost, 1.0 + np.exp((n + 1) * log_c))
+    sums[:, idx, idx] = np.hstack((1.0 - odd, np.where(odd, lost, 1.0 + np.exp((n + 1) * p.log_c))
                                    / (1.0 + p.c)))
     sums[:, 0, 1:] = np.where(odd, -lost, p.c * lost) / ((1.0 + p.c) * p.eps)
     return sums

@@ -180,23 +180,24 @@ def _chain_reach(k_max: int, d: int, cap: float = 1.0) -> float:
     and U_j the cascade's value of it, which bounds ||P_j|| exactly as a
     cascade bound and up to a factor 1 + s, s = d^2 eps, as a Gram
     eigensolve's norm.  a is the first power with U_a <= 1, cap =
-    max(1, U_1, .., U_(a-1)) and K = max(k_max, 1).  A product errs by E_j, ||E_j|| <= s ||P_j|| ||Q|| (d-term sums, and
-    ||.||_F <= sqrt(d) ||.||), so P_(k+m) = P_k Q^m + sum_(i<m) E_(k+i)
-    Q^(m-1-i), and each exact power Q^j is P_j less such a sum.  With
-    c = cap (1 + s) and y = s K c^3 that gives ||Q^j|| <= c (1 + 2 s K c^2)
-    for j < a and ||Q^a|| <= 1 + 2 s a c^3, so ||Q^m|| <= c e^(4y) for
-    every m <= K by submultiplicativity, and by induction on m
-    ||P_(k+m)|| <= ||P_k|| c e^(6y) while y <= 1/9.  In all,
+    max(1, U_1, .., U_(a-1)) and K = k_max.  A product errs by E_j,
+    ||E_j|| <= s ||P_j|| ||Q|| (d-term sums, and ||.||_F <= sqrt(d) ||.||),
+    so P_(k+m) = P_k Q^m + sum_(i<m) E_(k+i) Q^(m-1-i), and each exact
+    power Q^j is P_j less such a sum.  With c = cap (1 + s) and
+    y = s K c^3 that gives ||Q^j|| <= c (1 + 2 s K c^2) for j < a and
+    ||Q^a|| <= 1 + 2 s a c^3, so ||Q^m|| <= c e^(4y) for every m <= K by
+    submultiplicativity, and by induction on m ||P_(k+m)|| <=
+    ||P_k|| c e^(6y) while y <= 1/9.  In all,
     ||P_(k+m)|| <= U_k cap e^(8 s K cap^3) <= U_k cap (1 + 10 s K cap^3)
     while that slack is at most 1/2; past it the allowance is inf, and
     the chain does not stop.
     """
-    slack = 10.0 * max(k_max, 1) * d * d * _EPS * cap * cap * cap
+    slack = 10.0 * k_max * d * d * _EPS * cap * cap * cap
     return 1.0 + slack if slack <= 0.5 else math.inf
 
 
 def _leaf_chain(scaled: np.ndarray, k_max: int, plain: float, strong: float):
-    """(plain, strong) raised by one block's terms ||Q^k||, k <= max(k_max, 1), of Q = (r-1) R.
+    """(plain, strong) raised by one block's terms ||Q^k||, k <= k_max, of Q = (r-1) R.
 
     ||Q|| = (r-1) ||R|| is the block's plain term and the strong sweep's
     k = 1 term, and ||Q^k|| = (r-1)^k ||R^k|| its k-th strong term, so
@@ -219,7 +220,7 @@ def _leaf_chain(scaled: np.ndarray, k_max: int, plain: float, strong: float):
     d = scaled.shape[0]
     cap, split = 1.0, None
     power = scaled
-    for k in range(1, max(k_max, 1) + 1):
+    for k in range(1, k_max + 1):
         if k > 1:
             power = power @ scaled
         best = plain if k == 1 else strong
@@ -294,26 +295,26 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int):
     return shortcut, plain, point, tuple(skipped), strong
 
 
-def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> KreissReport:
-    """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||, and the strong sup for k_max >= 1.
+def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 1) -> KreissReport:
+    """sup over the grid of (|lam| - 1) * ||(lam I - T)^-1||, and the strong sup for k <= k_max.
 
     kreiss_C is the k = 1 term of the strong sweep's chains, each point's
     value the Gram norm of (r-1) R from the block's inverse R
-    (_grid_pass).  kreiss_C_radius is the radius where the sup is first
-    reached; on the innermost radius the true sup may lie closer to the
-    unit circle.  kreiss_C_svd is the oracle at that first point:
-    (r-1) / sigma_min(lam I - T) from resolvent_norm, the one SVD of the
-    sweep, None when no point rises above 0.  With k_max >= 1 the same
-    pass also fills strong_C and k_max.  For a real operator only angles
-    0..N/2 are evaluated, and every value, the radius and the skip list
-    equal those of the full grid: a skipped non-real point is listed
-    with its conjugate.  Every block is materialized, so a block above
-    DENSE_CAP raises SizeError.  A point without an inverse leaves both
-    sweeps and is listed once in skipped; a failed norm or SVD raises
-    ConvergenceError.
+    (_grid_pass), and strong_C the sup over k <= k_max: kreiss_C itself
+    at the default k_max = 1, the least allowed.  kreiss_C_radius is the
+    radius where the sup is first reached; on the innermost radius the
+    true sup may lie closer to the unit circle.  kreiss_C_svd is the
+    oracle at that first point: (r-1) / sigma_min(lam I - T) from
+    resolvent_norm, the one SVD of the sweep, None when no point rises
+    above 0.  For a real operator only angles 0..N/2 are evaluated, and
+    every value, the radius and the skip list equal those of the full
+    grid: a skipped non-real point is listed with its conjugate.  Every
+    block is materialized, so a block above DENSE_CAP raises SizeError.
+    A point without an inverse leaves both sweeps and is listed once in
+    skipped; a failed norm or SVD raises ConvergenceError.
     """
+    k_max = _count(k_max, "k_max", 1)
     _require_contractive_spectrum(op)
-    k_max = _count(k_max, "k_max")
     shortcut, plain, point, skipped, strong = _grid_pass(op, grid, k_max)
     radius = oracle = None
     if point is not None:
@@ -323,10 +324,10 @@ def kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 0) -> Krei
         kreiss_C=plain,
         kreiss_C_radius=radius,
         kreiss_C_svd=oracle,
-        strong_C=strong if k_max else None,
+        strong_C=strong,
         radii=grid.radii,
         angle_count=grid.angle_count,
-        k_max=k_max or None,
+        k_max=k_max,
         rotation_shortcut=shortcut,
         skipped=skipped,
     )
@@ -384,7 +385,6 @@ def strong_kreiss_constant(op: OperatorSpec, grid: AnnulusGrid, k_max: int = 16)
     without its plain sweep's fields (kreiss_C, kreiss_C_radius and
     kreiss_C_svd): the strong sweep reads none of them.
     """
-    k_max = _count(k_max, "k_max", 1)
     return replace(kreiss_constant(op, grid, k_max), kreiss_C=None, kreiss_C_radius=None,
                    kreiss_C_svd=None)
 
@@ -575,16 +575,17 @@ def tn_claim2_bound(eta, M) -> CheckRecord:
     return gate("TN-C2", lhs, "<=", bound, 1e-12, {"eta": float(eta), "M": M, "c2": c2})
 
 
-def lemma21_bound(a, r_grid=None) -> CheckRecord:
+def lemma21_bound(a) -> CheckRecord:
     """Square-root growth bound for sequences with square-summable tails.
 
-    Estimates B = sup over the radius grid of (1-r)^2 * sum a_k^2 r^(2k)
-    (truncated at the sequence length, with the minimal monotone tail
-    reported) and then checks a_n <= 2e * sqrt(B n) for every n >= 1.
-    When the grid profile of B keeps growing toward r = 1 (its last
-    usable value exceeds 4 times its middle one; the quotient is kept as
-    ``growth_ratio``) the hypothesis itself fails, which is reported as
-    ``hypothesis-diverged`` with no verdict on the conclusion.
+    Estimates B = sup over the radii r = 1 - 2^-m, m = 1..12, of
+    (1-r)^2 * sum a_k^2 r^(2k) (truncated at the sequence length, with
+    the minimal monotone tail reported) and then checks
+    a_n <= 2e * sqrt(B n) for every n >= 1.  When the grid profile of B
+    keeps growing toward r = 1 (its last usable value exceeds 4 times its
+    middle one; the quotient is kept as ``growth_ratio``) the hypothesis
+    itself fails, which is reported as ``hypothesis-diverged`` with no
+    verdict on the conclusion.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
@@ -595,12 +596,7 @@ def lemma21_bound(a, r_grid=None) -> CheckRecord:
         raise ValidationError("sequence must be non-negative")
     if np.any(np.diff(a) < -1e-12 * max(1.0, float(a.max()))):
         raise ValidationError("sequence must be non-decreasing")
-    if r_grid is None:
-        r_grid = tuple(1.0 - 2.0 ** (-m) for m in range(1, 13))
-    radii = np.asarray(r_grid, dtype=float)
-    if radii.ndim != 1 or not radii.size or not np.all((radii > 0.0) & (radii < 1.0)):  # also NaN
-        raise ValidationError("radius grid must be a non-empty 1-D sequence inside (0, 1)")
-    radii = np.sort(radii)
+    radii = 1.0 - 2.0 ** -np.arange(1.0, 13.0)
 
     length = a.size
     ks = np.arange(length, dtype=float)

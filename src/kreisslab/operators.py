@@ -162,20 +162,26 @@ def blocks(op: OperatorSpec) -> list:
     reduces over these blocks and folds each rotation into its scalar.
     """
     out = []
-
-    def walk(node, start, scalar):
-        if isinstance(node, DirectSum):
-            for summand in node.summands:
-                start = walk(summand, start, scalar)
-            return start
-        if isinstance(node, RotatedScale):
-            return walk(node.inner, start, node.scalar if scalar == 1.0 else scalar * node.scalar)
-        stop = start + dimension(node)
-        out.append((start, stop, scalar, node))
-        return stop
-
-    walk(op, 0, 1.0)
+    _walk(op, 0, 1.0, out)
     return out
+
+
+def _walk(node, start: int, scalar, out: list) -> int:
+    """Append the leaves of node from coordinate start to out; return the coordinate after them.
+
+    A module-level function, not a closure: a nested walk that calls
+    itself is a reference cycle, which would keep out and every leaf in
+    it alive until the cyclic garbage collector runs.
+    """
+    if isinstance(node, DirectSum):
+        for summand in node.summands:
+            start = _walk(summand, start, scalar, out)
+        return start
+    if isinstance(node, RotatedScale):
+        return _walk(node.inner, start, node.scalar if scalar == 1.0 else scalar * node.scalar, out)
+    stop = start + dimension(node)
+    out.append((start, stop, scalar, node))
+    return stop
 
 
 def is_shift_like(op: OperatorSpec) -> bool:

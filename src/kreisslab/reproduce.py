@@ -24,6 +24,7 @@ from .cesaro import (
     rotated_mean_norm_profile,
 )
 from .constructions import (
+    ErgcesParams,
     build_TN,
     build_bermbmp_shift,
     build_ergces,
@@ -44,6 +45,7 @@ from .kreiss import (
     kb2_constant,
     lemma21_bound,
     orbit_norms,
+    resolvent_norm,
     run_hilbert_claims,
     tn_claim1_bound,
     tn_claim2_bound,
@@ -291,7 +293,14 @@ def _prop35(seed: int):
     and (r - 1)||R(-r)|| tends to that norm as r -> 1+: the Kreiss
     constant K(T_J) >= ||y_J||.  Each T_J is T restricted to the
     invariant span of e_0, .., e_J, so T's constant is at least every
-    ||y_J||, which has no bound in J.
+    ||y_J||, which has no bound in J.  Above, T^n = D_n + e_0 r_n^T with
+    ||D_n|| <= 1 and |r_n,j| <= 1/eps_j = 2^j, so ||T^n|| <= 1 + ||y_J||,
+    and the Neumann series R(lam) = sum_n T^n lam^(-n-1) gives
+    (r - 1)||R(lam)|| <= sup_n ||T^n|| at |lam| = r: K(T_J) <= 1 + ||y_J||.
+    R(lam) = (lam I - T_J)^-1 is upper triangular with diagonal 1/(lam + 1),
+    1/(lam + c_j) and first row -eps_j/((lam + 1)(lam + c_j)).  The ratio
+    (r - 1)||R(-r)||/||y_J|| is nearly a function of (r - 1) 4^J, so the
+    bracket is read at r_J = 1 + 2^-(2J+8), where it is about 0.997.
     """
     j_max = 20
     op = build_ergces(j_max)
@@ -299,7 +308,8 @@ def _prop35(seed: int):
     size = j_max + 1
     results = []
 
-    eps = 2.0 ** (-np.arange(1, j_max + 1, dtype=float))
+    params = ErgcesParams(j_max)
+    eps = params.eps
     ns = np.array([*range(1, 257), *(2**k + i for k in range(9, 45) for i in (0, 1))])
     sums = ergces_power_sums(j_max, ns)
     gap_rows, totals = [], []
@@ -310,7 +320,7 @@ def _prop35(seed: int):
             worst_gap = max(worst_gap, gap)
             gap_rows.append((n, gap))
         totals.append(total)
-    results.append(gate("ergces-closed-form-powers", worst_gap, "<=", 1e-10,
+    results.append(gate("ergces-closed-form-powers", worst_gap, "<=", 1e-13,
                         detail="entrywise gap over n <= 200"))
     results.append(gate("ergces-closed-form-means", np.max(np.abs(sums[:256] - totals)), "<=",
                         1e-10, detail="entrywise gap of sum_{k<=n} T^k over n <= 256"))
@@ -327,7 +337,7 @@ def _prop35(seed: int):
     results.append(gate("ergces-mean-rate", rate.max(), "<=", math.sqrt(32.0) / 7.0,
                         detail=f"max of (n+1) ||M_n e_j|| / 2^j, j >= 1, {ladder}"))
 
-    row_sq = np.sum((-np.expm1(ns[:, None] * np.log1p(-eps**2)) / eps) ** 2, axis=1)
+    row_sq = np.sum((params.one_minus_c_pow(ns[:, None]) / eps) ** 2, axis=1)
     results.append(gate("ergces-power-bound", (row_sq / ns).max(), "<=", 5.0 / 3.0,
                         detail=f"max of ||r_n||^2/n, r_n,j = (T^n)_0j for j >= 1, {ladder}"))
 
@@ -346,8 +356,8 @@ def _prop35(seed: int):
 
     tops = [4, 8, 12, 16, 20]
     lefts = [2.0 ** np.arange(top + 1) for top in tops]  # y_j = 2^j
-    residuals = [float(np.max(np.abs(y @ materialize(build_ergces(top)) + y)))
-                 for top, y in zip(tops, lefts)]
+    ops = [build_ergces(top) for top in tops]
+    residuals = [float(np.max(np.abs(y @ materialize(op) + y))) for op, y in zip(ops, lefts)]
     results.append(gate("ergces-left-eigenvector", max(residuals), "<=", 0.0,
                         params={"j_max": tops, "residual": residuals},
                         detail="max of |y^T T_J + y^T|, y_j = 2^j"))
@@ -355,6 +365,36 @@ def _prop35(seed: int):
     results.append(CheckRecord("ergces-kreiss-lower-bound", "info", lower[-1],
                                params={"j_max": tops, "norm_y": lower},
                                detail="K(T_J) >= ||y_J|| = sqrt((4^(J+1) - 1)/3)"))
+
+    closed_gap, svd_gap, scaled = 0.0, 0.0, []  # scaled: (r_J - 1) ||R(-r_J)||
+    for top, truncation in zip(tops, ops):
+        exact = ErgcesParams(top)
+        gap = 2.0 ** -(2 * top + 8)  # r_J - 1
+        lam = -1.0 - gap
+        inverse = np.linalg.inv(lam * np.eye(top + 1) - materialize(truncation))
+        closed = np.diag(1.0 / (lam + np.concatenate(([1.0], exact.c))))
+        closed[0, 1:] = -exact.eps / ((lam + 1.0) * (lam + exact.c))
+        scale = np.where(closed == 0.0, 1.0, np.abs(closed))
+        closed_gap = max(closed_gap, float(np.max(np.abs(inverse - closed) / scale)))
+        norm = _matrix_norm(inverse).value
+        scaled.append(gap * norm)
+        if top <= 8:
+            svd_gap = max(svd_gap, _rel_err(norm, resolvent_norm(truncation, lam)))
+    at = "at r_J = 1 + 2^-(2J+8), J in (4, 8, 12, 16, 20)"
+    results.append(gate("ergces-resolvent-closed-form", closed_gap, "<=", 1e-12,
+                        detail=f"max relative entry gap of R(-r_J) to its closed form {at} "
+                               "(absolute off its pattern)"))
+    bracket = {"j_max": tops, "scaled_resolvent_norm": scaled}
+    results.append(gate("ergces-kreiss-bracket-lower",
+                        min(v / y for v, y in zip(scaled, lower)), ">=", 0.99, params=bracket,
+                        detail=f"min of (r_J - 1)||R(-r_J)|| / ||y_J|| {at}"))
+    results.append(gate("ergces-kreiss-bracket-upper",
+                        max(v / (1.0 + y) for v, y in zip(scaled, lower)), "<=", 1.0,
+                        params=bracket,
+                        detail=f"max of (r_J - 1)||R(-r_J)|| / (1 + ||y_J||) {at}"))
+    results.append(gate("ergces-resolvent-svd", svd_gap, "<=", 1e-12,
+                        detail="relative gap of ||R(-r_J)|| to resolvent_norm's 1/sigma_min, "
+                               "J <= 8"))
 
     tables = {
         "power_gap.csv": (("n", "max_abs_gap"), gap_rows),
@@ -376,6 +416,13 @@ def _ex29(seed: int):
     at most n S_n, and N = 4096 angles give S_n <= grid max/(1 - n pi/N).
     As T_d^(d+1) = 0, n <= d + 1 reaches sup_n ||M_n(T_d)||, and
     M_n x = O(1/n) for finitely supported x.
+
+    Not Kreiss bounded: the resolvent at lam = -r has the symbol
+    [[p, q], [0, p]] with p = 1/(lam - w), q = (w - 1)/(lam - w)^2 and
+    w = conj(z).  Both |p| and |q| peak at w = -1, where the 2 x 2 norm
+    (|q| + sqrt(|q|^2 + 4|p|^2))/2 makes (r - 1)||R(-r)|| =
+    (1 + sqrt(1 + (r-1)^2))/(r - 1) >= 2/(r - 1): no bound as r -> 1+.
+    Each truncation lies below it and rises toward it with d.
     """
     results = []
     sizes = (8, 16, 32)
@@ -430,6 +477,26 @@ def _ex29(seed: int):
     results.append(CheckRecord("tz-growth-vs-kreiss-rate", "info", float(rate[-1]),
                                params={"n": ladder.tolist(), "rate_ratio": rate.tolist()},
                                detail=f"sqrt(log n) ||T^n|| / n at d={d}"))
+
+    def resolvent_symbol(gap):  # (r - 1) sup_z ||symbol of R(-r)||, gap = r - 1
+        return (1.0 + np.sqrt(1.0 + gap * gap)) / gap
+
+    gap, sizes = 2.0**-4, (4, 8, 16, 32)  # d <= 32: no SVD large enough for the BLAS pool
+    scaled = [gap * resolvent_norm(build_tz_block(d), -1.0 - gap) for d in sizes]
+    results.append(gate("tz-resolvent-symbol-bound", max(scaled) / resolvent_symbol(gap), "<=",
+                        1.0, 1e-12, params={"d": list(sizes), "scaled_resolvent_norm": scaled},
+                        detail=f"max over d in {sizes} of (r-1)||R_d(-r)|| over the symbol's "
+                               "(1 + sqrt(1 + (r-1)^2))/(r-1), r - 1 = 2^-4"))
+    results.append(gate("tz-resolvent-rising", min(b / a for a, b in zip(scaled, scaled[1:])),
+                        ">", 1.0, detail=f"min ratio of (r-1)||R_d(-r)|| over consecutive d "
+                                         f"in {sizes}, r - 1 = 2^-4"))
+    gaps = 2.0 ** -np.arange(2, 13, 2)
+    unbounded = resolvent_symbol(gaps)
+    results.append(CheckRecord("tz-kreiss-unbounded", "info", float(unbounded[-1]),
+                               params={"r_minus_1": gaps.tolist(),
+                                       "scaled_resolvent_norm": unbounded.tolist()},
+                               detail="(r-1)||R(-r)|| of the infinite tzblock, "
+                                      "(1 + sqrt(1 + (r-1)^2))/(r-1): no Kreiss bound"))
     return results, {"tz_growth.csv": (("n", "norm", "ratio"), rows)}
 
 

@@ -221,9 +221,9 @@ def test_identity_check_residual_at_n_does_not_depend_on_n_max():
         assert np.array_equal(kl.cesaro_identity_check(op, n_max), full[:n_max])
 
 
-def test_identity_check_norms_the_second_residual_only_when_it_may_win(monkeypatch):
-    # Every residual is the max of both norms, bit for bit, but on thm2.8's
-    # catalog to n = 64 the second is normed 90 times, not 320.
+def test_identity_check_norms_one_residual_per_index(monkeypatch):
+    # Each residual is the norm of T^n - ((n+1) M_n - n M_(n-1)), bit for
+    # bit, with one norm per index and no pruning cascade.
     real = kreisslab.cesaro._dense_norm
     normed = []
 
@@ -231,22 +231,25 @@ def test_identity_check_norms_the_second_residual_only_when_it_may_win(monkeypat
         normed.append(1)
         return real(mat)
 
+    def cascade(*args):
+        raise AssertionError("the identity check prunes nothing")
+
     monkeypatch.setattr(kreisslab.cesaro, "_dense_norm", counting)
+    monkeypatch.setattr(kreisslab.cesaro, "_norm_unless_beaten", cascade)
     n_max = 64
     for name, params in CANONICAL_CATALOG:
         op = kl.make_operator(name, **params).spec
         mat = kl.materialize(op)
         eye = np.eye(mat.shape[0], dtype=mat.dtype)
         powers, means = [eye], [eye]
-        for j, power, total, _ in _power_sums(lambda p: p @ mat, eye, n_max + 1):
+        for j, power, total, _ in _power_sums(lambda p: p @ mat, eye, n_max):
             powers.append(power)
             means.append(total * (1.0 / (j + 1)))
-        expected = [max(real(powers[n] - ((n + 1) * means[n] - n * means[n - 1])),
-                        real((n + 2) / (n + 1) * means[n + 1] - means[n]
-                             - powers[n + 1] * (1.0 / (n + 1))))
+        expected = [real(powers[n] - ((n + 1) * means[n] - n * means[n - 1]))
                     for n in range(1, n_max + 1)]
+        normed.clear()
         np.testing.assert_array_equal(kl.cesaro_identity_check(op, n_max), expected)
-    assert len(normed) <= n_max * len(CANONICAL_CATALOG) + 120
+        assert len(normed) == n_max
 
 
 def test_identity_check_needs_positive_index():
@@ -558,16 +561,13 @@ def complex_identity_residuals(mat, n_max):
     """cesaro_identity_check's residuals from a complex stream and complex quotients."""
     eye = np.eye(mat.shape[0], dtype=complex)
     mat = mat.astype(complex)
-    out, powers, means, total = [], [eye], [eye], eye
-    for j in range(1, n_max + 2):
+    powers, means, total = [eye], [eye], eye
+    for j in range(1, n_max + 1):
         powers.append(powers[-1] @ mat)
         total = total + powers[-1]
         means.append(total / (j + 1))
-    for n in range(1, n_max + 1):
-        first = _dense_norm(powers[n] - ((n + 1) * means[n] - n * means[n - 1]))
-        second = _dense_norm((n + 2) / (n + 1) * means[n + 1] - means[n] - powers[n + 1] / (n + 1))
-        out.append(max(first, second))
-    return np.array(out)
+    return np.array([_dense_norm(powers[n] - ((n + 1) * means[n] - n * means[n - 1]))
+                     for n in range(1, n_max + 1)])
 
 
 def test_real_means_keep_the_bits_of_complex_quotients():

@@ -34,12 +34,16 @@ def test_construct_writes_report(tmp_path):
     (["--operator", "tn", "--trunc", "64", "--eta", "0.45"], kreisslab.tn_weights(64, 0.45)),
     (["--operator", "bermbmp", "--trunc", "64", "--eta", "0.3", "--direction", "backward"],
      np.arange(1.0, 65.0) ** 0.3),
-], ids=["tn", "bermbmp"])
+    # A direct sum lists every shift block's weights at its own coordinates.
+    (["--operator", "shields", "--nmax-sum", "20"],
+     np.concatenate([kreisslab.tn_weights(n, 0.45) for n in range(1, 21)])),
+], ids=["tn", "bermbmp", "shields"])
 def test_construct_writes_the_weights_with_w1_one(tmp_path, argv, weights):
     # The running product of the ratios: the catalog weights to rounding.
     assert main(["construct", *argv, "--format", "csv", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "operator.csv").read_text().splitlines()
     assert lines[:2] == ["index,value", "1,1.0"]
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, len(weights) + 1))
     values = np.array([float(line.split(",")[1]) for line in lines[1:]])
     np.testing.assert_allclose(values, weights, rtol=4e-15, atol=0)
 

@@ -195,6 +195,13 @@ def test_ergces_closed_form_matches_dense_powering():
         assert gap <= 1e-10
 
 
+def test_ergces_left_eigenvector_norm_is_exact():
+    # ||y_J||^2 = (4^(J+1) - 1)/3 for y_j = 2^j, an integer: the double norm equals
+    # the correctly rounded square root of the exact integer.
+    for j_max in range(21):
+        assert np.linalg.norm(2.0 ** np.arange(j_max + 1)) == math.sqrt((4 ** (j_max + 1) - 1) // 3)
+
+
 def test_ergces_validation():
     with pytest.raises(kl.ValidationError):
         kl.build_ergces(1)

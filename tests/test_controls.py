@@ -24,12 +24,14 @@ CONTROLLED = {
     "shields-eta-0.499": ("shields-growth-exponent",),
     "jordan": ("mean-difference-*",),
     "ergces-eps-doubled": ("ergces-closed-form-powers", "ergces-closed-form-means",
-                           "ergces-left-eigenvector", "ergces-range-witness"),
+                           "ergces-left-eigenvector", "ergces-range-witness",
+                           "ergces-resolvent-closed-form", "ergces-kreiss-bracket-upper"),
     "ergces-first-row": ("ergces-mean-first-row",),
-    "ergces-column-0": ("ergces-fixed-direction",),
-    "tz-three-block": ("tz-mean-symbol-bound",),
+    "ergces-column-0": ("ergces-fixed-direction", "ergces-kreiss-bracket-lower"),
+    "tz-three-block": ("tz-mean-symbol-bound", "tz-resolvent-symbol-bound"),
     "tz-nudged": ("tz-block-power-formula",),
     "bermbmp-ratio": ("bermbmp-ratios", "bermbmp-norm", "bermbmp-power-growth"),
+    "bermbmp-alpha-0.9": ("bermbmp-absolute-cesaro",),
 }
 
 #: Gated check ids with no control, as patterns, each with the reason.
@@ -48,18 +50,19 @@ NO_CONTROL = {
     "ergces-mean-rate": "closed form only: ergces_power_sums, which ergces-closed-form-means "
                         "ties to the built operator",
     "ergces-power-bound": "closed form only: computed from eps_j, with no operator built",
+    "ergces-resolvent-svd": "two norms of one matrix",
     "tz-mean-symbol-uniform": "closed form only: the symbol on the angle grid",
     "tz-transient-growth": "reads tz_block_power_norms, a Sturm count that no builder reaches",
     "tz-symbol-bound": "reads tz_block_power_norms, a Sturm count that no builder reaches",
     "tz-norm-dense-oracle": "compares the Sturm count with the dense norm of tz_block_power; "
                             "both are closed forms that no builder reaches",
+    "tz-resolvent-rising": "each truncation is the restriction of the next to an invariant "
+                           "subspace",
     "shields-norm": "||T|| = 2^eta < sqrt(2) for every eta that TNParams admits",
     "shields-odd-power-floor": "||T|| >= 1 for every ramp shift: its first ratio is 2^eta",
     "L21": "lemma21_bound on fixed scalar sequences; it reads no operator",
     "lemma-linear-divergence-detected": "a fixed linear sequence; it reads no operator",
     "bermbmp-annihilates-first": "every backward shift maps e_1 to 0",
-    "bermbmp-absolute-cesaro": "the run reads 1.387 against 2/(1 - alpha) = 2.857; no "
-                               "operator that crosses it was built",
 }
 
 
@@ -133,6 +136,9 @@ def test_tz_mean_gate_fails_on_the_three_block_control(monkeypatch):
     assert_controlled(records, "tz-three-block")
     (bound,) = [r for r in records if r.check_id == "tz-mean-symbol-bound"]
     assert min(bound.params["sup_mean_norm"]) > 3.0
+    # Its resolvent outgrows the 2-block symbol: 5.98 times it at d = 32.
+    (resolvent,) = [r for r in records if r.check_id == "tz-resolvent-symbol-bound"]
+    assert resolvent.value > 5.0
 
 
 def test_tz_power_gate_fails_with_an_entry_nudged(monkeypatch):
@@ -164,7 +170,8 @@ def test_ergces_mean_gate_fails_with_eps_doubled(monkeypatch):
 
     monkeypatch.setattr(reproduce, "build_ergces", doubled)
     records, _ = reproduce._prop35(kl.SEED)
-    # With eps_j doubled, y_j = 2^j leaves the residual -2^-j in column j.
+    # With eps_j doubled, y_j = 2^j leaves the residual -2^-j in column j,
+    # and the resolvent's first row, twice the closed form's, nears 2 ||y_J||.
     assert_controlled(records, "ergces-eps-doubled")
 
 
@@ -190,6 +197,7 @@ def test_ergces_fixed_direction_fails_with_column_0_flipped(monkeypatch):
 
     monkeypatch.setattr(reproduce, "build_ergces", flipped)
     records, _ = reproduce._prop35(kl.SEED)
+    # With +1 in place of -1, nothing of the spectrum is near -r_J.
     assert_controlled(records, "ergces-column-0")
 
 
@@ -199,6 +207,15 @@ def test_bermbmp_gates_fail_with_the_first_ratio_scaled(monkeypatch):
                         lambda *args: first_ratio_scaled(build(*args)))
     records, _ = reproduce._thm15(kl.SEED)
     assert_controlled(records, "bermbmp-ratio")
+
+
+def test_bermbmp_absolute_cesaro_fails_at_alpha_0_9(monkeypatch):
+    # The shift at alpha = 0.9 against the gate 2/(1 - 0.3) of alpha = 0.3:
+    # its averaged orbit norms reach 4.146, above 2.857.
+    monkeypatch.setattr(reproduce, "build_bermbmp_shift", lambda alpha, direction, d: (
+        kl.WeightedShift(direction, ((np.arange(1, d) + 1.0) / np.arange(1, d)) ** 0.9)))
+    records, _ = reproduce._thm15(kl.SEED)
+    assert_controlled(records, "bermbmp-alpha-0.9")
 
 
 def test_every_gate_has_a_control_or_a_reason():

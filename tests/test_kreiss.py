@@ -61,6 +61,10 @@ def test_kreiss_zero_operator():
     assert abs(report.kreiss_C - 0.5 / 1.5) <= 1e-12
     wide = kl.kreiss_constant(zero_op(), kl.AnnulusGrid((101.0,), 1))
     assert report.kreiss_C < wide.kreiss_C < 1.0
+    # Without k_max the strong sweep is the k = 1 term alone: the plain sweep.
+    assert (report.strong_C, report.k_max) == (report.kreiss_C, 1)
+    with pytest.raises(kl.ValidationError, match="k_max must be at least 1"):
+        kl.kreiss_constant(zero_op(), kl.AnnulusGrid.default(), 0)
 
 
 def test_kreiss_identity_operator():
@@ -121,7 +125,7 @@ def test_resolvent_norm_of_a_large_shift_is_its_svd():
         kl.resolvent_norm(kl.build_TN(2049, 0.45), lam)
 
 
-@pytest.mark.parametrize("k_max", [0, 1])
+@pytest.mark.parametrize("k_max", [1, 2])
 def test_large_shift_sweeps_equal_their_dense_twin(k_max):
     # A shift above the SVD cap once took its resolvent norm from a power
     # iteration that stalled on these radii (ConvergenceError).
@@ -341,7 +345,8 @@ def test_fused_pass_equals_the_exhaustive_sweeps(op, monkeypatch):
     assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == plain
     assert (fused.strong_C, fused.skipped) == strong
     alone = kl.kreiss_constant(op, grid)
-    assert (alone.kreiss_C, alone.kreiss_C_radius, alone.skipped, alone.strong_C) == (*plain, None)
+    assert (alone.kreiss_C, alone.kreiss_C_radius, alone.skipped) == plain
+    assert (alone.strong_C, alone.k_max) == (alone.kreiss_C, 1)
     assert kl.strong_kreiss_constant(op, grid, 8).strong_C == strong[0]
 
 
@@ -1576,6 +1581,7 @@ def test_lemma_constant_sequence():
     res = kl.lemma21_bound(np.ones(2001))
     assert res.status == "pass"
     assert res.params["B"] <= 1.0
+    assert res.params["r_grid"] == [1.0 - 2.0**-m for m in range(1, 13)]
 
 
 def test_lemma_sqrt_sequence():
@@ -1601,16 +1607,9 @@ def test_lemma_validation():
         kl.lemma21_bound(np.array([3.0, 2.0, 1.0]))
     with pytest.raises(kl.ValidationError):
         kl.lemma21_bound(np.array([-1.0, 0.0, 1.0]))
-    with pytest.raises(kl.ValidationError):
-        kl.lemma21_bound(np.ones(10), r_grid=(0.5, 1.5))
 
 
-def test_lemma_rejects_an_empty_grid_and_non_finite_entries():
-    for grid in ((), [], np.empty(0), 0.5):
-        with pytest.raises(kl.ValidationError, match="radius grid"):
-            kl.lemma21_bound([1.0, 2.0, 3.0], r_grid=grid)
-    with pytest.raises(kl.ValidationError, match="radius grid"):
-        kl.lemma21_bound([1.0, 2.0, 3.0], r_grid=(0.5, np.nan))
+def test_lemma_rejects_non_finite_entries():
     for bad in (np.nan, np.inf):
         with pytest.raises(kl.ValidationError, match="finite"):
             kl.lemma21_bound([1.0, 2.0, bad])

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -715,6 +717,22 @@ def test_blocks_walk_nested_spec():
     ((start, stop, scalar, leaf),) = kl.blocks(shift)
     assert (start, stop, leaf) == (0, 6, shift)
     assert type(scalar) is float and scalar == 1.0
+
+
+def test_blocks_keep_no_leaf_alive():
+    # A walk that formed a reference cycle kept every leaf it listed, an
+    # 8 MiB matrix at tzblock 512, until the cyclic collector ran.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        leaf = kl.Dense(np.eye(3))
+        alive = weakref.ref(leaf)
+        kl.blocks(kl.DirectSum((kl.RotatedScale(MU, leaf), kl.build_TN(2, 0.3))))
+        del leaf
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_block_kernels_match_the_block_diagonal_oracle():
