@@ -41,10 +41,6 @@ from .kreiss import (
     AnnulusGrid,
     KreissReport,
     dyadic_ladder,
-    hilbert_claim1,
-    hilbert_claim2,
-    hilbert_claim3,
-    hilbert_claim4,
     kb2_constant,
     kreiss_constant,
     lemma21_bound,

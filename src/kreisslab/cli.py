@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .cesaro import rotated_mean_norm_profile
-from .constructions import CATALOG_NAMES, make_operator, shields_certified_kmax
+from .constructions import CATALOG_NAMES, ErgcesParams, make_operator, shields_certified_kmax
 from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
 from .kreiss import (CLAIM_COLUMNS, AnnulusGrid, dyadic_ladder, kb2_constant, kreiss_constant,
@@ -199,6 +199,22 @@ def _check_sweep(args):
     _count(args.angles, "angle count", 1)
 
 
+def _kreiss_bracket(entry, grid_sup: float) -> dict:
+    """The certified sides of the Kreiss constant: each a value and its method, or None.
+
+    Every grid point's value is a lower bound, so the grid sup is one.
+    For ergces the eigenprojection at -1 gives K >= ||y_J|| and the
+    power bound K <= sup_n ||T^n|| <= 1 + ||y_J|| (reproduce._prop35).
+    """
+    bracket = {"kreiss_C_lower": grid_sup, "kreiss_C_lower_method": "grid"}
+    if entry.name == "ergces":
+        left = ErgcesParams(entry.params["j_max"]).left_norm
+        if left > grid_sup:
+            bracket.update(kreiss_C_lower=left, kreiss_C_lower_method="eigenprojection")
+        bracket.update(kreiss_C_upper=1.0 + left, kreiss_C_upper_method="power-bound")
+    return bracket
+
+
 def _cmd_kreiss(args) -> int:
     _check_sweep(args)
     _count(args.k_max, "k_max", 1)
@@ -208,8 +224,14 @@ def _cmd_kreiss(args) -> int:
     base = kreiss_constant(entry.spec, grid, args.k_max)  # the plain and strong sweeps in one pass
     kb2 = kb2_constant(entry.spec, args.n_max, args.angles)
     report = replace(base, ukb_C=kb2.ukb_C, kb2_C=kb2.kb2_C, kb2_sum_C=kb2.kb2_sum_C,
-                     n_max=kb2.n_max)
+                     n_max=kb2.n_max, **_kreiss_bracket(entry, base.kreiss_C))
     results = [CheckRecord("kreiss-report", "info", params=report.to_dict())]
+    if report.kreiss_C < report.kreiss_C_lower * (1.0 - 1e-9):
+        results.append(CheckRecord(
+            "kreiss-grid-missed-sup", "info", report.kreiss_C,
+            params={"kreiss_C_lower": report.kreiss_C_lower,
+                    "method": report.kreiss_C_lower_method},
+            detail="kreiss sweep: the grid sup lies below the certified lower bound"))
     if report.kreiss_C_radius == min(grid.radii):
         results.append(CheckRecord(
             "kreiss-sup-on-inner-radius", "info", report.kreiss_C,

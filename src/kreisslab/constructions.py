@@ -87,6 +87,15 @@ class ErgcesParams:
         """
         return -np.expm1(n * self.log_c)
 
+    @property
+    def left_norm(self) -> float:
+        """||y|| of the left eigenvector y_j = 2^j, j <= J, at the eigenvalue -1.
+
+        The spectral projection at -1 is e_0 y^T, of norm ||y|| =
+        sqrt((4^(J+1) - 1)/3), so the Kreiss constant is at least ||y||.
+        """
+        return float(np.linalg.norm(2.0 ** np.arange(self.j_max + 1)))
+
 
 def tn_weights(n: int, eta: float) -> np.ndarray:
     """Ramp weights: w_j = j**eta up to j = n, then n**(2*eta)/(2n-j+1)**eta.

@@ -95,6 +95,10 @@ class KreissReport:
     kreiss_C: float | None = None
     kreiss_C_radius: float | None = None
     kreiss_C_svd: float | None = None
+    kreiss_C_lower: float | None = None
+    kreiss_C_lower_method: str | None = None
+    kreiss_C_upper: float | None = None
+    kreiss_C_upper_method: str | None = None
     ukb_C: float | None = None
     kb2_C: float | None = None
     strong_C: float | None = None
@@ -426,20 +430,10 @@ def orbit_norms(op: OperatorSpec, x: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-def _orbit(norms, top: int) -> np.ndarray:
-    """norms[j] = ||T^j x|| as an array, checked for a unit probe and j <= top."""
-    norms = np.asarray(norms, dtype=float)
-    if norms.ndim != 1 or norms.size <= top:
-        raise ValidationError(f"need orbit norms for j <= {top}, got {norms.size}")
-    if abs(norms[0] - 1.0) > 1e-9:
-        raise ValidationError("probe vector must have unit norm")
-    return norms
-
-
 # Each orbit claim maps an orbit table (one row of norms ||T^j x|| per
 # probe) to (terms, op, bound): a probe's lhs is the sum of its row of
-# terms.  The one-probe checkers hilbert_claim1..4 and run_hilbert_claims
-# both evaluate claims through _claim_lhs, on one row or on many.
+# terms.  run_hilbert_claims evaluates every claim through _claim_lhs,
+# one instance on all probes at once.
 
 
 def _top_squares(orbits: np.ndarray, N: int) -> np.ndarray:
@@ -486,42 +480,6 @@ def _claim_lhs(check_id: str, orbits: np.ndarray, C, index: dict):
     live = ~(orbits[:, index["N"]] <= _ORBIT_FLOOR) if needs_orbit else np.ones(len(orbits), bool)
     terms, op, bound = claim(orbits[live], C, **index)
     return live, np.array([np.add.reduce(row) for row in terms]), op, float(bound)
-
-
-def _hilbert_claim(check_id: str, norms, C, index: dict, params) -> CheckRecord:
-    info = {**index, **(params or {})}
-    live, lhs, op, bound = _claim_lhs(check_id, norms[None], C, index)
-    if not live[0]:
-        return CheckRecord(check_id, "vacuous-pass", params=info)
-    return gate(check_id, lhs[0], op, bound, _REL_SLACK, info)
-
-
-def hilbert_claim1(norms, C, N, params=None) -> CheckRecord:
-    """Orbit energy bound: sum_{j<N} ||T^j x||^2 <= 16 C^2 N^2."""
-    N = _count(N, "N", 1)
-    return _hilbert_claim("H1", _orbit(norms, N - 1), C, {"N": N}, params)
-
-
-def hilbert_claim2(norms, C, N, M, params=None) -> CheckRecord:
-    """Inverse-orbit bound: sum_{j<M} ||T^N x||^2 / ||T^{N-j} x||^2 <= 16 C^2 M^2."""
-    N, M = _count(N, "N"), _count(M, "M")
-    if not 0 < M < N:
-        raise ValidationError("need 0 < M < N")
-    return _hilbert_claim("H2", _orbit(norms, N), C, {"N": N, "M": M}, params)
-
-
-def hilbert_claim3(norms, C, N, params=None) -> CheckRecord:
-    """Reciprocal-orbit bound: sum_{j<N} 1/||T^j x|| >= sqrt(N)/(4C)."""
-    N = _count(N, "N", 1)
-    return _hilbert_claim("H3", _orbit(norms, N), C, {"N": N}, params)
-
-
-def hilbert_claim4(norms, C, N, M1, M2, params=None) -> CheckRecord:
-    """Window bound: sum_{M1<=j<M2} ||T^{N-j}x||^2/||T^N x||^2 >= (M2-M1)^2/(16 C^2 M2^2)."""
-    N, M1, M2 = _count(N, "N"), _count(M1, "M1"), _count(M2, "M2")
-    if not 0 < M1 < M2 < N:
-        raise ValidationError("need 0 < M1 < M2 < N")
-    return _hilbert_claim("H4", _orbit(norms, N), C, {"N": N, "M1": M1, "M2": M2}, params)
 
 
 def tn_claim1_bound(eta, n, gamma, delta, c1, params=None) -> CheckRecord:
@@ -655,8 +613,8 @@ class ClaimRecords(list):
     """run_hilbert_claims' records, one per claim instance, and ``rows``: one per probe.
 
     ``rows`` are the claims.csv rows in CLAIM_COLUMNS order, probe by
-    probe and on each probe instance by instance, each the row of the
-    one-probe hilbert_claim1..4 record of that probe and instance.
+    probe and on each probe instance by instance, each with the verdict
+    that gate gives that probe alone.
     """
 
     def __init__(self, records=(), rows=()):
@@ -714,7 +672,7 @@ def run_hilbert_claims(
     record gates the worst live probe, or is vacuous-pass when no probe
     is live (_claim_group), so the records fail exactly when some probe
     fails an instance.  ``rows`` of the result keeps every probe's
-    verdict, as the one-probe hilbert_claim1..4 records would give it.
+    verdict, as a one-row table of that probe alone would give it.
     ``params`` are merged into every record's params.  A non-finite orbit
     norm is a numerical failure, not a verdict: it raises ConvergenceError.
     """

@@ -301,6 +301,8 @@ def _prop35(seed: int):
     1/(lam + c_j) and first row -eps_j/((lam + 1)(lam + c_j)).  The ratio
     (r - 1)||R(-r)||/||y_J|| is nearly a function of (r - 1) 4^J, so the
     bracket is read at r_J = 1 + 2^-(2J+8), where it is about 0.997.
+    The kreiss command reports the same bracket for ergces J, its lower
+    side the larger of ||y_J|| and its grid sup.
     """
     j_max = 20
     op = build_ergces(j_max)
@@ -361,7 +363,7 @@ def _prop35(seed: int):
     results.append(gate("ergces-left-eigenvector", max(residuals), "<=", 0.0,
                         params={"j_max": tops, "residual": residuals},
                         detail="max of |y^T T_J + y^T|, y_j = 2^j"))
-    lower = [float(np.linalg.norm(y)) for y in lefts]
+    lower = [ErgcesParams(top).left_norm for top in tops]
     results.append(CheckRecord("ergces-kreiss-lower-bound", "info", lower[-1],
                                params={"j_max": tops, "norm_y": lower},
                                detail="K(T_J) >= ||y_J|| = sqrt((4^(J+1) - 1)/3)"))

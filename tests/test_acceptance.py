@@ -121,7 +121,7 @@ def test_criterion_06_triangular_model():
     ratio32 = float(series.values[31]) / 32.0
     ratio256 = float(series.values[255]) / 256.0
 
-    ok = (worst_gap <= 1e-10 and worst_norm <= 1.5 + 1e-6 and worst_entry <= 1e-9
+    ok = (worst_gap <= 1e-13 and worst_norm <= 1.5 + 1e-6 and worst_entry <= 1e-9
           and ratio256 < ratio32 / 2.0)
     _report(6, "triangular model closed forms and means", ok,
             f"(gap {worst_gap:.2e}, mean sup {worst_norm:.4f}, "

@@ -154,8 +154,9 @@ def test_kreiss_flags_a_sup_on_the_innermost_radius(tmp_path):
         # ergces' mean sweeps at n_max = 4 also fall below kreiss_C.
         means = [r["constant"] for r in rest if r["check_id"] == "mean-sweep-below-kreiss"]
         assert means == (["ukb_C", "kb2_C"] if flagged else [])
+        # ergces' grid sup also lies below its certified lower side (tested below).
         flags = [(r["check_id"], r["status"], r["value"], r["r"]) for r in rest
-                 if r["check_id"] != "mean-sweep-below-kreiss"]
+                 if r["check_id"] not in ("mean-sweep-below-kreiss", "kreiss-grid-missed-sup")]
         assert flags == ([("kreiss-sup-on-inner-radius", "info", report["kreiss_C"], radius)]
                          if flagged else [])
 
@@ -175,6 +176,32 @@ def test_a_mean_constant_below_kreiss_c_is_recorded(tmp_path):
             assert record["status"] == "info"
             assert record["kreiss_C"] == report["kreiss_C"]
             assert record["value"] == report[record["constant"]] < report["kreiss_C"]
+
+
+def test_kreiss_report_brackets_the_kreiss_constant(tmp_path):
+    # The grid sup is a lower side for every operator.  For ergces J the
+    # eigenprojection at -1 gives K >= ||y_J||, far above the grid's 54.36 at
+    # J = 20, and the power bound K <= 1 + ||y_J||.
+    left = kreisslab.ErgcesParams(20).left_norm
+    for name, trunc in (("ergces", "20"), ("tzblock", "16")):
+        out = tmp_path / name
+        assert main(["kreiss", "--operator", name, "--trunc", trunc, "--format", "csv",
+                     "--out", str(out)]) == 0
+        report, *rest = read_report(out)["results"]
+        assert report["check_id"] == "kreiss-report"
+        bracket = [report[key] for key in ("kreiss_C_lower", "kreiss_C_lower_method",
+                                           "kreiss_C_upper", "kreiss_C_upper_method")]
+        missed = [(r["status"], r["value"], r["kreiss_C_lower"], r["method"]) for r in rest
+                  if r["check_id"] == "kreiss-grid-missed-sup"]
+        if name == "ergces":
+            assert bracket == [left, "eigenprojection", 1.0 + left, "power-bound"]
+            assert round(left, 2) == 1210791.27 and round(report["kreiss_C"], 2) == 54.36
+            assert missed == [("info", report["kreiss_C"], left, "eigenprojection")]
+        else:
+            assert bracket == [report["kreiss_C"], "grid", None, None]
+            assert missed == []
+        names = [line.split(",")[0] for line in (out / "constants.csv").read_text().splitlines()]
+        assert names[1:] == ["kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C"]
 
 
 #: kreiss command-line flags of each catalog entry's parameters.
@@ -717,7 +744,8 @@ def test_skipped_grid_points_become_no_verdict_records(tmp_path, monkeypatch):
         ("strong", 1.5, 0.0, "skipped"),
     ]
     assert report["results"][0]["skipped"] == [[1.5, [1.0, 0.0]]]
-    # kreiss-report, kreiss-sup-on-inner-radius (ergces peaks there), the two
-    # mean-sweep-below-kreiss records (ukb_C and kb2_C at n_max = 8) and the two skipped points
-    assert report["summary"]["no_verdict"] == 6
+    # kreiss-report, kreiss-grid-missed-sup (below ||y_6||), kreiss-sup-on-inner-radius
+    # (ergces peaks there), the two mean-sweep-below-kreiss records (ukb_C and kb2_C at
+    # n_max = 8) and the two skipped points
+    assert report["summary"]["no_verdict"] == 7
     assert code == 0  # no definite check failed; the gaps are recorded as no-verdict

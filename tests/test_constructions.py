@@ -192,7 +192,7 @@ def test_ergces_closed_form_matches_dense_powering():
     for n in range(1, 201):
         power = power @ mat
         gap = np.max(np.abs(power - kl.ergces_power_closed_form(j_max, n)))
-        assert gap <= 1e-10
+        assert gap <= 1e-13
 
 
 def test_ergces_left_eigenvector_norm_is_exact():
@@ -200,6 +200,10 @@ def test_ergces_left_eigenvector_norm_is_exact():
     # the correctly rounded square root of the exact integer.
     for j_max in range(21):
         assert np.linalg.norm(2.0 ** np.arange(j_max + 1)) == math.sqrt((4 ** (j_max + 1) - 1) // 3)
+    # ErgcesParams.left_norm, which prop3.5 and the kreiss bracket read, gives the same bits.
+    for j_max in range(2, 21):
+        assert kl.ErgcesParams(j_max).left_norm == math.sqrt((4 ** (j_max + 1) - 1) // 3)
+    assert round(kl.ErgcesParams(20).left_norm, 2) == 1210791.27
 
 
 def test_ergces_validation():

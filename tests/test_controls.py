@@ -7,6 +7,8 @@ listed in NO_CONTROL with the reason, and a coverage test holds every
 gated check id of the eight runners to one of the two tables.
 """
 
+from collections import Counter
+from dataclasses import replace
 from fnmatch import fnmatchcase
 
 import numpy as np
@@ -15,8 +17,9 @@ import pytest
 import kreisslab as kl
 import kreisslab.reproduce as reproduce
 
-#: The check ids each control breaks, as patterns: every id of the run
-#: that matches one must fail, and each pattern must match some id.
+#: The check ids each control breaks, as patterns: every record of the
+#: run that matches one must fail, vacuous passes aside, and each pattern
+#: must match some failing record.
 CONTROLLED = {
     "tn-ratio": ("tn-norm-*", "tn-power-n*", "tn-power-closed-form-*"),
     "shields-eta-0.35": ("shields-norm-closed-form", "shields-lower-bound", "shields-odd-powers",
@@ -32,6 +35,7 @@ CONTROLLED = {
     "tz-nudged": ("tz-block-power-formula",),
     "bermbmp-ratio": ("bermbmp-ratios", "bermbmp-norm", "bermbmp-power-growth"),
     "bermbmp-alpha-0.9": ("bermbmp-absolute-cesaro",),
+    "claims-constant-0.02": ("H[1-4]",),
 }
 
 #: Gated check ids with no control, as patterns, each with the reason.
@@ -41,8 +45,6 @@ NO_CONTROL = {
     "TN-C1": "the double sum reads no operator, only coefficient vectors and the guide's "
              "ukb_C; no control lowers that constant below the sum",
     "TN-C2": "an inequality between a power sum and its integral; it reads no operator",
-    "H[1-4]": "orbit inequalities against kb2_sum_C of the same operator, so a swapped "
-              "operator changes both sides; no operator is known that breaks them",
     "mean-identities-*": "algebraic identities of powers and means that hold for every "
                          "matrix; only a broken power stream could fail them",
     "ergces-mean-bound": "closed form only: ergces_power_sums, which ergces-closed-form-means "
@@ -85,10 +87,11 @@ def statuses(records):
 
 
 def assert_controlled(records, control):
-    status = statuses(records)
+    """Every record of each pattern fails, vacuous passes aside, and at least one does."""
     for pattern in CONTROLLED[control]:
-        matched = [check for check in status if fnmatchcase(check, pattern)]
-        assert matched and all(status[check] == "fail" for check in matched), pattern
+        matched = [record.status for record in records if fnmatchcase(record.check_id, pattern)
+                   and record.status != "vacuous-pass"]
+        assert matched and set(matched) == {"fail"}, pattern
 
 
 def test_tn_gates_fail_with_the_first_ratio_scaled(monkeypatch):
@@ -216,6 +219,24 @@ def test_bermbmp_absolute_cesaro_fails_at_alpha_0_9(monkeypatch):
         kl.WeightedShift(direction, ((np.arange(1, d) + 1.0) / np.arange(1, d)) ** 0.9)))
     records, _ = reproduce._thm15(kl.SEED)
     assert_controlled(records, "bermbmp-alpha-0.9")
+
+
+def test_orbit_claims_fail_against_the_constant_scaled_by_0_02(monkeypatch):
+    # H1..H4 hold against bounds in C = kb2_sum_C; at 0.02 C every live record
+    # of thm2.7-claims fails (at 0.05 C one H1 record still passes).
+    exact = reproduce.kb2_constant
+
+    def shrunk(*args):
+        report = exact(*args)
+        return replace(report, kb2_sum_C=0.02 * report.kb2_sum_C)
+
+    monkeypatch.setattr(reproduce, "kb2_constant", shrunk)
+    records, _ = reproduce._thm27(kl.SEED)
+    assert_controlled(records, "claims-constant-0.02")
+    counts = Counter((r.check_id, r.status) for r in records if r.check_id.startswith("H"))
+    assert counts == {("H1", "fail"): 14, ("H2", "fail"): 25, ("H2", "vacuous-pass"): 17,
+                      ("H3", "fail"): 11, ("H3", "vacuous-pass"): 3,
+                      ("H4", "fail"): 30, ("H4", "vacuous-pass"): 40}
 
 
 def test_every_gate_has_a_control_or_a_reason():

@@ -1177,8 +1177,6 @@ COUNTED_CALLS = {
     "ergodic_probe": ("ladder rung", lambda n: kl.ergodic_probe(
         kl.build_tz_block(4), 2, (1, n))),
     "orbit_norms": ("kmax", lambda k: kl.orbit_norms(kl.build_tz_block(4), unit(8), k)),
-    "hilbert_claim1": ("N", lambda n: kl.hilbert_claim1(
-        kl.orbit_norms(zero_op(), unit(4), 4), 1.0, n)),
     "tn_claim1_bound": ("window length n", lambda n: kl.tn_claim1_bound(
         0.3, n, np.ones(4) / 2.0, np.ones(4) / 2.0, 1.0)),
     "tn_claim2_bound": ("M", lambda m: kl.tn_claim2_bound(0.3, m)),
@@ -1216,20 +1214,26 @@ def unit(d, seed=0):
     return x / np.linalg.norm(x)
 
 
+def claim(check_id, norms, C, **index):
+    """The record of one claim instance on a one-row orbit table."""
+    record, _ = kl.kreiss._claim_group(check_id, norms[None], C, index, {})
+    return record
+
+
 def test_claim1_zero_operator():
-    res = kl.hilbert_claim1(kl.orbit_norms(zero_op(), unit(4), 3), 1.0, 4)
+    res = claim("H1", kl.orbit_norms(zero_op(), unit(4), 3), 1.0, N=4)
     assert res.passed and res.value == 1.0 and res.bound == 256.0
 
 
 def test_claims_identity_operator():
     x = unit(4, 1)
     norms = kl.orbit_norms(identity_op(), x, 12)
-    assert kl.hilbert_claim1(norms, 1.0, 10).value == pytest.approx(10.0)
-    res2 = kl.hilbert_claim2(norms, 1.0, 10, 4)
+    assert claim("H1", norms, 1.0, N=10).value == pytest.approx(10.0)
+    res2 = claim("H2", norms, 1.0, N=10, M=4)
     assert res2.passed and res2.value == pytest.approx(4.0)
-    res3 = kl.hilbert_claim3(norms, 1.0, 9)
+    res3 = claim("H3", norms, 1.0, N=9)
     assert res3.passed and res3.value == pytest.approx(9.0)
-    res4 = kl.hilbert_claim4(norms, 1.0, 12, 2, 6)
+    res4 = claim("H4", norms, 1.0, N=12, M1=2, M2=6)
     assert res4.passed and res4.value == pytest.approx(4.0)
 
 
@@ -1238,7 +1242,7 @@ def test_claim2_shift_basis_vector():
     C = kl.kb2_constant(op, 64).kb2_sum_C
     x = np.zeros(16, dtype=complex)
     x[0] = 1.0
-    res = kl.hilbert_claim2(kl.orbit_norms(op, x, 15), C, 15, 8)
+    res = claim("H2", kl.orbit_norms(op, x, 15), C, N=15, M=8)
     assert res.status == "pass"
 
 
@@ -1246,22 +1250,9 @@ def test_claims_vacuous_on_annihilated_orbit():
     op = kl.build_TN(4, 0.3)  # dimension 8, nilpotent at 8
     x = np.zeros(8, dtype=complex)
     x[0] = 1.0
-    res = kl.hilbert_claim3(kl.orbit_norms(op, x, 8), 1.0, 8)
+    res = claim("H3", kl.orbit_norms(op, x, 8), 1.0, N=8)
     assert res.status == "vacuous-pass"
     assert res.passed is True and res.value is None
-
-
-def test_claims_validation():
-    with pytest.raises(kl.ValidationError):
-        kl.hilbert_claim1(kl.orbit_norms(zero_op(), 2 * unit(4), 3), 1.0, 4)  # not unit norm
-    with pytest.raises(kl.ValidationError):
-        kl.hilbert_claim2(kl.orbit_norms(zero_op(), unit(4), 4), 1.0, 4, 4)  # M must be < N
-    with pytest.raises(kl.ValidationError):
-        kl.hilbert_claim4(kl.orbit_norms(zero_op(), unit(4), 4), 1.0, 4, 3, 2)
-    with pytest.raises(kl.ValidationError, match="orbit norms"):
-        kl.hilbert_claim3(kl.orbit_norms(zero_op(), unit(4), 7), 1.0, 8)  # needs ||T^8 x||
-    with pytest.raises(kl.ValidationError, match="orbit norms"):
-        kl.hilbert_claim1(kl.orbit_norms(zero_op(), unit(4), 2), 1.0, 4)  # needs ||T^3 x||
 
 
 def test_orbit_norms_stop_at_an_exactly_zero_vector(monkeypatch):
@@ -1308,30 +1299,24 @@ def test_orbit_norms_of_a_block_are_its_columns_orbits():
     assert kl.orbit_norms(kl.build_TN(8, 0.45), np.zeros((16, 0)), 4).shape == (0, 5)
 
 
-def one_probe_claims(orbit, C, ladder, tag):
-    """The one-probe records of every claim instance on one probe, in claims.csv order.
+def one_probe_claims(orbit, C, ladder, params):
+    """The records of every claim instance on one probe's orbit alone, in claims.csv order.
 
-    orbit(top) gives the probe's norms ||T^j x|| for j <= top at least.
+    They are the one-row _claim_table of the orbit; params carry the
+    probe's x_seed into every record.
     """
-    records = []
-    for N in ladder:
-        records.append(kl.hilbert_claim1(orbit(N - 1), C, N, tag))
-        records.append(kl.hilbert_claim3(orbit(N), C, N, tag))
-        records += [kl.hilbert_claim2(orbit(N), C, N, M, tag) for M in ladder if M < N]
-        records += [kl.hilbert_claim4(orbit(N), C, N, M1, M2, tag)
-                    for M1 in ladder for M2 in ladder if M1 < M2 < N]
-    return records
+    return list(kl.kreiss._claim_table(np.asarray(orbit)[None], C, ladder, params))
 
 
 def claim_row(record):
-    """The claims.csv row of one one-probe claim record."""
+    """The claims.csv row of one probe's claim record."""
     p = record.params
     return (record.check_id, p["x_seed"], p["N"], p.get("M"), p.get("M1"), p.get("M2"),
             record.value, record.bound, record.margin, record.status)
 
 
 def assert_claim_groups(results, per_probe, params=None):
-    """results are the group records and rows of the one-probe records per_probe[probe][instance].
+    """results are the group records and rows of the per-probe records per_probe[probe][instance].
 
     Each group record gates the live probe of smallest margin (the first
     on ties) with that probe's value, bound and margin, and counts the
@@ -1371,16 +1356,15 @@ def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
     assert calls == [((kl.dimension(op), 3), 32)]
     # One record per instance on the ladder 1..32 (6 H1, 6 H3, 15 pairs
     # M < N for H2, 20 triples M1 < M2 < N for H4); the rows are the
-    # one-probe records of each probe computing its own orbit up to each
-    # instance's N.
+    # records of each probe's own orbit, stepped alone, as a one-row table.
     assert len(results) == 6 + 6 + 15 + 20 and len(results.rows) == 3 * len(results)
     per_probe = []
     for i in range(3):
         rng = np.random.default_rng([5, i])
         x = rng.standard_normal(kl.dimension(op)) + 1j * rng.standard_normal(kl.dimension(op))
         x /= np.linalg.norm(x)
-        per_probe.append(one_probe_claims(lambda top: kl.orbit_norms(op, x, top), C,
-                                          kl.dyadic_ladder(32), {"x_seed": i, "tag": "t"}))
+        per_probe.append(one_probe_claims(kl.orbit_norms(op, x, 32), C, kl.dyadic_ladder(32),
+                                          {"x_seed": i, "tag": "t"}))
     assert_claim_groups(results, per_probe, {"tag": "t"})
     # The nilpotent shift of dimension 16 annihilates every probe from
     # N = 16 on: whole groups are vacuous there, except H1's, which never is.
@@ -1392,7 +1376,7 @@ def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
 def doctored_claims(monkeypatch, doctor, n_probes=4, finite=True):
     """run_hilbert_claims of tn 8 with doctor(orbits) applied to its orbit table.
 
-    Returns (results, the one-probe records of each doctored orbit, C).
+    Returns (results, the records of each doctored orbit alone, C).
     A table that is not finite (finite=False) must raise ConvergenceError
     in run_hilbert_claims; its results are then those of the table
     evaluator that run_hilbert_claims hands a finite table.
@@ -1413,8 +1397,7 @@ def doctored_claims(monkeypatch, doctor, n_probes=4, finite=True):
         with pytest.raises(kl.ConvergenceError, match="not finite"):
             kl.run_hilbert_claims(op, C, n_probes=n_probes, n_top=16)
         results = kl.kreiss._claim_table(tables[0], C, kl.dyadic_ladder(16), {})
-    per_probe = [one_probe_claims(lambda top, orbit=orbit: orbit, C, kl.dyadic_ladder(16),
-                                  {"x_seed": i})
+    per_probe = [one_probe_claims(orbit, C, kl.dyadic_ladder(16), {"x_seed": i})
                  for i, orbit in enumerate(tables[0])]
     return results, per_probe, C
 

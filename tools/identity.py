@@ -48,6 +48,8 @@ COMMANDS = (
      *_CSV),
     ("claims", "--operator", "tzblock", "--trunc", "8", "--probes", "8", "--k-max", "16",
      *_CSV),
+    # A nilpotent shift of dimension 32: its groups are vacuous from N = 32 on.
+    ("claims", "--operator", "tn", "--trunc", "16", "--probes", "8", "--k-max", "64", *_CSV),
     ("powers", "--operator", "ergces", "--trunc", "20", *_CSV),
     ("growth", "--operator", "shields", "--nmax-sum", "50", "--window", "16", "60", *_CSV),
     ("growth", "--operator", "ergces", "--trunc", "20", *_CSV),
