@@ -149,7 +149,7 @@ def _emit(args, config, records, tables):
     emit_report(config, results, tables if args.format == "csv" else None, args.out)
     summary = summarize(results)
     print(f"{config.command}: {summary['checks']} records, "
-          f"{summary['failed']} failed, {summary['vacuous_pass']} vacuous")
+          f"{summary['failed']} failed, {summary['no_verdict']} no verdict")
     return 0 if summary["all_passed"] else 1
 
 
@@ -237,14 +237,11 @@ def _cmd_kreiss(args) -> int:
             "kreiss-sup-on-inner-radius", "info", report.kreiss_C,
             params={"r": report.kreiss_C_radius},
             detail="kreiss sweep: the sup sits on the innermost radius and may lie beyond the grid"))
-    # A skipped grid point leaves both sweeps and may lower either sup: one no-verdict
-    # record per sweep.
-    for sweep in ("kreiss", "strong"):
-        for r, mu in report.skipped:
-            results.append(CheckRecord(
-                "skipped-grid-point", "skipped",
-                params={"sweep": sweep, "r": r, "angle": cmath.phase(mu)},
-                detail=f"{sweep} sweep: singular point left out of the sup"))
+    # A skipped grid point leaves both sweeps at once and may lower either sup.
+    for r, mu in report.skipped:
+        results.append(CheckRecord(
+            "skipped-grid-point", "skipped", params={"r": r, "angle": cmath.phase(mu)},
+            detail="singular point left out of the kreiss and strong sups"))
     # Abel summation gives (r-1) ||R(r mu)|| <= sup_n ||M_n(conj(mu) T)||, and the same
     # with the second means, so a mean constant below kreiss_C is an under-resolved sweep.
     for name in ("ukb_C", "kb2_C"):

@@ -25,9 +25,9 @@ them.
 
 Every checker returns a reports.CheckRecord: a verdict decided by
 reports.gate, which stores the value, the comparison, the bound, the
-slack and the margin.  Hypotheses that fail to hold (a vanishing orbit
-power, a diverging hypothesis sum) yield distinct no-verdict states
-(vacuous-pass, hypothesis-diverged) rather than silent passes.
+slack and the margin.  A hypothesis that fails to hold yields no verdict
+rather than a silent pass: hypothesis-diverged for a diverging sum, and
+one claims-vacuous record counting the orbit claims at a vanished power.
 """
 
 from __future__ import annotations
@@ -638,14 +638,14 @@ def _claim_group(check_id: str, orbits: np.ndarray, C, index: dict, params: dict
     The record gates the live probe of smallest margin (the first on
     ties, a NaN before all): it fails exactly when some probe fails, and
     its params give that probe as x_seed and the number gated as probes.
-    With no live probe it is one vacuous-pass record.  cells holds each
-    probe's (lhs, bound, margin, status), decided by reports.margins as
-    gate decides one probe.
+    With no live probe the instance checks nothing and gives None.
+    cells holds each probe's (lhs, bound, margin, status), decided by
+    reports.margins as gate decides one probe.
     """
     live, lhs, op, bound = _claim_lhs(check_id, orbits, C, index)
-    cells = [_VACUOUS_CELLS] * len(orbits)
     if not lhs.size:
-        return CheckRecord(check_id, "vacuous-pass", params={**index, "probes": 0, **params}), cells
+        return None
+    cells = [_VACUOUS_CELLS] * len(orbits)
     margin, ok = margins(check_id, lhs, op, bound, _REL_SLACK)
     probes = np.flatnonzero(live)
     worst = int(np.argmin(margin))
@@ -669,12 +669,12 @@ def run_hilbert_claims(
     An instance is a claim with its N and its M or (M1, M2).  The probes
     step together as the columns of one block, up to n_top (orbit_norms),
     and each instance is evaluated on all their orbits at once.  Its one
-    record gates the worst live probe, or is vacuous-pass when no probe
-    is live (_claim_group), so the records fail exactly when some probe
-    fails an instance.  ``rows`` of the result keeps every probe's
-    verdict, as a one-row table of that probe alone would give it.
-    ``params`` are merged into every record's params.  A non-finite orbit
-    norm is a numerical failure, not a verdict: it raises ConvergenceError.
+    record gates the worst live probe (_claim_group), so the records fail
+    exactly when some probe fails an instance; a claims-vacuous record
+    counts the instances left out for want of a live probe.  ``rows``
+    keeps each probe's verdict as a one-row table would give it, and
+    ``params`` join every record's params.  A non-finite orbit norm is a
+    numerical failure, not a verdict: it raises ConvergenceError.
     """
     seed = _count(seed, "seed")
     n_probes = _count(n_probes, "n_probes")
@@ -698,12 +698,21 @@ def run_hilbert_claims(
 
 def _claim_table(orbits: np.ndarray, C, ladder: tuple, params: dict) -> ClaimRecords:
     """run_hilbert_claims' records and rows from its (probes, n_top + 1) orbit table."""
-    records, columns = [], []
+    records, columns, vacuous = [], [], []
     for check_id, index in _claim_instances(ladder):
-        record, cells = _claim_group(check_id, orbits, C, index, params)
+        group = _claim_group(check_id, orbits, C, index, params)
+        if group is None:
+            vacuous.append(index["N"])
+            continue
+        record, cells = group
         records.append(record)
         head = (check_id, index["N"], index.get("M"), index.get("M1"), index.get("M2"))
         columns.append((head, cells))
     rows = [(check_id, i, *rest, *cells[i])
             for i in range(len(orbits)) for (check_id, *rest), cells in columns]
+    if vacuous:
+        records.append(CheckRecord(
+            "claims-vacuous", "info", len(vacuous), params={"N": sorted(set(vacuous)), **params},
+            detail=f"H2-H4 instances left out: every probe has ||T^N x|| <= {_ORBIT_FLOOR:g} "
+                   "there, so their hypothesis T^N x != 0 fails"))
     return ClaimRecords(records, rows)

@@ -81,8 +81,8 @@ class CheckRecord:
     A ``pass`` or ``fail`` status comes with the gate that decided it:
     ``value op bound`` with relative ``slack`` and the signed ``margin``
     in the bound's favor.  Such records are built by :func:`gate` only.
-    Every other status (``info``, ``skipped``, ``vacuous-pass``,
-    ``hypothesis-diverged``) carries no gate and uses this constructor.
+    Every other status (``info``, ``skipped``, ``hypothesis-diverged``)
+    carries no gate and uses this constructor.
     ``params`` are flattened beside the fixed fields in the report, so
     a key may not repeat a field name.
     """
@@ -109,7 +109,7 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool | None:
-        """True for pass and vacuous-pass, False for fail, None otherwise."""
+        """True for pass, False for fail, None otherwise."""
         return _PASSED.get(self.status)
 
     def to_dict(self) -> dict:
@@ -118,7 +118,7 @@ class CheckRecord:
 
 #: CheckRecord's fixed fields in declaration order; params are flattened beside them.
 _FIELDS = tuple(f.name for f in fields(CheckRecord) if f.name != "params")
-_PASSED = {"pass": True, "vacuous-pass": True, "fail": False}
+_PASSED = {"pass": True, "fail": False}
 
 
 def gate(check_id, value, op, bound, slack=0.0, params=None, detail="") -> CheckRecord:
@@ -228,18 +228,16 @@ def write_csv(path, header, rows) -> Path:
 def summarize(results: list) -> dict:
     """Aggregate result dicts into the report summary block.
 
-    Verdicts are counted from each record's ``status``: ``pass`` and
-    ``vacuous-pass`` records passed, ``fail`` records failed, and every
-    other status carries no verdict.
+    Verdicts are counted from each record's ``status``: ``pass`` records
+    passed, ``fail`` records failed, and every other status carries no
+    verdict.
     """
     statuses = Counter(r.get("status") for r in results)
-    passed = statuses["pass"] + statuses["vacuous-pass"]
-    failed = statuses["fail"]
+    passed, failed = statuses["pass"], statuses["fail"]
     return {
         "checks": len(results),
         "passed": passed,
         "failed": failed,
-        "vacuous_pass": statuses["vacuous-pass"],
         "no_verdict": len(results) - passed - failed,
         "all_passed": failed == 0,
     }

@@ -7,8 +7,8 @@ Every verdict is a reports.gate record of the quantity actually
 compared: a relative error against its tolerance (estimate and expected
 value in the record's params), a worst case against its bound, one
 record per side of a two-sided window.  Exit status is zero exactly
-when no definite check failed; vacuous passes and purely informational
-records are listed separately in the report summary.
+when no definite check failed; records without a verdict are counted
+separately in the report summary.
 """
 
 from __future__ import annotations
@@ -471,14 +471,14 @@ def _ex29(seed: int):
     results.append(_rel_gate("tz-norm-dense-oracle", values[-1],
                              _matrix_norm(tz_block_power(d, k_top)).value, 1e-13,
                              detail=f"Sturm-count norm against the dense norm of T^{k_top}, d={d}"))
-    # A Kreiss bounded operator has ||T^n|| = O(n / sqrt(log n)); this
-    # quantity would then stay bounded.  The abstract gives no constant,
-    # so the rising sequence is reported, not gated.
+    # A Kreiss bounded operator has ||T^n|| = O(n / sqrt(log n)); tzblock is not one
+    # (tz-kreiss-unbounded), so its rising ratio only agrees with the contrapositive.
     ladder = 2 ** np.arange(1, 6)
     rate = np.sqrt(np.log(ladder)) * values[ladder - 1] / ladder
     results.append(CheckRecord("tz-growth-vs-kreiss-rate", "info", float(rate[-1]),
                                params={"n": ladder.tolist(), "rate_ratio": rate.tolist()},
-                               detail=f"sqrt(log n) ||T^n|| / n at d={d}"))
+                               detail=f"sqrt(log n) ||T^n|| / n at d={d}; tzblock is not Kreiss "
+                                      "bounded, so its rise only agrees with the contrapositive"))
 
     def resolvent_symbol(gap):  # (r - 1) sup_z ||symbol of R(-r)||, gap = r - 1
         return (1.0 + np.sqrt(1.0 + gap * gap)) / gap

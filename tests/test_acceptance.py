@@ -64,17 +64,23 @@ def test_criterion_03_direct_sum_growth():
 
 
 def test_criterion_04_orbit_claims():
-    total = {"fail": 0, "vacuous": 0, "checked": 0}
+    # Both truncations are nilpotent within the ladder: the H2-H4 instances at a
+    # vanished orbit power are left out and counted, never passed.
+    total = {"fail": 0, "vacuous": 0, "checked": 0, "vacuous-pass": 0}
     for op in (kl.build_TN(16, 0.45), kl.build_bermbmp_shift(0.45, "forward", 64)):
         constant = kl.kb2_constant(op, 256).kb2_sum_C
         for res in kl.run_hilbert_claims(op, constant, n_probes=64, n_top=64):
+            if res.check_id == "claims-vacuous":
+                total["vacuous"] += res.value
+                continue
             total["checked"] += 1
             if res.passed is False:
                 total["fail"] += 1
             if res.status == "vacuous-pass":
-                total["vacuous"] += 1
-    _report(4, "orbit inequality claims", total["fail"] == 0 and total["vacuous"] > 0,
-            f"({total['checked']} instances, {total['vacuous']} vacuous, "
+                total["vacuous-pass"] += 1
+    ok = total["fail"] == 0 and total["vacuous-pass"] == 0 and total["vacuous"] == 60
+    _report(4, "orbit inequality claims", ok,
+            f"({total['checked']} instances, {total['vacuous']} vacuous left out, "
             f"{total['fail']} failures)")
 
 

@@ -18,8 +18,8 @@ import kreisslab as kl
 import kreisslab.reproduce as reproduce
 
 #: The check ids each control breaks, as patterns: every record of the
-#: run that matches one must fail, vacuous passes aside, and each pattern
-#: must match some failing record.
+#: run that matches one must fail, and each pattern must match some
+#: failing record.
 CONTROLLED = {
     "tn-ratio": ("tn-norm-*", "tn-power-n*", "tn-power-closed-form-*"),
     "shields-eta-0.35": ("shields-norm-closed-form", "shields-lower-bound", "shields-odd-powers",
@@ -87,10 +87,9 @@ def statuses(records):
 
 
 def assert_controlled(records, control):
-    """Every record of each pattern fails, vacuous passes aside, and at least one does."""
+    """Every record of each pattern fails, and at least one does."""
     for pattern in CONTROLLED[control]:
-        matched = [record.status for record in records if fnmatchcase(record.check_id, pattern)
-                   and record.status != "vacuous-pass"]
+        matched = [record.status for record in records if fnmatchcase(record.check_id, pattern)]
         assert matched and set(matched) == {"fail"}, pattern
 
 
@@ -234,9 +233,8 @@ def test_orbit_claims_fail_against_the_constant_scaled_by_0_02(monkeypatch):
     records, _ = reproduce._thm27(kl.SEED)
     assert_controlled(records, "claims-constant-0.02")
     counts = Counter((r.check_id, r.status) for r in records if r.check_id.startswith("H"))
-    assert counts == {("H1", "fail"): 14, ("H2", "fail"): 25, ("H2", "vacuous-pass"): 17,
-                      ("H3", "fail"): 11, ("H3", "vacuous-pass"): 3,
-                      ("H4", "fail"): 30, ("H4", "vacuous-pass"): 40}
+    assert counts == {("H1", "fail"): 14, ("H2", "fail"): 25, ("H3", "fail"): 11,
+                      ("H4", "fail"): 30}
 
 
 def test_every_gate_has_a_control_or_a_reason():

@@ -226,12 +226,13 @@ def test_summarize_counts():
         {"status": "info"},
     ]
     summary = summarize(results)
+    # Only pass and fail are verdicts; a vacuous-pass status made outside
+    # the library counts as no verdict.
     assert summary == {
         "checks": 5,
-        "passed": 2,
+        "passed": 1,
         "failed": 1,
-        "vacuous_pass": 1,
-        "no_verdict": 2,
+        "no_verdict": 3,
         "all_passed": False,
     }
 
@@ -306,7 +307,7 @@ def test_no_verdict_records_carry_no_gate():
     assert info.to_dict() == {"check_id": "c", "status": "info", "value": 1.5, "op": None,
                               "bound": None, "slack": None, "margin": None, "detail": "",
                               "n": 3}
-    assert kl.CheckRecord("c", "vacuous-pass").passed is True
+    assert kl.CheckRecord("c", "vacuous-pass").passed is None
     assert kl.CheckRecord("c", "hypothesis-diverged").passed is None
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import kreisslab as kl
 import kreisslab.cesaro
 import kreisslab.cli
 import kreisslab.kreiss
+import kreisslab.reproduce as reproduce
 from kreisslab.cesaro import (_EPS, _POOLED_PRODUCT, _SEED_WINDOW, _angle_grid, _beaten,
                               _bounds_beaten, _dense_norm, _frobenius, _gram_strip, _mean_cells,
                               _rotated_mean_norms, _schatten4, _seed_bounds, _swept_count)
@@ -1250,9 +1252,30 @@ def test_claims_vacuous_on_annihilated_orbit():
     op = kl.build_TN(4, 0.3)  # dimension 8, nilpotent at 8
     x = np.zeros(8, dtype=complex)
     x[0] = 1.0
-    res = claim("H3", kl.orbit_norms(op, x, 8), 1.0, N=8)
-    assert res.status == "vacuous-pass"
-    assert res.passed is True and res.value is None
+    # With no live probe an instance checks nothing: no record, no cells.
+    assert kl.kreiss._claim_group("H3", kl.orbit_norms(op, x, 8)[None], 1.0, {"N": 8}, {}) is None
+
+
+@pytest.mark.parametrize("op, first", [(zero_op(), 1), (kl.build_TN(8, 0.3), 16)],
+                         ids=["zero", "tn-8"])
+def test_claims_at_a_vanished_power_are_left_out_and_counted(op, first):
+    # T^N x = 0 on every probe from N = first on: there H2-H4 have no
+    # live probe, while H1, which assumes nothing of T^N x, is kept.
+    C = kl.kb2_constant(op, 32).kb2_sum_C
+    results = kl.run_hilbert_claims(op, C, n_probes=3, n_top=32, params={"tag": "t"})
+    ladder = kl.dyadic_ladder(32)
+    vanished = [N for N in ladder if N >= first]
+    instances = [(check_id, index) for check_id, index in kl.kreiss._claim_instances(ladder)
+                 if check_id == "H1" or index["N"] not in vanished]
+    *gated, vacuous = results
+    assert [instance_key(r.check_id, r.params) for r in gated] == [
+        instance_key(*instance) for instance in instances]
+    assert all(r.status == "pass" and r.params["probes"] == 3 for r in gated)
+    assert {r.params["N"] for r in gated if r.check_id == "H1"} == set(ladder)
+    assert vacuous.check_id == "claims-vacuous" and vacuous.status == "info"
+    assert vacuous.value == sum(1 for _ in kl.kreiss._claim_instances(ladder)) - len(instances)
+    assert vacuous.params == {"N": vanished, "tag": "t"}
+    assert len(results.rows) == 3 * len(gated)
 
 
 def test_orbit_norms_stop_at_an_exactly_zero_vector(monkeypatch):
@@ -1299,46 +1322,69 @@ def test_orbit_norms_of_a_block_are_its_columns_orbits():
     assert kl.orbit_norms(kl.build_TN(8, 0.45), np.zeros((16, 0)), 4).shape == (0, 5)
 
 
-def one_probe_claims(orbit, C, ladder, params):
-    """The records of every claim instance on one probe's orbit alone, in claims.csv order.
+def instance_key(check_id, params):
+    """(claim, N, M, M1, M2) of a claim instance, from its index or its record's params."""
+    return (check_id, params["N"], params.get("M"), params.get("M1"), params.get("M2"))
 
-    They are the one-row _claim_table of the orbit; params carry the
-    probe's x_seed into every record.
+
+def one_probe_claims(orbit, C, ladder, params):
+    """{instance key: record} of the claim instances live on one probe's orbit alone.
+
+    They are the one-row _claim_table of the orbit, whose claims-vacuous
+    record counts the ladder's other instances; params carry the probe's
+    x_seed into every record.
     """
-    return list(kl.kreiss._claim_table(np.asarray(orbit)[None], C, ladder, params))
+    records = kl.kreiss._claim_table(np.asarray(orbit)[None], C, ladder, params)
+    live = {instance_key(r.check_id, r.params): r for r in records
+            if r.check_id != "claims-vacuous"}
+    left_out = sum(r.value for r in records if r.check_id == "claims-vacuous")
+    assert len(live) + left_out == sum(1 for _ in kl.kreiss._claim_instances(ladder))
+    return live
 
 
 def claim_row(record):
     """The claims.csv row of one probe's claim record."""
-    p = record.params
-    return (record.check_id, p["x_seed"], p["N"], p.get("M"), p.get("M1"), p.get("M2"),
+    check_id, *index = instance_key(record.check_id, record.params)
+    return (check_id, record.params["x_seed"], *index,
             record.value, record.bound, record.margin, record.status)
 
 
-def assert_claim_groups(results, per_probe, params=None):
+def probe_rows(per_probe, keys):
+    """The claims.csv rows of the instances keys: each probe's own row, or its vacuous cells."""
+    return [claim_row(alone[key]) if key in alone else
+            (key[0], i, *key[1:], None, None, None, "vacuous-pass")
+            for i, alone in enumerate(per_probe) for key in keys]
+
+
+def assert_claim_groups(results, per_probe, ladder, params=None):
     """results are the group records and rows of the per-probe records per_probe[probe][instance].
 
-    Each group record gates the live probe of smallest margin (the first
-    on ties) with that probe's value, bound and margin, and counts the
-    live probes; a group without one is a single vacuous-pass record.
+    An instance live on some probe has one group record, in claims.csv
+    order, that gates the live probe of smallest margin (the first on
+    ties) with that probe's value, bound and margin, and counts the live
+    probes.  The instances live on no probe are left out and counted by
+    one closing claims-vacuous record.
     """
-    assert results.rows == [claim_row(record) for records in per_probe for record in records]
-    assert len(results) == len(per_probe[0])
-    for k, group in enumerate(results):
-        instance = [records[k] for records in per_probe]
-        index = {key: value for key, value in instance[0].params.items()
-                 if key in ("N", "M", "M1", "M2")}
-        gated = [record for record in instance if record.status != "vacuous-pass"]
-        if not gated:
-            assert group.to_dict() == kl.CheckRecord(
-                instance[0].check_id, "vacuous-pass",
-                params={**index, "probes": 0, **(params or {})}).to_dict()
-            continue
-        worst = min(gated, key=lambda record: record.margin)
+    params = params or {}
+    keys = [instance_key(*instance) for instance in kl.kreiss._claim_instances(ladder)]
+    live = [key for key in keys if any(key in alone for alone in per_probe)]
+    vacuous = [key for key in keys if key not in live]
+    gated = results[:len(live)]
+    assert [instance_key(group.check_id, group.params) for group in gated] == live
+    assert results.rows == probe_rows(per_probe, live)
+    closing = [kl.CheckRecord("claims-vacuous", "info", len(vacuous),
+                              params={"N": sorted({key[1] for key in vacuous}), **params},
+                              detail=results[-1].detail)] if vacuous else []
+    assert results[len(live):] == closing
+    for group, key in zip(gated, live):
+        instance = [alone[key] for alone in per_probe if key in alone]
+        worst = min(instance, key=lambda record: record.margin)
+        index = dict(zip(("N", "M", "M1", "M2"), key[1:]))
+        index = {name: value for name, value in index.items() if value is not None}
         assert group.to_dict() == kl.gate(
             worst.check_id, worst.value, worst.op, worst.bound, worst.slack,
-            {**index, "x_seed": worst.params["x_seed"], "probes": len(gated),
-             **(params or {})}).to_dict()
+            {**index, "x_seed": worst.params["x_seed"], "probes": len(instance),
+             **params}).to_dict()
 
 
 def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
@@ -1354,10 +1400,13 @@ def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
     monkeypatch.setattr(kl.kreiss, "orbit_norms", counting)
     results = kl.run_hilbert_claims(op, C, n_probes=3, n_top=32, seed=5, params={"tag": "t"})
     assert calls == [((kl.dimension(op), 3), 32)]
-    # One record per instance on the ladder 1..32 (6 H1, 6 H3, 15 pairs
-    # M < N for H2, 20 triples M1 < M2 < N for H4); the rows are the
-    # records of each probe's own orbit, stepped alone, as a one-row table.
-    assert len(results) == 6 + 6 + 15 + 20 and len(results.rows) == 3 * len(results)
+    # The ladder 1..32 has 6 H1, 6 H3, 15 pairs M < N for H2 and 20
+    # triples M1 < M2 < N for H4.  The nilpotent shift of dimension 16
+    # annihilates every probe from N = 16 on, so the 27 H2-H4 instances
+    # there are left out and counted by one record, while H1's never are.
+    # The rows are the records of each probe's own orbit, stepped alone,
+    # as a one-row table.
+    assert len(results) == 6 + 6 + 15 + 20 - 27 + 1 and len(results.rows) == 3 * 20
     per_probe = []
     for i in range(3):
         rng = np.random.default_rng([5, i])
@@ -1365,12 +1414,11 @@ def test_run_hilbert_claims_steps_all_probes_as_one_block(monkeypatch):
         x /= np.linalg.norm(x)
         per_probe.append(one_probe_claims(kl.orbit_norms(op, x, 32), C, kl.dyadic_ladder(32),
                                           {"x_seed": i, "tag": "t"}))
-    assert_claim_groups(results, per_probe, {"tag": "t"})
-    # The nilpotent shift of dimension 16 annihilates every probe from
-    # N = 16 on: whole groups are vacuous there, except H1's, which never is.
-    for record in results:
-        vanished = record.params["N"] >= 16 and record.check_id != "H1"
-        assert record.status == ("vacuous-pass" if vanished else "pass")
+    assert_claim_groups(results, per_probe, kl.dyadic_ladder(32), {"tag": "t"})
+    *gated, vacuous = results
+    assert all(record.status == "pass" for record in gated)
+    assert {r.params["N"] for r in gated if r.check_id == "H1"} == {1, 2, 4, 8, 16, 32}
+    assert vacuous.value == 27 and vacuous.params == {"N": [16, 32], "tag": "t"}
 
 
 def doctored_claims(monkeypatch, doctor, n_probes=4, finite=True):
@@ -1409,11 +1457,12 @@ def test_claim_group_gates_its_live_probes_only(monkeypatch):
         return orbits
 
     results, per_probe, _ = doctored_claims(monkeypatch, cut)
-    assert_claim_groups(results, per_probe)
-    by_instance = {(r.check_id, *(r.params.get(k) for k in ("N", "M", "M1", "M2"))): r
-                   for r in results}
+    assert_claim_groups(results, per_probe, kl.dyadic_ladder(16))
+    by_instance = {instance_key(r.check_id, r.params): r for r in results
+                   if r.check_id != "claims-vacuous"}
     mixed = by_instance[("H3", 8, None, None, None)]
     assert mixed.status == "pass" and mixed.params["probes"] == 3 and mixed.params["x_seed"] != 1
+    # A probe that is not live in a partly live instance keeps its vacuous cells.
     assert [row[-1] for row in results.rows if row[:3] == ("H3", 1, 8)] == ["vacuous-pass"]
     assert by_instance[("H3", 4, None, None, None)].params["probes"] == 4
     # H1 has no vacuous case: it gates every probe at every N.
@@ -1427,7 +1476,7 @@ def test_one_failing_probe_fails_its_group_and_the_exit_status(monkeypatch, tmp_
         return orbits
 
     results, per_probe, _ = doctored_claims(monkeypatch, grow)
-    assert_claim_groups(results, per_probe)
+    assert_claim_groups(results, per_probe, kl.dyadic_ladder(16))
     failing = [r for r in results if r.status == "fail"]
     assert failing and all(r.params["x_seed"] == 2 for r in failing)
     assert {row[1] for row in results.rows if row[-1] == "fail"} == {2}
@@ -1449,11 +1498,15 @@ def test_a_nan_lhs_fails_its_group(monkeypatch):
 
     results, per_probe, _ = doctored_claims(monkeypatch, poison, finite=False)
     assert [r.status for r in results if r.check_id == "H1"] == ["pass"] * 2 + ["fail"] * 3
-    for group, alone in zip(results, per_probe[1]):
+    *gated, vacuous = results
+    assert vacuous.check_id == "claims-vacuous"  # N = 16: TN 8 is nilpotent there
+    keys = [instance_key(group.check_id, group.params) for group in gated]
+    for group, key in zip(gated, keys):
+        alone = per_probe[1][key]
         assert (group.status == "fail") == (alone.status == "fail") == (alone.value != alone.value)
         if group.status == "fail":
             assert math.isnan(group.value) and group.params["x_seed"] == 1
-    rows = [claim_row(record) for records in per_probe for record in records]
+    rows = probe_rows(per_probe, keys)
     assert [row for row in results.rows if row[1] != 1] == [row for row in rows if row[1] != 1]
     assert ([row[-1] for row in results.rows if row[1] == 1]
             == [row[-1] for row in rows if row[1] == 1])
@@ -1467,16 +1520,42 @@ def test_claims_raise_no_warning_from_vacuous_probes(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "Warning" not in out.stderr
     report = json.loads((tmp_path / "report.json").read_bytes())
-    assert report["summary"]["vacuous_pass"] == 60 and report["summary"]["failed"] == 0
+    assert report["summary"]["failed"] == 0 and report["summary"]["no_verdict"] == 4
+    assert sum(r["value"] for r in report["results"] if r["check_id"] == "claims-vacuous") == 60
 
 
 def test_claim_driver_zero_failures():
     for op in (kl.build_TN(16, 0.45), kl.build_bermbmp_shift(0.45, "forward", 64)):
         C = kl.kb2_constant(op, 256).kb2_sum_C
         results = kl.run_hilbert_claims(op, C, n_probes=8, n_top=64)
-        statuses = {r.status for r in results}
         assert not any(r.passed is False for r in results)
-        assert "vacuous-pass" in statuses  # nilpotent truncations hit these
+        # nilpotent truncations leave out the instances past their vanishing power
+        assert results[-1].check_id == "claims-vacuous" and results[-1].value > 0
+        assert "vacuous-pass" not in {r.status for r in results}
+
+
+def test_thm27_gates_every_live_instance():
+    # tn-16 (dimension 32) and bermbmp-64 vanish exactly from N = 32 and N = 64
+    # on: every instance below is live, and only the H2-H4 ones above are left out.
+    records, tables = reproduce._thm27(kl.SEED)
+    gated = [r for r in records if r.status in ("pass", "fail")]
+    assert len(gated) == 80 and all(r.status == "pass" for r in gated)
+    assert Counter(r.check_id for r in gated) == {"H1": 14, "H2": 25, "H3": 11, "H4": 30}
+    vacuous = {r.params["operator"]: r for r in records if r.check_id == "claims-vacuous"}
+    ladder = kl.dyadic_ladder(64)
+    for label, first in (("tn-16-0.45", 32), ("bermbmp-0.45-64", 64)):
+        left_out = [(check_id, index) for check_id, index in kl.kreiss._claim_instances(ladder)
+                    if check_id != "H1" and index["N"] >= first]
+        assert vacuous[label].value == len(left_out)
+        assert vacuous[label].params == {"N": [N for N in ladder if N >= first],
+                                         "operator": label}
+        ours = [instance_key(r.check_id, r.params) for r in gated
+                if r.params["operator"] == label]
+        assert ours == [instance_key(*instance)
+                        for instance in kl.kreiss._claim_instances(ladder)
+                        if instance not in left_out]
+    assert [r.value for r in vacuous.values()] == [38, 22]
+    assert len(tables["claims.csv"][1]) == 64 * 80
 
 
 # --- windowed double sum ---

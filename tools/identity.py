@@ -8,9 +8,11 @@ repository.  Each command of COMMANDS then runs twice, as
 ``python -m kreisslab <command> --out <dir>`` with PYTHONPATH at the
 parent's ``src`` and at the working tree's.  A command is the same when
 its exit code, its stdout, every CSV it writes, its report's ``config``
-block less ``out`` and the rest of its report.json are equal byte for
-byte.  One line per command is printed, naming the parts that differ,
-so a change of the config layout alone shows as ``config``.  The exit
+block less ``out``, its ``results`` and ``summary`` blocks and the rest
+of its report.json are equal byte for byte.  One line per command is
+printed, naming the parts that differ, so a change of the config
+layout alone shows as ``config`` and a change of the summary alone as
+``summary``, which then hides no change of the results.  The exit
 status is 1 when any command differs.
 
 Byte identity rests on the BLAS build, so this is a tool to run against
@@ -29,6 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _CSV = ("--format", "csv")
+
+#: The report.json blocks compared apart from config; the rest is "report.json".
+REPORT_PARTS = ("results", "summary")
 
 #: The commands compared, without --out: every reproduce id and the CLI
 #: sweeps over each catalog operator, at sizes that take seconds.
@@ -61,18 +66,19 @@ COMMANDS = (
 
 
 def outputs(src: Path, argv, out: Path):
-    """(exit code, stdout, {csv name: bytes}, config less out, rest of report.json) of one run."""
+    """(exit code, stdout, {csv name: bytes}, config less out, {report part: json}) of one run."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "kreisslab", *argv, "--out", str(out)],
                           env=env, cwd=out.parent, capture_output=True)
     csvs = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
-    config = report = None
+    config, report = None, {}
     if (out / "report.json").exists():
         parsed = json.loads((out / "report.json").read_bytes())
         config = parsed.pop("config", {})
         config.pop("out", None)
         # floats by repr: equal strings are equal bits
-        config, report = json.dumps(config), json.dumps(parsed)
+        report = {name: json.dumps(parsed.pop(name, None)) for name in REPORT_PARTS}
+        config, report["report.json"] = json.dumps(config), json.dumps(parsed)
     return proc.returncode, proc.stdout, csvs, config, report
 
 
@@ -82,8 +88,9 @@ def differences(before, after) -> list:
     code_b, stdout_b, csv_b, config_b, report_b = after
     diffs = [name for name, same in (("exit code", code_a == code_b),
                                      ("stdout", stdout_a == stdout_b),
-                                     ("config", config_a == config_b),
-                                     ("report.json", report_a == report_b)) if not same]
+                                     ("config", config_a == config_b)) if not same]
+    diffs += [name for name in (*REPORT_PARTS, "report.json")
+              if report_a.get(name) != report_b.get(name)]
     return diffs + [name for name in sorted(csv_a.keys() | csv_b.keys())
                     if csv_a.get(name) != csv_b.get(name)]
 
