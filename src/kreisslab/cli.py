@@ -1,19 +1,23 @@
 """Command-line front end.
 
 Subcommands: construct | powers | cesaro | kreiss | claims | growth |
-reproduce.  Every run writes a deterministic report.json into --out,
-and --format csv adds the run's CSV tables next to it (reproduce always
-writes both): the same flags and seed always produce byte-identical
-files.  The exit status is 1 when any definite check failed, 2 when the
-input is invalid (an --out that is not, or cannot become, a writable
-directory and a negative --seed included, each rejected before any
-sweep runs), and 3 when a numerical kernel failed: the Gram eigensolve
-of a matrix to be normed failed or met a non-finite entry, the SVD of
-a resolvent system failed (resolvent_norm, which the kreiss sweep
-calls once, as the oracle at its sup), an orbit norm of the claims was
-not finite, a resolvent was singular, or a dense size cap was
-exceeded.  A stalled power iteration is not a failure: spectral_norm
-then takes its structural oracle's value.
+reproduce.  construct, powers and growth norm a catalog entry's powers
+by its own exact route, `CatalogEntry.power_norms`: construct reports
+||T||, the first value, with no power iteration, and tzblock's powers
+are normed by a Sturm count, with no dense power formed.  Every run
+writes a deterministic report.json into --out, and --format csv adds
+the run's CSV tables next to it (reproduce always writes both): the
+same flags and seed always produce byte-identical files.  The exit
+status is 1 when any definite check failed, 2 when the input is invalid
+(an --out that is not, or cannot become, a writable directory and a
+negative --seed included, each rejected before any sweep runs), and 3
+when a numerical kernel failed: the Gram eigensolve of a matrix to be
+normed failed or met a non-finite entry, the SVD of a resolvent system
+failed (resolvent_norm, which the kreiss sweep calls once, as the
+oracle at its sup), an orbit norm of the claims was not finite, a
+resolvent was singular, or a dense size cap was exceeded.  A stalled
+power iteration (reproduce's spectral_norm) is not a failure:
+spectral_norm then takes its structural oracle's value.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
 from .kreiss import (CLAIM_COLUMNS, AnnulusGrid, dyadic_ladder, kb2_constant, kreiss_constant,
                      run_hilbert_claims)
-from .operators import (SEED, WeightedShift, _count, blocks, dimension, power_norms,
-                        spectral_norm)
+from .operators import SEED, WeightedShift, _count, blocks, dimension
 from .reports import CheckRecord, RunConfig, emit_report, summarize
 from .reproduce import GROWTH_COLUMNS, reproduce, shields_envelope
 
@@ -155,8 +158,8 @@ def _emit(args, config, records, tables):
 
 def _cmd_construct(args) -> int:
     entry = _operator_entry(args)
-    est = spectral_norm(entry.spec, tol=1e-10)
-    results = [CheckRecord("operator-summary", "info", est.value,
+    norm = float(entry.power_norms(1).values[0])
+    results = [CheckRecord("operator-summary", "info", norm,
                            detail=f"dimension={dimension(entry.spec)}; " + "; ".join(entry.notes))]
     rows = []  # each shift block's weights, w = 1 at its first coordinate
     for start, _, _, leaf in blocks(entry.spec):
@@ -169,7 +172,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_powers(args) -> int:
     entry = _operator_entry(args)
-    series = power_norms(entry.spec, args.k_max)
+    series = entry.power_norms(args.k_max)
     rows = [(int(k), float(v), m) for k, v, m in zip(series.k, series.values, series.methods)]
 
     results = [CheckRecord("power-norms", "info", float(series.values.max()),
@@ -274,7 +277,7 @@ def _cmd_claims(args) -> int:
 
 def _cmd_growth(args) -> int:
     entry = _operator_entry(args)
-    series = power_norms(entry.spec, args.k_max)
+    series = entry.power_norms(args.k_max)
     fit = growth_fit(series, tuple(args.window))
     results = [CheckRecord("growth-fit", "info", params=fit.to_dict())]
     if args.operator == "shields":

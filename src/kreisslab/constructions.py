@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import Dense, DirectSum, OperatorSpec, WeightedShift, _count
+from .operators import (Dense, DirectSum, NormSeries, OperatorSpec, WeightedShift, _count,
+                        power_norms)
 
 #: Open-interval parameters are kept this far away from their endpoints;
 #: boundary values void the estimates the constructions are built to probe.
@@ -336,6 +337,25 @@ class CatalogEntry:
     spec: OperatorSpec
     params: dict
     notes: tuple
+
+    def power_norms(self, k_max: int) -> NormSeries:
+        """||T^k|| for k = 1..k_max, each by the exact route for this entry.
+
+        tzblock forms no power: T^k, k < d, is normed by the Sturm count
+        of `tz_block_power_norms` ("sturm-count"), T^d = [[0, -d*B^(d-1)],
+        [0, 0]] has norm d and every later power is zero (`tz_block_power`),
+        both "closed-form".  Every other entry is `operators.power_norms`,
+        which stays the dense oracle of the tzblock values.
+        """
+        k_max = _count(k_max, "kmax", 1)
+        if self.name != "tzblock":
+            return power_norms(self.spec, k_max)
+        d = self.params["d"]
+        values = np.zeros(k_max)
+        values[:d - 1] = tz_block_power_norms(d, min(k_max, d - 1))
+        values[d - 1:d] = d
+        methods = ["sturm-count" if k < d else "closed-form" for k in range(1, k_max + 1)]
+        return NormSeries(np.arange(1, k_max + 1), values, methods)
 
 
 def make_operator(name: str, **params) -> CatalogEntry:

@@ -487,13 +487,15 @@ def _leaf_power_norms(leaf, kmax: int) -> NormSeries:
     if isinstance(leaf, WeightedShift):
         return NormSeries(ks, _shift_power_norms(leaf, kmax), ("closed-form",) * kmax)
     mat = materialize(leaf)
-    vals = np.zeros(kmax)  # the tail past a zero power stays 0.0
+    vals = np.zeros(kmax)  # the tail from the first zero power on stays 0.0
+    normed = 0
     eye = np.eye(mat.shape[0], dtype=mat.dtype)
     for n, power, _, settled in _power_sums(lambda p: p @ mat, eye, kmax):
         if settled:
             break
         vals[n - 1] = _matrix_norm(power).value
-    return NormSeries(ks, vals, ("dense-gram",) * kmax)
+        normed = n
+    return NormSeries(ks, vals, ("dense-gram",) * normed + ("closed-form",) * (kmax - normed))
 
 
 def power_norms(op: OperatorSpec, kmax: int) -> NormSeries:
@@ -503,7 +505,8 @@ def power_norms(op: OperatorSpec, kmax: int) -> NormSeries:
     product of k consecutive ratios (equivalently max_j w_{j+k}/w_j),
     and is 0 once k reaches the dimension.  Dense blocks step their
     powers by _power_sums and norm each by _matrix_norm up to the first
-    zero power; the zero tail is 0.0, neither formed nor normed.
+    zero power; the zero tail is 0.0, neither formed nor normed, and
+    labelled "closed-form".
     Rotations leave power norms unchanged, and a direct sum takes the
     max over its blocks, each k tagged by the first block attaining it.
     """

@@ -78,11 +78,11 @@ def test_growth_csv_columns(tmp_path):
 
 
 def test_growth_exits_one_on_a_broken_envelope(tmp_path, monkeypatch):
-    def halved(spec, k_max):
-        series = kreisslab.power_norms(spec, k_max)
+    def halved(entry, k_max):
+        series = kreisslab.power_norms(entry.spec, k_max)
         return kreisslab.NormSeries(series.k, series.values / 2.0, series.methods)
 
-    monkeypatch.setattr(kreisslab.cli, "power_norms", halved)
+    monkeypatch.setattr(kreisslab.CatalogEntry, "power_norms", halved)
     code = main(["growth", "--operator", "shields", "--nmax-sum", "16", "--k-max", "30",
                  "--window", "2", "30", "--out", str(tmp_path)])
     assert code == 1
@@ -451,8 +451,9 @@ def test_an_unusable_out_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch,
     def sweep(*args, **kwargs):
         raise AssertionError("a sweep ran before --out was checked")
 
-    for name in ("spectral_norm", "kreiss_constant", "kb2_constant", "reproduce"):
+    for name in ("kreiss_constant", "kb2_constant", "reproduce"):
         monkeypatch.setattr(kreisslab.cli, name, sweep)
+    monkeypatch.setattr(kreisslab.CatalogEntry, "power_norms", sweep)
     (tmp_path / "taken").write_text("kept")
     assert main([*argv, "--out", str(tmp_path / out)]) == 2
     captured = capsys.readouterr()
@@ -482,8 +483,9 @@ def test_a_negative_seed_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch,
     def sweep(*args, **kwargs):
         raise AssertionError("a sweep ran before --seed was checked")
 
-    for name in ("spectral_norm", "kb2_constant", "run_hilbert_claims", "reproduce"):
+    for name in ("kb2_constant", "run_hilbert_claims", "reproduce"):
         monkeypatch.setattr(kreisslab.cli, name, sweep)
+    monkeypatch.setattr(kreisslab.CatalogEntry, "power_norms", sweep)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     [line] = capsys.readouterr().err.splitlines()
@@ -557,12 +559,13 @@ def test_claims_reject_a_negative_probe_count():
                                         n_top=4) == []
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # A failed Gram eigensolve is a clean error line and exit 3, not a traceback.
+    # A failed Gram eigensolve is a clean error line and exit 3, not a
+    # traceback: ergces's norm is _matrix_norm's Gram eigensolve.
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    code = main(["construct", "--operator", "tzblock", "--trunc", "4", "--out", str(tmp_path)])
+    code = main(["construct", "--operator", "ergces", "--trunc", "4", "--out", str(tmp_path)])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
@@ -571,15 +574,51 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_a_stalled_shift_norm_is_not_a_failure(tmp_path, capsys, monkeypatch):
-    # tn 300 has d = 600: the closed form max r_j overrides a stalled
-    # estimate at every size, so a stall is not an exit 3.
+    # thm1.5 norms a backward shift by spectral_norm: the closed form max r_j
+    # overrides a stalled estimate, so a stall is not an exit 3.
     monkeypatch.setattr(kreisslab.operators, "_power_iteration",
                         lambda *args, **kwargs: (1.0, 0.5, 300, False))
-    code = main(["construct", "--operator", "tn", "--trunc", "300", "--out", str(tmp_path)])
+    code = main(["reproduce", "thm1.5", "--out", str(tmp_path)])
     assert code == 0
     assert capsys.readouterr().err == ""
-    record = read_report(tmp_path)["results"][0]
-    assert abs(record["value"] - kreisslab.build_TN(300, 0.45).ratios.max()) <= 1e-14
+    (record,) = [r for r in read_report(tmp_path)["results"] if r["check_id"] == "bermbmp-norm"]
+    assert record["status"] == "pass"
+
+
+def test_construct_is_the_first_power_norm_and_never_iterates(tmp_path, monkeypatch):
+    # Each entry reports power_norms(1)[0], its closed form or Gram value: the
+    # shift iteration of spectral_norm does not run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(kreisslab.operators, "_power_iteration", refuse)
+    assert main(["construct", "--operator", "tn", "--trunc", "300", "--out", str(tmp_path)]) == 0
+    value = read_report(tmp_path)["results"][0]["value"]
+    spec = kreisslab.build_TN(300, 0.45)
+    assert value == kreisslab.power_norms(spec, 1).values[0]
+    assert abs(value - spec.ratios.max()) <= 1e-14
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct"],
+    ["powers", "--k-max", "80"],
+    ["growth", "--k-max", "64", "--window", "16", "64"],
+], ids=["construct", "powers", "growth"])
+def test_tz_block_commands_form_no_dense_power(tmp_path, monkeypatch, argv):
+    # The Sturm count and the closed-form tail norm every tzblock power, so
+    # neither a Gram eigensolve nor the dense norm runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense norm ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(kreisslab.operators, "_matrix_norm", refuse)
+    assert main([*argv, "--operator", "tzblock", "--trunc", "64", "--out", str(tmp_path)]) == 0
+
+
+def test_powers_reject_a_zero_k_max_before_norming(tmp_path, capsys):
+    code = main(["powers", "--operator", "tzblock", "--k-max", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: kmax must be at least 1, got 0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -664,15 +703,17 @@ def test_identity_names_a_config_change_apart_from_the_report(tmp_path):
     assert identity.differences(before, after) == ["config"]
 
 
-def test_tz_block_above_the_svd_cap_is_normed(tmp_path):
+def test_tz_block_at_d512_is_normed_by_the_sturm_count(tmp_path):
     # d = 1024, with top singular values too clustered for a power iteration
-    # to separate: an explicit block is never iterated, the Gram eigensolve
-    # norms it.
+    # to separate: the Sturm count norms T with no Gram eigensolve, and
+    # equals the dense Gram oracle bit for bit.
     code = main(["construct", "--operator", "tzblock", "--trunc", "512",
                  "--out", str(tmp_path)])
     assert code == 0
     value = read_report(tmp_path)["results"][0]["value"]
     assert 2.414 <= value <= 1.0 + np.sqrt(2.0)
+    dense = kreisslab.operators._matrix_norm(kreisslab.materialize(kreisslab.build_tz_block(512)))
+    assert value == dense.value
 
 
 def test_csv_runs_keep_every_verdict(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 import kreisslab as kl
 from kreisslab.operators import _matrix_norm
+from kreisslab.reproduce import CANONICAL_CATALOG
 
 
 def test_tn_weights_hand_values():
@@ -289,6 +290,33 @@ def test_tz_block_power_norms_edges():
     first = kl.tz_block_power_norms(64, 32)
     np.testing.assert_array_equal(first, kl.tz_block_power_norms(64, 32))
     np.testing.assert_array_equal(first[:5], kl.tz_block_power_norms(64, 5))
+
+
+def _block_size(entry):
+    """tzblock's d, whose T^(d+1) is zero; else the largest block's dimension."""
+    if entry.name == "tzblock":
+        return entry.params["d"]
+    return max(stop - start for start, stop, *_ in kl.blocks(entry.spec))
+
+
+@pytest.mark.parametrize("name, params", CANONICAL_CATALOG,
+                         ids=[name for name, _ in CANONICAL_CATALOG])
+def test_catalog_power_norms_match_the_dense_oracle(name, params):
+    entry = kl.make_operator(name, **params)
+    d = _block_size(entry)
+    for k_max in (1, d - 1, d, d + 3):
+        got = entry.power_norms(k_max)
+        dense = kl.power_norms(entry.spec, k_max)
+        np.testing.assert_array_equal(got.k, np.arange(1, k_max + 1))
+        if name != "tzblock":
+            assert got.values.tobytes() == dense.values.tobytes()
+            assert got.methods == dense.methods
+            continue
+        k = got.k
+        assert _ulps(got.values[k < d], dense.values[k < d]).max(initial=0.0) <= 3
+        assert np.all(got.values[k == d] == d) and np.all(dense.values[k == d] == d)
+        assert got.values[k > d].tobytes() == np.zeros(np.sum(k > d)).tobytes()
+        assert got.methods == tuple("sturm-count" if n < d else "closed-form" for n in k)
 
 
 def test_tz_block_strictly_upper_triangular():

@@ -566,7 +566,15 @@ def test_dense_power_norms_stop_at_the_first_zero_power(monkeypatch):
         power = power @ mat
     np.testing.assert_array_equal(series.values, want)
     assert np.all(series.values[4:] == 0.0) and np.all(series.values[:4] > 0.0)
-    assert series.methods == ("dense-gram",) * 20
+    assert series.methods == ("dense-gram",) * 4 + ("closed-form",) * 16
+
+
+def test_dense_zero_tail_is_labelled_closed_form():
+    # T^5 = 0 for tzblock 4: k = 5..8 are exact zeros, not Gram values.
+    series = kl.power_norms(kl.build_tz_block(4), 8)
+    assert series.methods == ("dense-gram",) * 4 + ("closed-form",) * 4
+    assert series.values[3] == 4.0  # T^4 = [[0, -4 B^3], [0, 0]]
+    assert np.all(series.values[4:] == 0.0) and not np.signbit(series.values[4:]).any()
 
 
 def test_power_norms_direct_sum_is_summand_max():

@@ -56,10 +56,13 @@ COMMANDS = (
     # A nilpotent shift of dimension 32: its groups are vacuous from N = 32 on.
     ("claims", "--operator", "tn", "--trunc", "16", "--probes", "8", "--k-max", "64", *_CSV),
     ("powers", "--operator", "ergces", "--trunc", "20", *_CSV),
+    # Past k = d = 16 the tail is tzblock's closed form: T^16 has norm 16, T^17 = 0.
+    ("powers", "--operator", "tzblock", "--trunc", "16", "--k-max", "20", *_CSV),
     ("growth", "--operator", "shields", "--nmax-sum", "50", "--window", "16", "60", *_CSV),
     ("growth", "--operator", "ergces", "--trunc", "20", *_CSV),
     ("construct", "--operator", "tzblock", "--trunc", "512", *_CSV),
     ("construct", "--operator", "tn", "--trunc", "300", *_CSV),
+    ("construct", "--operator", "tn", "--trunc", "8"),
     ("construct", "--operator", "bermbmp", "--trunc", "64", *_CSV),
     ("construct", "--operator", "shields", "--nmax-sum", "20", *_CSV),
 )
