@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import kreisslab as kl
+import kreisslab.constructions as kc
 from kreisslab.operators import _matrix_norm
 from kreisslab.reproduce import CANONICAL_CATALOG
 
@@ -223,6 +225,22 @@ def test_tz_block_top_right_block():
     np.testing.assert_allclose(got[2:, :2], 0.0)
 
 
+@pytest.mark.parametrize("d", [2, 3, 16, 512])
+def test_tz_block_is_the_block_formula_byte_for_byte(d):
+    # tobytes() tells -0.0 from 0.0, which an array comparison does not.
+    b = np.eye(d, k=1)
+    expected = np.block([[b, b - np.eye(d)], [np.zeros((d, d)), b]])
+    assert kl.materialize(kl.build_tz_block(d)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 512])
+def test_tz_block_power_is_the_eye_formula_byte_for_byte(d):
+    for n in (1, d - 1, d, d + 1):
+        bn = np.eye(d, k=n)
+        expected = np.block([[bn, n * (bn - np.eye(d, k=n - 1))], [np.zeros((d, d)), bn]])
+        assert kl.tz_block_power(d, n).tobytes() == expected.tobytes(), n
+
+
 def test_tz_block_power_formula_matches_dense():
     # Integer entries: the closed form equals the dense power exactly, also
     # past n = d where the diagonal blocks vanish.
@@ -290,6 +308,64 @@ def test_tz_block_power_norms_edges():
     first = kl.tz_block_power_norms(64, 32)
     np.testing.assert_array_equal(first, kl.tz_block_power_norms(64, 32))
     np.testing.assert_array_equal(first[:5], kl.tz_block_power_norms(64, 5))
+
+
+def _pivot_block(k_max):
+    """Pivot steps per block of the Sturm count over k_max rows of 15 shifts."""
+    return kc._TZ_PIVOT_BLOCK_BYTES // (8 * k_max * len(kc._TZ_SHIFTS))
+
+
+# (260, 60): the tail k >= 200 starts inside a block and runs into the
+# next; (276, 60): it starts on a block boundary.
+_KERNEL_CASES = ((2, 1), (7, 6), (129, 1), (512, 32), (513, 100), (260, 60), (276, 60))
+
+
+def test_pivot_block_cases_cover_a_straddling_and_an_aligned_tail():
+    size = _pivot_block(60)
+    assert (260 - 60) % size and (260 - 60) // size < (260 - 1) // size
+    assert (276 - 60) % size == 0
+
+
+@pytest.mark.parametrize("d, k_max", _KERNEL_CASES)
+def test_block_kernel_matches_the_stepwise_count_on_random_shifts(d, k_max):
+    rng = np.random.default_rng(d * 1000 + k_max)
+    n2 = np.arange(1.0, k_max + 1)[:, None] ** 2
+    lo, hi = 2.0 * n2 + 1.0, 4.0 * n2 + 2.0 * np.sqrt(n2) + 1.0
+    # Shifts across each row's whole bracket, and beyond it down to 1.5.
+    for shifts in (lo + (hi - lo) * rng.random((k_max, 15)),
+                   1.5 + (hi - 1.5) * rng.random((k_max, 15))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kc._tz_gram_has_eigenvalue_above(d, n2, shifts)
+        expected = kc._tz_gram_has_eigenvalue_above_stepwise(d, n2, shifts)
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("d, k_max", _KERNEL_CASES)
+def test_tz_block_power_norms_are_the_same_bytes_with_the_stepwise_count(monkeypatch, d,
+                                                                         k_max):
+    got = kl.tz_block_power_norms(d, k_max).tobytes()
+    monkeypatch.setattr(kc, "_tz_gram_has_eigenvalue_above",
+                        kc._tz_gram_has_eigenvalue_above_stepwise)
+    assert kl.tz_block_power_norms(d, k_max).tobytes() == got
+
+
+def test_block_kernel_hands_a_zero_pivot_to_the_stepwise_count(monkeypatch):
+    # n^2 = 1, s = 2: the first pivot n^2 - s + n^2/(s - 1) is exactly 0.
+    n2, shifts = np.array([[1.0]]), np.array([[2.0]])
+    stepwise, calls = kc._tz_gram_has_eigenvalue_above_stepwise, []
+
+    def spy(*args):
+        calls.append(args)
+        return stepwise(*args)
+
+    monkeypatch.setattr(kc, "_tz_gram_has_eigenvalue_above_stepwise", spy)
+    for d in (2, 3, 64):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kc._tz_gram_has_eigenvalue_above(d, n2, shifts)
+        np.testing.assert_array_equal(got, stepwise(d, n2, shifts))
+    assert len(calls) == 3
 
 
 def _block_size(entry):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import kreisslab as kl
+import kreisslab.constructions as kc
 import kreisslab.reproduce as reproduce
 
 #: The check ids each control breaks, as patterns: every record of the
@@ -33,6 +34,7 @@ CONTROLLED = {
     "ergces-column-0": ("ergces-fixed-direction", "ergces-kreiss-bracket-lower"),
     "tz-three-block": ("tz-mean-symbol-bound", "tz-resolvent-symbol-bound"),
     "tz-nudged": ("tz-block-power-formula",),
+    "tz-mid-last-pivot": ("tz-norm-dense-oracle",),
     "bermbmp-ratio": ("bermbmp-ratios", "bermbmp-norm", "bermbmp-power-growth"),
     "bermbmp-alpha-0.9": ("bermbmp-absolute-cesaro",),
     "claims-constant-0.02": ("H[1-4]",),
@@ -54,10 +56,12 @@ NO_CONTROL = {
     "ergces-power-bound": "closed form only: computed from eps_j, with no operator built",
     "ergces-resolvent-svd": "two norms of one matrix",
     "tz-mean-symbol-uniform": "closed form only: the symbol on the angle grid",
-    "tz-transient-growth": "reads tz_block_power_norms, a Sturm count that no builder reaches",
-    "tz-symbol-bound": "reads tz_block_power_norms, a Sturm count that no builder reaches",
-    "tz-norm-dense-oracle": "compares the Sturm count with the dense norm of tz_block_power; "
-                            "both are closed forms that no builder reaches",
+    "tz-transient-growth": "reads tz_block_power_norms; a Sturm count broken in its last pivot "
+                           "moves it by about 1e-12, far inside the gate's margin, and "
+                           "tz-norm-dense-oracle catches that",
+    "tz-symbol-bound": "reads tz_block_power_norms; a Sturm count broken in its last pivot "
+                       "moves it by about 1e-12, far inside the gate's margin, and "
+                       "tz-norm-dense-oracle catches that",
     "tz-resolvent-rising": "each truncation is the restriction of the next to an invariant "
                            "subspace",
     "shields-norm": "||T|| = 2^eta < sqrt(2) for every eta that TNParams admits",
@@ -154,6 +158,29 @@ def test_tz_power_gate_fails_with_an_entry_nudged(monkeypatch):
     monkeypatch.setattr(reproduce, "build_tz_block", nudged)
     records, _ = reproduce._ex29(kl.SEED)
     assert_controlled(records, "tz-nudged")
+
+
+def mid_only_count(d, n2, shifts):
+    """The Sturm count with a_mid in every row's last pivot, where a_last belongs."""
+    s1 = shifts - 1.0
+    beta2 = (n2 * shifts / s1) ** 2
+    a_mid = 2.0 * n2 + 1.0 - shifts + 2.0 * n2 / s1
+    piv = n2 - shifts + n2 / s1
+    above = piv > 0.0
+    for k in range(1, d):
+        m = min(len(n2), d - k)
+        piv = a_mid[:m] - beta2[:m] / piv[:m]
+        above[:m] |= piv > 0.0
+    return above
+
+
+def test_tz_norm_oracle_fails_with_a_mid_in_the_last_pivot(monkeypatch):
+    # The last pivot's n^2/(s-1) doubled moves ||T^32|| at d = 512 by about
+    # 5e-12 relative: the dense oracle's 1e-13 tells, and no other gate does.
+    monkeypatch.setattr(kc, "_tz_gram_has_eigenvalue_above", mid_only_count)
+    records, _ = reproduce._ex29(kl.SEED)
+    assert_controlled(records, "tz-mid-last-pivot")
+    assert [r.check_id for r in records if r.status == "fail"] == ["tz-norm-dense-oracle"]
 
 
 def test_coordinate_probes_pass_on_the_three_block_control():

@@ -58,8 +58,11 @@ COMMANDS = (
     ("powers", "--operator", "ergces", "--trunc", "20", *_CSV),
     # Past k = d = 16 the tail is tzblock's closed form: T^16 has norm 16, T^17 = 0.
     ("powers", "--operator", "tzblock", "--trunc", "16", "--k-max", "20", *_CSV),
+    ("powers", "--operator", "tzblock", "--trunc", "512", "--k-max", "64", *_CSV),
     ("growth", "--operator", "shields", "--nmax-sum", "50", "--window", "16", "60", *_CSV),
     ("growth", "--operator", "ergces", "--trunc", "20", *_CSV),
+    # 126 Sturm-count rows: several pivot blocks and the shrinking tail.
+    ("growth", "--operator", "tzblock", "--trunc", "200", *_CSV),
     ("construct", "--operator", "tzblock", "--trunc", "512", *_CSV),
     ("construct", "--operator", "tn", "--trunc", "300", *_CSV),
     ("construct", "--operator", "tn", "--trunc", "8"),
