@@ -5,11 +5,13 @@ growth of structured Hilbert-space operators.
 from .cesaro import (
     PROBE_TOLERANCE,
     ErgodicProbe,
+    MeanBracket,
     MeanSeries,
     cesaro_identity_check,
     ergodic_probe,
     mean_difference_decay,
     rotated_mean_norm_profile,
+    shift_mean_norm_bracket,
 )
 from .constructions import (
     CatalogEntry,

@@ -25,6 +25,11 @@ conjugate pairs, and for a real operator (every leaf real, every
 rotation scalar real) the norm at conj(lam) equals the norm at lam, so
 every sweep over the grid (these mean sups and the resolvent sweeps of
 kreiss) evaluates only its points 0..N/2 (_swept_count).
+
+A positive weighted shift and its direct sums need no matrix at all:
+their means are nonnegative, so shift_mean_norm_bracket brackets each
+||M_n|| by Collatz-Wielandt power steps applied by prefix sums, in
+O(d) per step and n.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .operators import (
     SEED,
     OperatorSpec,
+    WeightedShift,
     _check_dim,
     _count,
     _is_real,
@@ -75,6 +81,22 @@ class MeanSeries:
 
 
 @dataclass(frozen=True)
+class MeanBracket:
+    """lower[i] <= ||M_n(T)|| <= upper[i] for n = n[i], and the power steps it took."""
+
+    n: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    steps: int
+
+    def __post_init__(self):
+        for name in ("n", "lower", "upper"):
+            arr = np.asarray(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+@dataclass(frozen=True)
 class ErgodicProbe:
     """Cauchy gaps of M_n(T)x along a ladder, per probe vector."""
 
@@ -92,6 +114,21 @@ PROBE_TOLERANCE = 1e-3
 _PRUNE_SLACK = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+
+_TINY = float(np.finfo(float).tiny)
+
+#: Power steps of the Collatz-Wielandt bound that the prune cascade tries
+#: on a cell with no negative entry.
+_CW_CELL_STEPS = 16
+
+#: Power steps every n of shift_mean_norm_bracket takes before pruning.
+_SHIFT_MEAN_WARMUP = 12
+
+#: Most power steps any n of shift_mean_norm_bracket takes.
+_SHIFT_MEAN_STEPS = 200
+
+#: Relative width of the sup's bracket at which shift_mean_norm_bracket stops.
+_SHIFT_MEAN_WIDTH = 1e-9
 
 #: Side of the table budget of _seed_bounds: each window's Gram strip
 #: and tables hold at most _SEED_WINDOW**2 entries.
@@ -158,8 +195,43 @@ def _schatten4(mat: np.ndarray) -> float:
     sqrt(1 + t^2) sigma_1 but Schatten-4 bound (1 + t^4)^(1/4) sigma_1.  A Gram matrix whose
     squares may have underflowed gives no bound (inf), as in _frobenius.
     """
-    gram = mat.T @ mat if np.isrealobj(mat) else mat.conj().T @ mat
-    return math.sqrt(_frobenius(gram))
+    return math.sqrt(_frobenius(_gram(mat)))
+
+
+def _gram(mat: np.ndarray) -> np.ndarray:
+    """mat* mat."""
+    return mat.T @ mat if np.isrealobj(mat) else mat.conj().T @ mat
+
+
+def _collatz_wielandt_beaten(gram: np.ndarray, beaten, rounding: float):
+    """The first Collatz-Wielandt bound of sqrt(rho(gram)), times rounding, that beaten holds for.
+
+    For G >= 0 and any v > 0, rho(G) <= max_i (G v)_i / v_i (Collatz
+    1942; Wielandt 1950).  The first v is 1, whose quotients are G's row
+    sums; each of _CW_CELL_STEPS power steps then tries v = G v, scaled
+    to a largest entry of 1.  A zero row of G is a zero column, which
+    holds only the eigenvalue 0, so the steps run on the other rows and
+    columns.  The steps end, with None, once the Rayleigh quotient
+    v.Gv / v.v <= rho(G) shows that no bound can be beaten, or when an
+    entry of G v lies below 2^-960, where products may have underflowed.
+    """
+    v = gram.sum(axis=1)
+    bound = math.sqrt(v.max()) * rounding
+    if beaten(bound):
+        return bound
+    live = v > 0.0
+    if not live.all():
+        gram, v = gram[np.ix_(live, live)], v[live]
+    for _ in range(_CW_CELL_STEPS if len(v) else 0):
+        v = v / v.max()
+        image = gram @ v
+        if not (image.min() >= 2.0**-960 and beaten(math.sqrt((v @ image) / (v @ v)))):
+            return None
+        bound = math.sqrt((image / v).max()) * rounding
+        if beaten(bound):
+            return bound
+        v = image
+    return None
 
 
 def _beaten(bound: float, best: float) -> bool:
@@ -182,16 +254,31 @@ def _bounds_beaten(mat: np.ndarray, beaten):
     and of the d-term inner products of the Gram matrix, whose Frobenius
     norm is at least ||mat||_F^2 / sqrt(d); beaten adds _PRUNE_SLACK
     through _beaten.  So a bound is beaten only when the exact norm, and
-    the Gram eigensolve's value of it (_dense_norm), cannot win.  Every
-    bound is positive (_frobenius), so the result is true exactly when
-    one is beaten.
+    the Gram eigensolve's value of it (_dense_norm), cannot win.  A real
+    mat with no negative entry and a finite Schatten-4 bound then tries
+    Collatz-Wielandt bounds from the same Gram matrix
+    (_collatz_wielandt_beaten), raised by (2 d + 8) eps: its inner
+    products and the matrix-vector products of nonnegative terms round
+    by d eps each, relative, and the quotients and sqrt by 2 eps.  The
+    finite Schatten-4 bound keeps ||G||_F^2 >= 1e-300, so what the Gram
+    matrix loses to underflow is far below that allowance.  Every bound
+    is positive (_frobenius), so the result is true exactly when one is
+    beaten.
     """
-    rounding = 1.0 + max(mat.shape) ** 2 * _EPS
-    bound = _frobenius(mat) * rounding
-    if beaten(bound):
-        return bound
-    bound = _schatten4(mat) * rounding
-    return bound if beaten(bound) else None
+    d = max(mat.shape)
+    rounding = 1.0 + d * d * _EPS
+    frobenius = _frobenius(mat)
+    if beaten(frobenius * rounding):
+        return frobenius * rounding
+    gram = _gram(mat)
+    schatten = math.sqrt(_frobenius(gram))
+    if beaten(schatten * rounding):
+        return schatten * rounding
+    # sigma_1 >= schatten^2 / frobenius: where that wins, no bound can be beaten.
+    if (schatten < math.inf and beaten(schatten * schatten / frobenius) and np.isrealobj(mat)
+            and mat.min() >= 0.0):
+        return _collatz_wielandt_beaten(gram, beaten, 1.0 + (2 * d + 8) * _EPS)
+    return None
 
 
 def _norm_unless_beaten(mat: np.ndarray, beaten):
@@ -585,6 +672,171 @@ def rotated_mean_norm_profile(
         angle_count=angle_count,
         rotation_shortcut=shortcut,
     )
+
+
+def _shift_mean_step(w: np.ndarray, v: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """(upper, lower, z): one power step of B = L^T L for every column, L = D L_n D^-1.
+
+    Column c of v is a positive vector for its own n, which starts and
+    stops encode: row i of L_n x sums x over [starts[i], i] (starts[i] =
+    max(i - n, 0)) and row i of L_n^T x over [i, stops[i]) (stops[i] =
+    min(i + n + 1, d)).  D = diag(w), so L has the entries w_i / w_j of
+    the mean's sum, L = (n+1) M_n, and B = L^T L has spectral radius
+    ||L||^2.  Each window sum is a difference of prefix (or suffix) sums
+    of a positive vector, so z = B v is y = w * window(v / w), then
+    window^T(y * w) / w, in O(d).  For each column, upper >= rho(B)
+    (Collatz 1942, Wielandt 1950: B >= 0 and v > 0) and lower <= rho(B),
+    from max_i z_i / v_i and ||z|| / ||v|| raised and lowered by a
+    relative allowance a.
+
+    The allowance.  A window computed as the difference P_i - P_k of two
+    prefix sums of positive terms errs by at most about d eps (P_i + P_k),
+    so with the division by w and the product with w around it the
+    window errs by at most (d + 4) eps rho_s relative, where rho_s =
+    max_i (P_i + P_k) / (P_i - P_k) over the column (stage s = 1, 2) is
+    the cancellation.  Every term is positive, so the computed z lies
+    entrywise within the product of the two (1 + delta_s), delta_s =
+    2 (d + 8) eps rho_s, of B' v, for B' the matrix of the computed
+    weights (cumulative products of the ratios, each within (d - 1) eps
+    of exact).  B' lies within 5 (d - 1) eps of B entrywise, and both
+    spectral radii are monotone in nonnegative entries.  So
+    a = 4 (delta_1 + delta_2) + 16 (d + 4) eps covers the windows, the
+    weights, the quotients, the norms and the divisions while a <= 1/2.
+    A column with a larger a, or with an entry of v / w, y, y * w or z
+    that is not finite or lies below the normal float range (where a
+    product loses its relative accuracy), gets no bound from this step:
+    upper inf and lower 0.
+    """
+    d = len(w)
+    col = w[:, None]
+    with np.errstate(all="ignore"):
+        # Stage 1: y = w * window(v / w), then t = y * w, in the buffer of y.
+        u = v / col
+        least = u.min(axis=0)
+        prefix = np.zeros((d + 1, v.shape[1]))
+        np.cumsum(u, axis=0, out=prefix[1:])
+        del u
+        start = np.take_along_axis(prefix, starts, axis=0)
+        t = prefix[1:] - start
+        start += prefix[1:]
+        start /= t
+        rho1 = start.max(axis=0)
+        del prefix, start
+        t *= col
+        least = np.minimum(least, t.min(axis=0))
+        t *= col
+        # Stage 2: z = window^T(t) / w, in the buffer of the window.
+        suffix = np.zeros((d + 1, v.shape[1]))
+        np.cumsum(t[::-1], axis=0, out=suffix[-2::-1])
+        least = np.minimum(least, t.min(axis=0))
+        del t
+        stop = np.take_along_axis(suffix, stops, axis=0)
+        z = suffix[:-1] - stop
+        stop += suffix[:-1]
+        stop /= z
+        rho2 = stop.max(axis=0)
+        del suffix, stop
+        z /= col
+        least = np.minimum(least, z.min(axis=0))
+        a = 8.0 * (d + 8) * _EPS * (rho1 + rho2) + 16.0 * (d + 4) * _EPS
+        quotient = (z / v).max(axis=0)
+        ratio = np.linalg.norm(z, axis=0) / np.linalg.norm(v, axis=0)
+        ok = (a <= 0.5) & (least >= _TINY) & (quotient < np.inf) & (ratio < np.inf)
+        upper = np.where(ok, quotient * (1.0 + a), np.inf)
+        lower = np.where(ok, ratio * (1.0 - a), 0.0)
+    return upper, lower, z
+
+
+def _shift_mean_columns(ratios: np.ndarray, ks: np.ndarray, reach: np.ndarray, best: float):
+    """(lower, upper, steps): brackets of ||M_k(S)|| for the shift S of ratios, one per k in ks.
+
+    reach[c] is the largest factor by which the caller scales column c
+    (1 for a requested n = k, d / (n + 1) for n past nilpotency), and
+    best the caller's running lower side of the sup.  Every column steps
+    _SHIFT_MEAN_WARMUP times from v = 1; from then on only the columns
+    whose scaled upper side is at least the running lower side of the
+    sup keep stepping, until none can raise the sup's upper side more
+    than _SHIFT_MEAN_WIDTH (relative) above its lower side, or
+    _SHIFT_MEAN_STEPS steps.  Each side is the best over the column's
+    steps, so a bracket that stops early is loose but valid.  sqrt and
+    the division by k + 1 round by 3 eps at most, covered by 8 eps.
+    """
+    d = ratios.size + 1
+    with np.errstate(over="ignore", under="ignore"):
+        w = np.concatenate(([1.0], np.cumprod(ratios)))
+    if not (w.min() >= _TINY and w.max() < np.inf):
+        raise ConvergenceError("shift weights leave the normal float range")
+    rows = np.arange(d)[:, None]
+    starts = np.maximum(rows - ks, 0)
+    stops = np.minimum(rows + ks + 1, d)
+    v = np.ones((d, len(ks)))
+    square_upper = np.full(len(ks), np.inf)
+    square_lower = np.zeros(len(ks))
+    live = np.arange(len(ks))
+    for step in range(1, _SHIFT_MEAN_STEPS + 1):
+        if len(live) == len(ks):  # no copies while every column steps
+            up, low, z = _shift_mean_step(w, v, starts, stops)
+        else:
+            up, low, z = _shift_mean_step(w, v[:, live], starts[:, live], stops[:, live])
+        square_upper[live] = np.minimum(square_upper[live], up)
+        square_lower[live] = np.maximum(square_lower[live], low)
+        with np.errstate(all="ignore"):
+            z /= z.max(axis=0)
+        v[:, live] = z
+        lower = np.sqrt(square_lower) * (1.0 - 8.0 * _EPS) / (ks + 1)
+        upper = np.sqrt(square_upper) * (1.0 + 8.0 * _EPS) / (ks + 1)
+        if step >= _SHIFT_MEAN_WARMUP:
+            best = max(best, float((reach * lower).max()))
+            live = np.flatnonzero(reach * upper >= best)
+            if not len(live) or (reach[live] * upper[live]).max() - best <= _SHIFT_MEAN_WIDTH * best:
+                break
+    return lower, upper, step
+
+
+def shift_mean_norm_bracket(op: OperatorSpec, ns) -> MeanBracket:
+    """Certified lower and upper sides of ||M_n(op)|| for each n of ns, op a positive shift.
+
+    op is a weighted shift (forward or backward, any rotation) or a
+    direct sum of them; any other leaf raises ValidationError.  Each
+    leaf S = D L D^-1 is a diagonal similarity of the plain shift L
+    (D = diag(w), w the cumulative products of the ratios), so
+    M_n(S) = (n+1)^-1 D L_n D^-1 >= 0 entrywise, L_n = sum_(j<=n) L^j.
+    For any v > 0, ||M_n v|| / ||v|| <= ||M_n|| <=
+    (max_i (M_n^T M_n v)_i / v_i)^(1/2) (Collatz 1942; Wielandt 1950), and
+    M_n and M_n^T apply in O(d) by prefix sums (_shift_mean_step).  All
+    n of a leaf step together as the columns of one block, pruned
+    against the sup over ns (_shift_mean_columns), so the sup's bracket
+    is tight (relative width _SHIFT_MEAN_WIDTH, unless the step cap
+    stops it) while a pruned n keeps the looser bracket it had.  A
+    backward shift is the adjoint of the forward one and a rotation a
+    unitary equivalence, and neither changes a mean's norm.  n = 0 is
+    exactly 1.  A leaf of dimension d is nilpotent, so for n >= d - 1
+    M_n = (d / (n + 1)) M_(d-1), scaled with 4 eps of rounding.  A direct
+    sum takes, for each n, the max of its leaves' sides.  No matrix is
+    formed and no eigensolve runs.  steps is the most power steps any
+    leaf took.
+    """
+    ns = np.array([_count(n, "n") for n in ns], dtype=int)
+    leaves = [leaf for *_, leaf in blocks(op)]
+    if not all(isinstance(leaf, WeightedShift) for leaf in leaves):
+        raise ValidationError("shift_mean_norm_bracket needs weighted shifts and their direct sums")
+    lower = np.where(ns == 0, 1.0, 0.0)
+    upper = lower.copy()
+    steps = 0
+    positive = ns > 0
+    n = ns[positive]
+    for leaf in leaves if len(n) else ():
+        d = leaf.ratios.size + 1
+        ks, column = np.unique(np.minimum(n, d - 1), return_inverse=True)
+        scale = np.minimum(d / (n + 1.0), 1.0)  # exactly 1.0 for n <= d - 1
+        reach = np.zeros(len(ks))
+        np.maximum.at(reach, column, scale)
+        low, up, taken = _shift_mean_columns(leaf.ratios, ks, reach, float(lower.max()))
+        steps = max(steps, taken)
+        slack = np.where(n >= d, 4.0 * _EPS, 0.0)
+        lower[positive] = np.maximum(lower[positive], low[column] * scale * (1.0 - slack))
+        upper[positive] = np.maximum(upper[positive], up[column] * scale * (1.0 + slack))
+    return MeanBracket(ns, lower, upper, steps)
 
 
 def cesaro_identity_check(op: OperatorSpec, n_max: int) -> np.ndarray:

@@ -185,6 +185,103 @@ def test_profile_validation():
         kl.rotated_mean_norm_profile(kl.build_TN(2, 0.25), 4, order=3)
 
 
+# --- shift mean brackets ---
+
+
+def one_point_means(op, n_max):
+    """||M_n(op)|| for n = 0..n_max from the dense tables: the brackets' oracle."""
+    return _rotated_mean_norms(op, n_max, np.array([1.0 + 0.0j]))[0][0]
+
+
+def assert_contains(bracket, values):
+    # The dense values carry the Gram eigensolve's error, which
+    # _PRUNE_SLACK covers; the sides are certified for the exact norms.
+    slack = kreisslab.cesaro._PRUNE_SLACK
+    assert np.all(bracket.lower <= values * (1.0 + slack))
+    assert np.all(values <= bracket.upper * (1.0 + slack))
+
+
+@pytest.mark.parametrize("eta", [0.25, 0.45])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_shift_mean_brackets_contain_the_dense_means(n, eta):
+    op = kl.build_TN(n, eta)
+    bracket = kl.shift_mean_norm_bracket(op, range(8 * n + 1))
+    assert_contains(bracket, one_point_means(op, 8 * n))
+    low, high = bracket.lower.max(), bracket.upper.max()
+    assert low <= high <= low * (1.0 + kreisslab.cesaro._SHIFT_MEAN_WIDTH)
+
+
+def test_shift_mean_brackets_contain_40_digit_norms():
+    import mpmath
+
+    n_max = 16
+    for eta in (0.25, 0.45):
+        op = kl.build_TN(8, eta)
+        bracket = kl.shift_mean_norm_bracket(op, range(n_max + 1))
+        with mpmath.workdps(40):
+            ratios = [mpmath.mpf(float(r)) for r in op.ratios]
+            weights = [mpmath.mpf(1)]
+            for r in ratios:
+                weights.append(weights[-1] * r)
+            d = len(weights)
+            for n in range(n_max + 1):
+                mean = mpmath.matrix(d, d)
+                for i in range(d):
+                    for j in range(max(0, i - n), i + 1):
+                        mean[i, j] = weights[i] / weights[j] / (n + 1)
+                top = max(mpmath.eigsy(mean.T * mean, eigvals_only=True))
+                exact = mpmath.sqrt(top)
+                assert mpmath.mpf(float(bracket.lower[n])) <= exact, (eta, n)
+                assert exact <= mpmath.mpf(float(bracket.upper[n])), (eta, n)
+
+
+def test_shift_mean_bracket_of_a_direct_sum_is_the_blockwise_max():
+    op = kl.build_shields_counterexample(0.15, 0.45, 8)
+    ns = range(40)
+    bracket = kl.shift_mean_norm_bracket(op, ns)
+    assert_contains(bracket, np.max([one_point_means(s, 39) for s in op.summands], axis=0))
+    # Each summand's own bracket holds the same norms as the sum's.
+    alone = [kl.shift_mean_norm_bracket(s, ns) for s in op.summands]
+    assert np.all(bracket.lower <= np.max([b.upper for b in alone], axis=0))
+    assert np.all(np.max([b.lower for b in alone], axis=0) <= bracket.upper)
+
+
+def test_shift_mean_bracket_at_zero_and_past_nilpotency():
+    op = kl.build_TN(8, 0.45)  # d = 16: T^16 = 0, so M_n = 16 M_15 / (n + 1) from n = 15 on
+    ns = [0, 15, 16, 40, 127, 3, 0]
+    bracket = kl.shift_mean_norm_bracket(op, ns)
+    assert bracket.lower[0] == bracket.upper[0] == bracket.lower[-1] == 1.0
+    for i, n in enumerate(ns[2:5], 2):
+        for side in (bracket.lower, bracket.upper):
+            assert side[i] == pytest.approx(side[1] * 16 / (n + 1), rel=8 * kreisslab.cesaro._EPS)
+    assert_contains(bracket, one_point_means(op, 127)[ns])
+    # A backward shift and a rotation leave every side unchanged.
+    turned = kl.RotatedScale(1j, kl.WeightedShift("backward", op.ratios))
+    twin = kl.shift_mean_norm_bracket(turned, ns)
+    np.testing.assert_array_equal(twin.lower, bracket.lower)
+    np.testing.assert_array_equal(twin.upper, bracket.upper)
+
+
+def test_shift_mean_bracket_validation():
+    shift = kl.build_TN(4, 0.3)
+    for op in (kl.Dense(np.eye(3)), kl.DirectSum((shift, kl.Dense(np.eye(2))))):
+        with pytest.raises(kl.ValidationError):
+            kl.shift_mean_norm_bracket(op, [1, 2])
+    for ns in ([-1], [1.5]):
+        with pytest.raises(kl.ValidationError):
+            kl.shift_mean_norm_bracket(shift, ns)
+    with pytest.raises(kl.ConvergenceError):
+        kl.shift_mean_norm_bracket(kl.WeightedShift("forward", np.full(40, 1e20)), [1])
+
+
+def test_thm24_eigensolves_no_mean_at_d_128(monkeypatch):
+    shapes = []
+    monkeypatch.setattr(kreisslab.cesaro, "_dense_norm",
+                        lambda mat: shapes.append(mat.shape) or _dense_norm(mat))
+    kreisslab.reproduce._thm24(kl.SEED)
+    assert shapes and max(shapes) == (64, 64)  # only the guide shift's sweep
+
+
 # --- identities ---
 
 

@@ -23,6 +23,7 @@ import kreisslab.reproduce as reproduce
 #: failing record.
 CONTROLLED = {
     "tn-ratio": ("tn-norm-*", "tn-power-n*", "tn-power-closed-form-*"),
+    "tn-eta-0.45": ("tn-mean-ratio-*",),
     "shields-eta-0.35": ("shields-norm-closed-form", "shields-lower-bound", "shields-odd-powers",
                          "shields-even-powers", "shields-growth-exponent-floor"),
     "shields-eta-0.499": ("shields-growth-exponent",),
@@ -42,8 +43,6 @@ CONTROLLED = {
 
 #: Gated check ids with no control, as patterns, each with the reason.
 NO_CONTROL = {
-    "tn-mean-ratio-*": "ratios of sampled mean sups against 1.05 and 1.10; a control needs a "
-                       "shift family whose mean sups grow with N, and none is built",
     "TN-C1": "the double sum reads no operator, only coefficient vectors and the guide's "
              "ukb_C; no control lowers that constant below the sum",
     "TN-C2": "an inequality between a power sum and its integral; it reads no operator",
@@ -105,6 +104,17 @@ def test_tn_gates_fail_with_the_first_ratio_scaled(monkeypatch):
     records, _ = reproduce._thm24(kl.SEED)
     assert_controlled(records, "tn-ratio")
     assert sum(record.status == "fail" for record in records) == 24
+
+
+def test_tn_mean_ratios_fail_when_every_shift_is_built_at_eta_0_45(monkeypatch):
+    # At eta = 0.45 the mean sups grow with N (1.387, 1.859 and 2.082 at
+    # N = 8, 32 and 64), so both N-independence ratios exceed their bounds.
+    build = reproduce.build_TN
+    monkeypatch.setattr(reproduce, "build_TN", lambda n, eta: build(n, 0.45))
+    records, _ = reproduce._thm24(kl.SEED)
+    assert_controlled(records, "tn-eta-0.45")
+    ratios = {r.check_id: r.value for r in records if r.check_id.startswith("tn-mean-ratio")}
+    assert ratios["tn-mean-ratio-64-32"] > 1.11 and ratios["tn-mean-ratio-64-8"] > 1.5
 
 
 @pytest.mark.parametrize("eta, control", [(0.35, "shields-eta-0.35"),
