@@ -117,10 +117,6 @@ _EPS = float(np.finfo(float).eps)
 
 _TINY = float(np.finfo(float).tiny)
 
-#: Power steps of the Collatz-Wielandt bound that the prune cascade tries
-#: on a cell with no negative entry.
-_CW_CELL_STEPS = 16
-
 #: Power steps every n of shift_mean_norm_bracket takes before pruning.
 _SHIFT_MEAN_WARMUP = 12
 
@@ -195,43 +191,8 @@ def _schatten4(mat: np.ndarray) -> float:
     sqrt(1 + t^2) sigma_1 but Schatten-4 bound (1 + t^4)^(1/4) sigma_1.  A Gram matrix whose
     squares may have underflowed gives no bound (inf), as in _frobenius.
     """
-    return math.sqrt(_frobenius(_gram(mat)))
-
-
-def _gram(mat: np.ndarray) -> np.ndarray:
-    """mat* mat."""
-    return mat.T @ mat if np.isrealobj(mat) else mat.conj().T @ mat
-
-
-def _collatz_wielandt_beaten(gram: np.ndarray, beaten, rounding: float):
-    """The first Collatz-Wielandt bound of sqrt(rho(gram)), times rounding, that beaten holds for.
-
-    For G >= 0 and any v > 0, rho(G) <= max_i (G v)_i / v_i (Collatz
-    1942; Wielandt 1950).  The first v is 1, whose quotients are G's row
-    sums; each of _CW_CELL_STEPS power steps then tries v = G v, scaled
-    to a largest entry of 1.  A zero row of G is a zero column, which
-    holds only the eigenvalue 0, so the steps run on the other rows and
-    columns.  The steps end, with None, once the Rayleigh quotient
-    v.Gv / v.v <= rho(G) shows that no bound can be beaten, or when an
-    entry of G v lies below 2^-960, where products may have underflowed.
-    """
-    v = gram.sum(axis=1)
-    bound = math.sqrt(v.max()) * rounding
-    if beaten(bound):
-        return bound
-    live = v > 0.0
-    if not live.all():
-        gram, v = gram[np.ix_(live, live)], v[live]
-    for _ in range(_CW_CELL_STEPS if len(v) else 0):
-        v = v / v.max()
-        image = gram @ v
-        if not (image.min() >= 2.0**-960 and beaten(math.sqrt((v @ image) / (v @ v)))):
-            return None
-        bound = math.sqrt((image / v).max()) * rounding
-        if beaten(bound):
-            return bound
-        v = image
-    return None
+    gram = mat.T @ mat if np.isrealobj(mat) else mat.conj().T @ mat
+    return math.sqrt(_frobenius(gram))
 
 
 def _beaten(bound: float, best: float) -> bool:
@@ -254,31 +215,16 @@ def _bounds_beaten(mat: np.ndarray, beaten):
     and of the d-term inner products of the Gram matrix, whose Frobenius
     norm is at least ||mat||_F^2 / sqrt(d); beaten adds _PRUNE_SLACK
     through _beaten.  So a bound is beaten only when the exact norm, and
-    the Gram eigensolve's value of it (_dense_norm), cannot win.  A real
-    mat with no negative entry and a finite Schatten-4 bound then tries
-    Collatz-Wielandt bounds from the same Gram matrix
-    (_collatz_wielandt_beaten), raised by (2 d + 8) eps: its inner
-    products and the matrix-vector products of nonnegative terms round
-    by d eps each, relative, and the quotients and sqrt by 2 eps.  The
-    finite Schatten-4 bound keeps ||G||_F^2 >= 1e-300, so what the Gram
-    matrix loses to underflow is far below that allowance.  Every bound
-    is positive (_frobenius), so the result is true exactly when one is
-    beaten.
+    the Gram eigensolve's value of it (_dense_norm), cannot win.  Every
+    bound is positive (_frobenius), so the result is true exactly when
+    one is beaten.
     """
-    d = max(mat.shape)
-    rounding = 1.0 + d * d * _EPS
-    frobenius = _frobenius(mat)
-    if beaten(frobenius * rounding):
-        return frobenius * rounding
-    gram = _gram(mat)
-    schatten = math.sqrt(_frobenius(gram))
-    if beaten(schatten * rounding):
-        return schatten * rounding
-    # sigma_1 >= schatten^2 / frobenius: where that wins, no bound can be beaten.
-    if (schatten < math.inf and beaten(schatten * schatten / frobenius) and np.isrealobj(mat)
-            and mat.min() >= 0.0):
-        return _collatz_wielandt_beaten(gram, beaten, 1.0 + (2 * d + 8) * _EPS)
-    return None
+    rounding = 1.0 + max(mat.shape) ** 2 * _EPS
+    bound = _frobenius(mat) * rounding
+    if beaten(bound):
+        return bound
+    bound = _schatten4(mat) * rounding
+    return bound if beaten(bound) else None
 
 
 def _norm_unless_beaten(mat: np.ndarray, beaten):

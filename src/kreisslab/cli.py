@@ -255,8 +255,10 @@ def _cmd_kreiss(args) -> int:
                 params={"constant": name, "kreiss_C": report.kreiss_C},
                 detail=f"{name} is below kreiss_C, which it bounds: the mean sweep is "
                        "under-resolved in n_max or angles"))
+    # kreiss_C_upper is None, an empty cell, where no upper side is known.
     rows = [(name, getattr(report, name)) for name in
-            ("kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C")]
+            ("kreiss_C", "kreiss_C_lower", "kreiss_C_upper", "ukb_C", "kb2_C", "kb2_sum_C",
+             "strong_C")]
     return _emit(args, _config(args, entry), results,
                  {"constants.csv": (("constant", "value"), rows)})
 

@@ -33,7 +33,7 @@ from .operators import SEED
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on; round-trips through the report header.
+    """Everything a run depends on, written to the report header by to_dict.
 
     ``params`` are the catalog operator's normalized parameters and
     ``options`` every other parsed flag of the command, as parsed.
@@ -53,10 +53,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {**field_values(self), "params": dict(self.params), "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def field_values(record) -> dict:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -137,7 +138,8 @@ def test_kreiss_constants_table(tmp_path):
     assert code == 0
     lines = (tmp_path / "constants.csv").read_text().splitlines()
     names = [line.split(",")[0] for line in lines[1:]]
-    assert names == ["kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C"]
+    assert names == ["kreiss_C", "kreiss_C_lower", "kreiss_C_upper", "ukb_C", "kb2_C",
+                     "kb2_sum_C", "strong_C"]
 
 
 def test_kreiss_flags_a_sup_on_the_innermost_radius(tmp_path):
@@ -200,8 +202,13 @@ def test_kreiss_report_brackets_the_kreiss_constant(tmp_path):
         else:
             assert bracket == [report["kreiss_C"], "grid", None, None]
             assert missed == []
-        names = [line.split(",")[0] for line in (out / "constants.csv").read_text().splitlines()]
-        assert names[1:] == ["kreiss_C", "ukb_C", "kb2_C", "kb2_sum_C", "strong_C"]
+        with (out / "constants.csv").open(newline="") as handle:
+            table = {row["constant"]: row["value"] for row in csv.DictReader(handle)}
+        assert list(table) == ["kreiss_C", "kreiss_C_lower", "kreiss_C_upper", "ukb_C", "kb2_C",
+                               "kb2_sum_C", "strong_C"]
+        assert table["kreiss_C_lower"] == repr(report["kreiss_C_lower"])
+        assert table["kreiss_C_upper"] == ("" if report["kreiss_C_upper"] is None
+                                           else repr(report["kreiss_C_upper"]))
 
 
 #: kreiss command-line flags of each catalog entry's parameters.

@@ -39,12 +39,11 @@ CONTROLLED = {
     "bermbmp-ratio": ("bermbmp-ratios", "bermbmp-norm", "bermbmp-power-growth"),
     "bermbmp-alpha-0.9": ("bermbmp-absolute-cesaro",),
     "claims-constant-0.02": ("H[1-4]",),
+    "guide-constant-0.25": ("TN-C1",),
 }
 
 #: Gated check ids with no control, as patterns, each with the reason.
 NO_CONTROL = {
-    "TN-C1": "the double sum reads no operator, only coefficient vectors and the guide's "
-             "ukb_C; no control lowers that constant below the sum",
     "TN-C2": "an inequality between a power sum and its integral; it reads no operator",
     "mean-identities-*": "algebraic identities of powers and means that hold for every "
                          "matrix; only a broken power stream could fail them",
@@ -272,6 +271,25 @@ def test_orbit_claims_fail_against_the_constant_scaled_by_0_02(monkeypatch):
     counts = Counter((r.check_id, r.status) for r in records if r.check_id.startswith("H"))
     assert counts == {("H1", "fail"): 14, ("H2", "fail"): 25, ("H3", "fail"): 11,
                       ("H4", "fail"): 30}
+
+
+def test_the_double_sum_fails_against_the_guide_constant_scaled_by_0_25(monkeypatch):
+    # TN-C1 holds each windowed double sum against the guide sweep's ukb_C
+    # (1.085 and 1.364 at eta = 0.25 and 0.45).  At 0.25 of it the bounds,
+    # 0.271 and 0.341, lie below every sum (the least are 0.343 and 0.409),
+    # so all 112 records fail; at 0.5 some would still pass.
+    exact = reproduce.uniform_kreiss_constant
+
+    def shrunk(*args):
+        report = exact(*args)
+        return replace(report, ukb_C=0.25 * report.ukb_C)
+
+    monkeypatch.setattr(reproduce, "uniform_kreiss_constant", shrunk)
+    records, _ = reproduce._thm24(kl.SEED)
+    assert_controlled(records, "guide-constant-0.25")
+    tn_c1 = [r for r in records if r.check_id == "TN-C1"]
+    assert len(tn_c1) == 112
+    assert max(r.bound for r in tn_c1) < min(r.value for r in tn_c1)
 
 
 def test_every_gate_has_a_control_or_a_reason():

@@ -204,7 +204,6 @@ def test_run_config_roundtrip():
         if f.default_factory is not dataclasses.MISSING:
             assert getattr(config, f.name) != f.default_factory(), f.name
     assert config.to_dict() == values
-    assert kl.RunConfig.from_dict(json.loads(to_json_bytes(config.to_dict()))) == config
 
 
 def test_every_field_is_serialized():

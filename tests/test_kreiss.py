@@ -16,9 +16,8 @@ import kreisslab.cli
 import kreisslab.kreiss
 import kreisslab.reproduce as reproduce
 from kreisslab.cesaro import (_EPS, _POOLED_PRODUCT, _SEED_WINDOW, _angle_grid, _beaten,
-                              _bounds_beaten, _collatz_wielandt_beaten, _dense_norm, _frobenius,
-                              _gram, _gram_strip, _mean_cells, _rotated_mean_norms, _schatten4,
-                              _seed_bounds, _swept_count)
+                              _bounds_beaten, _dense_norm, _frobenius, _gram_strip, _mean_cells,
+                              _rotated_mean_norms, _schatten4, _seed_bounds, _swept_count)
 from kreisslab.kreiss import _chain_reach, _leaf_inverse, certify_spectral_radius, default_radii
 from kreisslab.operators import _compact
 
@@ -317,7 +316,7 @@ SWEEP_OPS = {
                                     kl.build_tz_block(3), kl.build_ergces(6))),
     # T^5 = 0 in the tz block, while the other block never settles.
     "settles-mid-sweep": kl.DirectSum((kl.build_tz_block(4), kl.Dense(0.5 * np.eye(2)))),
-    # Nonnegative cells at lam = 1, which the Collatz-Wielandt bound prunes.
+    # Shifts: one-point sweeps at lam = 1, whose cells are all nonnegative.
     "bermbmp-16": kl.build_bermbmp_shift(0.45, "forward", 16),
     "shields-4": kl.build_shields_counterexample(0.15, 0.45, 4),
 }
@@ -522,65 +521,40 @@ def test_frobenius_bound_with_its_slack_covers_the_svd():
 def test_schatten4_bound_with_its_slack_covers_the_svd():
     # The cascade's second bound at every size the catalog sweeps reach
     # (tzblock 64 is 128 x 128), on general, rank-one and nearly rank-one
-    # matrices, where sigma_1 nearly equals the Schatten-4 norm.
+    # matrices, where sigma_1 nearly equals the Schatten-4 norm, and on
+    # nonnegative ones: general, rank-one, with a zero row and column, and
+    # the mean sums of a shift.  No bound may be beaten by the matrix's
+    # own norm.
     rng = np.random.default_rng(23)
     below = 0
+
+    def check(mat):
+        nonlocal below
+        d = max(mat.shape)
+        norm = _dense_norm(mat)
+        assert norm <= _schatten4(mat) * (1 + d * d * _EPS) * (1 + 1e-12)
+        assert not _bounds_beaten(mat, lambda bound: _beaten(bound, norm))
+        below += norm > _schatten4(mat)
+
     for d in (1, 2, 5, 16, 32, 64, 128):
         for _ in range(40 if d <= 32 else 8):
             general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             u = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
             v = rng.standard_normal((1, d)) + 1j * rng.standard_normal((1, d))
             near = u @ v + 1e-7 * general
-            for mat in (general, u @ v, near, (u @ v).real):
-                norm = _dense_norm(mat)
-                assert _dense_norm(mat) <= _schatten4(mat) * (1 + d * d * _EPS) * (1 + 1e-12)
-                assert not _bounds_beaten(mat, lambda bound: _beaten(bound, norm))
-                below += norm > _schatten4(mat)
+            positive = rng.random((d, d))
+            holed = positive.copy()
+            holed[d // 2] = holed[:, d // 2] = 0.0
+            for mat in (general, u @ v, near, (u @ v).real, positive,
+                        np.outer(rng.random(d), rng.random(d)), holed):
+                check(mat)
+    shift = kl.materialize(kl.build_TN(16, 0.45))
+    total = np.eye(32)
+    for _ in range(31):
+        check(total)
+        total = total @ shift + np.eye(32)
     assert below > 0  # some dense norms round above the bare Schatten-4 norm: the slack is used
     assert _schatten4(np.zeros((3, 3))) == _schatten4(np.full((3, 3), 1e-80)) == math.inf
-
-
-def test_collatz_wielandt_bound_with_its_slack_covers_the_svd():
-    # The cascade's third bound, on nonnegative matrices only: general,
-    # rank-one (where one step is exact), nearly rank-one, with a zero row
-    # and column, and the mean sums of a shift.  No bound may be beaten
-    # by the matrix's own norm.  On the random cells the steps come within
-    # 1e-9 of it; the sums of few shift powers converge more slowly.
-    rng = np.random.default_rng(29)
-    random_cells = [np.tril(np.ones((12, 12)))]
-    for d in (1, 2, 5, 16, 64, 128):
-        for _ in range(8):
-            general = rng.random((d, d))
-            rank_one = np.outer(rng.random(d), rng.random(d))
-            holed = general.copy()
-            holed[d // 2] = holed[:, d // 2] = 0.0
-            random_cells += [general, rank_one, rank_one + 1e-7 * general, holed]
-    shift = kl.materialize(kl.build_TN(16, 0.45))
-    shift_cells = [np.eye(32)]
-    for _ in range(31):
-        shift_cells.append(shift_cells[-1] @ shift + np.eye(32))
-    for cells, tight in ((random_cells, True), (shift_cells, False)):
-        for mat in cells:
-            d = mat.shape[0]
-            norm = _dense_norm(mat)
-            assert not _bounds_beaten(mat, lambda bound: _beaten(bound, norm))
-            rounding = 1.0 + (2 * d + 8) * _EPS
-            near = _collatz_wielandt_beaten(_gram(mat), lambda b: b <= norm * (1 + 1e-9), rounding)
-            assert near is not None or not tight
-            assert near is None or not _beaten(near, norm)
-    assert _collatz_wielandt_beaten(np.zeros((3, 3)), lambda b: True, 1.0) == 0.0
-
-
-def test_the_cascade_tries_collatz_wielandt_on_nonnegative_cells_only():
-    # A cell with a negative entry, or a complex one, stops after Schatten-4.
-    mat = np.tril(np.ones((8, 8)))
-    flipped = mat.copy()
-    flipped[7, 0] = -1.0
-    for cell, pruned in ((mat, True), (flipped, False), (mat.astype(complex), False)):
-        norm = _dense_norm(cell)
-        # Beaten only by a bound within 1e-9 of the norm, which only Collatz-Wielandt reaches.
-        bound = _bounds_beaten(cell, lambda b: b < norm * (1 + 1e-9))
-        assert (bound is not None) == pruned
 
 
 @pytest.mark.parametrize("op", [NONNORMAL, contractive_dense(16, 3), kl.build_tz_block(8),
@@ -962,12 +936,10 @@ def test_the_seeded_mean_sweep_norms_few_cells(monkeypatch):
         9.612697312887624, 7.618976457286323, 4.009987609098064)
     # A one-point sweep (the rotation shortcut of a shift) runs one pass,
     # with the same cells normed as before the seed existed: there a seed
-    # saves no eigensolve and costs a second pass.  Every cell of a shift
-    # at lam = 1 is nonnegative, so the Collatz-Wielandt bound prunes
-    # some (114 and 70 cells were normed without it).
+    # saves no eigensolve and costs a second pass.
     monkeypatch.setattr(kreisslab.cesaro._MeanSups, "seed", None)
-    for op, count in ((kl.build_bermbmp_shift(0.45, "forward", 64), 93),
-                      (kl.build_TN(16, 0.45), 67)):
+    for op, count in ((kl.build_bermbmp_shift(0.45, "forward", 64), 114),
+                      (kl.build_TN(16, 0.45), 70)):
         calls.clear()
         kl.kb2_constant(op, 256, 256)
         assert len(calls) == count

@@ -47,6 +47,8 @@ COMMANDS = (
     ("kreiss", "--operator", "ergces", "--trunc", "12", "--n-max", "4096", *_CSV),
     ("kreiss", "--operator", "tn", "--trunc", "16", *_CSV),
     ("kreiss", "--operator", "bermbmp", "--trunc", "32", *_CSV),
+    # thm2.4's guide shift: one-point mean sweeps over nonnegative cells at d = 64.
+    ("kreiss", "--operator", "bermbmp", "--trunc", "64", *_CSV),
     ("kreiss", "--operator", "shields", "--nmax-sum", "6", *_CSV),
     ("cesaro", "--operator", "tzblock", "--trunc", "16", *_CSV),
     ("cesaro", "--operator", "ergces", "--trunc", "12", "--order", "2", "--angles", "64",
@@ -55,6 +57,8 @@ COMMANDS = (
      *_CSV),
     # A nilpotent shift of dimension 32: its groups are vacuous from N = 32 on.
     ("claims", "--operator", "tn", "--trunc", "16", "--probes", "8", "--k-max", "64", *_CSV),
+    ("claims", "--operator", "bermbmp", "--trunc", "64", "--probes", "8", "--k-max", "64",
+     *_CSV),
     ("powers", "--operator", "ergces", "--trunc", "20", *_CSV),
     # Past k = d = 16 the tail is tzblock's closed form: T^16 has norm 16, T^17 = 0.
     ("powers", "--operator", "tzblock", "--trunc", "16", "--k-max", "20", *_CSV),
