@@ -208,14 +208,14 @@ def adjoint(op: OperatorSpec) -> OperatorSpec:
     raise TypeError(f"not an operator spec: {type(op)!r}")
 
 
-def _check_dim(op: OperatorSpec, x: np.ndarray, ndims=(1,)) -> np.ndarray:
-    """x as a complex array of ndim in ndims whose first axis has op's dimension."""
+def _check_dim(op: OperatorSpec, x: np.ndarray, ndims=(1,), dtype=complex) -> np.ndarray:
+    """x as an array of dtype and of ndim in ndims whose first axis has op's dimension."""
     x = np.asarray(x)
     if x.ndim not in ndims or x.shape[0] != dimension(op):
         raise DimensionError(
             f"array of shape {x.shape} does not match operator dimension {dimension(op)}"
         )
-    return x.astype(complex, copy=False)
+    return x.astype(dtype, copy=False)
 
 
 def _count(value, name: str, minimum: int = 0) -> int:
@@ -245,21 +245,35 @@ def apply(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
 
     x is one vector or a (d, k) block whose k columns are applied at
     once; a shift scales each column exactly as it scales a lone vector.
+
+    The result is float64 when x is not complex and op is real
+    (_is_real), complex128 otherwise; any other input (an integer
+    array, say) is cast to the one of the two.  As in materialize, a
+    real rotation scalar multiplies by its real part, so a shift's real
+    result has the bits of the real part of its complex one; a Dense
+    leaf's may differ in the last bit, since BLAS sums real and complex
+    products in different orders.
     """
-    x = _check_dim(op, x, (1, 2))
+    real = not np.iscomplexobj(x) and _is_real(op)
+    x = _check_dim(op, x, (1, 2), float if real else complex)
     parts = []
     for start, stop, scalar, leaf in blocks(op):
         v = x[start:stop]
         if isinstance(leaf, Dense):
-            y = leaf.matrix @ v
+            y = (leaf.matrix.real if real else leaf.matrix) @ v
         else:
+            # The products are written in place: no temporary, and the same bits.
             ratios = leaf.ratios if v.ndim == 1 else leaf.ratios[:, None]
-            y = np.zeros_like(v)
+            y = np.empty_like(v)
             if leaf.direction == "forward":
-                y[1:] = ratios * v[:-1]
+                y[0] = 0.0
+                np.multiply(ratios, v[:-1], out=y[1:])
             else:
-                y[:-1] = ratios * v[1:]
-        parts.append(y if scalar == 1.0 else scalar * y)
+                y[-1] = 0.0
+                np.multiply(ratios, v[1:], out=y[:-1])
+        if scalar != 1.0:
+            y = (scalar.real if real else scalar) * y
+        parts.append(y)
     return _join(parts)
 
 
@@ -279,8 +293,9 @@ def _dense_dimension(op: OperatorSpec) -> int:
 def _is_real(op: OperatorSpec) -> bool:
     """Whether every rotation scalar of op is real and every Dense leaf has a zero imaginary part.
 
-    The one realness predicate: materialize picks its field by it, and
-    the rotated sweeps halve their grids by it (cesaro._swept_count).
+    The one realness predicate: materialize and apply pick their field
+    by it, and the rotated sweeps halve their grids by it
+    (cesaro._swept_count).
     """
     return all(scalar.imag == 0.0
                and not (isinstance(leaf, Dense) and np.iscomplexobj(leaf.matrix)
@@ -562,7 +577,8 @@ def resolvent_apply(op: OperatorSpec, lam: complex, x: np.ndarray) -> np.ndarray
     Dense blocks use an LU solve; shifts reduce to bidiagonal
     substitution in O(d); direct sums solve blockwise.  The residual is
     verified against 1e-10 * ||x|| with one refinement step before a
-    SingularError is raised.
+    SingularError is raised.  The solve is complex whatever x is: a
+    real x has a complex solution at a non-real lam.
     """
     lam = complex(lam)
     if abs(lam) <= 1.0:

@@ -275,11 +275,27 @@ def test_shift_mean_bracket_validation():
 
 
 def test_thm24_eigensolves_no_mean_at_d_128(monkeypatch):
+    # Below 64 columns neither the Gram product nor eigvalsh hands work to
+    # the BLAS pool.  The means are bracketed with no eigensolve, and the
+    # dense power oracle is stepped through apply and normed on its nonzero
+    # columns rather than formed by matrix_power at d = 128.
+    def refuse(*args):
+        raise AssertionError("thm2.4 called np.linalg.matrix_power")
+
     shapes = []
-    monkeypatch.setattr(kreisslab.cesaro, "_dense_norm",
-                        lambda mat: shapes.append(mat.shape) or _dense_norm(mat))
-    kreisslab.reproduce._thm24(kl.SEED)
-    assert shapes and max(shapes) == (64, 64)  # only the guide shift's sweep
+    norm = kreisslab.operators._matrix_norm
+
+    def recording(mat):
+        shapes.append(mat.shape)
+        return norm(mat)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    for module in (kreisslab.operators, kreisslab.cesaro, kreisslab.reproduce):
+        monkeypatch.setattr(module, "_matrix_norm", recording)
+    records, _ = kreisslab.reproduce._thm24(kl.SEED)
+    assert all(record.status != "fail" for record in records)
+    assert max(columns for _, columns in shapes) <= 64
+    assert (64, 64) in shapes  # the guide shift's sweep
 
 
 # --- identities ---

@@ -105,6 +105,26 @@ def test_tn_gates_fail_with_the_first_ratio_scaled(monkeypatch):
     assert sum(record.status == "fail" for record in records) == 24
 
 
+def test_tn_dense_powers_fail_when_apply_misplaces_a_weight(monkeypatch):
+    # The dense oracle steps T_N through apply; the closed form never does.
+    # With r_1 landing on e_1 rather than e_2, T^(2N-1) is r_1^(2N-1) e_1 e_1*,
+    # so every stepped top power fails while every closed form still passes.
+    exact = reproduce.apply
+
+    def misplaced(op, x):
+        y = exact(op, x)
+        if isinstance(op, kl.WeightedShift) and op.direction == "forward":
+            y[[0, 1]] = y[[1, 0]]
+        return y
+
+    monkeypatch.setattr(reproduce, "apply", misplaced)
+    records, _ = reproduce._thm24(kl.SEED)
+    failed = {record.check_id for record in records if record.status == "fail"}
+    assert failed == {f"tn-power-n{n}-eta{eta}" for eta in (0.25, 0.45) for n in (8, 16, 32, 64)}
+    assert all(record.status == "pass" for record in records
+               if fnmatchcase(record.check_id, "tn-power-closed-form-*"))
+
+
 def test_tn_mean_ratios_fail_when_every_shift_is_built_at_eta_0_45(monkeypatch):
     # At eta = 0.45 the mean sups grow with N (1.387, 1.859 and 2.082 at
     # N = 8, 32 and 64), so both N-independence ratios exceed their bounds.

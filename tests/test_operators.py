@@ -103,6 +103,17 @@ def test_apply_rotated_scale():
     np.testing.assert_allclose(out, lam * np.ones(2))
 
 
+@pytest.mark.parametrize("eta", [0.25, 0.45])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_stepped_power_matches_the_dense_matrix_power(n, eta):
+    op = kl.build_TN(n, eta)
+    stepped = kreisslab.reproduce._stepped_power(op, 2 * n - 1)
+    dense = np.linalg.matrix_power(kl.materialize(op), 2 * n - 1)
+    assert stepped.dtype == np.float64
+    np.testing.assert_allclose(stepped, dense, rtol=1e-14, atol=0)
+    assert np.count_nonzero(stepped.any(axis=0)) == 1  # the column of e_1
+
+
 # --- adjoint ---
 
 
@@ -182,7 +193,8 @@ def complex_materialization(op):
     return mat
 
 
-@pytest.mark.parametrize("op, dtype", [
+#: Operators with the field that materialize and apply (on real input) give them.
+FIELD_CASES = [
     *[(kl.make_operator(name, **params).spec, float)
       for name, params in kreisslab.reproduce.CANONICAL_CATALOG],
     (kl.RotatedScale(-1, kl.build_tz_block(3)), float),
@@ -191,7 +203,14 @@ def complex_materialization(op):
     (kl.RotatedScale(1j, kl.build_TN(3, 0.3)), complex),
     (kl.DirectSum((kl.build_ergces(3), kl.RotatedScale(1j, kl.build_tz_block(2)))), complex),
     (random_dense(5, 7), complex),
-], ids=lambda x: getattr(x, "__name__", type(x).__name__))
+]
+
+
+def field_case_id(x):
+    return getattr(x, "__name__", type(x).__name__)
+
+
+@pytest.mark.parametrize("op, dtype", FIELD_CASES, ids=field_case_id)
 def test_materialize_is_real_exactly_when_the_operator_is(op, dtype):
     got = kl.materialize(op)
     expected = complex_materialization(op)
@@ -203,6 +222,32 @@ def test_materialize_is_real_exactly_when_the_operator_is(op, dtype):
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected.real))
     else:
         np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(expected.imag))
+
+
+@pytest.mark.parametrize("op, dtype",
+                         [*FIELD_CASES, (kl.RotatedScale(-1, kl.build_TN(3, 0.3)), float)],
+                         ids=field_case_id)
+def test_apply_is_real_exactly_when_the_operator_and_its_input_are(op, dtype):
+    # A real operator keeps a real vector or block real, an integer one too.
+    # A shift's real result carries the bits of the real part of its complex
+    # one, down to the sign of a zero; BLAS sums a real and a complex matrix
+    # product in different orders, so a Dense block's may differ in the last bit.
+    rng = np.random.default_rng(48)
+    d = kl.dimension(op)
+    for x in (rng.standard_normal(d), rng.standard_normal((d, 5)), np.eye(d), np.arange(d)):
+        got = kl.apply(op, x)
+        full = kl.apply(op, x.astype(complex))
+        assert got.dtype == np.dtype(dtype) and full.dtype == np.complex128
+        if dtype is complex:
+            np.testing.assert_array_equal(got, full)
+        elif kl.is_shift_like(op):
+            np.testing.assert_array_equal(got, full.real)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(full.real))
+        else:
+            scale = np.abs(kl.materialize(op)).sum() * np.abs(x).max()
+            np.testing.assert_allclose(got, full.real, rtol=0, atol=1e-15 * scale)
+    ints = np.arange(d)
+    np.testing.assert_array_equal(kl.apply(op, ints), kl.apply(op, ints.astype(float)))
 
 
 def test_materialize_cap():
@@ -637,6 +682,20 @@ def test_resolvent_structured_variants_vs_dense():
         got = kl.resolvent_apply(op, lam, x)
         oracle = np.linalg.solve(lam * np.eye(d) - kl.materialize(op), x)
         assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_resolvent_of_a_real_vector_keeps_its_imaginary_part():
+    # A real operator and a real x still have a complex solution at a
+    # non-real lam: resolvent_apply works in complex whatever apply does.
+    for op in (kl.build_TN(4, 0.25),
+               kl.DirectSum((kl.build_TN(2, 0.25), kl.build_ergces(3)))):
+        d = kl.dimension(op)
+        x = np.random.default_rng(5).standard_normal(d)
+        lam = 1.25 + 0.5j
+        got = kl.resolvent_apply(op, lam, x)
+        oracle = np.linalg.solve(lam * np.eye(d) - kl.materialize(op), x)
+        assert got.dtype == np.complex128 and got.imag.any()
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_resolvent_requires_point_outside_disc():
