@@ -256,23 +256,22 @@ def _gram_strip(held: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return strip
 
 
-def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: bool):
+def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray):
     """(bound1, bound2): upper bounds of ||total||_F and ||triangular||_F, no point stepped.
 
     Each array has one row per point scalars[p] and one column per
     n = 0..n_max, and bounds the Frobenius norm of the cell that
-    _mean_cells steps for the materialized leaf mat at that point (bound2
-    is None unless want_order2).  Write P_j for the powers that
-    _power_sums steps from P_0 = I, as _mean_cells does, top for the
-    last nonzero one up to n_max, H for their Gram matrix,
-    H[j, k] = <P_j, P_k> = sum conj(P_j) P_k, and mu = s / |s| for a
-    point s.  The exact cell E_n = sum_(j<=n) mu^j P_j then has
-    ||E_n||_F^2 = sum_m w_m Re(mu^m c_n(m)), w_0 = 1 and w_m = 2 else,
-    with c_n(m) = sum_(j<=n-m) H[j, j+m] a cumulative sum along the m-th
-    diagonal of H.  The triangular sum F_n = sum_(j<=n) (n+1-j) mu^j P_j
-    takes 2 C + (m - 1) B in place of c_n(m), where B and C are the
-    cumulative sums of c and of B in n: sum_j (n+1-j)(n+1-j-m) H[j, j+m]
-    = 2 C + (m - 1) B.  The powers are stepped once and held as one stack,
+    _mean_cells steps for the materialized leaf mat at that point.  Write
+    P_j for the powers that _power_sums steps from P_0 = I, as
+    _mean_cells does, top for the last nonzero one up to n_max, H for
+    their Gram matrix, H[j, k] = <P_j, P_k> = sum conj(P_j) P_k, and
+    mu = s / |s| for a point s.  The exact cell E_n = sum_(j<=n) mu^j P_j
+    then has ||E_n||_F^2 = sum_m w_m Re(mu^m c_n(m)), w_0 = 1 and
+    w_m = 2 else, with c_n(m) = sum_(j<=n-m) H[j, j+m] a cumulative
+    sum along the m-th diagonal of H.  The triangular sum
+    F_n = sum_(j<=n) (n+1-j) mu^j P_j takes 2 C + (m - 1) B in place of
+    c_n(m), where B and C are the cumulative sums of c and of B in n:
+    sum_j (n+1-j)(n+1-j-m) H[j, j+m] = 2 C + (m - 1) B.  The powers are stepped once and held as one stack,
     one flattened row per power: (top + 1) d^2 entries for the leaf.  The
     sums run over windows of n sized by one table budget: a window of
     b = max(1, _SEED_WINDOW**2 // (top + 1)) values of n holds tables of
@@ -313,7 +312,7 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
     phases[0] = 1.0
     phases[1:] = 2.0 * np.cumprod(np.broadcast_to(scalars / modulus, (n_max, len(scalars))), axis=0)
     phases_re, phases_im = phases.real.copy(), phases.imag.copy()
-    sums = [np.zeros((n_max + 1, len(scalars))) for _ in range(1 + want_order2)]
+    sums = [np.zeros((n_max + 1, len(scalars))) for _ in range(2)]
     norms = np.zeros(n_max + 1)  # ||T^j||_F
     carries = np.zeros((3, n_max + 1), dtype=mat.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -342,13 +341,12 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
                 diagonal = np.where(live, rows[np.minimum(window, top) - n0, np.clip(j, 0, top)].conj(),
                                     0.0)
             tables = []
-            for carry in carries[:1 + 2 * want_order2, :len(ms)]:
+            for carry in carries[:, :len(ms)]:
                 diagonal = carry + np.cumsum(diagonal, axis=0)
                 carry[:] = diagonal[-1]
                 tables.append(diagonal)
-            if want_order2:
-                _, once, twice = tables
-                tables = [tables[0], 2.0 * twice + (ms - 1.0) * once]
+            first, once, twice = tables
+            tables = [first, 2.0 * twice + (ms - 1.0) * once]
             for out, table in zip(sums, tables):
                 part = table.real @ phases_re[:len(ms)]
                 if np.iscomplexobj(table):
@@ -357,9 +355,7 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
         size1 = np.cumsum(norms)
         drift = np.expm1(np.outer(np.abs(np.log(modulus)) + 2.0 * _EPS, ns))
         allow1 = drift + (ns + 3.0) * _EPS * (1.0 + drift)
-        sizes = [(size1, allow1)]
-        if want_order2:
-            sizes.append((np.cumsum(size1), allow1 + ns * _EPS * (1.0 + allow1)))
+        sizes = [(size1, allow1), (np.cumsum(size1), allow1 + ns * _EPS * (1.0 + allow1))]
         kappa = (inner + 4.0 * top + 16.0 * ns + 32.0) * _EPS
         bounds = []
         for q, (size, allow) in zip(sums, sizes):
@@ -368,7 +364,7 @@ def _seed_bounds(mat: np.ndarray, n_max: int, scalars: np.ndarray, want_order2: 
             bound[~(bound < np.inf)] = np.inf
             bounds.append(bound)
     bounds[0][:, top + 1:] = -np.inf
-    return bounds[0], bounds[1] if want_order2 else None
+    return bounds[0], bounds[1]
 
 
 def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool, plan=None):
@@ -455,8 +451,7 @@ class _MeanSups:
     beaten checks take arrays of bounds and of n as well as one cell's.
     """
 
-    def __init__(self, want_order2: bool):
-        self.want_order2 = want_order2
+    def __init__(self):
         self.best1 = 0.0
         self.best2 = self.best2_sum = 0.0
 
@@ -496,14 +491,12 @@ class _MeanSups:
         for leaf, (_, _, scalar, block) in enumerate(blocks(op)):
             scalars = lams if scalar == 1.0 else lams * scalar
             bound1, bound2 = _seed_bounds(materialize(block), n_max,
-                                          np.asarray(scalars, dtype=complex), self.want_order2)
+                                          np.asarray(scalars, dtype=complex))
             bounds1.append(bound1)
             bounds2.append(bound2)
-            keys = [("1", 1, bound1 / (ns + 1))]
-            if self.want_order2:
-                scale = 2.0 / ((ns + 1) * (ns + 2))
-                keys += [("2", 2, bound2 * scale),
-                         ("2sum", 2, bound2 * scale * ((ns + 2.0) / (2.0 * (ns + 1.0))))]
+            scale = 2.0 / ((ns + 1) * (ns + 2))
+            keys = [("1", 1, bound1 / (ns + 1)), ("2", 2, bound2 * scale),
+                    ("2sum", 2, bound2 * scale * ((ns + 2.0) / (2.0 * (ns + 1.0))))]
             for sup, order, key in keys:
                 point, n = np.unravel_index(key.argmax(), key.shape)
                 if sup not in tops or key[point, n] > tops[sup][0]:
@@ -516,8 +509,7 @@ class _MeanSups:
             stops[leaf][point] = max(n, stops[leaf].get(point, 0))
         replay = [(np.array(list(stop)), np.array(list(stop.values()))) if stop else None
                   for stop in stops]
-        for leaf, point, n, total, triangular, _ in _mean_cells(op, n_max, lams,
-                                                                self.want_order2, replay):
+        for leaf, point, n, total, triangular, _ in _mean_cells(op, n_max, lams, True, replay):
             if (1, leaf, point, n) in seeds:
                 self.add1(_dense_norm(total), n)
                 bounds1[leaf][point, n] = -np.inf
@@ -526,9 +518,7 @@ class _MeanSups:
                 bounds2[leaf][point, n] = -np.inf
         plan = []
         for leaf_bounds1, leaf_bounds2 in zip(bounds1, bounds2):
-            live = ~self.beaten1(leaf_bounds1, ns)
-            if self.want_order2:
-                live |= ~self.beaten2(leaf_bounds2, ns)
+            live = ~self.beaten1(leaf_bounds1, ns) | ~self.beaten2(leaf_bounds2, ns)
             points = np.flatnonzero(live.any(axis=1))
             last = n_max - np.argmax(live[points, ::-1], axis=1)
             plan.append((points, last) if len(points) else None)
@@ -547,20 +537,18 @@ class _MeanSups:
                 top, normed = _norm_unless_beaten(total, lambda bound: self.beaten1(bound, n))
                 if normed:
                     self.add1(top, n)
-            if self.want_order2:
-                top, normed = _norm_unless_beaten(triangular, lambda bound: self.beaten2(bound, n))
-                if normed:
-                    self.add2(top, n)
+            top, normed = _norm_unless_beaten(triangular, lambda bound: self.beaten2(bound, n))
+            if normed:
+                self.add2(top, n)
 
 
-def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
+def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray):
     """Sups of ||M_n(lam*T)|| and of the order-2 means over n <= n_max and lams.
 
     Returns (sup1, sup2, sup2_sum); sup2 = sup ||M_n^(2)(lam*T)|| and
-    sup2_sum = sup ||M_n^(2)(lam*T)|| * (n+2)/(2(n+1)) are None unless
-    want_order2.  Each sup is found by bound-and-prune over the cells
-    (lam, n) of every leaf, with one running best per sup across leaves
-    and angles.  A sweep of more than one point runs two passes.  The
+    sup2_sum = sup ||M_n^(2)(lam*T)|| * (n+2)/(2(n+1)).  Each sup is
+    found by bound-and-prune over the cells (lam, n) of every leaf, with
+    one running best per sup across leaves and angles.  A sweep of more than one point runs two passes.  The
     first steps no point for its bounds: it bounds the Frobenius norm of
     every cell of every point from the Gram matrix of the leaf's powers,
     each power stepped once (_seed_bounds), raised by an allowance for
@@ -580,12 +568,10 @@ def rotated_mean_tables(op: OperatorSpec, n_max: int, lams: np.ndarray, want_ord
     finite bound, so it is normed, and _dense_norm raises
     ConvergenceError, as in the tables.
     """
-    sups = _MeanSups(want_order2)
+    sups = _MeanSups()
     plan = sups.seed(op, n_max, lams) if len(lams) > 1 else None
-    sups.prune(_mean_cells(op, n_max, lams, want_order2, plan))
-    if want_order2:
-        return float(sups.best1), float(sups.best2), float(sups.best2_sum)
-    return float(sups.best1), None, None
+    sups.prune(_mean_cells(op, n_max, lams, True, plan))
+    return float(sups.best1), float(sups.best2), float(sups.best2_sum)
 
 
 def rotated_mean_norm_profile(

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import NormSeries
+from .operators import NormSeries, _count
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,8 @@ class GrowthReport:
 
 
 def growth_fit(series: NormSeries, window) -> GrowthReport:
-    """Ordinary least squares on (log k, log ||T^k||) over the window."""
-    lo, hi = int(window[0]), int(window[1])
+    """Ordinary least squares on (log k, log ||T^k||) over the window, two integer counts."""
+    lo, hi = _count(window[0], "window start"), _count(window[1], "window end")
     if lo < 1 or hi <= lo:
         raise ValidationError("window must satisfy 1 <= lo < hi")
     mask = (series.k >= lo) & (series.k <= hi)

@@ -78,15 +78,6 @@ class AnnulusGrid:
     def default(cls, angle_count: int = 64) -> "AnnulusGrid":
         return cls(default_radii(), angle_count)
 
-    def refine(self) -> "AnnulusGrid":
-        """Insert geometric midpoints between radii and double the angles."""
-        mids = tuple(
-            1.0 + math.sqrt((a - 1.0) * (b - 1.0))
-            for a, b in zip(self.radii, self.radii[1:])
-        )
-        radii = tuple(sorted(set(self.radii) | set(mids), reverse=True))
-        return AnnulusGrid(radii, 2 * self.angle_count)
-
 
 @dataclass(frozen=True)
 class KreissReport:
@@ -344,9 +335,10 @@ def uniform_kreiss_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> 
     value is a lower bound for the sup over all n.  For T_N of
     build_TN(64, 0.45), ukb_C is 1.4898 at n_max = 64 and 2.0822 at
     n_max = 127 = 2N - 1; T_N is nilpotent of order 2N, so past that its
-    means only shrink.
+    means only shrink.  This is kb2_constant's report without its
+    second-mean fields (kb2_C and kb2_sum_C).
     """
-    return _mean_constants(op, n_max, angles, False)
+    return replace(kb2_constant(op, n_max, angles), kb2_C=None, kb2_sum_C=None)
 
 
 def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissReport:
@@ -355,21 +347,14 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
     kb2_C is sup ||M_n^(2)(lam T)||; kb2_sum_C rescales the same values
     to sup_N N^-2 * ||sum_{j<N} (N-j)(lam T)^j|| via the exact identity
     between the triangular sum and the second mean.  All three sups come
-    from one bound-and-prune pass of rotated_mean_tables, which skips
-    cells that cannot attain them but never changes a value, so ukb_C
-    equals uniform_kreiss_constant's value exactly.  As there, n_max
-    truncates every sup in n, and each is a lower bound for the sup over
-    all n.
+    from one bound-and-prune pass of rotated_mean_tables over the swept
+    angles of the grid, which skips cells that cannot attain them but
+    never changes a value.  n_max truncates every sup in n, and each is a
+    lower bound for the sup over all n.
     """
-    return _mean_constants(op, n_max, angles, True)
-
-
-def _mean_constants(op: OperatorSpec, n_max: int, angles: int, want_order2: bool) -> KreissReport:
-    """The report of one rotated_mean_tables sweep over the swept angles of the grid."""
     n_max = _count(n_max, "n_max")
     shortcut, lams = _angle_grid(op, angles)
-    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)],
-                                            want_order2)
+    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)])
     return KreissReport(
         ukb_C=ukb,
         kb2_C=kb2,

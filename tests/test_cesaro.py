@@ -5,6 +5,7 @@ import pytest
 
 import kreisslab as kl
 import kreisslab.cesaro
+import kreisslab.kreiss
 import kreisslab.operators
 import kreisslab.reproduce
 from kreisslab.cesaro import _dense_norm, _power_sums, _rotated_mean_norms
@@ -211,6 +212,20 @@ def test_shift_mean_brackets_contain_the_dense_means(n, eta):
     assert low <= high <= low * (1.0 + kreisslab.cesaro._SHIFT_MEAN_WIDTH)
 
 
+@pytest.mark.parametrize("eta", [0.25, 0.45])
+def test_the_guide_constant_is_the_lower_side_of_a_bracket_of_the_dense_sweep(eta):
+    # TN-C1's c1 was the dense guide sweep's ukb_C; its bracket holds that
+    # value (up to the eigensolve's own error) within a width of 1e-9.
+    guide = kl.build_bermbmp_shift(eta, "forward", 64)
+    bracket = kl.shift_mean_norm_bracket(guide, range(257))
+    low, high = bracket.lower.max(), bracket.upper.max()
+    dense = kl.kb2_constant(guide, 256).ukb_C
+    slack = kreisslab.cesaro._PRUNE_SLACK
+    assert low <= dense * (1.0 + slack) and dense <= high * (1.0 + slack)
+    assert high <= low * (1.0 + 1e-9)
+    assert kreisslab.reproduce._guide_constant(eta) == low
+
+
 def test_shift_mean_brackets_contain_40_digit_norms():
     import mpmath
 
@@ -275,12 +290,12 @@ def test_shift_mean_bracket_validation():
 
 
 def test_thm24_eigensolves_no_mean_at_d_128(monkeypatch):
-    # Below 64 columns neither the Gram product nor eigvalsh hands work to
-    # the BLAS pool.  The means are bracketed with no eigensolve, and the
-    # dense power oracle is stepped through apply and normed on its nonzero
-    # columns rather than formed by matrix_power at d = 128.
+    # Every mean, the guide shift's among them, is bracketed with no
+    # eigensolve and no mean sweep, and the dense power oracle is stepped
+    # through apply and normed on its one nonzero column rather than formed
+    # by matrix_power at d = 128.
     def refuse(*args):
-        raise AssertionError("thm2.4 called np.linalg.matrix_power")
+        raise AssertionError("thm2.4 called np.linalg.matrix_power or a mean sweep")
 
     shapes = []
     norm = kreisslab.operators._matrix_norm
@@ -290,12 +305,13 @@ def test_thm24_eigensolves_no_mean_at_d_128(monkeypatch):
         return norm(mat)
 
     monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    for module in (kreisslab.cesaro, kreisslab.kreiss):
+        monkeypatch.setattr(module, "rotated_mean_tables", refuse)
     for module in (kreisslab.operators, kreisslab.cesaro, kreisslab.reproduce):
         monkeypatch.setattr(module, "_matrix_norm", recording)
     records, _ = kreisslab.reproduce._thm24(kl.SEED)
     assert all(record.status != "fail" for record in records)
-    assert max(columns for _, columns in shapes) <= 64
-    assert (64, 64) in shapes  # the guide shift's sweep
+    assert shapes and {columns for _, columns in shapes} == {1}
 
 
 # --- identities ---

@@ -294,17 +294,12 @@ def test_orbit_claims_fail_against_the_constant_scaled_by_0_02(monkeypatch):
 
 
 def test_the_double_sum_fails_against_the_guide_constant_scaled_by_0_25(monkeypatch):
-    # TN-C1 holds each windowed double sum against the guide sweep's ukb_C
-    # (1.085 and 1.364 at eta = 0.25 and 0.45).  At 0.25 of it the bounds,
-    # 0.271 and 0.341, lie below every sum (the least are 0.343 and 0.409),
-    # so all 112 records fail; at 0.5 some would still pass.
-    exact = reproduce.uniform_kreiss_constant
-
-    def shrunk(*args):
-        report = exact(*args)
-        return replace(report, ukb_C=0.25 * report.ukb_C)
-
-    monkeypatch.setattr(reproduce, "uniform_kreiss_constant", shrunk)
+    # TN-C1 holds each windowed double sum against the guide shift's mean
+    # sup (1.085 and 1.364 at eta = 0.25 and 0.45).  At 0.25 of it the
+    # bounds, 0.271 and 0.341, lie below every sum (the least are 0.343 and
+    # 0.409), so all 112 records fail; at 0.5 some would still pass.
+    exact = reproduce._guide_constant
+    monkeypatch.setattr(reproduce, "_guide_constant", lambda eta: 0.25 * exact(eta))
     records, _ = reproduce._thm24(kl.SEED)
     assert_controlled(records, "guide-constant-0.25")
     tn_c1 = [r for r in records if r.check_id == "TN-C1"]

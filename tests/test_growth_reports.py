@@ -45,6 +45,12 @@ def test_growth_fit_window_validation():
     zeros = kl.NormSeries(series.k, np.zeros(10), series.methods)
     with pytest.raises(kl.ValidationError):
         kl.growth_fit(zeros, (1, 10))
+    # Both ends are counts: a float end such as 16.5 is not truncated to 16.
+    series = linear_series()
+    for window, name in (((16.5, 60), "window start"), ((16, 60.0), "window end")):
+        with pytest.raises(kl.ValidationError, match=name):
+            kl.growth_fit(series, window)
+    assert kl.growth_fit(series, (np.int64(16), np.int32(60))).window == (16, 60)
 
 
 # --- serialization ---

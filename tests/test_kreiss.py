@@ -46,13 +46,6 @@ def test_default_radii_cluster_toward_one():
     assert min(radii) == 1.0 + 2.0**-12
 
 
-def test_grid_refine_is_superset():
-    grid = kl.AnnulusGrid.default(8)
-    fine = grid.refine()
-    assert set(grid.radii) <= set(fine.radii)
-    assert fine.angle_count == 16
-
-
 # --- resolvent constant ---
 
 
@@ -74,11 +67,17 @@ def test_kreiss_identity_operator():
     assert abs(report.kreiss_C - 1.0) <= 1e-10
 
 
+def midpoint_radii(levels):
+    """default_radii(levels) with the geometric midpoint of each pair of neighbors inserted."""
+    return tuple(1.0 + 2.0 ** (-m / 2) for m in range(2, 2 * levels + 1))
+
+
 def test_kreiss_tn_grid_stability():
     op = kl.build_TN(16, 0.45)
     grid = kl.AnnulusGrid.default(1)
+    assert set(grid.radii) < set(midpoint_radii(12))
     base = kl.kreiss_constant(op, grid).kreiss_C
-    fine = kl.kreiss_constant(op, grid.refine()).kreiss_C
+    fine = kl.kreiss_constant(op, kl.AnnulusGrid(midpoint_radii(12), 2)).kreiss_C
     assert base > 0
     assert abs(fine - base) <= 0.05 * base
 
@@ -87,7 +86,7 @@ def test_kreiss_grid_monotone_under_refinement():
     op = kl.build_ergces(8)
     grid = kl.AnnulusGrid(default_radii(6), 8)
     base = kl.kreiss_constant(op, grid).kreiss_C
-    fine = kl.kreiss_constant(op, grid.refine()).kreiss_C
+    fine = kl.kreiss_constant(op, kl.AnnulusGrid(default_radii(12), 16)).kreiss_C  # a superset
     assert fine >= base
 
 
@@ -218,7 +217,7 @@ def test_strong_bermbmp_grid_stability():
     op = kl.build_bermbmp_shift(0.3, "forward", 32)
     grid = kl.AnnulusGrid(default_radii(8), 1)
     base = kl.strong_kreiss_constant(op, grid, k_max=8).strong_C
-    fine = kl.strong_kreiss_constant(op, grid.refine(), k_max=8).strong_C
+    fine = kl.strong_kreiss_constant(op, kl.AnnulusGrid(midpoint_radii(8), 2), k_max=8).strong_C
     assert math.isfinite(base)
     assert abs(fine - base) <= 0.05 * base
 
@@ -957,7 +956,7 @@ def test_a_non_finite_mean_cell_raises(angles):
 def leaf_seed_bounds(op, n_max, lams):
     """_seed_bounds of each leaf of op at the points lams (times the leaf's rotation)."""
     return [_seed_bounds(kl.materialize(leaf), n_max,
-                         np.asarray(lams if scalar == 1.0 else lams * scalar, dtype=complex), True)
+                         np.asarray(lams if scalar == 1.0 else lams * scalar, dtype=complex))
             for _, _, scalar, leaf in kl.blocks(op)]
 
 
@@ -1011,7 +1010,7 @@ def test_the_seed_tables_keep_to_their_budget():
     lams = lams[:_swept_count(op, lams)]
     assert len(lams) == 33
     mat = kl.materialize(op)
-    assert traced_peak(lambda: _seed_bounds(mat, 4096, lams, True)) < 24 * 2**20
+    assert traced_peak(lambda: _seed_bounds(mat, 4096, lams)) < 24 * 2**20
 
 
 def test_the_seed_steps_each_leaf_chain_once(monkeypatch):
@@ -1059,7 +1058,7 @@ def test_the_seed_strip_of_small_powers_stays_below_the_pooled_size(monkeypatch)
     lams = lams[:_swept_count(op, lams)]
     assert len(lams) == 33
     products = recorded_products(monkeypatch)
-    _seed_bounds(kl.materialize(op), 128, lams, True)
+    _seed_bounds(kl.materialize(op), 128, lams)
     assert all(m * n * k < _POOLED_PRODUCT and (n, k) == (129, 441) for m, n, k in products)
     assert sum(m for m, _, _ in products) == 129
 
@@ -1072,7 +1071,7 @@ def test_a_seed_strip_past_the_pooled_size_per_row_is_one_product(monkeypatch):
     mat *= 0.95 / np.max(np.abs(np.linalg.eigvals(mat)))
     assert 129 * mat.size >= _POOLED_PRODUCT
     products = recorded_products(monkeypatch)
-    _seed_bounds(mat, 128, np.array([1.0, -1.0], dtype=complex), True)
+    _seed_bounds(mat, 128, np.array([1.0, -1.0], dtype=complex))
     assert products == [(129, 129, 4096)]
 
 

@@ -533,7 +533,7 @@ def test_no_norm_of_an_explicit_matrix_takes_the_svd(monkeypatch):
     assert kl.spectral_norm(kl.build_TN(8, 0.45)).method == "power-iteration"  # cross-checked
     np.testing.assert_allclose(kl.power_norms(op, 5).values, powers, rtol=1e-13)
     norm1, norm2 = _rotated_mean_norms(op, 6, lams, True)
-    sup1, sup2, _ = rotated_mean_tables(op, 6, lams, True)
+    sup1, sup2, _ = rotated_mean_tables(op, 6, lams)
     assert (sup1, sup2) == (norm1.max(), norm2.max())
 
 

@@ -47,7 +47,7 @@ COMMANDS = (
     ("kreiss", "--operator", "ergces", "--trunc", "12", "--n-max", "4096", *_CSV),
     ("kreiss", "--operator", "tn", "--trunc", "16", *_CSV),
     ("kreiss", "--operator", "bermbmp", "--trunc", "32", *_CSV),
-    # thm2.4's guide shift: one-point mean sweeps over nonnegative cells at d = 64.
+    # The kreiss CLI's one-point sweeps (the rotation shortcut of a shift) at d = 64.
     ("kreiss", "--operator", "bermbmp", "--trunc", "64", *_CSV),
     ("kreiss", "--operator", "shields", "--nmax-sum", "6", *_CSV),
     ("cesaro", "--operator", "tzblock", "--trunc", "16", *_CSV),
