@@ -32,12 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from .cesaro import rotated_mean_norm_profile
-from .constructions import CATALOG_NAMES, ErgcesParams, make_operator, shields_certified_kmax
+from .constructions import (CATALOG_NAMES, SHIFT_NAMES, ErgcesParams, make_operator,
+                            shields_certified_kmax)
 from .errors import ConvergenceError, SingularError, SizeError, ValidationError
 from .growth import growth_fit
 from .kreiss import (CLAIM_COLUMNS, AnnulusGrid, dyadic_ladder, kb2_constant, kreiss_constant,
                      run_hilbert_claims)
-from .operators import SEED, WeightedShift, _count, blocks, dimension
+from .operators import SEED, _count, blocks
 from .reports import CheckRecord, RunConfig, emit_report, summarize
 from .reproduce import GROWTH_COLUMNS, reproduce, shields_envelope
 
@@ -160,10 +161,10 @@ def _cmd_construct(args) -> int:
     entry = _operator_entry(args)
     norm = float(entry.power_norms(1).values[0])
     results = [CheckRecord("operator-summary", "info", norm,
-                           detail=f"dimension={dimension(entry.spec)}; " + "; ".join(entry.notes))]
+                           detail=f"dimension={entry.dimension}; " + "; ".join(entry.notes))]
     rows = []  # each shift block's weights, w = 1 at its first coordinate
-    for start, _, _, leaf in blocks(entry.spec):
-        if isinstance(leaf, WeightedShift):
+    if entry.name in SHIFT_NAMES:  # the others are dense: their spec is a matrix, not read here
+        for start, _, _, leaf in blocks(entry.spec):
             weights = np.cumprod(np.concatenate(([1.0], leaf.ratios)))
             rows += [(start + j + 1, float(w)) for j, w in enumerate(weights)]
     return _emit(args, _config(args, entry), results,

@@ -2,20 +2,25 @@
 
 Every builder returns an immutable OperatorSpec.  The infinite-dimensional
 families (the ramp-shift direct sum, the rank-one-perturbed diagonal, and
-the coupled backward-shift block) are truncated; `make_operator` wraps the
-result together with the truncation notes that state which finite claims
-the truncation certifies.
+the coupled backward-shift block) are truncated.  `make_operator`
+validates a family's parameters and returns a CatalogEntry: the
+parameters, the dimension and the truncation notes that state which
+finite claims the truncation certifies, with the spec built on its first
+read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ValidationError
 from .operators import (Dense, DirectSum, NormSeries, OperatorSpec, WeightedShift, _count,
-                        power_norms)
+                        _within_dense_cap, power_norms)
 
 #: Open-interval parameters are kept this far away from their endpoints;
 #: boundary values void the estimates the constructions are built to probe.
@@ -303,11 +308,13 @@ def _tz_gram_has_eigenvalue_above(d: int, n2: np.ndarray, shifts: np.ndarray) ->
     active (k < d - k_max) a step is two in-place ufunc calls, a_mid -
     beta2 / piv, the stepwise routine's operations on its operands; in
     the tail row d-1-k takes a_last and the finished rows hold -1.0,
-    which is neither positive nor below pivmin.  Once per block: if any
-    pivot is smaller than pivmin in magnitude, the whole call is handed
-    to the stepwise routine, whose dstebz rule replaces it; otherwise
-    every positive pivot sets its row's flag.  Up to that check the
-    pivots after a tiny one may overflow, so their warnings are ignored.
+    which is neither positive nor below pivmin.  Once per block, by two
+    reductions over the steps that ignore NaN: every positive pivot sets
+    its row's flag (fmax), then, on the block's absolute values taken in
+    place, a pivot smaller than pivmin in magnitude (fmin) hands the whole
+    call to the stepwise routine, whose dstebz rule replaces it.  Up to
+    that check the pivots after a tiny one may overflow or turn NaN, so
+    their warnings are ignored.
     """
     s1 = shifts - 1.0
     beta2 = (n2 * shifts / s1) ** 2
@@ -338,10 +345,10 @@ def _tz_gram_has_eigenvalue_above(d: int, n2: np.ndarray, shifts: np.ndarray) ->
                 piv[m:] = -1.0
                 prev = piv
             block = buf[:stop - start]
-            if (np.abs(block) < pivmin).any():
-                return _tz_gram_has_eigenvalue_above_stepwise(d, n2, shifts)
-            above |= (block > 0.0).any(axis=0)
+            above |= np.fmax.reduce(block, axis=0) > 0.0
             prev = prev.copy()
+            if (np.fmin.reduce(np.abs(block, out=block), axis=0) < pivmin).any():
+                return _tz_gram_has_eigenvalue_above_stepwise(d, n2, shifts)
     return above
 
 
@@ -380,14 +387,49 @@ def _tz_gram_has_eigenvalue_above_stepwise(d: int, n2: np.ndarray,
     return above
 
 
+def _catalog_tz_block(d: int) -> Dense:
+    """build_tz_block(d), refused with SizeError before allocating when 2d exceeds DENSE_CAP.
+
+    Every catalog reader of tzblock's spec is a dense sweep that would
+    refuse the block after building it.  build_tz_block itself stays
+    uncapped, as a larger block can still be applied.
+    """
+    _within_dense_cap(2 * d)
+    return build_tz_block(d)
+
+
+#: Each catalog name's spec builder, called with the entry's params.
+_SPEC_BUILDERS = {
+    "tn": build_TN,
+    "shields": build_shields_counterexample,
+    "bermbmp": build_bermbmp_shift,
+    "ergces": build_ergces,
+    "tzblock": _catalog_tz_block,
+}
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named catalog operator with its parameters and validity notes."""
+    """A named catalog operator with its parameters, dimension and validity notes.
+
+    `make_operator` validates the params; the spec is built from them on
+    its first read and cached, so a reader of the params, the dimension
+    or the power norms alone (construct, powers, growth on tzblock)
+    allocates no matrix.  The params are held read-only, so the spec
+    cannot be built from values that were never validated.
+    """
 
     name: str
-    spec: OperatorSpec
-    params: dict
+    params: Mapping
     notes: tuple
+    dimension: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    @cached_property
+    def spec(self) -> OperatorSpec:
+        return _SPEC_BUILDERS[self.name](**self.params)
 
     def power_norms(self, k_max: int) -> NormSeries:
         """||T^k|| for k = 1..k_max, each by the exact route for this entry.
@@ -410,7 +452,7 @@ class CatalogEntry:
 
 
 def make_operator(name: str, **params) -> CatalogEntry:
-    """Build a catalog operator by CLI name.
+    """Validate a catalog operator's parameters by CLI name; its spec is built on first read.
 
     Names: tn (n, eta), shields (epsilon, eta, n_max), bermbmp
     (alpha, direction, d), ergces (j_max), tzblock (d).
@@ -418,49 +460,48 @@ def make_operator(name: str, **params) -> CatalogEntry:
     if name == "tn":
         p = TNParams(params["n"], params["eta"])
         n, eta = p.n, p.eta
-        spec = build_TN(n, eta)
         notes = (
             f"norm 2**eta and top power norm n**(2*eta) exact for n={n}",
             "nilpotent: spectral radius 0",
         )
-        return CatalogEntry(name, spec, {"n": n, "eta": eta}, notes)
+        return CatalogEntry(name, {"n": n, "eta": eta}, notes, 2 * n)
     if name == "shields":
         p = DirectSumParams(float(params["epsilon"]), float(params["eta"]), params["n_max"])
-        spec = build_shields_counterexample(p.epsilon, p.eta, p.n_max)
         notes = (
             f"power-norm lower bound certified for k <= {shields_certified_kmax(p.n_max)}",
             "nilpotent: spectral radius 0",
         )
-        return CatalogEntry(
-            name, spec, {"epsilon": p.epsilon, "eta": p.eta, "n_max": p.n_max}, notes
-        )
+        return CatalogEntry(name, {"epsilon": p.epsilon, "eta": p.eta, "n_max": p.n_max}, notes,
+                            p.n_max * (p.n_max + 1))  # summand n has dimension 2n
     if name == "bermbmp":
-        alpha = float(params["alpha"])
+        alpha = _require_open("alpha", params["alpha"], 0.0, 0.5)
         direction = str(params.get("direction", "forward"))
-        d = _count(params["d"], "dimension")
-        spec = build_bermbmp_shift(alpha, direction, d)
+        if direction not in ("forward", "backward"):
+            raise ValidationError("direction must be 'forward' or 'backward'")
+        d = _count(params["d"], "dimension", 2)
         notes = (
             f"truncation of the infinite {direction} shift; power norms exact for k < {d}",
             "nilpotent: spectral radius 0",
         )
-        return CatalogEntry(name, spec, {"alpha": alpha, "direction": direction, "d": d}, notes)
+        return CatalogEntry(name, {"alpha": alpha, "direction": direction, "d": d}, notes, d)
     if name == "ergces":
         j_max = ErgcesParams(params["j_max"]).j_max
-        spec = build_ergces(j_max)
         notes = (
             f"truncation at basis index {j_max}; closed-form powers exact at this truncation",
             "triangular: spectrum is the diagonal, inside [-1, 0)",
         )
-        return CatalogEntry(name, spec, {"j_max": j_max}, notes)
+        return CatalogEntry(name, {"j_max": j_max}, notes, j_max + 1)
     if name == "tzblock":
-        d = _count(params["d"], "block dimension")
-        spec = build_tz_block(d)
+        d = _count(params["d"], "block dimension", 2)
         notes = (
             f"truncation at block dimension {d}; power-norm claims trusted for n << {d}",
             "strictly upper triangular: spectral radius 0",
         )
-        return CatalogEntry(name, spec, {"d": d}, notes)
+        return CatalogEntry(name, {"d": d}, notes, 2 * d)
     raise ValidationError(f"unknown operator name {name!r}")
 
 
 CATALOG_NAMES = ("tn", "shields", "bermbmp", "ergces", "tzblock")
+
+#: The catalog names whose spec is a weighted shift or a direct sum of them.
+SHIFT_NAMES = ("tn", "shields", "bermbmp")

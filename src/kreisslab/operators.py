@@ -284,7 +284,11 @@ def apply_adjoint(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
 
 def _dense_dimension(op: OperatorSpec) -> int:
     """dimension(op), raising SizeError when it exceeds DENSE_CAP."""
-    d = dimension(op)
+    return _within_dense_cap(dimension(op))
+
+
+def _within_dense_cap(d: int) -> int:
+    """d, raising SizeError when it exceeds DENSE_CAP."""
     if d > DENSE_CAP:
         raise SizeError(f"dimension {d} exceeds dense cap {DENSE_CAP}")
     return d

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -613,13 +614,70 @@ def test_construct_is_the_first_power_norm_and_never_iterates(tmp_path, monkeypa
 ], ids=["construct", "powers", "growth"])
 def test_tz_block_commands_form_no_dense_power(tmp_path, monkeypatch, argv):
     # The Sturm count and the closed-form tail norm every tzblock power, so
-    # neither a Gram eigensolve nor the dense norm runs.
+    # neither a Gram eigensolve nor the dense norm runs, and the entry's
+    # params and dimension stand in for its spec, so no block is built:
+    # the run writes the bytes of an unpatched one.
+    argv = [*argv, "--operator", "tzblock", "--trunc", "64", "--format", "csv",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    expected = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
     def refuse(*args, **kwargs):
-        raise AssertionError("dense norm ran")
+        raise AssertionError("dense norm ran or block built")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(kreisslab.operators, "_matrix_norm", refuse)
-    assert main([*argv, "--operator", "tzblock", "--trunc", "64", "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(kreisslab.constructions, "build_tz_block", refuse)
+    assert main(argv) == 0
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == expected
+
+
+def test_kreiss_builds_the_tz_block_once(tmp_path, monkeypatch):
+    # kreiss_constant and kb2_constant read the one cached spec.
+    calls, build = [], kreisslab.constructions.build_tz_block
+    monkeypatch.setattr(kreisslab.constructions, "build_tz_block",
+                        lambda d: calls.append(d) or build(d))
+    assert main(["kreiss", "--operator", "tzblock", "--trunc", "4", "--out", str(tmp_path)]) == 0
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kreiss"], ["cesaro"], ["claims"],
+], ids=["kreiss", "cesaro", "claims"])
+def test_dense_commands_refuse_a_tz_block_above_the_cap_before_building_it(
+        tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(kreisslab.operators, "DENSE_CAP", 64)
+    calls = []
+    monkeypatch.setattr(kreisslab.constructions, "tz_block_power",
+                        lambda *args: calls.append(args))
+    code = main([*argv, "--operator", "tzblock", "--trunc", "40", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == ["error: dimension 80 exceeds dense cap 64"]
+    assert calls == []
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv, mib", [
+    (["construct", "--operator", "tzblock", "--trunc", "512"], 1),
+    (["powers", "--operator", "tzblock", "--trunc", "512"], 1),
+    # The closed-form T^32 at d = 512 (8 MiB) and the 961 x 961 flip block
+    # that the oracle eigensolves (7.0 MiB), with no Gram product.
+    (["reproduce", "ex2.9"], 17),
+], ids=["construct", "powers", "ex2.9"])
+def test_tz_block_commands_keep_to_their_memory_budget(tmp_path, argv, mib):
+    codes = []
+    peak = traced_peak(lambda: codes.append(main([*argv, "--out", str(tmp_path)])))
+    assert codes == [0]
+    assert peak < mib * 2**20
 
 
 def test_powers_reject_a_zero_k_max_before_norming(tmp_path, capsys):

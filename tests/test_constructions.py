@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import kreisslab as kl
 import kreisslab.constructions as kc
 from kreisslab.operators import _matrix_norm
-from kreisslab.reproduce import CANONICAL_CATALOG
+from kreisslab.reproduce import CANONICAL_CATALOG, _flip_block, _symmetric_radius
 
 
 def test_tn_weights_hand_values():
@@ -280,6 +281,32 @@ def test_tz_block_power_norms_match_the_gram_eigensolve_at_d512():
         assert _ulps(got[n - 1], dense.value) <= 4, n
 
 
+@pytest.mark.parametrize("d", [8, 16, 64, 512])
+def test_the_spectral_radius_of_the_flipped_tz_block_power_is_its_norm(d):
+    # T is persymmetric, J T J = T^T for the 2d-point reversal J, so J T^n
+    # is symmetric and ||T^n|| is its largest |eigenvalue|.
+    sturm = kl.tz_block_power_norms(d, d - 1)
+    for n in sorted({1, 2, d // 2, d - 1}):
+        power = kl.tz_block_power(d, n)
+        flip = power[::-1]
+        assert np.array_equal(flip, flip.T), n
+        value = _symmetric_radius(_flip_block(power))
+        assert abs(value - sturm[n - 1]) <= 1e-13 * sturm[n - 1], n
+        dense = _matrix_norm(power).value
+        assert abs(value - dense) <= 1e-13 * dense, n
+
+
+def test_the_flip_norm_refuses_a_matrix_that_is_not_persymmetric():
+    nudged = kl.tz_block_power(16, 3)
+    nudged[0, 3] += 2.0**-20
+    # One nonzero entry whose mirror row of J A is zero: the block keeps both.
+    lone = np.zeros((4, 4))
+    lone[0, 1] = 1.0
+    for mat in (nudged, kl.materialize(kl.build_ergces(4)), lone, np.full((4, 4), np.nan)):
+        with pytest.raises(kl.ConvergenceError, match="not exactly symmetric"):
+            _symmetric_radius(_flip_block(mat))
+
+
 def test_tz_block_power_norms_match_a_40_digit_eigensolve():
     import mpmath
 
@@ -419,6 +446,74 @@ def test_make_operator_names():
     for entry in entries:
         assert entry.notes
         assert kl.dimension(entry.spec) >= 2
+
+
+#: One entry of each catalog name, with a shields sum of dimension 4160 > DENSE_CAP.
+_CATALOG_ENTRIES = (*CANONICAL_CATALOG, ("shields", {"epsilon": 0.15, "eta": 0.45, "n_max": 64}),
+                    ("bermbmp", {"alpha": 0.3, "direction": "backward", "d": 2}),
+                    ("tn", {"n": 1, "eta": 0.2}), ("ergces", {"j_max": 2}), ("tzblock", {"d": 2}))
+
+
+@pytest.mark.parametrize("name, params", _CATALOG_ENTRIES,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_CATALOG_ENTRIES)])
+def test_catalog_entry_dimension_is_its_spec_dimension(name, params):
+    # A direct sum is capped per leaf, so the shields sum above DENSE_CAP builds.
+    entry = kl.make_operator(name, **params)
+    assert entry.dimension == kl.dimension(entry.spec)
+
+
+@pytest.mark.parametrize("name, params", [
+    *[("tzblock", {"d": d}) for d in (0, 1, 2.5)],
+    *[("bermbmp", {"alpha": alpha, "d": 8}) for alpha in (0.0, 0.5, -0.1, 0.9)],
+    ("bermbmp", {"alpha": 0.3, "direction": "sideways", "d": 8}),
+    ("bermbmp", {"alpha": 0.3, "d": 1}),
+    ("tn", {"n": 0, "eta": 0.3}), ("tn", {"n": 4, "eta": 0.5}),
+    ("shields", {"epsilon": 0.15, "eta": 0.3, "n_max": 4}),
+    ("ergces", {"j_max": 1}),
+])
+def test_make_operator_rejects_every_invalid_parameter_before_returning(name, params):
+    with pytest.raises(kl.ValidationError):
+        kl.make_operator(name, **params)
+
+
+def test_a_catalog_spec_is_built_on_first_read_and_kept(monkeypatch):
+    calls = []
+    build = kc.build_tz_block
+
+    def spy(d):
+        calls.append(d)
+        return build(d)
+
+    monkeypatch.setattr(kc, "build_tz_block", spy)
+    entry = kl.make_operator("tzblock", d=6)
+    assert calls == []
+    with pytest.raises(TypeError):
+        entry.params["d"] = 1  # the spec is built from validated params only
+    assert entry.spec is entry.spec
+    assert calls == [6]
+    np.testing.assert_array_equal(entry.spec.matrix, kl.tz_block_power(6, 1))
+
+
+def test_make_operator_allocates_no_tz_block():
+    # The 1024 x 1024 matrix of d = 512 alone is 8 MiB.
+    tracemalloc.start()
+    try:
+        kl.make_operator("tzblock", d=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
+
+
+def test_the_catalog_tz_block_is_capped_where_its_builder_is_not(monkeypatch):
+    # The CLI's dense commands read the capped spec (tests/test_cli.py).
+    monkeypatch.setattr(kl.operators, "DENSE_CAP", 64)
+    entry = kl.make_operator("tzblock", d=40)
+    assert entry.dimension == 80
+    with pytest.raises(kl.SizeError, match="^dimension 80 exceeds dense cap 64$"):
+        entry.spec
+    assert kl.make_operator("tzblock", d=32).spec.matrix.shape == (64, 64)
+    assert kl.build_tz_block(40).matrix.shape == (80, 80)
 
 
 def test_make_operator_unknown_name():

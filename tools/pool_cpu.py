@@ -8,8 +8,8 @@ fresh process through ``kreisslab.cli.main``, with the working tree's
 BLAS_THREADS threads, as perfbench pins them.  The library itself is
 serial, so every CPU second that the process spends outside its main
 thread is the pool's.
-For each command one line gives three figures in seconds, each the
-median of REPEATS fresh runs:
+For each command one line gives four figures, each the median of
+REPEATS fresh runs, three of them in seconds:
 
 - main: the main thread's CPU during the command (``time.thread_time``);
 - pool: the process's CPU during the command (``getrusage(RUSAGE_SELF)``)
@@ -17,7 +17,10 @@ median of REPEATS fresh runs:
 - tail: the process's CPU in the TAIL_S seconds after the command, while
   the main thread sleeps.  OpenBLAS's workers busy-wait for about 0.15 s
   after each call handed to them, so a command that ends on such a call
-  leaves this tail.
+  leaves this tail;
+- rss: the fresh process's peak resident set in MiB (``ru_maxrss``),
+  start-up included, so that a memory change can be traced to the one
+  command that makes it, where perfbench gives only a workload's peak.
 
 Each run first sleeps TAIL_S, since the workers spin in the same way
 once they start, when numpy is imported.
@@ -69,12 +72,13 @@ with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
     after = process_cpu()
     time.sleep(tail_s)
     tail = process_cpu() - after
-print(json.dumps([code, main_cpu, cpu - main_cpu, tail]))
+rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(json.dumps([code, main_cpu, cpu - main_cpu, tail, rss_mib]))
 """
 
 
 def measure(argv, out: Path):
-    """(exit code, main-thread CPU, pool CPU, pool CPU in the tail) of one fresh run."""
+    """(exit code, main-thread CPU, pool CPU, pool CPU in the tail, peak RSS) of one fresh run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(BLAS_THREADS)
@@ -87,13 +91,14 @@ def main(argv) -> int:
     if argv:
         print("usage: python tools/pool_cpu.py", file=sys.stderr)
         return 2
-    print(f"{'main_s':>7} {'pool_s':>7} {'tail_s':>7}  command (exit codes)")
+    print(f"{'main_s':>7} {'pool_s':>7} {'tail_s':>7} {'rss_mib':>7}  command (exit codes)")
     with tempfile.TemporaryDirectory(prefix="kreisslab-pool-cpu-") as tmp:
         for i, command in enumerate(COMMANDS):
             runs = [measure(command, Path(tmp) / str(i)) for _ in range(REPEATS)]
             codes = sorted({run[0] for run in runs})
-            main_cpu, pool, tail = (statistics.median(run[j] for run in runs) for j in (1, 2, 3))
-            print(f"{main_cpu:7.3f} {pool:7.3f} {tail:7.3f}  {' '.join(command)} "
+            main_cpu, pool, tail, rss = (statistics.median(run[j] for run in runs)
+                                         for j in (1, 2, 3, 4))
+            print(f"{main_cpu:7.3f} {pool:7.3f} {tail:7.3f} {rss:7.1f}  {' '.join(command)} "
                   f"({', '.join(map(str, codes))})", flush=True)
     return 0
 
