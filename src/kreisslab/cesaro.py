@@ -20,11 +20,11 @@ sums only at sparse rungs of that same stream.
 
 Rotated profiles take the sup over a uniform unimodular grid; for
 shift-like operators the rotation is a unitary equivalence, so a single
-angle suffices and is recorded as such.  The grid is built from exact
-conjugate pairs, and for a real operator (every leaf real, every
-rotation scalar real) the norm at conj(lam) equals the norm at lam, so
-every sweep over the grid (these mean sups and the resolvent sweeps of
-kreiss) evaluates only its points 0..N/2 (_swept_count).
+angle suffices and is recorded as such.  For a real operator (every
+leaf real, every rotation scalar real) the norm at conj(lam) equals the
+norm at lam, so _angle_grid gives every sweep over the grid (these mean
+sups and the resolvent sweeps of kreiss) only its points 0..N/2, with
+-1 exact.
 
 A positive weighted shift and its direct sums need no matrix at all:
 their means are nonnegative, so shift_mean_norm_bracket brackets each
@@ -142,34 +142,30 @@ def _dense_norm(mat: np.ndarray) -> float:
 
 
 def _angle_grid(op: OperatorSpec, angle_count: int):
-    """(shortcut, lams): lam = 1 alone for shift-like op, else the uniform N-point grid.
+    """(shortcut, lams): the points of the uniform N-point grid that a sweep of op evaluates.
 
-    Points k <= N/2 are exp(2 pi i k / N), and point k > N/2 is the exact
-    conjugate of point N - k, so conjugation pairs the grid's points
-    exactly (exp of the mirrored angle differs from it by up to 7.1e-16).
-    Point N/2 of an even grid, exp(i pi) = -1 + 1.2e-16i, is its own
-    partner in the sweeps (_swept_count).
+    A shift-like op gets lam = 1 alone.  Point k <= N/2 of the grid is
+    exp(2 pi i k / N), except that point N/2 of an even grid is exactly
+    -1, and point k > N/2 is the exact conjugate of point N - k (exp of
+    the mirrored angle differs from it by up to 7.1e-16).  When op is
+    real (_is_real), the matrix of each cell at conj(lam) is the
+    entrywise conjugate of the one at lam, since the means, resolvents
+    and their powers have real coefficients.  Rounding is symmetric
+    under negation, and the products, Gram eigensolves, inverses and
+    SVDs treat the sign of an imaginary part symmetrically, so the
+    computed norms agree bit for bit as well: only points 0..N/2 are
+    returned, and they carry every value of the grid.  A complex op gets
+    all N points.
     """
     angle_count = _count(angle_count, "angle count", 1)
     if is_shift_like(op):
         return True, np.array([1.0 + 0.0j])
     head = np.exp(2j * np.pi * np.arange(angle_count // 2 + 1) / angle_count)
+    if angle_count % 2 == 0:
+        head[-1] = -1.0
+    if _is_real(op):
+        return False, head
     return False, np.concatenate((head, head[1:(angle_count + 1) // 2][::-1].conj()))
-
-
-def _swept_count(op: OperatorSpec, lams: np.ndarray) -> int:
-    """How many leading points of lams = _angle_grid(op, N)[1] a sweep must evaluate.
-
-    When op is real (_is_real: every rotation scalar is real and every
-    Dense leaf has a zero imaginary part), the matrix of each cell at
-    conj(lam) is the entrywise conjugate of the one at lam, since the
-    means, resolvents and their powers have real coefficients.  Rounding
-    is symmetric under negation, and the products, Gram eigensolves,
-    inverses and SVDs treat the sign of an imaginary part symmetrically,
-    so the computed norms agree bit for bit as well: points 0..N/2 carry
-    every value of the grid.  Otherwise every point is evaluated.
-    """
-    return len(lams) // 2 + 1 if _is_real(op) else len(lams)
 
 
 def _frobenius(mat: np.ndarray) -> float:
@@ -422,32 +418,32 @@ def _mean_cells(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: boo
                 yield leaf_index, point, n, total, triangular, settled
 
 
-def _rotated_mean_norms(op: OperatorSpec, n_max: int, lams: np.ndarray, want_order2: bool = False):
-    """Norm tables ||M_n(lam*T)|| (and order 2) over a grid of scalars, every cell normed.
+def _rotated_mean_norms(op: OperatorSpec, n_max: int, lams: np.ndarray, order: int = 1):
+    """The norm table ||M_n(lam*T)|| (order 1) or ||M_n^(2)(lam*T)|| (order 2), every cell normed.
 
-    Returns arrays of shape (len(lams), n_max + 1), the max over the
-    leaves of op.  Past a zero power the first-order sum no longer
-    changes, so its norm is taken once and divided by n + 1 from then
-    on; the second-order sum keeps growing and is normed at every n.
+    Returns an array of shape (len(lams), n_max + 1), the max over the
+    leaves of op; only the cells of the given order are normed.  Past a
+    zero power the first-order sum no longer changes, so its norm is
+    taken once and divided by n + 1 from then on; the second-order sum
+    keeps growing and is normed at every n.
     """
-    shape = (len(lams), n_max + 1)
-    norm1 = np.zeros(shape)
-    norm2 = np.zeros(shape) if want_order2 else None
-    for _, point, n, total, triangular, settled in _mean_cells(op, n_max, lams, want_order2):
-        if not settled:  # n = 0 never is
-            top = _dense_norm(total)
-        norm1[point, n] = np.maximum(norm1[point, n], top / (n + 1))
-        if want_order2:
+    table = np.zeros((len(lams), n_max + 1))
+    for _, point, n, total, triangular, settled in _mean_cells(op, n_max, lams, order == 2):
+        if order == 2:
             value = 2.0 * _dense_norm(triangular) / ((n + 1) * (n + 2))
-            norm2[point, n] = np.maximum(norm2[point, n], value)
-    return norm1, norm2
+        else:
+            if not settled:  # n = 0 never is
+                top = _dense_norm(total)
+            value = top / (n + 1)
+        table[point, n] = np.maximum(table[point, n], value)
+    return table
 
 
 class _MeanSups:
     """The running bests of rotated_mean_tables and the checks that prune against them.
 
     Each normed cell's value comes from the same expression as in
-    _rotated_mean_norms, so every best is an entry of those tables.  The
+    _rotated_mean_norms, so every best is an entry of its tables.  The
     beaten checks take arrays of bounds and of n as well as one cell's.
     """
 
@@ -582,10 +578,12 @@ def rotated_mean_norm_profile(
 ) -> MeanSeries:
     """Sup over the angle grid of ||M_n(lam*T)|| (or the order-2 mean).
 
-    The grid is uniform with lam = 1 as its first point, so the norm_m1
-    column always holds the unrotated means.  A real operator's tables
-    cover points 0..N/2 only, whose rows hold every value of the grid
-    (_swept_count).  Shift-like operators are evaluated at lam = 1 only;
+    The grid is uniform with lam = 1 as its first point, so row 0 of the
+    swept table holds the unrotated means; a real operator's table
+    covers the points 0..N/2 that hold every value of the grid
+    (_angle_grid).  Only the chosen order is normed over the grid: at
+    order 2 the unrotated first-order row norm_m1 comes from a pass at
+    lam = 1 alone.  Shift-like operators are evaluated at lam = 1 only;
     the sup is exact for them at any resolution, which is recorded via
     ``rotation_shortcut``.
     """
@@ -593,13 +591,15 @@ def rotated_mean_norm_profile(
         raise ValidationError("order must be 1 or 2")
     n_max = _count(n_max, "n_max")
     shortcut, lams = _angle_grid(op, angle_count)
-    norm1, norm2 = _rotated_mean_norms(op, n_max, lams[:_swept_count(op, lams)], order == 2)
-    chosen = norm1 if order == 1 else norm2
+    table = _rotated_mean_norms(op, n_max, lams, order)
+    norm_m1, norm_m2 = table[0], None
+    if order == 2:
+        norm_m1, norm_m2 = _rotated_mean_norms(op, n_max, np.ones(1))[0], table[0]
     return MeanSeries(
         n=np.arange(n_max + 1),
-        norm_m1=norm1[0],
-        norm_m2=norm2[0] if norm2 is not None else None,
-        sup_lambda=chosen.max(axis=0),
+        norm_m1=norm_m1,
+        norm_m2=norm_m2,
+        sup_lambda=table.max(axis=0),
         order=order,
         angle_count=angle_count,
         rotation_shortcut=shortcut,

@@ -17,7 +17,7 @@ plain sweep's cell.  resolvent_norm, 1/sigma_min from an SVD of the
 system, is the plain constant's independent oracle, taken once at the
 point where the sup is reached.  For a real operator every grid sweep
 evaluates only the angles 0..N/2 of its N-point grid, whose values the
-conjugate half repeats (cesaro._swept_count).  The claims read the
+conjugate half repeats (cesaro._angle_grid).  The claims read the
 orbit norms norms[j] = ||T^j x|| from orbit_norms, so one orbit serves
 every claim instance on a probe, and run_hilbert_claims evaluates each
 instance on all probes at once, as one record that gates the worst of
@@ -37,11 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cesaro import (_EPS, _angle_grid, _beaten, _norm_unless_beaten, _swept_count,
-                     rotated_mean_tables)
+from .cesaro import _EPS, _angle_grid, _beaten, _norm_unless_beaten, rotated_mean_tables
 from .errors import ConvergenceError, SingularError, ValidationError
-from .operators import (SEED, OperatorSpec, WeightedShift, _count, apply, blocks, dimension,
-                        materialize)
+from .operators import (SEED, OperatorSpec, WeightedShift, _count, _is_real, apply, blocks,
+                        dimension, materialize)
 from .reports import CheckRecord, field_values, gate, margins
 
 #: Dimension up to which the spectral-radius precondition is verified
@@ -233,15 +232,17 @@ def _leaf_chain(scaled: np.ndarray, k_max: int, plain: float, strong: float):
     return plain, strong
 
 
-def _with_mirrors(r: float, angles: np.ndarray, lost: list, swept: int) -> list:
-    """(r, mu) of the swept angles lost at radius r and of their unswept mirrors, in grid order.
+def _with_mirrors(r: float, lost: list, real: bool) -> list:
+    """(r, mu) of the angles lost at radius r and, for a real op, of their mirrors, in grid order.
 
-    A lost point k <= N/2 with N - k >= swept stands for point N - k too,
-    whose value equals its own (_swept_count): it is lost there as well.
+    A real op's sweep evaluates points 0..N/2 alone (_angle_grid), and a
+    lost non-real point mu there stands for its conjugate, whose value
+    equals its own: it is lost as well.  mu.conjugate() is bit-equal to
+    the full grid's point at the mirrored angle, and those points run in
+    reverse order.  Points 1 and -1 are real, their own mirrors.
     """
-    n = len(angles)
-    mirrored = lost + [n - k for k in reversed(lost) if swept <= n - k < n]
-    return [(float(r), complex(angles[k])) for k in mirrored]
+    mirrors = [mu.conjugate() for mu in reversed(lost) if mu.imag] if real else []
+    return [(float(r), mu) for mu in lost + mirrors]
 
 
 def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int):
@@ -255,17 +256,17 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int):
     sup alone.  point is (r, lam) where the plain sup is first reached
     in grid order (None when no point rises above 0).
     Shift-like operators are rotation invariant, so one angle per radius
-    is evaluated and recorded as a shortcut.  A real operator (every
-    leaf real, every rotation scalar real) has ||R(conj lam)|| =
-    ||R(lam)|| and the same for every strong term, so at each radius
-    only angles 0..N/2 are evaluated (_swept_count): the sups and point
-    are those of the full grid, and a skipped non-real point stands for
-    its conjugate, which is listed with it in grid order.  A point where
-    some block's inverse fails is left out of both sweeps and listed
-    once in skipped as (r, mu), radius by radius, angles in grid order.
+    is evaluated and recorded as a shortcut.  A real operator (_is_real)
+    has ||R(conj lam)|| = ||R(lam)|| and the same for every strong term,
+    so at each radius only angles 0..N/2 are evaluated (_angle_grid):
+    the sups and point are those of the full grid, and a skipped
+    non-real point stands for its conjugate, which is listed with it in
+    grid order (_with_mirrors).  A point where some block's inverse
+    fails is left out of both sweeps and listed once in skipped as
+    (r, mu), radius by radius, angles in grid order.
     """
     shortcut, angles = _angle_grid(op, grid.angle_count)
-    swept = _swept_count(op, angles)
+    real = _is_real(op)
     leaves = [(scalar, materialize(leaf), np.eye(stop - start))
               for start, stop, scalar, leaf in blocks(op)]
     plain = strong = 0.0
@@ -273,20 +274,20 @@ def _grid_pass(op: OperatorSpec, grid: AnnulusGrid, k_max: int):
     skipped = []
     for r in grid.radii:
         lost = []
-        for k, mu in enumerate(angles[:swept]):
+        for mu in angles:
             lam = r * mu
             try:
                 inverses = [_leaf_inverse(mat, eye, lam if scalar == 1.0 else lam / scalar)
                             for scalar, mat, eye in leaves]
             except SingularError:
-                lost.append(k)
+                lost.append(complex(mu))
                 continue
             before = plain
             for resolvent in inverses:
                 plain, strong = _leaf_chain((r - 1.0) * resolvent, k_max, plain, strong)
             if plain > before:
                 point = (float(r), complex(lam))
-        skipped += _with_mirrors(r, angles, lost, swept)
+        skipped += _with_mirrors(r, lost, real)
     return shortcut, plain, point, tuple(skipped), strong
 
 
@@ -354,7 +355,7 @@ def kb2_constant(op: OperatorSpec, n_max: int, angles: int = 256) -> KreissRepor
     """
     n_max = _count(n_max, "n_max")
     shortcut, lams = _angle_grid(op, angles)
-    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams[:_swept_count(op, lams)])
+    ukb, kb2, kb2_sum = rotated_mean_tables(op, n_max, lams)
     return KreissReport(
         ukb_C=ukb,
         kb2_C=kb2,
@@ -421,21 +422,12 @@ def orbit_norms(op: OperatorSpec, x: np.ndarray, kmax: int) -> np.ndarray:
 # one instance on all probes at once.
 
 
-def _top_squares(orbits: np.ndarray, N: int) -> np.ndarray:
-    """||T^N x||^2 of each row as a column, each squared as a float64 scalar (C pow).
-
-    np.square of the column would round differently in the last bit for
-    about one value in a thousand.
-    """
-    return np.array([norm ** 2 for norm in orbits[:, N]]).reshape(-1, 1)
-
-
 def _h1(orbits, C, N):
     return orbits[:, :N] ** 2, "<=", 16.0 * C * C * N * N
 
 
 def _h2(orbits, C, N, M):
-    return _top_squares(orbits, N) / orbits[:, N - np.arange(M)] ** 2, "<=", 16.0 * C * C * M * M
+    return orbits[:, N, None] ** 2 / orbits[:, N - np.arange(M)] ** 2, "<=", 16.0 * C * C * M * M
 
 
 def _h3(orbits, C, N):
@@ -443,7 +435,7 @@ def _h3(orbits, C, N):
 
 
 def _h4(orbits, C, N, M1, M2):
-    terms = orbits[:, N - np.arange(M1, M2)] ** 2 / _top_squares(orbits, N)
+    terms = orbits[:, N - np.arange(M1, M2)] ** 2 / orbits[:, N, None] ** 2
     return terms, ">=", (M2 - M1) ** 2 / (16.0 * C * C * M2 * M2)
 
 

@@ -299,7 +299,7 @@ def _is_real(op: OperatorSpec) -> bool:
 
     The one realness predicate: materialize and apply pick their field
     by it, and the rotated sweeps halve their grids by it
-    (cesaro._swept_count).
+    (cesaro._angle_grid).
     """
     return all(scalar.imag == 0.0
                and not (isinstance(leaf, Dense) and np.iscomplexobj(leaf.matrix)

@@ -228,7 +228,7 @@ def test_criterion_10_structural_properties():
     rot_ok = True
     for op in (kl.build_TN(4, 0.3), kl.build_bermbmp_shift(0.3, "forward", 8)):
         lams = np.exp(2j * np.pi * np.arange(64) / 64)
-        table, _ = _rotated_mean_norms(kl.Dense(kl.materialize(op)), 12, lams)
+        table = _rotated_mean_norms(kl.Dense(kl.materialize(op)), 12, lams)
         rot_ok = rot_ok and float((table.max(axis=0) - table.min(axis=0)).max()) <= 1e-9
     grid = kl.AnnulusGrid(default_radii(6), 8)
     plain = kl.kreiss_constant(kl.Dense(kl.materialize(kl.build_TN(6, 0.3))), grid).kreiss_C

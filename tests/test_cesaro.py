@@ -8,7 +8,7 @@ import kreisslab.cesaro
 import kreisslab.kreiss
 import kreisslab.operators
 import kreisslab.reproduce
-from kreisslab.cesaro import _dense_norm, _power_sums, _rotated_mean_norms
+from kreisslab.cesaro import _angle_grid, _dense_norm, _power_sums, _rotated_mean_norms
 from kreisslab.operators import _dense_dimension
 from kreisslab.reproduce import CANONICAL_CATALOG
 
@@ -128,7 +128,7 @@ def test_shift_mean_rotation_invariance_on_dense_grid():
     # defeat the shortcut by materializing, then sweep a 64-angle grid
     for op in (kl.build_TN(4, 0.3), kl.build_bermbmp_shift(0.3, "forward", 8)):
         lams = np.exp(2j * np.pi * np.arange(64) / 64)
-        table, _ = _rotated_mean_norms(kl.Dense(kl.materialize(op)), 12, lams)
+        table = _rotated_mean_norms(kl.Dense(kl.materialize(op)), 12, lams)
         spread = table.max(axis=0) - table.min(axis=0)
         assert float(spread.max()) <= 1e-9
 
@@ -148,6 +148,34 @@ def test_profile_past_a_zero_power_norms_the_sum_once(monkeypatch):
         total = total + power
         expected.append(np.linalg.norm(total, 2) / (n + 1))
     np.testing.assert_allclose(profile.norm_m1, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("op", [kl.build_ergces(12), kl.build_tz_block(8),
+                                kl.RotatedScale(np.exp(0.3j), kl.build_tz_block(4))],
+                         ids=["ergces-12", "tzblock-8", "complex-rotated"])
+def test_an_order_2_profile_norms_first_order_cells_at_lam_1_only(monkeypatch, op):
+    # The order-2 profile norms its second-order cells at every swept
+    # point, and first-order cells only on the lam = 1 row that it reports
+    # as norm_m1, with the bits of the exhaustive first-order table.
+    _, lams = _angle_grid(op, 64)
+    first = _rotated_mean_norms(op, 64, lams, 1)
+    second = _rotated_mean_norms(op, 64, lams, 2)
+    calls = []
+    monkeypatch.setattr(kreisslab.cesaro, "_dense_norm",
+                        lambda mat: calls.append(mat.shape) or _dense_norm(mat))
+    _rotated_mean_norms(op, 64, np.ones(1), 1)
+    row = len(calls)
+    calls.clear()
+    profile = kl.rotated_mean_norm_profile(op, 64, 64, order=2)
+    assert len(calls) == len(lams) * 65 + row
+    np.testing.assert_array_equal(profile.norm_m1, first[0], strict=True)
+    np.testing.assert_array_equal(profile.norm_m2, second[0], strict=True)
+    np.testing.assert_array_equal(profile.sup_lambda, second.max(axis=0), strict=True)
+    calls.clear()
+    profile = kl.rotated_mean_norm_profile(op, 64, 64)
+    assert len(calls) == len(lams) * row
+    np.testing.assert_array_equal(profile.norm_m1, first[0], strict=True)
+    np.testing.assert_array_equal(profile.sup_lambda, first.max(axis=0), strict=True)
 
 
 def test_profile_of_a_sum_above_the_dense_cap_is_the_max_over_its_blocks():
@@ -191,7 +219,7 @@ def test_profile_validation():
 
 def one_point_means(op, n_max):
     """||M_n(op)|| for n = 0..n_max from the dense tables: the brackets' oracle."""
-    return _rotated_mean_norms(op, n_max, np.array([1.0 + 0.0j]))[0][0]
+    return _rotated_mean_norms(op, n_max, np.array([1.0 + 0.0j]))[0]
 
 
 def assert_contains(bracket, values):

@@ -3,6 +3,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -678,6 +680,31 @@ def test_tz_block_commands_keep_to_their_memory_budget(tmp_path, argv, mib):
     peak = traced_peak(lambda: codes.append(main([*argv, "--out", str(tmp_path)])))
     assert codes == [0]
     assert peak < mib * 2**20
+
+
+#: Runs reproduce("ex2.9", argv[1]) in a fresh process; prints its exit
+#: code and the rise of the peak resident set size over it, in KiB.
+_RSS_RISE = """
+import resource, sys
+import kreisslab
+from kreisslab.reproduce import reproduce
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = reproduce("ex2.9", sys.argv[1])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_ex29_keeps_the_peak_rss_of_a_fresh_process_to_its_budget(tmp_path):
+    # tracemalloc cannot see LAPACK's own buffers: eigvalsh copies its input
+    # outside Python's allocator, so holding T^32 through the eigensolve
+    # passed the traced budget above.  The peak RSS sees every buffer; the
+    # run raised it by 16.8-16.9 MiB, and by 30.0 MiB with the Gram route.
+    env = dict(os.environ, PYTHONPATH=str(Path(kreisslab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RSS_RISE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    code, rise_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert rise_kib < 20 * 2**10
 
 
 def test_powers_reject_a_zero_k_max_before_norming(tmp_path, capsys):

@@ -17,7 +17,7 @@ import kreisslab.kreiss
 import kreisslab.reproduce as reproduce
 from kreisslab.cesaro import (_EPS, _POOLED_PRODUCT, _SEED_WINDOW, _angle_grid, _beaten,
                               _bounds_beaten, _dense_norm, _frobenius, _gram_strip, _mean_cells,
-                              _rotated_mean_norms, _schatten4, _seed_bounds, _swept_count)
+                              _rotated_mean_norms, _schatten4, _seed_bounds)
 from kreisslab.kreiss import _chain_reach, _leaf_inverse, certify_spectral_radius, default_radii
 from kreisslab.operators import _compact
 
@@ -231,22 +231,37 @@ def contractive_dense(d, seed):
     return kl.Dense(0.9 * mat / np.max(np.abs(np.linalg.eigvals(mat))))
 
 
+def full_grid(op, angles):
+    """Every point of the uniform N-point grid that a sweep of op stands for, built here.
+
+    lam = 1 alone for a shift-like op.  Otherwise point k <= N/2 is
+    exp(2 pi i k / N), point N/2 of an even grid exactly -1, and point
+    k > N/2 the exact conjugate of point N - k, for a real op too.
+    """
+    if kl.is_shift_like(op):
+        return np.array([1.0 + 0.0j])
+    head = np.exp(2j * np.pi * np.arange(angles // 2 + 1) / angles)
+    if angles % 2 == 0:
+        head[-1] = -1.0
+    return np.concatenate((head, head[1:(angles + 1) // 2][::-1].conj()))
+
+
 def exhaustive_mean_sups(op, n_max, angles):
-    """(ukb_C, kb2_C, kb2_sum_C) as the maxima of the fully normed tables."""
-    _, lams = _angle_grid(op, angles)
-    norm1, norm2 = _rotated_mean_norms(op, n_max, lams, True)
+    """(ukb_C, kb2_C, kb2_sum_C) as the maxima of the fully normed tables over the full grid."""
+    lams = full_grid(op, angles)
+    norm1, norm2 = (_rotated_mean_norms(op, n_max, lams, order) for order in (1, 2))
     n = np.arange(n_max + 1, dtype=float)
     return (float(norm1.max()), float(norm2.max()),
             float((norm2 * ((n + 2.0) / (2.0 * (n + 1.0)))).max()))
 
 
 def exhaustive_inverses(op, grid):
-    """(r, mu, resolvents) at every grid point in order; resolvents is None where an inverse fails.
+    """(r, mu, resolvents) at each full-grid point in order; resolvents is None where inv fails.
 
     Each block's resolvent is inv(lam' I - A) with lam' = lam / scalar,
     as the sweeps fold each rotation into lam.
     """
-    _, angles = _angle_grid(op, grid.angle_count)
+    angles = full_grid(op, grid.angle_count)
     leaves = [(scalar, kl.materialize(leaf)) for _, _, scalar, leaf in kl.blocks(op)]
     for r in grid.radii:
         for mu in angles:
@@ -400,7 +415,7 @@ def test_a_real_operator_skips_a_lost_point_with_its_conjugate(monkeypatch):
     # The full-grid sweeps lose the conjugate too, as a real singular point would.
     op = NONNORMAL
     grid = kl.AnnulusGrid.default(8)
-    _, angles = _angle_grid(op, 8)
+    angles = full_grid(op, 8)
     radii = grid.radii
     lost = radii[7] * angles[3]
     corner = kl.materialize(op)[0, 0]
@@ -418,6 +433,23 @@ def test_a_real_operator_skips_a_lost_point_with_its_conjugate(monkeypatch):
     assert (fused.strong_C, fused.skipped) == exhaustive_strong_sup(op, grid, 8)
 
 
+def test_a_real_operator_skips_a_lost_point_at_minus_r_once(monkeypatch):
+    # Point 4 of 8 is exactly -1, so the inverse fails at the real point
+    # -r: a real point is its own conjugate, and it is listed once, with no
+    # mirror, as the full-grid sweeps list it.
+    op = NONNORMAL
+    grid = kl.AnnulusGrid.default(8)
+    radii = grid.radii
+    corner = kl.materialize(op)[0, 0]
+    inverted = failing_points(monkeypatch, {-radii[5]}, corner)
+    fused = kl.kreiss_constant(op, grid, 8)
+    assert -radii[5] - corner in inverted
+    assert fused.skipped == ((radii[5], -1.0 + 0.0j),)
+    assert fused.to_dict()["skipped"] == [[radii[5], -1.0 + 0.0j]]
+    assert (fused.kreiss_C, fused.kreiss_C_radius, fused.skipped) == exhaustive_plain_sweep(op, grid)
+    assert (fused.strong_C, fused.skipped) == exhaustive_strong_sup(op, grid, 8)
+
+
 #: Real operators, whose sweeps evaluate angles 0..N/2 of an N-point grid.
 REAL_OPS = {
     "tzblock-8": kl.build_tz_block(8),
@@ -431,11 +463,15 @@ REAL_OPS = {
 @pytest.mark.parametrize("op", REAL_OPS.values(), ids=REAL_OPS.keys())
 def test_half_sweeps_of_a_real_operator_equal_the_full_grid(op, angles):
     _, lams = _angle_grid(op, angles)
-    assert _swept_count(op, lams) == angles // 2 + 1
+    full = full_grid(op, angles)
+    head = angles // 2 + 1
+    np.testing.assert_array_equal(lams, full[:head])
     report = kl.kb2_constant(op, 16, angles)
     assert (report.ukb_C, report.kb2_C, report.kb2_sum_C) == exhaustive_mean_sups(op, 16, angles)
     assert kl.uniform_kreiss_constant(op, 16, angles).ukb_C == report.ukb_C
-    norm1, norm2 = _rotated_mean_norms(op, 16, lams, True)
+    norm1, norm2 = (_rotated_mean_norms(op, 16, full, order) for order in (1, 2))
+    for table in (norm1, norm2):  # each conjugate row repeats its partner's bits
+        np.testing.assert_array_equal(table[head:], table[1:(angles + 1) // 2][::-1])
     for order, table in ((1, norm1), (2, norm2)):
         profile = kl.rotated_mean_norm_profile(op, 16, angles, order)
         np.testing.assert_array_equal(profile.sup_lambda, table.max(axis=0))
@@ -449,17 +485,26 @@ def test_half_sweeps_of_a_real_operator_equal_the_full_grid(op, angles):
 
 @pytest.mark.parametrize("angles", [1, 2, 3, 7, 8, 16, 64, 255])
 def test_angle_grid_pairs_its_points_as_exact_conjugates(angles):
-    shortcut, lams = _angle_grid(NONNORMAL, angles)
+    # A complex operator gets all N points, closed under conjugation
+    # exactly; a real one gets points 0..N/2, the head of the same grid;
+    # a shift gets lam = 1 alone.
+    shortcut, lams = _angle_grid(COMPLEX_TWIN, angles)
     assert not shortcut and lams.shape == (angles,)
     head = angles // 2 + 1
-    np.testing.assert_array_equal(lams[:head], np.exp(2j * np.pi * np.arange(head) / angles))
+    exp = np.exp(2j * np.pi * np.arange(head) / angles)
+    if angles % 2 == 0:  # exp(i pi) = -1 + 1.2e-16i; the grid's point is exactly -1
+        assert exp[-1] != -1.0
+        exp[-1] = -1.0
+    np.testing.assert_array_equal(lams[:head], exp, strict=True)
     k = np.arange(1, angles)
-    k = k[k != angles - k]
     np.testing.assert_array_equal(lams[angles - k], np.conj(lams[k]))
-    # exp(i pi) = -1 + 1.2e-16i of an even grid is its own partner, the one
-    # point whose conjugate lies off the grid.
-    off = {complex(z) for z in np.conj(lams)} - {complex(z) for z in lams}
-    assert off == ({complex(np.conj(np.exp(1j * np.pi)))} if angles % 2 == 0 else set())
+    assert {complex(z) for z in np.conj(lams)} == {complex(z) for z in lams}
+    shortcut, real = _angle_grid(NONNORMAL, angles)
+    assert not shortcut
+    np.testing.assert_array_equal(real, lams[:head], strict=True)
+    shortcut, one = _angle_grid(kl.build_TN(4, 0.3), angles)
+    assert shortcut
+    np.testing.assert_array_equal(one, [1.0 + 0.0j], strict=True)
 
 
 def test_only_a_real_operator_sweeps_half_the_angles(monkeypatch):
@@ -568,9 +613,8 @@ def test_chain_cut_covers_every_later_term(op):
     k_max = 16
     reach = _chain_reach(k_max, d)
     pairs = 0
-    _, angles = _angle_grid(op, 16)
     for r in default_radii():
-        for mu in angles:
+        for mu in full_grid(op, 16):
             resolvent = _leaf_inverse(mat, np.eye(d), r * mu)
             scaled = (r - 1.0) * resolvent
             if _frobenius(scaled) > 1.0:
@@ -668,9 +712,8 @@ def test_split_bound_covers_every_later_term(op):
     d = mat.shape[0]
     k_max = 16
     pairs = 0
-    _, angles = _angle_grid(op, 16)
     for r in default_radii():
-        for mu in angles:
+        for mu in full_grid(op, 16):
             _, terms = chain_powers((r - 1.0) * _leaf_inverse(mat, np.eye(d), r * mu), k_max)
             a = next((k for k, term in enumerate(terms) if term <= 1.0), None)
             if not a:  # no such power, or a = 1 (test_chain_cut_covers_every_later_term)
@@ -850,7 +893,6 @@ def stepped_alone(mat, lam, n_max):
 @pytest.mark.parametrize("op", SWEEP_OPS.values(), ids=SWEEP_OPS.keys())
 def test_swept_cells_equal_stepping_each_point_alone(op):
     _, lams = _angle_grid(op, 8)
-    lams = lams[:_swept_count(op, lams)]
     # A rotated leaf's points are its scalar times the grid, as one array product.
     leaves = [(lams if scalar == 1.0 else lams * scalar, kl.materialize(leaf))
               for _, _, scalar, leaf in kl.blocks(op)]
@@ -897,7 +939,7 @@ def stepped_chain(mat, lam, n_max):
 def test_scaled_real_powers_equal_the_complex_chain(op):
     # lam^n T^n and (lam T)^n agree to rounding: every entry of a cell
     # within 1e-13 of the sizes of its terms (the sums cancel on the identity).
-    _, lams = _angle_grid(op, 16)
+    lams = full_grid(op, 16)
     leaves = [(lams if scalar == 1.0 else lams * scalar, kl.materialize(leaf))
               for _, _, scalar, leaf in kl.blocks(op)]
     chains = {}
@@ -912,10 +954,10 @@ def test_scaled_real_powers_equal_the_complex_chain(op):
 
 
 def test_a_real_grid_steps_its_real_point_apart():
-    lams = _angle_grid(NONNORMAL, 8)[1][:5]
+    lams = _angle_grid(NONNORMAL, 8)[1]
     kinds = {(leaf, point, total.dtype.kind)
              for leaf, point, n, total, *_ in _mean_cells(NONNORMAL, 2, lams, False)}
-    assert sorted(kinds) == [(0, 0, "f"), (0, 1, "c"), (0, 2, "c"), (0, 3, "c"), (0, 4, "c")]
+    assert sorted(kinds) == [(0, 0, "f"), (0, 1, "c"), (0, 2, "c"), (0, 3, "c"), (0, 4, "f")]
     settles = [(n, settled) for _, _, n, _, _, settled in
                _mean_cells(SWEEP_OPS["settles-mid-sweep"], 6, np.ones(1), False)]
     assert settles[4:7] == [(4, False), (5, True), (6, True)]  # T^5 = 0 for tzblock 4
@@ -966,9 +1008,10 @@ def leaf_seed_bounds(op, n_max, lams):
 def test_seed_bounds_hold_every_stepped_cell(op, n_max):
     # The power-algebra bounds hold the Frobenius norm of the cell that
     # _mean_cells steps, of both orders, at every point and n (n_max = 300
-    # spans two windows of the Gram strips).
+    # spans two windows of the Gram strips).  Each bound is held against the
+    # cell's exact Frobenius norm: at lam = -1 an identity cell can be 0,
+    # which _frobenius reads as no bound (inf).
     _, lams = _angle_grid(op, 8)
-    lams = lams[:_swept_count(op, lams)]
     bounds = leaf_seed_bounds(op, n_max, lams)
     cells = 0
     for leaf, point, n, total, triangular, settled in _mean_cells(op, n_max, lams, True):
@@ -976,8 +1019,8 @@ def test_seed_bounds_hold_every_stepped_cell(op, n_max):
         if settled:
             assert bound1[point, n] == -np.inf
         else:
-            assert _frobenius(total) <= bound1[point, n] < np.inf
-        assert _frobenius(triangular) <= bound2[point, n] < np.inf
+            assert np.linalg.norm(total) <= bound1[point, n] < np.inf
+        assert np.linalg.norm(triangular) <= bound2[point, n] < np.inf
         cells += 1
     assert cells == len(bounds) * len(lams) * (n_max + 1)
 
@@ -1007,7 +1050,6 @@ def test_the_seed_tables_keep_to_their_budget():
     # the phase table and the bound arrays as the bulk.
     op = kl.build_ergces(12)
     _, lams = _angle_grid(op, 64)
-    lams = lams[:_swept_count(op, lams)]
     assert len(lams) == 33
     mat = kl.materialize(op)
     assert traced_peak(lambda: _seed_bounds(mat, 4096, lams)) < 24 * 2**20
@@ -1027,9 +1069,9 @@ def test_the_seed_steps_each_leaf_chain_once(monkeypatch):
 
     monkeypatch.setattr(kreisslab.cesaro, "_power_sums", counting)
     for op, n_max, angles, constants in (
-            (kl.build_ergces(12), 300, 8, (11.310509511102788, 8.985419312145599, 4.507635601774037)),
+            (kl.build_ergces(12), 300, 8, (11.310509511102786, 8.985419312145597, 4.507635601774036)),
             (kl.build_tz_block(64), 128, 64,
-             (38.43896565153635, 30.76294672545954, 15.592178477287712))):
+             (38.43896565153635, 30.762946725459532, 15.592178477287709))):
         chains.clear()
         report = kl.kb2_constant(op, n_max, angles)
         assert chains == [n_max] * len(kl.blocks(op))
@@ -1055,7 +1097,6 @@ def test_the_seed_strip_of_small_powers_stays_below_the_pooled_size(monkeypatch)
     # the calling thread, covering every row of the strip.
     op = kl.build_ergces(20)
     _, lams = _angle_grid(op, 64)
-    lams = lams[:_swept_count(op, lams)]
     assert len(lams) == 33
     products = recorded_products(monkeypatch)
     _seed_bounds(kl.materialize(op), 128, lams)

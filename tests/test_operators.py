@@ -532,7 +532,7 @@ def test_no_norm_of_an_explicit_matrix_takes_the_svd(monkeypatch):
     assert abs(kl.spectral_norm(op).value - sigma) <= 1e-13 * sigma
     assert kl.spectral_norm(kl.build_TN(8, 0.45)).method == "power-iteration"  # cross-checked
     np.testing.assert_allclose(kl.power_norms(op, 5).values, powers, rtol=1e-13)
-    norm1, norm2 = _rotated_mean_norms(op, 6, lams, True)
+    norm1, norm2 = (_rotated_mean_norms(op, 6, lams, order) for order in (1, 2))
     sup1, sup2, _ = rotated_mean_tables(op, 6, lams)
     assert (sup1, sup2) == (norm1.max(), norm2.max())
 
@@ -832,7 +832,7 @@ def test_block_kernels_match_the_block_diagonal_oracle():
     assert series.methods == tuple("dense-gram" if w == 1 else "closed-form" for w in winners)
 
     lams = np.exp(2j * np.pi * np.arange(4) / 4)
-    norm1, norm2 = _rotated_mean_norms(op, 6, lams, True)
+    norm1, norm2 = (_rotated_mean_norms(op, 6, lams, order) for order in (1, 2))
     for li, z in enumerate(lams):
         power = total = triangular = np.eye(d, dtype=complex)
         for n in range(1, 7):

@@ -41,6 +41,8 @@ COMMANDS = (
     *(("reproduce", theorem) for theorem in ("thm2.4", "thm2.5", "thm2.7-claims", "thm2.8",
                                                "prop3.5", "ex2.9", "lemma2.1", "thm1.5")),
     ("kreiss", "--operator", "tzblock", "--trunc", "16", *_CSV),
+    # An odd grid has no point at -1: every swept point is non-real but 1.
+    ("kreiss", "--operator", "tzblock", "--trunc", "16", "--angles", "63", *_CSV),
     ("kreiss", "--operator", "tzblock", "--trunc", "32", *_CSV),
     ("kreiss", "--operator", "ergces", "--trunc", "20", *_CSV),
     # n_max 4096 splits the mean-sweep seed into windows (_SEED_WINDOW).
@@ -51,6 +53,8 @@ COMMANDS = (
     ("kreiss", "--operator", "bermbmp", "--trunc", "64", *_CSV),
     ("kreiss", "--operator", "shields", "--nmax-sum", "6", *_CSV),
     ("cesaro", "--operator", "tzblock", "--trunc", "16", *_CSV),
+    ("cesaro", "--operator", "tzblock", "--trunc", "16", "--order", "2", "--angles", "64",
+     *_CSV),
     ("cesaro", "--operator", "ergces", "--trunc", "12", "--order", "2", "--angles", "64",
      *_CSV),
     ("claims", "--operator", "tzblock", "--trunc", "8", "--probes", "8", "--k-max", "16",
